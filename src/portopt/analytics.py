@@ -119,8 +119,7 @@ def train_test_split(returns: ReturnMatrix, spec: SplitSpec) -> tuple[ReturnMatr
 
 
 def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
-                 gap_tol: float = 1e-8, max_iters: int = 50_000,
-                 threads: int = 1) -> SweepResult:
+                 gap_tol: float = 1e-8, max_iters: int = 50_000) -> SweepResult:
     """Solve the penalized model for every grid value and pick the penalty
     whose (std%, return%) point lies closest to the ideal corner.
 
@@ -144,11 +143,7 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
                                objective=None, allocation=None, wall_time=0.0,
                                iterations=0, detail=f"error: {exc}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, grid))
-    else:
-        reports = [run(lam) for lam in grid]
+    reports = [run(lam) for lam in grid]
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:

@@ -303,6 +303,16 @@ def _load_returns(cfg: RunConfig):
     return prices, compute_simple_returns(prices)
 
 
+def _train_window(cfg: RunConfig, returns):
+    """The returns up to --train-end inclusive; all of them without it."""
+    if cfg.train_end is None:
+        return returns
+    dates = [d for d in returns.dates if d <= cfg.train_end]
+    if not dates:
+        raise DataError("train_end precedes all data")
+    return type(returns)(returns.tickers, tuple(dates), returns.returns[:, :len(dates)])
+
+
 def _split_spec(cfg: RunConfig, returns) -> SplitSpec:
     if cfg.train_end is None or cfg.test_end is None:
         raise DataError("backtest requires --train-end and --test-end")
@@ -343,12 +353,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
         raise DataError("solve takes exactly one --model")
     tag = _resolve_models(cfg)[0]
     prices, returns = _load_returns(cfg)
-    if cfg.train_end is not None:
-        dates = [d for d in returns.dates if d <= cfg.train_end]
-        if not dates:
-            raise DataError("train_end precedes all data")
-        returns = type(returns)(returns.tickers, tuple(dates),
-                                returns.returns[:, :len(dates)])
+    returns = _train_window(cfg, returns)
     stats = asset_stats(returns)
     report = SOLVERS[tag](returns, stats, cfg.model_config())
     outputs = []
@@ -404,13 +409,10 @@ def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> list[str]:
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
     prices, returns = _load_returns(cfg)
-    if cfg.train_end is not None:
-        dates = [d for d in returns.dates if d <= cfg.train_end]
-        returns = type(returns)(returns.tickers, tuple(dates),
-                                returns.returns[:, :len(dates)])
+    returns = _train_window(cfg, returns)
     stats = asset_stats(returns)
     grid = lambda_grid(cfg.grid_min, cfg.grid_max, cfg.grid_n, cfg.grid_spacing)
-    sweep = lambda_sweep(stats, grid, cap=cfg.cap, threads=cfg.threads)
+    sweep = lambda_sweep(stats, grid, cap=cfg.cap)
     rows = [
         [_fmt(lam), _fmt(s) if np.isfinite(s) else "", _fmt(r) if np.isfinite(r) else "",
          status, _fmt(d) if np.isfinite(d) else ""]
@@ -431,10 +433,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
 
 def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> list[str]:
     prices, returns = _load_returns(cfg)
-    if cfg.train_end is not None:
-        dates = [d for d in returns.dates if d <= cfg.train_end]
-        returns = type(returns)(returns.tickers, tuple(dates),
-                                returns.returns[:, :len(dates)])
+    returns = _train_window(cfg, returns)
     tags = _resolve_models(cfg)
     model_cfg = cfg.model_config()
     report = sensitivity_run(returns, {tag: model_cfg for tag in tags},
@@ -504,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--test-end", default=None, help="last test date, inclusive")
         p.add_argument("--format", dest="out_format", choices=("csv", "markdown"),
                        default="csv")
-        p.add_argument("--threads", type=int, default=1)
         if needs_models:
             p.add_argument("--models", default="all",
                            help="comma list of models, or 'all' for the five surveyed")
@@ -525,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="perturbation study of allocations")
     add_common(p, needs_models=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="solve the models on this many threads")
 
     p = sub.add_parser("report", help="render a report CSV as markdown")
     p.add_argument("--input", required=True)
@@ -546,7 +546,7 @@ def config_from_args(args) -> RunConfig:
         seed=args.seed, grid_min=args.grid_min, grid_max=args.grid_max,
         grid_n=args.grid_n, grid_spacing=args.grid_spacing,
         train_end=args.train_end, test_end=args.test_end,
-        out_format=args.out_format, threads=args.threads,
+        out_format=args.out_format, threads=getattr(args, "threads", 1),
     )
 
 

@@ -18,6 +18,10 @@ Algorithm notes:
   engages after 50 consecutive degenerate pivots and guarantees termination.
 * The working tableau is B^-1 [A | b], refreshed by direct refactorization if
   the final solution drifts past the feasibility tolerance.
+* `SimplexState` keeps the tableau of one feasible region across objectives:
+  phase 1 runs once, and each later `minimize` refactorizes the kept basis and
+  runs phase 2 from it (a fresh phase 1 only if that basis has drifted
+  infeasible). `solve_lp` is one state minimized once.
 
 Tolerances: pivot/optimality 1e-9, primal feasibility 1e-7, both documented in
 the solution certificate check so results are reproducible.
@@ -98,20 +102,15 @@ def _as_rows(a, b, n: int, tag: str) -> tuple[np.ndarray, np.ndarray]:
 class LpSolution:
     """Solver outcome; `v` covers structural variables only (slacks dropped).
 
-    `basis` and `col_status` describe the final basis over the internal column
-    order (structural variables first, then one slack per inequality row) and
-    can be fed back to `solve_lp` as a warm start when re-solving on the same
-    feasible region. `duals` and `reduced_costs` are reported for the
-    minimization form and certify optimality: at an optimum every nonbasic-at-
-    lower column has reduced cost >= -1e-9 and every nonbasic-at-upper column
-    has reduced cost <= 1e-9.
+    `duals` and `reduced_costs` are reported for the minimization form and
+    certify optimality: at an optimum every nonbasic-at-lower column has
+    reduced cost >= -1e-9 and every nonbasic-at-upper column has reduced cost
+    <= 1e-9. `pivots` counts both phases.
     """
 
     v: np.ndarray
     objective: float
     status: SolveStatus
-    basis: tuple[int, ...]
-    col_status: tuple[int, ...]
     pivots: int
     duals: np.ndarray
     reduced_costs: np.ndarray
@@ -183,27 +182,6 @@ class _Tableau:
         self.work = np.hstack([g_ext, self.h[:, None]]) * signs[:, None]
         self.g = g_ext
 
-    def warm_start(self, basis, col_status) -> bool:
-        """Refactorize from a previous basis; True if it is primal feasible."""
-        basis = np.asarray(basis, dtype=int)
-        if basis.shape[0] != self.m or np.any(basis >= self.n_real):
-            return False
-        b_mat = self.g[:, basis]
-        try:
-            work = np.linalg.solve(b_mat, np.hstack([self.g, self.h[:, None]]))
-        except np.linalg.LinAlgError:
-            return False
-        self.basis = basis.copy()
-        self.status = np.asarray(col_status, dtype=np.int8).copy()
-        self.status[basis] = BASIC
-        self.work = work
-        self.n_art = 0
-        x_b = self.solution()[basis]
-        ok = np.all(x_b >= self.lower[basis] - FEAS_TOL) and np.all(
-            x_b <= self.upper[basis] + FEAS_TOL
-        )
-        return bool(ok)
-
     def lock_artificials(self):
         for j in range(self.n_real, self.n_cols):
             self.lower[j] = 0.0
@@ -214,6 +192,11 @@ class _Tableau:
     def refactorize(self):
         b_mat = self.g[:, self.basis]
         self.work = np.linalg.solve(b_mat, np.hstack([self.g, self.h[:, None]]))
+
+    def primal_feasible(self) -> bool:
+        x_b = self.solution()[self.basis]
+        return bool(np.all(x_b >= self.lower[self.basis] - FEAS_TOL)
+                    and np.all(x_b <= self.upper[self.basis] + FEAS_TOL))
 
     # -- the simplex loop ---------------------------------------------------
 
@@ -288,56 +271,95 @@ class _Tableau:
                 raise RuntimeError(f"simplex exceeded the pivot limit ({pivot_limit})")
 
 
-def solve_lp(
-    problem: LpProblem,
-    warm_basis: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-    pivot_limit: int = 50000,
-) -> LpSolution:
-    """Solve an LP to a vertex optimum, or certify infeasibility/unboundedness.
+class SimplexState:
+    """A primal feasible basis of one region, kept across objectives.
 
-    `warm_basis` takes the (basis, col_status) pair of a previous solution on
-    the same feasible region and skips phase 1 when that basis is still primal
-    feasible (the common case when only the objective changed).
+    Built from an LpProblem whose `c` and `sense` are ignored: the standard
+    form is set up and phase 1 runs once, locking artificials left basic at
+    zero. `minimize(cost)` runs phase 2 for a minimization cost over the
+    structural variables, starting from the kept basis. Every call after the
+    first refactorizes that basis, so pivot drift never carries from one call
+    to the next; if the refactorized basis is no longer primal feasible within
+    1e-7, phase 1 runs again. `pivot_limit` bounds the pivots of each call
+    (the first call shares it with the initial phase 1).
     """
-    n = problem.n_vars
-    m_ub = problem.a_ub.shape[0]
-    sign = 1.0 if problem.sense == "min" else -1.0
-    c_min = sign * problem.c
 
-    g = np.vstack([
-        np.hstack([problem.a_eq, np.zeros((problem.a_eq.shape[0], m_ub))]),
-        np.hstack([problem.a_ub, np.eye(m_ub)]),
-    ])
-    h = np.concatenate([problem.b_eq, problem.b_ub])
-    lower = np.concatenate([problem.lower, np.zeros(m_ub)])
-    upper = np.concatenate([problem.upper, np.full(m_ub, np.inf)])
-    cost = np.concatenate([c_min, np.zeros(m_ub)])
+    def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
+        self.problem = problem
+        self._pivot_limit = pivot_limit
+        m_ub = problem.a_ub.shape[0]
+        self._g = np.vstack([
+            np.hstack([problem.a_eq, np.zeros((problem.a_eq.shape[0], m_ub))]),
+            np.hstack([problem.a_ub, np.eye(m_ub)]),
+        ])
+        self._h = np.concatenate([problem.b_eq, problem.b_ub])
+        self._lower = np.concatenate([problem.lower, np.zeros(m_ub)])
+        self._upper = np.concatenate([problem.upper, np.full(m_ub, np.inf)])
+        self._done = 0  # pivots of calls before the current one
+        self._phase1()
+        self._fresh = True
 
-    tab = _Tableau(g.copy(), h.copy(), lower.copy(), upper.copy())
-
-    warmed = False
-    if warm_basis is not None:
-        warmed = tab.warm_start(np.asarray(warm_basis[0]), np.asarray(warm_basis[1]))
-    if not warmed:
+    def _phase1(self):
+        tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
         tab.cold_start()
         phase1_cost = np.concatenate([np.zeros(tab.n_real), np.ones(tab.n_art)])
-        outcome = tab.run(phase1_cost, pivot_limit)
-        phase1_obj = float(phase1_cost @ tab.solution())
-        if outcome != "optimal" or phase1_obj > FEAS_TOL:
-            return _finish(problem, tab, cost, SolveStatus.INFEASIBLE)
-        tab.lock_artificials()
+        outcome = tab.run(phase1_cost, self._pivot_limit)
+        self.feasible = outcome == "optimal" and float(phase1_cost @ tab.solution()) <= FEAS_TOL
+        if self.feasible:
+            tab.lock_artificials()
 
-    full_cost = np.concatenate([cost, np.zeros(tab.n_art)])
-    outcome = tab.run(full_cost, pivot_limit)
-    if outcome == "unbounded":
-        return _finish(problem, tab, cost, SolveStatus.UNBOUNDED)
+    @property
+    def pivots(self) -> int:
+        """Pivots over the state's lifetime, phase 1 included."""
+        return self._done + self._tab.pivots
 
-    # Guard against accumulated tableau drift before certifying.
-    x = tab.solution()
-    if _max_violation(problem, x[:n]) > FEAS_TOL:
-        tab.refactorize()
-        tab.run(full_cost, pivot_limit)
-    return _finish(problem, tab, cost, SolveStatus.OPTIMAL)
+    @property
+    def vertex(self) -> np.ndarray:
+        """The current basic solution over the structural variables."""
+        return self._tab.solution()[:self.problem.n_vars]
+
+    def minimize(self, cost: np.ndarray) -> SolveStatus:
+        """Minimize cost @ v over the region from the kept basis.
+
+        Returns Optimal or Unbounded, leaving `vertex` at the optimum, or
+        Infeasible when the region is empty. Raises RuntimeError when the call
+        exceeds the pivot limit.
+        """
+        if not self.feasible:
+            return SolveStatus.INFEASIBLE
+        tab = self._tab
+        if self._fresh:
+            self._fresh = False
+        else:
+            self._done += tab.pivots
+            tab.pivots = tab.degenerate_run = 0
+            try:
+                tab.refactorize()
+                kept = tab.primal_feasible()
+            except np.linalg.LinAlgError:
+                kept = False
+            if not kept:
+                self._phase1()
+                tab = self._tab
+                if not self.feasible:
+                    return SolveStatus.INFEASIBLE
+        full_cost = np.zeros(tab.n_cols)
+        full_cost[:self.problem.n_vars] = cost
+        if tab.run(full_cost, self._pivot_limit) == "unbounded":
+            return SolveStatus.UNBOUNDED
+        # Guard against accumulated tableau drift before certifying.
+        if _max_violation(self.problem, self.vertex) > FEAS_TOL:
+            tab.refactorize()
+            tab.run(full_cost, self._pivot_limit)
+        return SolveStatus.OPTIMAL
+
+
+def solve_lp(problem: LpProblem, pivot_limit: int = 50000) -> LpSolution:
+    """Solve an LP to a vertex optimum, or certify infeasibility/unboundedness."""
+    sign = 1.0 if problem.sense == "min" else -1.0
+    state = SimplexState(problem, pivot_limit)
+    status = state.minimize(sign * problem.c)
+    return _finish(problem, state, sign * problem.c, status)
 
 
 def _max_violation(problem: LpProblem, v: np.ndarray) -> float:
@@ -351,34 +373,31 @@ def _max_violation(problem: LpProblem, v: np.ndarray) -> float:
     return worst
 
 
-def _finish(problem: LpProblem, tab: _Tableau, cost_real: np.ndarray,
+def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
             status: SolveStatus) -> LpSolution:
-    n = problem.n_vars
-    x = tab.solution()
-    v = x[:n].copy()
+    tab = state._tab
+    v = state.vertex
     if status is SolveStatus.OPTIMAL:
         objective = float(problem.c @ v)
     elif status is SolveStatus.UNBOUNDED:
         objective = -np.inf if problem.sense == "min" else np.inf
     else:
         objective = float("nan")
-    full_cost = np.concatenate([cost_real, np.zeros(tab.n_art)])
+    full_cost = np.zeros(tab.n_cols)
+    full_cost[:problem.n_vars] = c_min
     # duals from the final basis: y solves y @ B = c_B
     try:
         y = np.linalg.solve(tab.g[:, tab.basis].T, full_cost[tab.basis])
     except np.linalg.LinAlgError:
         y = np.zeros(tab.m)
     reduced = full_cost - y @ tab.g
-    n_real = tab.n_real
     return LpSolution(
         v=v,
         objective=objective,
         status=status,
-        basis=tuple(int(b) for b in tab.basis),
-        col_status=tuple(int(s) for s in tab.status[:n_real]),
-        pivots=tab.pivots,
+        pivots=state.pivots,
         duals=y,
-        reduced_costs=reduced[:n_real],
+        reduced_costs=reduced[:tab.n_real],
     )
 
 

@@ -253,8 +253,8 @@ def _solve_node(base: LpProblem, lower: np.ndarray, upper: np.ndarray,
     if not feasible:
         infeasible = LpSolution(
             v=np.full(base.n_vars, np.nan), objective=np.nan,
-            status=SolveStatus.INFEASIBLE, basis=(), col_status=(), pivots=0,
-            duals=np.zeros(0), reduced_costs=np.zeros(0))
+            status=SolveStatus.INFEASIBLE, pivots=0, duals=np.zeros(0),
+            reduced_costs=np.zeros(0))
         return infeasible, active
     for _ in range(m_ub + 2):
         sub = LpProblem(c=base.c, sense=base.sense, a_eq=base.a_eq, b_eq=base.b_eq,

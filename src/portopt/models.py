@@ -32,7 +32,7 @@ from .core import (
     validate_allocation,
 )
 from .estimation import mean_returns
-from .lp_solver import LpProblem, solve_lp
+from .lp_solver import LpProblem, SimplexState, solve_lp
 from .milp_solver import MilpProblem, solve_milp
 from .qp_solver import QpProblem, QpSolution, solve_qp
 
@@ -298,11 +298,11 @@ def _solve_augmented(tag: str, problem: QpProblem, layout: ModelLayout, cfg: Mod
     # Start from the base problem's own feasibility vertex with u mirroring x
     # (feasible, and the tightest u for that x), the same point the plain
     # solve starts from.
-    init = solve_lp(problem.region_with_objective(np.zeros(n)))
-    if init.status is not SolveStatus.OPTIMAL:
+    base = SimplexState(problem._region)
+    if not base.feasible:
         sol = QpSolution(np.full(2 * n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
         return _qp_report(tag, sol, layout, cfg.resolved_cap(1.0), started)
-    start = np.concatenate([init.v, init.v])
+    start = np.tile(base.vertex, 2)
     # The penalty contributes the constant mu to the objective, inflating the
     # relative-gap scale; tighten proportionally so the x block is certified
     # to the same absolute accuracy as the unaugmented solve.
@@ -410,9 +410,9 @@ SOLVERS = {
     "markowitz": lambda returns, stats, cfg, **kw: solve_markowitz(stats, cfg, **kw),
     "reverse_markowitz": lambda returns, stats, cfg, **kw: solve_reverse_markowitz(stats, cfg, **kw),
     "simultaneous": lambda returns, stats, cfg, **kw: solve_simultaneous(stats, cfg, **kw),
-    "mad": lambda returns, stats, cfg, **kw: solve_mad(returns, cfg),
-    "md": lambda returns, stats, cfg, **kw: solve_md(returns, cfg),
-    "md_milp": lambda returns, stats, cfg, **kw: solve_md_milp(returns, cfg),
+    "mad": lambda returns, stats, cfg, **kw: solve_mad(returns, cfg, **kw),
+    "md": lambda returns, stats, cfg, **kw: solve_md(returns, cfg, **kw),
+    "md_milp": lambda returns, stats, cfg, **kw: solve_md_milp(returns, cfg, **kw),
 }
 
 

@@ -12,8 +12,9 @@ d = s - v: gamma = clamp(-(grad @ d) / (2 d @ Q @ d), 0, 1), with gamma = 1
 when d @ Q @ d vanishes (the objective is linear along d). The objective is
 therefore non-increasing at every iteration.
 
-Practical notes: the oracle LP keeps its feasible region fixed across
-iterations, so each call after the first warm-starts from the previous basis;
+Practical notes: the oracle's feasible region never changes, so one
+`SimplexState` serves the whole solve: phase 1 runs once, and each iteration
+refactorizes the kept basis and re-optimizes from it for the new gradient;
 Q @ v is updated incrementally from Q @ s (vertices are sparse) and refreshed
 periodically to stop floating-point drift. Frank-Wolfe's O(1/k) tail makes
 very tight gaps expensive; the default relative gap of 1e-8 suits the
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, DimensionError, SolveStatus, PSD_TOL, SYM_TOL
-from .lp_solver import LpProblem, LpSolution, solve_lp
+from .core import DataError, DimensionError, SolveStatus, PSD_TOL, SYM_TOL, _is_psd
+from .lp_solver import LpProblem, SimplexState
 
 GAP_TOL_DEFAULT = 1e-8
 MAX_ITERS_DEFAULT = 50_000
@@ -71,22 +72,9 @@ class QpProblem:
                            lower=self.lower, upper=self.upper)
         object.__setattr__(self, "_region", region)
 
-    def region_with_objective(self, c: np.ndarray) -> LpProblem:
-        r = self._region
-        return LpProblem(c=c, sense="min", a_eq=r.a_eq, b_eq=r.b_eq,
-                         a_ub=r.a_ub, b_ub=r.b_ub, lower=r.lower, upper=r.upper)
-
     @property
     def n_vars(self) -> int:
         return self.c.shape[0]
-
-
-def _is_psd(q: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(q + PSD_TOL * np.eye(q.shape[0]))
-        return True
-    except np.linalg.LinAlgError:
-        return bool(np.linalg.eigvalsh(q).min() >= -PSD_TOL)
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,7 @@ def solve_qp(
     Stops when the Frank-Wolfe gap falls below gap_tol * (1 + |objective|),
     returning status Optimal; on hitting max_iters the best (current) iterate
     is returned with status IterationLimit and its gap. An infeasible region
-    surfaces as status Infeasible from the initialization LP.
+    surfaces as status Infeasible from the oracle's phase 1.
 
     `start` optionally supplies a feasible warm-start point (used by the
     frontier bisection); infeasible starts are rejected and replaced by the
@@ -118,41 +106,31 @@ def solve_qp(
     """
     n = problem.n_vars
     q, c = problem.q, problem.c
-    oracle_pivots = 0
-
-    warm: tuple | None = None
-    x: np.ndarray | None = None
+    oracle = SimplexState(problem._region)
+    if not oracle.feasible:
+        return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE,
+                          oracle.pivots)
+    x = oracle.vertex
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape == (n,) and _feasible(problem, start):
             x = start.copy()
-    if x is None:
-        init = solve_lp(problem.region_with_objective(np.zeros(n)))
-        oracle_pivots += init.pivots
-        if init.status is not SolveStatus.OPTIMAL:
-            status = SolveStatus.INFEASIBLE if init.status is SolveStatus.INFEASIBLE \
-                else SolveStatus.UNBOUNDED
-            return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, status, oracle_pivots)
-        x = init.v.copy()
-        warm = (init.basis, init.col_status)
 
     qx = q @ x
     gap = np.inf
     for it in range(1, max_iters + 1):
         grad = c + 2.0 * qx
-        oracle = solve_lp(problem.region_with_objective(grad), warm_basis=warm)
-        oracle_pivots += oracle.pivots
-        if oracle.status is not SolveStatus.OPTIMAL:
+        status = oracle.minimize(grad)
+        if status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
-                f"linear oracle returned {oracle.status.value}; "
+                f"linear oracle returned {status.value}; "
                 "the QP feasible region must be nonempty and bounded"
             )
-        warm = (oracle.basis, oracle.col_status)
-        s = oracle.v
+        s = oracle.vertex
         gap = float(grad @ (x - s))
         f = float(c @ x + x @ qx)
         if gap <= gap_tol * (1.0 + abs(f)):
-            return QpSolution(x, f, gap, it, SolveStatus.OPTIMAL, oracle_pivots)
+            return QpSolution(x, f, gap, it, SolveStatus.OPTIMAL, oracle.pivots)
 
         d = s - x
         qs = _sparse_matvec(q, s)
@@ -168,7 +146,7 @@ def solve_qp(
             qx = q @ x
 
     f = float(c @ x + x @ (q @ x))
-    return QpSolution(x, f, gap, max_iters, SolveStatus.ITERATION_LIMIT, oracle_pivots)
+    return QpSolution(x, f, gap, max_iters, SolveStatus.ITERATION_LIMIT, oracle.pivots)
 
 
 def _sparse_matvec(q: np.ndarray, s: np.ndarray) -> np.ndarray:

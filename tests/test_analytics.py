@@ -160,17 +160,6 @@ class TestLambdaSweep:
         with pytest.raises(DataError):
             lambda_grid(0.0, 1.0, 5)
 
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(11)
-        r = make_returns(rng.normal(0.001, 0.02, (5, 30)))
-        stats = asset_stats(r)
-        grid = lambda_grid(0.1, 100.0, 6)
-        serial = lambda_sweep(stats, grid, threads=1)
-        threaded = lambda_sweep(stats, grid, threads=4)
-        assert serial.chosen_lambda == threaded.chosen_lambda
-        assert serial.std_pct == threaded.std_pct
-        assert serial.return_pct == threaded.return_pct
-
 
 class TestAllocationChange:
     def test_identity_zero(self):
@@ -231,6 +220,16 @@ class TestSensitivity:
         serial = sensitivity_run(r, cfgs, PerturbationConfig(seed=5))
         threaded = sensitivity_run(r, cfgs, PerturbationConfig(seed=5), threads=3)
         assert serial == threaded
+
+    def test_solver_options_reach_lp_models(self):
+        rng = np.random.default_rng(23)
+        r = make_returns(rng.normal(0.002, 0.02, (6, 30)))
+        with pytest.raises(RuntimeError, match="pivot limit"):
+            sensitivity_run(r, {"md": ModelConfig(rho=0.0)}, PerturbationConfig(seed=5),
+                            solver_options={"md": {"pivot_limit": 1}})
+        with pytest.raises(TypeError):
+            sensitivity_run(r, {"mad": ModelConfig(rho=0.0)}, PerturbationConfig(seed=5),
+                            solver_options={"mad": {"pivot_limt": 5}})
 
     def test_unknown_model_rejected(self):
         r = make_returns(np.random.default_rng(0).normal(0, 0.01, (3, 10)))

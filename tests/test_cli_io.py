@@ -254,6 +254,21 @@ class TestMainEntry:
         assert not (out / "allocation.csv").exists()
         assert "Infeasible" in (out / "report.csv").read_text()
 
+    @pytest.mark.parametrize("command", ["sweep-lambda", "sensitivity"])
+    def test_train_end_before_data_rejected(self, tmp_path, capsys, command):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main([command, str(prices), "--rho", "0.001", "--train-end", "2019-01-01",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: DataError: train_end precedes all data"
+
+    def test_threads_only_on_sensitivity(self, tmp_path):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        with pytest.raises(SystemExit):
+            main(["sweep-lambda", str(prices), "--threads", "2"])
+
 
 def test_render_markdown_shape():
     text = render_markdown(["a", "b"], [["1", "2"], ["3", "4"]])

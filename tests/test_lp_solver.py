@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from portopt.core import DataError, SolveStatus
-from portopt.lp_solver import LpProblem, dual_objective, solve_lp
+from portopt.lp_solver import LpProblem, SimplexState, dual_objective, solve_lp
 
 from oracles import enumerate_lp_vertices
 
@@ -125,18 +125,24 @@ def test_degenerate_stall_hits_bland_rule():
     assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
 
-def test_warm_start_same_region_fewer_pivots():
+def test_kept_state_matches_cold_solves_with_fewer_pivots():
     rng = np.random.default_rng(5)
-    n = 40
-    region = dict(a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
-                  lower=np.zeros(n), upper=np.full(n, 0.3))
-    first = solve_lp(LpProblem(c=rng.normal(size=n), **region))
-    warm = solve_lp(LpProblem(c=rng.normal(size=n), **region),
-                    warm_basis=(first.basis, first.col_status))
-    cold = solve_lp(LpProblem(c=rng.normal(size=n), **region))
-    assert first.status is SolveStatus.OPTIMAL
-    assert warm.status is SolveStatus.OPTIMAL
-    assert warm.pivots < cold.pivots + first.pivots
+    for _ in range(6):
+        n = int(rng.integers(10, 40))
+        a_ub = rng.normal(size=(int(rng.integers(1, 4)), n))
+        region = dict(a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
+                      a_ub=a_ub, b_ub=a_ub.mean(axis=1) + rng.uniform(0.05, 0.5, a_ub.shape[0]),
+                      lower=np.zeros(n), upper=np.full(n, rng.uniform(0.2, 1.0)))
+        state = SimplexState(LpProblem(c=np.zeros(n), **region))
+        cold_pivots = 0
+        for _ in range(8):
+            cost = rng.normal(size=n)
+            cold = solve_lp(LpProblem(c=cost, **region))
+            cold_pivots += cold.pivots
+            assert state.minimize(cost) is SolveStatus.OPTIMAL
+            assert cold.status is SolveStatus.OPTIMAL
+            assert float(cost @ state.vertex) == pytest.approx(cold.objective, abs=1e-9)
+        assert state.pivots < cold_pivots
 
 
 def test_max_sense_negates_properly():

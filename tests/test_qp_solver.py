@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from portopt.core import DataError, SolveStatus
-from portopt.lp_solver import LpProblem, solve_lp
+from portopt.lp_solver import LpProblem, SimplexState, solve_lp
+from portopt.models import _max_return_weights
 from portopt.qp_solver import QpProblem, solve_qp
 
 from oracles import projected_gradient_qp
@@ -72,13 +73,13 @@ def test_monotone_descent():
     problem = simplex_qp(q, c, cap=0.6)
 
     # re-run the iteration manually to observe every objective value
-    from portopt.qp_solver import solve_lp as oracle_lp
-    init = oracle_lp(problem.region_with_objective(np.zeros(5)))
-    x = init.v.copy()
+    oracle = SimplexState(problem._region)
+    x = oracle.vertex
     values = []
     for _ in range(200):
         grad = problem.c + 2.0 * problem.q @ x
-        s = oracle_lp(problem.region_with_objective(grad)).v
+        assert oracle.minimize(grad) is SolveStatus.OPTIMAL
+        s = oracle.vertex
         values.append(float(problem.c @ x + x @ problem.q @ x))
         d = s - x
         denom = float(d @ problem.q @ d)
@@ -134,3 +135,23 @@ def test_warm_start_point_used():
     bad = solve_qp(problem, start=np.full(8, 0.5))
     assert bad.status is SolveStatus.OPTIMAL
     assert bad.objective == pytest.approx(cold.objective, rel=1e-6)
+
+
+def test_return_floor_at_max_return_vertex():
+    # The upper endpoint of the reverse-model bisection: the floor equals the
+    # best attainable return, phase 1 leaves the floor row's artificial basic
+    # (locked at zero), and every oracle call must re-optimize around it.
+    rng = np.random.default_rng(41)
+    n, cap = 8, 0.3
+    mu = rng.normal(0.001, 0.002, n)
+    top = _max_return_weights(mu, cap)
+    problem = QpProblem(q=random_cov(rng, n), c=np.zeros(n),
+                        a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
+                        a_ub=-mu[None, :], b_ub=np.array([-(mu @ top)]),
+                        lower=np.zeros(n), upper=np.full(n, cap))
+    tab = SimplexState(problem._region)._tab
+    assert np.any(tab.basis >= tab.n_real)
+    for start in (None, top):
+        sol = solve_qp(problem, start=start)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.v == pytest.approx(top, abs=1e-9)
