@@ -11,6 +11,8 @@ in daily decimals.
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,6 +30,8 @@ from .core import (
 )
 from .estimation import PerturbationConfig, asset_stats, covariance, covariance_change, perturb_returns
 from .models import SOLVERS, solve_simultaneous
+
+log = logging.getLogger(__name__)
 
 POSITION_EPS = 1e-6
 
@@ -123,10 +127,12 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
     """Solve the penalized model for every grid value and pick the penalty
     whose (std%, return%) point lies closest to the ideal corner.
 
-    The ideal corner is (min std%, max return%) over the successful grid
+    The ideal corner is (min std%, max return%) over the Optimal grid
     points; distance is plain Euclidean in percent units on both axes, with
-    no axis normalization. Solver failures are recorded per point and
-    excluded, never fatal.
+    no axis normalization. A point that ends in another status (e.g.
+    IterationLimit) keeps that status and NaN coordinates and is excluded,
+    with one logged warning counting the excluded points by status; a point
+    whose solve raises aborts the sweep with that exception.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -134,16 +140,8 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
     if any(g < 0 for g in grid):
         raise DataError("lambda values must be nonnegative")
 
-    def run(lam: float) -> SolveReport:
-        try:
-            return solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap),
-                                      gap_tol=gap_tol, max_iters=max_iters)
-        except Exception as exc:  # record, don't abort the sweep
-            return SolveReport(model_tag="simultaneous", status=SolveStatus.INFEASIBLE,
-                               objective=None, allocation=None, wall_time=0.0,
-                               iterations=0, detail=f"error: {exc}")
-
-    reports = [run(lam) for lam in grid]
+    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap),
+                                  gap_tol=gap_tol, max_iters=max_iters) for lam in grid]
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:
@@ -157,6 +155,11 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
             ret_pct.append(np.nan)
 
     ok = [i for i, s in enumerate(statuses) if s == SolveStatus.OPTIMAL.value]
+    excluded = Counter(s for s in statuses if s != SolveStatus.OPTIMAL.value)
+    if excluded:
+        log.warning("lambda sweep: %d of %d grid points not Optimal, excluded from the "
+                    "ideal point: %s", sum(excluded.values()), len(grid),
+                    ", ".join(f"{n} {status}" for status, n in sorted(excluded.items())))
     if not ok:
         raise DataError("no grid point solved successfully")
     ideal = (min(std_pct[i] for i in ok), max(ret_pct[i] for i in ok))

@@ -23,7 +23,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .core import (
     SolveStatus,
 )
 from .estimation import PerturbationConfig, asset_stats, compute_simple_returns
-from .models import SOLVERS
+from .models import MODEL_FIELDS, SOLVERS
 
 log = logging.getLogger(__name__)
 
@@ -326,12 +326,18 @@ def _split_spec(cfg: RunConfig, returns) -> SplitSpec:
 
 
 def _resolve_models(cfg: RunConfig) -> list[str]:
+    """The run's model tags; refuses a model option that none of them reads."""
     tags = []
     for name in cfg.models:
         tag = MODEL_ALIASES.get(name, name)
         if tag not in SOLVERS:
             raise DataError(f"unknown model {name!r}")
         tags.append(tag)
+    for f in fields(ModelConfig):
+        if (getattr(cfg, f.name) != f.default
+                and not any(f.name in MODEL_FIELDS[tag] for tag in tags)):
+            raise DataError(f"{_FLAG_OF[f.name]} is read by none of the models: "
+                            f"{', '.join(tags)}")
     return tags
 
 
@@ -339,13 +345,13 @@ def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> list[str]:
     matrix, dropped = _ingest_prices_detail(Path(cfg.prices))
     out = out_dir / "prices_clean.csv"
     write_prices_csv(matrix, out)
-    summary = out_dir / "ingest_summary.csv"
-    with summary.open("w") as fh:
-        fh.write("n_tickers,n_days,n_dropped\n")
-        fh.write(f"{matrix.n_assets},{matrix.n_days},{len(dropped)}\n")
+    outputs = [str(out)]
+    outputs += _write_table(out_dir / "ingest_summary.csv", "n_tickers,n_days,n_dropped",
+                            [[str(matrix.n_assets), str(matrix.n_days), str(len(dropped))]],
+                            cfg.out_format)
     print(f"ingested {matrix.n_assets} tickers x {matrix.n_days} days "
           f"({len(dropped)} dropped)")
-    return [str(out), str(summary)]
+    return outputs
 
 
 def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
@@ -356,14 +362,10 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
     returns = _train_window(cfg, returns)
     stats = asset_stats(returns)
     report = SOLVERS[tag](returns, stats, cfg.model_config())
-    outputs = []
-    report_path = out_dir / "report.csv"
-    with report_path.open("w") as fh:
-        fh.write("model,objective,status,iterations,time_s\n")
-        objective = _fmt(report.objective) if report.objective is not None else ""
-        fh.write(f"{tag},{objective},{report.status.value},{report.iterations},"
-                 f"{report.wall_time:.6f}\n")
-    outputs.append(str(report_path))
+    objective = _fmt(report.objective) if report.objective is not None else ""
+    outputs = _write_table(out_dir / "report.csv", "model,objective,status,iterations,time_s",
+                           [[tag, objective, report.status.value, str(report.iterations),
+                             f"{report.wall_time:.6f}"]], cfg.out_format)
     if report.status is SolveStatus.OPTIMAL:
         alloc_path = out_dir / "allocation.csv"
         write_allocation_csv(returns.tickers, report.allocation, alloc_path)
@@ -376,12 +378,12 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
 
 
 def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> list[str]:
+    tags = _resolve_models(cfg)
     prices, returns = _load_returns(cfg)
     spec = _split_spec(cfg, returns)
     train, test = train_test_split(returns, spec)
     stats = asset_stats(train)
     model_cfg = cfg.model_config()
-    tags = _resolve_models(cfg)
 
     rows1, rows2 = [], []
     for tag in tags:
@@ -432,9 +434,9 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
 
 
 def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> list[str]:
+    tags = _resolve_models(cfg)
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
-    tags = _resolve_models(cfg)
     model_cfg = cfg.model_config()
     report = sensitivity_run(returns, {tag: model_cfg for tag in tags},
                              PerturbationConfig(c=cfg.c, seed=cfg.seed),
@@ -470,6 +472,61 @@ def _cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _model_list(text: str) -> tuple[str, ...]:
+    if text == "all":
+        return BACKTEST_ALL
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _read_by(field: str) -> str:
+    return "read by " + ", ".join(tag for tag, read in MODEL_FIELDS.items() if field in read)
+
+
+# Every option a command may take, keyed by flag. Dests are RunConfig fields,
+# and an option left out takes the RunConfig default.
+OPTIONS = {
+    "output-dir": dict(default="out", help="artifact directory"),
+    "format": dict(dest="out_format", choices=("csv", "markdown"),
+                   help="markdown also writes a .md next to each table"),
+    "model": dict(required=True, choices=sorted(MODEL_ALIASES), help="which model to solve"),
+    "models": dict(type=_model_list,
+                   help="comma list of models, or 'all' (the default) for the five surveyed"),
+    "train-end": dict(help="last training date, inclusive"),
+    "test-end": dict(help="last test date, inclusive"),
+    "rho": dict(type=float, help="minimum daily expected return (decimal); " + _read_by("rho")),
+    "sigma0": dict(type=float,
+                   help="maximum daily standard deviation (decimal); " + _read_by("sigma0")),
+    "lambda": dict(dest="lam", type=float, help="risk-penalty weight; " + _read_by("lam")),
+    "mu-l1": dict(type=float, help="L1 penalty, 0 disables; " + _read_by("mu_l1")),
+    "cap": dict(type=float,
+                help="per-asset ceiling (default 0.5 for drawdown models, 1 otherwise)"),
+    "min-alloc": dict(type=float,
+                      help="minimum positive weight (default 0.05); " + _read_by("min_alloc")),
+    "c": dict(type=float, help="perturbation scale divisor (default 1000)"),
+    "seed": dict(type=int, help="perturbation RNG seed"),
+    "threads": dict(type=int, help="solve the models on this many threads"),
+    "grid-min": dict(type=float, help="smallest lambda (default 1e-3)"),
+    "grid-max": dict(type=float, help="largest lambda (default 1e4)"),
+    "grid-n": dict(type=int, help="number of grid points (default 100)"),
+    "grid-spacing": dict(choices=("log", "linear"), help="grid spacing (default log)"),
+}
+MODEL_OPTIONS = ("rho", "sigma0", "lambda", "mu-l1", "cap", "min-alloc")
+# The options each command reads, beyond the prices file, --output-dir and --format.
+COMMANDS = {
+    "ingest": ("validate and normalize a prices CSV", ()),
+    "solve": ("solve one model and write its allocation",
+              ("model", "train-end") + MODEL_OPTIONS),
+    "backtest": ("train/test split performance tables",
+                 ("models", "train-end", "test-end") + MODEL_OPTIONS),
+    "sweep-lambda": ("trace the penalty frontier and pick lambda",
+                     ("train-end", "cap", "grid-min", "grid-max", "grid-n", "grid-spacing")),
+    "sensitivity": ("perturbation study of allocations",
+                    ("models", "train-end") + MODEL_OPTIONS + ("c", "seed", "threads")),
+}
+_FLAG_OF = {spec.get("dest", flag.replace("-", "_")): "--" + flag
+            for flag, spec in OPTIONS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="portopt",
@@ -478,53 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 help="run `portopt <command> -h` for details")
-
-    def add_common(p, needs_models=False):
+    for command, (help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("prices", help="prices CSV (date,TICK1,TICK2,...)")
-        p.add_argument("--output-dir", default="out", help="artifact directory")
-        p.add_argument("--rho", type=float, default=None,
-                       help="minimum daily expected return (decimal)")
-        p.add_argument("--sigma0", type=float, default=None,
-                       help="maximum daily standard deviation (decimal)")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                       help="risk-penalty weight for the simultaneous model")
-        p.add_argument("--cap", type=float, default=None,
-                       help="per-asset ceiling (default 0.5 for drawdown models, 1 otherwise)")
-        p.add_argument("--min-alloc", type=float, default=0.05,
-                       help="minimum positive weight (drawdown MILP)")
-        p.add_argument("--mu-l1", type=float, default=0.0, help="L1 penalty (0 disables)")
-        p.add_argument("--c", type=float, default=1000.0, help="perturbation scale divisor")
-        p.add_argument("--seed", type=int, default=0, help="perturbation RNG seed")
-        p.add_argument("--grid-min", type=float, default=1e-3)
-        p.add_argument("--grid-max", type=float, default=1e4)
-        p.add_argument("--grid-n", type=int, default=100)
-        p.add_argument("--grid-spacing", choices=("log", "linear"), default="log")
-        p.add_argument("--train-end", default=None, help="last training date, inclusive")
-        p.add_argument("--test-end", default=None, help="last test date, inclusive")
-        p.add_argument("--format", dest="out_format", choices=("csv", "markdown"),
-                       default="csv")
-        if needs_models:
-            p.add_argument("--models", default="all",
-                           help="comma list of models, or 'all' for the five surveyed")
-
-    p = sub.add_parser("ingest", help="validate and normalize a prices CSV")
-    add_common(p)
-
-    p = sub.add_parser("solve", help="solve one model and write its allocation")
-    add_common(p)
-    p.add_argument("--model", required=True, choices=sorted(MODEL_ALIASES),
-                   help="which model to solve")
-
-    p = sub.add_parser("backtest", help="train/test split performance tables")
-    add_common(p, needs_models=True)
-
-    p = sub.add_parser("sweep-lambda", help="trace the penalty frontier and pick lambda")
-    add_common(p)
-
-    p = sub.add_parser("sensitivity", help="perturbation study of allocations")
-    add_common(p, needs_models=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="solve the models on this many threads")
+        for flag in ("output-dir", "format") + options:
+            p.add_argument("--" + flag, **OPTIONS[flag])
 
     p = sub.add_parser("report", help="render a report CSV as markdown")
     p.add_argument("--input", required=True)
@@ -533,21 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
+    """The run configuration: the options given, RunConfig defaults for the rest."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     if args.command == "solve":
-        models = (args.model,)
-    elif getattr(args, "models", "all") == "all":
-        models = BACKTEST_ALL
-    else:
-        models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    return RunConfig(
-        command=args.command, prices=args.prices, output_dir=args.output_dir,
-        models=models, rho=args.rho, sigma0=args.sigma0, lam=args.lam,
-        mu_l1=args.mu_l1, cap=args.cap, min_alloc=args.min_alloc, c=args.c,
-        seed=args.seed, grid_min=args.grid_min, grid_max=args.grid_max,
-        grid_n=args.grid_n, grid_spacing=args.grid_spacing,
-        train_end=args.train_end, test_end=args.test_end,
-        out_format=args.out_format, threads=getattr(args, "threads", 1),
-    )
+        values["models"] = (args.model,)
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

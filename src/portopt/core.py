@@ -207,7 +207,10 @@ class ModelConfig:
     mu_l1      L1 penalty; 0 disables the augmentation.
     cap        per-asset ceiling; None resolves to the model default
                (0.5 for the drawdown models, 1.0 otherwise).
-    min_alloc  minimum positive weight (drawdown MILP only).
+    min_alloc  minimum positive weight (drawdown MILP only; the MILP checks it
+               against its resolved cap).
+
+    Which models read which field is declared in models.MODEL_FIELDS.
     """
 
     rho: float | None = None
@@ -226,9 +229,10 @@ class ModelConfig:
             raise DataError("lambda must be nonnegative")
         if self.mu_l1 < 0:
             raise DataError("mu_l1 must be nonnegative")
-        cap = 1.0 if self.cap is None else self.cap
-        if not 0 < self.min_alloc <= cap <= 1.0:
-            raise DataError("need 0 < min_alloc <= cap <= 1")
+        if self.cap is not None and not 0 < self.cap <= 1.0:
+            raise DataError("need 0 < cap <= 1")
+        if not 0 < self.min_alloc <= 1.0:
+            raise DataError("need 0 < min_alloc <= 1")
 
     def resolved_cap(self, default: float) -> float:
         return default if self.cap is None else self.cap

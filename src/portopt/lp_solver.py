@@ -363,6 +363,9 @@ def solve_lp(problem: LpProblem, pivot_limit: int = 50000) -> LpSolution:
 
 
 def _max_violation(problem: LpProblem, v: np.ndarray) -> float:
+    """Largest row or bound violation of v; inf when v is not finite."""
+    if not np.isfinite(v).all():
+        return np.inf
     worst = 0.0
     if problem.a_eq.shape[0]:
         worst = max(worst, float(np.max(np.abs(problem.a_eq @ v - problem.b_eq))))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, DimensionError, SolveStatus
-from .lp_solver import LpProblem, LpSolution, solve_lp, FEAS_TOL
+from .lp_solver import LpProblem, LpSolution, solve_lp, FEAS_TOL, _max_violation
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-7
@@ -292,10 +292,6 @@ def _most_fractional(v: np.ndarray, bins: np.ndarray) -> int:
 
 def _verify(base: LpProblem, bins: np.ndarray, v: np.ndarray) -> bool:
     """Check a candidate against the original data, not the solver state."""
-    if base.a_eq.shape[0] and np.max(np.abs(base.a_eq @ v - base.b_eq)) > FEAS_TOL:
-        return False
-    if base.a_ub.shape[0] and np.max(base.a_ub @ v - base.b_ub) > FEAS_TOL:
-        return False
-    if np.any(v < base.lower - FEAS_TOL) or np.any(v > base.upper + FEAS_TOL):
+    if _max_violation(base, v) > FEAS_TOL:
         return False
     return bool(np.all(np.abs(v[bins] - np.round(v[bins])) <= INT_TOL))

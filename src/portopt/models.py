@@ -49,8 +49,8 @@ class ModelLayout:
 
     x is the allocation block (n columns). The drawdown models add a single
     epigraph scalar y; the MAD model adds one y_t per day; the MILP adds a
-    binary indicator block z; the L1 augmentation adds a u block mirroring x.
-    Every solver column belongs to exactly one block.
+    binary indicator block z. Every solver column belongs to exactly one block.
+    (The L1 augmentation appends its u block after x; only x is read back.)
     """
 
     n_assets: int
@@ -58,11 +58,10 @@ class ModelLayout:
     x: slice
     y: slice | None = None
     z: slice | None = None
-    u: slice | None = None
 
     def __post_init__(self):
         owned = np.zeros(self.n_cols, dtype=int)
-        for block in (self.x, self.y, self.z, self.u):
+        for block in (self.x, self.y, self.z):
             if block is not None:
                 owned[block] += 1
         if not np.all(owned == 1):
@@ -172,14 +171,11 @@ def mad_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, Mod
     return problem, layout
 
 
-def md_problem(returns: ReturnMatrix, cfg: ModelConfig,
-               standard_form: bool = False) -> tuple[LpProblem, ModelLayout]:
+def md_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, ModelLayout]:
     """Max-drawdown LP: max y s.t. y <= portfolio return on every day.
 
     Columns are x (n) and the single epigraph scalar y, so the program has
     n + 1 variables and T + 2 functional rows regardless of universe size.
-    `standard_form` splits the budget equality into opposing inequalities,
-    which changes nothing but the encoding.
     """
     n, t_days = returns.n_assets, returns.n_days
     rho = cfg.require_rho()
@@ -193,15 +189,9 @@ def md_problem(returns: ReturnMatrix, cfg: ModelConfig,
     a_ub = np.vstack([day_rows, ret_row])
     b_ub = np.zeros(t_days + 1)
     b_ub[t_days] = -rho
-    budget = np.concatenate([np.ones(n), [0.0]])[None, :]
-    if standard_form:
-        a_ub = np.vstack([a_ub, budget, -budget])
-        b_ub = np.concatenate([b_ub, [1.0, -1.0]])
-        a_eq = b_eq = None
-    else:
-        a_eq, b_eq = budget, np.array([1.0])
+    a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
     problem = LpProblem(
-        c=c, sense="max", a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+        c=c, sense="max", a_eq=a_eq, b_eq=np.array([1.0]), a_ub=a_ub, b_ub=b_ub,
         lower=np.concatenate([np.zeros(n), [-np.inf]]),
         upper=np.concatenate([np.full(n, cap), [np.inf]]),
     )
@@ -220,7 +210,7 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
     rho = cfg.require_rho()
     cap = cfg.resolved_cap(0.5)
     if cfg.min_alloc > cap:
-        raise DataError("min_alloc cannot exceed the cap")
+        raise DataError(f"min_alloc {cfg.min_alloc!r} exceeds the cap {cap!r}")
     mu = mean_returns(returns)
     ncols = 2 * n + 1
     c = np.zeros(ncols)
@@ -260,56 +250,46 @@ def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
                     gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
-    The report's objective is the portfolio variance x' Sigma x.
+    The report's objective is the portfolio variance x' Sigma x, plus mu_l1
+    when cfg.mu_l1 > 0 adds the L1 block (see `l1_augment`).
     """
     started = time.perf_counter()
     problem, layout = markowitz_problem(stats, cfg)
-    sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol)
-    return _qp_report("markowitz", sol, layout, cfg.resolved_cap(1.0), started)
+    return _solve_quadratic("markowitz", problem, layout, cfg, gap_tol, max_iters, started)
 
 
 def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
                        gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
     """Model: minimize -mean return + lambda * variance over the budget box.
 
-    With cfg.mu_l1 > 0 the L1 block is added first; the solver then starts
-    from a feasible point with u = x so the augmentation stays tight.
+    As in `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 block.
     """
     started = time.perf_counter()
     problem, layout = simultaneous_problem(stats, cfg)
-    if cfg.mu_l1 > 0:
-        return _solve_augmented("simultaneous", problem, layout, cfg, gap_tol, max_iters, started)
-    sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol)
-    return _qp_report("simultaneous", sol, layout, cfg.resolved_cap(1.0), started)
+    return _solve_quadratic("simultaneous", problem, layout, cfg, gap_tol, max_iters, started)
 
 
-def solve_markowitz_l1(stats: AssetStats, cfg: ModelConfig, *,
-                       gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
-    """Minimum-variance model with the L1 augmentation applied."""
-    started = time.perf_counter()
-    problem, layout = markowitz_problem(stats, cfg)
-    return _solve_augmented("markowitz", problem, layout, cfg, gap_tol, max_iters, started)
-
-
-def _solve_augmented(tag: str, problem: QpProblem, layout: ModelLayout, cfg: ModelConfig,
+def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: ModelConfig,
                      gap_tol: float, max_iters: int, started: float) -> SolveReport:
-    n = layout.n_assets
-    augmented = l1_augment(problem, cfg.mu_l1)
-    # Start from the base problem's own feasibility vertex with u mirroring x
-    # (feasible, and the tightest u for that x), the same point the plain
-    # solve starts from.
-    base = SimplexState(problem._region)
-    if not base.feasible:
-        sol = QpSolution(np.full(2 * n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
-        return _qp_report(tag, sol, layout, cfg.resolved_cap(1.0), started)
-    start = np.tile(base.vertex, 2)
-    # The penalty contributes the constant mu to the objective, inflating the
-    # relative-gap scale; tighten proportionally so the x block is certified
-    # to the same absolute accuracy as the unaugmented solve.
-    sol = solve_qp(augmented, max_iters=max_iters,
-                   gap_tol=gap_tol / (1.0 + cfg.mu_l1), start=start)
-    aug_layout = ModelLayout(n_assets=n, n_cols=2 * n, x=slice(0, n), u=slice(n, 2 * n))
-    return _qp_report(tag, sol, aug_layout, cfg.resolved_cap(1.0), started)
+    """Frank-Wolfe on a model's QP, with the L1 block added first when mu_l1 > 0."""
+    start = None
+    if cfg.mu_l1 > 0:
+        # Start from the base problem's own feasibility vertex with u mirroring
+        # x (feasible, and the tightest u for that x), the same point the plain
+        # solve starts from.
+        base = SimplexState(problem._region)
+        if not base.feasible:
+            return _report(tag, SolveStatus.INFEASIBLE, None, None, 1.0, 0, started,
+                           f"fw_gap={np.inf!r}")
+        start = np.tile(base.vertex, 2)
+        problem = l1_augment(problem, cfg.mu_l1)
+        # The penalty contributes the constant mu to the objective, inflating
+        # the relative-gap scale; tighten proportionally so the x block is
+        # certified to the same absolute accuracy as the unaugmented solve.
+        gap_tol = gap_tol / (1.0 + cfg.mu_l1)
+    sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol, start=start)
+    return _report(tag, sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(1.0),
+                   sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 
 
 def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
@@ -336,19 +316,23 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
         total_iters += sol.iterations
         return sol
 
+    def report(status: SolveStatus, sol: QpSolution | None = None) -> SolveReport:
+        v = None if sol is None else sol.v
+        objective = None if sol is None else float(mu @ sol.v)
+        return _report("reverse_markowitz", status, v, objective, cap, total_iters, started)
+
     mv = frontier(None)
     if mv.status is not SolveStatus.OPTIMAL:
-        return _failed_report("reverse_markowitz", mv.status, total_iters, started)
+        return report(mv.status)
     if _std(mv.objective) > sigma0 + SIGMA_SLACK:
-        return _failed_report("reverse_markowitz", SolveStatus.INFEASIBLE, total_iters, started)
+        return report(SolveStatus.INFEASIBLE)
 
     top = _max_return_weights(mu, cap)
     hi_sol = frontier(float(mu @ top), start=top)
     if hi_sol.status is not SolveStatus.OPTIMAL:
-        return _failed_report("reverse_markowitz", hi_sol.status, total_iters, started)
+        return report(hi_sol.status)
     if _std(hi_sol.objective) <= sigma0 + SIGMA_SLACK:
-        return _portfolio_report("reverse_markowitz", hi_sol.v, float(mu @ hi_sol.v),
-                                 cap, total_iters, started)
+        return report(SolveStatus.OPTIMAL, hi_sol)
 
     lo, hi = float(mu @ mv.v), float(mu @ top)
     best = mv
@@ -359,14 +343,13 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
         mid = 0.5 * (lo + hi)
         sol = frontier(mid, start=warm)
         if sol.status is not SolveStatus.OPTIMAL:
-            return _failed_report("reverse_markowitz", sol.status, total_iters, started)
+            return report(sol.status)
         if _std(sol.objective) <= sigma0:
             lo, best = mid, sol
         else:
             hi = mid
             warm = sol.v  # return mu @ v >= mid stays feasible for lower rho
-    return _portfolio_report("reverse_markowitz", best.v, float(mu @ best.v),
-                             cap, total_iters, started)
+    return report(SolveStatus.OPTIMAL, best)
 
 
 def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_000) -> SolveReport:
@@ -374,16 +357,17 @@ def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_
     started = time.perf_counter()
     problem, layout = mad_problem(returns, cfg)
     sol = solve_lp(problem, pivot_limit=pivot_limit)
-    return _lp_report("mad", sol, layout, cfg.resolved_cap(1.0), started)
+    return _report("mad", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(1.0),
+                   sol.pivots, started)
 
 
-def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_000,
-             standard_form: bool = False) -> SolveReport:
+def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_000) -> SolveReport:
     """Model: maximize the worst single-day portfolio return (max drawdown)."""
     started = time.perf_counter()
-    problem, layout = md_problem(returns, cfg, standard_form=standard_form)
+    problem, layout = md_problem(returns, cfg)
     sol = solve_lp(problem, pivot_limit=pivot_limit)
-    return _lp_report("md", sol, layout, cfg.resolved_cap(0.5), started)
+    return _report("md", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(0.5),
+                   sol.pivots, started)
 
 
 def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
@@ -392,18 +376,14 @@ def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
     started = time.perf_counter()
     problem, layout = md_milp_problem(returns, cfg)
     sol = solve_milp(problem, node_limit=node_limit)
-    cap = cfg.resolved_cap(0.5)
-    if sol.status is not SolveStatus.OPTIMAL:
-        return _failed_report("md_milp", sol.status, sol.nodes, started)
-    x = _clean_weights(sol.v[layout.x], cap)
-    positive = x[x > 1e-9]
-    if positive.size and positive.min() < cfg.min_alloc - 1e-9:
-        raise RuntimeError("MILP solution violates the minimum-allocation rule")
-    return SolveReport(
-        model_tag="md_milp", status=SolveStatus.OPTIMAL, objective=float(sol.objective),
-        allocation=Allocation(x), wall_time=time.perf_counter() - started,
-        iterations=sol.nodes,
-    )
+    x = sol.v[layout.x] if sol.v is not None else None
+    report = _report("md_milp", sol.status, x, sol.objective, cfg.resolved_cap(0.5),
+                     sol.nodes, started)
+    if report.allocation is not None:
+        held = report.allocation.weights[report.allocation.weights > 1e-9]
+        if held.size and held.min() < cfg.min_alloc - 1e-9:
+            raise RuntimeError("MILP solution violates the minimum-allocation rule")
+    return report
 
 
 SOLVERS = {
@@ -413,6 +393,17 @@ SOLVERS = {
     "mad": lambda returns, stats, cfg, **kw: solve_mad(returns, cfg, **kw),
     "md": lambda returns, stats, cfg, **kw: solve_md(returns, cfg, **kw),
     "md_milp": lambda returns, stats, cfg, **kw: solve_md_milp(returns, cfg, **kw),
+}
+
+# The ModelConfig fields each model reads. The CLI refuses a model option set
+# away from its default when no model of the run reads it.
+MODEL_FIELDS = {
+    "markowitz": ("rho", "mu_l1", "cap"),
+    "reverse_markowitz": ("sigma0", "cap"),
+    "simultaneous": ("lam", "mu_l1", "cap"),
+    "mad": ("rho", "cap"),
+    "md": ("rho", "cap"),
+    "md_milp": ("rho", "cap", "min_alloc"),
 }
 
 
@@ -449,43 +440,13 @@ def _clean_weights(x: np.ndarray, cap: float) -> np.ndarray:
     return x
 
 
-def _qp_report(tag: str, sol: QpSolution, layout: ModelLayout, cap: float,
-               started: float) -> SolveReport:
-    if sol.status is not SolveStatus.OPTIMAL:
-        return _failed_report(tag, sol.status, sol.iterations, started,
-                              detail=f"fw_gap={sol.fw_gap!r}")
-    x = _clean_weights(sol.v[layout.x], cap)
+def _report(tag: str, status: SolveStatus, x: np.ndarray | None, objective: float | None,
+            cap: float, iterations: int, started: float, detail: str = "") -> SolveReport:
+    """A model's report. When Optimal it carries the objective and the weights
+    x, cleaned and checked against the cap; otherwise neither."""
+    optimal = status is SolveStatus.OPTIMAL
     return SolveReport(
-        model_tag=tag, status=SolveStatus.OPTIMAL, objective=float(sol.objective),
-        allocation=Allocation(x), wall_time=time.perf_counter() - started,
-        iterations=sol.iterations, detail=f"fw_gap={sol.fw_gap!r}",
-    )
-
-
-def _lp_report(tag: str, sol, layout: ModelLayout, cap: float, started: float) -> SolveReport:
-    if sol.status is not SolveStatus.OPTIMAL:
-        return _failed_report(tag, sol.status, sol.pivots, started)
-    x = _clean_weights(sol.v[layout.x], cap)
-    return SolveReport(
-        model_tag=tag, status=SolveStatus.OPTIMAL, objective=float(sol.objective),
-        allocation=Allocation(x), wall_time=time.perf_counter() - started,
-        iterations=sol.pivots,
-    )
-
-
-def _portfolio_report(tag: str, v: np.ndarray, objective: float, cap: float,
-                      iterations: int, started: float) -> SolveReport:
-    x = _clean_weights(v, cap)
-    return SolveReport(
-        model_tag=tag, status=SolveStatus.OPTIMAL, objective=objective,
-        allocation=Allocation(x), wall_time=time.perf_counter() - started,
-        iterations=iterations,
-    )
-
-
-def _failed_report(tag: str, status: SolveStatus, iterations: int, started: float,
-                   detail: str = "") -> SolveReport:
-    return SolveReport(
-        model_tag=tag, status=status, objective=None, allocation=None,
+        model_tag=tag, status=status, objective=float(objective) if optimal else None,
+        allocation=Allocation(_clean_weights(x, cap)) if optimal else None,
         wall_time=time.perf_counter() - started, iterations=iterations, detail=detail,
     )

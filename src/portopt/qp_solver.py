@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, DimensionError, SolveStatus, PSD_TOL, SYM_TOL, _is_psd
-from .lp_solver import LpProblem, SimplexState
+from .lp_solver import LpProblem, SimplexState, _max_violation
 
 GAP_TOL_DEFAULT = 1e-8
 MAX_ITERS_DEFAULT = 50_000
@@ -101,8 +101,9 @@ def solve_qp(
     surfaces as status Infeasible from the oracle's phase 1.
 
     `start` optionally supplies a feasible warm-start point (used by the
-    frontier bisection); infeasible starts are rejected and replaced by the
-    phase-1 vertex.
+    frontier bisection and the L1 block); a start that is not finite or
+    violates a row or bound by more than 1e-9 is replaced by the phase-1
+    vertex.
     """
     n = problem.n_vars
     q, c = problem.q, problem.c
@@ -113,7 +114,7 @@ def solve_qp(
     x = oracle.vertex
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape == (n,) and _feasible(problem, start):
+        if start.shape == (n,) and _max_violation(problem._region, start) <= 1e-9:
             x = start.copy()
 
     qx = q @ x
@@ -157,13 +158,3 @@ def _sparse_matvec(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     if nz.size > q.shape[0] // 4:
         return q @ s
     return q[:, nz] @ s[nz]
-
-
-def _feasible(problem: QpProblem, v: np.ndarray) -> bool:
-    r = problem._region
-    tol = 1e-9
-    if r.a_eq.shape[0] and np.max(np.abs(r.a_eq @ v - r.b_eq)) > tol:
-        return False
-    if r.a_ub.shape[0] and np.max(r.a_ub @ v - r.b_ub) > tol:
-        return False
-    return bool(np.all(v >= r.lower - tol) and np.all(v <= r.upper + tol))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from portopt import analytics
 from portopt.analytics import (
     SplitSpec,
     SweepResult,
@@ -148,6 +149,30 @@ class TestLambdaSweep:
         stats = AssetStats([0.001, 0.001], np.full((2, 2), 2e-4))
         sweep = lambda_sweep(stats, [5.0, 1.0, 3.0])
         assert sweep.chosen_lambda == 1.0
+
+    def test_point_that_raises_aborts_the_sweep(self, monkeypatch):
+        stats = AssetStats([0.002, 0.001], np.diag([4e-4, 1e-4]))
+        solve = analytics.solve_simultaneous
+
+        def failing(stats, cfg, **kw):
+            if cfg.lam == 2.0:
+                raise RuntimeError("point failed")
+            return solve(stats, cfg, **kw)
+
+        monkeypatch.setattr(analytics, "solve_simultaneous", failing)
+        with pytest.raises(RuntimeError, match="point failed"):
+            lambda_sweep(stats, [1.0, 2.0, 3.0])
+
+    def test_excluded_points_are_warned(self, caplog):
+        rng = np.random.default_rng(3)
+        stats = asset_stats(make_returns(rng.normal(0.001, 0.02, (6, 50))))
+        with caplog.at_level("WARNING", logger="portopt.analytics"):
+            sweep = lambda_sweep(stats, [1e-3, 1e-2, 1e4, 1e5], max_iters=3)
+        assert sweep.statuses == ("Optimal", "Optimal", "IterationLimit", "IterationLimit")
+        assert sweep.chosen_lambda in (1e-3, 1e-2)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "2 of 4 grid points not Optimal" in caplog.text
+        assert "2 IterationLimit" in caplog.text
 
     def test_grid_spacing(self):
         log_grid = lambda_grid(1e-3, 1e4, 8, "log")

@@ -7,6 +7,7 @@ import pytest
 
 from portopt.cli_io import (
     RunConfig,
+    build_parser,
     ingest_prices,
     main,
     read_allocation_csv,
@@ -237,10 +238,11 @@ class TestMainEntry:
     def test_cli_model_aliases(self, tmp_path):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)
-        for alias, expect in (("md-milp", "md_milp"), ("reverse", "reverse_markowitz")):
+        for alias, expect, flags in (("md-milp", "md_milp", ["--rho", "0.0005"]),
+                                     ("reverse", "reverse_markowitz", ["--sigma0", "0.02"])):
             out = tmp_path / alias
-            code = main(["solve", str(prices), "--model", alias, "--rho", "0.0005",
-                         "--sigma0", "0.02", "--output-dir", str(out)])
+            code = main(["solve", str(prices), "--model", alias, *flags,
+                         "--output-dir", str(out)])
             assert code == 0
             assert (out / "report.csv").read_text().splitlines()[1].startswith(expect)
 
@@ -254,11 +256,13 @@ class TestMainEntry:
         assert not (out / "allocation.csv").exists()
         assert "Infeasible" in (out / "report.csv").read_text()
 
-    @pytest.mark.parametrize("command", ["sweep-lambda", "sensitivity"])
-    def test_train_end_before_data_rejected(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, flags", [("sweep-lambda", []),
+                                                ("sensitivity", ["--rho", "0.001"])],
+                             ids=["sweep-lambda", "sensitivity"])
+    def test_train_end_before_data_rejected(self, tmp_path, capsys, command, flags):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)
-        code = main([command, str(prices), "--rho", "0.001", "--train-end", "2019-01-01",
+        code = main([command, str(prices), *flags, "--train-end", "2019-01-01",
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: DataError: train_end precedes all data"
@@ -268,6 +272,89 @@ class TestMainEntry:
         write_tiny_prices(prices)
         with pytest.raises(SystemExit):
             main(["sweep-lambda", str(prices), "--threads", "2"])
+
+    def test_each_command_offers_only_the_flags_it_reads(self):
+        sub = build_parser()._subparsers._group_actions[0]
+        counts = {command: sum(1 for a in p._actions if a.option_strings
+                               and a.option_strings[0] != "-h")
+                  for command, p in sub.choices.items() if command != "report"}
+        assert counts == {"ingest": 2, "solve": 10, "backtest": 11, "sweep-lambda": 8,
+                          "sensitivity": 13}
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--rho", "0.001"],
+        ["solve", "--model", "md", "--rho", "0.001", "--seed", "3"],
+        ["backtest", "--threads", "2"],
+        ["sweep-lambda", "--rho", "0.001"],
+        ["sensitivity", "--rho", "0.001", "--test-end", "2021-03-01"],
+    ])
+    def test_unread_flag_is_refused(self, tmp_path, argv, capsys):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--model", "md", "--sigma0", "0.01"],
+         "--sigma0 is read by none of the models: md"),
+        (["backtest", "--models", "md,mad", "--rho", "0.001", "--mu-l1", "1"],
+         "--mu-l1 is read by none of the models: md, mad"),
+        (["sensitivity", "--models", "markowitz", "--rho", "0.001", "--min-alloc", "0.1"],
+         "--min-alloc is read by none of the models: markowitz"),
+    ])
+    def test_model_flag_no_model_reads_is_refused(self, tmp_path, argv, message, capsys):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: DataError: {message}"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_markowitz_cap_below_min_alloc_default(self, tmp_path):
+        # min_alloc (default 0.05) is the MILP's; it does not bound markowitz's cap
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices, n=40)
+        out = tmp_path / "mk"
+        code = main(["solve", str(prices), "--model", "markowitz", "--rho", "0.001",
+                     "--cap", "0.03", "--output-dir", str(out)])
+        assert code == 0
+        assert "Optimal" in (out / "report.csv").read_text()
+        tickers, alloc = read_allocation_csv(out / "allocation.csv")
+        assert validate_allocation(alloc.weights, cap=0.03).ok
+
+    def test_mu_l1_shifts_markowitz_objective(self, tmp_path):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices, n=6)
+        runs = {}
+        for mu in ("0", "5"):
+            out = tmp_path / mu
+            assert main(["solve", str(prices), "--model", "markowitz", "--rho", "0.001",
+                         "--mu-l1", mu, "--output-dir", str(out)]) == 0
+            objective = float((out / "report.csv").read_text().splitlines()[1].split(",")[1])
+            runs[mu] = objective, read_allocation_csv(out / "allocation.csv")[1].weights
+        assert runs["5"][0] - runs["0"][0] == pytest.approx(5.0, abs=1e-9)
+        assert np.max(np.abs(runs["5"][1] - runs["0"][1])) <= 1e-6
+
+    def test_markdown_for_solve_and_ingest(self, tmp_path):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        out = tmp_path / "o"
+        assert main(["ingest", str(prices), "--format", "markdown",
+                     "--output-dir", str(out / "ingest")]) == 0
+        assert main(["solve", str(prices), "--model", "md", "--rho", "0.001",
+                     "--format", "markdown", "--output-dir", str(out / "solve")]) == 0
+        summary = (out / "ingest" / "ingest_summary.md").read_text().splitlines()
+        assert summary[0] == "| n_tickers | n_days | n_dropped |"
+        assert summary[2] == "| 10 | 30 | 0 |"
+        report = (out / "solve" / "report.md").read_text().splitlines()
+        assert report[0] == "| model | objective | status | iterations | time_s |"
+        assert report[2].startswith("| md | ")
+        for sub, name in (("ingest", "ingest_summary.md"), ("solve", "report.md")):
+            manifest = json.loads((out / sub / "manifest.json").read_text())
+            assert str(out / sub / name) in manifest["outputs"]
 
 
 def test_render_markdown_shape():

@@ -88,8 +88,12 @@ class TestTypes:
             ModelConfig(sigma0=-0.1)
         with pytest.raises(DataError):
             ModelConfig(lam=-1.0)
-        with pytest.raises(DataError):
-            ModelConfig(min_alloc=0.6, cap=0.5)
+        for bad in (dict(cap=0.0), dict(cap=1.5), dict(min_alloc=0.0), dict(min_alloc=1.5)):
+            with pytest.raises(DataError):
+                ModelConfig(**bad)
+        # each range is checked alone; md_milp checks min_alloc against its
+        # resolved cap (test_models::test_min_alloc_above_cap_rejected)
+        assert ModelConfig(min_alloc=0.6, cap=0.5).cap == 0.5
         cfg = ModelConfig()
         assert cfg.resolved_cap(0.5) == 0.5
         assert ModelConfig(cap=0.3).resolved_cap(0.5) == 0.3

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from portopt.core import DataError, SolveStatus
-from portopt.lp_solver import LpProblem, SimplexState, dual_objective, solve_lp
+from portopt.lp_solver import (
+    LpProblem,
+    SimplexState,
+    _max_violation,
+    dual_objective,
+    solve_lp,
+)
 
 from oracles import enumerate_lp_vertices
 
@@ -143,6 +149,34 @@ def test_kept_state_matches_cold_solves_with_fewer_pivots():
             assert cold.status is SolveStatus.OPTIMAL
             assert float(cost @ state.vertex) == pytest.approx(cold.objective, abs=1e-9)
         assert state.pivots < cold_pivots
+
+
+def test_max_violation_of_non_finite_vector_is_inf():
+    p = LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
+                  lower=[0.0, 0.0], upper=[1.0, 1.0])
+    assert _max_violation(p, np.array([0.5, 0.5])) == 0.0
+    assert _max_violation(p, np.array([0.75, 0.5])) == pytest.approx(0.25)
+    for v in ([np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, 1.0]):
+        assert _max_violation(p, np.array(v)) == np.inf
+
+
+def test_equality_matches_two_opposing_inequalities():
+    # max y s.t. y <= r_t' x every day, sum x = 1, 0 <= x <= 0.5: the budget
+    # row as an equality and as a pair of opposing inequalities
+    rng = np.random.default_rng(47)
+    n, t_days = 5, 8
+    r = rng.normal(0.001, 0.02, (n, t_days))
+    c = np.concatenate([np.zeros(n), [1.0]])
+    days = np.hstack([-r.T, np.ones((t_days, 1))])
+    budget = np.concatenate([np.ones(n), [0.0]])[None, :]
+    bounds = dict(lower=np.concatenate([np.zeros(n), [-np.inf]]),
+                  upper=np.concatenate([np.full(n, 0.5), [np.inf]]))
+    direct = solve_lp(LpProblem(c=c, sense="max", a_eq=budget, b_eq=[1.0],
+                                a_ub=days, b_ub=np.zeros(t_days), **bounds))
+    split = solve_lp(LpProblem(c=c, sense="max", a_ub=np.vstack([days, budget, -budget]),
+                               b_ub=np.concatenate([np.zeros(t_days), [1.0, -1.0]]), **bounds))
+    assert direct.status is SolveStatus.OPTIMAL and split.status is SolveStatus.OPTIMAL
+    assert direct.objective == pytest.approx(split.objective, abs=1e-9)
 
 
 def test_max_sense_negates_properly():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from portopt.estimation import asset_stats, covariance, mean_returns
 from portopt.lp_solver import solve_lp
 from portopt.milp_solver import solve_milp
 from portopt.models import (
+    MODEL_FIELDS,
+    SOLVERS,
     ModelLayout,
     l1_augment,
     mad_problem,
@@ -21,7 +25,6 @@ from portopt.models import (
     simultaneous_problem,
     solve_mad,
     solve_markowitz,
-    solve_markowitz_l1,
     solve_md,
     solve_md_milp,
     solve_reverse_markowitz,
@@ -158,8 +161,7 @@ class TestL1Augmentation:
     def test_mu_zero_leaves_layout_alone(self):
         stats = stats_from(rng_global.normal(0.001, 0.02, (4, 25)))
         problem, layout = simultaneous_problem(stats, ModelConfig(lam=1.0))
-        assert problem.n_vars == 4
-        assert layout.u is None
+        assert problem.n_vars == 4 and layout.n_cols == 4
         with pytest.raises(DataError):
             l1_augment(problem, 0.0)
 
@@ -187,7 +189,7 @@ class TestL1Augmentation:
         stats = stats_from(data)
         rho = float(np.quantile(stats.mean_returns, 0.5))
         base = solve_markowitz(stats, ModelConfig(rho=rho))
-        aug = solve_markowitz_l1(stats, ModelConfig(rho=rho, mu_l1=5.0))
+        aug = solve_markowitz(stats, ModelConfig(rho=rho, mu_l1=5.0))
         assert np.max(np.abs(aug.allocation.weights - base.allocation.weights)) <= 1e-6
         assert aug.objective - base.objective == pytest.approx(5.0, abs=1e-9)
 
@@ -250,14 +252,6 @@ class TestMd:
         returns = make_returns(data)
         report = solve_md(returns, ModelConfig(rho=0.01))  # needs > 0.5 on asset 0
         assert report.status is SolveStatus.INFEASIBLE
-
-    def test_standard_form_matches_direct(self):
-        data = rng_global.normal(0.001, 0.02, (5, 8))
-        returns = make_returns(data)
-        rho = float(data.mean(axis=1).min())
-        direct = solve_md(returns, ModelConfig(rho=rho))
-        standard = solve_md(returns, ModelConfig(rho=rho), standard_form=True)
-        assert direct.objective == pytest.approx(standard.objective, abs=1e-9)
 
 
 class TestMdMilp:
@@ -348,3 +342,24 @@ def _random_capped_portfolio(rng, mu, rho, cap=0.5):
     assert validate_allocation(x, cap).ok
     assert mu @ x >= rho - 1e-9
     return x
+
+
+def test_model_fields_are_the_fields_each_model_reads():
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    seen = set()
+
+    class Recording(ModelConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    returns = make_returns(np.random.default_rng(5).normal(0.001, 0.02, (6, 30)))
+    stats = asset_stats(returns)
+    assert set(MODEL_FIELDS) == set(SOLVERS)
+    for tag, solve in SOLVERS.items():
+        cfg = Recording(rho=float(stats.mean_returns.min()), sigma0=1.0, lam=1.0,
+                        mu_l1=1.0, cap=0.5, min_alloc=0.1)
+        seen.clear()
+        assert solve(returns, stats, cfg).status is SolveStatus.OPTIMAL
+        assert seen == set(MODEL_FIELDS[tag]), tag

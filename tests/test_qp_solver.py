@@ -137,6 +137,17 @@ def test_warm_start_point_used():
     assert bad.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
+def test_non_finite_start_falls_back_to_phase1_vertex():
+    rng = np.random.default_rng(43)
+    problem = simplex_qp(random_cov(rng, 6), np.zeros(6))
+    cold = solve_qp(problem, max_iters=5, gap_tol=1e-16)
+    for start in (np.full(6, np.nan), np.array([np.nan, 1.0, 0.0, 0.0, 0.0, 0.0]),
+                  np.array([np.inf, 1.0, 0.0, 0.0, 0.0, 0.0])):
+        sol = solve_qp(problem, max_iters=5, gap_tol=1e-16, start=start)
+        assert np.array_equal(sol.v, cold.v)
+        assert sol.fw_gap == cold.fw_gap
+
+
 def test_return_floor_at_max_return_vertex():
     # The upper endpoint of the reverse-model bisection: the floor equals the
     # best attainable return, phase 1 leaves the floor row's artificial basic
