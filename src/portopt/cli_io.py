@@ -200,6 +200,9 @@ class RunConfig:
     out_format: str = "csv"
     threads: int = 1
 
+    def __post_init__(self):
+        self.models = tuple(self.models)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["models"] = list(self.models)
@@ -207,8 +210,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["models"] = tuple(d.get("models", BACKTEST_ALL))
         return cls(**d)
 
     def model_config(self) -> ModelConfig:
@@ -274,8 +275,19 @@ def render_markdown(columns: list[str], rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def run_command(cfg: RunConfig) -> int:
-    """Dispatch one run; returns the process exit status, artifacts on disk."""
+    """Dispatch one run; returns the process exit status, artifacts on disk.
+
+    Refuses a field set away from its default that the command does not read
+    (see `COMMANDS`), whether the config came from the CLI or not.
+    """
     import datetime as _dt
+    if cfg.command not in COMMANDS:
+        raise DataError(f"unknown command {cfg.command!r}")
+    read = {"command", "prices"} | {_FIELD_OF[flag] for flag in _flags(cfg.command)}
+    for f in fields(RunConfig):
+        if f.name not in read and getattr(cfg, f.name) != f.default:
+            raise DataError(f"{cfg.command} does not read {_FLAG_OF[f.name]} "
+                            f"({f.name}={getattr(cfg, f.name)!r})")
     for label, value in (("--train-end", cfg.train_end), ("--test-end", cfg.test_end)):
         if value is not None:
             try:
@@ -290,9 +302,7 @@ def run_command(cfg: RunConfig) -> int:
         "backtest": _cmd_backtest,
         "sweep-lambda": _cmd_sweep,
         "sensitivity": _cmd_sensitivity,
-    }.get(cfg.command)
-    if handler is None:
-        raise DataError(f"unknown command {cfg.command!r}")
+    }[cfg.command]
     outputs = handler(cfg, out_dir)
     _write_manifest(cfg, outputs)
     return 0
@@ -488,7 +498,8 @@ OPTIONS = {
     "output-dir": dict(default="out", help="artifact directory"),
     "format": dict(dest="out_format", choices=("csv", "markdown"),
                    help="markdown also writes a .md next to each table"),
-    "model": dict(required=True, choices=sorted(MODEL_ALIASES), help="which model to solve"),
+    "model": dict(dest="models", action="append", required=True, choices=sorted(MODEL_ALIASES),
+                  help="which model to solve"),
     "models": dict(type=_model_list,
                    help="comma list of models, or 'all' (the default) for the five surveyed"),
     "train-end": dict(help="last training date, inclusive"),
@@ -523,8 +534,13 @@ COMMANDS = {
     "sensitivity": ("perturbation study of allocations",
                     ("models", "train-end") + MODEL_OPTIONS + ("c", "seed", "threads")),
 }
-_FLAG_OF = {spec.get("dest", flag.replace("-", "_")): "--" + flag
-            for flag, spec in OPTIONS.items()}
+_FIELD_OF = {flag: spec.get("dest", flag.replace("-", "_")) for flag, spec in OPTIONS.items()}
+_FLAG_OF = {field: "--" + flag for flag, field in _FIELD_OF.items()}
+
+
+def _flags(command: str) -> tuple[str, ...]:
+    """Every flag a command takes: the shared two, then its own."""
+    return ("output-dir", "format") + COMMANDS[command][1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,10 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 help="run `portopt <command> -h` for details")
-    for command, (help_text, options) in COMMANDS.items():
+    for command, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("prices", help="prices CSV (date,TICK1,TICK2,...)")
-        for flag in ("output-dir", "format") + options:
+        for flag in _flags(command):
             p.add_argument("--" + flag, **OPTIONS[flag])
 
     p = sub.add_parser("report", help="render a report CSV as markdown")
@@ -549,10 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     """The run configuration: the options given, RunConfig defaults for the rest."""
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    if args.command == "solve":
-        values["models"] = (args.model,)
-    return RunConfig(**values)
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -295,11 +295,14 @@ class SimplexState:
         self._h = np.concatenate([problem.b_eq, problem.b_ub])
         self._lower = np.concatenate([problem.lower, np.zeros(m_ub)])
         self._upper = np.concatenate([problem.upper, np.full(m_ub, np.inf)])
-        self._done = 0  # pivots of calls before the current one
+        self._done = 0  # pivots of calls before the current one, and of dropped tableaux
+        self._tab = None
         self._phase1()
         self._fresh = True
 
     def _phase1(self):
+        if self._tab is not None:
+            self._done += self._tab.pivots
         tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
         tab.cold_start()
         phase1_cost = np.concatenate([np.zeros(tab.n_real), np.ones(tab.n_art)])
@@ -307,6 +310,19 @@ class SimplexState:
         self.feasible = outcome == "optimal" and float(phase1_cost @ tab.solution()) <= FEAS_TOL
         if self.feasible:
             tab.lock_artificials()
+
+    def _restore(self) -> bool:
+        """Refactorize the kept basis, or run phase 1 again when that basis is
+        singular or no longer primal feasible. Returns whether the region is
+        feasible."""
+        try:
+            self._tab.refactorize()
+            if self._tab.primal_feasible():
+                return True
+        except np.linalg.LinAlgError:
+            pass
+        self._phase1()
+        return self.feasible
 
     @property
     def pivots(self) -> int:
@@ -322,35 +338,36 @@ class SimplexState:
         """Minimize cost @ v over the region from the kept basis.
 
         Returns Optimal or Unbounded, leaving `vertex` at the optimum, or
-        Infeasible when the region is empty. Raises RuntimeError when the call
-        exceeds the pivot limit.
+        Infeasible when the region is empty. A vertex that has drifted past
+        the 1e-7 feasibility tolerance is re-solved from the refactorized
+        basis (from phase 1 if that basis is singular or infeasible); Optimal
+        is returned only for a vertex within the tolerance. Raises
+        RuntimeError when the call exceeds the pivot limit or the re-solved
+        vertex still violates the tolerance.
         """
         if not self.feasible:
             return SolveStatus.INFEASIBLE
-        tab = self._tab
         if self._fresh:
             self._fresh = False
         else:
-            self._done += tab.pivots
-            tab.pivots = tab.degenerate_run = 0
-            try:
-                tab.refactorize()
-                kept = tab.primal_feasible()
-            except np.linalg.LinAlgError:
-                kept = False
-            if not kept:
-                self._phase1()
-                tab = self._tab
-                if not self.feasible:
-                    return SolveStatus.INFEASIBLE
-        full_cost = np.zeros(tab.n_cols)
+            self._done += self._tab.pivots
+            self._tab.pivots = self._tab.degenerate_run = 0
+            if not self._restore():
+                return SolveStatus.INFEASIBLE
+        full_cost = np.zeros(self._tab.n_cols)
         full_cost[:self.problem.n_vars] = cost
-        if tab.run(full_cost, self._pivot_limit) == "unbounded":
+        if self._tab.run(full_cost, self._pivot_limit) == "unbounded":
             return SolveStatus.UNBOUNDED
         # Guard against accumulated tableau drift before certifying.
         if _max_violation(self.problem, self.vertex) > FEAS_TOL:
-            tab.refactorize()
-            tab.run(full_cost, self._pivot_limit)
+            if not self._restore():
+                return SolveStatus.INFEASIBLE
+            if self._tab.run(full_cost, self._pivot_limit) == "unbounded":
+                return SolveStatus.UNBOUNDED
+            violation = _max_violation(self.problem, self.vertex)
+            if violation > FEAS_TOL:
+                raise RuntimeError(f"simplex vertex violates a row or bound by {violation:.3g} "
+                                   f"after refactorization (tolerance {FEAS_TOL:g})")
         return SolveStatus.OPTIMAL
 
 

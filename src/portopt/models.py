@@ -8,7 +8,11 @@ binary MILP for branch and bound. The reverse mean-variance model (maximize
 return subject to a standard-deviation ceiling) is solved by bisecting the
 required-return parameter of the minimum-variance model along the efficient
 frontier, whose standard deviation is nondecreasing in required return; this
-reuses the quadratic engine instead of introducing a QCQP method.
+reuses the quadratic engine instead of introducing a QCQP method. A bisection
+step needs only the side of sigma0^2 its frontier variance lies on, so its
+Frank-Wolfe solve stops as soon as the iterate or the gap's lower bound proves
+it (`solve_qp`'s `level`); one final full-accuracy solve at the accepted
+floor certifies the returned weights.
 
 "Maximum drawdown" throughout means the worst single-day portfolio return
 min_t of sum_i r[i, t] x[i] over the window, not peak-to-trough drawdown.
@@ -299,9 +303,17 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     Solved by bisection on the required return of the minimum-variance model:
     frontier standard deviation is nondecreasing in required return, so the
     largest return whose frontier point stays within sigma0 (plus 1e-6 slack)
-    is found to interval width 1e-10 in at most 60 steps. The report's
-    objective is the achieved mean return; infeasible when even the global
-    minimum-variance portfolio exceeds sigma0.
+    is found to interval width 1e-10 in at most 60 steps. Each step needs one
+    bit, whether the frontier variance at its floor is above sigma0^2, so its
+    solve passes that as `level` and stops once the side is proved; the
+    global minimum-variance and top-vertex solves do the same against
+    (sigma0 + 1e-6)^2. Every early decision is the one a full solve reaches.
+    A final solve to the gap tolerance, warm-started from the accepted point,
+    certifies the returned weights as the minimum-variance point of the
+    accepted floor. The report's objective is their mean return and
+    `iterations` sums the FW iterations of every solve, the final one
+    included; infeasible when even the global minimum-variance portfolio
+    exceeds sigma0.
     """
     started = time.perf_counter()
     sigma0 = cfg.require_sigma0()
@@ -309,10 +321,10 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     mu = stats.mean_returns
     total_iters = 0
 
-    def frontier(rho: float | None, start=None) -> QpSolution:
+    def frontier(rho: float | None, start=None, level=None) -> QpSolution:
         nonlocal total_iters
         problem, _ = markowitz_problem(stats, cfg, rho=rho)
-        sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol, start=start)
+        sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol, start=start, level=level)
         total_iters += sol.iterations
         return sol
 
@@ -321,18 +333,23 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
         objective = None if sol is None else float(mu @ sol.v)
         return _report("reverse_markowitz", status, v, objective, cap, total_iters, started)
 
-    mv = frontier(None)
+    def certified(rho: float, accepted: QpSolution) -> SolveReport:
+        sol = frontier(rho, start=accepted.v)
+        return report(sol.status, sol)
+
+    ceiling, level = (sigma0 + SIGMA_SLACK) ** 2, sigma0 ** 2
+    mv = frontier(None, level=ceiling)
     if mv.status is not SolveStatus.OPTIMAL:
         return report(mv.status)
-    if _std(mv.objective) > sigma0 + SIGMA_SLACK:
+    if mv.objective > ceiling:
         return report(SolveStatus.INFEASIBLE)
 
     top = _max_return_weights(mu, cap)
-    hi_sol = frontier(float(mu @ top), start=top)
+    hi_sol = frontier(float(mu @ top), start=top, level=ceiling)
     if hi_sol.status is not SolveStatus.OPTIMAL:
         return report(hi_sol.status)
-    if _std(hi_sol.objective) <= sigma0 + SIGMA_SLACK:
-        return report(SolveStatus.OPTIMAL, hi_sol)
+    if hi_sol.objective <= ceiling:
+        return certified(float(mu @ top), hi_sol)
 
     lo, hi = float(mu @ mv.v), float(mu @ top)
     best = mv
@@ -341,15 +358,15 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
         if hi - lo < BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        sol = frontier(mid, start=warm)
+        sol = frontier(mid, start=warm, level=level)
         if sol.status is not SolveStatus.OPTIMAL:
             return report(sol.status)
-        if _std(sol.objective) <= sigma0:
+        if sol.objective <= level:  # proved if stopped early, else the full solve's verdict
             lo, best = mid, sol
         else:
             hi = mid
             warm = sol.v  # return mu @ v >= mid stays feasible for lower rho
-    return report(SolveStatus.OPTIMAL, best)
+    return certified(lo, best)
 
 
 def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_000) -> SolveReport:
@@ -410,10 +427,6 @@ MODEL_FIELDS = {
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
-
-def _std(variance: float) -> float:
-    return float(np.sqrt(max(variance, 0.0)))
-
 
 def _max_return_weights(mu: np.ndarray, cap: float) -> np.ndarray:
     """Greedy vertex maximizing mean return under the cap; deterministic order."""

@@ -92,6 +92,7 @@ def solve_qp(
     max_iters: int = MAX_ITERS_DEFAULT,
     gap_tol: float = GAP_TOL_DEFAULT,
     start: np.ndarray | None = None,
+    level: float | None = None,
 ) -> QpSolution:
     """Frank-Wolfe with exact line search and the simplex as linear oracle.
 
@@ -99,6 +100,16 @@ def solve_qp(
     returning status Optimal; on hitting max_iters the best (current) iterate
     is returned with status IterationLimit and its gap. An infeasible region
     surfaces as status Infeasible from the oracle's phase 1.
+
+    `level` asks only which side of a threshold the optimum f* lies on. The
+    solve then also stops, with status Optimal, as soon as that is proved:
+    when the iterate reaches objective <= level (it is feasible, so
+    f* <= level), or when objective - fw_gap > level + gap_tol * (1 + |f|)
+    (the gap's lower bound proves f* > level; the margin covers the oracle's
+    reduced-cost tolerance). Optimal then certifies the side, read off as
+    objective <= level, not a minimizer; the returned fw_gap is the
+    iterate's. A solve that meets the gap stop first is an ordinary Optimal.
+    With level=None the iterates are exactly those of the plain solve.
 
     `start` optionally supplies a feasible warm-start point (used by the
     frontier bisection and the L1 block); a start that is not finite or
@@ -130,7 +141,8 @@ def solve_qp(
         s = oracle.vertex
         gap = float(grad @ (x - s))
         f = float(c @ x + x @ qx)
-        if gap <= gap_tol * (1.0 + abs(f)):
+        margin = gap_tol * (1.0 + abs(f))
+        if gap <= margin or (level is not None and (f <= level or f - gap > level + margin)):
             return QpSolution(x, f, gap, it, SolveStatus.OPTIMAL, oracle.pivots)
 
         d = s - x

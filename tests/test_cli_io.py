@@ -207,6 +207,52 @@ class TestCommands:
         assert (out / "sensitivity.md").exists()
         assert (out / "sensitivity.md").read_text().startswith("| model |")
 
+    @pytest.mark.parametrize("command, field, value, flag", [
+        ("sweep-lambda", "rho", 0.5, "--rho"),
+        ("sweep-lambda", "sigma0", 0.01, "--sigma0"),
+        ("backtest", "seed", 3, "--seed"),
+        ("ingest", "models", ("md",), "--models"),
+        ("solve", "threads", 2, "--threads"),
+    ])
+    def test_library_config_refuses_unread_field(self, tmp_path, command, field, value, flag):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices, n=5, days=15)
+        out = tmp_path / "out"
+        cfg = RunConfig(command=command, prices=str(prices), output_dir=str(out),
+                        **{field: value})
+        with pytest.raises(DataError, match=f"{command} does not read {flag}"):
+            run_command(cfg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("ingest", {}),
+        ("solve", {"models": ("md",), "rho": 0.001}),
+        ("backtest", {"models": ("md", "markowitz"), "rho": 0.0005}),
+        ("sweep-lambda", {"grid_n": 3, "cap": 0.6}),
+    ])
+    def test_manifest_round_trip(self, tmp_path, command, options):
+        # sensitivity: test_manifest_rerun_reproduces_outputs
+        prices = tmp_path / "p.csv"
+        dates = write_tiny_prices(prices, n=6, days=30)
+        if command == "backtest":
+            options = dict(options, train_end=dates[19], test_end=dates[-1])
+        out = tmp_path / "out"
+        assert run_command(RunConfig(command=command, prices=str(prices),
+                                     output_dir=str(out), **options)) == 0
+        manifest = out / "manifest.json"
+        outputs = json.loads(manifest.read_text())["outputs"]
+        first = {path: Path(path).read_bytes() for path in outputs}
+        manifest_bytes = manifest.read_bytes()
+        shutil.rmtree(out)
+        assert run_from_manifest_from_bytes(manifest_bytes, tmp_path) == 0
+        assert manifest.read_bytes() == manifest_bytes
+        for path, blob in first.items():
+            again = Path(path).read_bytes()
+            if b"time_s" in blob.split(b"\n", 1)[0]:   # wall-clock column differs
+                blob, again = (b"\n".join(line.rsplit(b",", 1)[0] for line in b.splitlines())
+                               for b in (blob, again))
+            assert again == blob, path
+
 
 def run_from_manifest_from_bytes(manifest_bytes: bytes, tmp_path) -> int:
     path = tmp_path / "m.json"

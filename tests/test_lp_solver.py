@@ -194,3 +194,48 @@ def test_free_variable_handling():
     sol = solve_lp(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(-2.0)
+
+
+def _drift_problem():
+    rng = np.random.default_rng(59)
+    n = 8
+    return LpProblem(c=rng.normal(0.0, 1.0, n), a_eq=np.ones((1, n)), b_eq=[1.0],
+                     a_ub=rng.normal(0.0, 1.0, (3, n)), b_ub=np.full(3, 0.5),
+                     lower=np.zeros(n), upper=np.full(n, 0.4))
+
+
+def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
+    # Fake a drifted final vertex once; the guard's refactorization then
+    # fails once as singular, so the state must re-solve from phase 1.
+    from portopt import lp_solver
+    problem = _drift_problem()
+    cold = solve_lp(problem)
+    real_violation, real_refactorize = lp_solver._max_violation, lp_solver._Tableau.refactorize
+    faults = {"drift": 1, "singular": 1}
+
+    def violation(p, v):
+        if faults["drift"]:
+            faults["drift"] -= 1
+            return 1.0
+        return real_violation(p, v)
+
+    def refactorize(tab):
+        if faults["singular"]:
+            faults["singular"] -= 1
+            raise np.linalg.LinAlgError("Singular matrix")
+        real_refactorize(tab)
+
+    monkeypatch.setattr(lp_solver, "_max_violation", violation)
+    monkeypatch.setattr(lp_solver._Tableau, "refactorize", refactorize)
+    sol = solve_lp(problem)
+    assert faults == {"drift": 0, "singular": 0}
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert sol.pivots > cold.pivots  # both phases ran again
+
+
+def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):
+    from portopt import lp_solver
+    monkeypatch.setattr(lp_solver, "_max_violation", lambda p, v: 0.25)
+    with pytest.raises(RuntimeError, match="violates a row or bound by 0.25"):
+        solve_lp(_drift_problem())

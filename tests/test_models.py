@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from portopt.core import (
     validate_allocation,
 )
 from portopt.estimation import asset_stats, covariance, mean_returns
-from portopt.lp_solver import solve_lp
+from portopt.lp_solver import LpProblem, solve_lp
 from portopt.milp_solver import solve_milp
 from portopt.models import (
     MODEL_FIELDS,
@@ -32,7 +33,7 @@ from portopt.models import (
 )
 from portopt.qp_solver import solve_qp
 
-from conftest import make_returns
+from conftest import FIXTURE_RHO, make_returns
 from oracles import grid_best_mad, weight_grid
 
 
@@ -41,6 +42,18 @@ def stats_from(data):
 
 
 rng_global = np.random.default_rng(2024)
+
+
+def gap_at_own_floor(x, mu, cov):
+    """FW gap of x for min x'Σx over budget, box [0, 1] and the floor mu'x,
+    with a cold simplex solve as the linear oracle."""
+    n = x.shape[0]
+    grad = 2.0 * cov @ x
+    oracle = solve_lp(LpProblem(c=grad, a_eq=np.ones((1, n)), b_eq=[1.0],
+                                a_ub=-mu[None, :], b_ub=[-(mu @ x)],
+                                lower=np.zeros(n), upper=np.ones(n)))
+    assert oracle.status is SolveStatus.OPTIMAL
+    return float(grad @ x - oracle.objective)
 
 
 class TestLayout:
@@ -115,6 +128,25 @@ class TestReverseMarkowitz:
         report = solve_reverse_markowitz(stats, ModelConfig(sigma0=1e-7))
         assert report.status is SolveStatus.INFEASIBLE
 
+    def test_weights_certified_when_sigma0_is_the_min_variance_std(self):
+        # With sigma0 at the minimum-variance std the accepted point is an
+        # early-stopped iterate, so the final solve is what certifies the
+        # weights: their FW gap meets the stop plus the oracle's slack.
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            n = int(rng.integers(3, 6))
+            stats = stats_from(rng.normal(0.002, 0.02, (n, 50)))
+            mu, cov = stats.mean_returns, stats.covariance
+            mv = solve_qp(markowitz_problem(stats, ModelConfig(), rho=None)[0])
+            sigma0 = float(np.sqrt(mv.objective))
+            report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0), gap_tol=1e-6)
+            assert report.status is SolveStatus.OPTIMAL
+            x = report.allocation.weights
+            f = float(x @ cov @ x)
+            assert np.sqrt(f) <= sigma0 + 1e-6
+            gap = gap_at_own_floor(x, mu, cov)
+            assert gap <= 1e-6 * (1.0 + f) + 2e-9 * (1.0 + np.abs(mu).max())
+
     def test_against_simplex_grid(self):
         data = rng_global.normal(0.002, 0.02, (3, 50))
         stats = stats_from(data)
@@ -131,6 +163,41 @@ class TestReverseMarkowitz:
         grid_best = rets[ok].max()
         # grid best return cannot beat the solver beyond grid resolution effects
         assert report.objective >= grid_best - 5e-5
+
+
+class TestFixtureFrontier:
+    """The fixture's train window, at the benchmark's backtest settings."""
+
+    SIGMA0 = 0.012
+
+    @pytest.fixture(scope="class")
+    def reverse(self, fixture_stats):
+        return solve_reverse_markowitz(fixture_stats, ModelConfig(sigma0=self.SIGMA0))
+
+    def test_markowitz_work_and_weights_unchanged(self, fixture_stats):
+        # A plain solve (no `level`) keeps its iterates: the count and the
+        # weights' bytes are those recorded before `level` existed.
+        problem, _ = markowitz_problem(fixture_stats, ModelConfig(rho=FIXTURE_RHO))
+        sol = solve_qp(problem, level=None)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.iterations == 6957
+        assert sol.objective == 6.88640685894121e-05
+        assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
+            "8ccf9f8e1754a003d7822dd20daa8b71bee579027aef7195be1fe67c207616bc")
+
+    def test_reverse_markowitz_decides_early(self, reverse, fixture_stats):
+        assert reverse.status is SolveStatus.OPTIMAL
+        assert reverse.iterations <= 10_000
+        x = reverse.allocation.weights
+        assert np.sqrt(x @ fixture_stats.covariance @ x) <= self.SIGMA0 + 1e-6
+        # The return of the full-accuracy bisection.
+        assert abs(reverse.objective - 0.002527510084917626) <= 1e-9
+
+    def test_reverse_markowitz_weights_are_certified(self, reverse, fixture_stats):
+        mu, cov = fixture_stats.mean_returns, fixture_stats.covariance
+        x = reverse.allocation.weights
+        f = float(x @ cov @ x)
+        assert gap_at_own_floor(x, mu, cov) <= 1e-8 * (1.0 + f) + 2e-9 * (1.0 + np.abs(mu).max())
 
 
 class TestSimultaneous:

@@ -166,3 +166,49 @@ def test_return_floor_at_max_return_vertex():
         sol = solve_qp(problem, start=start)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.v == pytest.approx(top, abs=1e-9)
+
+
+def test_level_stop_decides_the_side_a_full_solve_finds():
+    # Criterion 03's generator; levels spread around each instance's optimum.
+    rng = np.random.default_rng(307)
+    sides = {True: 0, False: 0}
+    full_iters = level_iters = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        t_days = int(rng.integers(n + 2, 40))
+        panel = rng.normal(0.0, rng.uniform(0.01, 0.03), (n, t_days))
+        centered = panel - panel.mean(axis=1, keepdims=True)
+        q = centered @ centered.T / t_days
+        q = 0.5 * (q + q.T) + 1e-8 * np.eye(n)
+        c = -rng.uniform(0.0, 0.002, n) if rng.random() < 0.5 else np.zeros(n)
+        problem = simplex_qp(q, c, cap=float(rng.uniform(0.5, 1.0)))
+        full = solve_qp(problem, gap_tol=1e-6)
+        assert full.status is SolveStatus.OPTIMAL
+        margin = full.fw_gap + 1e-6 * (1.0 + abs(full.objective))
+        for rel in rng.uniform(-0.2, 0.2, 4):
+            level = full.objective + rel * (1.0 + abs(full.objective)) * abs(full.objective)
+            if abs(full.objective - level) <= margin:
+                continue
+            sol = solve_qp(problem, gap_tol=1e-6, level=level)
+            assert sol.status is SolveStatus.OPTIMAL
+            assert (sol.objective <= level) == (full.objective <= level)
+            sides[sol.objective <= level] += 1
+            full_iters += full.iterations
+            level_iters += sol.iterations
+    assert min(sides.values()) >= 20
+    assert 4 * level_iters <= full_iters
+
+
+def test_level_stop_returns_a_feasible_iterate_with_its_proof():
+    rng = np.random.default_rng(311)
+    problem = simplex_qp(random_cov(rng, 6), np.zeros(6), cap=0.6)
+    full = solve_qp(problem)
+    low, high = 0.9 * full.objective, 1.1 * full.objective
+    above, below = solve_qp(problem, level=low), solve_qp(problem, level=high)
+    assert above.objective - above.fw_gap > low      # f* > low, by the FW bound
+    assert below.objective <= high                   # f* <= high, by the iterate
+    for sol in (above, below):
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.iterations < full.iterations
+        assert sol.v.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.v.min() >= 0.0 and sol.v.max() <= 0.6
