@@ -233,6 +233,8 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     unknown = set(cfgs) - set(SOLVERS)
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
+    if threads < 1:
+        raise DataError(f"threads must be at least 1, got {threads}")
     shaken = perturb_returns(returns, pcfg)
     cov_diff, cov_rel = covariance_change(covariance(returns), covariance(shaken))
     stats_before = asset_stats(returns)

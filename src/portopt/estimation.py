@@ -29,6 +29,8 @@ class PerturbationConfig:
     def __post_init__(self):
         if not self.c > 0:
             raise DataError("perturbation scale c must be positive")
+        if self.seed < 0:
+            raise DataError(f"perturbation seed must be non-negative, got {self.seed}")
 
 
 def compute_simple_returns(prices: PriceMatrix) -> ReturnMatrix:

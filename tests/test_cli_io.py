@@ -319,6 +319,20 @@ class TestMainEntry:
         with pytest.raises(SystemExit):
             main(["sweep-lambda", str(prices), "--threads", "2"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--threads", "0"], "threads must be at least 1, got 0"),
+        (["--threads", "-4"], "threads must be at least 1, got -4"),
+        (["--seed", "-1"], "perturbation seed must be non-negative, got -1"),
+    ], ids=["threads-0", "threads-negative", "seed-negative"])
+    def test_sensitivity_out_of_range_input_refused(self, tmp_path, capsys, flags, message):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main(["sensitivity", str(prices), "--rho", "0.001", *flags,
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: DataError: {message}"
+        assert not (tmp_path / "o" / "sensitivity.csv").exists()
+
     def test_each_command_offers_only_the_flags_it_reads(self):
         sub = build_parser()._subparsers._group_actions[0]
         counts = {command: sum(1 for a in p._actions if a.option_strings

@@ -337,6 +337,12 @@ class TestMdMilp:
         assert positive.size <= 20
         assert positive.min() >= 0.05 - 1e-9
 
+    def test_fixture_search_is_plain_best_bound(self, fixture_milp_report):
+        # a root, three branchings and no heuristic or propagation solves
+        assert fixture_milp_report.status is SolveStatus.OPTIMAL
+        assert fixture_milp_report.iterations == 7
+        assert abs(fixture_milp_report.objective - -0.01535672932609452) <= 1e-12
+
     def test_objective_never_beats_relaxed_md(self, fixture_md_report, fixture_milp_report):
         assert fixture_milp_report.objective <= fixture_md_report.objective + 1e-12
 
