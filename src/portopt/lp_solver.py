@@ -9,11 +9,14 @@ because every portfolio LP in this package is dominated by box constraints.
 
 Algorithm notes:
 
-* Phase 1 minimizes the sum of artificial variables added per row; a positive
-  phase-1 optimum (> feasibility tolerance) certifies infeasibility. Surviving
-  artificials are locked to [0, 0] rather than pivoted out eagerly; locked
-  columns always block the ratio test at zero, so degenerate pivots evict them
-  on demand and redundant rows stay harmlessly basic.
+* Phase 1 starts from a slack crash basis: a `<=` row whose slack absorbs the
+  starting residual starts with that slack basic, and only the other rows
+  (equality rows and `<=` rows with a negative residual) get an artificial.
+  Phase 1 minimizes the sum of those artificials; a positive phase-1 optimum
+  (> feasibility tolerance) certifies infeasibility. Surviving artificials are
+  locked to [0, 0] rather than pivoted out eagerly; locked columns always
+  block the ratio test at zero, so degenerate pivots evict them on demand and
+  redundant rows stay harmlessly basic.
 * Pricing is Dantzig (most negative reduced cost); Bland's smallest-index rule
   engages after 50 consecutive degenerate pivots and guarantees termination.
 * The working tableau is B^-1 [A | b], refreshed by direct refactorization if
@@ -157,26 +160,38 @@ class _Tableau:
 
     # -- starting bases -----------------------------------------------------
 
-    def cold_start(self):
-        """Phase-1 setup: nonbasics at their nearest finite bound, one
-        artificial per row signed to absorb the residual."""
+    def cold_start(self, slack: np.ndarray):
+        """Phase-1 setup with a slack crash basis (Bixby 1992).
+
+        `slack` holds each row's slack column (coefficient +1, bounds
+        [0, inf)), or -1 for an equality row. Nonbasics rest at their nearest
+        finite bound. A `<=` row whose slack absorbs the residual h - G v at
+        that point starts with the slack basic; every other row (equality rows
+        and `<=` rows with a negative residual) gets an artificial signed to
+        absorb its residual. B is diagonal with entries +1 (slacks) and +-1
+        (artificials), so B^-1 scales rows by sign.
+        """
         status = np.empty(self.n_real, dtype=np.int8)
         finite_low = np.isfinite(self.lower)
         status[:] = FREE
         status[np.isfinite(self.upper)] = AT_UPPER
         status[finite_low] = AT_LOWER  # prefer the lower bound when both exist
-        self.status = status
-        self.n_art = self.m
         vals = np.zeros(self.n_real)
         vals[status == AT_LOWER] = self.lower[status == AT_LOWER]
         vals[status == AT_UPPER] = self.upper[status == AT_UPPER]
         residual = self.h - self.g @ vals
+        crashed = (slack >= 0) & (residual >= 0)
+        art_rows = np.flatnonzero(~crashed)
+        self.n_art = art_rows.size
         signs = np.where(residual < 0, -1.0, 1.0)
-        art = np.diag(signs)
-        self.lower = np.concatenate([self.lower, np.zeros(self.m)])
-        self.upper = np.concatenate([self.upper, np.full(self.m, np.inf)])
-        self.status = np.concatenate([self.status, np.full(self.m, BASIC, dtype=np.int8)])
-        self.basis = np.arange(self.n_real, self.n_real + self.m)
+        art = np.zeros((self.m, self.n_art))
+        art[art_rows, np.arange(self.n_art)] = signs[art_rows]
+        self.basis = slack.copy()
+        self.basis[art_rows] = self.n_real + np.arange(self.n_art)
+        status[self.basis[crashed]] = BASIC
+        self.lower = np.concatenate([self.lower, np.zeros(self.n_art)])
+        self.upper = np.concatenate([self.upper, np.full(self.n_art, np.inf)])
+        self.status = np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)])
         g_ext = np.hstack([self.g, art])
         # B = diag(signs) so B^-1 applies row signs directly
         self.work = np.hstack([g_ext, self.h[:, None]]) * signs[:, None]
@@ -295,6 +310,8 @@ class SimplexState:
         self._h = np.concatenate([problem.b_eq, problem.b_ub])
         self._lower = np.concatenate([problem.lower, np.zeros(m_ub)])
         self._upper = np.concatenate([problem.upper, np.full(m_ub, np.inf)])
+        n, m_eq = problem.n_vars, problem.a_eq.shape[0]
+        self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
         self._done = 0  # pivots of calls before the current one, and of dropped tableaux
         self._tab = None
         self._phase1()
@@ -304,7 +321,7 @@ class SimplexState:
         if self._tab is not None:
             self._done += self._tab.pivots
         tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
-        tab.cold_start()
+        tab.cold_start(self._slack)
         phase1_cost = np.concatenate([np.zeros(tab.n_real), np.ones(tab.n_art)])
         outcome = tab.run(phase1_cost, self._pivot_limit)
         self.feasible = outcome == "optimal" and float(phase1_cost @ tab.solution()) <= FEAS_TOL

@@ -52,8 +52,9 @@ class ModelLayout:
     """Maps model variable blocks to solver columns.
 
     x is the allocation block (n columns). The drawdown models add a single
-    epigraph scalar y; the MAD model adds one y_t per day; the MILP adds a
-    binary indicator block z. Every solver column belongs to exactly one block.
+    epigraph scalar y; the MAD model adds one y_t = p_t per day (the positive
+    part of that day's deviation); the MILP adds a binary indicator block z.
+    Every solver column belongs to exactly one block.
     (The L1 augmentation appends its u block after x; only x is read back.)
     """
 
@@ -145,12 +146,16 @@ def l1_augment(problem: QpProblem, mu_l1: float) -> QpProblem:
 
 
 def mad_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, ModelLayout]:
-    """Mean-absolute-deviation LP: min (1/T) sum_t y_t with y_t >= |deviation_t|.
+    """Mean-absolute-deviation LP in one-sided form: min (2/T) sum_t p_t with
+    p_t >= deviation_t and p_t >= 0.
 
-    Columns are x (n) then y (T); the epigraph pair of rows per day makes
-    y_t = |sum_i (r[i,t] - mean_i) x_i| at any optimum. The program has 2T + 2
-    functional rows however many assets there are; a short-selling variant
-    (dropping x >= 0) would cap the optimal support at 2T + 2 names by basic
+    The deviations d_t = r_t - mean are centred (sum_t d_t = 0), so the
+    positive and negative parts of d_t' x have equal sums and
+    mean_t |d_t' x| = (2/T) sum_t max(d_t' x, 0) (Konno & Yamazaki 1991).
+    Columns are x (n) then p (T), with p_t = max(d_t' x, 0) at any optimum.
+    The program has T + 2 functional rows (one per day, the return floor and
+    the budget) however many assets there are; a short-selling variant
+    (dropping x >= 0) would cap the optimal support at T + 2 names by basic
     LP counting, but short selling is out of scope throughout this package.
     """
     n, t_days = returns.n_assets, returns.n_days
@@ -159,12 +164,11 @@ def mad_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, Mod
     mu = mean_returns(returns)
     dev = returns.returns - mu[:, None]          # n x T deviations
     ncols = n + t_days
-    c = np.concatenate([np.zeros(n), np.full(t_days, 1.0 / t_days)])
-    rows_pos = np.hstack([dev.T, -np.eye(t_days)])    #  dev' x - y_t <= 0
-    rows_neg = np.hstack([-dev.T, -np.eye(t_days)])   # -dev' x - y_t <= 0
+    c = np.concatenate([np.zeros(n), np.full(t_days, 2.0 / t_days)])
+    day_rows = np.hstack([dev.T, -np.eye(t_days)])    # dev' x - p_t <= 0
     ret_row = np.concatenate([-mu, np.zeros(t_days)])[None, :]
-    a_ub = np.vstack([rows_pos, rows_neg, ret_row])
-    b_ub = np.concatenate([np.zeros(2 * t_days), [-rho]])
+    a_ub = np.vstack([day_rows, ret_row])
+    b_ub = np.concatenate([np.zeros(t_days), [-rho]])
     a_eq = np.concatenate([np.ones(n), np.zeros(t_days)])[None, :]
     problem = LpProblem(
         c=c, sense="min", a_eq=a_eq, b_eq=np.array([1.0]), a_ub=a_ub, b_ub=b_ub,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from portopt.core import DataError, SolveStatus
+from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
     LpProblem,
     SimplexState,
@@ -9,7 +9,9 @@ from portopt.lp_solver import (
     dual_objective,
     solve_lp,
 )
+from portopt.models import mad_problem
 
+from conftest import FIXTURE_RHO
 from oracles import enumerate_lp_vertices
 
 
@@ -239,3 +241,113 @@ def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):
     monkeypatch.setattr(lp_solver, "_max_violation", lambda p, v: 0.25)
     with pytest.raises(RuntimeError, match="violates a row or bound by 0.25"):
         solve_lp(_drift_problem())
+
+
+def _cold_start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Every variable at its finite lower bound, else its finite upper bound, else 0."""
+    return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
+
+
+def _start_residual(p: LpProblem) -> np.ndarray:
+    """b_ub - A_ub v at the cold start point."""
+    return p.b_ub - p.a_ub @ _cold_start_point(p.lower, p.upper)
+
+
+def test_rows_satisfied_at_the_start_need_no_phase1_pivot():
+    rng = np.random.default_rng(61)
+    n = 12
+    p = LpProblem(c=rng.normal(size=n), a_ub=rng.uniform(0.0, 1.0, (6, n)),
+                  b_ub=rng.uniform(0.5, 2.0, 6), lower=np.zeros(n), upper=np.ones(n))
+    assert np.all(_start_residual(p) >= 0)
+    state = SimplexState(p)
+    assert state.feasible
+    assert state.pivots == 0
+    assert np.array_equal(state.vertex, np.zeros(n))
+
+
+def test_region_infeasible_only_through_a_crashed_row():
+    # each region is feasible without its first <= row, which starts with its
+    # slack basic; the other rows need an artificial
+    cases = [
+        LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0],
+                  a_ub=[[1.0, 1.0]], b_ub=[1.0], lower=[0.0, 0.0], upper=[2.0, 2.0]),
+        LpProblem(c=[1.0, -1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -1.5],
+                  lower=[0.0, 0.0], upper=[3.0, 1.0]),
+    ]
+    for p in cases:
+        residual = _start_residual(p)
+        assert residual[0] >= 0 and np.all(residual[1:] < 0)
+        relaxed = LpProblem(c=p.c, a_eq=p.a_eq, b_eq=p.b_eq, a_ub=p.a_ub[1:], b_ub=p.b_ub[1:],
+                            lower=p.lower, upper=p.upper)
+        assert solve_lp(relaxed).status is SolveStatus.OPTIMAL
+        assert solve_lp(p).status is SolveStatus.INFEASIBLE
+
+
+def test_fixture_mad_pivots(fixture_train):
+    problem, _ = mad_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
+    sol = solve_lp(problem)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.pivots <= 300
+    assert abs(sol.objective - 0.006195121614436907) <= 1e-12
+
+
+HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+
+
+def highs_lp(p: LpProblem) -> tuple[SolveStatus, float]:
+    """Status and objective (in the problem's sense) from scipy's HiGHS."""
+    opt = pytest.importorskip("scipy.optimize")
+    sign = 1.0 if p.sense == "min" else -1.0
+    rows = {}
+    if p.a_ub.shape[0]:
+        rows.update(A_ub=p.a_ub, b_ub=p.b_ub)
+    if p.a_eq.shape[0]:
+        rows.update(A_eq=p.a_eq, b_eq=p.b_eq)
+    res = opt.linprog(sign * p.c, bounds=np.column_stack([p.lower, p.upper]),
+                      method="highs", options={"presolve": False}, **rows)
+    assert res.status in HIGHS_STATUS, res.message
+    return HIGHS_STATUS[res.status], sign * float(res.fun) if res.status == 0 else np.nan
+
+
+def test_matches_highs_on_random_lps():
+    # Bounds mix [l, inf), [l, u], free and (-inf, u] columns; <= rows have
+    # right-hand sides of both signs, so crashed and artificial rows both
+    # occur, and some instances add equality rows. A quarter are degenerate:
+    # every <= row, one of them twice, is tight at the cold start.
+    rng = np.random.default_rng(67)
+    seen = {s: 0 for s in HIGHS_STATUS.values()}
+    seen.update(degenerate_optimal=0, crashed=0, artificial=0, eq=0, free=0)
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        kind = rng.choice(["lower", "box", "free", "upper"], size=n, p=[0.4, 0.3, 0.2, 0.1])
+        lower = np.where(np.isin(kind, ["lower", "box"]), rng.uniform(-1, 1, n).round(2), -np.inf)
+        upper = np.where(kind == "box", lower + rng.uniform(0.5, 3.0, n).round(2),
+                         np.where(kind == "upper", rng.uniform(-1, 1, n).round(2), np.inf))
+        a_ub = rng.normal(size=(int(rng.integers(1, 6)), n)).round(2)
+        degenerate = rng.random() < 0.25
+        if degenerate:
+            a_ub = np.vstack([a_ub, a_ub[:1]])
+            b_ub = a_ub @ _cold_start_point(lower, upper)
+        else:
+            b_ub = rng.normal(0.0, 1.5, a_ub.shape[0]).round(2)
+        kw = dict(c=rng.normal(size=n).round(2), sense=str(rng.choice(["min", "max"])),
+                  a_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper)
+        m_eq = int(rng.integers(0, 3))
+        if m_eq:
+            kw.update(a_eq=rng.normal(size=(m_eq, n)).round(2),
+                      b_eq=rng.normal(size=m_eq).round(2))
+        p = LpProblem(**kw)
+        sol = solve_lp(p)
+        status, objective = highs_lp(p)
+        assert sol.status is status
+        seen[status] += 1
+        residual = _start_residual(p)
+        seen["crashed"] += int(np.sum(residual >= 0))
+        seen["artificial"] += int(np.sum(residual < 0)) + m_eq
+        seen["eq"] += m_eq > 0
+        seen["free"] += bool(np.any(kind == "free"))
+        if status is SolveStatus.OPTIMAL:
+            seen["degenerate_optimal"] += degenerate
+            assert abs(sol.objective - objective) <= 1e-9 * (1 + abs(objective))
+            assert abs(dual_objective(p, sol) - sol.objective) <= 1e-9 * (1 + abs(objective))
+    assert min(seen.values()) >= 25, seen

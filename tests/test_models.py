@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from portopt.cli_io import main
 from portopt.core import (
     Allocation,
     DataError,
@@ -33,7 +34,7 @@ from portopt.models import (
 )
 from portopt.qp_solver import solve_qp
 
-from conftest import FIXTURE_RHO, make_returns
+from conftest import FIXTURE_PATH, FIXTURE_RHO, make_returns
 from oracles import grid_best_mad, weight_grid
 
 
@@ -290,9 +291,27 @@ class TestMad:
         problem, layout = mad_problem(returns, ModelConfig(rho=-1.0))
         sol = solve_lp(problem)
         x = sol.v[layout.x]
-        y = sol.v[layout.y]
+        p = sol.v[layout.y]
         dev = (data - data.mean(axis=1, keepdims=True)).T @ x
-        assert np.max(np.abs(y - np.abs(dev))) < 1e-9
+        # one-sided epigraph: p_t is the positive part of the day's deviation,
+        # and the centring identity turns its scaled sum into the MAD
+        assert np.max(np.abs(p - np.maximum(dev, 0.0))) < 1e-9
+        assert abs(2.0 / dev.size * p.sum() - np.abs(dev).mean()) < 1e-12
+
+    def test_full_window_solves_and_matches_highs(self, tmp_path, fixture_returns):
+        # all 125 days: the largest, most degenerate MAD LP the fixture gives
+        opt = pytest.importorskip("scipy.optimize")
+        out = tmp_path / "mad"
+        code = main(["solve", str(FIXTURE_PATH), "--model", "mad", "--rho", str(FIXTURE_RHO),
+                     "--output-dir", str(out)])
+        assert code == 0
+        model, objective, status = (out / "report.csv").read_text().splitlines()[1].split(",")[:3]
+        assert (model, status) == ("mad", "Optimal")
+        p, _ = mad_problem(fixture_returns, ModelConfig(rho=FIXTURE_RHO))
+        highs = opt.linprog(p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
+                            bounds=np.column_stack([p.lower, p.upper]), method="highs")
+        assert highs.status == 0
+        assert abs(float(objective) - highs.fun) <= 1e-9 * (1 + abs(highs.fun))
 
 
 class TestMd:
@@ -342,6 +361,14 @@ class TestMdMilp:
         assert fixture_milp_report.status is SolveStatus.OPTIMAL
         assert fixture_milp_report.iterations == 7
         assert abs(fixture_milp_report.objective - -0.01535672932609452) <= 1e-12
+
+    def test_full_relaxation_is_the_md_lp(self, fixture_train, fixture_md_report):
+        # all 843 rows at once, as the B&B's fallback on an unbounded node
+        # subproblem solves them
+        problem, _ = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
+        sol = solve_lp(problem.base)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert abs(sol.objective - fixture_md_report.objective) <= 1e-12
 
     def test_objective_never_beats_relaxed_md(self, fixture_md_report, fixture_milp_report):
         assert fixture_milp_report.objective <= fixture_md_report.objective + 1e-12

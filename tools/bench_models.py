@@ -1,0 +1,116 @@
+"""Solve every model once on the bundled fixture's train window, and the three
+drawdown models (`mad`, `md`, `md_milp`) on its seed-N perturbation too, and
+report status, objective, seconds and work per solve.
+
+Work is the model report's `iterations`: Frank-Wolfe iterations for the
+quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
+nodes for `md_milp`, whose node LPs and their pivots are counted as well. The
+LP models also report the phase-1 pivots of their region. Inputs match the
+benchmark's workloads: train window up to 2020-05-01, rho 0.001, sigma0
+0.012, lambda 0.08, perturbation divisor c = 1000.
+
+Usage:
+    python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
+
+`--src` points at the `src` directory of the checkout to measure (default:
+this checkout's), so one script measures two commits. With `--out`, the run
+is stored under `--label` in that JSON file, keeping the other labels there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "data" / "prices_2020h1.csv"
+TRAIN_END = "2020-05-01"
+RHO, SIGMA0, LAM, C_PERTURB = 0.001, 0.012, 0.08, 1000.0
+MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_milp")
+DRAWDOWN = ("mad", "md", "md_milp")
+
+
+def _node_lp_counter(milp_solver):
+    """Wrap the B&B's `solve_lp` binding to count node LPs and their pivots."""
+    counts = {"node_lps": 0, "node_pivots": 0}
+    inner = milp_solver.solve_lp
+
+    def counted(problem, *args, **kwargs):
+        sol = inner(problem, *args, **kwargs)
+        counts["node_lps"] += 1
+        counts["node_pivots"] += sol.pivots
+        return sol
+
+    milp_solver.solve_lp = counted
+    return counts
+
+
+def run(seed: int) -> dict:
+    from portopt import milp_solver, models
+    from portopt.cli_io import ingest_prices
+    from portopt.core import ModelConfig, ReturnMatrix
+    from portopt.estimation import (PerturbationConfig, asset_stats, compute_simple_returns,
+                                    perturb_returns)
+    from portopt.lp_solver import SimplexState
+
+    returns = compute_simple_returns(ingest_prices(FIXTURE))
+    days = sum(d <= TRAIN_END for d in returns.dates)
+    train = ReturnMatrix(returns.tickers, returns.dates[:days], returns.returns[:, :days])
+    shaken = perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed))
+    cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
+    counts = _node_lp_counter(milp_solver)
+    builders = {"mad": models.mad_problem, "md": models.md_problem}
+
+    def solve(tag: str, window: ReturnMatrix) -> dict:
+        stats = asset_stats(window)
+        counts.update(node_lps=0, node_pivots=0)
+        started = time.perf_counter()
+        report = models.SOLVERS[tag](window, stats, cfg)
+        row = {"status": report.status.value, "objective": report.objective,
+               "seconds": round(time.perf_counter() - started, 4), "work": report.iterations}
+        if report.allocation is not None:
+            row["names"] = int((report.allocation.weights > 1e-9).sum())
+        if tag == "md_milp":
+            row.update(counts)
+        if tag in builders:
+            row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
+        return row
+
+    return {
+        "fixture": {tag: solve(tag, train) for tag in MODELS},
+        f"perturbed_seed_{seed}": {tag: solve(tag, shaken) for tag in DRAWDOWN},
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=3, help="perturbation seed (default 3)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="src directory of the checkout to measure")
+    parser.add_argument("--label", default="run", help="key of this run in --out")
+    parser.add_argument("--out", type=Path, help="JSON file to store the run in")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    result = run(args.seed)
+    for window, rows in result.items():
+        for tag, row in rows.items():
+            extra = " ".join(f"{k}={v}" for k, v in row.items()
+                             if k not in ("status", "objective", "seconds", "work"))
+            print(f"{window:18s} {tag:18s} {row['status']:10s} {row['objective']!r:24s} "
+                  f"{row['seconds']:8.3f}s work={row['work']} {extra}")
+    if args.out is not None:
+        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+        stored[args.label] = {"seed": args.seed, **result}
+        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
