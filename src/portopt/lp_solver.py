@@ -25,6 +25,16 @@ Algorithm notes:
   phase 1 runs once, and each later `minimize` refactorizes the kept basis and
   runs phase 2 from it (a fresh phase 1 only if that basis has drifted
   infeasible). `solve_lp` is one state minimized once.
+* A bounded dual simplex re-optimizes after the region changes under a fixed
+  cost: `SimplexState.reopen` takes a saved basis (basic columns and nonbasic
+  statuses, not the tableau), new bounds and appended `<=` rows, each starting
+  with its slack basic, so the saved reduced costs stay dual feasible. The
+  dual loop takes the row farthest outside its bounds, and the ratio test
+  picks the column with the smallest |z_j / alpha_rj|, ties broken by the
+  largest |alpha_rj|; a row that no column can move back into its bounds
+  proves the region empty. Dual-degenerate stalls switch to the same
+  smallest-index rule after the same 50 steps, and the primal simplex then
+  cleans up. Branch and bound re-solves its node LPs this way.
 
 Tolerances: pivot/optimality 1e-9, primal feasibility 1e-7, both documented in
 the solution certificate check so results are reproducible.
@@ -33,6 +43,7 @@ the solution certificate check so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +130,15 @@ class LpSolution:
     reduced_costs: np.ndarray
 
 
+def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Where each nonbasic column rests: at its finite lower bound, else at
+    its finite upper bound, else free at zero."""
+    status = np.full(lower.shape, FREE, dtype=np.int8)
+    status[np.isfinite(upper)] = AT_UPPER
+    status[np.isfinite(lower)] = AT_LOWER
+    return status
+
+
 class _Tableau:
     """Mutable simplex state over columns = structural + slacks + artificials."""
 
@@ -171,11 +191,7 @@ class _Tableau:
         absorb its residual. B is diagonal with entries +1 (slacks) and +-1
         (artificials), so B^-1 scales rows by sign.
         """
-        status = np.empty(self.n_real, dtype=np.int8)
-        finite_low = np.isfinite(self.lower)
-        status[:] = FREE
-        status[np.isfinite(self.upper)] = AT_UPPER
-        status[finite_low] = AT_LOWER  # prefer the lower bound when both exist
+        status = _resting_status(self.lower, self.upper)
         vals = np.zeros(self.n_real)
         vals[status == AT_LOWER] = self.lower[status == AT_LOWER]
         vals[status == AT_UPPER] = self.upper[status == AT_UPPER]
@@ -261,29 +277,111 @@ class _Tableau:
                     r = int(ties[np.argmin(self.basis[ties])])
                 else:
                     r = int(ties[np.argmax(np.abs(step[ties]))])
-                leaving = self.basis[r]
-                self.status[leaving] = AT_LOWER if step[r] > 0 else AT_UPPER
-                self.basis[r] = j
-                self.status[j] = BASIC
-                piv = self.work[r, j]
-                self.work[r, :] /= piv
-                mult = self.work[:, j].copy()
-                mult[r] = 0.0
-                if self._buf is None or self._buf.shape != self.work.shape:
-                    self._buf = np.empty_like(self.work)
-                np.multiply(mult[:, None], self.work[r, None, :], out=self._buf)
-                self.work -= self._buf
-                self.pivots += 1
+                self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
+            bland = self._note_step(t_star, pivot_limit)
 
-            if t_star <= DEGEN_TOL:
-                self.degenerate_run += 1
-                if self.degenerate_run >= BLAND_TRIGGER:
-                    bland = True
+    def dual_run(self, cost: np.ndarray, pivot_limit: int) -> str:
+        """Restore primal feasibility by the bounded dual simplex.
+
+        Starts from a basis whose reduced costs under `cost` are dual
+        feasible (as a parent's optimal basis is after bound changes and
+        appended rows) and keeps them so. The leaving row is the basic
+        variable farthest outside its bounds; it leaves at the bound it
+        violates. The entering column is the movable nonbasic that can push
+        it back with the smallest |z_j / alpha_rj|, ties broken by the largest
+        |alpha_rj|. Returns 'feasible' once every basic variable is within
+        FEAS_TOL of its bounds, or 'infeasible' when the leaving row has no
+        such column: its basic variable is then out of bounds at every point
+        of the region. Raises if the pivot budget is exhausted.
+        """
+        bland = False
+        while True:
+            x_b = self.solution()[self.basis]
+            below = self.lower[self.basis] - x_b
+            infeasibility = np.maximum(below, x_b - self.upper[self.basis])
+            rows = np.flatnonzero(infeasibility > FEAS_TOL)
+            if rows.size == 0:
+                return "feasible"
+            if bland:
+                r = int(rows[np.argmin(self.basis[rows])])
             else:
-                self.degenerate_run = 0
-                bland = False
-            if self.pivots > pivot_limit:
-                raise RuntimeError(f"simplex exceeded the pivot limit ({pivot_limit})")
+                r = int(np.argmax(infeasibility))
+            to_lower = below[r] > 0
+            # x_r = beta_r - sum_j alpha_rj x_j, so raising x_r (to_lower)
+            # needs x_j to rise where alpha_rj < 0 or fall where alpha_rj > 0
+            alpha = self.work[r, :-1]
+            push = alpha if to_lower else -alpha
+            movable = self.upper > self.lower
+            can_up = ((self.status == AT_LOWER) | (self.status == FREE)) & (push < -PIVOT_TOL)
+            can_down = ((self.status == AT_UPPER) | (self.status == FREE)) & (push > PIVOT_TOL)
+            candidates = np.flatnonzero((can_up | can_down) & movable)
+            if candidates.size == 0:
+                return "infeasible"
+            z = cost - cost[self.basis] @ self.work[:, :-1]
+            ratios = np.abs(z[candidates] / alpha[candidates])
+            t_star = float(np.min(ratios))
+            ties = candidates[ratios <= t_star + DEGEN_TOL]
+            if bland:
+                j = int(ties[0])
+            else:
+                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+            self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
+            bland = self._note_step(t_star, pivot_limit)
+
+    def _pivot(self, r: int, j: int, leaving_status: int):
+        """Column j enters the basis at row r; the leaving column rests at
+        `leaving_status`."""
+        leaving = self.basis[r]
+        self.status[leaving] = leaving_status
+        self.basis[r] = j
+        self.status[j] = BASIC
+        piv = self.work[r, j]
+        self.work[r, :] /= piv
+        mult = self.work[:, j].copy()
+        mult[r] = 0.0
+        if self._buf is None or self._buf.shape != self.work.shape:
+            self._buf = np.empty_like(self.work)
+        np.multiply(mult[:, None], self.work[r, None, :], out=self._buf)
+        self.work -= self._buf
+        self.pivots += 1
+
+    def _note_step(self, step: float, pivot_limit: int) -> bool:
+        """Count a step of length `step` and enforce the pivot budget. Returns
+        whether the smallest-index rule is on: after BLAND_TRIGGER consecutive
+        degenerate steps, until a step makes progress."""
+        if self.pivots > pivot_limit:
+            raise RuntimeError(f"simplex exceeded the pivot limit ({pivot_limit})")
+        if step <= DEGEN_TOL:
+            self.degenerate_run += 1
+        else:
+            self.degenerate_run = 0
+        return self.degenerate_run >= BLAND_TRIGGER
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A saved simplex basis, without its tableau.
+
+    Columns are the structural variables, then one slack per `<=` row in row
+    order. `basic[i]` is the column basic in row i (an index past the last
+    slack is a phase-1 artificial) and `status` holds every structural and
+    slack column's status.
+    """
+
+    basic: np.ndarray
+    status: np.ndarray
+
+
+class _Region(NamedTuple):
+    """The rows and bounds a state's vertex must satisfy, named as in
+    LpProblem."""
+
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 class SimplexState:
@@ -296,26 +394,41 @@ class SimplexState:
     first refactorizes that basis, so pivot drift never carries from one call
     to the next; if the refactorized basis is no longer primal feasible within
     1e-7, phase 1 runs again. `pivot_limit` bounds the pivots of each call
-    (the first call shares it with the initial phase 1).
+    (the first call shares it with the initial phase 1). `reopen` moves the
+    state to new bounds and appended rows and re-optimizes from a saved
+    `basis()` by the dual simplex.
     """
 
     def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
         self.problem = problem
         self._pivot_limit = pivot_limit
-        m_ub = problem.a_ub.shape[0]
-        self._g = np.vstack([
-            np.hstack([problem.a_eq, np.zeros((problem.a_eq.shape[0], m_ub))]),
-            np.hstack([problem.a_ub, np.eye(m_ub)]),
-        ])
-        self._h = np.concatenate([problem.b_eq, problem.b_ub])
-        self._lower = np.concatenate([problem.lower, np.zeros(m_ub)])
-        self._upper = np.concatenate([problem.upper, np.full(m_ub, np.inf)])
-        n, m_eq = problem.n_vars, problem.a_eq.shape[0]
-        self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
+        self._set_region(problem.lower, problem.upper, np.zeros((0, problem.n_vars)),
+                         np.zeros(0))
         self._done = 0  # pivots of calls before the current one, and of dropped tableaux
         self._tab = None
         self._phase1()
         self._fresh = True
+
+    def _set_region(self, lower: np.ndarray, upper: np.ndarray, a_add: np.ndarray,
+                    b_add: np.ndarray):
+        """Set up the standard form of the problem's rows plus the `<=` rows
+        a_add @ v <= b_add, under the structural bounds `lower` and `upper`:
+        one slack column per `<=` row, in row order."""
+        p = self.problem
+        n, m_eq, m_own = p.n_vars, p.a_eq.shape[0], p.a_ub.shape[0]
+        m_ub = m_own + a_add.shape[0]
+        g = np.zeros((m_eq + m_ub, n + m_ub))
+        g[:m_eq, :n] = p.a_eq
+        g[m_eq:m_eq + m_own, :n] = p.a_ub
+        g[m_eq + m_own:, :n] = a_add
+        g[m_eq:, n:] = np.eye(m_ub)
+        self._g = g
+        self._h = np.concatenate([p.b_eq, p.b_ub, b_add])
+        self._lower = np.concatenate([lower, np.zeros(m_ub)])
+        self._upper = np.concatenate([upper, np.full(m_ub, np.inf)])
+        self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
+        self._region = _Region(p.a_eq, p.b_eq, g[m_eq:, :n], self._h[m_eq:],
+                               self._lower[:n], self._upper[:n])
 
     def _phase1(self):
         if self._tab is not None:
@@ -340,6 +453,54 @@ class SimplexState:
             pass
         self._phase1()
         return self.feasible
+
+    def basis(self) -> Basis:
+        """The kept basis, to `reopen` at later."""
+        tab = self._tab
+        return Basis(tab.basis.copy(), tab.status[:tab.n_real].copy())
+
+    def reopen(self, start: Basis, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+               a_add: np.ndarray, b_add: np.ndarray) -> SolveStatus:
+        """Minimize cost @ v over a changed region, starting from a saved basis.
+
+        The region becomes the problem's rows plus the `<=` rows
+        a_add @ v <= b_add appended after them, under the structural bounds
+        `lower` and `upper`. `start` is a `basis()` saved over the problem's
+        rows and the first appended rows, in the same order; each further
+        appended row starts with its slack basic, which keeps the basis
+        nonsingular and every reduced cost as it was. The basis is
+        refactorized, the dual simplex restores primal feasibility, and then
+        this is `minimize(cost)` (the primal simplex cleans up and the drift
+        guard checks the vertex against the new region). A saved basis that
+        holds an artificial or is singular under the new rows starts from
+        phase 1 instead. Meant for a basis optimal for `cost` before the
+        change, as a branch-and-bound parent's is for its children.
+        """
+        self._done += self._tab.pivots
+        self._set_region(lower, upper, a_add, b_add)
+        self._fresh = True
+        tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
+        n_saved = start.status.size
+        tab.basis = np.concatenate([start.basic, np.arange(n_saved, tab.n_real)])
+        tab.status = np.concatenate([start.status,
+                                     np.full(tab.n_real - n_saved, BASIC, dtype=np.int8)])
+        # a nonbasic whose resting bound is gone moves to one that exists
+        resting = _resting_status(tab.lower, tab.upper)
+        kept = (((tab.status == AT_LOWER) & np.isfinite(tab.lower))
+                | ((tab.status == AT_UPPER) & np.isfinite(tab.upper))
+                | (tab.status == BASIC) | (tab.status == resting))
+        tab.status[~kept] = resting[~kept]
+        try:
+            if np.any(start.basic >= n_saved):
+                raise np.linalg.LinAlgError("the saved basis holds an artificial")
+            tab.refactorize()
+        except np.linalg.LinAlgError:
+            self._phase1()
+            return self.minimize(cost)
+        full_cost = np.zeros(tab.n_cols)
+        full_cost[:self.problem.n_vars] = cost
+        self.feasible = tab.dual_run(full_cost, self._pivot_limit) == "feasible"
+        return self.minimize(cost)
 
     @property
     def pivots(self) -> int:
@@ -376,12 +537,12 @@ class SimplexState:
         if self._tab.run(full_cost, self._pivot_limit) == "unbounded":
             return SolveStatus.UNBOUNDED
         # Guard against accumulated tableau drift before certifying.
-        if _max_violation(self.problem, self.vertex) > FEAS_TOL:
+        if _max_violation(self._region, self.vertex) > FEAS_TOL:
             if not self._restore():
                 return SolveStatus.INFEASIBLE
             if self._tab.run(full_cost, self._pivot_limit) == "unbounded":
                 return SolveStatus.UNBOUNDED
-            violation = _max_violation(self.problem, self.vertex)
+            violation = _max_violation(self._region, self.vertex)
             if violation > FEAS_TOL:
                 raise RuntimeError(f"simplex vertex violates a row or bound by {violation:.3g} "
                                    f"after refactorization (tolerance {FEAS_TOL:g})")
@@ -396,7 +557,7 @@ def solve_lp(problem: LpProblem, pivot_limit: int = 50000) -> LpSolution:
     return _finish(problem, state, sign * problem.c, status)
 
 
-def _max_violation(problem: LpProblem, v: np.ndarray) -> float:
+def _max_violation(problem: LpProblem | _Region, v: np.ndarray) -> float:
     """Largest row or bound violation of v; inf when v is not finite."""
     if not np.isfinite(v).all():
         return np.inf

@@ -3,6 +3,8 @@ import pytest
 
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
+    BLAND_TRIGGER,
+    FREE,
     LpProblem,
     SimplexState,
     _max_violation,
@@ -351,3 +353,125 @@ def test_matches_highs_on_random_lps():
             assert abs(sol.objective - objective) <= 1e-9 * (1 + abs(objective))
             assert abs(dual_objective(p, sol) - sol.objective) <= 1e-9 * (1 + abs(objective))
     assert min(seen.values()) >= 25, seen
+
+
+def _child(p: LpProblem, v: np.ndarray, kind: str, rng) -> tuple[np.ndarray, np.ndarray,
+                                                                   np.ndarray, np.ndarray]:
+    """Bounds and appended <= rows of a child of p whose optimum is v.
+
+    A bound change tightens one column's bound past v, or fixes the column,
+    as branching does; appended rows are random, and most cut v off. Some
+    children are infeasible.
+    """
+    n = p.n_vars
+    lower, upper = p.lower.copy(), p.upper.copy()
+    a_add, b_add = np.zeros((0, n)), np.zeros(0)
+    if kind in ("bound", "both"):
+        j = int(rng.integers(n))
+        move = rng.uniform(0.1, 1.5)
+        if rng.random() < 0.25:
+            lower[j] = upper[j] = v[j] + rng.choice([-move, 0.0, move])
+        elif rng.random() < 0.5:
+            upper[j] = v[j] - move
+            lower[j] = min(lower[j], upper[j])
+        else:
+            lower[j] = v[j] + move
+            upper[j] = max(upper[j], lower[j])
+    if kind in ("rows", "both"):
+        a_add = rng.normal(size=(int(rng.integers(1, 4)), n)).round(2)
+        b_add = (a_add @ v - rng.uniform(-0.5, 2.0, a_add.shape[0])).round(2)
+    return lower, upper, a_add, b_add
+
+
+def test_reopen_matches_cold_solves_and_highs():
+    # A parent LP is solved, then re-opened from its basis under a bound
+    # change, appended rows or both; the re-solve must agree with a cold solve
+    # of the child and with HiGHS, and take fewer pivots than the cold solves.
+    # A repeated equality row leaves an artificial basic, and such a basis
+    # re-opens through phase 1.
+    rng = np.random.default_rng(71)
+    seen = {"bound": 0, "rows": 0, "both": 0, SolveStatus.INFEASIBLE: 0, SolveStatus.OPTIMAL: 0,
+            "artificial": 0}
+    warm_pivots = cold_pivots = 0
+    while min(seen.values()) < 20 or sum(seen[k] for k in ("bound", "rows", "both")) < 240:
+        n = int(rng.integers(2, 9))
+        kind = rng.choice(["lower", "box", "free", "upper"], size=n, p=[0.4, 0.3, 0.2, 0.1])
+        lower = np.where(np.isin(kind, ["lower", "box"]), rng.uniform(-1, 1, n).round(2), -np.inf)
+        upper = np.where(kind == "box", lower + rng.uniform(0.5, 3.0, n).round(2),
+                         np.where(kind == "upper", rng.uniform(-1, 1, n).round(2), np.inf))
+        kw = dict(c=rng.normal(size=n).round(2), sense=str(rng.choice(["min", "max"])),
+                  a_ub=rng.normal(size=(int(rng.integers(1, 6)), n)).round(2),
+                  lower=lower, upper=upper)
+        kw["b_ub"] = rng.normal(0.0, 1.5, kw["a_ub"].shape[0]).round(2)
+        m_eq = int(rng.integers(0, 3))
+        if m_eq:
+            a_eq = rng.normal(size=(m_eq, n)).round(2)
+            b_eq = rng.normal(size=m_eq).round(2)
+            repeat = np.arange(m_eq + 1) % m_eq if rng.random() < 0.25 else np.arange(m_eq)
+            kw.update(a_eq=a_eq[repeat], b_eq=b_eq[repeat])
+        parent = LpProblem(**kw)
+        sign = 1.0 if parent.sense == "min" else -1.0
+        state = SimplexState(parent)
+        if state.minimize(sign * parent.c) is not SolveStatus.OPTIMAL:
+            continue
+        change = str(rng.choice(["bound", "rows", "both"]))
+        lo, up, a_add, b_add = _child(parent, state.vertex, change, rng)
+        child = LpProblem(c=parent.c, sense=parent.sense, a_eq=parent.a_eq, b_eq=parent.b_eq,
+                          a_ub=np.vstack([parent.a_ub, a_add]),
+                          b_ub=np.concatenate([parent.b_ub, b_add]), lower=lo, upper=up)
+        start = state.basis()
+        seen["artificial"] += bool(np.any(start.basic >= start.status.size))
+        before = state.pivots
+        status = state.reopen(start, sign * parent.c, lo, up, a_add, b_add)
+        warm_pivots += state.pivots - before
+        cold = solve_lp(child)
+        cold_pivots += cold.pivots
+        highs_status, highs_objective = highs_lp(child)
+        assert status is cold.status is highs_status
+        seen[change] += 1
+        seen[status] += 1
+        if status is SolveStatus.OPTIMAL:
+            objective = float(child.c @ state.vertex)
+            assert _max_violation(child, state.vertex) <= 1e-7
+            for reference in (cold.objective, highs_objective):
+                assert abs(objective - reference) <= 1e-9 * (1 + abs(reference))
+    assert warm_pivots < cold_pivots, (warm_pivots, cold_pivots)
+
+
+def test_dual_degenerate_child_terminates_at_the_cold_objective():
+    # Every appended row x_i >= 0.5 is violated and brings in a column whose
+    # reduced cost is zero: more than BLAND_TRIGGER degenerate dual pivots,
+    # the last ones under the smallest-index rule, before the last row
+    # prices w in.
+    k = BLAND_TRIGGER + 10
+    parent = LpProblem(c=np.concatenate([np.zeros(k), [1.0]]), a_ub=np.zeros((1, k + 1)),
+                       b_ub=[0.0], lower=np.zeros(k + 1),
+                       upper=np.concatenate([np.ones(k), [np.inf]]))
+    a_add = np.vstack([np.hstack([-np.eye(k), np.zeros((k, 1))]),
+                       np.concatenate([np.ones(k), [-1.0]])])
+    b_add = np.concatenate([np.full(k, -0.5), [k / 2 - 1.0]])
+    state = SimplexState(parent)
+    assert state.minimize(parent.c) is SolveStatus.OPTIMAL
+    status = state.reopen(state.basis(), parent.c, parent.lower, parent.upper, a_add, b_add)
+    cold = solve_lp(LpProblem(c=parent.c, a_ub=np.vstack([parent.a_ub, a_add]),
+                              b_ub=np.concatenate([parent.b_ub, b_add]),
+                              lower=parent.lower, upper=parent.upper))
+    assert status is cold.status is SolveStatus.OPTIMAL
+    assert state.pivots > BLAND_TRIGGER
+    assert float(parent.c @ state.vertex) == pytest.approx(cold.objective, abs=1e-12)
+    assert cold.objective == pytest.approx(1.0)
+
+
+def test_reopen_moves_a_free_nonbasic_onto_its_new_bound():
+    # w is free, in no row and costs nothing, so it rests nonbasic at 0; a
+    # child that bounds it below by 1 must start it at that bound
+    parent = LpProblem(c=[1.0, 0.0], a_ub=[[-1.0, 0.0]], b_ub=[-2.0],
+                       lower=[0.0, -np.inf], upper=[np.inf, np.inf])
+    state = SimplexState(parent)
+    assert state.minimize(parent.c) is SolveStatus.OPTIMAL
+    assert state.basis().status[1] == FREE
+    lower = np.array([0.0, 1.0])
+    status = state.reopen(state.basis(), parent.c, lower, parent.upper,
+                          np.array([[1.0, 1.0]]), np.array([4.0]))
+    assert status is SolveStatus.OPTIMAL
+    assert state.vertex[1] >= 1.0 and float(parent.c @ state.vertex) == pytest.approx(2.0)

@@ -4,10 +4,11 @@ report status, objective, seconds and work per solve.
 
 Work is the model report's `iterations`: Frank-Wolfe iterations for the
 quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
-nodes for `md_milp`, whose node LPs and their pivots are counted as well. The
-LP models also report the phase-1 pivots of their region. Inputs match the
-benchmark's workloads: train window up to 2020-05-01, rho 0.001, sigma0
-0.012, lambda 0.08, perturbation divisor c = 1000.
+nodes for `md_milp`, whose node LPs and their pivots are read from the
+`MilpSolution` of one more solve of the same problem. The LP models also
+report the phase-1 pivots of their region. Inputs match the benchmark's
+workloads: train window up to 2020-05-01, rho 0.001, sigma0 0.012, lambda
+0.08, perturbation divisor c = 1000.
 
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
@@ -37,40 +38,24 @@ MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_mil
 DRAWDOWN = ("mad", "md", "md_milp")
 
 
-def _node_lp_counter(milp_solver):
-    """Wrap the B&B's `solve_lp` binding to count node LPs and their pivots."""
-    counts = {"node_lps": 0, "node_pivots": 0}
-    inner = milp_solver.solve_lp
-
-    def counted(problem, *args, **kwargs):
-        sol = inner(problem, *args, **kwargs)
-        counts["node_lps"] += 1
-        counts["node_pivots"] += sol.pivots
-        return sol
-
-    milp_solver.solve_lp = counted
-    return counts
-
-
 def run(seed: int) -> dict:
-    from portopt import milp_solver, models
+    from portopt import models
     from portopt.cli_io import ingest_prices
     from portopt.core import ModelConfig, ReturnMatrix
     from portopt.estimation import (PerturbationConfig, asset_stats, compute_simple_returns,
                                     perturb_returns)
     from portopt.lp_solver import SimplexState
+    from portopt.milp_solver import solve_milp
 
     returns = compute_simple_returns(ingest_prices(FIXTURE))
     days = sum(d <= TRAIN_END for d in returns.dates)
     train = ReturnMatrix(returns.tickers, returns.dates[:days], returns.returns[:, :days])
     shaken = perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed))
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
-    counts = _node_lp_counter(milp_solver)
     builders = {"mad": models.mad_problem, "md": models.md_problem}
 
     def solve(tag: str, window: ReturnMatrix) -> dict:
         stats = asset_stats(window)
-        counts.update(node_lps=0, node_pivots=0)
         started = time.perf_counter()
         report = models.SOLVERS[tag](window, stats, cfg)
         row = {"status": report.status.value, "objective": report.objective,
@@ -78,7 +63,8 @@ def run(seed: int) -> dict:
         if report.allocation is not None:
             row["names"] = int((report.allocation.weights > 1e-9).sum())
         if tag == "md_milp":
-            row.update(counts)
+            sol = solve_milp(models.md_milp_problem(window, cfg)[0])
+            row.update(node_lps=sol.node_lps, node_pivots=sol.node_pivots)
         if tag in builders:
             row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
         return row
