@@ -433,10 +433,11 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
     ]
     outputs = _write_table(out_dir / "frontier.csv",
                            "lambda,std_pct,return_pct,status,distance", rows, cfg.out_format)
+    n_excluded = sum(status != SolveStatus.OPTIMAL.value for status in sweep.statuses)
     summary_rows = [[_fmt(sweep.chosen_lambda), _fmt(sweep.ideal_point[0]),
-                     _fmt(sweep.ideal_point[1])]]
+                     _fmt(sweep.ideal_point[1]), str(n_excluded)]]
     outputs += _write_table(out_dir / "sweep_summary.csv",
-                            "chosen_lambda,ideal_std_pct,ideal_return_pct",
+                            "chosen_lambda,ideal_std_pct,ideal_return_pct,n_excluded",
                             summary_rows, cfg.out_format)
     print(f"sweep: chosen lambda {sweep.chosen_lambda!r} "
           f"(ideal point {sweep.ideal_point[0]:.4f}%, {sweep.ideal_point[1]:.4f}%)")

@@ -24,7 +24,10 @@ Algorithm notes:
 * `SimplexState` keeps the tableau of one feasible region across objectives:
   phase 1 runs once, and each later `minimize` refactorizes the kept basis and
   runs phase 2 from it (a fresh phase 1 only if that basis has drifted
-  infeasible). `solve_lp` is one state minimized once.
+  infeasible). A tableau keeps B^-1 [G | h] for the last `FACTOR_CACHE` bases
+  it refactorized, so a basis seen before is restored by copying that array
+  rather than solving with B again; the copy equals a fresh solve bit for
+  bit. `solve_lp` is one state minimized once.
 * A bounded dual simplex re-optimizes after the region changes under a fixed
   cost: `SimplexState.reopen` takes a saved basis (basic columns and nonbasic
   statuses, not the tableau), new bounds and appended `<=` rows, each starting
@@ -42,6 +45,7 @@ the solution certificate check so results are reproducible.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +57,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-12
 BLAND_TRIGGER = 50
+FACTOR_CACHE = 32   # refactorized bases whose B^-1 [G | h] a tableau keeps
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -153,9 +158,15 @@ class _Tableau:
         self.status = np.empty(0, dtype=np.int8)
         self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
         self._buf = None                    # pivot-update scratch, same shape as work
+        self._gh = None                     # [G | h], built on the first refactorization
+        self._factors = OrderedDict()       # basis bytes -> B^-1 [G | h], least recent first
+        self._values = np.empty(0)          # nonbasic values, 0 at basic columns
+        self._x = None                      # solution(), until the next change
         self.pivots = 0
         self.degenerate_run = 0
         self.n_art = 0
+        self.factorizations = 0             # LAPACK solves run by refactorize
+        self.factor_reuses = 0              # refactorizations served from _factors
 
     # -- column bookkeeping -------------------------------------------------
 
@@ -163,20 +174,37 @@ class _Tableau:
     def n_cols(self) -> int:
         return self.n_real + self.n_art
 
-    def nonbasic_values(self) -> np.ndarray:
+    def set_basis(self, basis: np.ndarray, status: np.ndarray):
+        """Take a basis and column statuses; the caller sets `work` to match."""
+        self.basis = basis
+        self.status = status
+        self._reset_values()
+
+    def _reset_values(self):
         vals = np.zeros(self.n_cols)
         at_low = self.status == AT_LOWER
         at_up = self.status == AT_UPPER
         vals[at_low] = self.lower[at_low]
         vals[at_up] = self.upper[at_up]
         vals[self.basis] = 0.0
-        return vals
+        self._values = vals
+        self._x = None
+
+    def _rest(self, j: int, status: int):
+        """Nonbasic column j moves to `status` and takes its value there."""
+        self.status[j] = status
+        self._values[j] = self.lower[j] if status == AT_LOWER else self.upper[j]
+        self._x = None
 
     def solution(self) -> np.ndarray:
-        vals = self.nonbasic_values()
-        x_b = self.work[:, -1] - self.work[:, :-1] @ vals
-        vals[self.basis] = x_b
-        return vals
+        """All column values at the current basis. The array is cached until
+        the next pivot, bound flip or refactorization; callers must not
+        modify it."""
+        if self._x is None:
+            vals = self._values.copy()
+            vals[self.basis] = self.work[:, -1] - self.work[:, :-1] @ self._values
+            self._x = vals
+        return self._x
 
     # -- starting bases -----------------------------------------------------
 
@@ -202,16 +230,18 @@ class _Tableau:
         signs = np.where(residual < 0, -1.0, 1.0)
         art = np.zeros((self.m, self.n_art))
         art[art_rows, np.arange(self.n_art)] = signs[art_rows]
-        self.basis = slack.copy()
-        self.basis[art_rows] = self.n_real + np.arange(self.n_art)
-        status[self.basis[crashed]] = BASIC
+        basis = slack.copy()
+        basis[art_rows] = self.n_real + np.arange(self.n_art)
+        status[basis[crashed]] = BASIC
         self.lower = np.concatenate([self.lower, np.zeros(self.n_art)])
         self.upper = np.concatenate([self.upper, np.full(self.n_art, np.inf)])
-        self.status = np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)])
         g_ext = np.hstack([self.g, art])
         # B = diag(signs) so B^-1 applies row signs directly
         self.work = np.hstack([g_ext, self.h[:, None]]) * signs[:, None]
         self.g = g_ext
+        self._gh = None
+        self._factors.clear()
+        self.set_basis(basis, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
 
     def lock_artificials(self):
         for j in range(self.n_real, self.n_cols):
@@ -219,15 +249,34 @@ class _Tableau:
             self.upper[j] = 0.0
             if self.status[j] != BASIC:
                 self.status[j] = AT_LOWER
+        self._reset_values()
 
     def refactorize(self):
-        b_mat = self.g[:, self.basis]
-        self.work = np.linalg.solve(b_mat, np.hstack([self.g, self.h[:, None]]))
+        """Set work = B^-1 [G | h] for the current basis. The solve's result
+        is kept per basis (the FACTOR_CACHE most recently used), and a basis
+        seen before gets a copy of it: the same LAPACK call on the same
+        operands gives the same bits. A singular basis raises LinAlgError
+        and is not kept."""
+        key = self.basis.tobytes()
+        factor = self._factors.get(key)
+        if factor is None:
+            if self._gh is None:
+                self._gh = np.hstack([self.g, self.h[:, None]])
+            self.factorizations += 1
+            factor = np.linalg.solve(self.g[:, self.basis], self._gh)
+            self._factors[key] = factor
+            while len(self._factors) > FACTOR_CACHE:
+                self._factors.popitem(last=False)
+        else:
+            self._factors.move_to_end(key)
+            self.factor_reuses += 1
+        self.work = factor.copy()
+        self._x = None
 
     def primal_feasible(self) -> bool:
         x_b = self.solution()[self.basis]
-        return bool(np.all(x_b >= self.lower[self.basis] - FEAS_TOL)
-                    and np.all(x_b <= self.upper[self.basis] + FEAS_TOL))
+        return bool((x_b >= self.lower[self.basis] - FEAS_TOL).all()
+                    and (x_b <= self.upper[self.basis] + FEAS_TOL).all())
 
     # -- the simplex loop ---------------------------------------------------
 
@@ -235,48 +284,43 @@ class _Tableau:
         """Minimize cost @ x from the current basis. Returns 'optimal' or
         'unbounded'; raises if the pivot budget is exhausted."""
         bland = False
+        movable = self.upper > self.lower  # fixed columns can never improve
         while True:
-            x = self.solution()
             z = cost - cost[self.basis] @ self.work[:, :-1]
             z[self.basis] = 0.0
-            movable = self.upper > self.lower  # fixed columns can never improve
-            can_up = ((self.status == AT_LOWER) | (self.status == FREE)) & (z < -PIVOT_TOL) & movable
-            can_down = ((self.status == AT_UPPER) | (self.status == FREE)) & (z > PIVOT_TOL) & movable
-            candidates = np.where(can_up | can_down)[0]
+            # basic columns have z = 0, so they never qualify
+            can_up = (z < -PIVOT_TOL) & movable & (self.status != AT_UPPER)
+            can_down = (z > PIVOT_TOL) & movable & (self.status != AT_LOWER)
+            candidates = (can_up | can_down).nonzero()[0]
             if candidates.size == 0:
                 return "optimal"
             if bland:
                 j = int(candidates[0])
             else:
-                j = int(candidates[np.argmax(np.abs(z[candidates]))])
+                j = int(candidates[np.abs(z[candidates]).argmax()])
             direction = 1.0 if can_up[j] else -1.0
 
             step = direction * self.work[:, j]
-            x_b = x[self.basis]
-            lo_b = self.lower[self.basis]
-            up_b = self.upper[self.basis]
+            x_b = self.solution()[self.basis]
             t_rows = np.full(self.m, np.inf)
-            dec = step > PIVOT_TOL
-            inc = step < -PIVOT_TOL
-            with np.errstate(invalid="ignore"):
-                t_rows[dec] = (x_b[dec] - lo_b[dec]) / step[dec]
-                t_rows[inc] = (x_b[inc] - up_b[inc]) / step[inc]
+            np.divide(x_b - self.lower[self.basis], step, out=t_rows, where=step > PIVOT_TOL)
+            np.divide(x_b - self.upper[self.basis], step, out=t_rows, where=step < -PIVOT_TOL)
             t_rows[t_rows < 0] = 0.0  # degeneracy: already at the blocking bound
             t_flip = self.upper[j] - self.lower[j]
-            t_best_rows = np.min(t_rows) if self.m else np.inf
+            t_best_rows = t_rows.min() if self.m else np.inf
             t_star = min(t_best_rows, t_flip)
             if not np.isfinite(t_star):
                 return "unbounded"
 
             if t_flip <= t_best_rows:  # bound flip, basis unchanged
-                self.status[j] = AT_UPPER if direction > 0 else AT_LOWER
+                self._rest(j, AT_UPPER if direction > 0 else AT_LOWER)
                 self.pivots += 1
             else:
-                ties = np.where(t_rows <= t_star + DEGEN_TOL)[0]
+                ties = (t_rows <= t_star + DEGEN_TOL).nonzero()[0]
                 if bland:
-                    r = int(ties[np.argmin(self.basis[ties])])
+                    r = int(ties[self.basis[ties].argmin()])
                 else:
-                    r = int(ties[np.argmax(np.abs(step[ties]))])
+                    r = int(ties[np.abs(step[ties]).argmax()])
                 self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
             bland = self._note_step(t_star, pivot_limit)
 
@@ -295,6 +339,7 @@ class _Tableau:
         of the region. Raises if the pivot budget is exhausted.
         """
         bland = False
+        movable = self.upper > self.lower
         while True:
             x_b = self.solution()[self.basis]
             below = self.lower[self.basis] - x_b
@@ -311,7 +356,6 @@ class _Tableau:
             # needs x_j to rise where alpha_rj < 0 or fall where alpha_rj > 0
             alpha = self.work[r, :-1]
             push = alpha if to_lower else -alpha
-            movable = self.upper > self.lower
             can_up = ((self.status == AT_LOWER) | (self.status == FREE)) & (push < -PIVOT_TOL)
             can_down = ((self.status == AT_UPPER) | (self.status == FREE)) & (push > PIVOT_TOL)
             candidates = np.flatnonzero((can_up | can_down) & movable)
@@ -332,9 +376,10 @@ class _Tableau:
         """Column j enters the basis at row r; the leaving column rests at
         `leaving_status`."""
         leaving = self.basis[r]
-        self.status[leaving] = leaving_status
+        self._rest(leaving, leaving_status)
         self.basis[r] = j
         self.status[j] = BASIC
+        self._values[j] = 0.0
         piv = self.work[r, j]
         self.work[r, :] /= piv
         mult = self.work[:, j].copy()
@@ -391,8 +436,9 @@ class SimplexState:
     form is set up and phase 1 runs once, locking artificials left basic at
     zero. `minimize(cost)` runs phase 2 for a minimization cost over the
     structural variables, starting from the kept basis. Every call after the
-    first refactorizes that basis, so pivot drift never carries from one call
-    to the next; if the refactorized basis is no longer primal feasible within
+    first refactorizes that basis (from its kept factorization when the basis
+    was refactorized before), so pivot drift never carries from one call to
+    the next; if the refactorized basis is no longer primal feasible within
     1e-7, phase 1 runs again. `pivot_limit` bounds the pivots of each call
     (the first call shares it with the initial phase 1). `reopen` moves the
     state to new bounds and appended rows and re-optimizes from a saved
@@ -405,6 +451,7 @@ class SimplexState:
         self._set_region(problem.lower, problem.upper, np.zeros((0, problem.n_vars)),
                          np.zeros(0))
         self._done = 0  # pivots of calls before the current one, and of dropped tableaux
+        self._done_factorizations = self._done_reuses = 0   # of dropped tableaux
         self._tab = None
         self._phase1()
         self._fresh = True
@@ -430,9 +477,15 @@ class SimplexState:
         self._region = _Region(p.a_eq, p.b_eq, g[m_eq:, :n], self._h[m_eq:],
                                self._lower[:n], self._upper[:n])
 
-    def _phase1(self):
+    def _drop_tableau(self):
+        """Carry the current tableau's work counts over to the state."""
         if self._tab is not None:
             self._done += self._tab.pivots
+            self._done_factorizations += self._tab.factorizations
+            self._done_reuses += self._tab.factor_reuses
+
+    def _phase1(self):
+        self._drop_tableau()
         tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
         tab.cold_start(self._slack)
         phase1_cost = np.concatenate([np.zeros(tab.n_real), np.ones(tab.n_art)])
@@ -476,23 +529,23 @@ class SimplexState:
         phase 1 instead. Meant for a basis optimal for `cost` before the
         change, as a branch-and-bound parent's is for its children.
         """
-        self._done += self._tab.pivots
+        self._drop_tableau()
         self._set_region(lower, upper, a_add, b_add)
         self._fresh = True
         tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
         n_saved = start.status.size
-        tab.basis = np.concatenate([start.basic, np.arange(n_saved, tab.n_real)])
-        tab.status = np.concatenate([start.status,
-                                     np.full(tab.n_real - n_saved, BASIC, dtype=np.int8)])
+        status = np.concatenate([start.status,
+                                 np.full(tab.n_real - n_saved, BASIC, dtype=np.int8)])
         # a nonbasic whose resting bound is gone moves to one that exists
         resting = _resting_status(tab.lower, tab.upper)
-        kept = (((tab.status == AT_LOWER) & np.isfinite(tab.lower))
-                | ((tab.status == AT_UPPER) & np.isfinite(tab.upper))
-                | (tab.status == BASIC) | (tab.status == resting))
-        tab.status[~kept] = resting[~kept]
+        kept = (((status == AT_LOWER) & np.isfinite(tab.lower))
+                | ((status == AT_UPPER) & np.isfinite(tab.upper))
+                | (status == BASIC) | (status == resting))
+        status[~kept] = resting[~kept]
         try:
             if np.any(start.basic >= n_saved):
                 raise np.linalg.LinAlgError("the saved basis holds an artificial")
+            tab.set_basis(np.concatenate([start.basic, np.arange(n_saved, tab.n_real)]), status)
             tab.refactorize()
         except np.linalg.LinAlgError:
             self._phase1()
@@ -508,9 +561,20 @@ class SimplexState:
         return self._done + self._tab.pivots
 
     @property
+    def factorizations(self) -> int:
+        """LAPACK solves run to refactorize a basis, over the state's lifetime."""
+        return self._done_factorizations + self._tab.factorizations
+
+    @property
+    def factor_reuses(self) -> int:
+        """Refactorizations served from a kept factorization, over the state's
+        lifetime."""
+        return self._done_reuses + self._tab.factor_reuses
+
+    @property
     def vertex(self) -> np.ndarray:
         """The current basic solution over the structural variables."""
-        return self._tab.solution()[:self.problem.n_vars]
+        return self._tab.solution()[:self.problem.n_vars].copy()
 
     def minimize(self, cost: np.ndarray) -> SolveStatus:
         """Minimize cost @ v over the region from the kept basis.
@@ -563,11 +627,11 @@ def _max_violation(problem: LpProblem | _Region, v: np.ndarray) -> float:
         return np.inf
     worst = 0.0
     if problem.a_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(problem.a_eq @ v - problem.b_eq))))
+        worst = max(worst, float(np.abs(problem.a_eq @ v - problem.b_eq).max()))
     if problem.a_ub.shape[0]:
-        worst = max(worst, float(np.max(problem.a_ub @ v - problem.b_ub, initial=0.0)))
-    worst = max(worst, float(np.max(problem.lower - v, initial=0.0)))
-    worst = max(worst, float(np.max(v - problem.upper, initial=0.0)))
+        worst = max(worst, float((problem.a_ub @ v - problem.b_ub).max(initial=0.0)))
+    worst = max(worst, float((problem.lower - v).max(initial=0.0)))
+    worst = max(worst, float((v - problem.upper).max(initial=0.0)))
     return worst
 
 

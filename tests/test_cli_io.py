@@ -166,7 +166,25 @@ class TestCommands:
         assert frontier[0] == "lambda,std_pct,return_pct,status,distance"
         assert len(frontier) == 6
         summary = (out / "sweep_summary.csv").read_text().splitlines()
-        assert summary[0] == "chosen_lambda,ideal_std_pct,ideal_return_pct"
+        assert summary[0] == "chosen_lambda,ideal_std_pct,ideal_return_pct,n_excluded"
+
+    def test_sweep_summary_counts_excluded_points(self, tmp_path, monkeypatch):
+        # A 3-iteration cap leaves the large-lambda points at IterationLimit.
+        from portopt import analytics, cli_io
+        monkeypatch.setattr(cli_io, "lambda_sweep",
+                            lambda stats, grid, **kw: analytics.lambda_sweep(
+                                stats, grid, max_iters=3, **kw))
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices, n=6, days=25)
+        out = tmp_path / "sw"
+        cfg = RunConfig(command="sweep-lambda", prices=str(prices), output_dir=str(out),
+                        grid_min=1e-3, grid_max=1e5, grid_n=4)
+        assert run_command(cfg) == 0
+        statuses = [line.split(",")[3]
+                    for line in (out / "frontier.csv").read_text().splitlines()[1:]]
+        summary = (out / "sweep_summary.csv").read_text().splitlines()
+        assert "IterationLimit" in statuses and "Optimal" in statuses
+        assert summary[1].split(",")[-1] == str(statuses.count("IterationLimit"))
 
     def test_sensitivity_deterministic_bytes(self, tmp_path):
         prices = tmp_path / "p.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from portopt import lp_solver
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
     BLAND_TRIGGER,
@@ -11,7 +12,8 @@ from portopt.lp_solver import (
     dual_objective,
     solve_lp,
 )
-from portopt.models import mad_problem
+from portopt.models import mad_problem, markowitz_problem
+from portopt.qp_solver import QpProblem, solve_qp
 
 from conftest import FIXTURE_RHO
 from oracles import enumerate_lp_vertices
@@ -475,3 +477,92 @@ def test_reopen_moves_a_free_nonbasic_onto_its_new_bound():
                           np.array([[1.0, 1.0]]), np.array([4.0]))
     assert status is SolveStatus.OPTIMAL
     assert state.vertex[1] >= 1.0 and float(parent.c @ state.vertex) == pytest.approx(2.0)
+
+
+def _record_oracle_states(monkeypatch) -> list:
+    """Collect every SimplexState that solve_qp builds."""
+    from portopt import qp_solver
+    states = []
+
+    class Recorded(SimplexState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(qp_solver, "SimplexState", Recorded)
+    return states
+
+
+def _fixture_markowitz(fixture_stats):
+    return markowitz_problem(fixture_stats, ModelConfig(rho=FIXTURE_RHO))[0]
+
+
+def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
+    states = _record_oracle_states(monkeypatch)
+    real_refactorize = lp_solver._Tableau.refactorize
+    calls, compared = [0], []
+
+    def refactorize(tab):
+        reuses = tab.factor_reuses
+        real_refactorize(tab)
+        calls[0] += 1
+        if calls[0] >= 100 and tab.factor_reuses > reuses:
+            fresh = np.linalg.solve(tab.g[:, tab.basis], np.hstack([tab.g, tab.h[:, None]]))
+            compared.append(np.array_equal(tab.work, fresh))
+
+    monkeypatch.setattr(lp_solver._Tableau, "refactorize", refactorize)
+    sol = solve_qp(_fixture_markowitz(fixture_stats), max_iters=300)
+    (state,) = states
+    assert sol.iterations == 300
+    assert sol.oracle_factorizations == state.factorizations
+    # every oracle call after the first restores the kept basis
+    assert state.factorizations + state.factor_reuses == calls[0] >= 299
+    assert state.factorizations < 30
+    assert len(compared) > 150 and all(compared)
+
+
+def test_factorization_store_never_exceeds_its_capacity(fixture_stats, monkeypatch):
+    monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 4)
+    states = _record_oracle_states(monkeypatch)
+    real_refactorize = lp_solver._Tableau.refactorize
+    sizes = []
+
+    def refactorize(tab):
+        real_refactorize(tab)
+        sizes.append(len(tab._factors))
+
+    monkeypatch.setattr(lp_solver._Tableau, "refactorize", refactorize)
+    solve_qp(_fixture_markowitz(fixture_stats), max_iters=600)
+    assert max(sizes) == 4
+    assert states[0].factorizations > 4   # bases were evicted and solved again
+
+
+def test_factorization_store_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 2)
+    tab = lp_solver._Tableau(np.array([[1.0, 2.0, 4.0]]), np.array([1.0]),
+                             np.zeros(3), np.ones(3))
+    for basic in (0, 1, 0, 2):
+        tab.set_basis(np.array([basic]), np.zeros(3, dtype=np.int8))
+        tab.refactorize()
+    assert (tab.factorizations, tab.factor_reuses) == (3, 1)
+    assert sorted(np.frombuffer(key, dtype=int)[0] for key in tab._factors) == [0, 2]
+    assert tab.work.tolist() == [[0.25, 0.5, 1.0, 0.25]]
+
+
+def test_one_slot_store_gives_the_same_bytes(monkeypatch):
+    rng = np.random.default_rng(83)
+    n = 12
+    panel = rng.normal(0.001, 0.02, (n, 40))
+    centered = panel - panel.mean(axis=1, keepdims=True)
+    mu = panel.mean(axis=1)
+    problem = QpProblem(q=centered @ centered.T / 40, c=np.zeros(n),
+                        a_eq=np.ones((1, n)), b_eq=[1.0], a_ub=-mu[None, :],
+                        b_ub=[-float(np.median(mu))], lower=np.zeros(n),
+                        upper=np.full(n, 0.3))
+    kept = solve_qp(problem)
+    monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 1)
+    one = solve_qp(problem)
+    assert kept.status is one.status is SolveStatus.OPTIMAL
+    assert one.v.tobytes() == kept.v.tobytes()
+    assert (one.iterations, one.oracle_pivots) == (kept.iterations, kept.oracle_pivots)
+    assert one.oracle_factorizations > kept.oracle_factorizations

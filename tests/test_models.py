@@ -186,6 +186,12 @@ class TestFixtureFrontier:
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
             "8ccf9f8e1754a003d7822dd20daa8b71bee579027aef7195be1fe67c207616bc")
 
+    def test_reverse_markowitz_work_and_weights_unchanged(self, reverse):
+        # Every bisection step and the certifying solve, pinned to the bit.
+        assert reverse.iterations == 7715
+        assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
+            "d1f8eb262308a1bbd073a8591f13dfff283400560e02b8f7966767d6bb1dee94")
+
     def test_reverse_markowitz_decides_early(self, reverse, fixture_stats):
         assert reverse.status is SolveStatus.OPTIMAL
         assert reverse.iterations <= 10_000

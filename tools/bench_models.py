@@ -6,9 +6,14 @@ Work is the model report's `iterations`: Frank-Wolfe iterations for the
 quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
 nodes for `md_milp`, whose node LPs and their pivots are read from the
 `MilpSolution` of one more solve of the same problem. The LP models also
-report the phase-1 pivots of their region. Inputs match the benchmark's
-workloads: train window up to 2020-05-01, rho 0.001, sigma0 0.012, lambda
-0.08, perturbation divisor c = 1000.
+report the phase-1 pivots of their region. `markowitz` and
+`reverse_markowitz` report their Frank-Wolfe oracles' work, summed over every
+simplex state the solve builds: `oracle_states`, `oracle_pivots`,
+`oracle_factorizations` (LAPACK solves that refactorized a basis) and
+`oracle_reuses` (refactorizations served from a kept factorization); a
+checkout whose `SimplexState` lacks a counter records null for it. Inputs
+match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
+sigma0 0.012, lambda 0.08, perturbation divisor c = 1000.
 
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
@@ -36,10 +41,36 @@ TRAIN_END = "2020-05-01"
 RHO, SIGMA0, LAM, C_PERTURB = 0.001, 0.012, 0.08, 1000.0
 MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_milp")
 DRAWDOWN = ("mad", "md", "md_milp")
+ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
+
+
+def _record_oracle_states(qp_solver) -> list:
+    """Make `qp_solver` build SimplexStates that append themselves to the
+    returned list."""
+    states = []
+
+    class Recorded(qp_solver.SimplexState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    qp_solver.SimplexState = Recorded
+    return states
+
+
+def _oracle_work(states: list) -> dict:
+    def total(name: str):
+        if not all(hasattr(state, name) for state in states):
+            return None
+        return sum(getattr(state, name) for state in states)
+
+    return {"oracle_states": len(states), "oracle_pivots": total("pivots"),
+            "oracle_factorizations": total("factorizations"),
+            "oracle_reuses": total("factor_reuses")}
 
 
 def run(seed: int) -> dict:
-    from portopt import models
+    from portopt import models, qp_solver
     from portopt.cli_io import ingest_prices
     from portopt.core import ModelConfig, ReturnMatrix
     from portopt.estimation import (PerturbationConfig, asset_stats, compute_simple_returns,
@@ -53,15 +84,19 @@ def run(seed: int) -> dict:
     shaken = perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed))
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
     builders = {"mad": models.mad_problem, "md": models.md_problem}
+    oracle_states = _record_oracle_states(qp_solver)
 
     def solve(tag: str, window: ReturnMatrix) -> dict:
         stats = asset_stats(window)
+        oracle_states.clear()
         started = time.perf_counter()
         report = models.SOLVERS[tag](window, stats, cfg)
         row = {"status": report.status.value, "objective": report.objective,
                "seconds": round(time.perf_counter() - started, 4), "work": report.iterations}
         if report.allocation is not None:
             row["names"] = int((report.allocation.weights > 1e-9).sum())
+        if tag in ORACLE_COUNTED:
+            row.update(_oracle_work(oracle_states))
         if tag == "md_milp":
             sol = solve_milp(models.md_milp_problem(window, cfg)[0])
             row.update(node_lps=sol.node_lps, node_pivots=sol.node_pivots)
