@@ -28,16 +28,16 @@ Algorithm notes:
   it refactorized, so a basis seen before is restored by copying that array
   rather than solving with B again; the copy equals a fresh solve bit for
   bit. `solve_lp` is one state minimized once.
-* A bounded dual simplex re-optimizes after the region changes under a fixed
+* A bounded dual simplex re-optimizes after the bounds change under a fixed
   cost: `SimplexState.reopen` takes a saved basis (basic columns and nonbasic
-  statuses, not the tableau), new bounds and appended `<=` rows, each starting
-  with its slack basic, so the saved reduced costs stay dual feasible. The
-  dual loop takes the row farthest outside its bounds, and the ratio test
-  picks the column with the smallest |z_j / alpha_rj|, ties broken by the
-  largest |alpha_rj|; a row that no column can move back into its bounds
-  proves the region empty. Dual-degenerate stalls switch to the same
-  smallest-index rule after the same 50 steps, and the primal simplex then
-  cleans up. Branch and bound re-solves its node LPs this way.
+  statuses, not the tableau) and new bounds; the rows stay as they are, so
+  the saved reduced costs stay dual feasible. The dual loop takes the row
+  farthest outside its bounds, and the ratio test picks the column with the
+  smallest |z_j / alpha_rj|, ties broken by the largest |alpha_rj|; a row
+  that no column can move back into its bounds proves the region empty.
+  Dual-degenerate stalls switch to the same smallest-index rule after the
+  same 50 steps, and the primal simplex then cleans up. Branch and bound
+  re-solves its node LPs this way.
 
 Tolerances: pivot/optimality 1e-9, primal feasibility 1e-7, both documented in
 the solution certificate check so results are reproducible.
@@ -328,15 +328,15 @@ class _Tableau:
         """Restore primal feasibility by the bounded dual simplex.
 
         Starts from a basis whose reduced costs under `cost` are dual
-        feasible (as a parent's optimal basis is after bound changes and
-        appended rows) and keeps them so. The leaving row is the basic
-        variable farthest outside its bounds; it leaves at the bound it
-        violates. The entering column is the movable nonbasic that can push
-        it back with the smallest |z_j / alpha_rj|, ties broken by the largest
-        |alpha_rj|. Returns 'feasible' once every basic variable is within
-        FEAS_TOL of its bounds, or 'infeasible' when the leaving row has no
-        such column: its basic variable is then out of bounds at every point
-        of the region. Raises if the pivot budget is exhausted.
+        feasible (as a parent's optimal basis is after bound changes) and
+        keeps them so. The leaving row is the basic variable farthest outside
+        its bounds; it leaves at the bound it violates. The entering column
+        is the movable nonbasic that can push it back with the smallest
+        |z_j / alpha_rj|, ties broken by the largest |alpha_rj|. Returns
+        'feasible' once every basic variable is within FEAS_TOL of its
+        bounds, or 'infeasible' when the leaving row has no such column: its
+        basic variable is then out of bounds at every point of the region.
+        Raises if the pivot budget is exhausted.
         """
         bland = False
         movable = self.upper > self.lower
@@ -441,41 +441,38 @@ class SimplexState:
     the next; if the refactorized basis is no longer primal feasible within
     1e-7, phase 1 runs again. `pivot_limit` bounds the pivots of each call
     (the first call shares it with the initial phase 1). `reopen` moves the
-    state to new bounds and appended rows and re-optimizes from a saved
-    `basis()` by the dual simplex.
+    state to new bounds and re-optimizes from a saved `basis()` by the dual
+    simplex.
     """
 
     def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
         self.problem = problem
         self._pivot_limit = pivot_limit
-        self._set_region(problem.lower, problem.upper, np.zeros((0, problem.n_vars)),
-                         np.zeros(0))
+        n, m_eq, m_ub = problem.n_vars, problem.a_eq.shape[0], problem.a_ub.shape[0]
+        g = np.zeros((m_eq + m_ub, n + m_ub))
+        g[:m_eq, :n] = problem.a_eq
+        g[m_eq:, :n] = problem.a_ub
+        g[m_eq:, n:] = np.eye(m_ub)
+        self._g = g
+        self._h = np.concatenate([problem.b_eq, problem.b_ub])
+        self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
+        self._set_bounds(problem.lower, problem.upper)
         self._done = 0  # pivots of calls before the current one, and of dropped tableaux
         self._done_factorizations = self._done_reuses = 0   # of dropped tableaux
         self._tab = None
         self._phase1()
         self._fresh = True
 
-    def _set_region(self, lower: np.ndarray, upper: np.ndarray, a_add: np.ndarray,
-                    b_add: np.ndarray):
-        """Set up the standard form of the problem's rows plus the `<=` rows
-        a_add @ v <= b_add, under the structural bounds `lower` and `upper`:
-        one slack column per `<=` row, in row order."""
+    def _set_bounds(self, lower: np.ndarray, upper: np.ndarray):
+        """Put the structural columns under `lower` and `upper`; the standard
+        form has one slack column per `<=` row, in row order, with bounds
+        [0, inf)."""
         p = self.problem
-        n, m_eq, m_own = p.n_vars, p.a_eq.shape[0], p.a_ub.shape[0]
-        m_ub = m_own + a_add.shape[0]
-        g = np.zeros((m_eq + m_ub, n + m_ub))
-        g[:m_eq, :n] = p.a_eq
-        g[m_eq:m_eq + m_own, :n] = p.a_ub
-        g[m_eq + m_own:, :n] = a_add
-        g[m_eq:, n:] = np.eye(m_ub)
-        self._g = g
-        self._h = np.concatenate([p.b_eq, p.b_ub, b_add])
+        m_ub = p.a_ub.shape[0]
         self._lower = np.concatenate([lower, np.zeros(m_ub)])
         self._upper = np.concatenate([upper, np.full(m_ub, np.inf)])
-        self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
-        self._region = _Region(p.a_eq, p.b_eq, g[m_eq:, :n], self._h[m_eq:],
-                               self._lower[:n], self._upper[:n])
+        self._region = _Region(p.a_eq, p.b_eq, p.a_ub, p.b_ub, self._lower[:p.n_vars],
+                               self._upper[:p.n_vars])
 
     def _drop_tableau(self):
         """Carry the current tableau's work counts over to the state."""
@@ -512,44 +509,35 @@ class SimplexState:
         tab = self._tab
         return Basis(tab.basis.copy(), tab.status[:tab.n_real].copy())
 
-    def reopen(self, start: Basis, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-               a_add: np.ndarray, b_add: np.ndarray) -> SolveStatus:
-        """Minimize cost @ v over a changed region, starting from a saved basis.
+    def reopen(self, start: Basis, cost: np.ndarray, lower: np.ndarray,
+               upper: np.ndarray) -> SolveStatus:
+        """Minimize cost @ v under new structural bounds `lower` and `upper`,
+        starting from a saved `basis()` of this state.
 
-        The region becomes the problem's rows plus the `<=` rows
-        a_add @ v <= b_add appended after them, under the structural bounds
-        `lower` and `upper`. `start` is a `basis()` saved over the problem's
-        rows and the first appended rows, in the same order; each further
-        appended row starts with its slack basic, which keeps the basis
-        nonsingular and every reduced cost as it was. The basis is
-        refactorized, the dual simplex restores primal feasibility, and then
-        this is `minimize(cost)` (the primal simplex cleans up and the drift
-        guard checks the vertex against the new region). A saved basis that
-        holds an artificial or is singular under the new rows starts from
+        The rows stay as they are, so the saved basis keeps every reduced
+        cost it had. The basis is refactorized, the dual simplex restores
+        primal feasibility, and then this is `minimize(cost)` (the primal
+        simplex cleans up and the drift guard checks the vertex against the
+        new bounds). A saved basis that holds an artificial starts from
         phase 1 instead. Meant for a basis optimal for `cost` before the
         change, as a branch-and-bound parent's is for its children.
         """
         self._drop_tableau()
-        self._set_region(lower, upper, a_add, b_add)
+        self._set_bounds(lower, upper)
         self._fresh = True
         tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
-        n_saved = start.status.size
-        status = np.concatenate([start.status,
-                                 np.full(tab.n_real - n_saved, BASIC, dtype=np.int8)])
+        status = start.status.copy()
         # a nonbasic whose resting bound is gone moves to one that exists
         resting = _resting_status(tab.lower, tab.upper)
         kept = (((status == AT_LOWER) & np.isfinite(tab.lower))
                 | ((status == AT_UPPER) & np.isfinite(tab.upper))
                 | (status == BASIC) | (status == resting))
         status[~kept] = resting[~kept]
-        try:
-            if np.any(start.basic >= n_saved):
-                raise np.linalg.LinAlgError("the saved basis holds an artificial")
-            tab.set_basis(np.concatenate([start.basic, np.arange(n_saved, tab.n_real)]), status)
-            tab.refactorize()
-        except np.linalg.LinAlgError:
+        if np.any(start.basic >= tab.n_real):   # the saved basis holds an artificial
             self._phase1()
             return self.minimize(cost)
+        tab.set_basis(start.basic.copy(), status)
+        tab.refactorize()
         full_cost = np.zeros(tab.n_cols)
         full_cost[:self.problem.n_vars] = cost
         self.feasible = tab.dual_run(full_cost, self._pivot_limit) == "feasible"

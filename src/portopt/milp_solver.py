@@ -7,23 +7,27 @@ relaxation is already tight, as it is for the drawdown MILP with its exact
 big-M of 0.5. Branching picks the most fractional binary, ties broken by
 lowest index, so identical problems explore identical trees.
 
-Node LPs are solved by delayed row activation: the subproblem starts from the
-equality rows plus any inequality row touching a variable with an infinite
-bound (those keep the subproblem bounded), and inequality rows violated by the
-subproblem optimum are activated until none remain, at which point the
-solution is exactly optimal for the full row set. Children inherit their
-parent's active set, so for problems dominated by indicator-linking rows (one
-per binary, almost all slack at any given node) each node works with a small
-LP instead of the full one.
+Before the search, a binary z that only switches one continuous column x on
+and off leaves the node LP (variable-bound preprocessing; Savelsbergh, ORSA
+J. Computing 6, 1994). Such a z costs nothing, may take both 0 and 1 within
+its bounds, is in no equality row, and its only `<=` rows are an upper link
+x - u z <= 0 (u > 0) and at most one lower link l z - x <= 0, each with rhs 0
+and no other nonzero; x has lower bound 0, 0 <= l <= min(u, upper_x), and no
+other binary has such a row on x. Projected onto x the links are bounds: x
+in [0, min(upper_x, u)] while z is free, [0, 0] on its 0-branch and
+[l, min(upper_x, u)] on its 1-branch. So z's column and link rows leave the
+node LP, and z takes the value x implies: 0 at x = 0, 1 at x >= l and x / l
+between, branched on like any other binary until its branch fixes it. Every
+binary of the drawdown MILP is of this kind, so its node LPs are the `md` LP
+(T + 2 rows, n + 1 columns) under changed x bounds.
 
 One `SimplexState` serves the whole search, and only the root LP is solved
 cold (phase 1, then phase 2). Every other node LP is re-optimized from its
-parent's basis, which the heap entry carries: the branching bound and any
-activated rows (appended in activation order, each with its slack basic)
-leave that basis dual feasible, so the dual simplex restores primal
-feasibility in a few pivots (Koberstein, PhD thesis, Paderborn 2005; Huangfu
-& Hall, Math. Prog. Comp. 10, 2018). On the fixture's drawdown MILP that is
-53 node pivots where cold solves of the same 12 node LPs take 481.
+parent's basis, which the heap entry carries: the branching bound leaves that
+basis dual feasible, so the dual simplex restores primal feasibility in a few
+pivots (Koberstein, PhD thesis, Paderborn 2005; Huangfu & Hall, Math. Prog.
+Comp. 10, 2018). On the fixture's drawdown MILP that is 3 nodes and 32 node
+pivots; with the link rows in the node LP it took 7 nodes and 53 pivots.
 
 There is no bound propagation and no rounding heuristic: on the fixture's
 drawdown MILP they cost 3.7x the node pivots (5,213 against 1,411), and in
@@ -42,11 +46,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import DataError, DimensionError, SolveStatus
-from .lp_solver import Basis, LpProblem, SimplexState, FEAS_TOL, _max_violation
+from .lp_solver import LpProblem, SimplexState, FEAS_TOL, _max_violation
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-7
@@ -72,17 +77,28 @@ class MilpProblem:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    """Branch-and-bound outcome. `node_lps` counts the LPs solved, one per
-    row-activation round of each node, root included, and `node_pivots` their
-    simplex pivots, the root's phase 1 included."""
+    """Branch-and-bound outcome. `nodes` counts the node LPs solved, root
+    included, and `node_pivots` their simplex pivots, the root's phase 1
+    included."""
 
     v: np.ndarray | None
     objective: float
     status: SolveStatus
     nodes: int
     best_bound: float
-    node_lps: int
     node_pivots: int
+
+
+class _VariableBounds(NamedTuple):
+    """Binaries that only switch a continuous column on and off: z[i] links
+    to column x[i] by low[i] * z <= x <= up[i] * z (low 0 when there is no
+    lower link), through the `<=` rows `rows`."""
+
+    z: np.ndarray
+    x: np.ndarray
+    low: np.ndarray
+    up: np.ndarray
+    rows: np.ndarray
 
 
 def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
@@ -104,23 +120,43 @@ def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
     def key(value: float) -> float:
         return sense_sign * value
 
-    root_rows = _initial_active_rows(base)
-    state = SimplexState(LpProblem(c=base.c, sense=base.sense, a_eq=base.a_eq, b_eq=base.b_eq,
-                                   a_ub=base.a_ub[root_rows], b_ub=base.b_ub[root_rows],
-                                   lower=base.lower, upper=base.upper))
-    node_lps = 0
+    # the node LP: base without the variable-bound binaries and their rows
+    links = _variable_bounds(problem)
+    keep = np.ones(base.n_vars, dtype=bool)
+    keep[links.z] = False
+    column = np.cumsum(keep) - 1          # node-LP column of each kept column
+    link_of = np.full(base.n_vars, -1)
+    link_of[links.z] = np.arange(links.z.size)
+    x_col = column[links.x]
+    rows = np.ones(base.a_ub.shape[0], dtype=bool)
+    rows[links.rows] = False
+    upper = base.upper[keep]
+    upper[x_col] = np.minimum(upper[x_col], links.up)
+    node_lp = LpProblem(c=base.c[keep], sense=base.sense, a_eq=base.a_eq[:, keep],
+                        b_eq=base.b_eq, a_ub=base.a_ub[rows][:, keep], b_ub=base.b_ub[rows],
+                        lower=base.lower[keep], upper=upper)
+    c_min = sense_sign * node_lp.c
+    state = SimplexState(node_lp)
 
-    def solve_node(start, lower, upper, added):
-        nonlocal node_lps
-        status, v, added, lps = _solve_node(state, base, root_rows, start, lower, upper, added)
-        node_lps += lps
-        return status, v, added
+    def full_vector(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """The node vertex over base's columns: a removed binary takes the
+        value its branch fixed, or else the value its x implies."""
+        v = np.zeros(base.n_vars)
+        v[keep] = state.vertex
+        x = v[links.x]
+        z = np.ones(x.size)
+        z[x <= 0.0] = 0.0
+        between = (x > 0.0) & (x < links.low)
+        z[between] = x[between] / links.low[between]
+        z[up[x_col] <= 0.0] = 0.0
+        z[lo[x_col] > 0.0] = 1.0
+        v[links.z] = z
+        return v
 
     def finish(v, objective, status, best):
-        return MilpSolution(v, objective, status, nodes, best, node_lps, state.pivots)
+        return MilpSolution(v, objective, status, nodes, best, state.pivots)
 
-    root_status, root_v, root_added = solve_node(None, base.lower, base.upper,
-                                                 np.zeros(0, dtype=int))
+    root_status = state.minimize(c_min)
     nodes = 1
     if root_status is SolveStatus.INFEASIBLE:
         return finish(None, np.nan, SolveStatus.INFEASIBLE, np.nan)
@@ -143,15 +179,16 @@ def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
 
     counter = itertools.count()
     heap: list = []
+    root_v = full_vector(node_lp.lower, node_lp.upper)
     best_bound = key(float(base.c @ root_v))
-    heapq.heappush(heap, (best_bound, next(counter), base.lower.copy(), base.upper.copy(),
-                          root_v, root_added, state.basis()))
+    heapq.heappush(heap, (best_bound, next(counter), node_lp.lower.copy(),
+                          node_lp.upper.copy(), root_v, state.basis()))
     # With best-bound search the popped key is a valid global lower bound; if
     # the heap drains without a cutoff, the incumbent is proven optimal.
     drained = True
 
     while heap:
-        bound, _, lo, up, v_rel, added, start = heapq.heappop(heap)
+        bound, _, lo, up, v_rel, start = heapq.heappop(heap)
         best_bound = bound
         if pruned(bound):
             best_bound = min(bound, incumbent_obj)
@@ -165,16 +202,21 @@ def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
             return finish(incumbent,
                           sense_sign * incumbent_obj if incumbent is not None else np.nan,
                           SolveStatus.ITERATION_LIMIT, sense_sign * bound)
+        # the 0-branch caps col at 0 and the 1-branch raises its lower bound
+        # to `on`: the binary's own column at 1, or its x at l
+        link = link_of[j]
+        col, on = (column[j], 1.0) if link < 0 else (x_col[link], links.low[link])
         for fix_to in (0.0, 1.0):
             lo_c, up_c = lo.copy(), up.copy()
             if fix_to == 0.0:
-                up_c[j] = 0.0
+                up_c[col] = 0.0
             else:
-                lo_c[j] = 1.0
-            status, v, child_added = solve_node(start, lo_c, up_c, added)
+                lo_c[col] = on
+            status = state.reopen(start, c_min, lo_c, up_c)
             nodes += 1
             if status is not SolveStatus.OPTIMAL:
                 continue
+            v = full_vector(lo_c, up_c)
             objective = float(base.c @ v)
             child_key = max(key(objective), bound)  # bounds never improve downward
             if pruned(child_key):
@@ -182,8 +224,7 @@ def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
             if _most_fractional(v, bins) is None:
                 consider(v)
             else:
-                heapq.heappush(heap, (child_key, next(counter), lo_c, up_c, v, child_added,
-                                      state.basis()))
+                heapq.heappush(heap, (child_key, next(counter), lo_c, up_c, v, state.basis()))
 
     if incumbent is None:
         return finish(None, np.nan, SolveStatus.INFEASIBLE, np.nan)
@@ -193,56 +234,47 @@ def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
                   sense_sign * best_bound)
 
 
-def _initial_active_rows(base: LpProblem) -> np.ndarray:
-    """Inequality rows that must be present from the start: any row touching a
-    variable with an infinite bound, since dropping those can leave the
-    subproblem unbounded."""
-    if base.a_ub.shape[0] == 0:
-        return np.zeros(0, dtype=int)
-    unbounded_vars = ~(np.isfinite(base.lower) & np.isfinite(base.upper))
-    touches = np.abs(base.a_ub[:, unbounded_vars]).sum(axis=1) > 0
-    return np.where(touches)[0]
+def _variable_bounds(problem: MilpProblem) -> _VariableBounds:
+    """The binaries that solve_milp turns into bounds on their partner column
+    (see the module docstring for the rule), in index order."""
+    base = problem.base
+    n = base.n_vars
+    a, b = base.a_ub, base.b_ub
+    is_bin = np.zeros(n, dtype=bool)
+    is_bin[np.array(problem.binary_indices, dtype=int)] = True
+    nonzero = a != 0.0
+    pair_rows = np.flatnonzero((nonzero.sum(axis=1) == 2) & (b == 0.0))
+    pairs = nonzero[pair_rows]            # a copy
+    first = pairs.argmax(axis=1)
+    pairs[np.arange(first.size), first] = False
+    last = pairs.argmax(axis=1)
+    # a link row holds one binary z and one continuous x, with opposite signs
+    z = np.where(is_bin[first], first, last)
+    x = np.where(is_bin[first], last, first)
+    a_z, a_x = a[pair_rows, z], a[pair_rows, x]
+    is_up = (a_x > 0) & (a_z < 0)         # x <= u z
+    is_low = (a_x < 0) & (a_z > 0)        # l z <= x
+    link = (is_bin[z] != is_bin[x]) & (is_up | is_low)
+    rows, z, x, a_z, a_x, is_up = (arr[link] for arr in (pair_rows, z, x, a_z, a_x, is_up))
 
-
-def _solve_node(state: SimplexState, base: LpProblem, root_rows: np.ndarray,
-                start: Basis | None, lower: np.ndarray, upper: np.ndarray,
-                added: np.ndarray) -> tuple[SolveStatus, np.ndarray, np.ndarray, int]:
-    """Solve one node LP exactly by activating violated inequality rows.
-
-    The node LP holds the root's rows, then the rows in `added` in the order
-    they were activated, under the node's bounds (used as given, without
-    propagation). It is re-optimized from its parent's basis `start` by the
-    dual simplex; the root (`start` None) is the state's own cold solve.
-    Inequality rows violated by the optimum are appended, each with its slack
-    basic, and the LP is re-optimized from its current basis until none
-    remain. Infeasibility of a row subset already certifies infeasibility of
-    the full LP; an unbounded subset falls back to activating every row once.
-    Returns the status, the vertex, the rows added (which the node's children
-    inherit) and the number of LPs solved.
-    """
-    c_min = (1.0 if base.sense == "min" else -1.0) * base.c
-    m_ub = base.a_ub.shape[0]
-    if start is None:
-        status = state.minimize(c_min)
-    else:
-        status = state.reopen(start, c_min, lower, upper, base.a_ub[added], base.b_ub[added])
-    for lps in range(1, m_ub + 3):
-        active = np.concatenate([root_rows, added])
-        if status is SolveStatus.INFEASIBLE:
-            return status, state.vertex, added, lps
-        if status is SolveStatus.UNBOUNDED:
-            if active.size == m_ub:
-                return status, state.vertex, added, lps
-            violated = np.setdiff1d(np.arange(m_ub), active)
-        else:
-            residual = base.a_ub @ state.vertex - base.b_ub
-            violated = np.setdiff1d(np.flatnonzero(residual > FEAS_TOL), active)
-            if violated.size == 0:
-                return status, state.vertex, added, lps
-        added = np.concatenate([added, violated])
-        status = state.reopen(state.basis(), c_min, lower, upper,
-                              base.a_ub[added], base.b_ub[added])
-    raise RuntimeError("row activation failed to converge")
+    n_links = np.bincount(z, minlength=n)
+    n_up = np.bincount(z[is_up], minlength=n)
+    linked = np.unique(z * n + x)         # distinct (z, x) pairs
+    partners = np.bincount(linked // n, minlength=n)       # per binary
+    binaries_on = np.bincount(linked % n, minlength=n)     # per continuous column
+    partner = np.zeros(n, dtype=int)
+    partner[z] = x
+    up = np.zeros(n)
+    low = np.zeros(n)
+    up[z[is_up]] = -a_z[is_up] / a_x[is_up]
+    low[z[~is_up]] = a_z[~is_up] / -a_x[~is_up]
+    ok = (is_bin & (base.c == 0.0) & ~(base.a_eq != 0.0).any(axis=0)
+          & (base.lower <= 0.0) & (base.upper >= 1.0)
+          & (nonzero.sum(axis=0) == n_links) & (n_up == 1) & (n_links <= 2)
+          & (partners == 1) & (binaries_on[partner] == 1) & (base.lower[partner] == 0.0)
+          & (low <= np.minimum(up, base.upper[partner])))
+    chosen = np.flatnonzero(ok)
+    return _VariableBounds(chosen, partner[chosen], low[chosen], up[chosen], rows[ok[z]])
 
 
 def _most_fractional(v: np.ndarray, bins: np.ndarray) -> int | None:

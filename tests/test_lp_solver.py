@@ -357,21 +357,19 @@ def test_matches_highs_on_random_lps():
     assert min(seen.values()) >= 25, seen
 
 
-def _child(p: LpProblem, v: np.ndarray, kind: str, rng) -> tuple[np.ndarray, np.ndarray,
-                                                                   np.ndarray, np.ndarray]:
-    """Bounds and appended <= rows of a child of p whose optimum is v.
+def _child(p: LpProblem, v: np.ndarray, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of a child of p whose optimum is v.
 
-    A bound change tightens one column's bound past v, or fixes the column,
-    as branching does; appended rows are random, and most cut v off. Some
-    children are infeasible.
+    "branch" tightens one column's bound past v, as branching does; "fix"
+    fixes one column at or near v; "several" tightens two or three columns at
+    once. Some children are infeasible.
     """
     n = p.n_vars
     lower, upper = p.lower.copy(), p.upper.copy()
-    a_add, b_add = np.zeros((0, n)), np.zeros(0)
-    if kind in ("bound", "both"):
-        j = int(rng.integers(n))
+    columns = rng.choice(n, size=min(n, int(rng.integers(2, 4))), replace=False)
+    for j in (columns if kind == "several" else columns[:1]):
         move = rng.uniform(0.1, 1.5)
-        if rng.random() < 0.25:
+        if kind == "fix":
             lower[j] = upper[j] = v[j] + rng.choice([-move, 0.0, move])
         elif rng.random() < 0.5:
             upper[j] = v[j] - move
@@ -379,23 +377,21 @@ def _child(p: LpProblem, v: np.ndarray, kind: str, rng) -> tuple[np.ndarray, np.
         else:
             lower[j] = v[j] + move
             upper[j] = max(upper[j], lower[j])
-    if kind in ("rows", "both"):
-        a_add = rng.normal(size=(int(rng.integers(1, 4)), n)).round(2)
-        b_add = (a_add @ v - rng.uniform(-0.5, 2.0, a_add.shape[0])).round(2)
-    return lower, upper, a_add, b_add
+    return lower, upper
 
 
 def test_reopen_matches_cold_solves_and_highs():
-    # A parent LP is solved, then re-opened from its basis under a bound
-    # change, appended rows or both; the re-solve must agree with a cold solve
-    # of the child and with HiGHS, and take fewer pivots than the cold solves.
-    # A repeated equality row leaves an artificial basic, and such a basis
-    # re-opens through phase 1.
+    # A parent LP is solved, then re-opened from its basis under changed
+    # bounds; the re-solve must agree with a cold solve of the child and with
+    # HiGHS, and take fewer pivots than the cold solves. A repeated equality
+    # row leaves an artificial basic, and such a basis re-opens through
+    # phase 1.
     rng = np.random.default_rng(71)
-    seen = {"bound": 0, "rows": 0, "both": 0, SolveStatus.INFEASIBLE: 0, SolveStatus.OPTIMAL: 0,
-            "artificial": 0}
+    kinds = ("branch", "fix", "several")
+    seen = dict.fromkeys(kinds, 0)
+    seen.update({SolveStatus.INFEASIBLE: 0, SolveStatus.OPTIMAL: 0, "artificial": 0})
     warm_pivots = cold_pivots = 0
-    while min(seen.values()) < 20 or sum(seen[k] for k in ("bound", "rows", "both")) < 240:
+    while min(seen.values()) < 20 or sum(seen[k] for k in kinds) < 240:
         n = int(rng.integers(2, 9))
         kind = rng.choice(["lower", "box", "free", "upper"], size=n, p=[0.4, 0.3, 0.2, 0.1])
         lower = np.where(np.isin(kind, ["lower", "box"]), rng.uniform(-1, 1, n).round(2), -np.inf)
@@ -416,15 +412,14 @@ def test_reopen_matches_cold_solves_and_highs():
         state = SimplexState(parent)
         if state.minimize(sign * parent.c) is not SolveStatus.OPTIMAL:
             continue
-        change = str(rng.choice(["bound", "rows", "both"]))
-        lo, up, a_add, b_add = _child(parent, state.vertex, change, rng)
+        change = str(rng.choice(kinds))
+        lo, up = _child(parent, state.vertex, change, rng)
         child = LpProblem(c=parent.c, sense=parent.sense, a_eq=parent.a_eq, b_eq=parent.b_eq,
-                          a_ub=np.vstack([parent.a_ub, a_add]),
-                          b_ub=np.concatenate([parent.b_ub, b_add]), lower=lo, upper=up)
+                          a_ub=parent.a_ub, b_ub=parent.b_ub, lower=lo, upper=up)
         start = state.basis()
         seen["artificial"] += bool(np.any(start.basic >= start.status.size))
         before = state.pivots
-        status = state.reopen(start, sign * parent.c, lo, up, a_add, b_add)
+        status = state.reopen(start, sign * parent.c, lo, up)
         warm_pivots += state.pivots - before
         cold = solve_lp(child)
         cold_pivots += cold.pivots
@@ -441,23 +436,27 @@ def test_reopen_matches_cold_solves_and_highs():
 
 
 def test_dual_degenerate_child_terminates_at_the_cold_objective():
-    # Every appended row x_i >= 0.5 is violated and brings in a column whose
-    # reduced cost is zero: more than BLAND_TRIGGER degenerate dual pivots,
-    # the last ones under the smallest-index rule, before the last row
-    # prices w in.
+    # min w over x_i <= y_i and sum(y) - w <= k/2 - 1 rests at zero with every
+    # slack basic. Raising each x_i's lower bound to 0.5 leaves every row
+    # x_i <= y_i violated, and each is repaired by a y_i whose reduced cost is
+    # zero: more than BLAND_TRIGGER degenerate dual pivots, the last ones
+    # under the smallest-index rule, before the last row prices w in.
     k = BLAND_TRIGGER + 10
-    parent = LpProblem(c=np.concatenate([np.zeros(k), [1.0]]), a_ub=np.zeros((1, k + 1)),
-                       b_ub=[0.0], lower=np.zeros(k + 1),
-                       upper=np.concatenate([np.ones(k), [np.inf]]))
-    a_add = np.vstack([np.hstack([-np.eye(k), np.zeros((k, 1))]),
-                       np.concatenate([np.ones(k), [-1.0]])])
-    b_add = np.concatenate([np.full(k, -0.5), [k / 2 - 1.0]])
+    a_ub = np.zeros((k + 1, 2 * k + 1))
+    a_ub[:k, :k] = np.eye(k)
+    a_ub[:k, k:2 * k] = -np.eye(k)
+    a_ub[k, k:] = np.concatenate([np.ones(k), [-1.0]])
+    upper = np.concatenate([np.ones(2 * k), [np.inf]])
+    parent = LpProblem(c=np.concatenate([np.zeros(2 * k), [1.0]]), a_ub=a_ub,
+                       b_ub=np.concatenate([np.zeros(k), [k / 2 - 1.0]]),
+                       lower=np.zeros(2 * k + 1), upper=upper)
     state = SimplexState(parent)
     assert state.minimize(parent.c) is SolveStatus.OPTIMAL
-    status = state.reopen(state.basis(), parent.c, parent.lower, parent.upper, a_add, b_add)
-    cold = solve_lp(LpProblem(c=parent.c, a_ub=np.vstack([parent.a_ub, a_add]),
-                              b_ub=np.concatenate([parent.b_ub, b_add]),
-                              lower=parent.lower, upper=parent.upper))
+    assert state.pivots == 0
+    lower = np.concatenate([np.full(k, 0.5), np.zeros(k + 1)])
+    status = state.reopen(state.basis(), parent.c, lower, upper)
+    cold = solve_lp(LpProblem(c=parent.c, a_ub=parent.a_ub, b_ub=parent.b_ub,
+                              lower=lower, upper=upper))
     assert status is cold.status is SolveStatus.OPTIMAL
     assert state.pivots > BLAND_TRIGGER
     assert float(parent.c @ state.vertex) == pytest.approx(cold.objective, abs=1e-12)
@@ -465,16 +464,16 @@ def test_dual_degenerate_child_terminates_at_the_cold_objective():
 
 
 def test_reopen_moves_a_free_nonbasic_onto_its_new_bound():
-    # w is free, in no row and costs nothing, so it rests nonbasic at 0; a
-    # child that bounds it below by 1 must start it at that bound
-    parent = LpProblem(c=[1.0, 0.0], a_ub=[[-1.0, 0.0]], b_ub=[-2.0],
+    # w is free and costs nothing, and its one row x + w <= 4 is slack, so it
+    # rests nonbasic at 0; a child that bounds it below by 1 must start it at
+    # that bound
+    parent = LpProblem(c=[1.0, 0.0], a_ub=[[-1.0, 0.0], [1.0, 1.0]], b_ub=[-2.0, 4.0],
                        lower=[0.0, -np.inf], upper=[np.inf, np.inf])
     state = SimplexState(parent)
     assert state.minimize(parent.c) is SolveStatus.OPTIMAL
     assert state.basis().status[1] == FREE
     lower = np.array([0.0, 1.0])
-    status = state.reopen(state.basis(), parent.c, lower, parent.upper,
-                          np.array([[1.0, 1.0]]), np.array([4.0]))
+    status = state.reopen(state.basis(), parent.c, lower, parent.upper)
     assert status is SolveStatus.OPTIMAL
     assert state.vertex[1] >= 1.0 and float(parent.c @ state.vertex) == pytest.approx(2.0)
 

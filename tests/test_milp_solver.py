@@ -5,9 +5,9 @@ import pytest
 
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.estimation import PerturbationConfig, perturb_returns
-from portopt.lp_solver import LpProblem, solve_lp
-from portopt.milp_solver import MilpProblem, MilpSolution, solve_milp
-from portopt.models import md_milp_problem, solve_md_milp
+from portopt.lp_solver import LpProblem, SimplexState, solve_lp
+from portopt.milp_solver import MilpProblem, MilpSolution, _variable_bounds, solve_milp
+from portopt.models import md_milp_problem, md_problem, solve_md_milp
 
 from conftest import FIXTURE_RHO, make_returns
 from oracles import support_enumeration_md_milp
@@ -249,3 +249,135 @@ def test_perturbed_fixture_matches_highs(fixture_train):
     status, objective = highs_milp(md_milp_problem(shaken, cfg)[0])
     assert status is SolveStatus.OPTIMAL
     assert abs(report.objective - objective) <= 1e-9
+
+
+# Variable-bound binaries: solve_milp turns a binary that only switches one
+# continuous column on and off into bounds on that column. Each near miss
+# breaks one condition of the rule on the first pair and must stay a column.
+NEAR_MISSES = ("cost", "equality", "third_row", "shared_x", "x_lower", "low_too_big")
+
+
+def linked_milp(rng, miss: str | None) -> tuple[MilpProblem, set[int]]:
+    """A random MILP whose pairs (x_i, z_i) are linked by
+    l_i z_i <= x_i <= u_i z_i (some without the lower link), with general
+    rows over the x, other continuous columns and plain binaries, and the
+    set of z the rule must recognize."""
+    n_x = int(rng.integers(2, 5))
+    n_other, n_plain = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    n = 2 * n_x + n_other + n_plain
+    xs = np.arange(n_x)
+    plain = n_x + n_other + np.arange(n_plain)
+    zs = n_x + n_other + n_plain + np.arange(n_x)
+    lower = np.zeros(n)
+    upper = np.ones(n)
+    upper[xs] = np.where(rng.random(n_x) < 0.2, np.inf, rng.uniform(0.5, 3.0, n_x).round(2))
+    lower[n_x:n_x + n_other] = rng.uniform(-2.0, 0.0, n_other).round(2)
+    upper[n_x:n_x + n_other] = rng.uniform(0.5, 3.0, n_other).round(2)
+    c = rng.integers(-9, 10, n).astype(float)
+    c[zs] = 0.0
+    u = rng.uniform(0.5, 3.0, n_x).round(2)
+    low = np.where(rng.random(n_x) < 0.7,
+                   rng.uniform(0.05, 1.0, n_x) * np.minimum(u, upper[xs]), 0.0).round(2)
+    partner = xs.copy()
+    recognized = set(zs.tolist())
+    if miss == "cost":
+        c[zs[0]] = float(rng.choice([-3.0, 2.0]))
+    elif miss == "shared_x":
+        partner[1] = xs[0]
+        upper[xs[1]] = 1.0   # x_1 keeps no link to bound it
+        recognized -= {zs[0], zs[1]}
+    elif miss == "x_lower":
+        lower[xs[0]] = float(rng.choice([-0.5, 0.1]))
+    elif miss == "low_too_big":
+        low[0] = round(min(u[0], upper[xs[0]]) + rng.uniform(0.05, 0.5), 2)
+    if miss in ("cost", "equality", "third_row", "x_lower", "low_too_big"):
+        recognized.discard(zs[0])
+
+    m = int(rng.integers(1, 4))
+    a_general = np.zeros((m, n))
+    a_general[:, :n - n_x] = rng.integers(-4, 5, (m, n - n_x))
+    rows, b_ub = [a_general], [rng.integers(-2, 6, m).astype(float)]
+    for i in range(n_x):
+        scale = float(rng.choice([1.0, 2.5]))
+        link = np.zeros((2, n))
+        link[0, partner[i]], link[0, zs[i]] = scale, -scale * u[i]   # x <= u z
+        link[1, partner[i]], link[1, zs[i]] = -1.0, low[i]             # l z <= x
+        rows.append(link if low[i] > 0 else link[:1])
+        b_ub.append(np.zeros(2 if low[i] > 0 else 1))
+    kw = {}
+    if miss == "equality":
+        a_eq = np.zeros((1, n))
+        a_eq[0, zs[0]], a_eq[0, xs[1]] = 1.0, 1.0
+        kw.update(a_eq=a_eq, b_eq=np.ones(1))
+    elif miss == "third_row":
+        extra = np.zeros((1, n))
+        if rng.random() < 0.5:   # a second upper link on the same x
+            extra[0, xs[0]], extra[0, zs[0]] = 1.0, -0.4
+            rows.append(extra)
+            b_ub.append(np.zeros(1))
+        else:                    # a general row
+            extra[0, zs[0]], extra[0, xs[1]] = 1.0, float(rng.choice([-2.0, 1.0]))
+            rows.append(extra)
+            b_ub.append(np.ones(1))
+    base = LpProblem(c=c, sense=str(rng.choice(["min", "max"])), a_ub=np.vstack(rows),
+                     b_ub=np.concatenate(b_ub), lower=lower, upper=upper, **kw)
+    return MilpProblem(base=base, binary_indices=tuple(plain) + tuple(zs)), recognized
+
+
+def test_variable_bound_rule_matches_highs(monkeypatch):
+    # a 1-branch on a recognized binary reopens the node LP with its x's
+    # lower bound raised to l > 0 (the z columns come last, so the node LP
+    # keeps each x's index)
+    lowers = []
+    real_reopen = SimplexState.reopen
+
+    def reopen(state, start, cost, lower, upper):
+        lowers.append(lower)
+        return real_reopen(state, start, cost, lower, upper)
+
+    monkeypatch.setattr(SimplexState, "reopen", reopen)
+    rng = np.random.default_rng(97)
+    seen = dict.fromkeys(("exact", "upper_link_only", "branched_on_a_bound") + NEAR_MISSES, 0)
+    for i in range(240):
+        miss = None if i % 2 == 0 else NEAR_MISSES[(i // 2) % len(NEAR_MISSES)]
+        problem, recognized = linked_milp(rng, miss)
+        links = _variable_bounds(problem)
+        assert set(links.z.tolist()) == recognized
+        lowers.clear()
+        assert_matches_highs(problem)
+        seen[miss or "exact"] += 1
+        seen["upper_link_only"] += bool(np.any(links.low == 0.0))
+        seen["branched_on_a_bound"] += any(np.any(lo[links.x] > 0.0) for lo in lowers)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_md_milp_at_the_extreme_min_allocs():
+    # The smallest positive min_alloc makes every lower link void, so the
+    # MILP is the md LP; min_alloc = cap puts each held name exactly at the
+    # cap, so each 1-branch fixes its x.
+    rng = np.random.default_rng(101)
+    tiny = float(np.nextafter(0.0, 1.0))
+    optimal = {"tiny": 0, "cap": 0}
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        data = rng.normal(0.001, 0.02, (n, int(rng.integers(3, 10))))
+        returns = make_returns(data)
+        rho = float(np.quantile(data.mean(axis=1), rng.uniform(0.2, 0.9)))
+        problem, layout = md_milp_problem(returns, ModelConfig(rho=rho, min_alloc=tiny))
+        assert np.array_equal(_variable_bounds(problem).z, np.arange(n + 1, 2 * n + 1))
+        sol = assert_matches_highs(problem)
+        md = solve_lp(md_problem(returns, ModelConfig(rho=rho))[0])
+        assert sol.status is md.status
+        if sol.status is SolveStatus.OPTIMAL:
+            optimal["tiny"] += 1
+            assert sol.nodes == 1 and abs(sol.objective - md.objective) <= 1e-12
+
+        cap = float(rng.choice([0.2, 0.25, 0.5]))
+        problem, layout = md_milp_problem(returns, ModelConfig(rho=rho, min_alloc=cap, cap=cap))
+        assert np.array_equal(_variable_bounds(problem).z, np.arange(n + 1, 2 * n + 1))
+        sol = assert_matches_highs(problem)
+        if sol.status is SolveStatus.OPTIMAL:
+            optimal["cap"] += 1
+            held = sol.v[layout.x][sol.v[layout.x] > 1e-9]
+            assert np.allclose(held, cap, atol=1e-9)
+    assert min(optimal.values()) >= 10, optimal

@@ -363,26 +363,26 @@ class TestMdMilp:
         assert positive.min() >= 0.05 - 1e-9
 
     def test_fixture_search_is_plain_best_bound(self, fixture_milp_report):
-        # a root, three branchings and no heuristic or propagation solves
+        # a root, one branching and no heuristic or propagation solves
         assert fixture_milp_report.status is SolveStatus.OPTIMAL
-        assert fixture_milp_report.iterations == 7
+        assert fixture_milp_report.iterations == 3
         assert abs(fixture_milp_report.objective - -0.01535672932609452) <= 1e-12
 
     def test_fixture_node_lps_reoptimize_from_the_parent_basis(self, fixture_train):
-        # the same tree as the plain best-bound search, with each child's LP
-        # re-optimized from its parent's basis: 481 node pivots when cold
+        # the same tree as the plain best-bound search, each node LP the md LP
+        # under changed x bounds and each child's re-optimized from its
+        # parent's basis
         problem, layout = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
         sol = solve_milp(problem)
         assert sol.status is SolveStatus.OPTIMAL
-        assert (sol.nodes, sol.node_lps) == (7, 12)
-        assert sol.node_pivots <= 300
+        assert (sol.nodes, sol.node_pivots) == (3, 32)
         assert abs(sol.objective - -0.01535672932609452) <= 1e-12
         held = np.flatnonzero(sol.v[layout.x] > 1e-9)
         assert [fixture_train.tickers[i] for i in held] == ["ABM", "ADJ", "AOW"]
 
     def test_full_relaxation_is_the_md_lp(self, fixture_train, fixture_md_report):
-        # all 843 rows at once, as the B&B's fallback on an unbounded node
-        # subproblem solves them
+        # all 843 rows at once: an LP regression case (the B&B's node LPs
+        # hold the link rows as bounds instead)
         problem, _ = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
         sol = solve_lp(problem.base)
         assert sol.status is SolveStatus.OPTIMAL

@@ -5,7 +5,8 @@ report status, objective, seconds and work per solve.
 Work is the model report's `iterations`: Frank-Wolfe iterations for the
 quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
 nodes for `md_milp`, whose node LPs and their pivots are read from the
-`MilpSolution` of one more solve of the same problem. The LP models also
+`MilpSolution` of one more solve of the same problem (`node_lps` is null
+where `MilpSolution` lacks it: each node is one LP there). The LP models also
 report the phase-1 pivots of their region. `markowitz` and
 `reverse_markowitz` report their Frank-Wolfe oracles' work, summed over every
 simplex state the solve builds: `oracle_states`, `oracle_pivots`,
@@ -99,7 +100,7 @@ def run(seed: int) -> dict:
             row.update(_oracle_work(oracle_states))
         if tag == "md_milp":
             sol = solve_milp(models.md_milp_problem(window, cfg)[0])
-            row.update(node_lps=sol.node_lps, node_pivots=sol.node_pivots)
+            row.update(node_lps=getattr(sol, "node_lps", None), node_pivots=sol.node_pivots)
         if tag in builders:
             row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
         return row
