@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,7 +220,7 @@ class SensitivityReport:
 
 
 def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
-                    pcfg: PerturbationConfig, *, threads: int = 1,
+                    pcfg: PerturbationConfig, *,
                     solver_options: dict[str, dict] | None = None) -> SensitivityReport:
     """Solve each requested model on original and perturbed returns and report
     how much the allocation moved, alongside the covariance change.
@@ -233,8 +232,6 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     unknown = set(cfgs) - set(SOLVERS)
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
-    if threads < 1:
-        raise DataError(f"threads must be at least 1, got {threads}")
     shaken = perturb_returns(returns, pcfg)
     cov_diff, cov_rel = covariance_change(covariance(returns), covariance(shaken))
     stats_before = asset_stats(returns)
@@ -252,11 +249,5 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
         change = allocation_change(before.allocation, after.allocation)
         return SensitivityRow(model=tag, alloc_change_pct=change, status="Optimal")
 
-    tags = list(cfgs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tags))
-    else:
-        rows = [run(tag) for tag in tags]
     return SensitivityReport(cov_avg_abs_diff=cov_diff, cov_relative_change=cov_rel,
-                             rows=tuple(rows))
+                             rows=tuple(run(tag) for tag in cfgs))

@@ -198,7 +198,6 @@ class RunConfig:
     train_end: str | None = None
     test_end: str | None = None
     out_format: str = "csv"
-    threads: int = 1
 
     def __post_init__(self):
         self.models = tuple(self.models)
@@ -450,8 +449,7 @@ def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> list[str]:
     returns = _train_window(cfg, returns)
     model_cfg = cfg.model_config()
     report = sensitivity_run(returns, {tag: model_cfg for tag in tags},
-                             PerturbationConfig(c=cfg.c, seed=cfg.seed),
-                             threads=cfg.threads)
+                             PerturbationConfig(c=cfg.c, seed=cfg.seed))
     rows = [[row.model,
              _fmt(row.alloc_change_pct) if row.alloc_change_pct is not None else row.status]
             for row in report.rows]
@@ -516,7 +514,6 @@ OPTIONS = {
                       help="minimum positive weight (default 0.05); " + _read_by("min_alloc")),
     "c": dict(type=float, help="perturbation scale divisor (default 1000)"),
     "seed": dict(type=int, help="perturbation RNG seed"),
-    "threads": dict(type=int, help="solve the models on this many threads"),
     "grid-min": dict(type=float, help="smallest lambda (default 1e-3)"),
     "grid-max": dict(type=float, help="largest lambda (default 1e4)"),
     "grid-n": dict(type=int, help="number of grid points (default 100)"),
@@ -533,7 +530,7 @@ COMMANDS = {
     "sweep-lambda": ("trace the penalty frontier and pick lambda",
                      ("train-end", "cap", "grid-min", "grid-max", "grid-n", "grid-spacing")),
     "sensitivity": ("perturbation study of allocations",
-                    ("models", "train-end") + MODEL_OPTIONS + ("c", "seed", "threads")),
+                    ("models", "train-end") + MODEL_OPTIONS + ("c", "seed")),
 }
 _FIELD_OF = {flag: spec.get("dest", flag.replace("-", "_")) for flag, spec in OPTIONS.items()}
 _FLAG_OF = {field: "--" + flag for flag, field in _FIELD_OF.items()}

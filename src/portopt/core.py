@@ -204,7 +204,7 @@ class ModelConfig:
     sigma0     maximum daily standard deviation (decimal); required by the
                reverse mean-variance model.
     lam        risk-penalty weight for the simultaneous model.
-    mu_l1      L1 penalty; 0 disables the augmentation.
+    mu_l1      L1 penalty weight; 0 disables it.
     cap        per-asset ceiling; None resolves to the model default
                (0.5 for the drawdown models, 1.0 otherwise).
     min_alloc  minimum positive weight (drawdown MILP only; the MILP checks it

@@ -3,12 +3,13 @@ dispatched to the matching solver engine.
 
 Quadratic models (minimum-variance, simultaneous mean-variance) go to the
 Frank-Wolfe engine; the mean-absolute-deviation and max-drawdown models are
-epigraph LPs for the simplex; the minimum-allocation drawdown variant is a
-binary MILP for branch and bound. The reverse mean-variance model (maximize
-return subject to a standard-deviation ceiling) is solved by bisecting the
-required-return parameter of the minimum-variance model along the efficient
-frontier, whose standard deviation is nondecreasing in required return; this
-reuses the quadratic engine instead of introducing a QCQP method. A bisection
+epigraph LPs for the simplex; the minimum-allocation drawdown variant is the
+`md` LP with each weight on/off (0 or at least min_alloc), for branch and
+bound. The reverse mean-variance model (maximize return subject to a
+standard-deviation ceiling) is solved by bisecting the required-return
+parameter of the minimum-variance model along the efficient frontier, whose
+standard deviation is nondecreasing in required return; this reuses the
+quadratic engine instead of introducing a QCQP method. A bisection
 step needs only the side of sigma0^2 its frontier variance lies on, so its
 Frank-Wolfe solve stops as soon as the iterate or the gap's lower bound proves
 it (`solve_qp`'s `level`); one final full-accuracy solve at the accepted
@@ -21,7 +22,7 @@ min_t of sum_i r[i, t] x[i] over the window, not peak-to-trough drawdown.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .core import (
     validate_allocation,
 )
 from .estimation import mean_returns
-from .lp_solver import LpProblem, SimplexState, solve_lp
+from .lp_solver import LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
 from .qp_solver import QpProblem, QpSolution, solve_qp
 
@@ -53,20 +54,18 @@ class ModelLayout:
 
     x is the allocation block (n columns). The drawdown models add a single
     epigraph scalar y; the MAD model adds one y_t = p_t per day (the positive
-    part of that day's deviation); the MILP adds a binary indicator block z.
-    Every solver column belongs to exactly one block.
-    (The L1 augmentation appends its u block after x; only x is read back.)
+    part of that day's deviation). Every solver column belongs to exactly one
+    block.
     """
 
     n_assets: int
     n_cols: int
     x: slice
     y: slice | None = None
-    z: slice | None = None
 
     def __post_init__(self):
         owned = np.zeros(self.n_cols, dtype=int)
-        for block in (self.x, self.y, self.z):
+        for block in (self.x, self.y):
             if block is not None:
                 owned[block] += 1
         if not np.all(owned == 1):
@@ -114,35 +113,6 @@ def simultaneous_problem(stats: AssetStats, cfg: ModelConfig) -> tuple[QpProblem
         lower=np.zeros(n), upper=np.full(n, cap),
     )
     return problem, ModelLayout(n_assets=n, n_cols=n, x=slice(0, n))
-
-
-def l1_augment(problem: QpProblem, mu_l1: float) -> QpProblem:
-    """Add an L1 penalty block: columns u with x <= u and objective + mu * sum u.
-
-    With long-only weights summing to one, any optimum has sum u = 1 and the
-    x block unchanged, so the augmentation provably cannot move the optimizer;
-    it exists so that claim can be exercised. Each u column is capped by its
-    partner's upper bound, which cuts no optimum (u wants to be minimal) and
-    keeps the region bounded for the Frank-Wolfe oracle.
-    """
-    if not mu_l1 > 0:
-        raise DataError("mu_l1 must be positive to augment")
-    n = problem.n_vars
-    q = np.zeros((2 * n, 2 * n))
-    q[:n, :n] = problem.q
-    c = np.concatenate([problem.c, np.full(n, mu_l1)])
-    pad = lambda a: np.hstack([a, np.zeros((a.shape[0], n))]) if a is not None and a.shape[0] else None
-    region = problem._region
-    link = np.hstack([np.eye(n), -np.eye(n)])  # x_i - u_i <= 0
-    a_ub = np.vstack([m for m in (pad(region.a_ub), link) if m is not None])
-    b_ub = np.concatenate([region.b_ub, np.zeros(n)])
-    return QpProblem(
-        q=q, c=c,
-        a_eq=pad(region.a_eq), b_eq=region.b_eq,
-        a_ub=a_ub, b_ub=b_ub,
-        lower=np.concatenate([region.lower, np.zeros(n)]),
-        upper=np.concatenate([region.upper, region.upper]),
-    )
 
 
 def mad_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, ModelLayout]:
@@ -208,46 +178,18 @@ def md_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, Mode
 
 
 def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProblem, ModelLayout]:
-    """Drawdown MILP: Model 5 plus binaries z with min_alloc * z <= x <= M * z.
+    """Drawdown MILP: the `md` LP with every weight on/off at min_alloc.
 
-    M equals the cap (0.5 by default), the smallest valid big-M and therefore
-    the tightest LP relaxation available. A positive weight is forced up to
-    min_alloc, so at most floor(1 / min_alloc) names can be held.
+    Each x_i is either 0 or in [min_alloc, cap], so a held name carries at
+    least min_alloc and at most floor(1 / min_alloc) names can be held. The
+    node LPs of the search are the `md` LP under changed x bounds.
     """
-    n, t_days = returns.n_assets, returns.n_days
-    rho = cfg.require_rho()
+    base, layout = md_problem(returns, cfg)
     cap = cfg.resolved_cap(0.5)
     if cfg.min_alloc > cap:
         raise DataError(f"min_alloc {cfg.min_alloc!r} exceeds the cap {cap!r}")
-    mu = mean_returns(returns)
-    ncols = 2 * n + 1
-    c = np.zeros(ncols)
-    c[n] = 1.0
-    x_block = np.s_[:, 0:n]
-    day_rows = np.zeros((t_days, ncols))
-    day_rows[x_block] = -returns.returns.T
-    day_rows[:, n] = 1.0
-    ret_row = np.zeros((1, ncols))
-    ret_row[0, :n] = -mu
-    lo_link = np.zeros((n, ncols))                      # min_alloc z - x <= 0
-    lo_link[:, :n] = -np.eye(n)
-    lo_link[:, n + 1:] = cfg.min_alloc * np.eye(n)
-    hi_link = np.zeros((n, ncols))                      # x - M z <= 0
-    hi_link[:, :n] = np.eye(n)
-    hi_link[:, n + 1:] = -cap * np.eye(n)
-    a_ub = np.vstack([day_rows, ret_row, lo_link, hi_link])
-    b_ub = np.concatenate([np.zeros(t_days), [-rho], np.zeros(2 * n)])
-    a_eq = np.zeros((1, ncols))
-    a_eq[0, :n] = 1.0
-    base = LpProblem(
-        c=c, sense="max", a_eq=a_eq, b_eq=np.array([1.0]), a_ub=a_ub, b_ub=b_ub,
-        lower=np.concatenate([np.zeros(n), [-np.inf], np.zeros(n)]),
-        upper=np.concatenate([np.full(n, cap), [np.inf], np.ones(n)]),
-    )
-    problem = MilpProblem(base=base, binary_indices=tuple(range(n + 1, ncols)))
-    layout = ModelLayout(n_assets=n, n_cols=ncols, x=slice(0, n),
-                         y=slice(n, n + 1), z=slice(n + 1, ncols))
-    return problem, layout
+    on_off = dict.fromkeys(range(layout.x.stop), cfg.min_alloc)
+    return MilpProblem(base=base, on_off=on_off), layout
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +200,8 @@ def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
                     gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
-    The report's objective is the portfolio variance x' Sigma x, plus mu_l1
-    when cfg.mu_l1 > 0 adds the L1 block (see `l1_augment`).
+    The report's objective is the portfolio variance x' Sigma x, plus the L1
+    penalty mu_l1 * sum |x_i| = mu_l1 when cfg.mu_l1 > 0.
     """
     started = time.perf_counter()
     problem, layout = markowitz_problem(stats, cfg)
@@ -270,7 +212,7 @@ def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
                        gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
     """Model: minimize -mean return + lambda * variance over the budget box.
 
-    As in `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 block.
+    As in `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 penalty.
     """
     started = time.perf_counter()
     problem, layout = simultaneous_problem(stats, cfg)
@@ -279,23 +221,19 @@ def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
 
 def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: ModelConfig,
                      gap_tol: float, max_iters: int, started: float) -> SolveReport:
-    """Frank-Wolfe on a model's QP, with the L1 block added first when mu_l1 > 0."""
-    start = None
+    """Frank-Wolfe on a model's QP, with the L1 penalty when mu_l1 > 0.
+
+    Weights are long-only, so mu * sum |x_i| is the linear cost mu * sum x_i,
+    and the budget row makes it the constant mu on the feasible region: the
+    penalty shifts the objective by exactly mu and moves no optimizer.
+    """
     if cfg.mu_l1 > 0:
-        # Start from the base problem's own feasibility vertex with u mirroring
-        # x (feasible, and the tightest u for that x), the same point the plain
-        # solve starts from.
-        base = SimplexState(problem._region)
-        if not base.feasible:
-            return _report(tag, SolveStatus.INFEASIBLE, None, None, 1.0, 0, started,
-                           f"fw_gap={np.inf!r}")
-        start = np.tile(base.vertex, 2)
-        problem = l1_augment(problem, cfg.mu_l1)
-        # The penalty contributes the constant mu to the objective, inflating
-        # the relative-gap scale; tighten proportionally so the x block is
-        # certified to the same absolute accuracy as the unaugmented solve.
+        problem = replace(problem, c=problem.c + cfg.mu_l1)
+        # The penalty's constant mu inflates the relative-gap scale; tighten
+        # proportionally so x is certified to the same absolute accuracy as
+        # the solve without it.
         gap_tol = gap_tol / (1.0 + cfg.mu_l1)
-    sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol, start=start)
+    sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol)
     return _report(tag, sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(1.0),
                    sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 

@@ -116,9 +116,8 @@ def solve_qp(
     With level=None the iterates are exactly those of the plain solve.
 
     `start` optionally supplies a feasible warm-start point (used by the
-    frontier bisection and the L1 block); a start that is not finite or
-    violates a row or bound by more than 1e-9 is replaced by the phase-1
-    vertex.
+    frontier bisection); a start that is not finite or violates a row or
+    bound by more than 1e-9 is replaced by the phase-1 vertex.
     """
     n = problem.n_vars
     q, c = problem.q, problem.c

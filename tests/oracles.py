@@ -13,6 +13,7 @@ import numpy as np
 
 from portopt.lp_solver import LpProblem, solve_lp
 from portopt.core import SolveStatus
+from portopt.milp_solver import MilpProblem
 
 
 def enumerate_lp_vertices(problem: LpProblem) -> list[np.ndarray]:
@@ -158,6 +159,41 @@ def support_enumeration_md_milp(returns: np.ndarray, rho: float,
             if sol.status is SolveStatus.OPTIMAL and sol.objective > best:
                 best = sol.objective
     return best
+
+
+def big_m_milp(problem: MilpProblem) -> MilpProblem:
+    """The textbook big-M form of an on/off MILP.
+
+    Each on/off column x_j (threshold t_j, upper bound u_j) gets a binary z_j,
+    appended after the base columns in column order, and the rows
+    t_j z_j - x_j <= 0 (every lower link first) and x_j - u_j z_j <= 0; the
+    x_j become plain continuous columns. For the drawdown MILP these are the
+    indicator links min_alloc z <= x <= cap z with M = cap: 843 rows and 781
+    columns on the fixture's train window.
+    """
+    base = problem.base
+    cols = np.array(list(problem.on_off), dtype=int)
+    t = np.array(list(problem.on_off.values()), dtype=float)
+    u = base.upper[cols]
+    if not np.all(np.isfinite(u)):
+        raise ValueError("the big-M form needs finite upper bounds on the on/off columns")
+    n, k = base.n_vars, cols.size
+    rows = np.arange(k)
+    lo_link = np.zeros((k, n + k))
+    lo_link[rows, cols], lo_link[rows, n + rows] = -1.0, t
+    hi_link = np.zeros((k, n + k))
+    hi_link[rows, cols], hi_link[rows, n + rows] = 1.0, -u
+
+    def widen(a: np.ndarray) -> np.ndarray:
+        return np.hstack([a, np.zeros((a.shape[0], k))])
+
+    textbook = LpProblem(c=np.concatenate([base.c, np.zeros(k)]), sense=base.sense,
+                         a_eq=widen(base.a_eq), b_eq=base.b_eq,
+                         a_ub=np.vstack([widen(base.a_ub), lo_link, hi_link]),
+                         b_ub=np.concatenate([base.b_ub, np.zeros(2 * k)]),
+                         lower=np.concatenate([base.lower, np.zeros(k)]),
+                         upper=np.concatenate([base.upper, np.ones(k)]))
+    return MilpProblem(base=textbook, on_off=dict.fromkeys(range(n, n + k), 1.0))
 
 
 def two_pass_mean_cov(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

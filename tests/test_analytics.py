@@ -237,15 +237,6 @@ class TestSensitivity:
         b = sensitivity_run(r, cfgs, PerturbationConfig(seed=5))
         assert a == b
 
-    def test_threads_preserve_report(self):
-        rng = np.random.default_rng(22)
-        r = make_returns(rng.normal(0.002, 0.02, (6, 30)))
-        cfgs = {"md": ModelConfig(rho=0.0), "md_milp": ModelConfig(rho=0.0),
-                "markowitz": ModelConfig(rho=0.0)}
-        serial = sensitivity_run(r, cfgs, PerturbationConfig(seed=5))
-        threaded = sensitivity_run(r, cfgs, PerturbationConfig(seed=5), threads=3)
-        assert serial == threaded
-
     def test_solver_options_reach_lp_models(self):
         rng = np.random.default_rng(23)
         r = make_returns(rng.normal(0.002, 0.02, (6, 30)))

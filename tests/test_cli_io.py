@@ -230,7 +230,6 @@ class TestCommands:
         ("sweep-lambda", "sigma0", 0.01, "--sigma0"),
         ("backtest", "seed", 3, "--seed"),
         ("ingest", "models", ("md",), "--models"),
-        ("solve", "threads", 2, "--threads"),
     ])
     def test_library_config_refuses_unread_field(self, tmp_path, command, field, value, flag):
         prices = tmp_path / "p.csv"
@@ -331,17 +330,20 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: DataError: train_end precedes all data"
 
-    def test_threads_only_on_sensitivity(self, tmp_path):
+    def test_no_command_takes_threads(self, tmp_path, capsys):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)
-        with pytest.raises(SystemExit):
-            main(["sweep-lambda", str(prices), "--threads", "2"])
+        required = {"solve": ["--model", "md"], "report": ["--input"]}
+        for command in ("ingest", "solve", "backtest", "sweep-lambda", "sensitivity", "report"):
+            argv = [command, *required.get(command, []), str(prices), "--threads", "2"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--threads", "0"], "threads must be at least 1, got 0"),
-        (["--threads", "-4"], "threads must be at least 1, got -4"),
         (["--seed", "-1"], "perturbation seed must be non-negative, got -1"),
-    ], ids=["threads-0", "threads-negative", "seed-negative"])
+    ], ids=["seed-negative"])
     def test_sensitivity_out_of_range_input_refused(self, tmp_path, capsys, flags, message):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)
@@ -357,7 +359,7 @@ class TestMainEntry:
                                and a.option_strings[0] != "-h")
                   for command, p in sub.choices.items() if command != "report"}
         assert counts == {"ingest": 2, "solve": 10, "backtest": 11, "sweep-lambda": 8,
-                          "sensitivity": 13}
+                          "sensitivity": 12}
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--rho", "0.001"],

@@ -6,11 +6,11 @@ import pytest
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.estimation import PerturbationConfig, perturb_returns
 from portopt.lp_solver import LpProblem, SimplexState, solve_lp
-from portopt.milp_solver import MilpProblem, MilpSolution, _variable_bounds, solve_milp
+from portopt.milp_solver import MilpProblem, MilpSolution, solve_milp
 from portopt.models import md_milp_problem, md_problem, solve_md_milp
 
 from conftest import FIXTURE_RHO, make_returns
-from oracles import support_enumeration_md_milp
+from oracles import big_m_milp, support_enumeration_md_milp
 
 
 def knapsack_milp(values, weights, budget):
@@ -18,7 +18,7 @@ def knapsack_milp(values, weights, budget):
     base = LpProblem(c=np.asarray(values, dtype=float), sense="max",
                      a_ub=np.asarray(weights, dtype=float)[None, :],
                      b_ub=np.array([budget]), lower=np.zeros(n), upper=np.ones(n))
-    return MilpProblem(base=base, binary_indices=tuple(range(n)))
+    return MilpProblem(base=base, on_off=dict.fromkeys(range(n), 1.0))
 
 
 def brute_force_knapsack(values, weights, budget):
@@ -49,7 +49,7 @@ def test_small_knapsack_exact():
 def test_infeasible_milp():
     base = LpProblem(c=[1.0], sense="max", a_ub=[[1.0]], b_ub=[-0.5],
                      lower=[0.0], upper=[1.0])
-    sol = solve_milp(MilpProblem(base=base, binary_indices=(0,)))
+    sol = solve_milp(MilpProblem(base=base, on_off={0: 1.0}))
     assert sol.status is SolveStatus.INFEASIBLE
 
 
@@ -97,14 +97,13 @@ def test_bound_monotonicity_parent_child():
     base = problem.base
     parent = solve_lp(base)
     assert parent.status is SolveStatus.OPTIMAL
-    z0 = layout.z.start
-    for j in range(z0, z0 + 6):
-        for fix in (0.0, 1.0):
+    for j, t in problem.on_off.items():
+        for on in (False, True):
             lo, up = base.lower.copy(), base.upper.copy()
-            if fix == 0.0:
-                up[j] = 0.0
+            if on:
+                lo[j] = t
             else:
-                lo[j] = 1.0
+                up[j] = 0.0
             child = solve_lp(LpProblem(c=base.c, sense=base.sense, a_eq=base.a_eq,
                                        b_eq=base.b_eq, a_ub=base.a_ub, b_ub=base.b_ub,
                                        lower=lo, upper=up))
@@ -124,8 +123,8 @@ def test_incumbent_verified_against_original_constraints():
     assert np.max(np.abs(base.a_eq @ v - base.b_eq)) <= 1e-7
     assert np.max(base.a_ub @ v - base.b_ub) <= 1e-7
     assert np.all(v >= base.lower - 1e-9) and np.all(v <= base.upper + 1e-9)
-    z = v[layout.z]
-    assert np.all(np.abs(z - np.round(z)) <= 1e-6)
+    x = v[layout.x]   # snapped: each weight is exactly 0 or at least min_alloc
+    assert np.all((x == 0.0) | (x >= cfg.min_alloc))
 
 
 @pytest.mark.parametrize("values, weights, budget", [
@@ -153,9 +152,11 @@ def test_node_limit_errors():
 
 
 def test_binary_bounds_validated():
-    base = LpProblem(c=[1.0], sense="max", lower=[0.0], upper=[2.0])
-    with pytest.raises(DataError):
-        MilpProblem(base=base, binary_indices=(0,))
+    base = LpProblem(c=[1.0, 1.0], sense="max", lower=[0.0, 0.5], upper=[2.0, 2.0])
+    assert MilpProblem(base=base, on_off={0: 2.0}).on_off == {0: 2.0}
+    for on_off in ({0: 0.0}, {0: -1.0}, {0: np.nan}, {0: 2.5}, {1: 1.0}):
+        with pytest.raises(DataError):
+            MilpProblem(base=base, on_off=on_off)
 
 
 # Differential tests against HiGHS through scipy, which stays a test-only
@@ -171,12 +172,15 @@ HIGHS_MILP = {"presolve": False, "mip_rel_gap": 1e-12, "mip_feasibility_toleranc
 
 
 def highs_milp(problem: MilpProblem) -> tuple[SolveStatus, float]:
-    """Status and objective (in the problem's sense) from scipy's HiGHS."""
+    """Status and objective (in the problem's sense) from scipy's HiGHS,
+    which solves the big-M form: a binary and two link rows per on/off
+    column."""
     opt = pytest.importorskip("scipy.optimize")
-    base = problem.base
+    textbook = big_m_milp(problem)
+    base = textbook.base
     sign = 1.0 if base.sense == "min" else -1.0
     integrality = np.zeros(base.n_vars)
-    integrality[list(problem.binary_indices)] = 1
+    integrality[list(textbook.on_off)] = 1
     constraints = []
     if base.a_eq.shape[0]:
         constraints.append(opt.LinearConstraint(base.a_eq, base.b_eq, base.b_eq))
@@ -216,7 +220,7 @@ def test_matches_highs_on_random_binary_milps():
         base = LpProblem(c=rng.integers(-9, 10, n).astype(float), sense=sense,
                          a_ub=rng.integers(-5, 6, (m, n)).astype(float),
                          b_ub=rng.integers(-4, 6, m).astype(float), lower=lower, upper=upper)
-        sol = assert_matches_highs(MilpProblem(base=base, binary_indices=tuple(range(n_bin))))
+        sol = assert_matches_highs(MilpProblem(base=base, on_off=dict.fromkeys(range(n_bin), 1.0)))
         seen[sense] += 1
         seen[SolveStatus.INFEASIBLE] += sol.status is SolveStatus.INFEASIBLE
         seen["branched"] += sol.nodes > 1
@@ -251,17 +255,63 @@ def test_perturbed_fixture_matches_highs(fixture_train):
     assert abs(report.objective - objective) <= 1e-9
 
 
-# Variable-bound binaries: solve_milp turns a binary that only switches one
-# continuous column on and off into bounds on that column. Each near miss
-# breaks one condition of the rule on the first pair and must stay a column.
+def random_on_off_milp(rng) -> MilpProblem:
+    """A random MILP mixing on/off columns with thresholds below their upper
+    bounds, binaries and continuous columns under general rows."""
+    n_on, n_bin, n_cont = int(rng.integers(1, 4)), int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    n = n_on + n_bin + n_cont
+    upper = np.concatenate([rng.uniform(0.5, 3.0, n_on).round(2), np.ones(n_bin),
+                            rng.uniform(0.5, 3.0, n_cont).round(2)])
+    lower = np.concatenate([np.zeros(n_on + n_bin), rng.uniform(-2.0, 0.0, n_cont).round(2)])
+    thresholds = (rng.uniform(0.2, 0.9, n_on) * upper[:n_on]).round(2)
+    on_off = dict(zip(range(n_on), thresholds)) | dict.fromkeys(range(n_on, n_on + n_bin), 1.0)
+    m = int(rng.integers(1, 4))
+    base = LpProblem(c=rng.integers(-9, 10, n).astype(float), sense=str(rng.choice(["min", "max"])),
+                     a_ub=rng.integers(-5, 6, (m, n)).astype(float),
+                     b_ub=rng.integers(-3, 6, m).astype(float), lower=lower, upper=upper)
+    return MilpProblem(base=base, on_off=on_off)
+
+
+def test_on_off_columns_match_highs(monkeypatch):
+    # a 1-branch on an on/off column that is not a binary (its upper bound
+    # is not 1) reopens the node LP with that column's lower bound at t
+    raised = []
+    real_reopen = SimplexState.reopen
+
+    def reopen(state, start, cost, lower, upper):
+        raised.append(lower)
+        return real_reopen(state, start, cost, lower, upper)
+
+    monkeypatch.setattr(SimplexState, "reopen", reopen)
+    rng = np.random.default_rng(211)
+    seen = {"min": 0, "max": 0, SolveStatus.INFEASIBLE: 0, "branched": 0,
+            "branched_on_a_threshold": 0}
+    for _ in range(200):
+        problem = random_on_off_milp(rng)
+        raised.clear()
+        sol = assert_matches_highs(problem)
+        seen[problem.base.sense] += 1
+        seen[SolveStatus.INFEASIBLE] += sol.status is SolveStatus.INFEASIBLE
+        seen["branched"] += sol.nodes > 1
+        thresholds = {j: t for j, t in problem.on_off.items() if problem.base.upper[j] != 1.0}
+        seen["branched_on_a_threshold"] += any(lo[j] == t for lo in raised
+                                               for j, t in thresholds.items())
+        if sol.v is not None:
+            x = sol.v[list(problem.on_off)]
+            assert np.all((x == 0.0) | (x >= list(problem.on_off.values())))
+    assert min(seen.values()) >= 20, seen
+
+
+# Variable-bound MILPs: binaries z_i linked to continuous x_i by
+# l_i z_i <= x_i <= u_i z_i. Each near miss gives the first pair a feature
+# that keeps it from being a plain on/off switch of x_i.
 NEAR_MISSES = ("cost", "equality", "third_row", "shared_x", "x_lower", "low_too_big")
 
 
-def linked_milp(rng, miss: str | None) -> tuple[MilpProblem, set[int]]:
+def linked_milp(rng, miss: str | None) -> MilpProblem:
     """A random MILP whose pairs (x_i, z_i) are linked by
     l_i z_i <= x_i <= u_i z_i (some without the lower link), with general
-    rows over the x, other continuous columns and plain binaries, and the
-    set of z the rule must recognize."""
+    rows over the x, other continuous columns and plain binaries."""
     n_x = int(rng.integers(2, 5))
     n_other, n_plain = int(rng.integers(0, 3)), int(rng.integers(0, 3))
     n = 2 * n_x + n_other + n_plain
@@ -279,19 +329,15 @@ def linked_milp(rng, miss: str | None) -> tuple[MilpProblem, set[int]]:
     low = np.where(rng.random(n_x) < 0.7,
                    rng.uniform(0.05, 1.0, n_x) * np.minimum(u, upper[xs]), 0.0).round(2)
     partner = xs.copy()
-    recognized = set(zs.tolist())
     if miss == "cost":
         c[zs[0]] = float(rng.choice([-3.0, 2.0]))
     elif miss == "shared_x":
         partner[1] = xs[0]
         upper[xs[1]] = 1.0   # x_1 keeps no link to bound it
-        recognized -= {zs[0], zs[1]}
     elif miss == "x_lower":
         lower[xs[0]] = float(rng.choice([-0.5, 0.1]))
     elif miss == "low_too_big":
         low[0] = round(min(u[0], upper[xs[0]]) + rng.uniform(0.05, 0.5), 2)
-    if miss in ("cost", "equality", "third_row", "x_lower", "low_too_big"):
-        recognized.discard(zs[0])
 
     m = int(rng.integers(1, 4))
     a_general = np.zeros((m, n))
@@ -321,38 +367,22 @@ def linked_milp(rng, miss: str | None) -> tuple[MilpProblem, set[int]]:
             b_ub.append(np.ones(1))
     base = LpProblem(c=c, sense=str(rng.choice(["min", "max"])), a_ub=np.vstack(rows),
                      b_ub=np.concatenate(b_ub), lower=lower, upper=upper, **kw)
-    return MilpProblem(base=base, binary_indices=tuple(plain) + tuple(zs)), recognized
+    return MilpProblem(base=base, on_off=dict.fromkeys(tuple(plain) + tuple(zs), 1.0))
 
 
-def test_variable_bound_rule_matches_highs(monkeypatch):
-    # a 1-branch on a recognized binary reopens the node LP with its x's
-    # lower bound raised to l > 0 (the z columns come last, so the node LP
-    # keeps each x's index)
-    lowers = []
-    real_reopen = SimplexState.reopen
-
-    def reopen(state, start, cost, lower, upper):
-        lowers.append(lower)
-        return real_reopen(state, start, cost, lower, upper)
-
-    monkeypatch.setattr(SimplexState, "reopen", reopen)
+def test_variable_bound_rule_matches_highs():
     rng = np.random.default_rng(97)
-    seen = dict.fromkeys(("exact", "upper_link_only", "branched_on_a_bound") + NEAR_MISSES, 0)
+    seen = dict.fromkeys(("exact", "branched") + NEAR_MISSES, 0)
     for i in range(240):
         miss = None if i % 2 == 0 else NEAR_MISSES[(i // 2) % len(NEAR_MISSES)]
-        problem, recognized = linked_milp(rng, miss)
-        links = _variable_bounds(problem)
-        assert set(links.z.tolist()) == recognized
-        lowers.clear()
-        assert_matches_highs(problem)
+        sol = assert_matches_highs(linked_milp(rng, miss))
         seen[miss or "exact"] += 1
-        seen["upper_link_only"] += bool(np.any(links.low == 0.0))
-        seen["branched_on_a_bound"] += any(np.any(lo[links.x] > 0.0) for lo in lowers)
+        seen["branched"] += sol.nodes > 1
     assert min(seen.values()) >= 20, seen
 
 
 def test_md_milp_at_the_extreme_min_allocs():
-    # The smallest positive min_alloc makes every lower link void, so the
+    # The smallest positive min_alloc makes every on/off rule void, so the
     # MILP is the md LP; min_alloc = cap puts each held name exactly at the
     # cap, so each 1-branch fixes its x.
     rng = np.random.default_rng(101)
@@ -364,7 +394,6 @@ def test_md_milp_at_the_extreme_min_allocs():
         returns = make_returns(data)
         rho = float(np.quantile(data.mean(axis=1), rng.uniform(0.2, 0.9)))
         problem, layout = md_milp_problem(returns, ModelConfig(rho=rho, min_alloc=tiny))
-        assert np.array_equal(_variable_bounds(problem).z, np.arange(n + 1, 2 * n + 1))
         sol = assert_matches_highs(problem)
         md = solve_lp(md_problem(returns, ModelConfig(rho=rho))[0])
         assert sol.status is md.status
@@ -374,7 +403,6 @@ def test_md_milp_at_the_extreme_min_allocs():
 
         cap = float(rng.choice([0.2, 0.25, 0.5]))
         problem, layout = md_milp_problem(returns, ModelConfig(rho=rho, min_alloc=cap, cap=cap))
-        assert np.array_equal(_variable_bounds(problem).z, np.arange(n + 1, 2 * n + 1))
         sol = assert_matches_highs(problem)
         if sol.status is SolveStatus.OPTIMAL:
             optimal["cap"] += 1

@@ -19,7 +19,6 @@ from portopt.models import (
     MODEL_FIELDS,
     SOLVERS,
     ModelLayout,
-    l1_augment,
     mad_problem,
     markowitz_problem,
     md_milp_problem,
@@ -35,7 +34,7 @@ from portopt.models import (
 from portopt.qp_solver import solve_qp
 
 from conftest import FIXTURE_PATH, FIXTURE_RHO, make_returns
-from oracles import grid_best_mad, weight_grid
+from oracles import big_m_milp, grid_best_mad, weight_grid
 
 
 def stats_from(data):
@@ -73,12 +72,13 @@ class TestLayout:
         _, layout = mad_problem(returns, ModelConfig(rho=0.0))
         assert layout.n_cols == 13
 
-    def test_milp_layout_has_2n_plus_one_columns(self):
+    def test_milp_layout_is_the_md_layout(self):
         returns = make_returns(rng_global.normal(0.001, 0.02, (6, 5)))
-        problem, layout = md_milp_problem(returns, ModelConfig(rho=0.0))
-        assert layout.n_cols == 13
-        assert len(problem.binary_indices) == 6
-        assert layout.z == slice(7, 13)
+        cfg = ModelConfig(rho=0.0, min_alloc=0.1)
+        problem, layout = md_milp_problem(returns, cfg)
+        assert layout == md_problem(returns, cfg)[1]
+        assert layout.n_cols == 7 and problem.base.n_vars == 7
+        assert problem.on_off == dict.fromkeys(range(6), 0.1)
 
 
 class TestMarkowitz:
@@ -236,18 +236,6 @@ class TestL1Augmentation:
         stats = stats_from(rng_global.normal(0.001, 0.02, (4, 25)))
         problem, layout = simultaneous_problem(stats, ModelConfig(lam=1.0))
         assert problem.n_vars == 4 and layout.n_cols == 4
-        with pytest.raises(DataError):
-            l1_augment(problem, 0.0)
-
-    def test_augmented_block_structure(self):
-        stats = stats_from(rng_global.normal(0.001, 0.02, (3, 25)))
-        problem, _ = simultaneous_problem(stats, ModelConfig(lam=1.0))
-        augmented = l1_augment(problem, 1.0)
-        assert augmented.n_vars == 6
-        assert np.allclose(augmented.c[3:], 1.0)
-        # linking rows x_i - u_i <= 0 sit at the bottom of the row block
-        assert np.allclose(augmented.a_ub[-3:, :3], np.eye(3))
-        assert np.allclose(augmented.a_ub[-3:, 3:], -np.eye(3))
 
     @pytest.mark.parametrize("mu", [1.0, 100.0])
     def test_no_effect_theorem_simultaneous(self, mu):
@@ -381,10 +369,12 @@ class TestMdMilp:
         assert [fixture_train.tickers[i] for i in held] == ["ABM", "ADJ", "AOW"]
 
     def test_full_relaxation_is_the_md_lp(self, fixture_train, fixture_md_report):
-        # all 843 rows at once: an LP regression case (the B&B's node LPs
-        # hold the link rows as bounds instead)
+        # the big-M form's relaxation, all 843 rows at once: an LP regression
+        # case (the B&B's node LPs are the md LP under changed bounds)
         problem, _ = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
-        sol = solve_lp(problem.base)
+        relaxation = big_m_milp(problem).base
+        assert relaxation.a_ub.shape == (843, 781)
+        sol = solve_lp(relaxation)
         assert sol.status is SolveStatus.OPTIMAL
         assert abs(sol.objective - fixture_md_report.objective) <= 1e-12
 

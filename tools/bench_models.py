@@ -6,8 +6,10 @@ Work is the model report's `iterations`: Frank-Wolfe iterations for the
 quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
 nodes for `md_milp`, whose node LPs and their pivots are read from the
 `MilpSolution` of one more solve of the same problem (`node_lps` is null
-where `MilpSolution` lacks it: each node is one LP there). The LP models also
-report the phase-1 pivots of their region. `markowitz` and
+where `MilpSolution` lacks it: each node is one LP there). That second
+solve is timed apart from building its problem, as `build_seconds` and
+`solve_seconds`; both are warm, after the report's own solve. The LP models
+also report the phase-1 pivots of their region. `markowitz` and
 `reverse_markowitz` report their Frank-Wolfe oracles' work, summed over every
 simplex state the solve builds: `oracle_states`, `oracle_pivots`,
 `oracle_factorizations` (LAPACK solves that refactorized a basis) and
@@ -99,8 +101,13 @@ def run(seed: int) -> dict:
         if tag in ORACLE_COUNTED:
             row.update(_oracle_work(oracle_states))
         if tag == "md_milp":
-            sol = solve_milp(models.md_milp_problem(window, cfg)[0])
-            row.update(node_lps=getattr(sol, "node_lps", None), node_pivots=sol.node_pivots)
+            started = time.perf_counter()
+            problem = models.md_milp_problem(window, cfg)[0]
+            built = time.perf_counter()
+            sol = solve_milp(problem)
+            row.update(build_seconds=round(built - started, 6),
+                       solve_seconds=round(time.perf_counter() - built, 6),
+                       node_lps=getattr(sol, "node_lps", None), node_pivots=sol.node_pivots)
         if tag in builders:
             row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
         return row
