@@ -14,30 +14,32 @@ Algorithm notes:
   (equality rows and `<=` rows with a negative residual) get an artificial.
   Phase 1 minimizes the sum of those artificials; a positive phase-1 optimum
   (> feasibility tolerance) certifies infeasibility. Surviving artificials are
-  locked to [0, 0] rather than pivoted out eagerly; locked columns always
-  block the ratio test at zero, so degenerate pivots evict them on demand and
-  redundant rows stay harmlessly basic.
+  locked to [0, 0] rather than pivoted out eagerly, and stay in the tableau;
+  locked columns always block the ratio test at zero, so degenerate pivots
+  evict them on demand and redundant rows stay harmlessly basic.
 * Pricing is Dantzig (most negative reduced cost); Bland's smallest-index rule
   engages after 50 consecutive degenerate pivots and guarantees termination.
 * The working tableau is B^-1 [A | b], refreshed by direct refactorization if
   the final solution drifts past the feasibility tolerance.
-* `SimplexState` keeps the tableau of one feasible region across objectives:
-  phase 1 runs once, and each later `minimize` refactorizes the kept basis and
-  runs phase 2 from it (a fresh phase 1 only if that basis has drifted
-  infeasible). A tableau keeps B^-1 [G | h] for the last `FACTOR_CACHE` bases
-  it refactorized, so a basis seen before is restored by copying that array
-  rather than solving with B again; the copy equals a fresh solve bit for
-  bit. `solve_lp` is one state minimized once.
+* `SimplexState` keeps one tableau for its whole life, across objectives and
+  bound changes: phase 1 runs once, and each later `minimize` refactorizes the
+  kept basis and runs phase 2 from it (phase 1 reruns in the same tableau only
+  if that basis has drifted infeasible). The tableau keeps B^-1 [G | h] for
+  the last `FACTOR_CACHE` bases it refactorized, so a basis seen before is
+  restored by copying that array rather than solving with B again; the copy
+  equals a fresh solve bit for bit. The store is per state: per QP solve for
+  the Frank-Wolfe oracle, per search for branch and bound, at most 32 arrays
+  of m x (columns + 1) floats. `solve_lp` is one state minimized once.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
-  cost: `SimplexState.reopen` takes a saved basis (basic columns and nonbasic
-  statuses, not the tableau) and new bounds; the rows stay as they are, so
-  the saved reduced costs stay dual feasible. The dual loop takes the row
-  farthest outside its bounds, and the ratio test picks the column with the
-  smallest |z_j / alpha_rj|, ties broken by the largest |alpha_rj|; a row
-  that no column can move back into its bounds proves the region empty.
-  Dual-degenerate stalls switch to the same smallest-index rule after the
-  same 50 steps, and the primal simplex then cleans up. Branch and bound
-  re-solves its node LPs this way.
+  cost: `SimplexState.reopen` writes new bounds into the kept tableau and
+  takes a saved basis (basic columns and nonbasic statuses); the rows stay as
+  they are, so the saved reduced costs stay dual feasible. The dual loop
+  takes the row farthest outside its bounds, and the ratio test picks the
+  column with the smallest |z_j / alpha_rj|, ties broken by the largest
+  |alpha_rj|; a row that no column can move back into its bounds proves the
+  region empty. Dual-degenerate stalls switch to the same smallest-index
+  rule after the same 50 steps, and the primal simplex then cleans up.
+  Branch and bound re-solves its node LPs this way.
 
 Tolerances: pivot/optimality 1e-9, primal feasibility 1e-7, both documented in
 the solution certificate check so results are reproducible.
@@ -57,7 +59,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-12
 BLAND_TRIGGER = 50
-FACTOR_CACHE = 32   # refactorized bases whose B^-1 [G | h] a tableau keeps
+FACTOR_CACHE = 32   # refactorized bases whose B^-1 [G | h] a state's tableau keeps
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -147,13 +149,15 @@ def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 class _Tableau:
     """Mutable simplex state over columns = structural + slacks + artificials."""
 
-    def __init__(self, g: np.ndarray, h: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-        self.g = g              # m x n_real, original rows (slacks included)
+    def __init__(self, g: np.ndarray, h: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                 pivot_limit: int):
+        self.g = g              # m x n_cols: original rows (slacks included), then artificials
         self.h = h
-        self.m = g.shape[0]
-        self.n_real = g.shape[1]
+        self.m, self.n_real = g.shape
         self.lower = lower
         self.upper = upper
+        self.pivot_limit = pivot_limit      # pivots allowed per call, counted from call_start
+        self.call_start = 0
         self.basis = np.empty(0, dtype=int)
         self.status = np.empty(0, dtype=np.int8)
         self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
@@ -212,18 +216,22 @@ class _Tableau:
         """Phase-1 setup with a slack crash basis (Bixby 1992).
 
         `slack` holds each row's slack column (coefficient +1, bounds
-        [0, inf)), or -1 for an equality row. Nonbasics rest at their nearest
-        finite bound. A `<=` row whose slack absorbs the residual h - G v at
-        that point starts with the slack basic; every other row (equality rows
-        and `<=` rows with a negative residual) gets an artificial signed to
-        absorb its residual. B is diagonal with entries +1 (slacks) and +-1
-        (artificials), so B^-1 scales rows by sign.
+        [0, inf)), or -1 for an equality row. An earlier phase 1's artificials
+        are dropped first, and the factor store with them. Nonbasics rest at
+        their nearest finite bound. A `<=` row whose slack absorbs the
+        residual h - G v at that point starts with the slack basic; every
+        other row (equality rows and `<=` rows with a negative residual) gets
+        an artificial on [0, inf) signed to absorb its residual. B is diagonal
+        with entries +1 (slacks) and +-1 (artificials), so B^-1 scales rows by
+        sign.
         """
-        status = _resting_status(self.lower, self.upper)
-        vals = np.zeros(self.n_real)
-        vals[status == AT_LOWER] = self.lower[status == AT_LOWER]
-        vals[status == AT_UPPER] = self.upper[status == AT_UPPER]
-        residual = self.h - self.g @ vals
+        n = self.n_real
+        g, lower, upper = self.g[:, :n], self.lower[:n], self.upper[:n]
+        status = _resting_status(lower, upper)
+        vals = np.zeros(n)
+        vals[status == AT_LOWER] = lower[status == AT_LOWER]
+        vals[status == AT_UPPER] = upper[status == AT_UPPER]
+        residual = self.h - g @ vals
         crashed = (slack >= 0) & (residual >= 0)
         art_rows = np.flatnonzero(~crashed)
         self.n_art = art_rows.size
@@ -231,24 +239,23 @@ class _Tableau:
         art = np.zeros((self.m, self.n_art))
         art[art_rows, np.arange(self.n_art)] = signs[art_rows]
         basis = slack.copy()
-        basis[art_rows] = self.n_real + np.arange(self.n_art)
+        basis[art_rows] = n + np.arange(self.n_art)
         status[basis[crashed]] = BASIC
-        self.lower = np.concatenate([self.lower, np.zeros(self.n_art)])
-        self.upper = np.concatenate([self.upper, np.full(self.n_art, np.inf)])
-        g_ext = np.hstack([self.g, art])
+        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
+        self.upper = np.concatenate([upper, np.full(self.n_art, np.inf)])
+        self.g = np.hstack([g, art])
         # B = diag(signs) so B^-1 applies row signs directly
-        self.work = np.hstack([g_ext, self.h[:, None]]) * signs[:, None]
-        self.g = g_ext
+        self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
         self._gh = None
         self._factors.clear()
+        self.degenerate_run = 0
         self.set_basis(basis, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
 
-    def lock_artificials(self):
-        for j in range(self.n_real, self.n_cols):
-            self.lower[j] = 0.0
-            self.upper[j] = 0.0
-            if self.status[j] != BASIC:
-                self.status[j] = AT_LOWER
+    def set_bounds(self, lower: np.ndarray, upper: np.ndarray):
+        """Put the structural and slack columns under `lower` and `upper`,
+        with every artificial column locked at [0, 0]."""
+        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
+        self.upper = np.concatenate([upper, np.zeros(self.n_art)])
         self._reset_values()
 
     def refactorize(self):
@@ -280,9 +287,9 @@ class _Tableau:
 
     # -- the simplex loop ---------------------------------------------------
 
-    def run(self, cost: np.ndarray, pivot_limit: int) -> str:
+    def run(self, cost: np.ndarray) -> str:
         """Minimize cost @ x from the current basis. Returns 'optimal' or
-        'unbounded'; raises if the pivot budget is exhausted."""
+        'unbounded'; raises if the call's pivot budget is exhausted."""
         bland = False
         movable = self.upper > self.lower  # fixed columns can never improve
         while True:
@@ -322,9 +329,9 @@ class _Tableau:
                 else:
                     r = int(ties[np.abs(step[ties]).argmax()])
                 self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
-            bland = self._note_step(t_star, pivot_limit)
+            bland = self._note_step(t_star)
 
-    def dual_run(self, cost: np.ndarray, pivot_limit: int) -> str:
+    def dual_run(self, cost: np.ndarray) -> str:
         """Restore primal feasibility by the bounded dual simplex.
 
         Starts from a basis whose reduced costs under `cost` are dual
@@ -336,7 +343,7 @@ class _Tableau:
         'feasible' once every basic variable is within FEAS_TOL of its
         bounds, or 'infeasible' when the leaving row has no such column: its
         basic variable is then out of bounds at every point of the region.
-        Raises if the pivot budget is exhausted.
+        Raises if the call's pivot budget is exhausted.
         """
         bland = False
         movable = self.upper > self.lower
@@ -370,7 +377,7 @@ class _Tableau:
             else:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
             self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
-            bland = self._note_step(t_star, pivot_limit)
+            bland = self._note_step(t_star)
 
     def _pivot(self, r: int, j: int, leaving_status: int):
         """Column j enters the basis at row r; the leaving column rests at
@@ -390,12 +397,17 @@ class _Tableau:
         self.work -= self._buf
         self.pivots += 1
 
-    def _note_step(self, step: float, pivot_limit: int) -> bool:
-        """Count a step of length `step` and enforce the pivot budget. Returns
-        whether the smallest-index rule is on: after BLAND_TRIGGER consecutive
-        degenerate steps, until a step makes progress."""
-        if self.pivots > pivot_limit:
-            raise RuntimeError(f"simplex exceeded the pivot limit ({pivot_limit})")
+    def start_call(self):
+        """Open a new pivot budget and forget the degenerate run."""
+        self.call_start = self.pivots
+        self.degenerate_run = 0
+
+    def _note_step(self, step: float) -> bool:
+        """Count a step of length `step` and enforce the call's pivot budget.
+        Returns whether the smallest-index rule is on: after BLAND_TRIGGER
+        consecutive degenerate steps, until a step makes progress."""
+        if self.pivots - self.call_start > self.pivot_limit:
+            raise RuntimeError(f"simplex exceeded the pivot limit ({self.pivot_limit})")
         if step <= DEGEN_TOL:
             self.degenerate_run += 1
         else:
@@ -433,63 +445,52 @@ class SimplexState:
     """A primal feasible basis of one region, kept across objectives.
 
     Built from an LpProblem whose `c` and `sense` are ignored: the standard
-    form is set up and phase 1 runs once, locking artificials left basic at
-    zero. `minimize(cost)` runs phase 2 for a minimization cost over the
-    structural variables, starting from the kept basis. Every call after the
-    first refactorizes that basis (from its kept factorization when the basis
-    was refactorized before), so pivot drift never carries from one call to
-    the next; if the refactorized basis is no longer primal feasible within
-    1e-7, phase 1 runs again. `pivot_limit` bounds the pivots of each call
-    (the first call shares it with the initial phase 1). `reopen` moves the
-    state to new bounds and re-optimizes from a saved `basis()` by the dual
-    simplex.
+    form is set up in one tableau, kept for the state's whole life, and phase
+    1 runs once, locking artificials left basic at zero. `minimize(cost)` runs
+    phase 2 for a minimization cost over the structural variables, starting
+    from the kept basis. Every call after the first refactorizes that basis
+    (from its kept factorization when the basis was refactorized before), so
+    pivot drift never carries from one call to the next; if the refactorized
+    basis is no longer primal feasible within 1e-7, phase 1 runs again in the
+    same tableau. `pivot_limit` bounds the pivots of each call (the first
+    call shares it with the initial phase 1), never the state's lifetime.
+    `reopen` moves the state to new bounds and re-optimizes from a saved
+    `basis()` by the dual simplex. Every call shares the tableau's factor
+    store, so a branch-and-bound search keeps one store.
     """
 
     def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
         self.problem = problem
-        self._pivot_limit = pivot_limit
         n, m_eq, m_ub = problem.n_vars, problem.a_eq.shape[0], problem.a_ub.shape[0]
         g = np.zeros((m_eq + m_ub, n + m_ub))
         g[:m_eq, :n] = problem.a_eq
         g[m_eq:, :n] = problem.a_ub
         g[m_eq:, n:] = np.eye(m_ub)
-        self._g = g
-        self._h = np.concatenate([problem.b_eq, problem.b_ub])
+        h = np.concatenate([problem.b_eq, problem.b_ub])
         self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
-        self._set_bounds(problem.lower, problem.upper)
-        self._done = 0  # pivots of calls before the current one, and of dropped tableaux
-        self._done_factorizations = self._done_reuses = 0   # of dropped tableaux
-        self._tab = None
+        self._tab = _Tableau(g, h, *self._set_region(problem.lower, problem.upper), pivot_limit)
         self._phase1()
         self._fresh = True
 
-    def _set_bounds(self, lower: np.ndarray, upper: np.ndarray):
-        """Put the structural columns under `lower` and `upper`; the standard
-        form has one slack column per `<=` row, in row order, with bounds
-        [0, inf)."""
+    def _set_region(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Check vertices against structural bounds `lower` and `upper` from
+        now on, and return the standard form's column bounds: one slack
+        column per `<=` row, in row order, with bounds [0, inf)."""
         p = self.problem
         m_ub = p.a_ub.shape[0]
-        self._lower = np.concatenate([lower, np.zeros(m_ub)])
-        self._upper = np.concatenate([upper, np.full(m_ub, np.inf)])
-        self._region = _Region(p.a_eq, p.b_eq, p.a_ub, p.b_ub, self._lower[:p.n_vars],
-                               self._upper[:p.n_vars])
-
-    def _drop_tableau(self):
-        """Carry the current tableau's work counts over to the state."""
-        if self._tab is not None:
-            self._done += self._tab.pivots
-            self._done_factorizations += self._tab.factorizations
-            self._done_reuses += self._tab.factor_reuses
+        lower = np.concatenate([lower, np.zeros(m_ub)])
+        upper = np.concatenate([upper, np.full(m_ub, np.inf)])
+        self._region = _Region(p.a_eq, p.b_eq, p.a_ub, p.b_ub, lower[:p.n_vars], upper[:p.n_vars])
+        return lower, upper
 
     def _phase1(self):
-        self._drop_tableau()
-        tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
+        tab = self._tab
         tab.cold_start(self._slack)
         phase1_cost = np.concatenate([np.zeros(tab.n_real), np.ones(tab.n_art)])
-        outcome = tab.run(phase1_cost, self._pivot_limit)
+        outcome = tab.run(phase1_cost)
         self.feasible = outcome == "optimal" and float(phase1_cost @ tab.solution()) <= FEAS_TOL
         if self.feasible:
-            tab.lock_artificials()
+            tab.set_bounds(tab.lower[:tab.n_real], tab.upper[:tab.n_real])   # locks artificials
 
     def _restore(self) -> bool:
         """Refactorize the kept basis, or run phase 1 again when that basis is
@@ -504,6 +505,12 @@ class SimplexState:
         self._phase1()
         return self.feasible
 
+    def _full_cost(self, cost: np.ndarray) -> np.ndarray:
+        """`cost` over the structural variables, zero on every other column."""
+        full = np.zeros(self._tab.n_cols)
+        full[:self.problem.n_vars] = cost
+        return full
+
     def basis(self) -> Basis:
         """The kept basis, to `reopen` at later."""
         tab = self._tab
@@ -515,49 +522,50 @@ class SimplexState:
         starting from a saved `basis()` of this state.
 
         The rows stay as they are, so the saved basis keeps every reduced
-        cost it had. The basis is refactorized, the dual simplex restores
-        primal feasibility, and then this is `minimize(cost)` (the primal
-        simplex cleans up and the drift guard checks the vertex against the
-        new bounds). A saved basis that holds an artificial starts from
-        phase 1 instead. Meant for a basis optimal for `cost` before the
-        change, as a branch-and-bound parent's is for its children.
+        cost it had. The new bounds go into the kept tableau, with the
+        artificials locked at 0 and nonbasic; the basis is refactorized, the
+        dual simplex restores primal feasibility, and then this is
+        `minimize(cost)` (the primal simplex cleans up and the drift guard
+        checks the vertex against the new bounds). A saved basis that holds
+        an artificial starts from phase 1 instead. Meant for a basis optimal
+        for `cost` before the change, as a branch-and-bound parent's is for
+        its children.
         """
-        self._drop_tableau()
-        self._set_bounds(lower, upper)
+        tab = self._tab
+        tab.start_call()
+        lower, upper = self._set_region(lower, upper)
+        tab.set_bounds(lower, upper)
         self._fresh = True
-        tab = self._tab = _Tableau(self._g, self._h, self._lower.copy(), self._upper.copy())
-        status = start.status.copy()
-        # a nonbasic whose resting bound is gone moves to one that exists
-        resting = _resting_status(tab.lower, tab.upper)
-        kept = (((status == AT_LOWER) & np.isfinite(tab.lower))
-                | ((status == AT_UPPER) & np.isfinite(tab.upper))
-                | (status == BASIC) | (status == resting))
-        status[~kept] = resting[~kept]
         if np.any(start.basic >= tab.n_real):   # the saved basis holds an artificial
             self._phase1()
             return self.minimize(cost)
-        tab.set_basis(start.basic.copy(), status)
+        status = start.status.copy()
+        # a nonbasic whose resting bound is gone moves to one that exists
+        resting = _resting_status(lower, upper)
+        kept = (((status == AT_LOWER) & np.isfinite(lower))
+                | ((status == AT_UPPER) & np.isfinite(upper))
+                | (status == BASIC) | (status == resting))
+        status[~kept] = resting[~kept]
+        tab.set_basis(start.basic.copy(),
+                      np.concatenate([status, np.full(tab.n_art, AT_LOWER, dtype=np.int8)]))
         tab.refactorize()
-        full_cost = np.zeros(tab.n_cols)
-        full_cost[:self.problem.n_vars] = cost
-        self.feasible = tab.dual_run(full_cost, self._pivot_limit) == "feasible"
+        self.feasible = tab.dual_run(self._full_cost(cost)) == "feasible"
         return self.minimize(cost)
 
     @property
     def pivots(self) -> int:
         """Pivots over the state's lifetime, phase 1 included."""
-        return self._done + self._tab.pivots
+        return self._tab.pivots
 
     @property
     def factorizations(self) -> int:
         """LAPACK solves run to refactorize a basis, over the state's lifetime."""
-        return self._done_factorizations + self._tab.factorizations
+        return self._tab.factorizations
 
     @property
     def factor_reuses(self) -> int:
-        """Refactorizations served from a kept factorization, over the state's
-        lifetime."""
-        return self._done_reuses + self._tab.factor_reuses
+        """Refactorizations served from the factor store, over the state's life."""
+        return self._tab.factor_reuses
 
     @property
     def vertex(self) -> np.ndarray:
@@ -577,22 +585,18 @@ class SimplexState:
         """
         if not self.feasible:
             return SolveStatus.INFEASIBLE
-        if self._fresh:
-            self._fresh = False
-        else:
-            self._done += self._tab.pivots
-            self._tab.pivots = self._tab.degenerate_run = 0
+        if not self._fresh:
+            self._tab.start_call()
             if not self._restore():
                 return SolveStatus.INFEASIBLE
-        full_cost = np.zeros(self._tab.n_cols)
-        full_cost[:self.problem.n_vars] = cost
-        if self._tab.run(full_cost, self._pivot_limit) == "unbounded":
+        self._fresh = False
+        if self._tab.run(self._full_cost(cost)) == "unbounded":
             return SolveStatus.UNBOUNDED
         # Guard against accumulated tableau drift before certifying.
         if _max_violation(self._region, self.vertex) > FEAS_TOL:
             if not self._restore():
                 return SolveStatus.INFEASIBLE
-            if self._tab.run(full_cost, self._pivot_limit) == "unbounded":
+            if self._tab.run(self._full_cost(cost)) == "unbounded":
                 return SolveStatus.UNBOUNDED
             violation = _max_violation(self._region, self.vertex)
             if violation > FEAS_TOL:
@@ -633,8 +637,7 @@ def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
         objective = -np.inf if problem.sense == "min" else np.inf
     else:
         objective = float("nan")
-    full_cost = np.zeros(tab.n_cols)
-    full_cost[:problem.n_vars] = c_min
+    full_cost = state._full_cost(c_min)
     # duals from the final basis: y solves y @ B = c_B
     try:
         y = np.linalg.solve(tab.g[:, tab.basis].T, full_cost[tab.basis])

@@ -157,6 +157,46 @@ def test_kept_state_matches_cold_solves_with_fewer_pivots():
         assert state.pivots < cold_pivots
 
 
+def test_pivot_limit_bounds_each_call_not_the_state():
+    # Alternate minimize and reopen calls on one state, first without a
+    # binding limit. At a limit equal to the largest call's pivots (the first
+    # call shares its budget with phase 1), the same calls, which together
+    # run several times that many, must give the same vertices; one pivot
+    # less must stop the largest call, here a reopen.
+    rng = np.random.default_rng(91)
+    n = 30
+    a_ub = rng.normal(size=(3, n))
+    region = LpProblem(c=np.zeros(n), a_eq=np.ones((1, n)), b_eq=[1.0], a_ub=a_ub,
+                       b_ub=a_ub.mean(axis=1) + 0.3, lower=np.zeros(n), upper=np.full(n, 0.5))
+    costs = rng.normal(size=(4, n))
+
+    def replay(limit: int) -> tuple[list[int], list[np.ndarray]]:
+        state = SimplexState(region, pivot_limit=limit)
+        calls, vertices = [], []
+        for cost in costs:
+            before = state.pivots if calls else 0
+            assert state.minimize(cost) is SolveStatus.OPTIMAL
+            calls.append(state.pivots - before)
+            vertices.append(state.vertex)
+            upper = region.upper.copy()
+            upper[np.argmax(state.vertex)] = 0.0   # the down branch on the largest weight
+            before = state.pivots
+            assert state.reopen(state.basis(), cost, region.lower, upper) is SolveStatus.OPTIMAL
+            calls.append(state.pivots - before)
+            vertices.append(state.vertex)
+        return calls, vertices
+
+    calls, vertices = replay(50000)
+    limit = max(calls)
+    assert min(calls) > 0 and sum(calls) > 3 * limit
+    assert calls.index(limit) == 5   # a reopen, the third
+    again, same = replay(limit)
+    assert again == calls
+    assert all(np.array_equal(a, b) for a, b in zip(same, vertices))
+    with pytest.raises(RuntimeError, match="pivot limit"):
+        replay(limit - 1)
+
+
 def test_max_violation_of_non_finite_vector_is_inf():
     p = LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
                   lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -357,21 +397,27 @@ def test_matches_highs_on_random_lps():
     assert min(seen.values()) >= 25, seen
 
 
-def _child(p: LpProblem, v: np.ndarray, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+def _child(p: LpProblem, v: np.ndarray, kind: str, rng,
+           columns: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of a child of p whose optimum is v.
 
-    "branch" tightens one column's bound past v, as branching does; "fix"
-    fixes one column at or near v; "several" tightens two or three columns at
-    once. Some children are infeasible.
+    "down" and "up" move one column's bound past v, from above or from below,
+    as the two sides of a branch do; "branch" is either side; "fix" fixes one
+    column at or near v; "several" tightens two or three columns at once.
+    `columns` picks the columns instead of a random draw. Some children are
+    infeasible.
     """
     n = p.n_vars
     lower, upper = p.lower.copy(), p.upper.copy()
-    columns = rng.choice(n, size=min(n, int(rng.integers(2, 4))), replace=False)
-    for j in (columns if kind == "several" else columns[:1]):
+    if columns is None:
+        columns = rng.choice(n, size=min(n, int(rng.integers(2, 4))), replace=False)
+        columns = columns if kind == "several" else columns[:1]
+    for j in columns:
         move = rng.uniform(0.1, 1.5)
+        side = kind if kind in ("down", "up") else str(rng.choice(["down", "up"]))
         if kind == "fix":
             lower[j] = upper[j] = v[j] + rng.choice([-move, 0.0, move])
-        elif rng.random() < 0.5:
+        elif side == "down":
             upper[j] = v[j] - move
             lower[j] = min(lower[j], upper[j])
         else:
@@ -381,17 +427,24 @@ def _child(p: LpProblem, v: np.ndarray, kind: str, rng) -> tuple[np.ndarray, np.
 
 
 def test_reopen_matches_cold_solves_and_highs():
-    # A parent LP is solved, then re-opened from its basis under changed
-    # bounds; the re-solve must agree with a cold solve of the child and with
-    # HiGHS, and take fewer pivots than the cold solves. A repeated equality
-    # row leaves an artificial basic, and such a basis re-opens through
-    # phase 1.
+    # A parent LP is solved, then its one state is re-opened several times in
+    # a row under changed bounds: both children of a branch on one column,
+    # from the parent's basis, then a third bound change, from the basis of
+    # the last child solved to optimality (a grandchild) or else from the
+    # parent's. Every re-solve must agree with a cold solve of its child and
+    # with HiGHS, and take fewer pivots than the cold solves. A repeated
+    # equality row leaves an artificial basic, and such a basis re-opens
+    # through phase 1. A child that phase 1 proves infeasible leaves its
+    # artificials unlocked and basic in the tableau the next re-open uses.
+    # (Here that next re-open runs phase 1 again; the test below covers a
+    # dual-simplex re-open after it.)
     rng = np.random.default_rng(71)
     kinds = ("branch", "fix", "several")
-    seen = dict.fromkeys(kinds, 0)
-    seen.update({SolveStatus.INFEASIBLE: 0, SolveStatus.OPTIMAL: 0, "artificial": 0})
+    seen = dict.fromkeys(kinds + ("grandchild", "artificial", "phase1_infeasible",
+                                  "after_phase1_infeasible"), 0)
+    seen.update({SolveStatus.INFEASIBLE: 0, SolveStatus.OPTIMAL: 0})
     warm_pivots = cold_pivots = 0
-    while min(seen.values()) < 20 or sum(seen[k] for k in kinds) < 240:
+    while min(seen.values()) < 20 or sum(seen[k] for k in kinds) < 120:
         n = int(rng.integers(2, 9))
         kind = rng.choice(["lower", "box", "free", "upper"], size=n, p=[0.4, 0.3, 0.2, 0.1])
         lower = np.where(np.isin(kind, ["lower", "box"]), rng.uniform(-1, 1, n).round(2), -np.inf)
@@ -405,6 +458,8 @@ def test_reopen_matches_cold_solves_and_highs():
         if m_eq:
             a_eq = rng.normal(size=(m_eq, n)).round(2)
             b_eq = rng.normal(size=m_eq).round(2)
+            if rng.random() < 0.5:   # tight at the cold start: artificials start basic at 0
+                b_eq = a_eq @ _cold_start_point(lower, upper)
             repeat = np.arange(m_eq + 1) % m_eq if rng.random() < 0.25 else np.arange(m_eq)
             kw.update(a_eq=a_eq[repeat], b_eq=b_eq[repeat])
         parent = LpProblem(**kw)
@@ -412,27 +467,72 @@ def test_reopen_matches_cold_solves_and_highs():
         state = SimplexState(parent)
         if state.minimize(sign * parent.c) is not SolveStatus.OPTIMAL:
             continue
-        change = str(rng.choice(kinds))
-        lo, up = _child(parent, state.vertex, change, rng)
-        child = LpProblem(c=parent.c, sense=parent.sense, a_eq=parent.a_eq, b_eq=parent.b_eq,
-                          a_ub=parent.a_ub, b_ub=parent.b_ub, lower=lo, upper=up)
-        start = state.basis()
-        seen["artificial"] += bool(np.any(start.basic >= start.status.size))
-        before = state.pivots
-        status = state.reopen(start, sign * parent.c, lo, up)
-        warm_pivots += state.pivots - before
-        cold = solve_lp(child)
-        cold_pivots += cold.pivots
-        highs_status, highs_objective = highs_lp(child)
-        assert status is cold.status is highs_status
-        seen[change] += 1
-        seen[status] += 1
-        if status is SolveStatus.OPTIMAL:
-            objective = float(child.c @ state.vertex)
-            assert _max_violation(child, state.vertex) <= 1e-7
-            for reference in (cold.objective, highs_objective):
-                assert abs(objective - reference) <= 1e-9 * (1 + abs(reference))
+        column = [int(rng.integers(n))]
+        root = latest = (parent, state.vertex, state.basis())
+        infeasible_phase1 = False
+        for change in ("down", "up", str(rng.choice(kinds))):
+            if change in kinds:
+                seen[change] += 1
+                seen["grandchild"] += latest is not root
+                base, v, start = latest
+                lo, up = _child(base, v, change, rng)
+            else:
+                base, v, start = root
+                lo, up = _child(base, v, change, rng, column)
+            child = LpProblem(c=parent.c, sense=parent.sense, a_eq=parent.a_eq,
+                              b_eq=parent.b_eq, a_ub=parent.a_ub, b_ub=parent.b_ub,
+                              lower=lo, upper=up)
+            through_phase1 = bool(np.any(start.basic >= start.status.size))
+            seen["artificial"] += through_phase1
+            seen["after_phase1_infeasible"] += infeasible_phase1
+            before = state.pivots
+            status = state.reopen(start, sign * parent.c, lo, up)
+            warm_pivots += state.pivots - before
+            cold = solve_lp(child)
+            cold_pivots += cold.pivots
+            highs_status, highs_objective = highs_lp(child)
+            assert status is cold.status is highs_status
+            seen[status] += 1
+            infeasible_phase1 = through_phase1 and status is SolveStatus.INFEASIBLE
+            seen["phase1_infeasible"] += infeasible_phase1
+            if status is SolveStatus.OPTIMAL:
+                objective = float(child.c @ state.vertex)
+                assert _max_violation(child, state.vertex) <= 1e-7
+                for reference in (cold.objective, highs_objective):
+                    assert abs(objective - reference) <= 1e-9 * (1 + abs(reference))
+                if change not in kinds:
+                    latest = (child, state.vertex, state.basis())
     assert warm_pivots < cold_pivots, (warm_pivots, cold_pivots)
+
+
+def test_dual_reopen_after_an_infeasible_phase1_keeps_artificials_locked():
+    # x0 is fixed at 0 in the parent and alone in the row x0 = 0, so that
+    # row's artificial stays basic at zero and the parent's basis re-opens
+    # through phase 1. The first child frees x0 and phase 1 evicts the
+    # artificial; the second child's phase 1 proves x0 >= 0.5 infeasible and
+    # leaves a new artificial on [0, inf), basic at 0.5. The grandchild
+    # re-opens from the first child's basis by the dual simplex, in the same
+    # tableau, where that artificial must be locked again: left free, it
+    # would let x0 rise to 1.
+    parent = LpProblem(c=[-1.0, -1.0, -2.0], a_eq=[[1.0, 0.0, 0.0]], b_eq=[0.0],
+                       a_ub=[[0.0, 1.0, 1.0]], b_ub=[1.0],
+                       lower=[0.0, 0.0, 0.0], upper=[0.0, 1.0, 1.0])
+    state = SimplexState(parent)
+    assert state.minimize(parent.c) is SolveStatus.OPTIMAL
+    root = state.basis()
+    assert np.any(root.basic >= root.status.size)
+    free = state.reopen(root, parent.c, np.array([-1.0, 0.0, 0.0]), np.ones(3))
+    assert free is SolveStatus.OPTIMAL
+    child = state.basis()
+    assert not np.any(child.basic >= child.status.size)
+    lifted = state.reopen(root, parent.c, np.array([0.5, 0.0, 0.0]), np.ones(3))
+    assert lifted is SolveStatus.INFEASIBLE
+    lower, upper = np.array([-1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.5])
+    assert state.reopen(child, parent.c, lower, upper) is SolveStatus.OPTIMAL
+    cold = solve_lp(LpProblem(c=parent.c, a_eq=parent.a_eq, b_eq=parent.b_eq,
+                              a_ub=parent.a_ub, b_ub=parent.b_ub, lower=lower, upper=upper))
+    assert state.vertex.tolist() == [0.0, 0.5, 0.5]
+    assert float(parent.c @ state.vertex) == cold.objective == -1.5
 
 
 def test_dual_degenerate_child_terminates_at_the_cold_objective():
@@ -539,7 +639,7 @@ def test_factorization_store_never_exceeds_its_capacity(fixture_stats, monkeypat
 def test_factorization_store_evicts_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 2)
     tab = lp_solver._Tableau(np.array([[1.0, 2.0, 4.0]]), np.array([1.0]),
-                             np.zeros(3), np.ones(3))
+                             np.zeros(3), np.ones(3), pivot_limit=100)
     for basic in (0, 1, 0, 2):
         tab.set_basis(np.array([basic]), np.zeros(3, dtype=np.int8))
         tab.refactorize()

@@ -368,6 +368,28 @@ class TestMdMilp:
         held = np.flatnonzero(sol.v[layout.x] > 1e-9)
         assert [fixture_train.tickers[i] for i in held] == ["ABM", "ADJ", "AOW"]
 
+    def test_fixture_siblings_share_the_parent_factorization(self, fixture_train, monkeypatch):
+        # The search's one tableau keeps one factor store: the root's basis
+        # is solved with B once, when the first child reopens from it, and
+        # the second child copies that solve. Per-child tableaux gave (2, 0);
+        # the objective and the weights' bytes are theirs.
+        from portopt import milp_solver
+        states = []
+
+        class Recorded(milp_solver.SimplexState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        monkeypatch.setattr(milp_solver, "SimplexState", Recorded)
+        problem, _ = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
+        sol = solve_milp(problem)
+        (state,) = states
+        assert (state.factorizations, state.factor_reuses) == (1, 1)
+        assert sol.objective == -0.015356729326094526
+        assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
+            "24bbfe4f930fc48b3a3065c24074a4b1387dca4fe1aa3d39405e7323cf0ba50a")
+
     def test_full_relaxation_is_the_md_lp(self, fixture_train, fixture_md_report):
         # the big-M form's relaxation, all 843 rows at once: an LP regression
         # case (the B&B's node LPs are the md LP under changed bounds)

@@ -13,8 +13,10 @@ also report the phase-1 pivots of their region. `markowitz` and
 `reverse_markowitz` report their Frank-Wolfe oracles' work, summed over every
 simplex state the solve builds: `oracle_states`, `oracle_pivots`,
 `oracle_factorizations` (LAPACK solves that refactorized a basis) and
-`oracle_reuses` (refactorizations served from a kept factorization); a
-checkout whose `SimplexState` lacks a counter records null for it. Inputs
+`oracle_reuses` (refactorizations served from a kept factorization).
+`md_milp` reports the same two counters of its search's simplex state as
+`node_factorizations` and `node_reuses`. A checkout whose `SimplexState`
+lacks a counter records null for it. Inputs
 match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
 sigma0 0.012, lambda 0.08, perturbation divisor c = 1000.
 
@@ -47,39 +49,40 @@ DRAWDOWN = ("mad", "md", "md_milp")
 ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 
 
-def _record_oracle_states(qp_solver) -> list:
-    """Make `qp_solver` build SimplexStates that append themselves to the
+def _record_states(module) -> list:
+    """Make `module` build SimplexStates that append themselves to the
     returned list."""
     states = []
 
-    class Recorded(qp_solver.SimplexState):
+    class Recorded(module.SimplexState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             states.append(self)
 
-    qp_solver.SimplexState = Recorded
+    module.SimplexState = Recorded
     return states
 
 
-def _oracle_work(states: list) -> dict:
-    def total(name: str):
-        if not all(hasattr(state, name) for state in states):
-            return None
-        return sum(getattr(state, name) for state in states)
+def _total(states: list, name: str):
+    """A counter summed over `states`, or None where a state lacks it."""
+    if not all(hasattr(state, name) for state in states):
+        return None
+    return sum(getattr(state, name) for state in states)
 
-    return {"oracle_states": len(states), "oracle_pivots": total("pivots"),
-            "oracle_factorizations": total("factorizations"),
-            "oracle_reuses": total("factor_reuses")}
+
+def _oracle_work(states: list) -> dict:
+    return {"oracle_states": len(states), "oracle_pivots": _total(states, "pivots"),
+            "oracle_factorizations": _total(states, "factorizations"),
+            "oracle_reuses": _total(states, "factor_reuses")}
 
 
 def run(seed: int) -> dict:
-    from portopt import models, qp_solver
+    from portopt import milp_solver, models, qp_solver
     from portopt.cli_io import ingest_prices
     from portopt.core import ModelConfig, ReturnMatrix
     from portopt.estimation import (PerturbationConfig, asset_stats, compute_simple_returns,
                                     perturb_returns)
     from portopt.lp_solver import SimplexState
-    from portopt.milp_solver import solve_milp
 
     returns = compute_simple_returns(ingest_prices(FIXTURE))
     days = sum(d <= TRAIN_END for d in returns.dates)
@@ -87,7 +90,8 @@ def run(seed: int) -> dict:
     shaken = perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed))
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
     builders = {"mad": models.mad_problem, "md": models.md_problem}
-    oracle_states = _record_oracle_states(qp_solver)
+    oracle_states = _record_states(qp_solver)
+    search_states = _record_states(milp_solver)
 
     def solve(tag: str, window: ReturnMatrix) -> dict:
         stats = asset_stats(window)
@@ -103,11 +107,14 @@ def run(seed: int) -> dict:
         if tag == "md_milp":
             started = time.perf_counter()
             problem = models.md_milp_problem(window, cfg)[0]
+            search_states.clear()
             built = time.perf_counter()
-            sol = solve_milp(problem)
+            sol = milp_solver.solve_milp(problem)
             row.update(build_seconds=round(built - started, 6),
                        solve_seconds=round(time.perf_counter() - built, 6),
-                       node_lps=getattr(sol, "node_lps", None), node_pivots=sol.node_pivots)
+                       node_lps=getattr(sol, "node_lps", None), node_pivots=sol.node_pivots,
+                       node_factorizations=_total(search_states, "factorizations"),
+                       node_reuses=_total(search_states, "factor_reuses"))
         if tag in builders:
             row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
         return row
