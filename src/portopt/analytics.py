@@ -178,15 +178,14 @@ def lambda_grid(low: float = 1e-3, high: float = 1e4, count: int = 100,
                 spacing: str = "log") -> list[float]:
     """Equally spaced penalty grid, geometric by default (the range spans
     seven orders of magnitude, so linear spacing degenerates)."""
+    if spacing not in ("log", "linear"):
+        raise DataError("spacing must be 'log' or 'linear'")
     if count < 1 or low <= 0 or high < low:
         raise DataError("grid needs count >= 1 and 0 < low <= high")
     if count == 1:
         return [low]
-    if spacing == "log":
-        return list(np.geomspace(low, high, count))
-    if spacing == "linear":
-        return list(np.linspace(low, high, count))
-    raise DataError("spacing must be 'log' or 'linear'")
+    space = np.geomspace if spacing == "log" else np.linspace
+    return list(space(low, high, count))
 
 
 def allocation_change(before: Allocation, after: Allocation) -> float:

@@ -158,17 +158,32 @@ def write_allocation_csv(tickers, allocation: Allocation, path: str | Path) -> N
 
 
 def read_allocation_csv(path: str | Path) -> tuple[tuple[str, ...], Allocation]:
+    """Read a `ticker,weight` file as `write_allocation_csv` writes it. A
+    malformed file raises DataError naming the file and line."""
     import csv as _csv
     with Path(path).open(newline="") as fh:
         reader = _csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}:1: empty file, expected header 'ticker,weight'") from None
         if header != ["ticker", "weight"]:
-            raise DataError(f"{path}: expected header 'ticker,weight'")
-        tickers, weights = [], []
-        for row in reader:
-            tickers.append(row[0])
-            weights.append(float(row[1]))
-    return tuple(tickers), Allocation(np.array(weights))
+            raise DataError(f"{path}:1: expected header 'ticker,weight'")
+        weights: dict[str, float] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(f"{path}:{lineno}: expected 2 cells")
+            ticker, cell = row
+            if ticker in weights:
+                raise DataError(f"{path}:{lineno}: duplicate ticker {ticker!r}")
+            try:
+                weights[ticker] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: non-numeric weight {cell!r} for {ticker}") from None
+    return tuple(weights), Allocation(np.array(list(weights.values())))
 
 
 # ---------------------------------------------------------------------------

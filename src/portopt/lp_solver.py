@@ -21,17 +21,19 @@ Algorithm notes:
   engages after 50 consecutive degenerate pivots and guarantees termination.
 * The working tableau is B^-1 [A | b], refreshed by direct refactorization if
   the final solution drifts past the feasibility tolerance.
-* `SimplexState` keeps one tableau for its whole life, across objectives and
-  bound changes: phase 1 runs once, and each later `minimize` refactorizes the
-  kept basis and runs phase 2 from it (phase 1 reruns in the same tableau only
-  if that basis has drifted infeasible). The tableau keeps B^-1 [G | h] for
-  the last `FACTOR_CACHE` bases it refactorized, so a basis seen before is
-  restored by copying that array rather than solving with B again; the copy
-  equals a fresh solve bit for bit. The store is per state: per QP solve for
-  the Frank-Wolfe oracle, per search for branch and bound, at most 32 arrays
-  of m x (columns + 1) floats. `solve_lp` is one state minimized once.
+* `SimplexState` is the one simplex class: it holds the tableau for its whole
+  life, across objectives and bound changes. Phase 1 runs once, and each
+  later `minimize` refactorizes the kept basis and runs phase 2 from it
+  (phase 1 reruns in the same tableau only if that basis has drifted
+  infeasible). The state keeps B^-1 [G | h] for the bases it refactorized,
+  so a basis seen before is restored by copying that array rather than
+  solving with B again; the copy equals a fresh solve bit for bit. The store
+  is per state (per QP solve for the Frank-Wolfe oracle, per search for
+  branch and bound) and holds at most `FACTOR_BYTES` (2 MiB): the least
+  recently used arrays go first, but the newest always stays, however large.
+  `solve_lp` is one state minimized once.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
-  cost: `SimplexState.reopen` writes new bounds into the kept tableau and
+  cost: `SimplexState.reopen` writes new bounds into the state and
   takes a saved basis (basic columns and nonbasic statuses); the rows stay as
   they are, so the saved reduced costs stay dual feasible. The dual loop
   takes the row farthest outside its bounds, and the ratio test picks the
@@ -59,7 +61,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-12
 BLAND_TRIGGER = 50
-FACTOR_CACHE = 32   # refactorized bases whose B^-1 [G | h] a state's tableau keeps
+FACTOR_BYTES = 1 << 21   # bytes of kept B^-1 [G | h] results a state's store may hold
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -146,275 +148,6 @@ def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return status
 
 
-class _Tableau:
-    """Mutable simplex state over columns = structural + slacks + artificials."""
-
-    def __init__(self, g: np.ndarray, h: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                 pivot_limit: int):
-        self.g = g              # m x n_cols: original rows (slacks included), then artificials
-        self.h = h
-        self.m, self.n_real = g.shape
-        self.lower = lower
-        self.upper = upper
-        self.pivot_limit = pivot_limit      # pivots allowed per call, counted from call_start
-        self.call_start = 0
-        self.basis = np.empty(0, dtype=int)
-        self.status = np.empty(0, dtype=np.int8)
-        self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
-        self._buf = None                    # pivot-update scratch, same shape as work
-        self._gh = None                     # [G | h], built on the first refactorization
-        self._factors = OrderedDict()       # basis bytes -> B^-1 [G | h], least recent first
-        self._values = np.empty(0)          # nonbasic values, 0 at basic columns
-        self._x = None                      # solution(), until the next change
-        self.pivots = 0
-        self.degenerate_run = 0
-        self.n_art = 0
-        self.factorizations = 0             # LAPACK solves run by refactorize
-        self.factor_reuses = 0              # refactorizations served from _factors
-
-    # -- column bookkeeping -------------------------------------------------
-
-    @property
-    def n_cols(self) -> int:
-        return self.n_real + self.n_art
-
-    def set_basis(self, basis: np.ndarray, status: np.ndarray):
-        """Take a basis and column statuses; the caller sets `work` to match."""
-        self.basis = basis
-        self.status = status
-        self._reset_values()
-
-    def _reset_values(self):
-        vals = np.zeros(self.n_cols)
-        at_low = self.status == AT_LOWER
-        at_up = self.status == AT_UPPER
-        vals[at_low] = self.lower[at_low]
-        vals[at_up] = self.upper[at_up]
-        vals[self.basis] = 0.0
-        self._values = vals
-        self._x = None
-
-    def _rest(self, j: int, status: int):
-        """Nonbasic column j moves to `status` and takes its value there."""
-        self.status[j] = status
-        self._values[j] = self.lower[j] if status == AT_LOWER else self.upper[j]
-        self._x = None
-
-    def solution(self) -> np.ndarray:
-        """All column values at the current basis. The array is cached until
-        the next pivot, bound flip or refactorization; callers must not
-        modify it."""
-        if self._x is None:
-            vals = self._values.copy()
-            vals[self.basis] = self.work[:, -1] - self.work[:, :-1] @ self._values
-            self._x = vals
-        return self._x
-
-    # -- starting bases -----------------------------------------------------
-
-    def cold_start(self, slack: np.ndarray):
-        """Phase-1 setup with a slack crash basis (Bixby 1992).
-
-        `slack` holds each row's slack column (coefficient +1, bounds
-        [0, inf)), or -1 for an equality row. An earlier phase 1's artificials
-        are dropped first, and the factor store with them. Nonbasics rest at
-        their nearest finite bound. A `<=` row whose slack absorbs the
-        residual h - G v at that point starts with the slack basic; every
-        other row (equality rows and `<=` rows with a negative residual) gets
-        an artificial on [0, inf) signed to absorb its residual. B is diagonal
-        with entries +1 (slacks) and +-1 (artificials), so B^-1 scales rows by
-        sign.
-        """
-        n = self.n_real
-        g, lower, upper = self.g[:, :n], self.lower[:n], self.upper[:n]
-        status = _resting_status(lower, upper)
-        vals = np.zeros(n)
-        vals[status == AT_LOWER] = lower[status == AT_LOWER]
-        vals[status == AT_UPPER] = upper[status == AT_UPPER]
-        residual = self.h - g @ vals
-        crashed = (slack >= 0) & (residual >= 0)
-        art_rows = np.flatnonzero(~crashed)
-        self.n_art = art_rows.size
-        signs = np.where(residual < 0, -1.0, 1.0)
-        art = np.zeros((self.m, self.n_art))
-        art[art_rows, np.arange(self.n_art)] = signs[art_rows]
-        basis = slack.copy()
-        basis[art_rows] = n + np.arange(self.n_art)
-        status[basis[crashed]] = BASIC
-        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
-        self.upper = np.concatenate([upper, np.full(self.n_art, np.inf)])
-        self.g = np.hstack([g, art])
-        # B = diag(signs) so B^-1 applies row signs directly
-        self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
-        self._gh = None
-        self._factors.clear()
-        self.degenerate_run = 0
-        self.set_basis(basis, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
-
-    def set_bounds(self, lower: np.ndarray, upper: np.ndarray):
-        """Put the structural and slack columns under `lower` and `upper`,
-        with every artificial column locked at [0, 0]."""
-        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
-        self.upper = np.concatenate([upper, np.zeros(self.n_art)])
-        self._reset_values()
-
-    def refactorize(self):
-        """Set work = B^-1 [G | h] for the current basis. The solve's result
-        is kept per basis (the FACTOR_CACHE most recently used), and a basis
-        seen before gets a copy of it: the same LAPACK call on the same
-        operands gives the same bits. A singular basis raises LinAlgError
-        and is not kept."""
-        key = self.basis.tobytes()
-        factor = self._factors.get(key)
-        if factor is None:
-            if self._gh is None:
-                self._gh = np.hstack([self.g, self.h[:, None]])
-            self.factorizations += 1
-            factor = np.linalg.solve(self.g[:, self.basis], self._gh)
-            self._factors[key] = factor
-            while len(self._factors) > FACTOR_CACHE:
-                self._factors.popitem(last=False)
-        else:
-            self._factors.move_to_end(key)
-            self.factor_reuses += 1
-        self.work = factor.copy()
-        self._x = None
-
-    def primal_feasible(self) -> bool:
-        x_b = self.solution()[self.basis]
-        return bool((x_b >= self.lower[self.basis] - FEAS_TOL).all()
-                    and (x_b <= self.upper[self.basis] + FEAS_TOL).all())
-
-    # -- the simplex loop ---------------------------------------------------
-
-    def run(self, cost: np.ndarray) -> str:
-        """Minimize cost @ x from the current basis. Returns 'optimal' or
-        'unbounded'; raises if the call's pivot budget is exhausted."""
-        bland = False
-        movable = self.upper > self.lower  # fixed columns can never improve
-        while True:
-            z = cost - cost[self.basis] @ self.work[:, :-1]
-            z[self.basis] = 0.0
-            # basic columns have z = 0, so they never qualify
-            can_up = (z < -PIVOT_TOL) & movable & (self.status != AT_UPPER)
-            can_down = (z > PIVOT_TOL) & movable & (self.status != AT_LOWER)
-            candidates = (can_up | can_down).nonzero()[0]
-            if candidates.size == 0:
-                return "optimal"
-            if bland:
-                j = int(candidates[0])
-            else:
-                j = int(candidates[np.abs(z[candidates]).argmax()])
-            direction = 1.0 if can_up[j] else -1.0
-
-            step = direction * self.work[:, j]
-            x_b = self.solution()[self.basis]
-            t_rows = np.full(self.m, np.inf)
-            np.divide(x_b - self.lower[self.basis], step, out=t_rows, where=step > PIVOT_TOL)
-            np.divide(x_b - self.upper[self.basis], step, out=t_rows, where=step < -PIVOT_TOL)
-            t_rows[t_rows < 0] = 0.0  # degeneracy: already at the blocking bound
-            t_flip = self.upper[j] - self.lower[j]
-            t_best_rows = t_rows.min() if self.m else np.inf
-            t_star = min(t_best_rows, t_flip)
-            if not np.isfinite(t_star):
-                return "unbounded"
-
-            if t_flip <= t_best_rows:  # bound flip, basis unchanged
-                self._rest(j, AT_UPPER if direction > 0 else AT_LOWER)
-                self.pivots += 1
-            else:
-                ties = (t_rows <= t_star + DEGEN_TOL).nonzero()[0]
-                if bland:
-                    r = int(ties[self.basis[ties].argmin()])
-                else:
-                    r = int(ties[np.abs(step[ties]).argmax()])
-                self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
-            bland = self._note_step(t_star)
-
-    def dual_run(self, cost: np.ndarray) -> str:
-        """Restore primal feasibility by the bounded dual simplex.
-
-        Starts from a basis whose reduced costs under `cost` are dual
-        feasible (as a parent's optimal basis is after bound changes) and
-        keeps them so. The leaving row is the basic variable farthest outside
-        its bounds; it leaves at the bound it violates. The entering column
-        is the movable nonbasic that can push it back with the smallest
-        |z_j / alpha_rj|, ties broken by the largest |alpha_rj|. Returns
-        'feasible' once every basic variable is within FEAS_TOL of its
-        bounds, or 'infeasible' when the leaving row has no such column: its
-        basic variable is then out of bounds at every point of the region.
-        Raises if the call's pivot budget is exhausted.
-        """
-        bland = False
-        movable = self.upper > self.lower
-        while True:
-            x_b = self.solution()[self.basis]
-            below = self.lower[self.basis] - x_b
-            infeasibility = np.maximum(below, x_b - self.upper[self.basis])
-            rows = np.flatnonzero(infeasibility > FEAS_TOL)
-            if rows.size == 0:
-                return "feasible"
-            if bland:
-                r = int(rows[np.argmin(self.basis[rows])])
-            else:
-                r = int(np.argmax(infeasibility))
-            to_lower = below[r] > 0
-            # x_r = beta_r - sum_j alpha_rj x_j, so raising x_r (to_lower)
-            # needs x_j to rise where alpha_rj < 0 or fall where alpha_rj > 0
-            alpha = self.work[r, :-1]
-            push = alpha if to_lower else -alpha
-            can_up = ((self.status == AT_LOWER) | (self.status == FREE)) & (push < -PIVOT_TOL)
-            can_down = ((self.status == AT_UPPER) | (self.status == FREE)) & (push > PIVOT_TOL)
-            candidates = np.flatnonzero((can_up | can_down) & movable)
-            if candidates.size == 0:
-                return "infeasible"
-            z = cost - cost[self.basis] @ self.work[:, :-1]
-            ratios = np.abs(z[candidates] / alpha[candidates])
-            t_star = float(np.min(ratios))
-            ties = candidates[ratios <= t_star + DEGEN_TOL]
-            if bland:
-                j = int(ties[0])
-            else:
-                j = int(ties[np.argmax(np.abs(alpha[ties]))])
-            self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
-            bland = self._note_step(t_star)
-
-    def _pivot(self, r: int, j: int, leaving_status: int):
-        """Column j enters the basis at row r; the leaving column rests at
-        `leaving_status`."""
-        leaving = self.basis[r]
-        self._rest(leaving, leaving_status)
-        self.basis[r] = j
-        self.status[j] = BASIC
-        self._values[j] = 0.0
-        piv = self.work[r, j]
-        self.work[r, :] /= piv
-        mult = self.work[:, j].copy()
-        mult[r] = 0.0
-        if self._buf is None or self._buf.shape != self.work.shape:
-            self._buf = np.empty_like(self.work)
-        np.multiply(mult[:, None], self.work[r, None, :], out=self._buf)
-        self.work -= self._buf
-        self.pivots += 1
-
-    def start_call(self):
-        """Open a new pivot budget and forget the degenerate run."""
-        self.call_start = self.pivots
-        self.degenerate_run = 0
-
-    def _note_step(self, step: float) -> bool:
-        """Count a step of length `step` and enforce the call's pivot budget.
-        Returns whether the smallest-index rule is on: after BLAND_TRIGGER
-        consecutive degenerate steps, until a step makes progress."""
-        if self.pivots - self.call_start > self.pivot_limit:
-            raise RuntimeError(f"simplex exceeded the pivot limit ({self.pivot_limit})")
-        if step <= DEGEN_TOL:
-            self.degenerate_run += 1
-        else:
-            self.degenerate_run = 0
-        return self.degenerate_run >= BLAND_TRIGGER
-
-
 @dataclass(frozen=True)
 class Basis:
     """A saved simplex basis, without its tableau.
@@ -444,19 +177,24 @@ class _Region(NamedTuple):
 class SimplexState:
     """A primal feasible basis of one region, kept across objectives.
 
-    Built from an LpProblem whose `c` and `sense` are ignored: the standard
-    form is set up in one tableau, kept for the state's whole life, and phase
-    1 runs once, locking artificials left basic at zero. `minimize(cost)` runs
-    phase 2 for a minimization cost over the structural variables, starting
-    from the kept basis. Every call after the first refactorizes that basis
-    (from its kept factorization when the basis was refactorized before), so
-    pivot drift never carries from one call to the next; if the refactorized
-    basis is no longer primal feasible within 1e-7, phase 1 runs again in the
-    same tableau. `pivot_limit` bounds the pivots of each call (the first
-    call shares it with the initial phase 1), never the state's lifetime.
+    Built from an LpProblem whose `c` and `sense` are ignored. Its standard
+    form has the structural columns, one slack column per `<=` row in row
+    order, and the artificial columns of the last phase 1; the state keeps
+    that one tableau for its whole life, and phase 1 runs once, locking
+    artificials left basic at zero. `minimize(cost)` runs phase 2 for a
+    minimization cost over the structural variables, starting from the kept
+    basis. Every call after the first refactorizes that basis (from its kept
+    factorization when the basis was refactorized before), so pivot drift
+    never carries from one call to the next; if the refactorized basis is no
+    longer primal feasible within 1e-7, phase 1 runs again in the same
+    tableau. `pivot_limit` bounds the pivots of each call (the first call
+    shares it with the initial phase 1), never the state's lifetime.
     `reopen` moves the state to new bounds and re-optimizes from a saved
-    `basis()` by the dual simplex. Every call shares the tableau's factor
-    store, so a branch-and-bound search keeps one store.
+    `basis()` by the dual simplex. Every call shares the state's factor
+    store, so a branch-and-bound search keeps one store. `pivots`,
+    `factorizations` (LAPACK solves run to refactorize a basis) and
+    `factor_reuses` (refactorizations served from the store) count over the
+    state's lifetime, phase 1 included.
     """
 
     def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
@@ -466,39 +204,297 @@ class SimplexState:
         g[:m_eq, :n] = problem.a_eq
         g[m_eq:, :n] = problem.a_ub
         g[m_eq:, n:] = np.eye(m_ub)
-        h = np.concatenate([problem.b_eq, problem.b_ub])
+        self.g = g              # m x n_cols: original rows (slacks included), then artificials
+        self.h = np.concatenate([problem.b_eq, problem.b_ub])
+        self.m, self.n_real = g.shape
+        # each row's slack column, -1 for an equality row
         self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
-        self._tab = _Tableau(g, h, *self._set_region(problem.lower, problem.upper), pivot_limit)
+        self.pivot_limit = pivot_limit      # pivots allowed per call, counted from call_start
+        self.call_start = 0
+        self.basic = np.empty(0, dtype=int)     # the column basic in each row
+        self.status = np.empty(0, dtype=np.int8)
+        self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
+        self._buf = None                    # pivot-update scratch, same shape as work
+        self._gh = None                     # [G | h], built on the first refactorization
+        self._factors = OrderedDict()       # basis bytes -> B^-1 [G | h], least recent first
+        self._values = np.empty(0)          # nonbasic values, 0 at basic columns
+        self._x = None                      # solution(), until the next change
+        self.pivots = 0
+        self.degenerate_run = 0
+        self.n_art = 0
+        self.factorizations = 0
+        self.factor_reuses = 0
+        self.set_bounds(problem.lower, problem.upper)
         self._phase1()
         self._fresh = True
 
-    def _set_region(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Check vertices against structural bounds `lower` and `upper` from
-        now on, and return the standard form's column bounds: one slack
-        column per `<=` row, in row order, with bounds [0, inf)."""
+    # -- column bookkeeping -------------------------------------------------
+
+    @property
+    def n_cols(self) -> int:
+        return self.n_real + self.n_art
+
+    def set_bounds(self, lower: np.ndarray, upper: np.ndarray):
+        """Bound the structural columns by `lower` and `upper`, every slack
+        column to [0, inf) and every artificial column to [0, 0], and check
+        vertices against `lower` and `upper` from now on. The caller then
+        sets the column values to match."""
         p = self.problem
         m_ub = p.a_ub.shape[0]
-        lower = np.concatenate([lower, np.zeros(m_ub)])
-        upper = np.concatenate([upper, np.full(m_ub, np.inf)])
-        self._region = _Region(p.a_eq, p.b_eq, p.a_ub, p.b_ub, lower[:p.n_vars], upper[:p.n_vars])
-        return lower, upper
+        self.lower = np.concatenate([lower, np.zeros(m_ub + self.n_art)])
+        self.upper = np.concatenate([upper, np.full(m_ub, np.inf), np.zeros(self.n_art)])
+        self._region = _Region(p.a_eq, p.b_eq, p.a_ub, p.b_ub,
+                               self.lower[:p.n_vars], self.upper[:p.n_vars])
+
+    def set_basis(self, basic: np.ndarray, status: np.ndarray):
+        """Take basic columns and column statuses; the caller sets `work` to
+        match."""
+        self.basic = basic
+        self.status = status
+        self._reset_values()
+
+    def _reset_values(self):
+        vals = np.zeros(self.n_cols)
+        at_low = self.status == AT_LOWER
+        at_up = self.status == AT_UPPER
+        vals[at_low] = self.lower[at_low]
+        vals[at_up] = self.upper[at_up]
+        vals[self.basic] = 0.0
+        self._values = vals
+        self._x = None
+
+    def _rest(self, j: int, status: int):
+        """Nonbasic column j moves to `status` and takes its value there."""
+        self.status[j] = status
+        self._values[j] = self.lower[j] if status == AT_LOWER else self.upper[j]
+        self._x = None
+
+    def solution(self) -> np.ndarray:
+        """All column values at the current basis. The array is cached until
+        the next pivot, bound flip or refactorization; callers must not
+        modify it."""
+        if self._x is None:
+            vals = self._values.copy()
+            vals[self.basic] = self.work[:, -1] - self.work[:, :-1] @ self._values
+            self._x = vals
+        return self._x
+
+    # -- starting bases -----------------------------------------------------
+
+    def cold_start(self):
+        """Phase-1 setup with a slack crash basis (Bixby 1992).
+
+        Each `<=` row has its slack column (coefficient +1, bounds [0, inf)).
+        An earlier phase 1's artificials are dropped first, and the factor
+        store with them. Nonbasics rest at their nearest finite bound. A `<=`
+        row whose slack absorbs the residual h - G v at that point starts with
+        the slack basic; every other row (equality rows and `<=` rows with a
+        negative residual) gets an artificial on [0, inf) signed to absorb its
+        residual. B is diagonal with entries +1 (slacks) and +-1
+        (artificials), so B^-1 scales rows by sign.
+        """
+        n = self.n_real
+        g, lower, upper = self.g[:, :n], self.lower[:n], self.upper[:n]
+        status = _resting_status(lower, upper)
+        vals = np.zeros(n)
+        vals[status == AT_LOWER] = lower[status == AT_LOWER]
+        vals[status == AT_UPPER] = upper[status == AT_UPPER]
+        residual = self.h - g @ vals
+        crashed = (self._slack >= 0) & (residual >= 0)
+        art_rows = np.flatnonzero(~crashed)
+        self.n_art = art_rows.size
+        signs = np.where(residual < 0, -1.0, 1.0)
+        art = np.zeros((self.m, self.n_art))
+        art[art_rows, np.arange(self.n_art)] = signs[art_rows]
+        basic = self._slack.copy()
+        basic[art_rows] = n + np.arange(self.n_art)
+        status[basic[crashed]] = BASIC
+        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
+        self.upper = np.concatenate([upper, np.full(self.n_art, np.inf)])
+        self.g = np.hstack([g, art])
+        # B = diag(signs) so B^-1 applies row signs directly
+        self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
+        self._gh = None
+        self._factors.clear()
+        self.degenerate_run = 0
+        self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
+
+    def refactorize(self):
+        """Set work = B^-1 [G | h] for the current basis. The solve's result
+        is kept per basis, and a basis seen before gets a copy of it: the
+        same LAPACK call on the same operands gives the same bits. The store
+        drops its least recently used results while it holds more than
+        FACTOR_BYTES, but always keeps the newest. A singular basis raises
+        LinAlgError and is not kept."""
+        key = self.basic.tobytes()
+        factor = self._factors.get(key)
+        if factor is None:
+            if self._gh is None:
+                self._gh = np.hstack([self.g, self.h[:, None]])
+            self.factorizations += 1
+            factor = np.linalg.solve(self.g[:, self.basic], self._gh)
+            self._factors[key] = factor
+            # every kept result has the shape of `work`: cold_start clears the store
+            while len(self._factors) > 1 and len(self._factors) * factor.nbytes > FACTOR_BYTES:
+                self._factors.popitem(last=False)
+        else:
+            self._factors.move_to_end(key)
+            self.factor_reuses += 1
+        self.work = factor.copy()
+        self._x = None
+
+    def primal_feasible(self) -> bool:
+        x_b = self.solution()[self.basic]
+        return bool((x_b >= self.lower[self.basic] - FEAS_TOL).all()
+                    and (x_b <= self.upper[self.basic] + FEAS_TOL).all())
+
+    # -- the simplex loops --------------------------------------------------
+
+    def run(self, cost: np.ndarray) -> str:
+        """Minimize cost @ x from the current basis. Returns 'optimal' or
+        'unbounded'; raises if the call's pivot budget is exhausted."""
+        bland = False
+        movable = self.upper > self.lower  # fixed columns can never improve
+        while True:
+            z = cost - cost[self.basic] @ self.work[:, :-1]
+            z[self.basic] = 0.0
+            # basic columns have z = 0, so they never qualify
+            can_up = (z < -PIVOT_TOL) & movable & (self.status != AT_UPPER)
+            can_down = (z > PIVOT_TOL) & movable & (self.status != AT_LOWER)
+            candidates = (can_up | can_down).nonzero()[0]
+            if candidates.size == 0:
+                return "optimal"
+            if bland:
+                j = int(candidates[0])
+            else:
+                j = int(candidates[np.abs(z[candidates]).argmax()])
+            direction = 1.0 if can_up[j] else -1.0
+
+            step = direction * self.work[:, j]
+            x_b = self.solution()[self.basic]
+            t_rows = np.full(self.m, np.inf)
+            np.divide(x_b - self.lower[self.basic], step, out=t_rows, where=step > PIVOT_TOL)
+            np.divide(x_b - self.upper[self.basic], step, out=t_rows, where=step < -PIVOT_TOL)
+            t_rows[t_rows < 0] = 0.0  # degeneracy: already at the blocking bound
+            t_flip = self.upper[j] - self.lower[j]
+            t_best_rows = t_rows.min() if self.m else np.inf
+            t_star = min(t_best_rows, t_flip)
+            if not np.isfinite(t_star):
+                return "unbounded"
+
+            if t_flip <= t_best_rows:  # bound flip, basis unchanged
+                self._rest(j, AT_UPPER if direction > 0 else AT_LOWER)
+                self.pivots += 1
+            else:
+                ties = (t_rows <= t_star + DEGEN_TOL).nonzero()[0]
+                if bland:
+                    r = int(ties[self.basic[ties].argmin()])
+                else:
+                    r = int(ties[np.abs(step[ties]).argmax()])
+                self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
+            bland = self._note_step(t_star)
+
+    def dual_run(self, cost: np.ndarray) -> str:
+        """Restore primal feasibility by the bounded dual simplex.
+
+        Starts from a basis whose reduced costs under `cost` are dual
+        feasible (as a parent's optimal basis is after bound changes) and
+        keeps them so. The leaving row is the basic variable farthest outside
+        its bounds; it leaves at the bound it violates. The entering column
+        is the movable nonbasic that can push it back with the smallest
+        |z_j / alpha_rj|, ties broken by the largest |alpha_rj|. Returns
+        'feasible' once every basic variable is within FEAS_TOL of its
+        bounds, or 'infeasible' when the leaving row has no such column: its
+        basic variable is then out of bounds at every point of the region.
+        Raises if the call's pivot budget is exhausted.
+        """
+        bland = False
+        movable = self.upper > self.lower
+        while True:
+            x_b = self.solution()[self.basic]
+            below = self.lower[self.basic] - x_b
+            infeasibility = np.maximum(below, x_b - self.upper[self.basic])
+            rows = np.flatnonzero(infeasibility > FEAS_TOL)
+            if rows.size == 0:
+                return "feasible"
+            if bland:
+                r = int(rows[np.argmin(self.basic[rows])])
+            else:
+                r = int(np.argmax(infeasibility))
+            to_lower = below[r] > 0
+            # x_r = beta_r - sum_j alpha_rj x_j, so raising x_r (to_lower)
+            # needs x_j to rise where alpha_rj < 0 or fall where alpha_rj > 0
+            alpha = self.work[r, :-1]
+            push = alpha if to_lower else -alpha
+            can_up = ((self.status == AT_LOWER) | (self.status == FREE)) & (push < -PIVOT_TOL)
+            can_down = ((self.status == AT_UPPER) | (self.status == FREE)) & (push > PIVOT_TOL)
+            candidates = np.flatnonzero((can_up | can_down) & movable)
+            if candidates.size == 0:
+                return "infeasible"
+            z = cost - cost[self.basic] @ self.work[:, :-1]
+            ratios = np.abs(z[candidates] / alpha[candidates])
+            t_star = float(np.min(ratios))
+            ties = candidates[ratios <= t_star + DEGEN_TOL]
+            if bland:
+                j = int(ties[0])
+            else:
+                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+            self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
+            bland = self._note_step(t_star)
+
+    def _pivot(self, r: int, j: int, leaving_status: int):
+        """Column j enters the basis at row r; the leaving column rests at
+        `leaving_status`."""
+        leaving = self.basic[r]
+        self._rest(leaving, leaving_status)
+        self.basic[r] = j
+        self.status[j] = BASIC
+        self._values[j] = 0.0
+        piv = self.work[r, j]
+        self.work[r, :] /= piv
+        mult = self.work[:, j].copy()
+        mult[r] = 0.0
+        if self._buf is None or self._buf.shape != self.work.shape:
+            self._buf = np.empty_like(self.work)
+        np.multiply(mult[:, None], self.work[r, None, :], out=self._buf)
+        self.work -= self._buf
+        self.pivots += 1
+
+    def start_call(self):
+        """Open a new pivot budget and forget the degenerate run."""
+        self.call_start = self.pivots
+        self.degenerate_run = 0
+
+    def _note_step(self, step: float) -> bool:
+        """Count a step of length `step` and enforce the call's pivot budget.
+        Returns whether the smallest-index rule is on: after BLAND_TRIGGER
+        consecutive degenerate steps, until a step makes progress."""
+        if self.pivots - self.call_start > self.pivot_limit:
+            raise RuntimeError(f"simplex exceeded the pivot limit ({self.pivot_limit})")
+        if step <= DEGEN_TOL:
+            self.degenerate_run += 1
+        else:
+            self.degenerate_run = 0
+        return self.degenerate_run >= BLAND_TRIGGER
+
+    # -- phases and calls ---------------------------------------------------
 
     def _phase1(self):
-        tab = self._tab
-        tab.cold_start(self._slack)
-        phase1_cost = np.concatenate([np.zeros(tab.n_real), np.ones(tab.n_art)])
-        outcome = tab.run(phase1_cost)
-        self.feasible = outcome == "optimal" and float(phase1_cost @ tab.solution()) <= FEAS_TOL
+        self.cold_start()
+        phase1_cost = np.concatenate([np.zeros(self.n_real), np.ones(self.n_art)])
+        outcome = self.run(phase1_cost)
+        self.feasible = outcome == "optimal" and float(phase1_cost @ self.solution()) <= FEAS_TOL
         if self.feasible:
-            tab.set_bounds(tab.lower[:tab.n_real], tab.upper[:tab.n_real])   # locks artificials
+            self.set_bounds(self._region.lower, self._region.upper)   # locks artificials
+            self._reset_values()
 
     def _restore(self) -> bool:
         """Refactorize the kept basis, or run phase 1 again when that basis is
         singular or no longer primal feasible. Returns whether the region is
         feasible."""
         try:
-            self._tab.refactorize()
-            if self._tab.primal_feasible():
+            self.refactorize()
+            if self.primal_feasible():
                 return True
         except np.linalg.LinAlgError:
             pass
@@ -507,14 +503,13 @@ class SimplexState:
 
     def _full_cost(self, cost: np.ndarray) -> np.ndarray:
         """`cost` over the structural variables, zero on every other column."""
-        full = np.zeros(self._tab.n_cols)
+        full = np.zeros(self.n_cols)
         full[:self.problem.n_vars] = cost
         return full
 
     def basis(self) -> Basis:
         """The kept basis, to `reopen` at later."""
-        tab = self._tab
-        return Basis(tab.basis.copy(), tab.status[:tab.n_real].copy())
+        return Basis(self.basic.copy(), self.status[:self.n_real].copy())
 
     def reopen(self, start: Basis, cost: np.ndarray, lower: np.ndarray,
                upper: np.ndarray) -> SolveStatus:
@@ -531,46 +526,30 @@ class SimplexState:
         for `cost` before the change, as a branch-and-bound parent's is for
         its children.
         """
-        tab = self._tab
-        tab.start_call()
-        lower, upper = self._set_region(lower, upper)
-        tab.set_bounds(lower, upper)
+        self.start_call()
+        self.set_bounds(lower, upper)
         self._fresh = True
-        if np.any(start.basic >= tab.n_real):   # the saved basis holds an artificial
+        if np.any(start.basic >= self.n_real):   # the saved basis holds an artificial
             self._phase1()
             return self.minimize(cost)
         status = start.status.copy()
+        lower, upper = self.lower[:self.n_real], self.upper[:self.n_real]
         # a nonbasic whose resting bound is gone moves to one that exists
         resting = _resting_status(lower, upper)
         kept = (((status == AT_LOWER) & np.isfinite(lower))
                 | ((status == AT_UPPER) & np.isfinite(upper))
                 | (status == BASIC) | (status == resting))
         status[~kept] = resting[~kept]
-        tab.set_basis(start.basic.copy(),
-                      np.concatenate([status, np.full(tab.n_art, AT_LOWER, dtype=np.int8)]))
-        tab.refactorize()
-        self.feasible = tab.dual_run(self._full_cost(cost)) == "feasible"
+        self.set_basis(start.basic.copy(),
+                       np.concatenate([status, np.full(self.n_art, AT_LOWER, dtype=np.int8)]))
+        self.refactorize()
+        self.feasible = self.dual_run(self._full_cost(cost)) == "feasible"
         return self.minimize(cost)
-
-    @property
-    def pivots(self) -> int:
-        """Pivots over the state's lifetime, phase 1 included."""
-        return self._tab.pivots
-
-    @property
-    def factorizations(self) -> int:
-        """LAPACK solves run to refactorize a basis, over the state's lifetime."""
-        return self._tab.factorizations
-
-    @property
-    def factor_reuses(self) -> int:
-        """Refactorizations served from the factor store, over the state's life."""
-        return self._tab.factor_reuses
 
     @property
     def vertex(self) -> np.ndarray:
         """The current basic solution over the structural variables."""
-        return self._tab.solution()[:self.problem.n_vars].copy()
+        return self.solution()[:self.problem.n_vars].copy()
 
     def minimize(self, cost: np.ndarray) -> SolveStatus:
         """Minimize cost @ v over the region from the kept basis.
@@ -586,17 +565,17 @@ class SimplexState:
         if not self.feasible:
             return SolveStatus.INFEASIBLE
         if not self._fresh:
-            self._tab.start_call()
+            self.start_call()
             if not self._restore():
                 return SolveStatus.INFEASIBLE
         self._fresh = False
-        if self._tab.run(self._full_cost(cost)) == "unbounded":
+        if self.run(self._full_cost(cost)) == "unbounded":
             return SolveStatus.UNBOUNDED
         # Guard against accumulated tableau drift before certifying.
         if _max_violation(self._region, self.vertex) > FEAS_TOL:
             if not self._restore():
                 return SolveStatus.INFEASIBLE
-            if self._tab.run(self._full_cost(cost)) == "unbounded":
+            if self.run(self._full_cost(cost)) == "unbounded":
                 return SolveStatus.UNBOUNDED
             violation = _max_violation(self._region, self.vertex)
             if violation > FEAS_TOL:
@@ -629,7 +608,6 @@ def _max_violation(problem: LpProblem | _Region, v: np.ndarray) -> float:
 
 def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
             status: SolveStatus) -> LpSolution:
-    tab = state._tab
     v = state.vertex
     if status is SolveStatus.OPTIMAL:
         objective = float(problem.c @ v)
@@ -640,17 +618,17 @@ def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
     full_cost = state._full_cost(c_min)
     # duals from the final basis: y solves y @ B = c_B
     try:
-        y = np.linalg.solve(tab.g[:, tab.basis].T, full_cost[tab.basis])
+        y = np.linalg.solve(state.g[:, state.basic].T, full_cost[state.basic])
     except np.linalg.LinAlgError:
-        y = np.zeros(tab.m)
-    reduced = full_cost - y @ tab.g
+        y = np.zeros(state.m)
+    reduced = full_cost - y @ state.g
     return LpSolution(
         v=v,
         objective=objective,
         status=status,
         pivots=state.pivots,
         duals=y,
-        reduced_costs=reduced[:tab.n_real],
+        reduced_costs=reduced[:state.n_real],
     )
 
 

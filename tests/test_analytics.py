@@ -185,6 +185,11 @@ class TestLambdaSweep:
         with pytest.raises(DataError):
             lambda_grid(0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_grid_rejects_an_unknown_spacing_at_any_count(self, count):
+        with pytest.raises(DataError, match="spacing must be 'log' or 'linear'"):
+            lambda_grid(1.0, 2.0, count, spacing="bogus")
+
 
 class TestAllocationChange:
     def test_identity_zero(self):

@@ -112,6 +112,19 @@ class TestIngest:
         assert np.array_equal(back.prices, matrix.prices)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("", r"a\.csv:1: empty file"),
+    ("ticker,weight\nA,0.5\nB\n", r"a\.csv:3: expected 2 cells"),
+    ("ticker,weight\nA,half\nB,0.5\n", r"a\.csv:2: non-numeric weight 'half' for A"),
+    ("ticker,weight\nA,0.5\nA,0.5\n", r"a\.csv:3: duplicate ticker 'A'"),
+], ids=["empty", "one_cell", "non_numeric", "duplicate"])
+def test_read_allocation_rejects_malformed_file(tmp_path, text, error):
+    f = tmp_path / "a.csv"
+    f.write_text(text)
+    with pytest.raises(DataError, match=error):
+        read_allocation_csv(f)
+
+
 class TestCommands:
     def test_solve_writes_valid_allocation(self, tmp_path):
         prices = tmp_path / "p.csv"

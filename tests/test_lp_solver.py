@@ -12,10 +12,11 @@ from portopt.lp_solver import (
     dual_objective,
     solve_lp,
 )
-from portopt.models import mad_problem, markowitz_problem
+from portopt.milp_solver import solve_milp
+from portopt.models import mad_problem, markowitz_problem, md_milp_problem
 from portopt.qp_solver import QpProblem, solve_qp
 
-from conftest import FIXTURE_RHO
+from conftest import FIXTURE_RHO, make_returns
 from oracles import enumerate_lp_vertices
 
 
@@ -256,7 +257,7 @@ def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
     from portopt import lp_solver
     problem = _drift_problem()
     cold = solve_lp(problem)
-    real_violation, real_refactorize = lp_solver._max_violation, lp_solver._Tableau.refactorize
+    real_violation, real_refactorize = lp_solver._max_violation, SimplexState.refactorize
     faults = {"drift": 1, "singular": 1}
 
     def violation(p, v):
@@ -265,14 +266,14 @@ def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
             return 1.0
         return real_violation(p, v)
 
-    def refactorize(tab):
+    def refactorize(state):
         if faults["singular"]:
             faults["singular"] -= 1
             raise np.linalg.LinAlgError("Singular matrix")
-        real_refactorize(tab)
+        real_refactorize(state)
 
     monkeypatch.setattr(lp_solver, "_max_violation", violation)
-    monkeypatch.setattr(lp_solver._Tableau, "refactorize", refactorize)
+    monkeypatch.setattr(SimplexState, "refactorize", refactorize)
     sol = solve_lp(problem)
     assert faults == {"drift": 0, "singular": 0}
     assert sol.status is SolveStatus.OPTIMAL
@@ -598,18 +599,19 @@ def _fixture_markowitz(fixture_stats):
 
 def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
     states = _record_oracle_states(monkeypatch)
-    real_refactorize = lp_solver._Tableau.refactorize
+    real_refactorize = SimplexState.refactorize
     calls, compared = [0], []
 
-    def refactorize(tab):
-        reuses = tab.factor_reuses
-        real_refactorize(tab)
+    def refactorize(state):
+        reuses = state.factor_reuses
+        real_refactorize(state)
         calls[0] += 1
-        if calls[0] >= 100 and tab.factor_reuses > reuses:
-            fresh = np.linalg.solve(tab.g[:, tab.basis], np.hstack([tab.g, tab.h[:, None]]))
-            compared.append(np.array_equal(tab.work, fresh))
+        if calls[0] >= 100 and state.factor_reuses > reuses:
+            fresh = np.linalg.solve(state.g[:, state.basic],
+                                    np.hstack([state.g, state.h[:, None]]))
+            compared.append(np.array_equal(state.work, fresh))
 
-    monkeypatch.setattr(lp_solver._Tableau, "refactorize", refactorize)
+    monkeypatch.setattr(SimplexState, "refactorize", refactorize)
     sol = solve_qp(_fixture_markowitz(fixture_stats), max_iters=300)
     (state,) = states
     assert sol.iterations == 300
@@ -620,32 +622,76 @@ def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
     assert len(compared) > 150 and all(compared)
 
 
+def _store_bytes(state: SimplexState) -> int:
+    return sum(factor.nbytes for factor in state._factors.values())
+
+
 def test_factorization_store_never_exceeds_its_capacity(fixture_stats, monkeypatch):
-    monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 4)
+    problem = _fixture_markowitz(fixture_stats)
+    slot = SimplexState(problem._region).work.nbytes   # every basis of the solve has this width
+    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", 4 * slot + slot // 2)
     states = _record_oracle_states(monkeypatch)
-    real_refactorize = lp_solver._Tableau.refactorize
+    real_refactorize = SimplexState.refactorize
     sizes = []
 
-    def refactorize(tab):
-        real_refactorize(tab)
-        sizes.append(len(tab._factors))
+    def refactorize(state):
+        real_refactorize(state)
+        sizes.append(_store_bytes(state))
 
-    monkeypatch.setattr(lp_solver._Tableau, "refactorize", refactorize)
-    solve_qp(_fixture_markowitz(fixture_stats), max_iters=600)
-    assert max(sizes) == 4
+    monkeypatch.setattr(SimplexState, "refactorize", refactorize)
+    solve_qp(problem, max_iters=600)
+    assert max(sizes) == 4 * slot
     assert states[0].factorizations > 4   # bases were evicted and solved again
 
 
 def test_factorization_store_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 2)
-    tab = lp_solver._Tableau(np.array([[1.0, 2.0, 4.0]]), np.array([1.0]),
-                             np.zeros(3), np.ones(3), pivot_limit=100)
+    state = SimplexState(LpProblem(c=np.zeros(3), a_eq=[[1.0, 2.0, 4.0]], b_eq=[1.0],
+                                   lower=np.zeros(3), upper=np.ones(3)))
+    assert state.n_art == 1   # the equality row's artificial, locked at 0
+    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", 2 * state.work.nbytes)
     for basic in (0, 1, 0, 2):
-        tab.set_basis(np.array([basic]), np.zeros(3, dtype=np.int8))
-        tab.refactorize()
-    assert (tab.factorizations, tab.factor_reuses) == (3, 1)
-    assert sorted(np.frombuffer(key, dtype=int)[0] for key in tab._factors) == [0, 2]
-    assert tab.work.tolist() == [[0.25, 0.5, 1.0, 0.25]]
+        state.set_basis(np.array([basic]), np.zeros(4, dtype=np.int8))
+        state.refactorize()
+    assert (state.factorizations, state.factor_reuses) == (3, 1)
+    assert sorted(np.frombuffer(key, dtype=int)[0] for key in state._factors) == [0, 2]
+    assert state.work.tolist() == [[0.25, 0.5, 1.0, 0.25, 0.25]]
+
+
+def test_large_slots_keep_the_store_within_budget_and_siblings_reuse(monkeypatch):
+    # A budget that holds one basis of this search but not two: the store
+    # never exceeds it, and each node's second child still copies the
+    # factorization of the parent's basis that the first child made, so
+    # the search and its work match the default budget's bit for bit.
+    from portopt import milp_solver
+    panel = np.random.default_rng(7).normal(0.0005, 0.01, (20, 62))
+    problem = md_milp_problem(make_returns(panel), ModelConfig(rho=0.0))[0]
+    states, sizes = [], []
+
+    class Recorded(SimplexState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+        def refactorize(self):
+            super().refactorize()
+            sizes.append((_store_bytes(self), self.work.nbytes))
+
+    monkeypatch.setattr(milp_solver, "SimplexState", Recorded)
+    wide = solve_milp(problem)
+    slot = SimplexState(problem.base).work.nbytes
+    assert max(size for size, _ in sizes) > 2 * slot   # the default budget keeps several
+    sizes.clear()
+    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", slot + slot // 2)
+    narrow = solve_milp(problem)
+    assert max(size for size, _ in sizes) <= lp_solver.FACTOR_BYTES
+    assert max(sizes) == (slot, slot)   # one basis kept at a time
+    first, second = states
+    assert (second.factorizations, second.factor_reuses) == (first.factorizations,
+                                                             first.factor_reuses)
+    assert second.factor_reuses == second.factorizations > 10
+    assert narrow.status is wide.status is SolveStatus.OPTIMAL
+    assert (narrow.nodes, narrow.node_pivots) == (wide.nodes, wide.node_pivots)
+    assert narrow.v.tobytes() == wide.v.tobytes()
 
 
 def test_one_slot_store_gives_the_same_bytes(monkeypatch):
@@ -659,7 +705,7 @@ def test_one_slot_store_gives_the_same_bytes(monkeypatch):
                         b_ub=[-float(np.median(mu))], lower=np.zeros(n),
                         upper=np.full(n, 0.3))
     kept = solve_qp(problem)
-    monkeypatch.setattr(lp_solver, "FACTOR_CACHE", 1)
+    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", 1)   # below any one result: only the newest stays
     one = solve_qp(problem)
     assert kept.status is one.status is SolveStatus.OPTIMAL
     assert one.v.tobytes() == kept.v.tobytes()

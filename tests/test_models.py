@@ -192,6 +192,22 @@ class TestFixtureFrontier:
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
             "d1f8eb262308a1bbd073a8591f13dfff283400560e02b8f7966767d6bb1dee94")
 
+    @pytest.mark.parametrize("solve, pivots, objective, digest", [
+        (solve_mad, 154, 0.00619512161443643,
+         "17923b73a6db1888aab23f45dedd5d67d2a020c671147775b6c0698f00ac6a37"),
+        (solve_md, 29, -0.015244024100047751,
+         "5c8e677d91216cf371a383846cf4456e722f5eaf1b7c3ac491f8d2976941c6ae"),
+    ], ids=["mad", "md"])
+    def test_drawdown_lp_work_and_weights_unchanged(self, fixture_train, solve, pivots,
+                                                     objective, digest):
+        # The LP path pinned to the bit: both phases' pivots, the objective
+        # and the weights' bytes.
+        report = solve(fixture_train, ModelConfig(rho=FIXTURE_RHO))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.iterations == pivots
+        assert report.objective == objective
+        assert hashlib.sha256(report.allocation.weights.tobytes()).hexdigest() == digest
+
     def test_reverse_markowitz_decides_early(self, reverse, fixture_stats):
         assert reverse.status is SolveStatus.OPTIMAL
         assert reverse.iterations <= 10_000

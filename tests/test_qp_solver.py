@@ -160,8 +160,8 @@ def test_return_floor_at_max_return_vertex():
                         a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
                         a_ub=-mu[None, :], b_ub=np.array([-(mu @ top)]),
                         lower=np.zeros(n), upper=np.full(n, cap))
-    tab = SimplexState(problem._region)._tab
-    assert np.any(tab.basis >= tab.n_real)
+    state = SimplexState(problem._region)
+    assert np.any(state.basic >= state.n_real)
     for start in (None, top):
         sol = solve_qp(problem, start=start)
         assert sol.status is SolveStatus.OPTIMAL
