@@ -29,6 +29,7 @@ from .core import (
 )
 from .estimation import PerturbationConfig, asset_stats, covariance, covariance_change, perturb_returns
 from .models import SOLVERS, solve_simultaneous
+from .qp_solver import GAP_TOL_DEFAULT, MAX_ITERS_DEFAULT
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +123,8 @@ def train_test_split(returns: ReturnMatrix, spec: SplitSpec) -> tuple[ReturnMatr
 
 
 def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
-                 gap_tol: float = 1e-8, max_iters: int = 50_000) -> SweepResult:
+                 gap_tol: float = GAP_TOL_DEFAULT,
+                 max_iters: int = MAX_ITERS_DEFAULT) -> SweepResult:
     """Solve the penalized model for every grid value and pick the penalty
     whose (std%, return%) point lies closest to the ideal corner.
 
@@ -219,8 +221,7 @@ class SensitivityReport:
 
 
 def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
-                    pcfg: PerturbationConfig, *,
-                    solver_options: dict[str, dict] | None = None) -> SensitivityReport:
+                    pcfg: PerturbationConfig) -> SensitivityReport:
     """Solve each requested model on original and perturbed returns and report
     how much the allocation moved, alongside the covariance change.
 
@@ -235,13 +236,11 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     cov_diff, cov_rel = covariance_change(covariance(returns), covariance(shaken))
     stats_before = asset_stats(returns)
     stats_after = asset_stats(shaken)
-    options = solver_options or {}
 
     def run(tag: str) -> SensitivityRow:
         cfg = cfgs[tag]
-        kw = options.get(tag, {})
-        before = SOLVERS[tag](returns, stats_before, cfg, **kw)
-        after = SOLVERS[tag](shaken, stats_after, cfg, **kw)
+        before = SOLVERS[tag](returns, stats_before, cfg)
+        after = SOLVERS[tag](shaken, stats_after, cfg)
         if before.status is not SolveStatus.OPTIMAL or after.status is not SolveStatus.OPTIMAL:
             status = f"{before.status.value}/{after.status.value}"
             return SensitivityRow(model=tag, alloc_change_pct=None, status=status)

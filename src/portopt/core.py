@@ -35,7 +35,10 @@ class SolveStatus(Enum):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only C-ordered copy. Windows with equal values then solve to
+    equal bits, whatever the layout they were cut in (a boolean-mask column
+    window is F-ordered, a column slice C-ordered)."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

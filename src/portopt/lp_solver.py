@@ -19,19 +19,18 @@ Algorithm notes:
   evict them on demand and redundant rows stay harmlessly basic.
 * Pricing is Dantzig (most negative reduced cost); Bland's smallest-index rule
   engages after 50 consecutive degenerate pivots and guarantees termination.
-* The working tableau is B^-1 [A | b], refreshed by direct refactorization if
-  the final solution drifts past the feasibility tolerance.
+* The working tableau is B^-1 [A | b]. A drift guard refreshes it by direct
+  refactorization, and re-solves, if a call's final solution breaks a row or
+  bound by more than the feasibility tolerance.
 * `SimplexState` is the one simplex class: it holds the tableau for its whole
   life, across objectives and bound changes. Phase 1 runs once, and each
-  later `minimize` refactorizes the kept basis and runs phase 2 from it
-  (phase 1 reruns in the same tableau only if that basis has drifted
-  infeasible). The state keeps B^-1 [G | h] for the bases it refactorized,
-  so a basis seen before is restored by copying that array rather than
-  solving with B again; the copy equals a fresh solve bit for bit. The store
-  is per state (per QP solve for the Frank-Wolfe oracle, per search for
-  branch and bound) and holds at most `FACTOR_BYTES` (2 MiB): the least
-  recently used arrays go first, but the newest always stays, however large.
-  `solve_lp` is one state minimized once.
+  later `minimize` continues phase 2 from the basis and the B^-1 [G | h] the
+  previous call left. Pivot drift therefore carries from call to call; the
+  drift guard is the one place a call refactorizes, or reruns phase 1 in the
+  same tableau when the refactorized basis is singular or infeasible.
+  The state keeps its newest factorization, so refactorizing the basis it
+  was last made for copies it rather than solving with B again; the copy
+  equals a fresh solve bit for bit. `solve_lp` is one state minimized once.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
   cost: `SimplexState.reopen` writes new bounds into the state and
   takes a saved basis (basic columns and nonbasic statuses); the rows stay as
@@ -49,9 +48,7 @@ the solution certificate check so results are reproducible.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +58,6 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-12
 BLAND_TRIGGER = 50
-FACTOR_BYTES = 1 << 21   # bytes of kept B^-1 [G | h] results a state's store may hold
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -162,18 +158,6 @@ class Basis:
     status: np.ndarray
 
 
-class _Region(NamedTuple):
-    """The rows and bounds a state's vertex must satisfy, named as in
-    LpProblem."""
-
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 class SimplexState:
     """A primal feasible basis of one region, kept across objectives.
 
@@ -183,18 +167,19 @@ class SimplexState:
     that one tableau for its whole life, and phase 1 runs once, locking
     artificials left basic at zero. `minimize(cost)` runs phase 2 for a
     minimization cost over the structural variables, starting from the kept
-    basis. Every call after the first refactorizes that basis (from its kept
-    factorization when the basis was refactorized before), so pivot drift
-    never carries from one call to the next; if the refactorized basis is no
-    longer primal feasible within 1e-7, phase 1 runs again in the same
-    tableau. `pivot_limit` bounds the pivots of each call (the first call
-    shares it with the initial phase 1), never the state's lifetime.
-    `reopen` moves the state to new bounds and re-optimizes from a saved
-    `basis()` by the dual simplex. Every call shares the state's factor
-    store, so a branch-and-bound search keeps one store. `pivots`,
-    `factorizations` (LAPACK solves run to refactorize a basis) and
-    `factor_reuses` (refactorizations served from the store) count over the
-    state's lifetime, phase 1 included.
+    basis and the tableau the previous call left. A call refactorizes only
+    when its optimal vertex breaks a row or bound by more than 1e-7: the
+    drift guard then refactorizes the basis and runs phase 2 again, from
+    phase 1 in the same tableau if that basis is singular or no longer
+    primal feasible. `pivot_limit` bounds the pivots of each call (the first
+    call shares it with the initial phase 1), never the state's lifetime.
+    `reopen` moves the state to new bounds, refactorizes a saved `basis()`
+    and re-optimizes from it by the dual simplex. The state keeps its newest
+    factorization, so a branch-and-bound node's second child copies the one
+    its first child made of the parent's basis. `pivots`, `factorizations`
+    (LAPACK solves run to refactorize a basis) and `factor_reuses`
+    (refactorizations served from the kept one) count over the state's
+    lifetime, phase 1 included.
     """
 
     def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
@@ -216,7 +201,7 @@ class SimplexState:
         self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
         self._buf = None                    # pivot-update scratch, same shape as work
         self._gh = None                     # [G | h], built on the first refactorization
-        self._factors = OrderedDict()       # basis bytes -> B^-1 [G | h], least recent first
+        self._factor = None                 # (basis bytes, B^-1 [G | h]) of the newest solve
         self._values = np.empty(0)          # nonbasic values, 0 at basic columns
         self._x = None                      # solution(), until the next change
         self.pivots = 0
@@ -236,15 +221,11 @@ class SimplexState:
 
     def set_bounds(self, lower: np.ndarray, upper: np.ndarray):
         """Bound the structural columns by `lower` and `upper`, every slack
-        column to [0, inf) and every artificial column to [0, 0], and check
-        vertices against `lower` and `upper` from now on. The caller then
-        sets the column values to match."""
-        p = self.problem
-        m_ub = p.a_ub.shape[0]
+        column to [0, inf) and every artificial column to [0, 0]. The caller
+        then sets the column values to match."""
+        m_ub = self.problem.a_ub.shape[0]
         self.lower = np.concatenate([lower, np.zeros(m_ub + self.n_art)])
         self.upper = np.concatenate([upper, np.full(m_ub, np.inf), np.zeros(self.n_art)])
-        self._region = _Region(p.a_eq, p.b_eq, p.a_ub, p.b_ub,
-                               self.lower[:p.n_vars], self.upper[:p.n_vars])
 
     def set_basis(self, basic: np.ndarray, status: np.ndarray):
         """Take basic columns and column statuses; the caller sets `work` to
@@ -285,13 +266,13 @@ class SimplexState:
         """Phase-1 setup with a slack crash basis (Bixby 1992).
 
         Each `<=` row has its slack column (coefficient +1, bounds [0, inf)).
-        An earlier phase 1's artificials are dropped first, and the factor
-        store with them. Nonbasics rest at their nearest finite bound. A `<=`
-        row whose slack absorbs the residual h - G v at that point starts with
-        the slack basic; every other row (equality rows and `<=` rows with a
-        negative residual) gets an artificial on [0, inf) signed to absorb its
-        residual. B is diagonal with entries +1 (slacks) and +-1
-        (artificials), so B^-1 scales rows by sign.
+        An earlier phase 1's artificials are dropped first, and the kept
+        factorization with them. Nonbasics rest at their nearest finite
+        bound. A `<=` row whose slack absorbs the residual h - G v at that
+        point starts with the slack basic; every other row (equality rows and
+        `<=` rows with a negative residual) gets an artificial on [0, inf)
+        signed to absorb its residual. B is diagonal with entries +1 (slacks)
+        and +-1 (artificials), so B^-1 scales rows by sign.
         """
         n = self.n_real
         g, lower, upper = self.g[:, :n], self.lower[:n], self.upper[:n]
@@ -315,32 +296,24 @@ class SimplexState:
         # B = diag(signs) so B^-1 applies row signs directly
         self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
         self._gh = None
-        self._factors.clear()
+        self._factor = None
         self.degenerate_run = 0
         self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
 
     def refactorize(self):
-        """Set work = B^-1 [G | h] for the current basis. The solve's result
-        is kept per basis, and a basis seen before gets a copy of it: the
-        same LAPACK call on the same operands gives the same bits. The store
-        drops its least recently used results while it holds more than
-        FACTOR_BYTES, but always keeps the newest. A singular basis raises
-        LinAlgError and is not kept."""
+        """Set work = B^-1 [G | h] for the current basis. The newest solve's
+        result is kept, and the basis it was made for gets a copy of it: the
+        same LAPACK call on the same operands gives the same bits. A singular
+        basis raises LinAlgError and is not kept."""
         key = self.basic.tobytes()
-        factor = self._factors.get(key)
-        if factor is None:
+        if self._factor is not None and self._factor[0] == key:
+            self.factor_reuses += 1
+        else:
             if self._gh is None:
                 self._gh = np.hstack([self.g, self.h[:, None]])
             self.factorizations += 1
-            factor = np.linalg.solve(self.g[:, self.basic], self._gh)
-            self._factors[key] = factor
-            # every kept result has the shape of `work`: cold_start clears the store
-            while len(self._factors) > 1 and len(self._factors) * factor.nbytes > FACTOR_BYTES:
-                self._factors.popitem(last=False)
-        else:
-            self._factors.move_to_end(key)
-            self.factor_reuses += 1
-        self.work = factor.copy()
+            self._factor = (key, np.linalg.solve(self.g[:, self.basic], self._gh))
+        self.work = self._factor[1].copy()
         self._x = None
 
     def primal_feasible(self) -> bool:
@@ -485,7 +458,8 @@ class SimplexState:
         outcome = self.run(phase1_cost)
         self.feasible = outcome == "optimal" and float(phase1_cost @ self.solution()) <= FEAS_TOL
         if self.feasible:
-            self.set_bounds(self._region.lower, self._region.upper)   # locks artificials
+            n = self.problem.n_vars
+            self.set_bounds(self.lower[:n], self.upper[:n])   # locks artificials
             self._reset_values()
 
     def _restore(self) -> bool:
@@ -551,8 +525,14 @@ class SimplexState:
         """The current basic solution over the structural variables."""
         return self.solution()[:self.problem.n_vars].copy()
 
+    def _violation(self) -> float:
+        """The vertex's largest row or bound violation under the state's
+        bounds."""
+        n = self.problem.n_vars
+        return _max_violation(self.problem, self.vertex, self.lower[:n], self.upper[:n])
+
     def minimize(self, cost: np.ndarray) -> SolveStatus:
-        """Minimize cost @ v over the region from the kept basis.
+        """Minimize cost @ v over the region from the kept basis and tableau.
 
         Returns Optimal or Unbounded, leaving `vertex` at the optimum, or
         Infeasible when the region is empty. A vertex that has drifted past
@@ -566,18 +546,16 @@ class SimplexState:
             return SolveStatus.INFEASIBLE
         if not self._fresh:
             self.start_call()
-            if not self._restore():
-                return SolveStatus.INFEASIBLE
         self._fresh = False
         if self.run(self._full_cost(cost)) == "unbounded":
             return SolveStatus.UNBOUNDED
         # Guard against accumulated tableau drift before certifying.
-        if _max_violation(self._region, self.vertex) > FEAS_TOL:
+        if self._violation() > FEAS_TOL:
             if not self._restore():
                 return SolveStatus.INFEASIBLE
             if self.run(self._full_cost(cost)) == "unbounded":
                 return SolveStatus.UNBOUNDED
-            violation = _max_violation(self._region, self.vertex)
+            violation = self._violation()
             if violation > FEAS_TOL:
                 raise RuntimeError(f"simplex vertex violates a row or bound by {violation:.3g} "
                                    f"after refactorization (tolerance {FEAS_TOL:g})")
@@ -592,17 +570,21 @@ def solve_lp(problem: LpProblem, pivot_limit: int = 50000) -> LpSolution:
     return _finish(problem, state, sign * problem.c, status)
 
 
-def _max_violation(problem: LpProblem | _Region, v: np.ndarray) -> float:
-    """Largest row or bound violation of v; inf when v is not finite."""
+def _max_violation(problem: LpProblem, v: np.ndarray, lower: np.ndarray | None = None,
+                   upper: np.ndarray | None = None) -> float:
+    """Largest violation of v of the problem's rows and of `lower` and
+    `upper` (the problem's bounds by default); inf when v is not finite."""
     if not np.isfinite(v).all():
         return np.inf
+    lower = problem.lower if lower is None else lower
+    upper = problem.upper if upper is None else upper
     worst = 0.0
     if problem.a_eq.shape[0]:
         worst = max(worst, float(np.abs(problem.a_eq @ v - problem.b_eq).max()))
     if problem.a_ub.shape[0]:
         worst = max(worst, float((problem.a_ub @ v - problem.b_ub).max(initial=0.0)))
-    worst = max(worst, float((problem.lower - v).max(initial=0.0)))
-    worst = max(worst, float((v - problem.upper).max(initial=0.0)))
+    worst = max(worst, float((lower - v).max(initial=0.0)))
+    worst = max(worst, float((v - upper).max(initial=0.0)))
     return worst
 
 

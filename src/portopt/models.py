@@ -39,10 +39,8 @@ from .core import (
 from .estimation import mean_returns
 from .lp_solver import LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
-from .qp_solver import QpProblem, QpSolution, solve_qp
+from .qp_solver import GAP_TOL_DEFAULT, MAX_ITERS_DEFAULT, QpProblem, QpSolution, solve_qp
 
-QP_GAP_TOL = 1e-8
-QP_MAX_ITERS = 50_000
 BISECT_ITERS = 60
 BISECT_TOL = 1e-10
 SIGMA_SLACK = 1e-6
@@ -197,7 +195,8 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
 # ---------------------------------------------------------------------------
 
 def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                    gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
+                    gap_tol: float = GAP_TOL_DEFAULT,
+                    max_iters: int = MAX_ITERS_DEFAULT) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
     The report's objective is the portfolio variance x' Sigma x, plus the L1
@@ -209,7 +208,8 @@ def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
 
 
 def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
-                       gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
+                       gap_tol: float = GAP_TOL_DEFAULT,
+                       max_iters: int = MAX_ITERS_DEFAULT) -> SolveReport:
     """Model: minimize -mean return + lambda * variance over the budget box.
 
     As in `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 penalty.
@@ -239,7 +239,8 @@ def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: Mod
 
 
 def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                            gap_tol: float = QP_GAP_TOL, max_iters: int = QP_MAX_ITERS) -> SolveReport:
+                            gap_tol: float = GAP_TOL_DEFAULT,
+                            max_iters: int = MAX_ITERS_DEFAULT) -> SolveReport:
     """Model: maximize mean return subject to a standard-deviation ceiling.
 
     Solved by bisection on the required return of the minimum-variance model:
@@ -311,30 +312,29 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     return certified(lo, best)
 
 
-def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_000) -> SolveReport:
+def solve_mad(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
     """Model: minimize mean absolute deviation of the portfolio return."""
     started = time.perf_counter()
     problem, layout = mad_problem(returns, cfg)
-    sol = solve_lp(problem, pivot_limit=pivot_limit)
+    sol = solve_lp(problem)
     return _report("mad", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(1.0),
                    sol.pivots, started)
 
 
-def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *, pivot_limit: int = 50_000) -> SolveReport:
+def solve_md(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
     """Model: maximize the worst single-day portfolio return (max drawdown)."""
     started = time.perf_counter()
     problem, layout = md_problem(returns, cfg)
-    sol = solve_lp(problem, pivot_limit=pivot_limit)
+    sol = solve_lp(problem)
     return _report("md", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(0.5),
                    sol.pivots, started)
 
 
-def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
-                  node_limit: int = 100_000) -> SolveReport:
+def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
     """Model: the max-drawdown LP with a minimum-allocation rule per name."""
     started = time.perf_counter()
     problem, layout = md_milp_problem(returns, cfg)
-    sol = solve_milp(problem, node_limit=node_limit)
+    sol = solve_milp(problem)
     x = sol.v[layout.x] if sol.v is not None else None
     report = _report("md_milp", sol.status, x, sol.objective, cfg.resolved_cap(0.5),
                      sol.nodes, started)
@@ -346,12 +346,12 @@ def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
 
 
 SOLVERS = {
-    "markowitz": lambda returns, stats, cfg, **kw: solve_markowitz(stats, cfg, **kw),
-    "reverse_markowitz": lambda returns, stats, cfg, **kw: solve_reverse_markowitz(stats, cfg, **kw),
-    "simultaneous": lambda returns, stats, cfg, **kw: solve_simultaneous(stats, cfg, **kw),
-    "mad": lambda returns, stats, cfg, **kw: solve_mad(returns, cfg, **kw),
-    "md": lambda returns, stats, cfg, **kw: solve_md(returns, cfg, **kw),
-    "md_milp": lambda returns, stats, cfg, **kw: solve_md_milp(returns, cfg, **kw),
+    "markowitz": lambda returns, stats, cfg: solve_markowitz(stats, cfg),
+    "reverse_markowitz": lambda returns, stats, cfg: solve_reverse_markowitz(stats, cfg),
+    "simultaneous": lambda returns, stats, cfg: solve_simultaneous(stats, cfg),
+    "mad": lambda returns, stats, cfg: solve_mad(returns, cfg),
+    "md": lambda returns, stats, cfg: solve_md(returns, cfg),
+    "md_milp": lambda returns, stats, cfg: solve_md_milp(returns, cfg),
 }
 
 # The ModelConfig fields each model reads. The CLI refuses a model option set

@@ -14,11 +14,11 @@ therefore non-increasing at every iteration.
 
 Practical notes: the oracle's feasible region never changes, so one
 `SimplexState` serves the whole solve: phase 1 runs once, and each iteration
-restores the kept basis and re-optimizes from it for the new gradient. The
-iterates visit few distinct bases (18 over the 6,957 oracle calls of the
-fixture's `markowitz`), so the state keeps each basis's factorization and
-reuses it instead of solving with B again; `oracle_factorizations` counts the
-solves that did run. Q @ v is updated incrementally from Q @ s (vertices are
+re-optimizes for the new gradient from the basis and tableau the previous
+one left. The oracle solves with B only when its drift guard finds a vertex
+off a row or bound by more than 1e-7, and `oracle_factorizations` counts
+those solves: none over the 6,957 oracle calls of the fixture's
+`markowitz`. Q @ v is updated incrementally from Q @ s (vertices are
 sparse) and refreshed periodically to stop floating-point drift.
 Frank-Wolfe's O(1/k) tail makes very tight gaps expensive; the default
 relative gap of 1e-8 suits the daily-decimal covariance scale this package

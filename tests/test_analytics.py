@@ -242,16 +242,6 @@ class TestSensitivity:
         b = sensitivity_run(r, cfgs, PerturbationConfig(seed=5))
         assert a == b
 
-    def test_solver_options_reach_lp_models(self):
-        rng = np.random.default_rng(23)
-        r = make_returns(rng.normal(0.002, 0.02, (6, 30)))
-        with pytest.raises(RuntimeError, match="pivot limit"):
-            sensitivity_run(r, {"md": ModelConfig(rho=0.0)}, PerturbationConfig(seed=5),
-                            solver_options={"md": {"pivot_limit": 1}})
-        with pytest.raises(TypeError):
-            sensitivity_run(r, {"mad": ModelConfig(rho=0.0)}, PerturbationConfig(seed=5),
-                            solver_options={"mad": {"pivot_limt": 5}})
-
     def test_unknown_model_rejected(self):
         r = make_returns(np.random.default_rng(0).normal(0, 0.01, (3, 10)))
         with pytest.raises(DataError):

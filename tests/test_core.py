@@ -83,6 +83,13 @@ class TestTypes:
         with pytest.raises((ValueError, AttributeError)):
             alloc.weights[0] = 0.5
 
+    def test_matrices_store_read_only_c_order(self):
+        values = np.asfortranarray([[1.0, 1.1, 1.2], [2.0, 2.2, 2.1]])
+        for matrix in (PriceMatrix(("A", "B"), ("d1", "d2", "d3"), values).prices,
+                       ReturnMatrix(("A", "B"), ("d1", "d2", "d3"), values - 1.0).returns):
+            assert matrix.flags.c_contiguous and not matrix.flags.writeable
+        assert np.array_equal(matrix, values - 1.0)
+
     def test_model_config_invariants(self):
         with pytest.raises(DataError):
             ModelConfig(sigma0=-0.1)

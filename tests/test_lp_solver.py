@@ -1,7 +1,9 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from portopt import lp_solver
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
     BLAND_TRIGGER,
@@ -14,7 +16,7 @@ from portopt.lp_solver import (
 )
 from portopt.milp_solver import solve_milp
 from portopt.models import mad_problem, markowitz_problem, md_milp_problem
-from portopt.qp_solver import QpProblem, solve_qp
+from portopt.qp_solver import solve_qp
 
 from conftest import FIXTURE_RHO, make_returns
 from oracles import enumerate_lp_vertices
@@ -207,6 +209,15 @@ def test_max_violation_of_non_finite_vector_is_inf():
         assert _max_violation(p, np.array(v)) == np.inf
 
 
+def test_max_violation_checks_the_bounds_it_is_given():
+    p = LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
+                  lower=[0.0, 0.0], upper=[1.0, 1.0])
+    v = np.array([0.75, 0.25])
+    assert _max_violation(p, v) == 0.0
+    assert _max_violation(p, v, np.zeros(2), np.array([0.5, 1.0])) == pytest.approx(0.25)
+    assert _max_violation(p, v, np.array([0.0, 0.5]), p.upper) == pytest.approx(0.25)
+
+
 def test_equality_matches_two_opposing_inequalities():
     # max y s.t. y <= r_t' x every day, sum x = 1, 0 <= x <= 0.5: the budget
     # row as an equality and as a pair of opposing inequalities
@@ -260,11 +271,11 @@ def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
     real_violation, real_refactorize = lp_solver._max_violation, SimplexState.refactorize
     faults = {"drift": 1, "singular": 1}
 
-    def violation(p, v):
+    def violation(p, v, *bounds):
         if faults["drift"]:
             faults["drift"] -= 1
             return 1.0
-        return real_violation(p, v)
+        return real_violation(p, v, *bounds)
 
     def refactorize(state):
         if faults["singular"]:
@@ -283,9 +294,36 @@ def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
 
 def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):
     from portopt import lp_solver
-    monkeypatch.setattr(lp_solver, "_max_violation", lambda p, v: 0.25)
+    monkeypatch.setattr(lp_solver, "_max_violation", lambda p, v, *bounds: 0.25)
     with pytest.raises(RuntimeError, match="violates a row or bound by 0.25"):
         solve_lp(_drift_problem())
+
+
+def test_minimize_refactorizes_only_in_the_drift_guard(monkeypatch):
+    # Calls continue in the tableau the previous call left, so many
+    # objectives run without a LAPACK solve. A faked drifted vertex makes
+    # the guard refactorize; the same basis drifting again reuses that
+    # factorization, and the re-solved vertex is a cold solve's optimum.
+    from portopt import lp_solver
+    problem = _drift_problem()
+    costs = np.random.default_rng(61).normal(size=(6, problem.n_vars))
+    state = SimplexState(problem)
+    for cost in costs:
+        assert state.minimize(cost) is SolveStatus.OPTIMAL
+    assert (state.factorizations, state.factor_reuses) == (0, 0)
+    real_violation = lp_solver._max_violation
+    faked = [True, False, True, False]   # each call: the guard's check, then the re-check
+
+    def violation(p, v, *bounds):
+        return 1.0 if faked.pop(0) else real_violation(p, v, *bounds)
+
+    cold = solve_lp(dataclasses.replace(problem, c=costs[-1]))
+    monkeypatch.setattr(lp_solver, "_max_violation", violation)
+    for counts in ((1, 0), (1, 1)):
+        assert state.minimize(costs[-1]) is SolveStatus.OPTIMAL
+        assert (state.factorizations, state.factor_reuses) == counts
+        assert float(costs[-1] @ state.vertex) == pytest.approx(cold.objective, abs=1e-12)
+    assert faked == []
 
 
 def _cold_start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -598,116 +636,39 @@ def _fixture_markowitz(fixture_stats):
 
 
 def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
+    # Each oracle call continues in the tableau the previous one left, so
+    # over 300 iterations the oracle makes no LAPACK solve at all; the drift
+    # this leaves in B^-1 [G | h] (entries up to ~1e3) measured 1.7e-12.
     states = _record_oracle_states(monkeypatch)
-    real_refactorize = SimplexState.refactorize
-    calls, compared = [0], []
-
-    def refactorize(state):
-        reuses = state.factor_reuses
-        real_refactorize(state)
-        calls[0] += 1
-        if calls[0] >= 100 and state.factor_reuses > reuses:
-            fresh = np.linalg.solve(state.g[:, state.basic],
-                                    np.hstack([state.g, state.h[:, None]]))
-            compared.append(np.array_equal(state.work, fresh))
-
-    monkeypatch.setattr(SimplexState, "refactorize", refactorize)
     sol = solve_qp(_fixture_markowitz(fixture_stats), max_iters=300)
     (state,) = states
     assert sol.iterations == 300
-    assert sol.oracle_factorizations == state.factorizations
-    # every oracle call after the first restores the kept basis
-    assert state.factorizations + state.factor_reuses == calls[0] >= 299
-    assert state.factorizations < 30
-    assert len(compared) > 150 and all(compared)
-
-
-def _store_bytes(state: SimplexState) -> int:
-    return sum(factor.nbytes for factor in state._factors.values())
-
-
-def test_factorization_store_never_exceeds_its_capacity(fixture_stats, monkeypatch):
-    problem = _fixture_markowitz(fixture_stats)
-    slot = SimplexState(problem._region).work.nbytes   # every basis of the solve has this width
-    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", 4 * slot + slot // 2)
-    states = _record_oracle_states(monkeypatch)
-    real_refactorize = SimplexState.refactorize
-    sizes = []
-
-    def refactorize(state):
-        real_refactorize(state)
-        sizes.append(_store_bytes(state))
-
-    monkeypatch.setattr(SimplexState, "refactorize", refactorize)
-    solve_qp(problem, max_iters=600)
-    assert max(sizes) == 4 * slot
-    assert states[0].factorizations > 4   # bases were evicted and solved again
-
-
-def test_factorization_store_evicts_the_least_recently_used(monkeypatch):
-    state = SimplexState(LpProblem(c=np.zeros(3), a_eq=[[1.0, 2.0, 4.0]], b_eq=[1.0],
-                                   lower=np.zeros(3), upper=np.ones(3)))
-    assert state.n_art == 1   # the equality row's artificial, locked at 0
-    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", 2 * state.work.nbytes)
-    for basic in (0, 1, 0, 2):
-        state.set_basis(np.array([basic]), np.zeros(4, dtype=np.int8))
-        state.refactorize()
-    assert (state.factorizations, state.factor_reuses) == (3, 1)
-    assert sorted(np.frombuffer(key, dtype=int)[0] for key in state._factors) == [0, 2]
-    assert state.work.tolist() == [[0.25, 0.5, 1.0, 0.25, 0.25]]
+    assert sol.oracle_factorizations == state.factorizations == 0
+    assert state.factor_reuses == 0
+    fresh = np.linalg.solve(state.g[:, state.basic], np.hstack([state.g, state.h[:, None]]))
+    assert np.abs(state.work - fresh).max() <= 1e-11
 
 
 def test_large_slots_keep_the_store_within_budget_and_siblings_reuse(monkeypatch):
-    # A budget that holds one basis of this search but not two: the store
-    # never exceeds it, and each node's second child still copies the
-    # factorization of the parent's basis that the first child made, so
-    # the search and its work match the default budget's bit for bit.
+    # The state keeps one factorization, the newest, however large: each
+    # node's second child copies the factorization of the parent's basis
+    # that the first child made, as when the state kept up to 2 MiB of them.
+    # Nodes, pivots and the incumbent's bytes are those of that store.
     from portopt import milp_solver
     panel = np.random.default_rng(7).normal(0.0005, 0.01, (20, 62))
     problem = md_milp_problem(make_returns(panel), ModelConfig(rho=0.0))[0]
-    states, sizes = [], []
+    states = []
 
     class Recorded(SimplexState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             states.append(self)
 
-        def refactorize(self):
-            super().refactorize()
-            sizes.append((_store_bytes(self), self.work.nbytes))
-
     monkeypatch.setattr(milp_solver, "SimplexState", Recorded)
-    wide = solve_milp(problem)
-    slot = SimplexState(problem.base).work.nbytes
-    assert max(size for size, _ in sizes) > 2 * slot   # the default budget keeps several
-    sizes.clear()
-    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", slot + slot // 2)
-    narrow = solve_milp(problem)
-    assert max(size for size, _ in sizes) <= lp_solver.FACTOR_BYTES
-    assert max(sizes) == (slot, slot)   # one basis kept at a time
-    first, second = states
-    assert (second.factorizations, second.factor_reuses) == (first.factorizations,
-                                                             first.factor_reuses)
-    assert second.factor_reuses == second.factorizations > 10
-    assert narrow.status is wide.status is SolveStatus.OPTIMAL
-    assert (narrow.nodes, narrow.node_pivots) == (wide.nodes, wide.node_pivots)
-    assert narrow.v.tobytes() == wide.v.tobytes()
-
-
-def test_one_slot_store_gives_the_same_bytes(monkeypatch):
-    rng = np.random.default_rng(83)
-    n = 12
-    panel = rng.normal(0.001, 0.02, (n, 40))
-    centered = panel - panel.mean(axis=1, keepdims=True)
-    mu = panel.mean(axis=1)
-    problem = QpProblem(q=centered @ centered.T / 40, c=np.zeros(n),
-                        a_eq=np.ones((1, n)), b_eq=[1.0], a_ub=-mu[None, :],
-                        b_ub=[-float(np.median(mu))], lower=np.zeros(n),
-                        upper=np.full(n, 0.3))
-    kept = solve_qp(problem)
-    monkeypatch.setattr(lp_solver, "FACTOR_BYTES", 1)   # below any one result: only the newest stays
-    one = solve_qp(problem)
-    assert kept.status is one.status is SolveStatus.OPTIMAL
-    assert one.v.tobytes() == kept.v.tobytes()
-    assert (one.iterations, one.oracle_pivots) == (kept.iterations, kept.oracle_pivots)
-    assert one.oracle_factorizations > kept.oracle_factorizations
+    sol = solve_milp(problem)
+    (state,) = states
+    assert state.factor_reuses == state.factorizations == 32
+    assert sol.status is SolveStatus.OPTIMAL
+    assert (sol.nodes, sol.node_pivots) == (65, 323)
+    assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
+        "d59c025cf2252f76567221ddad116ec6db60baf51465a8474bbff1a7f84456a1")

@@ -9,6 +9,7 @@ from portopt.core import (
     Allocation,
     DataError,
     ModelConfig,
+    ReturnMatrix,
     SolveStatus,
     validate_allocation,
 )
@@ -176,27 +177,28 @@ class TestFixtureFrontier:
         return solve_reverse_markowitz(fixture_stats, ModelConfig(sigma0=self.SIGMA0))
 
     def test_markowitz_work_and_weights_unchanged(self, fixture_stats):
-        # A plain solve (no `level`) keeps its iterates: the count and the
-        # weights' bytes are those recorded before `level` existed.
+        # A plain solve (no `level`) keeps its iterates: the count is the one
+        # recorded before `level` existed. The weights' bytes are those of an
+        # oracle that continues in its tableau between calls.
         problem, _ = markowitz_problem(fixture_stats, ModelConfig(rho=FIXTURE_RHO))
         sol = solve_qp(problem, level=None)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.iterations == 6957
-        assert sol.objective == 6.88640685894121e-05
+        assert sol.objective == 6.886406858940859e-05
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
-            "8ccf9f8e1754a003d7822dd20daa8b71bee579027aef7195be1fe67c207616bc")
+            "10d12a0554d72749385207cce4d6028daca9ee061a2237cae8d983365030ad47")
 
     def test_reverse_markowitz_work_and_weights_unchanged(self, reverse):
         # Every bisection step and the certifying solve, pinned to the bit.
         assert reverse.iterations == 7715
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
-            "d1f8eb262308a1bbd073a8591f13dfff283400560e02b8f7966767d6bb1dee94")
+            "a8e313ba5651ba45cadf8963e04459477132c99e36d519fcf9f666f72b143c62")
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
         (solve_mad, 154, 0.00619512161443643,
          "17923b73a6db1888aab23f45dedd5d67d2a020c671147775b6c0698f00ac6a37"),
-        (solve_md, 29, -0.015244024100047751,
-         "5c8e677d91216cf371a383846cf4456e722f5eaf1b7c3ac491f8d2976941c6ae"),
+        (solve_md, 29, -0.015244024100047777,
+         "83315524145922b7aef361577a580e770aa97a57e4a5cef3924fcd9f26063487"),
     ], ids=["mad", "md"])
     def test_drawdown_lp_work_and_weights_unchanged(self, fixture_train, solve, pivots,
                                                      objective, digest):
@@ -338,6 +340,20 @@ class TestMd:
         rep_a = solve_md(make_returns(alternating), ModelConfig(rho=-1.0))
         assert rep_a.objective > rep_c.objective
         assert rep_a.objective == pytest.approx(0.015)  # even split hedges the bad days
+
+    def test_weights_do_not_depend_on_the_window_layout(self, fixture_returns, fixture_train):
+        # train_test_split cuts its window with a boolean mask, the CLI's
+        # solve command with a column slice: equal values in F and C order,
+        # which once ended the LP in different bits.
+        days = fixture_train.n_days
+        sliced = ReturnMatrix(fixture_returns.tickers, fixture_returns.dates[:days],
+                              fixture_returns.returns[:, :days])
+        assert sliced.dates == fixture_train.dates
+        assert np.array_equal(sliced.returns, fixture_train.returns)
+        cfg = ModelConfig(rho=FIXTURE_RHO)
+        masked, cut = solve_md(fixture_train, cfg), solve_md(sliced, cfg)
+        assert masked.objective == cut.objective
+        assert masked.allocation.weights.tobytes() == cut.allocation.weights.tobytes()
 
     def test_cap_respected_and_feasible(self, fixture_md_report):
         x = fixture_md_report.allocation.weights

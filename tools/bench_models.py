@@ -4,10 +4,9 @@ report status, objective, seconds and work per solve.
 
 Work is the model report's `iterations`: Frank-Wolfe iterations for the
 quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
-nodes for `md_milp`, whose node LPs and their pivots are read from the
-`MilpSolution` of one more solve of the same problem (`node_lps` is null
-where `MilpSolution` lacks it: each node is one LP there). That second
-solve is timed apart from building its problem, as `build_seconds` and
+nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
+one more solve of the same problem (each node is one LP). That second solve
+is timed apart from building its problem, as `build_seconds` and
 `solve_seconds`; both are warm, after the report's own solve. The LP models
 also report the phase-1 pivots of their region. `markowitz` and
 `reverse_markowitz` report their Frank-Wolfe oracles' work, summed over every
@@ -18,7 +17,9 @@ simplex state the solve builds: `oracle_states`, `oracle_pivots`,
 `node_factorizations` and `node_reuses`. A checkout whose `SimplexState`
 lacks a counter records null for it. Inputs
 match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
-sigma0 0.012, lambda 0.08, perturbation divisor c = 1000.
+sigma0 0.012, lambda 0.08, perturbation divisor c = 1000. The window is a
+column slice; where `ReturnMatrix` stores C order it solves to
+the same bits as the `backtest` command's date-mask window.
 
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
@@ -112,7 +113,7 @@ def run(seed: int) -> dict:
             sol = milp_solver.solve_milp(problem)
             row.update(build_seconds=round(built - started, 6),
                        solve_seconds=round(time.perf_counter() - built, 6),
-                       node_lps=getattr(sol, "node_lps", None), node_pivots=sol.node_pivots,
+                       node_pivots=sol.node_pivots,
                        node_factorizations=_total(search_states, "factorizations"),
                        node_reuses=_total(search_states, "factor_reuses"))
         if tag in builders:
