@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .core import (
     DimensionError,
     ModelConfig,
     ReturnMatrix,
-    SolveReport,
     SolveStatus,
 )
-from .estimation import PerturbationConfig, asset_stats, covariance, covariance_change, perturb_returns
+from .estimation import (PerturbationConfig, covariance, covariance_change, mean_returns,
+                         perturb_returns)
 from .models import SOLVERS, solve_simultaneous
 from .qp_solver import GAP_TOL_DEFAULT, MAX_ITERS_DEFAULT
 
@@ -76,7 +76,6 @@ class SweepResult:
     ideal_point: tuple[float, float]
     chosen_lambda: float
     distances: tuple[float, ...]
-    reports: tuple[SolveReport, ...] = field(compare=False, default=())
 
 
 def portfolio_series(returns: ReturnMatrix, allocation: Allocation) -> np.ndarray:
@@ -172,7 +171,7 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
     return SweepResult(
         lambdas=tuple(grid), std_pct=tuple(std_pct), return_pct=tuple(ret_pct),
         statuses=tuple(statuses), ideal_point=ideal, chosen_lambda=grid[chosen],
-        distances=tuple(distances), reports=tuple(reports),
+        distances=tuple(distances),
     )
 
 
@@ -233,9 +232,9 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
     shaken = perturb_returns(returns, pcfg)
-    cov_diff, cov_rel = covariance_change(covariance(returns), covariance(shaken))
-    stats_before = asset_stats(returns)
-    stats_after = asset_stats(shaken)
+    stats_before = AssetStats(mean_returns(returns), covariance(returns))
+    stats_after = AssetStats(mean_returns(shaken), covariance(shaken))
+    cov_diff, cov_rel = covariance_change(stats_before.covariance, stats_after.covariance)
 
     def run(tag: str) -> SensitivityRow:
         cfg = cfgs[tag]

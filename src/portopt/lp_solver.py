@@ -17,20 +17,21 @@ Algorithm notes:
   locked to [0, 0] rather than pivoted out eagerly, and stay in the tableau;
   locked columns always block the ratio test at zero, so degenerate pivots
   evict them on demand and redundant rows stay harmlessly basic.
-* Pricing is Dantzig (most negative reduced cost); Bland's smallest-index rule
-  engages after 50 consecutive degenerate pivots and guarantees termination.
+* Pricing is Dantzig (most negative reduced cost). Within a run of
+  degenerate steps the loop remembers each basis it has held; once one
+  repeats, Bland's smallest-index rule takes over until a step makes
+  progress. Bland's rule cannot cycle (Bland 1977), so every loop finishes.
 * The working tableau is B^-1 [A | b]. A drift guard refreshes it by direct
-  refactorization, and re-solves, if a call's final solution breaks a row or
-  bound by more than the feasibility tolerance.
+  refactorization, one explicit inverse of B applied to [A | b], and
+  re-solves, if a call's final solution breaks a row or bound by more than
+  the feasibility tolerance.
 * `SimplexState` is the one simplex class: it holds the tableau for its whole
   life, across objectives and bound changes. Phase 1 runs once, and each
   later `minimize` continues phase 2 from the basis and the B^-1 [G | h] the
   previous call left. Pivot drift therefore carries from call to call; the
   drift guard is the one place a call refactorizes, or reruns phase 1 in the
   same tableau when the refactorized basis is singular or infeasible.
-  The state keeps its newest factorization, so refactorizing the basis it
-  was last made for copies it rather than solving with B again; the copy
-  equals a fresh solve bit for bit. `solve_lp` is one state minimized once.
+  A refactorization keeps nothing. `solve_lp` is one state minimized once.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
   cost: `SimplexState.reopen` writes new bounds into the state and
   takes a saved basis (basic columns and nonbasic statuses); the rows stay as
@@ -38,8 +39,8 @@ Algorithm notes:
   takes the row farthest outside its bounds, and the ratio test picks the
   column with the smallest |z_j / alpha_rj|, ties broken by the largest
   |alpha_rj|; a row that no column can move back into its bounds proves the
-  region empty. Dual-degenerate stalls switch to the same smallest-index
-  rule after the same 50 steps, and the primal simplex then cleans up.
+  region empty. A dual-degenerate stall that repeats a basis switches to
+  the same smallest-index rule, and the primal simplex then cleans up.
   Branch and bound re-solves its node LPs this way.
 
 Tolerances: pivot/optimality 1e-9, primal feasibility 1e-7, both documented in
@@ -57,7 +58,6 @@ from .core import DimensionError, DataError, SolveStatus
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-12
-BLAND_TRIGGER = 50
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -174,11 +174,8 @@ class SimplexState:
     primal feasible. `pivot_limit` bounds the pivots of each call (the first
     call shares it with the initial phase 1), never the state's lifetime.
     `reopen` moves the state to new bounds, refactorizes a saved `basis()`
-    and re-optimizes from it by the dual simplex. The state keeps its newest
-    factorization, so a branch-and-bound node's second child copies the one
-    its first child made of the parent's basis. `pivots`, `factorizations`
-    (LAPACK solves run to refactorize a basis) and `factor_reuses`
-    (refactorizations served from the kept one) count over the state's
+    and re-optimizes from it by the dual simplex. `pivots` and
+    `factorizations` (inversions of a basis) count over the state's
     lifetime, phase 1 included.
     """
 
@@ -200,15 +197,12 @@ class SimplexState:
         self.status = np.empty(0, dtype=np.int8)
         self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
         self._buf = None                    # pivot-update scratch, same shape as work
-        self._gh = None                     # [G | h], built on the first refactorization
-        self._factor = None                 # (basis bytes, B^-1 [G | h]) of the newest solve
         self._values = np.empty(0)          # nonbasic values, 0 at basic columns
         self._x = None                      # solution(), until the next change
         self.pivots = 0
-        self.degenerate_run = 0
+        self._degenerate_bases = set()      # sorted bases of the current degenerate run
         self.n_art = 0
         self.factorizations = 0
-        self.factor_reuses = 0
         self.set_bounds(problem.lower, problem.upper)
         self._phase1()
         self._fresh = True
@@ -266,8 +260,8 @@ class SimplexState:
         """Phase-1 setup with a slack crash basis (Bixby 1992).
 
         Each `<=` row has its slack column (coefficient +1, bounds [0, inf)).
-        An earlier phase 1's artificials are dropped first, and the kept
-        factorization with them. Nonbasics rest at their nearest finite
+        An earlier phase 1's artificials are dropped first, and the run of
+        degenerate bases is forgotten. Nonbasics rest at their nearest finite
         bound. A `<=` row whose slack absorbs the residual h - G v at that
         point starts with the slack basic; every other row (equality rows and
         `<=` rows with a negative residual) gets an artificial on [0, inf)
@@ -295,25 +289,16 @@ class SimplexState:
         self.g = np.hstack([g, art])
         # B = diag(signs) so B^-1 applies row signs directly
         self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
-        self._gh = None
-        self._factor = None
-        self.degenerate_run = 0
+        self._degenerate_bases.clear()
         self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
 
     def refactorize(self):
-        """Set work = B^-1 [G | h] for the current basis. The newest solve's
-        result is kept, and the basis it was made for gets a copy of it: the
-        same LAPACK call on the same operands gives the same bits. A singular
-        basis raises LinAlgError and is not kept."""
-        key = self.basic.tobytes()
-        if self._factor is not None and self._factor[0] == key:
-            self.factor_reuses += 1
-        else:
-            if self._gh is None:
-                self._gh = np.hstack([self.g, self.h[:, None]])
-            self.factorizations += 1
-            self._factor = (key, np.linalg.solve(self.g[:, self.basic], self._gh))
-        self.work = self._factor[1].copy()
+        """Set work = B^-1 [G | h] for the current basis: one explicit inverse
+        of B, applied to every column at once. A singular basis raises
+        LinAlgError and leaves work as it was."""
+        inverse = np.linalg.inv(self.g[:, self.basic])
+        self.factorizations += 1
+        self.work = inverse @ np.hstack([self.g, self.h[:, None]])
         self._x = None
 
     def primal_feasible(self) -> bool:
@@ -365,7 +350,7 @@ class SimplexState:
                 else:
                     r = int(ties[np.abs(step[ties]).argmax()])
                 self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
-            bland = self._note_step(t_star)
+            bland = self._note_step(t_star, bland)
 
     def dual_run(self, cost: np.ndarray) -> str:
         """Restore primal feasibility by the bounded dual simplex.
@@ -413,7 +398,7 @@ class SimplexState:
             else:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
             self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
-            bland = self._note_step(t_star)
+            bland = self._note_step(t_star, bland)
 
     def _pivot(self, r: int, j: int, leaving_status: int):
         """Column j enters the basis at row r; the leaving column rests at
@@ -436,19 +421,22 @@ class SimplexState:
     def start_call(self):
         """Open a new pivot budget and forget the degenerate run."""
         self.call_start = self.pivots
-        self.degenerate_run = 0
+        self._degenerate_bases.clear()
 
-    def _note_step(self, step: float) -> bool:
+    def _note_step(self, step: float, bland: bool) -> bool:
         """Count a step of length `step` and enforce the call's pivot budget.
-        Returns whether the smallest-index rule is on: after BLAND_TRIGGER
-        consecutive degenerate steps, until a step makes progress."""
+        Returns whether the smallest-index rule is on (`bland` says whether
+        it was): from the degenerate step that repeats a basis of the current
+        degenerate run, until a step makes progress."""
         if self.pivots - self.call_start > self.pivot_limit:
             raise RuntimeError(f"simplex exceeded the pivot limit ({self.pivot_limit})")
-        if step <= DEGEN_TOL:
-            self.degenerate_run += 1
-        else:
-            self.degenerate_run = 0
-        return self.degenerate_run >= BLAND_TRIGGER
+        if step > DEGEN_TOL:
+            self._degenerate_bases.clear()
+            return False
+        key = np.sort(self.basic).tobytes()
+        repeated = key in self._degenerate_bases
+        self._degenerate_bases.add(key)
+        return bland or repeated
 
     # -- phases and calls ---------------------------------------------------
 

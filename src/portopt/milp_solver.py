@@ -22,10 +22,9 @@ which the heap entry carries: the branching bound leaves that basis dual
 feasible, so the dual simplex restores primal feasibility in a few pivots
 (Koberstein, PhD thesis, Paderborn 2005; Huangfu & Hall, Math. Prog. Comp.
 10, 2018). The state keeps one tableau, artificial columns included, for the
-whole search, and its newest factorization: siblings reopen back to back, so
-the second child of a node copies the factorization of the parent's basis
-that the first child made. On the fixture's drawdown MILP that is 3 nodes,
-32 node pivots, 1 factorization and 1 reuse.
+whole search, and each child refactorizes its parent's basis in it. On the
+fixture's drawdown MILP that is 3 nodes, 32 node pivots and 2
+factorizations.
 
 There is no bound propagation and no rounding heuristic: on the fixture's
 drawdown MILP they cost 3.7x the node pivots (5,213 against 1,411), and in

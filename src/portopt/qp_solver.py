@@ -15,9 +15,9 @@ therefore non-increasing at every iteration.
 Practical notes: the oracle's feasible region never changes, so one
 `SimplexState` serves the whole solve: phase 1 runs once, and each iteration
 re-optimizes for the new gradient from the basis and tableau the previous
-one left. The oracle solves with B only when its drift guard finds a vertex
+one left. The oracle inverts B only when its drift guard finds a vertex
 off a row or bound by more than 1e-7, and `oracle_factorizations` counts
-those solves: none over the 6,957 oracle calls of the fixture's
+those inversions: none over the 6,957 oracle calls of the fixture's
 `markowitz`. Q @ v is updated incrementally from Q @ s (vertices are
 sparse) and refreshed periodically to stop floating-point drift.
 Frank-Wolfe's O(1/k) tail makes very tight gaps expensive; the default

@@ -6,7 +6,6 @@ import pytest
 
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
-    BLAND_TRIGGER,
     FREE,
     LpProblem,
     SimplexState,
@@ -124,6 +123,36 @@ def test_beale_cycling_example_terminates():
     sol = solve_lp(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(-0.05)
+
+
+def test_scaled_beale_cycle_ends_under_the_smallest_index_rule(monkeypatch):
+    # Beale's example with its rows and columns rescaled so that Dantzig
+    # pricing with the largest-|pivot| tie-break cycles through six
+    # degenerate bases; with the smallest-index rule switched off it never
+    # ends. The repeated basis turns the rule on, and the solve finishes in
+    # 12 pivots.
+    bland_steps = []
+    note_step = SimplexState._note_step
+
+    def recorded(self, step, bland):
+        bland = note_step(self, step, bland)
+        bland_steps.append(bland)
+        return bland
+
+    monkeypatch.setattr(SimplexState, "_note_step", recorded)
+    p = LpProblem(
+        c=[-0.75, 600.0, -0.08, 24.0],
+        a_ub=[[0.25, -240.0, -0.16, 36.0],
+              [0.125, -90.0, -0.02, 3.0],
+              [0.0, 0.0, 4.0, 0.0]],
+        b_ub=[0.0, 0.0, 1.0],
+        lower=[0.0] * 4,
+    )
+    sol = solve_lp(p)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-0.05)
+    assert sol.pivots <= 20
+    assert any(bland_steps)
 
 
 def test_degenerate_stall_hits_bland_rule():
@@ -301,16 +330,16 @@ def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):
 
 def test_minimize_refactorizes_only_in_the_drift_guard(monkeypatch):
     # Calls continue in the tableau the previous call left, so many
-    # objectives run without a LAPACK solve. A faked drifted vertex makes
-    # the guard refactorize; the same basis drifting again reuses that
-    # factorization, and the re-solved vertex is a cold solve's optimum.
+    # objectives run without a LAPACK call. Each faked drifted vertex makes
+    # the guard refactorize once, and the re-solved vertex is a cold solve's
+    # optimum.
     from portopt import lp_solver
     problem = _drift_problem()
     costs = np.random.default_rng(61).normal(size=(6, problem.n_vars))
     state = SimplexState(problem)
     for cost in costs:
         assert state.minimize(cost) is SolveStatus.OPTIMAL
-    assert (state.factorizations, state.factor_reuses) == (0, 0)
+    assert state.factorizations == 0
     real_violation = lp_solver._max_violation
     faked = [True, False, True, False]   # each call: the guard's check, then the re-check
 
@@ -319,9 +348,9 @@ def test_minimize_refactorizes_only_in_the_drift_guard(monkeypatch):
 
     cold = solve_lp(dataclasses.replace(problem, c=costs[-1]))
     monkeypatch.setattr(lp_solver, "_max_violation", violation)
-    for counts in ((1, 0), (1, 1)):
+    for count in (1, 2):
         assert state.minimize(costs[-1]) is SolveStatus.OPTIMAL
-        assert (state.factorizations, state.factor_reuses) == counts
+        assert state.factorizations == count
         assert float(costs[-1] @ state.vertex) == pytest.approx(cold.objective, abs=1e-12)
     assert faked == []
 
@@ -578,9 +607,9 @@ def test_dual_degenerate_child_terminates_at_the_cold_objective():
     # min w over x_i <= y_i and sum(y) - w <= k/2 - 1 rests at zero with every
     # slack basic. Raising each x_i's lower bound to 0.5 leaves every row
     # x_i <= y_i violated, and each is repaired by a y_i whose reduced cost is
-    # zero: more than BLAND_TRIGGER degenerate dual pivots, the last ones
-    # under the smallest-index rule, before the last row prices w in.
-    k = BLAND_TRIGGER + 10
+    # zero: k degenerate dual pivots, none of which repeats a basis, before
+    # the last row prices w in.
+    k = 60
     a_ub = np.zeros((k + 1, 2 * k + 1))
     a_ub[:k, :k] = np.eye(k)
     a_ub[:k, k:2 * k] = -np.eye(k)
@@ -597,7 +626,7 @@ def test_dual_degenerate_child_terminates_at_the_cold_objective():
     cold = solve_lp(LpProblem(c=parent.c, a_ub=parent.a_ub, b_ub=parent.b_ub,
                               lower=lower, upper=upper))
     assert status is cold.status is SolveStatus.OPTIMAL
-    assert state.pivots > BLAND_TRIGGER
+    assert state.pivots > k
     assert float(parent.c @ state.vertex) == pytest.approx(cold.objective, abs=1e-12)
     assert cold.objective == pytest.approx(1.0)
 
@@ -637,23 +666,21 @@ def _fixture_markowitz(fixture_stats):
 
 def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
     # Each oracle call continues in the tableau the previous one left, so
-    # over 300 iterations the oracle makes no LAPACK solve at all; the drift
+    # over 300 iterations the oracle never refactorizes; the drift
     # this leaves in B^-1 [G | h] (entries up to ~1e3) measured 1.7e-12.
     states = _record_oracle_states(monkeypatch)
     sol = solve_qp(_fixture_markowitz(fixture_stats), max_iters=300)
     (state,) = states
     assert sol.iterations == 300
     assert sol.oracle_factorizations == state.factorizations == 0
-    assert state.factor_reuses == 0
     fresh = np.linalg.solve(state.g[:, state.basic], np.hstack([state.g, state.h[:, None]]))
     assert np.abs(state.work - fresh).max() <= 1e-11
 
 
-def test_large_slots_keep_the_store_within_budget_and_siblings_reuse(monkeypatch):
-    # The state keeps one factorization, the newest, however large: each
-    # node's second child copies the factorization of the parent's basis
-    # that the first child made, as when the state kept up to 2 MiB of them.
-    # Nodes, pivots and the incumbent's bytes are those of that store.
+def test_siblings_each_factorize_the_parent_basis_on_a_panel(monkeypatch):
+    # Each of the 64 nodes below the root reopens from its parent's basis
+    # and inverts it. How a basis is factorized moves no node, pivot or
+    # incumbent byte on this panel.
     from portopt import milp_solver
     panel = np.random.default_rng(7).normal(0.0005, 0.01, (20, 62))
     problem = md_milp_problem(make_returns(panel), ModelConfig(rho=0.0))[0]
@@ -667,7 +694,7 @@ def test_large_slots_keep_the_store_within_budget_and_siblings_reuse(monkeypatch
     monkeypatch.setattr(milp_solver, "SimplexState", Recorded)
     sol = solve_milp(problem)
     (state,) = states
-    assert state.factor_reuses == state.factorizations == 32
+    assert state.factorizations == 64
     assert sol.status is SolveStatus.OPTIMAL
     assert (sol.nodes, sol.node_pivots) == (65, 323)
     assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (

@@ -1,6 +1,7 @@
-"""Solve every model once on the bundled fixture's train window, and the three
+"""Solve every model once on the bundled fixture's train window, the three
 drawdown models (`mad`, `md`, `md_milp`) on its seed-N perturbation too, and
-report status, objective, seconds and work per solve.
+`mad` on the fixture's full window, and report status, objective, seconds and
+work per solve.
 
 Work is the model report's `iterations`: Frank-Wolfe iterations for the
 quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
@@ -10,16 +11,16 @@ is timed apart from building its problem, as `build_seconds` and
 `solve_seconds`; both are warm, after the report's own solve. The LP models
 also report the phase-1 pivots of their region. `markowitz` and
 `reverse_markowitz` report their Frank-Wolfe oracles' work, summed over every
-simplex state the solve builds: `oracle_states`, `oracle_pivots`,
-`oracle_factorizations` (LAPACK solves that refactorized a basis) and
-`oracle_reuses` (refactorizations served from a kept factorization).
-`md_milp` reports the same two counters of its search's simplex state as
-`node_factorizations` and `node_reuses`. A checkout whose `SimplexState`
-lacks a counter records null for it. Inputs
+simplex state the solve builds: `oracle_states`, `oracle_pivots` and
+`oracle_factorizations` (inversions of a basis). `md_milp` reports the
+factorizations of its search's simplex state as `node_factorizations`. A
+checkout whose `SimplexState` lacks a counter records null for it. Inputs
 match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
 sigma0 0.012, lambda 0.08, perturbation divisor c = 1000. The window is a
 column slice; where `ReturnMatrix` stores C order it solves to
-the same bits as the `backtest` command's date-mask window.
+the same bits as the `backtest` command's date-mask window. The full window
+(all 125 days) is the `solve` command's input; its `mad` row is the largest,
+most degenerate LP the fixture gives.
 
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
@@ -73,8 +74,7 @@ def _total(states: list, name: str):
 
 def _oracle_work(states: list) -> dict:
     return {"oracle_states": len(states), "oracle_pivots": _total(states, "pivots"),
-            "oracle_factorizations": _total(states, "factorizations"),
-            "oracle_reuses": _total(states, "factor_reuses")}
+            "oracle_factorizations": _total(states, "factorizations")}
 
 
 def run(seed: int) -> dict:
@@ -114,8 +114,7 @@ def run(seed: int) -> dict:
             row.update(build_seconds=round(built - started, 6),
                        solve_seconds=round(time.perf_counter() - built, 6),
                        node_pivots=sol.node_pivots,
-                       node_factorizations=_total(search_states, "factorizations"),
-                       node_reuses=_total(search_states, "factor_reuses"))
+                       node_factorizations=_total(search_states, "factorizations"))
         if tag in builders:
             row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
         return row
@@ -123,6 +122,7 @@ def run(seed: int) -> dict:
     return {
         "fixture": {tag: solve(tag, train) for tag in MODELS},
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken) for tag in DRAWDOWN},
+        "full_window": {"mad": solve("mad", returns)},
     }
 
 
