@@ -29,7 +29,7 @@ from .core import (
 from .estimation import (PerturbationConfig, covariance, covariance_change, mean_returns,
                          perturb_returns)
 from .models import SOLVERS, solve_simultaneous
-from .qp_solver import GAP_TOL_DEFAULT, MAX_ITERS_DEFAULT
+from .qp_solver import GAP_TOL_DEFAULT
 
 log = logging.getLogger(__name__)
 
@@ -122,8 +122,7 @@ def train_test_split(returns: ReturnMatrix, spec: SplitSpec) -> tuple[ReturnMatr
 
 
 def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
-                 gap_tol: float = GAP_TOL_DEFAULT,
-                 max_iters: int = MAX_ITERS_DEFAULT) -> SweepResult:
+                 gap_tol: float = GAP_TOL_DEFAULT) -> SweepResult:
     """Solve the penalized model for every grid value and pick the penalty
     whose (std%, return%) point lies closest to the ideal corner.
 
@@ -140,8 +139,8 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
     if any(g < 0 for g in grid):
         raise DataError("lambda values must be nonnegative")
 
-    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap),
-                                  gap_tol=gap_tol, max_iters=max_iters) for lam in grid]
+    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap), gap_tol=gap_tol)
+               for lam in grid]
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:

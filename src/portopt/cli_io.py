@@ -212,19 +212,9 @@ class RunConfig:
     grid_spacing: str = "log"
     train_end: str | None = None
     test_end: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         self.models = tuple(self.models)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["models"] = list(self.models)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(rho=self.rho, sigma0=self.sigma0, lam=self.lam,
@@ -245,7 +235,7 @@ def _write_manifest(cfg: RunConfig, outputs: list[str]) -> None:
     manifest = {
         "tool": f"portopt {__version__}",
         "command": cfg.command,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "inputs": {cfg.prices: _sha256(Path(cfg.prices))},
         "outputs": sorted(outputs),
     }
@@ -256,24 +246,19 @@ def _write_manifest(cfg: RunConfig, outputs: list[str]) -> None:
 def run_from_manifest(path: str | Path) -> int:
     """Re-execute the run recorded in a manifest (reproducibility hook)."""
     manifest = json.loads(Path(path).read_text())
-    return run_command(RunConfig.from_dict(manifest["config"]))
+    return run_command(RunConfig(**manifest["config"]))
 
 
 # ---------------------------------------------------------------------------
 # table rendering
 # ---------------------------------------------------------------------------
 
-def _write_table(path: Path, header: str, rows: list[list[str]], out_format: str) -> list[str]:
-    written = [str(path)]
+def _write_table(path: Path, header: str, rows: list[list[str]]) -> list[str]:
     with path.open("w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    if out_format == "markdown":
-        md = path.with_suffix(".md")
-        md.write_text(render_markdown(header.split(","), rows))
-        written.append(str(md))
-    return written
+    return [str(path)]
 
 
 def render_markdown(columns: list[str], rows: list[list[str]]) -> str:
@@ -371,8 +356,7 @@ def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> list[str]:
     write_prices_csv(matrix, out)
     outputs = [str(out)]
     outputs += _write_table(out_dir / "ingest_summary.csv", "n_tickers,n_days,n_dropped",
-                            [[str(matrix.n_assets), str(matrix.n_days), str(len(dropped))]],
-                            cfg.out_format)
+                            [[str(matrix.n_assets), str(matrix.n_days), str(len(dropped))]])
     print(f"ingested {matrix.n_assets} tickers x {matrix.n_days} days "
           f"({len(dropped)} dropped)")
     return outputs
@@ -389,7 +373,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
     objective = _fmt(report.objective) if report.objective is not None else ""
     outputs = _write_table(out_dir / "report.csv", "model,objective,status,iterations,time_s",
                            [[tag, objective, report.status.value, str(report.iterations),
-                             f"{report.wall_time:.6f}"]], cfg.out_format)
+                             f"{report.wall_time:.6f}"]])
     if report.status is SolveStatus.OPTIMAL:
         alloc_path = out_dir / "allocation.csv"
         write_allocation_csv(returns.tickers, report.allocation, alloc_path)
@@ -427,8 +411,8 @@ def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> list[str]:
             tag, _fmt(m_out.cumulative_return * 100), _fmt(m_out.mean_daily_return * 100),
             _fmt(m_out.std_daily * 100), _fmt(m_out.max_drawdown * 100),
         ])
-    outputs = _write_table(out_dir / "insample.csv", TABLE1_HEADER, rows1, cfg.out_format)
-    outputs += _write_table(out_dir / "outsample.csv", TABLE2_HEADER, rows2, cfg.out_format)
+    outputs = _write_table(out_dir / "insample.csv", TABLE1_HEADER, rows1)
+    outputs += _write_table(out_dir / "outsample.csv", TABLE2_HEADER, rows2)
     print(f"backtest: {len(tags)} models, train {train.n_days} days, test {test.n_days} days")
     return outputs
 
@@ -446,13 +430,13 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
                                         sweep.statuses, sweep.distances)
     ]
     outputs = _write_table(out_dir / "frontier.csv",
-                           "lambda,std_pct,return_pct,status,distance", rows, cfg.out_format)
+                           "lambda,std_pct,return_pct,status,distance", rows)
     n_excluded = sum(status != SolveStatus.OPTIMAL.value for status in sweep.statuses)
     summary_rows = [[_fmt(sweep.chosen_lambda), _fmt(sweep.ideal_point[0]),
                      _fmt(sweep.ideal_point[1]), str(n_excluded)]]
     outputs += _write_table(out_dir / "sweep_summary.csv",
                             "chosen_lambda,ideal_std_pct,ideal_return_pct,n_excluded",
-                            summary_rows, cfg.out_format)
+                            summary_rows)
     print(f"sweep: chosen lambda {sweep.chosen_lambda!r} "
           f"(ideal point {sweep.ideal_point[0]:.4f}%, {sweep.ideal_point[1]:.4f}%)")
     return outputs
@@ -468,10 +452,10 @@ def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> list[str]:
     rows = [[row.model,
              _fmt(row.alloc_change_pct) if row.alloc_change_pct is not None else row.status]
             for row in report.rows]
-    outputs = _write_table(out_dir / "sensitivity.csv", TABLE3_HEADER, rows, cfg.out_format)
+    outputs = _write_table(out_dir / "sensitivity.csv", TABLE3_HEADER, rows)
     cov_rows = [[_fmt(report.cov_avg_abs_diff), _fmt(report.cov_relative_change)]]
     outputs += _write_table(out_dir / "covariance_change.csv",
-                            "avg_abs_diff,relative_change", cov_rows, cfg.out_format)
+                            "avg_abs_diff,relative_change", cov_rows)
     print(f"sensitivity: covariance relative change "
           f"{report.cov_relative_change * 100:.2f}%")
     return outputs
@@ -510,8 +494,6 @@ def _read_by(field: str) -> str:
 # and an option left out takes the RunConfig default.
 OPTIONS = {
     "output-dir": dict(default="out", help="artifact directory"),
-    "format": dict(dest="out_format", choices=("csv", "markdown"),
-                   help="markdown also writes a .md next to each table"),
     "model": dict(dest="models", action="append", required=True, choices=sorted(MODEL_ALIASES),
                   help="which model to solve"),
     "models": dict(type=_model_list,
@@ -535,7 +517,7 @@ OPTIONS = {
     "grid-spacing": dict(choices=("log", "linear"), help="grid spacing (default log)"),
 }
 MODEL_OPTIONS = ("rho", "sigma0", "lambda", "mu-l1", "cap", "min-alloc")
-# The options each command reads, beyond the prices file, --output-dir and --format.
+# The options each command reads, beyond the prices file and --output-dir.
 COMMANDS = {
     "ingest": ("validate and normalize a prices CSV", ()),
     "solve": ("solve one model and write its allocation",
@@ -552,8 +534,8 @@ _FLAG_OF = {field: "--" + flag for flag, field in _FIELD_OF.items()}
 
 
 def _flags(command: str) -> tuple[str, ...]:
-    """Every flag a command takes: the shared two, then its own."""
-    return ("output-dir", "format") + COMMANDS[command][1]
+    """Every flag a command takes: --output-dir, then its own."""
+    return ("output-dir",) + COMMANDS[command][1]
 
 
 def build_parser() -> argparse.ArgumentParser:

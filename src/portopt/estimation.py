@@ -79,7 +79,7 @@ def perturb_returns(returns: ReturnMatrix, cfg: PerturbationConfig) -> ReturnMat
     so volatile assets receive proportionally larger shocks and constant-return
     assets are left untouched. Draws come from a counter-based Philox generator
     keyed by (seed, asset index); day t consumes the t-th draw of its asset's
-    stream, so generating rows in parallel matches serial generation and the
+    stream, so an asset's noise does not depend on the other rows and the
     output is reproducible bit-for-bit across platforms for a given seed.
 
     Noise is added as-is, never clipped; an aggressively small c can push a

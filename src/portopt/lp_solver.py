@@ -20,7 +20,9 @@ Algorithm notes:
 * Pricing is Dantzig (most negative reduced cost). Within a run of
   degenerate steps the loop remembers each basis it has held; once one
   repeats, Bland's smallest-index rule takes over until a step makes
-  progress. Bland's rule cannot cycle (Bland 1977), so every loop finishes.
+  progress. Bland's rule cannot cycle (Bland 1977), so every loop finishes;
+  PIVOT_LIMIT still caps the pivots of each loop (phase 1, phase 2, the dual
+  loop, the drift guard's re-solve) on its own, and a loop past it raises.
 * The working tableau is B^-1 [A | b]. A drift guard refreshes it by direct
   refactorization, one explicit inverse of B applied to [A | b], and
   re-solves, if a call's final solution breaks a row or bound by more than
@@ -58,6 +60,7 @@ from .core import DimensionError, DataError, SolveStatus
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-12
+PIVOT_LIMIT = 50_000    # pivots allowed to each simplex loop
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -171,15 +174,14 @@ class SimplexState:
     when its optimal vertex breaks a row or bound by more than 1e-7: the
     drift guard then refactorizes the basis and runs phase 2 again, from
     phase 1 in the same tableau if that basis is singular or no longer
-    primal feasible. `pivot_limit` bounds the pivots of each call (the first
-    call shares it with the initial phase 1), never the state's lifetime.
-    `reopen` moves the state to new bounds, refactorizes a saved `basis()`
-    and re-optimizes from it by the dual simplex. `pivots` and
-    `factorizations` (inversions of a basis) count over the state's
-    lifetime, phase 1 included.
+    primal feasible. Each simplex loop may take PIVOT_LIMIT pivots, so a
+    call of several loops can take more. `reopen` moves the state to new
+    bounds, refactorizes a saved `basis()` and re-optimizes from it by the
+    dual simplex. `pivots` and `factorizations` (inversions of a basis)
+    count over the state's lifetime, phase 1 included.
     """
 
-    def __init__(self, problem: LpProblem, pivot_limit: int = 50000):
+    def __init__(self, problem: LpProblem):
         self.problem = problem
         n, m_eq, m_ub = problem.n_vars, problem.a_eq.shape[0], problem.a_ub.shape[0]
         g = np.zeros((m_eq + m_ub, n + m_ub))
@@ -191,8 +193,6 @@ class SimplexState:
         self.m, self.n_real = g.shape
         # each row's slack column, -1 for an equality row
         self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
-        self.pivot_limit = pivot_limit      # pivots allowed per call, counted from call_start
-        self.call_start = 0
         self.basic = np.empty(0, dtype=int)     # the column basic in each row
         self.status = np.empty(0, dtype=np.int8)
         self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
@@ -200,12 +200,10 @@ class SimplexState:
         self._values = np.empty(0)          # nonbasic values, 0 at basic columns
         self._x = None                      # solution(), until the next change
         self.pivots = 0
-        self._degenerate_bases = set()      # sorted bases of the current degenerate run
         self.n_art = 0
         self.factorizations = 0
         self.set_bounds(problem.lower, problem.upper)
         self._phase1()
-        self._fresh = True
 
     # -- column bookkeeping -------------------------------------------------
 
@@ -260,13 +258,13 @@ class SimplexState:
         """Phase-1 setup with a slack crash basis (Bixby 1992).
 
         Each `<=` row has its slack column (coefficient +1, bounds [0, inf)).
-        An earlier phase 1's artificials are dropped first, and the run of
-        degenerate bases is forgotten. Nonbasics rest at their nearest finite
-        bound. A `<=` row whose slack absorbs the residual h - G v at that
-        point starts with the slack basic; every other row (equality rows and
-        `<=` rows with a negative residual) gets an artificial on [0, inf)
-        signed to absorb its residual. B is diagonal with entries +1 (slacks)
-        and +-1 (artificials), so B^-1 scales rows by sign.
+        An earlier phase 1's artificials are dropped first. Nonbasics rest at
+        their nearest finite bound. A `<=` row whose slack absorbs the
+        residual h - G v at that point starts with the slack basic; every
+        other row (equality rows and `<=` rows with a negative residual) gets
+        an artificial on [0, inf) signed to absorb its residual. B is
+        diagonal with entries +1 (slacks) and +-1 (artificials), so B^-1
+        scales rows by sign.
         """
         n = self.n_real
         g, lower, upper = self.g[:, :n], self.lower[:n], self.upper[:n]
@@ -289,7 +287,6 @@ class SimplexState:
         self.g = np.hstack([g, art])
         # B = diag(signs) so B^-1 applies row signs directly
         self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
-        self._degenerate_bases.clear()
         self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
 
     def refactorize(self):
@@ -310,8 +307,8 @@ class SimplexState:
 
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost @ x from the current basis. Returns 'optimal' or
-        'unbounded'; raises if the call's pivot budget is exhausted."""
-        bland = False
+        'unbounded'; raises after more than PIVOT_LIMIT pivots."""
+        bland, start, seen = False, self.pivots, set()
         movable = self.upper > self.lower  # fixed columns can never improve
         while True:
             z = cost - cost[self.basic] @ self.work[:, :-1]
@@ -350,7 +347,7 @@ class SimplexState:
                 else:
                     r = int(ties[np.abs(step[ties]).argmax()])
                 self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
-            bland = self._note_step(t_star, bland)
+            bland = self._note_step(t_star, bland, start, seen)
 
     def dual_run(self, cost: np.ndarray) -> str:
         """Restore primal feasibility by the bounded dual simplex.
@@ -364,9 +361,9 @@ class SimplexState:
         'feasible' once every basic variable is within FEAS_TOL of its
         bounds, or 'infeasible' when the leaving row has no such column: its
         basic variable is then out of bounds at every point of the region.
-        Raises if the call's pivot budget is exhausted.
+        Raises after more than PIVOT_LIMIT pivots.
         """
-        bland = False
+        bland, start, seen = False, self.pivots, set()
         movable = self.upper > self.lower
         while True:
             x_b = self.solution()[self.basic]
@@ -398,7 +395,7 @@ class SimplexState:
             else:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
             self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
-            bland = self._note_step(t_star, bland)
+            bland = self._note_step(t_star, bland, start, seen)
 
     def _pivot(self, r: int, j: int, leaving_status: int):
         """Column j enters the basis at row r; the leaving column rests at
@@ -418,24 +415,21 @@ class SimplexState:
         self.work -= self._buf
         self.pivots += 1
 
-    def start_call(self):
-        """Open a new pivot budget and forget the degenerate run."""
-        self.call_start = self.pivots
-        self._degenerate_bases.clear()
-
-    def _note_step(self, step: float, bland: bool) -> bool:
-        """Count a step of length `step` and enforce the call's pivot budget.
+    def _note_step(self, step: float, bland: bool, start: int, seen: set) -> bool:
+        """Count a step of length `step` in a loop that began at `start`
+        pivots, and raise once that loop has taken more than PIVOT_LIMIT.
+        `seen` holds the sorted bases of the loop's current degenerate run.
         Returns whether the smallest-index rule is on (`bland` says whether
-        it was): from the degenerate step that repeats a basis of the current
-        degenerate run, until a step makes progress."""
-        if self.pivots - self.call_start > self.pivot_limit:
-            raise RuntimeError(f"simplex exceeded the pivot limit ({self.pivot_limit})")
+        it was): from the degenerate step that repeats a basis of that run,
+        until a step makes progress."""
+        if self.pivots - start > PIVOT_LIMIT:
+            raise RuntimeError(f"simplex exceeded the pivot limit ({PIVOT_LIMIT})")
         if step > DEGEN_TOL:
-            self._degenerate_bases.clear()
+            seen.clear()
             return False
         key = np.sort(self.basic).tobytes()
-        repeated = key in self._degenerate_bases
-        self._degenerate_bases.add(key)
+        repeated = key in seen
+        seen.add(key)
         return bland or repeated
 
     # -- phases and calls ---------------------------------------------------
@@ -488,9 +482,7 @@ class SimplexState:
         for `cost` before the change, as a branch-and-bound parent's is for
         its children.
         """
-        self.start_call()
         self.set_bounds(lower, upper)
-        self._fresh = True
         if np.any(start.basic >= self.n_real):   # the saved basis holds an artificial
             self._phase1()
             return self.minimize(cost)
@@ -527,14 +519,11 @@ class SimplexState:
         the 1e-7 feasibility tolerance is re-solved from the refactorized
         basis (from phase 1 if that basis is singular or infeasible); Optimal
         is returned only for a vertex within the tolerance. Raises
-        RuntimeError when the call exceeds the pivot limit or the re-solved
+        RuntimeError when a simplex loop exceeds PIVOT_LIMIT or the re-solved
         vertex still violates the tolerance.
         """
         if not self.feasible:
             return SolveStatus.INFEASIBLE
-        if not self._fresh:
-            self.start_call()
-        self._fresh = False
         if self.run(self._full_cost(cost)) == "unbounded":
             return SolveStatus.UNBOUNDED
         # Guard against accumulated tableau drift before certifying.
@@ -550,10 +539,10 @@ class SimplexState:
         return SolveStatus.OPTIMAL
 
 
-def solve_lp(problem: LpProblem, pivot_limit: int = 50000) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an LP to a vertex optimum, or certify infeasibility/unboundedness."""
     sign = 1.0 if problem.sense == "min" else -1.0
-    state = SimplexState(problem, pivot_limit)
+    state = SimplexState(problem)
     status = state.minimize(sign * problem.c)
     return _finish(problem, state, sign * problem.c, status)
 

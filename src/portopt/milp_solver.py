@@ -53,6 +53,7 @@ from .lp_solver import LpProblem, SimplexState, FEAS_TOL, _max_violation
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-7
+NODE_LIMIT = 100_000    # node LPs a search may solve, root included
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,17 @@ class MilpSolution:
     node_pivots: int
 
 
-def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
+def solve_milp(problem: MilpProblem) -> MilpSolution:
     """Solve an on/off MILP exactly by LP-based branch and bound.
 
     Returns Optimal with the incumbent when no open node's bound is more than
     GAP_TOL * (1 + |incumbent|) better than it, Infeasible when no assignment
     meeting every on/off rule is feasible, and IterationLimit with the best
-    incumbent found (or none) when the node budget runs out. `objective` and
-    `best_bound` are reported in the problem's own sense. Each on/off value of
-    the incumbent is exactly 0 or at least its threshold.
+    incumbent found (or none) when a node is left to branch after NODE_LIMIT
+    node LPs. `objective` and `best_bound` are reported in the problem's own
+    sense. Each on/off value of the incumbent is exactly 0 or at least its
+    threshold.
     """
-    if node_limit <= 0:
-        raise DataError("node_limit must be positive")
     base = problem.base
     cols = np.array(list(problem.on_off), dtype=int)
     t = np.array(list(problem.on_off.values()), dtype=float)
@@ -165,7 +165,7 @@ def solve_milp(problem: MilpProblem, node_limit: int = 100_000) -> MilpSolution:
         if k is None:  # only the root is pushed integral
             consider(v_rel)
             continue
-        if nodes >= node_limit:
+        if nodes >= NODE_LIMIT:
             return finish(incumbent,
                           sense_sign * incumbent_obj if incumbent is not None else np.nan,
                           SolveStatus.ITERATION_LIMIT, sense_sign * bound)

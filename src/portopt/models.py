@@ -39,7 +39,7 @@ from .core import (
 from .estimation import mean_returns
 from .lp_solver import LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
-from .qp_solver import GAP_TOL_DEFAULT, MAX_ITERS_DEFAULT, QpProblem, QpSolution, solve_qp
+from .qp_solver import GAP_TOL_DEFAULT, QpProblem, QpSolution, solve_qp
 
 BISECT_ITERS = 60
 BISECT_TOL = 1e-10
@@ -195,8 +195,7 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
 # ---------------------------------------------------------------------------
 
 def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                    gap_tol: float = GAP_TOL_DEFAULT,
-                    max_iters: int = MAX_ITERS_DEFAULT) -> SolveReport:
+                    gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
     The report's objective is the portfolio variance x' Sigma x, plus the L1
@@ -204,23 +203,22 @@ def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     """
     started = time.perf_counter()
     problem, layout = markowitz_problem(stats, cfg)
-    return _solve_quadratic("markowitz", problem, layout, cfg, gap_tol, max_iters, started)
+    return _solve_quadratic("markowitz", problem, layout, cfg, gap_tol, started)
 
 
 def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
-                       gap_tol: float = GAP_TOL_DEFAULT,
-                       max_iters: int = MAX_ITERS_DEFAULT) -> SolveReport:
+                       gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
     """Model: minimize -mean return + lambda * variance over the budget box.
 
     As in `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 penalty.
     """
     started = time.perf_counter()
     problem, layout = simultaneous_problem(stats, cfg)
-    return _solve_quadratic("simultaneous", problem, layout, cfg, gap_tol, max_iters, started)
+    return _solve_quadratic("simultaneous", problem, layout, cfg, gap_tol, started)
 
 
 def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: ModelConfig,
-                     gap_tol: float, max_iters: int, started: float) -> SolveReport:
+                     gap_tol: float, started: float) -> SolveReport:
     """Frank-Wolfe on a model's QP, with the L1 penalty added after the solve.
 
     Weights are long-only, so mu * sum |x_i| is the linear cost mu * sum x_i,
@@ -228,7 +226,7 @@ def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: Mod
     penalty moves no optimizer, so the unpenalized QP is solved and the
     report's objective is its optimum plus mu * sum x.
     """
-    sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol)
+    sol = solve_qp(problem, gap_tol=gap_tol)
     x = sol.v[layout.x]
     objective = sol.objective + cfg.mu_l1 * float(x.sum())
     return _report(tag, sol.status, x, objective, cfg.resolved_cap(1.0),
@@ -236,8 +234,7 @@ def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: Mod
 
 
 def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                            gap_tol: float = GAP_TOL_DEFAULT,
-                            max_iters: int = MAX_ITERS_DEFAULT) -> SolveReport:
+                            gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
     """Model: maximize mean return subject to a standard-deviation ceiling.
 
     Solved by bisection on the required return of the minimum-variance model:
@@ -264,7 +261,7 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     def frontier(rho: float | None, start=None, level=None) -> QpSolution:
         nonlocal total_iters
         problem, _ = markowitz_problem(stats, cfg, rho=rho)
-        sol = solve_qp(problem, max_iters=max_iters, gap_tol=gap_tol, start=start, level=level)
+        sol = solve_qp(problem, gap_tol=gap_tol, start=start, level=level)
         total_iters += sol.iterations
         return sol
 

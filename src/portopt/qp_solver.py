@@ -35,7 +35,7 @@ from .core import DataError, DimensionError, SolveStatus, PSD_TOL, SYM_TOL, _is_
 from .lp_solver import LpProblem, SimplexState, _max_violation
 
 GAP_TOL_DEFAULT = 1e-8
-MAX_ITERS_DEFAULT = 50_000
+MAX_ITERS = 50_000      # Frank-Wolfe iterations a solve may take
 REFRESH_EVERY = 1024
 
 
@@ -93,7 +93,6 @@ class QpSolution:
 
 def solve_qp(
     problem: QpProblem,
-    max_iters: int = MAX_ITERS_DEFAULT,
     gap_tol: float = GAP_TOL_DEFAULT,
     start: np.ndarray | None = None,
     level: float | None = None,
@@ -101,8 +100,8 @@ def solve_qp(
     """Frank-Wolfe with exact line search and the simplex as linear oracle.
 
     Stops when the Frank-Wolfe gap falls below gap_tol * (1 + |objective|),
-    returning status Optimal; on hitting max_iters the best (current) iterate
-    is returned with status IterationLimit and its gap. An infeasible region
+    returning status Optimal; after MAX_ITERS iterations the best (current)
+    iterate is returned with status IterationLimit and its gap. An infeasible region
     surfaces as status Infeasible from the oracle's phase 1.
 
     `level` asks only which side of a threshold the optimum f* lies on. The
@@ -133,7 +132,7 @@ def solve_qp(
 
     qx = q @ x
     gap = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         grad = c + 2.0 * qx
         status = oracle.minimize(grad)
         if status is not SolveStatus.OPTIMAL:
@@ -163,7 +162,7 @@ def solve_qp(
             qx = q @ x
 
     f = float(c @ x + x @ (q @ x))
-    return QpSolution(x, f, gap, max_iters, SolveStatus.ITERATION_LIMIT, oracle.pivots,
+    return QpSolution(x, f, gap, MAX_ITERS, SolveStatus.ITERATION_LIMIT, oracle.pivots,
                       oracle.factorizations)
 
 

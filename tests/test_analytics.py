@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from portopt import analytics
+from portopt import analytics, qp_solver
 from portopt.analytics import (
     SplitSpec,
     SweepResult,
@@ -163,11 +163,12 @@ class TestLambdaSweep:
         with pytest.raises(RuntimeError, match="point failed"):
             lambda_sweep(stats, [1.0, 2.0, 3.0])
 
-    def test_excluded_points_are_warned(self, caplog):
+    def test_excluded_points_are_warned(self, caplog, monkeypatch):
         rng = np.random.default_rng(3)
         stats = asset_stats(make_returns(rng.normal(0.001, 0.02, (6, 50))))
+        monkeypatch.setattr(qp_solver, "MAX_ITERS", 3)
         with caplog.at_level("WARNING", logger="portopt.analytics"):
-            sweep = lambda_sweep(stats, [1e-3, 1e-2, 1e4, 1e5], max_iters=3)
+            sweep = lambda_sweep(stats, [1e-3, 1e-2, 1e4, 1e5])
         assert sweep.statuses == ("Optimal", "Optimal", "IterationLimit", "IterationLimit")
         assert sweep.chosen_lambda in (1e-3, 1e-2)
         assert [r.levelname for r in caplog.records] == ["WARNING"]

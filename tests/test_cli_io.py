@@ -183,10 +183,8 @@ class TestCommands:
 
     def test_sweep_summary_counts_excluded_points(self, tmp_path, monkeypatch):
         # A 3-iteration cap leaves the large-lambda points at IterationLimit.
-        from portopt import analytics, cli_io
-        monkeypatch.setattr(cli_io, "lambda_sweep",
-                            lambda stats, grid, **kw: analytics.lambda_sweep(
-                                stats, grid, max_iters=3, **kw))
+        from portopt import qp_solver
+        monkeypatch.setattr(qp_solver, "MAX_ITERS", 3)
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices, n=6, days=25)
         out = tmp_path / "sw"
@@ -228,15 +226,33 @@ class TestCommands:
         assert (out / "sensitivity.csv").read_bytes() == first
         assert manifest_path.read_bytes() == manifest_bytes
 
-    def test_markdown_format_writes_md(self, tmp_path):
+    def test_report_renders_a_backtest_table(self, tmp_path):
+        prices = tmp_path / "p.csv"
+        dates = write_tiny_prices(prices, days=40)
+        out = tmp_path / "bt"
+        assert main(["backtest", str(prices), "--models", "mad,md", "--rho", "0.0005",
+                     "--train-end", dates[19], "--test-end", dates[-1],
+                     "--output-dir", str(out)]) == 0
+        assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == [
+            str(out / "insample.csv"), str(out / "outsample.csv")]
+        md = tmp_path / "insample.md"
+        assert main(["report", "--input", str(out / "insample.csv"), "--output", str(md)]) == 0
+        lines = md.read_text().splitlines()
+        assert lines[0] == "| model | exp_return | std_dev | max_drawdown | n_stocks | time_s |"
+        assert lines[1] == "| --- | --- | --- | --- | --- | --- |"
+        assert [line.split(" | ")[0] for line in lines[2:]] == ["| mad", "| md"]
+
+    def test_manifest_with_out_format_is_refused(self, tmp_path):
+        # RunConfig has no out_format field; a manifest must drop the key to replay
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices, n=5, days=15)
-        out = tmp_path / "md"
-        cfg = RunConfig(command="sensitivity", prices=str(prices), output_dir=str(out),
-                        models=("md",), rho=0.0, out_format="markdown")
-        assert run_command(cfg) == 0
-        assert (out / "sensitivity.md").exists()
-        assert (out / "sensitivity.md").read_text().startswith("| model |")
+        out = tmp_path / "ingest"
+        assert run_command(RunConfig(command="ingest", prices=str(prices),
+                                     output_dir=str(out))) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["out_format"] = "csv"
+        with pytest.raises(TypeError, match="out_format"):
+            run_from_manifest_from_bytes(json.dumps(manifest).encode(), tmp_path)
 
     @pytest.mark.parametrize("command, field, value, flag", [
         ("sweep-lambda", "rho", 0.5, "--rho"),
@@ -371,8 +387,8 @@ class TestMainEntry:
         counts = {command: sum(1 for a in p._actions if a.option_strings
                                and a.option_strings[0] != "-h")
                   for command, p in sub.choices.items() if command != "report"}
-        assert counts == {"ingest": 2, "solve": 10, "backtest": 11, "sweep-lambda": 8,
-                          "sensitivity": 12}
+        assert counts == {"ingest": 1, "solve": 9, "backtest": 10, "sweep-lambda": 7,
+                          "sensitivity": 11}
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--rho", "0.001"],
@@ -431,23 +447,15 @@ class TestMainEntry:
         assert runs["5"][0] - runs["0"][0] == pytest.approx(5.0, abs=1e-9)
         assert np.max(np.abs(runs["5"][1] - runs["0"][1])) <= 1e-6
 
-    def test_markdown_for_solve_and_ingest(self, tmp_path):
+    def test_report_renders_an_ingest_table(self, tmp_path, capsys):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)
-        out = tmp_path / "o"
-        assert main(["ingest", str(prices), "--format", "markdown",
-                     "--output-dir", str(out / "ingest")]) == 0
-        assert main(["solve", str(prices), "--model", "md", "--rho", "0.001",
-                     "--format", "markdown", "--output-dir", str(out / "solve")]) == 0
-        summary = (out / "ingest" / "ingest_summary.md").read_text().splitlines()
-        assert summary[0] == "| n_tickers | n_days | n_dropped |"
-        assert summary[2] == "| 10 | 30 | 0 |"
-        report = (out / "solve" / "report.md").read_text().splitlines()
-        assert report[0] == "| model | objective | status | iterations | time_s |"
-        assert report[2].startswith("| md | ")
-        for sub, name in (("ingest", "ingest_summary.md"), ("solve", "report.md")):
-            manifest = json.loads((out / sub / "manifest.json").read_text())
-            assert str(out / sub / name) in manifest["outputs"]
+        out = tmp_path / "ingest"
+        assert main(["ingest", str(prices), "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--input", str(out / "ingest_summary.csv")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "| n_tickers | n_days | n_dropped |", "| --- | --- | --- |", "| 10 | 30 | 0 |"]
 
 
 def test_render_markdown_shape():

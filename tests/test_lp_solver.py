@@ -4,9 +4,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from portopt import lp_solver, qp_solver
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
+    AT_LOWER,
     FREE,
+    Basis,
     LpProblem,
     SimplexState,
     _max_violation,
@@ -125,29 +128,29 @@ def test_beale_cycling_example_terminates():
     assert sol.objective == pytest.approx(-0.05)
 
 
+# Beale's example with its rows and columns rescaled so that Dantzig pricing
+# with the largest-|pivot| tie-break cycles through six degenerate bases
+SCALED_BEALE_A = np.array([[0.25, -240.0, -0.16, 36.0],
+                           [0.125, -90.0, -0.02, 3.0],
+                           [0.0, 0.0, 4.0, 0.0]])
+SCALED_BEALE_B = np.array([0.0, 0.0, 1.0])
+SCALED_BEALE_C = np.array([-0.75, 600.0, -0.08, 24.0])
+
+
 def test_scaled_beale_cycle_ends_under_the_smallest_index_rule(monkeypatch):
-    # Beale's example with its rows and columns rescaled so that Dantzig
-    # pricing with the largest-|pivot| tie-break cycles through six
-    # degenerate bases; with the smallest-index rule switched off it never
+    # With the smallest-index rule switched off the scaled Beale LP never
     # ends. The repeated basis turns the rule on, and the solve finishes in
     # 12 pivots.
     bland_steps = []
     note_step = SimplexState._note_step
 
-    def recorded(self, step, bland):
-        bland = note_step(self, step, bland)
+    def recorded(self, step, bland, start, seen):
+        bland = note_step(self, step, bland, start, seen)
         bland_steps.append(bland)
         return bland
 
     monkeypatch.setattr(SimplexState, "_note_step", recorded)
-    p = LpProblem(
-        c=[-0.75, 600.0, -0.08, 24.0],
-        a_ub=[[0.25, -240.0, -0.16, 36.0],
-              [0.125, -90.0, -0.02, 3.0],
-              [0.0, 0.0, 4.0, 0.0]],
-        b_ub=[0.0, 0.0, 1.0],
-        lower=[0.0] * 4,
-    )
+    p = LpProblem(c=SCALED_BEALE_C, a_ub=SCALED_BEALE_A, b_ub=SCALED_BEALE_B, lower=np.zeros(4))
     sol = solve_lp(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(-0.05)
@@ -155,7 +158,60 @@ def test_scaled_beale_cycle_ends_under_the_smallest_index_rule(monkeypatch):
     assert any(bland_steps)
 
 
-def test_degenerate_stall_hits_bland_rule():
+def _reopen_scaled_beale_dual() -> tuple[SimplexState, SolveStatus, int]:
+    # The LP dual of the scaled Beale LP, min b @ u over -A' u <= c, u >= 0,
+    # reopened at its slack basis: that basis is dual feasible (b >= 0) and
+    # breaks two rows (c has two negative entries), and the dual loop's
+    # tableau is the negated transpose of the primal loop's, so the dual
+    # simplex retraces the primal cycle. Returns the state, the reopen's
+    # status and its pivots.
+    dual = LpProblem(c=SCALED_BEALE_B, a_ub=-SCALED_BEALE_A.T, b_ub=SCALED_BEALE_C,
+                     lower=np.zeros(3))
+    state = SimplexState(dual)
+    before = state.pivots
+    slacks = Basis(np.arange(3, 7), np.full(7, AT_LOWER, dtype=np.int8))
+    status = state.reopen(slacks, dual.c, dual.lower, dual.upper)
+    return state, status, state.pivots - before
+
+
+def test_degenerate_stall_hits_bland_rule(monkeypatch):
+    # The dual loop repeats a basis after six degenerate steps, takes four
+    # smallest-index steps, and ends at the dual optimum 0.05 = -(-0.05).
+    # With the rule held off the same loop runs until the pivot limit.
+    loop, steps = [], []
+    note_step, run, dual_run = SimplexState._note_step, SimplexState.run, SimplexState.dual_run
+
+    def recorded(self, step, bland, start, seen):
+        steps.append((loop[-1], note_step(self, step, bland, start, seen)))
+        return steps[-1][1]
+
+    def named(name, method):
+        def entered(self, cost):
+            loop.append(name)
+            return method(self, cost)
+        return entered
+
+    monkeypatch.setattr(SimplexState, "_note_step", recorded)
+    monkeypatch.setattr(SimplexState, "run", named("primal", run))
+    monkeypatch.setattr(SimplexState, "dual_run", named("dual", dual_run))
+    state, status, pivots = _reopen_scaled_beale_dual()
+    assert status is SolveStatus.OPTIMAL
+    assert float(SCALED_BEALE_B @ state.vertex) == pytest.approx(0.05)
+    assert pivots == 12
+    assert [bland for name, bland in steps if name == "dual"].count(True) == 4
+    assert not any(bland for name, bland in steps if name == "primal")
+
+    def held_off(self, step, bland, start, seen):
+        note_step(self, step, bland, start, seen)
+        return False
+
+    monkeypatch.setattr(lp_solver, "PIVOT_LIMIT", 1000)
+    monkeypatch.setattr(SimplexState, "_note_step", held_off)
+    with pytest.raises(RuntimeError, match="pivot limit"):
+        _reopen_scaled_beale_dual()
+
+
+def test_coincident_rows_at_the_optimum():
     # many coincident constraints at the optimum force degenerate pivots
     n = 6
     p = LpProblem(
@@ -189,21 +245,33 @@ def test_kept_state_matches_cold_solves_with_fewer_pivots():
         assert state.pivots < cold_pivots
 
 
-def test_pivot_limit_bounds_each_call_not_the_state():
+def test_pivot_limit_bounds_each_loop_not_the_call(monkeypatch):
     # Alternate minimize and reopen calls on one state, first without a
-    # binding limit. At a limit equal to the largest call's pivots (the first
-    # call shares its budget with phase 1), the same calls, which together
-    # run several times that many, must give the same vertices; one pivot
-    # less must stop the largest call, here a reopen.
+    # binding limit, recording the pivots of each simplex loop (phase 1,
+    # phase 2, the dual loop) and of each call. At a PIVOT_LIMIT equal to
+    # the largest loop's pivots, the same calls, some of which take more
+    # than that, must give the same vertices; one pivot less must stop it.
     rng = np.random.default_rng(91)
     n = 30
     a_ub = rng.normal(size=(3, n))
     region = LpProblem(c=np.zeros(n), a_eq=np.ones((1, n)), b_eq=[1.0], a_ub=a_ub,
                        b_ub=a_ub.mean(axis=1) + 0.3, lower=np.zeros(n), upper=np.full(n, 0.5))
     costs = rng.normal(size=(4, n))
+    loops = []
 
-    def replay(limit: int) -> tuple[list[int], list[np.ndarray]]:
-        state = SimplexState(region, pivot_limit=limit)
+    def counted(method):
+        def loop(self, cost):
+            before = self.pivots
+            outcome = method(self, cost)
+            loops.append(self.pivots - before)
+            return outcome
+        return loop
+
+    monkeypatch.setattr(SimplexState, "run", counted(SimplexState.run))
+    monkeypatch.setattr(SimplexState, "dual_run", counted(SimplexState.dual_run))
+
+    def replay() -> tuple[list[int], list[np.ndarray]]:
+        state = SimplexState(region)
         calls, vertices = [], []
         for cost in costs:
             before = state.pivots if calls else 0
@@ -218,15 +286,17 @@ def test_pivot_limit_bounds_each_call_not_the_state():
             vertices.append(state.vertex)
         return calls, vertices
 
-    calls, vertices = replay(50000)
-    limit = max(calls)
-    assert min(calls) > 0 and sum(calls) > 3 * limit
-    assert calls.index(limit) == 5   # a reopen, the third
-    again, same = replay(limit)
+    calls, vertices = replay()
+    limit = max(loops)
+    assert sum(loops) == sum(calls)
+    assert max(calls) > limit   # a per-call budget of `limit` would stop these calls
+    monkeypatch.setattr(lp_solver, "PIVOT_LIMIT", limit)
+    again, same = replay()
     assert again == calls
     assert all(np.array_equal(a, b) for a, b in zip(same, vertices))
+    monkeypatch.setattr(lp_solver, "PIVOT_LIMIT", limit - 1)
     with pytest.raises(RuntimeError, match="pivot limit"):
-        replay(limit - 1)
+        replay()
 
 
 def test_max_violation_of_non_finite_vector_is_inf():
@@ -669,7 +739,8 @@ def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
     # over 300 iterations the oracle never refactorizes; the drift
     # this leaves in B^-1 [G | h] (entries up to ~1e3) measured 1.7e-12.
     states = _record_oracle_states(monkeypatch)
-    sol = solve_qp(_fixture_markowitz(fixture_stats), max_iters=300)
+    monkeypatch.setattr(qp_solver, "MAX_ITERS", 300)
+    sol = solve_qp(_fixture_markowitz(fixture_stats))
     (state,) = states
     assert sol.iterations == 300
     assert sol.oracle_factorizations == state.factorizations == 0

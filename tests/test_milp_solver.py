@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from portopt import milp_solver
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.estimation import PerturbationConfig, perturb_returns
 from portopt.lp_solver import LpProblem, SimplexState, solve_lp
@@ -131,11 +132,12 @@ def test_incumbent_verified_against_original_constraints():
     ([10.0, 13.0, 7.0, 8.0, 9.0, 11.0], [5.0, 7.0, 4.0, 5.0, 6.0, 6.0], 17.0),  # no incumbent yet
     ([12.0, 11.0, 9.0, 7.0, 6.0], [7.0, 6.0, 5.0, 4.0, 3.0], 13.0),  # incumbent found
 ])
-def test_node_limit_returns_a_valid_bound(values, weights, budget):
+def test_node_limit_returns_a_valid_bound(values, weights, budget, monkeypatch):
     problem = knapsack_milp(values, weights, budget)
     best = brute_force_knapsack(values, weights, budget)
     assert solve_milp(problem).nodes > 3
-    sol = solve_milp(problem, node_limit=3)
+    monkeypatch.setattr(milp_solver, "NODE_LIMIT", 3)
+    sol = solve_milp(problem)
     assert sol.status is SolveStatus.ITERATION_LIMIT
     assert sol.nodes == 3
     assert sol.best_bound >= best - 1e-9  # max sense: an upper bound on the optimum
@@ -144,11 +146,6 @@ def test_node_limit_returns_a_valid_bound(values, weights, budget):
         assert np.dot(weights, sol.v) <= budget + 1e-9
         assert sol.objective == pytest.approx(np.dot(values, sol.v))
         assert sol.objective <= best + 1e-9
-
-
-def test_node_limit_errors():
-    with pytest.raises(DataError):
-        solve_milp(knapsack_milp([1.0], [1.0], 1.0), node_limit=0)
 
 
 def test_binary_bounds_validated():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from portopt import qp_solver
 from portopt.core import DataError, SolveStatus
 from portopt.lp_solver import LpProblem, SimplexState, solve_lp
 from portopt.models import _max_return_weights
@@ -113,10 +114,11 @@ def test_certificate_bounds_grid_optimum():
         assert sol.objective - float(grid_vals.min()) <= sol.fw_gap + 1e-12
 
 
-def test_iteration_limit_returns_best_iterate():
+def test_iteration_limit_returns_best_iterate(monkeypatch):
     rng = np.random.default_rng(31)
     q = random_cov(rng, 6)
-    sol = solve_qp(simplex_qp(q, np.zeros(6)), max_iters=3, gap_tol=1e-16)
+    monkeypatch.setattr(qp_solver, "MAX_ITERS", 3)
+    sol = solve_qp(simplex_qp(q, np.zeros(6)), gap_tol=1e-16)
     assert sol.status is SolveStatus.ITERATION_LIMIT
     assert sol.iterations == 3
     assert np.isfinite(sol.objective)
@@ -137,13 +139,14 @@ def test_warm_start_point_used():
     assert bad.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
-def test_non_finite_start_falls_back_to_phase1_vertex():
+def test_non_finite_start_falls_back_to_phase1_vertex(monkeypatch):
     rng = np.random.default_rng(43)
     problem = simplex_qp(random_cov(rng, 6), np.zeros(6))
-    cold = solve_qp(problem, max_iters=5, gap_tol=1e-16)
+    monkeypatch.setattr(qp_solver, "MAX_ITERS", 5)
+    cold = solve_qp(problem, gap_tol=1e-16)
     for start in (np.full(6, np.nan), np.array([np.nan, 1.0, 0.0, 0.0, 0.0, 0.0]),
                   np.array([np.inf, 1.0, 0.0, 0.0, 0.0, 0.0])):
-        sol = solve_qp(problem, max_iters=5, gap_tol=1e-16, start=start)
+        sol = solve_qp(problem, gap_tol=1e-16, start=start)
         assert np.array_equal(sol.v, cold.v)
         assert sol.fw_gap == cold.fw_gap
 
