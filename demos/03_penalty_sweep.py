@@ -24,7 +24,7 @@ train = type(returns)(returns.tickers, tuple(train_dates),
 stats = asset_stats(train)
 
 grid = lambda_grid(1e-3, 1e4, 25, "log")
-sweep = lambda_sweep(stats, grid, gap_tol=1e-7)
+sweep = lambda_sweep(stats, grid)
 
 print(f"{'lambda':>12} {'std %/d':>9} {'return %/d':>11} {'distance':>9}")
 for lam, s, r, d in zip(sweep.lambdas, sweep.std_pct, sweep.return_pct, sweep.distances):

@@ -1,6 +1,6 @@
 """Portfolio optimization toolkit: six allocation models (mean-variance QPs,
 MAD and max-drawdown LPs, and a minimum-allocation MILP) on top of in-house
-simplex, Frank-Wolfe and branch-and-bound engines, plus estimation,
+simplex, active-set QP and branch-and-bound engines, plus estimation,
 backtesting and sensitivity analysis."""
 
 from .core import (

@@ -29,7 +29,6 @@ from .core import (
 from .estimation import (PerturbationConfig, covariance, covariance_change, mean_returns,
                          perturb_returns)
 from .models import SOLVERS, solve_simultaneous
-from .qp_solver import GAP_TOL_DEFAULT
 
 log = logging.getLogger(__name__)
 
@@ -121,17 +120,17 @@ def train_test_split(returns: ReturnMatrix, spec: SplitSpec) -> tuple[ReturnMatr
     return train, test
 
 
-def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
-                 gap_tol: float = GAP_TOL_DEFAULT) -> SweepResult:
+def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepResult:
     """Solve the penalized model for every grid value and pick the penalty
     whose (std%, return%) point lies closest to the ideal corner.
 
     The ideal corner is (min std%, max return%) over the Optimal grid
     points; distance is plain Euclidean in percent units on both axes, with
-    no axis normalization. A point that ends in another status (e.g.
-    IterationLimit) keeps that status and NaN coordinates and is excluded,
-    with one logged warning counting the excluded points by status; a point
-    whose solve raises aborts the sweep with that exception.
+    no axis normalization. A point that ends in another status (Infeasible,
+    when the cap cannot hold the budget) keeps that status and NaN
+    coordinates and is excluded, with one logged warning counting the
+    excluded points by status; a point whose solve raises aborts the sweep
+    with that exception.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -139,8 +138,7 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None,
     if any(g < 0 for g in grid):
         raise DataError("lambda values must be nonnegative")
 
-    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap), gap_tol=gap_tol)
-               for lam in grid]
+    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap)) for lam in grid]
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:

@@ -2,18 +2,15 @@
 dispatched to the matching solver engine.
 
 Quadratic models (minimum-variance, simultaneous mean-variance) go to the
-Frank-Wolfe engine; the mean-absolute-deviation and max-drawdown models are
+active-set QP engine; the mean-absolute-deviation and max-drawdown models are
 epigraph LPs for the simplex; the minimum-allocation drawdown variant is the
 `md` LP with each weight on/off (0 or at least min_alloc), for branch and
 bound. The reverse mean-variance model (maximize return subject to a
 standard-deviation ceiling) is solved by bisecting the required-return
 parameter of the minimum-variance model along the efficient frontier, whose
 standard deviation is nondecreasing in required return; this reuses the
-quadratic engine instead of introducing a QCQP method. A bisection
-step needs only the side of sigma0^2 its frontier variance lies on, so its
-Frank-Wolfe solve stops as soon as the iterate or the gap's lower bound proves
-it (`solve_qp`'s `level`); one final full-accuracy solve at the accepted
-floor certifies the returned weights.
+quadratic engine instead of introducing a QCQP method. Each bisection step is
+one exact solve, so the accepted step's weights carry their own certificate.
 
 "Maximum drawdown" throughout means the worst single-day portfolio return
 min_t of sum_i r[i, t] x[i] over the window, not peak-to-trough drawdown.
@@ -194,8 +191,7 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
 # solve entry points
 # ---------------------------------------------------------------------------
 
-def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                    gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
+def solve_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
     The report's objective is the portfolio variance x' Sigma x, plus the L1
@@ -203,7 +199,7 @@ def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     """
     started = time.perf_counter()
     problem, layout = markowitz_problem(stats, cfg)
-    return _solve_quadratic("markowitz", problem, layout, cfg, gap_tol, started)
+    return _solve_quadratic("markowitz", problem, layout, cfg, GAP_TOL_DEFAULT, started)
 
 
 def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
@@ -219,7 +215,8 @@ def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
 
 def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: ModelConfig,
                      gap_tol: float, started: float) -> SolveReport:
-    """Frank-Wolfe on a model's QP, with the L1 penalty added after the solve.
+    """The active-set engine on a model's QP, with the L1 penalty added after
+    the solve.
 
     Weights are long-only, so mu * sum |x_i| is the linear cost mu * sum x_i,
     and the budget row makes it the constant mu on the feasible region: the
@@ -233,24 +230,19 @@ def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: Mod
                    sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 
 
-def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                            gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
+def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """Model: maximize mean return subject to a standard-deviation ceiling.
 
     Solved by bisection on the required return of the minimum-variance model:
     frontier standard deviation is nondecreasing in required return, so the
-    largest return whose frontier point stays within sigma0 (plus 1e-6 slack)
-    is found to interval width 1e-10 in at most 60 steps. Each step needs one
-    bit, whether the frontier variance at its floor is above sigma0^2, so its
-    solve passes that as `level` and stops once the side is proved; the
-    global minimum-variance and top-vertex solves do the same against
-    (sigma0 + 1e-6)^2. Every early decision is the one a full solve reaches.
-    A final solve to the gap tolerance, warm-started from the accepted point,
-    certifies the returned weights as the minimum-variance point of the
-    accepted floor. The report's objective is their mean return and
-    `iterations` sums the FW iterations of every solve, the final one
-    included; infeasible when even the global minimum-variance portfolio
-    exceeds sigma0.
+    largest return whose frontier point stays within sigma0 is found to
+    interval width 1e-10 in at most 60 steps. The global minimum-variance and
+    top-vertex solves are held to sigma0 + 1e-6, the bisection steps to
+    sigma0. Each step is one exact solve, and the returned weights are those
+    of the last accepted one: the minimum-variance point of its floor. The
+    report's objective is their mean return and `iterations` sums the
+    active-set iterations of every solve; infeasible when even the global
+    minimum-variance portfolio exceeds sigma0 + 1e-6.
     """
     started = time.perf_counter()
     sigma0 = cfg.require_sigma0()
@@ -258,52 +250,32 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     mu = stats.mean_returns
     total_iters = 0
 
-    def frontier(rho: float | None, start=None, level=None) -> QpSolution:
+    def frontier(rho: float | None) -> QpSolution:
         nonlocal total_iters
-        problem, _ = markowitz_problem(stats, cfg, rho=rho)
-        sol = solve_qp(problem, gap_tol=gap_tol, start=start, level=level)
+        sol = solve_qp(markowitz_problem(stats, cfg, rho=rho)[0])
         total_iters += sol.iterations
         return sol
 
-    def report(status: SolveStatus, sol: QpSolution | None = None) -> SolveReport:
-        v = None if sol is None else sol.v
-        objective = None if sol is None else float(mu @ sol.v)
-        return _report("reverse_markowitz", status, v, objective, cap, total_iters, started)
-
-    def certified(rho: float, accepted: QpSolution) -> SolveReport:
-        sol = frontier(rho, start=accepted.v)
-        return report(sol.status, sol)
-
     ceiling, level = (sigma0 + SIGMA_SLACK) ** 2, sigma0 ** 2
-    mv = frontier(None, level=ceiling)
-    if mv.status is not SolveStatus.OPTIMAL:
-        return report(mv.status)
-    if mv.objective > ceiling:
-        return report(SolveStatus.INFEASIBLE)
-
-    top = _max_return_weights(mu, cap)
-    hi_sol = frontier(float(mu @ top), start=top, level=ceiling)
-    if hi_sol.status is not SolveStatus.OPTIMAL:
-        return report(hi_sol.status)
-    if hi_sol.objective <= ceiling:
-        return certified(float(mu @ top), hi_sol)
-
-    lo, hi = float(mu @ mv.v), float(mu @ top)
-    best = mv
-    warm = hi_sol.v
+    best = frontier(None)
+    if best.status is not SolveStatus.OPTIMAL or best.objective > ceiling:
+        return _report("reverse_markowitz", SolveStatus.INFEASIBLE, None, None, cap,
+                       total_iters, started)
+    lo, hi = float(mu @ best.v), float(mu @ _max_return_weights(mu, cap))
+    top = frontier(hi)
+    if top.objective <= ceiling:    # the top vertex's floor is within reach
+        lo, best = hi, top
     for _ in range(BISECT_ITERS):
         if hi - lo < BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        sol = frontier(mid, start=warm, level=level)
-        if sol.status is not SolveStatus.OPTIMAL:
-            return report(sol.status)
-        if sol.objective <= level:  # proved if stopped early, else the full solve's verdict
+        sol = frontier(mid)
+        if sol.objective <= level:
             lo, best = mid, sol
         else:
             hi = mid
-            warm = sol.v  # return mu @ v >= mid stays feasible for lower rho
-    return certified(lo, best)
+    return _report("reverse_markowitz", SolveStatus.OPTIMAL, best.v, float(mu @ best.v), cap,
+                   total_iters, started)
 
 
 def solve_mad(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -6,9 +7,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from portopt import analytics
 from portopt.analytics import SplitSpec, train_test_split
 from portopt.cli_io import ingest_prices
-from portopt.core import ModelConfig, ReturnMatrix
+from portopt.core import ModelConfig, ReturnMatrix, SolveStatus
 from portopt.estimation import asset_stats, compute_simple_returns
 
 FIXTURE_PATH = Path(__file__).parent.parent / "data" / "prices_2020h1.csv"
@@ -21,6 +23,21 @@ def make_returns(matrix: np.ndarray, prefix: str = "A") -> ReturnMatrix:
     tickers = tuple(f"{prefix}{i:03d}" for i in range(n))
     dates = tuple(f"2021-{1 + t // 28:02d}-{1 + t % 28:02d}" for t in range(t_days))
     return ReturnMatrix(tickers, dates, matrix)
+
+
+def stop_points_above(monkeypatch, lam_max: float):
+    """Make every sweep point with lambda above lam_max end at
+    IterationLimit without weights, as a solve stopped at a cap would."""
+    solve = analytics.solve_simultaneous
+
+    def stopped(stats, cfg, **kw):
+        report = solve(stats, cfg, **kw)
+        if cfg.lam <= lam_max:
+            return report
+        return dataclasses.replace(report, status=SolveStatus.ITERATION_LIMIT,
+                                   objective=None, allocation=None)
+
+    monkeypatch.setattr(analytics, "solve_simultaneous", stopped)
 
 
 @pytest.fixture(scope="session")

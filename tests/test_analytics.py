@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from portopt import analytics, qp_solver
+from portopt import analytics
 from portopt.analytics import (
     SplitSpec,
     SweepResult,
@@ -16,7 +16,7 @@ from portopt.analytics import (
 from portopt.core import Allocation, AssetStats, DataError, DimensionError, ModelConfig
 from portopt.estimation import PerturbationConfig, asset_stats
 
-from conftest import make_returns
+from conftest import make_returns, stop_points_above
 
 
 class TestPortfolioSeries:
@@ -135,7 +135,7 @@ class TestLambdaSweep:
         rng = np.random.default_rng(3)
         r = make_returns(rng.normal(0.001, 0.02, (6, 50)))
         stats = asset_stats(r)
-        sweep = lambda_sweep(stats, lambda_grid(1e-2, 1e3, 9), gap_tol=1e-7)
+        sweep = lambda_sweep(stats, lambda_grid(1e-2, 1e3, 9))
         k = sweep.lambdas.index(sweep.chosen_lambda)
         for i in range(len(sweep.lambdas)):
             if i == k or not np.isfinite(sweep.std_pct[i]):
@@ -166,7 +166,7 @@ class TestLambdaSweep:
     def test_excluded_points_are_warned(self, caplog, monkeypatch):
         rng = np.random.default_rng(3)
         stats = asset_stats(make_returns(rng.normal(0.001, 0.02, (6, 50))))
-        monkeypatch.setattr(qp_solver, "MAX_ITERS", 3)
+        stop_points_above(monkeypatch, 1.0)
         with caplog.at_level("WARNING", logger="portopt.analytics"):
             sweep = lambda_sweep(stats, [1e-3, 1e-2, 1e4, 1e5])
         assert sweep.statuses == ("Optimal", "Optimal", "IterationLimit", "IterationLimit")
@@ -174,6 +174,24 @@ class TestLambdaSweep:
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "2 of 4 grid points not Optimal" in caplog.text
         assert "2 IterationLimit" in caplog.text
+
+    def test_fixture_default_grid_excludes_no_point(self, fixture_stats, monkeypatch):
+        # Every point of the default 100-point grid on the fixture is an
+        # Optimal exact solve whose gap meets the stop, up to lambda = 1e4.
+        reports = []
+        solve = analytics.solve_simultaneous
+
+        def recorded(stats, cfg, **kw):
+            reports.append(solve(stats, cfg, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(analytics, "solve_simultaneous", recorded)
+        sweep = lambda_sweep(fixture_stats, lambda_grid())
+        assert sweep.statuses == ("Optimal",) * 100
+        for report in reports:
+            gap = float(report.detail.removeprefix("fw_gap="))
+            assert gap <= 1e-8 * (1.0 + abs(report.objective))
+        assert sweep.chosen_lambda == 14.849682622544634
 
     def test_grid_spacing(self):
         log_grid = lambda_grid(1e-3, 1e4, 8, "log")

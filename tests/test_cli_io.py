@@ -18,7 +18,7 @@ from portopt.cli_io import (
 )
 from portopt.core import DataError, PriceMatrix, validate_allocation
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, stop_points_above
 
 
 def write_tiny_prices(path: Path, n=10, days=30, seed=5, missing=None):
@@ -182,9 +182,8 @@ class TestCommands:
         assert summary[0] == "chosen_lambda,ideal_std_pct,ideal_return_pct,n_excluded"
 
     def test_sweep_summary_counts_excluded_points(self, tmp_path, monkeypatch):
-        # A 3-iteration cap leaves the large-lambda points at IterationLimit.
-        from portopt import qp_solver
-        monkeypatch.setattr(qp_solver, "MAX_ITERS", 3)
+        # The two points above lambda = 1 end at IterationLimit.
+        stop_points_above(monkeypatch, 1.0)
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices, n=6, days=25)
         out = tmp_path / "sw"

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from portopt import lp_solver, qp_solver
+from portopt import lp_solver
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
     AT_LOWER,
@@ -735,17 +735,17 @@ def _fixture_markowitz(fixture_stats):
 
 
 def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
-    # Each oracle call continues in the tableau the previous one left, so
-    # over 300 iterations the oracle never refactorizes; the drift
-    # this leaves in B^-1 [G | h] (entries up to ~1e3) measured 1.7e-12.
+    # The QP solve builds one state: its phase 1 gives the active-set start
+    # and its one certifying oracle call continues in that tableau (4 pivots
+    # in all). It never refactorizes, and the tableau it leaves matches a
+    # fresh inverse to rounding.
     states = _record_oracle_states(monkeypatch)
-    monkeypatch.setattr(qp_solver, "MAX_ITERS", 300)
     sol = solve_qp(_fixture_markowitz(fixture_stats))
     (state,) = states
-    assert sol.iterations == 300
-    assert sol.oracle_factorizations == state.factorizations == 0
+    assert sol.status is SolveStatus.OPTIMAL
+    assert (state.pivots, state.factorizations) == (4, 0)
     fresh = np.linalg.solve(state.g[:, state.basic], np.hstack([state.g, state.h[:, None]]))
-    assert np.abs(state.work - fresh).max() <= 1e-11
+    assert np.abs(state.work - fresh).max() <= 1e-14
 
 
 def test_siblings_each_factorize_the_parent_basis_on_a_panel(monkeypatch):

@@ -131,9 +131,10 @@ class TestReverseMarkowitz:
         assert report.status is SolveStatus.INFEASIBLE
 
     def test_weights_certified_when_sigma0_is_the_min_variance_std(self):
-        # With sigma0 at the minimum-variance std the accepted point is an
-        # early-stopped iterate, so the final solve is what certifies the
-        # weights: their FW gap meets the stop plus the oracle's slack.
+        # With sigma0 at the minimum-variance std the bisection accepts a
+        # floor just above the global minimum-variance return; the weights
+        # are that floor's exact solve, and their FW gap at their own floor
+        # meets the stop plus the oracle's slack.
         rng = np.random.default_rng(13)
         for _ in range(6):
             n = int(rng.integers(3, 6))
@@ -141,13 +142,13 @@ class TestReverseMarkowitz:
             mu, cov = stats.mean_returns, stats.covariance
             mv = solve_qp(markowitz_problem(stats, ModelConfig(), rho=None)[0])
             sigma0 = float(np.sqrt(mv.objective))
-            report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0), gap_tol=1e-6)
+            report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0))
             assert report.status is SolveStatus.OPTIMAL
             x = report.allocation.weights
             f = float(x @ cov @ x)
             assert np.sqrt(f) <= sigma0 + 1e-6
             gap = gap_at_own_floor(x, mu, cov)
-            assert gap <= 1e-6 * (1.0 + f) + 2e-9 * (1.0 + np.abs(mu).max())
+            assert gap <= 1e-8 * (1.0 + f) + 2e-9 * (1.0 + np.abs(mu).max())
 
     def test_against_simplex_grid(self):
         data = rng_global.normal(0.002, 0.02, (3, 50))
@@ -177,22 +178,23 @@ class TestFixtureFrontier:
         return solve_reverse_markowitz(fixture_stats, ModelConfig(sigma0=self.SIGMA0))
 
     def test_markowitz_work_and_weights_unchanged(self, fixture_stats):
-        # A plain solve (no `level`) keeps its iterates: the count is the one
-        # recorded before `level` existed. The weights' bytes are those of an
-        # oracle that continues in its tableau between calls.
+        # The active-set steps and drops, the objective, the certificate,
+        # the 5 names held and the weights' bytes.
         problem, _ = markowitz_problem(fixture_stats, ModelConfig(rho=FIXTURE_RHO))
-        sol = solve_qp(problem, level=None)
+        sol = solve_qp(problem)
         assert sol.status is SolveStatus.OPTIMAL
-        assert sol.iterations == 6957
-        assert sol.objective == 6.886406858940859e-05
+        assert sol.iterations == 19
+        assert sol.objective == 6.885644662527826e-05
+        assert abs(sol.fw_gap) <= 1e-18
+        assert np.count_nonzero(sol.v > 1e-9) == 5
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
-            "10d12a0554d72749385207cce4d6028daca9ee061a2237cae8d983365030ad47")
+            "5e760830e66e48e6c6b669ea0d805e44b4ef6bccf264eb736645eba1d153dbdb")
 
     def test_reverse_markowitz_work_and_weights_unchanged(self, reverse):
-        # Every bisection step and the certifying solve, pinned to the bit.
-        assert reverse.iterations == 7715
+        # Every bisection step, each one exact solve, pinned to the bit.
+        assert reverse.iterations == 223
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
-            "a8e313ba5651ba45cadf8963e04459477132c99e36d519fcf9f666f72b143c62")
+            "385024871bfed49878735bf0b6280291fc73b579b45f8c3c01b090639dcb2315")
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
         (solve_mad, 154, 0.00619512161443643,
@@ -210,13 +212,12 @@ class TestFixtureFrontier:
         assert report.objective == objective
         assert hashlib.sha256(report.allocation.weights.tobytes()).hexdigest() == digest
 
-    def test_reverse_markowitz_decides_early(self, reverse, fixture_stats):
+    def test_reverse_markowitz_return_and_ceiling(self, reverse, fixture_stats):
         assert reverse.status is SolveStatus.OPTIMAL
-        assert reverse.iterations <= 10_000
         x = reverse.allocation.weights
-        assert np.sqrt(x @ fixture_stats.covariance @ x) <= self.SIGMA0 + 1e-6
-        # The return of the full-accuracy bisection.
-        assert abs(reverse.objective - 0.002527510084917626) <= 1e-9
+        assert np.sqrt(x @ fixture_stats.covariance @ x) <= self.SIGMA0
+        # The bisection's return, to the bit.
+        assert reverse.objective == 0.002527510071164992
 
     def test_reverse_markowitz_weights_are_certified(self, reverse, fixture_stats):
         mu, cov = fixture_stats.mean_returns, fixture_stats.covariance

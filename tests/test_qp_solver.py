@@ -7,7 +7,7 @@ from portopt.lp_solver import LpProblem, SimplexState, solve_lp
 from portopt.models import _max_return_weights
 from portopt.qp_solver import QpProblem, solve_qp
 
-from oracles import projected_gradient_qp
+from oracles import projected_gradient_qp, weight_grid
 
 
 def simplex_qp(q, c, cap=1.0):
@@ -67,29 +67,6 @@ def test_validates_q():
         QpProblem(q=np.array([[1.0, 0.0], [0.0, -1.0]]), c=[0.0, 0.0])
 
 
-def test_monotone_descent():
-    rng = np.random.default_rng(11)
-    q = random_cov(rng, 5)
-    c = -rng.uniform(0.0, 0.002, 5)
-    problem = simplex_qp(q, c, cap=0.6)
-
-    # re-run the iteration manually to observe every objective value
-    oracle = SimplexState(problem._region)
-    x = oracle.vertex
-    values = []
-    for _ in range(200):
-        grad = problem.c + 2.0 * problem.q @ x
-        assert oracle.minimize(grad) is SolveStatus.OPTIMAL
-        s = oracle.vertex
-        values.append(float(problem.c @ x + x @ problem.q @ x))
-        d = s - x
-        denom = float(d @ problem.q @ d)
-        gamma = 1.0 if denom <= 1e-14 else min(1.0, max(0.0, float(-(grad @ d)) / (2 * denom)))
-        x = x + gamma * d
-    diffs = np.diff(values)
-    assert np.all(diffs <= 1e-12)
-
-
 def test_certificate_bounds_suboptimality():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -114,47 +91,11 @@ def test_certificate_bounds_grid_optimum():
         assert sol.objective - float(grid_vals.min()) <= sol.fw_gap + 1e-12
 
 
-def test_iteration_limit_returns_best_iterate(monkeypatch):
-    rng = np.random.default_rng(31)
-    q = random_cov(rng, 6)
-    monkeypatch.setattr(qp_solver, "MAX_ITERS", 3)
-    sol = solve_qp(simplex_qp(q, np.zeros(6)), gap_tol=1e-16)
-    assert sol.status is SolveStatus.ITERATION_LIMIT
-    assert sol.iterations == 3
-    assert np.isfinite(sol.objective)
-    assert sol.fw_gap > 0
-
-
-def test_warm_start_point_used():
-    rng = np.random.default_rng(37)
-    q = random_cov(rng, 8)
-    problem = simplex_qp(q, np.zeros(8))
-    cold = solve_qp(problem)
-    warm = solve_qp(problem, start=cold.v)
-    assert warm.iterations <= cold.iterations
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
-    # infeasible start points are rejected, not trusted
-    bad = solve_qp(problem, start=np.full(8, 0.5))
-    assert bad.status is SolveStatus.OPTIMAL
-    assert bad.objective == pytest.approx(cold.objective, rel=1e-6)
-
-
-def test_non_finite_start_falls_back_to_phase1_vertex(monkeypatch):
-    rng = np.random.default_rng(43)
-    problem = simplex_qp(random_cov(rng, 6), np.zeros(6))
-    monkeypatch.setattr(qp_solver, "MAX_ITERS", 5)
-    cold = solve_qp(problem, gap_tol=1e-16)
-    for start in (np.full(6, np.nan), np.array([np.nan, 1.0, 0.0, 0.0, 0.0, 0.0]),
-                  np.array([np.inf, 1.0, 0.0, 0.0, 0.0, 0.0])):
-        sol = solve_qp(problem, gap_tol=1e-16, start=start)
-        assert np.array_equal(sol.v, cold.v)
-        assert sol.fw_gap == cold.fw_gap
-
-
 def test_return_floor_at_max_return_vertex():
     # The upper endpoint of the reverse-model bisection: the floor equals the
     # best attainable return, phase 1 leaves the floor row's artificial basic
-    # (locked at zero), and every oracle call must re-optimize around it.
+    # (locked at zero), and the active-set steps and the certifying oracle
+    # call must work around it.
     rng = np.random.default_rng(41)
     n, cap = 8, 0.3
     mu = rng.normal(0.001, 0.002, n)
@@ -165,53 +106,181 @@ def test_return_floor_at_max_return_vertex():
                         lower=np.zeros(n), upper=np.full(n, cap))
     state = SimplexState(problem._region)
     assert np.any(state.basic >= state.n_real)
-    for start in (None, top):
-        sol = solve_qp(problem, start=start)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.v == pytest.approx(top, abs=1e-9)
+    sol = solve_qp(problem)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert np.abs(sol.v - top).max() <= 1e-12
+    assert sol.fw_gap <= 1e-8 * (1.0 + abs(sol.objective))
 
 
-def test_level_stop_decides_the_side_a_full_solve_finds():
-    # Criterion 03's generator; levels spread around each instance's optimum.
-    rng = np.random.default_rng(307)
-    sides = {True: 0, False: 0}
-    full_iters = level_iters = 0
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        t_days = int(rng.integers(n + 2, 40))
-        panel = rng.normal(0.0, rng.uniform(0.01, 0.03), (n, t_days))
-        centered = panel - panel.mean(axis=1, keepdims=True)
-        q = centered @ centered.T / t_days
-        q = 0.5 * (q + q.T) + 1e-8 * np.eye(n)
-        c = -rng.uniform(0.0, 0.002, n) if rng.random() < 0.5 else np.zeros(n)
-        problem = simplex_qp(q, c, cap=float(rng.uniform(0.5, 1.0)))
-        full = solve_qp(problem, gap_tol=1e-6)
-        assert full.status is SolveStatus.OPTIMAL
-        margin = full.fw_gap + 1e-6 * (1.0 + abs(full.objective))
-        for rel in rng.uniform(-0.2, 0.2, 4):
-            level = full.objective + rel * (1.0 + abs(full.objective)) * abs(full.objective)
-            if abs(full.objective - level) <= margin:
-                continue
-            sol = solve_qp(problem, gap_tol=1e-6, level=level)
+# Beale's LP with rows and columns rescaled (as in test_lp_solver), posed as a
+# QP with Q = 0 and every weight capped at 10. Dropping the bound or row of
+# largest wrong multiplier and adding the fastest-approached blocking
+# constraint repeat the simplex's Dantzig cycle through degenerate working
+# sets at the origin.
+SCALED_BEALE = QpProblem(q=np.zeros((4, 4)), c=np.array([-0.75, 600.0, -0.08, 24.0]),
+                         a_ub=np.array([[0.25, -240.0, -0.16, 36.0],
+                                        [0.125, -90.0, -0.02, 3.0],
+                                        [0.0, 0.0, 4.0, 0.0]]),
+                         b_ub=np.array([0.0, 0.0, 1.0]), lower=np.zeros(4), upper=np.full(4, 10.0))
+
+
+def record_picks(monkeypatch, hold_rule_off=False) -> list:
+    """Record the `bland` flag of every add and drop choice; with
+    hold_rule_off, make every choice by the default rule."""
+    flags = []
+    pick = qp_solver._pick
+
+    def recorded(candidates, score, bland):
+        flags.append(bland)
+        return pick(candidates, score, bland and not hold_rule_off)
+
+    monkeypatch.setattr(qp_solver, "_pick", recorded)
+    return flags
+
+
+def test_scaled_beale_cycle_ends_under_the_smallest_index_rule(monkeypatch):
+    flags = record_picks(monkeypatch)
+    sol = solve_qp(SCALED_BEALE)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-0.05, abs=1e-15)
+    assert sol.iterations == 24
+    assert not flags[0] and flags[-1]   # a repeated working set turned the rule on
+
+
+def test_cycle_without_the_smallest_index_rule_raises(monkeypatch):
+    # With the rule's choices held off the cycle comes back to a working set
+    # after the rule is on. The loop ends there, at a vertex short of the
+    # optimum, and the certificate raises instead of returning it.
+    record_picks(monkeypatch, hold_rule_off=True)
+    with pytest.raises(RuntimeError, match="Frank-Wolfe gap"):
+        solve_qp(SCALED_BEALE)
+
+
+def test_gap_tol_is_enforced(monkeypatch):
+    # A point short of the optimum (here the phase-1 vertex, returned as the
+    # loop's answer) fails the final certificate and raises; it is never
+    # returned as Optimal.
+    rng = np.random.default_rng(47)
+    problem = simplex_qp(random_cov(rng, 6), np.zeros(6))
+    monkeypatch.setattr(qp_solver, "_active_set", lambda problem, x, status: (x, 0))
+    with pytest.raises(RuntimeError, match="Frank-Wolfe gap"):
+        solve_qp(problem)
+    assert solve_qp(problem, gap_tol=np.inf).status is SolveStatus.OPTIMAL
+
+
+def test_general_regions_at_any_scale_meet_the_gap():
+    # Rank-deficient Q from 1e-6 to 1e4 in size, costs of three sizes, boxes
+    # at [0, u] or [-1, u], one or two equality rows (sometimes the same row
+    # twice) or none, and up to three `<=` rows of two sizes, each region
+    # holding a random point x0. Every solve passes its own gap check (it
+    # raises otherwise) and is no worse than x0. Stream 73 holds instances
+    # that a tolerance taken from max |Q| got wrong, stream 82 one where Q is
+    # nearly zero and ties judged in step-length units, not in units of x,
+    # added a bound x had not reached.
+    for seed in (73, 82):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n = int(rng.integers(10, 40))
+            b = rng.normal(size=(n, int(rng.integers(0, n + 1)))) * rng.choice([1e-3, 1.0, 100.0])
+            q, c = b @ b.T, rng.normal(size=n) * rng.choice([0.0, 1e-3, 1.0])
+            lower = rng.choice([0.0, -1.0], n)
+            upper = lower + rng.choice([0.5, 1.0, 2.0], n)
+            x0 = rng.uniform(lower, upper)
+            rows = {}
+            if rng.random() < 0.7:
+                a_eq = np.vstack([np.ones(n)] + [rng.normal(size=n)] * int(rng.random() < 0.2))
+                a_eq = np.vstack([a_eq] * (1 + int(rng.random() < 0.2)))
+                rows.update(a_eq=a_eq, b_eq=a_eq @ x0)
+            m = int(rng.integers(0, 4))
+            if m:
+                a_ub = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0], (m, 1))
+                rows.update(a_ub=a_ub, b_ub=a_ub @ x0 + rng.choice([0.0, 0.1], m))
+            sol = solve_qp(QpProblem(q=q, c=c, lower=lower, upper=upper, **rows))
             assert sol.status is SolveStatus.OPTIMAL
-            assert (sol.objective <= level) == (full.objective <= level)
-            sides[sol.objective <= level] += 1
-            full_iters += full.iterations
-            level_iters += sol.iterations
-    assert min(sides.values()) >= 20
-    assert 4 * level_iters <= full_iters
+            assert sol.objective <= c @ x0 + x0 @ q @ x0 + 1e-12
 
 
-def test_level_stop_returns_a_feasible_iterate_with_its_proof():
-    rng = np.random.default_rng(311)
-    problem = simplex_qp(random_cov(rng, 6), np.zeros(6), cap=0.6)
-    full = solve_qp(problem)
-    low, high = 0.9 * full.objective, 1.1 * full.objective
-    above, below = solve_qp(problem, level=low), solve_qp(problem, level=high)
-    assert above.objective - above.fw_gap > low      # f* > low, by the FW bound
-    assert below.objective <= high                   # f* <= high, by the iterate
-    for sol in (above, below):
+def highs_gap(q, c, x, problem: QpProblem) -> float:
+    """Frank-Wolfe gap of x with scipy's HiGHS as the linear oracle."""
+    opt = pytest.importorskip("scipy.optimize")
+    region = problem._region
+    grad = c + 2.0 * (q @ x)
+    rows = dict(A_eq=region.a_eq, b_eq=region.b_eq)
+    if region.a_ub.shape[0]:
+        rows.update(A_ub=region.a_ub, b_ub=region.b_ub)
+    res = opt.linprog(grad, bounds=np.column_stack([region.lower, region.upper]),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10}, **rows)
+    assert res.status == 0, res.message
+    return float(grad @ x - grad @ res.x)
+
+
+def singular_panel(rng, n, t_days):
+    """Daily returns of n > t_days assets (two of them identical), their
+    means and their covariance, of rank at most t_days - 1."""
+    returns = rng.normal(0.001, 0.02, (n, t_days))
+    returns[1] = returns[0]
+    mu = returns.mean(axis=1)
+    centered = returns - mu[:, None]
+    cov = centered @ centered.T / t_days
+    return mu, 0.5 * (cov + cov.T)
+
+
+def test_singular_covariance_without_floor_matches_oracles(monkeypatch):
+    # n > T: Q is singular. Minimum variance (c = 0) keeps the gradient in
+    # the range of Q, so its Newton steps use the reduced Hessian's
+    # pseudo-inverse; at lambda = 1000 with c = -mu the engine also takes
+    # zero-curvature steps to the next bound. The objective matches
+    # projected gradient and the gap recomputed with HiGHS is at rounding
+    # level.
+    newton_steps = []
+    direction = qp_solver._direction
+
+    def recorded(*args):
+        p, newton = direction(*args)
+        if p is not None:
+            newton_steps.append(newton)
+        return p, newton
+
+    monkeypatch.setattr(qp_solver, "_direction", recorded)
+    rng = np.random.default_rng(53)
+    for lam in (0.0, 1000.0) * 4:
+        n = int(rng.integers(6, 13))
+        mu, cov = singular_panel(rng, n, int(rng.integers(2, n // 2)))
+        cap = float(rng.uniform(1.5 / n, 1.0))
+        q, c = (lam * cov, -mu) if lam else (cov, np.zeros(n))
+        problem = simplex_qp(q, c, cap=cap)
+        sol = solve_qp(problem)
         assert sol.status is SolveStatus.OPTIMAL
-        assert sol.iterations < full.iterations
-        assert sol.v.sum() == pytest.approx(1.0, abs=1e-12)
-        assert sol.v.min() >= 0.0 and sol.v.max() <= 0.6
+        assert sol.fw_gap <= 1e-8 * (1.0 + abs(sol.objective))
+        _, reference = projected_gradient_qp(q, c, np.zeros(n), np.full(n, cap))
+        assert sol.objective <= reference + 1e-12
+        assert reference - sol.objective <= 1e-9
+        assert abs(highs_gap(q, c, sol.v, problem)) <= 1e-12
+    assert newton_steps.count(False) >= 4    # zero-curvature steps
+
+
+def test_singular_covariance_with_floor_matches_oracles():
+    # Minimum variance under a return floor on n = 4 > T assets, the floor
+    # anywhere from the unconstrained optimum to the top vertex. No grid
+    # point that meets the floor beats the engine, the best is within the
+    # grid's resolution, and the gap recomputed with HiGHS is at rounding
+    # level.
+    rng = np.random.default_rng(59)
+    n, grid = 4, weight_grid(4, cap=1.0, resolution=0.01)
+    for _ in range(8):
+        mu, cov = singular_panel(rng, n, int(rng.integers(2, n)))
+        top = float(mu.max())
+        rho = float(rng.uniform(mu.mean(), top)) if rng.random() < 0.75 else top
+        problem = QpProblem(q=cov, c=np.zeros(n), a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
+                            a_ub=-mu[None, :], b_ub=np.array([-rho]),
+                            lower=np.zeros(n), upper=np.ones(n))
+        sol = solve_qp(problem)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert mu @ sol.v >= rho - 1e-12
+        assert sol.fw_gap <= 1e-8 * (1.0 + abs(sol.objective))
+        feasible = grid[grid @ mu >= rho]
+        values = np.einsum("ij,jk,ik->i", feasible, cov, feasible)
+        assert sol.objective <= values.min() + 1e-15
+        assert values.min() - sol.objective <= 1e-5
+        assert abs(highs_gap(cov, np.zeros(n), sol.v, problem)) <= 1e-12
