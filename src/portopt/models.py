@@ -6,11 +6,11 @@ active-set QP engine; the mean-absolute-deviation and max-drawdown models are
 epigraph LPs for the simplex; the minimum-allocation drawdown variant is the
 `md` LP with each weight on/off (0 or at least min_alloc), for branch and
 bound. The reverse mean-variance model (maximize return subject to a
-standard-deviation ceiling) is solved by bisecting the required-return
-parameter of the minimum-variance model along the efficient frontier, whose
-standard deviation is nondecreasing in required return; this reuses the
-quadratic engine instead of introducing a QCQP method. Each bisection step is
-one exact solve, so the accepted step's weights carry their own certificate.
+standard-deviation ceiling) walks the critical line of the minimum-variance
+model, the efficient frontier as a path piecewise linear in its trade-off
+parameter, down to where the standard deviation reaches the ceiling; this
+takes exact steps in place of a QCQP method, and one oracle call certifies
+the point.
 
 "Maximum drawdown" throughout means the worst single-day portfolio return
 min_t of sum_i r[i, t] x[i] over the window, not peak-to-trough drawdown.
@@ -36,10 +36,8 @@ from .core import (
 from .estimation import mean_returns
 from .lp_solver import LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
-from .qp_solver import GAP_TOL_DEFAULT, QpProblem, QpSolution, solve_qp
+from .qp_solver import GAP_TOL_DEFAULT, QpProblem, critical_line, solve_qp
 
-BISECT_ITERS = 60
-BISECT_TOL = 1e-10
 SIGMA_SLACK = 1e-6
 
 
@@ -79,7 +77,8 @@ def markowitz_problem(stats: AssetStats, cfg: ModelConfig,
     """Minimum-variance QP: min x' Sigma x s.t. mean' x >= rho, sum x = 1, box.
 
     Passing rho=None drops the return row entirely (the global minimum-variance
-    portfolio), which the frontier bisection uses for its lower endpoint.
+    portfolio); its budget-box region is the one the reverse model's critical
+    line walks.
     """
     if rho is _FROM_CONFIG:
         rho = cfg.require_rho()
@@ -233,49 +232,25 @@ def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: Mod
 def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """Model: maximize mean return subject to a standard-deviation ceiling.
 
-    Solved by bisection on the required return of the minimum-variance model:
-    frontier standard deviation is nondecreasing in required return, so the
-    largest return whose frontier point stays within sigma0 is found to
-    interval width 1e-10 in at most 60 steps. The global minimum-variance and
-    top-vertex solves are held to sigma0 + 1e-6, the bisection steps to
-    sigma0. Each step is one exact solve, and the returned weights are those
-    of the last accepted one: the minimum-variance point of its floor. The
-    report's objective is their mean return and `iterations` sums the
-    active-set iterations of every solve; infeasible when even the global
-    minimum-variance portfolio exceeds sigma0 + 1e-6.
+    Walks the critical line (`qp_solver.critical_line`) from the top-return
+    vertex down to where the standard deviation reaches sigma0, in one
+    simplex state and without a QP solve. The point minimizes variance for
+    its own return floor; `detail` carries the Frank-Wolfe gap that
+    certifies it. The report's objective is its mean return and
+    `iterations` counts the walk's steps. Where even the minimum-variance
+    end of the line stays above sigma0, that end is returned if it is within
+    sigma0 + 1e-6, and the report is Infeasible otherwise (its `detail` then
+    certifies that end).
     """
     started = time.perf_counter()
     sigma0 = cfg.require_sigma0()
-    cap = cfg.resolved_cap(1.0)
-    mu = stats.mean_returns
-    total_iters = 0
-
-    def frontier(rho: float | None) -> QpSolution:
-        nonlocal total_iters
-        sol = solve_qp(markowitz_problem(stats, cfg, rho=rho)[0])
-        total_iters += sol.iterations
-        return sol
-
-    ceiling, level = (sigma0 + SIGMA_SLACK) ** 2, sigma0 ** 2
-    best = frontier(None)
-    if best.status is not SolveStatus.OPTIMAL or best.objective > ceiling:
-        return _report("reverse_markowitz", SolveStatus.INFEASIBLE, None, None, cap,
-                       total_iters, started)
-    lo, hi = float(mu @ best.v), float(mu @ _max_return_weights(mu, cap))
-    top = frontier(hi)
-    if top.objective <= ceiling:    # the top vertex's floor is within reach
-        lo, best = hi, top
-    for _ in range(BISECT_ITERS):
-        if hi - lo < BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        sol = frontier(mid)
-        if sol.objective <= level:
-            lo, best = mid, sol
-        else:
-            hi = mid
-    return _report("reverse_markowitz", SolveStatus.OPTIMAL, best.v, float(mu @ best.v), cap,
-                   total_iters, started)
+    problem, _ = markowitz_problem(stats, cfg, rho=None)
+    sol = critical_line(problem, stats.mean_returns, sigma0 ** 2)
+    status = sol.status
+    if status is SolveStatus.OPTIMAL and sol.v @ problem.q @ sol.v > (sigma0 + SIGMA_SLACK) ** 2:
+        status = SolveStatus.INFEASIBLE
+    return _report("reverse_markowitz", status, sol.v, float(stats.mean_returns @ sol.v),
+                   cfg.resolved_cap(1.0), sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 
 
 def solve_mad(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
@@ -335,22 +310,6 @@ MODEL_FIELDS = {
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
-
-def _max_return_weights(mu: np.ndarray, cap: float) -> np.ndarray:
-    """Greedy vertex maximizing mean return under the cap; deterministic order."""
-    order = np.argsort(-mu, kind="stable")
-    x = np.zeros(mu.shape[0])
-    remaining = 1.0
-    for i in order:
-        take = min(cap, remaining)
-        x[i] = take
-        remaining -= take
-        if remaining <= 0:
-            break
-    if remaining > 1e-12:
-        raise DataError("cap too small to allocate the full budget")
-    return x
-
 
 def _clean_weights(x: np.ndarray, cap: float) -> np.ndarray:
     x = np.asarray(x, dtype=float).copy()

@@ -36,6 +36,11 @@ region, and convexity gives f(x) - f* <= g = grad f(x) @ (x - s), the
 Frank-Wolfe gap, returned as `fw_gap`. A gap above gap_tol * (1 + |f|)
 raises instead of returning. The oracle is the same `SimplexState` whose
 phase 1 gave the starting vertex, so the solve runs phase 1 once.
+
+`critical_line` follows the minimizer of v'Qv - t mu'v over the budget box
+as t falls from infinity, Markowitz's critical line (1956; Bailey & Lopez de
+Prado, *Algorithms* 6, 2013), to where v'Qv reaches a level. It shares the
+working-set rules above and the same one-state certificate.
 """
 
 from __future__ import annotations
@@ -119,13 +124,111 @@ def solve_qp(problem: QpProblem, gap_tol: float = GAP_TOL_DEFAULT) -> QpSolution
     if not oracle.feasible:
         return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
     x, iterations = _active_set(problem, oracle.vertex, oracle.status[:n])
-    grad = c + 2.0 * (q @ x)
+    f = float(c @ x + x @ q @ x)
+    gap = _certify(oracle, c + 2.0 * (q @ x), x, f, gap_tol)
+    return QpSolution(x, f, gap, iterations, SolveStatus.OPTIMAL)
+
+
+def _certify(oracle: SimplexState, grad: np.ndarray, x: np.ndarray, f: float,
+             gap_tol: float) -> float:
+    """The Frank-Wolfe gap grad @ (x - s) of x, with s from one oracle call;
+    raises when it is above gap_tol * (1 + |f|)."""
     if oracle.minimize(grad) is not SolveStatus.OPTIMAL:
         raise RuntimeError("linear oracle failed: the QP region must be nonempty and bounded")
-    gap, f = float(grad @ (x - oracle.vertex)), float(c @ x + x @ q @ x)
+    gap = float(grad @ (x - oracle.vertex))
     if not gap <= gap_tol * (1.0 + abs(f)):
         raise RuntimeError(f"Frank-Wolfe gap {gap!r} above gap_tol * (1 + |f|), f = {f!r}")
-    return QpSolution(x, f, gap, iterations, SolveStatus.OPTIMAL)
+    return gap
+
+
+def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolution:
+    """The point of the critical line where v'Qv reaches `level`.
+
+    The problem's region must be the budget box: one row sum(v) = 1 and
+    bounds; its `c` is not read. For t >= 0 a minimizer v(t) of
+    f_t(v) = v'Qv - t mu'v over it is piecewise linear in t, and v'Qv and
+    mu'v are nondecreasing in t. The walk starts at t = inf, at the vertex
+    the oracle finds for cost -mu: its basic weight is free and its
+    nonbasic bounds fix the others (where the budget row's locked
+    artificial stays basic, every weight sits at a bound, and the capped
+    weight of least return is freed). On each piece one solve in the null
+    space of the budget row gives v(t) = v0 + t v1, and with it the bound
+    multipliers r(t) = r0 + t r1 of the fixed weights. The piece ends at the
+    largest lower t where a free weight reaches a bound, which fixes it, or
+    a fixed weight's multiplier takes the wrong sign, which frees it. Ties
+    go to the fastest approach, as in `_active_set`; steps of zero
+    length are allowed, and once a working set repeats at one t, choices go
+    to smallest index for the rest of the walk (a set met twice under that
+    rule raises). t never rises and a working set is optimal on one
+    interval of t, so the walk ends without a step cap. Where a fixed weight
+    ties the free one in mu exactly but not in risk, the line starts off the
+    vertex, at the least-variance top-return point, and the certificate
+    raises.
+
+    It stops on the piece where v'Qv, a quadratic in t, reaches level less
+    the rounding error of evaluating v'Qv, at the quadratic's root taken in
+    its stable form, or else at t = 0, the minimum-variance end. There f_t's
+    Frank-Wolfe gap from one more oracle call above
+    GAP_TOL_DEFAULT * (1 + |f_t|) raises. Returns the point, f_t, that gap
+    and the number of steps, or Infeasible when the region is empty.
+    """
+    n, q, region = problem.n_vars, problem.q, problem._region
+    oracle = SimplexState(region)
+    if not oracle.feasible:
+        return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
+    oracle.minimize(-mu)
+    x, row, abs_q = oracle.vertex, region.a_eq[0], np.abs(q)
+    side = (oracle.status[:n] == AT_UPPER).astype(np.int8) - (oracle.status[:n] == AT_LOWER)
+    if side.all():
+        side[np.flatnonzero(side > 0)[np.argmin(mu[side > 0])]] = 0
+    t, steps, bland, visited = np.inf, 0, False, set()
+    while True:
+        free = side == 0
+        z = _null_basis(row[None, free])
+        x1 = np.zeros(n)
+        x1[free] = z @ np.linalg.lstsq(2.0 * z.T @ q[np.ix_(free, free)] @ z, z.T @ mu[free],
+                                       rcond=None)[0]
+        # on the first piece the budget row pins the one free weight: v1 = 0
+        x0 = x - t * x1 if np.isfinite(t) else x
+        # the constant and t parts of grad f_t, less the budget row's
+        # multiplier, which the free weights fix: on fixed weights, r0 and r1
+        r = np.stack([2.0 * (q @ x0), 2.0 * (q @ x1) - mu])
+        scale = np.abs(r).max(axis=1)
+        r -= np.outer(r[:, free] @ row[free] / (row[free] @ row[free]), row)
+        # margin + rate * t is a free weight's distance to the bound it moves
+        # to, or -side * r for a fixed weight; an event is where it falls to 0
+        margin = np.where(free, np.where(x1 > 0, x0 - region.lower, region.upper - x0),
+                          -side * r[0])
+        rate = np.where(free, np.abs(x1), -side * r[1])
+        hit = rate > STEP_TOL * np.where(free, np.abs(x1).max(), scale[1])
+        t_ev = np.where(hit, np.minimum(-margin / np.where(hit, rate, 1.0), t), -np.inf)
+        # an event where t mu is below the multiplier tolerance is at t = 0
+        low = t_ev.max() * np.abs(mu).max() <= DUAL_TOL * (1.0 + scale[0])
+        t_next = 0.0 if low else float(t_ev.max())
+        x_next = x0 + t_next * x1
+        var = float(x_next @ q @ x_next)
+        # n eps v'|Q|v bounds the rounding of v'Qv, and v'|Q|v is convex
+        room = level - var - n * np.finfo(float).eps * max(x @ abs_q @ x, x_next @ abs_q @ x_next)
+        if room >= 0.0 or t_next == 0.0:
+            # v'Qv at t_next + s in [t_next, t] is var + 2 b s + a s^2; its
+            # root s = room / (b + sqrt(b^2 + a room)) is the stable form
+            room, b, a = max(room, 0.0), float(x_next @ q @ x1), float(x1 @ q @ x1)
+            den = b + np.sqrt(b * b + a * room)
+            s = min(room / den, t - t_next) if den > 0.0 else 0.0
+            x, t = x_next + s * x1, t_next + s
+            break
+        visited, x, t = visited if t_next == t else set(), x_next, t_next
+        if side.tobytes() in visited:
+            if bland:
+                raise RuntimeError(f"the critical line repeats a working set at t = {t!r}")
+            bland, visited = True, set()
+        visited.add(side.tobytes())
+        j = _pick(np.flatnonzero(t_ev >= t_next - 1e-9 * t_next), rate, bland)
+        side[j] = 0 if side[j] else (-1 if x1[j] > 0 else 1)
+        steps += 1
+    f = float(x @ q @ x - t * (mu @ x))
+    gap = _certify(oracle, 2.0 * (q @ x) - t * mu, x, f, GAP_TOL_DEFAULT)
+    return QpSolution(x, f, gap, steps, SolveStatus.OPTIMAL)
 
 
 def _active_set(problem: QpProblem, x: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, int]:
@@ -208,8 +311,7 @@ def _direction(q, grad, a_f, free, tol):
     """The step on the free variables, and whether it is the Newton step to
     the subspace minimizer; else it descends along zero curvature, to the
     next bound or row. None when the reduced gradient is below `tol`."""
-    _, sing, vt = np.linalg.svd(a_f)
-    z = vt[np.count_nonzero(sing > RANK_TOL * sing.max(initial=0.0)):].T
+    z = _null_basis(a_f)
     gz = z.T @ grad[free]
     if np.abs(gz).max(initial=0.0) <= tol:
         return None, False
@@ -223,3 +325,10 @@ def _direction(q, grad, a_f, free, tol):
     p = np.zeros(grad.shape[0])
     p[free] = z @ step
     return p, newton
+
+
+def _null_basis(a_f: np.ndarray) -> np.ndarray:
+    """Columns spanning the null space of a_f's rows, orthonormal, from an
+    SVD; none when the rows have full column rank."""
+    _, sing, vt = np.linalg.svd(a_f)
+    return vt[np.count_nonzero(sing > RANK_TOL * sing.max(initial=0.0)):].T

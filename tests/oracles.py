@@ -12,8 +12,10 @@ import itertools
 import numpy as np
 
 from portopt.lp_solver import LpProblem, solve_lp
-from portopt.core import SolveStatus
+from portopt.core import AssetStats, ModelConfig, SolveStatus
 from portopt.milp_solver import MilpProblem
+from portopt.models import markowitz_problem
+from portopt.qp_solver import solve_qp
 
 
 def enumerate_lp_vertices(problem: LpProblem) -> list[np.ndarray]:
@@ -220,3 +222,43 @@ def random_return_matrix(rng: np.random.Generator, n: int, t_days: int,
     """Daily-decimal-scale return panel used across the random suites."""
     base = rng.normal(drift, vol, (n, t_days))
     return np.clip(base, -0.2, 0.2)
+
+
+def bisection_reverse_markowitz(stats: AssetStats, sigma0: float,
+                                cap: float = 1.0) -> tuple[SolveStatus, np.ndarray | None]:
+    """The reverse model by bisection on the return floor of the
+    minimum-variance model: the largest floor whose minimum variance is at
+    most sigma0^2, to a floor interval of 1e-10 in at most 60 solves. The
+    global minimum-variance and top-vertex solves are held to sigma0 + 1e-6,
+    the bisection steps to sigma0; the top vertex is the greedy one (the
+    names of highest mean return, each to the cap). Returns the status and
+    the last accepted solve's weights."""
+    mu, cfg = stats.mean_returns, ModelConfig(sigma0=sigma0, cap=cap)
+
+    def frontier(rho):
+        return solve_qp(markowitz_problem(stats, cfg, rho=rho)[0])
+
+    ceiling, level = (sigma0 + 1e-6) ** 2, sigma0 ** 2
+    best = frontier(None)
+    if best.status is not SolveStatus.OPTIMAL or best.objective > ceiling:
+        return SolveStatus.INFEASIBLE, None
+    top, remaining = np.zeros(mu.shape[0]), 1.0
+    for i in np.argsort(-mu, kind="stable"):
+        top[i] = min(cap, remaining)
+        remaining -= top[i]
+        if remaining <= 0:
+            break
+    lo, hi = float(mu @ best.v), float(mu @ top)
+    top_sol = frontier(hi)
+    if top_sol.objective <= ceiling:
+        lo, best = hi, top_sol
+    for _ in range(60):
+        if hi - lo < 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        sol = frontier(mid)
+        if sol.objective <= level:
+            lo, best = mid, sol
+        else:
+            hi = mid
+    return SolveStatus.OPTIMAL, best.v

@@ -4,9 +4,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from portopt import models, qp_solver
 from portopt.cli_io import main
 from portopt.core import (
     Allocation,
+    AssetStats,
     DataError,
     ModelConfig,
     ReturnMatrix,
@@ -14,7 +16,7 @@ from portopt.core import (
     validate_allocation,
 )
 from portopt.estimation import asset_stats, covariance, mean_returns
-from portopt.lp_solver import LpProblem, solve_lp
+from portopt.lp_solver import BASIC, LpProblem, SimplexState, solve_lp
 from portopt.milp_solver import solve_milp
 from portopt.models import (
     MODEL_FIELDS,
@@ -35,7 +37,7 @@ from portopt.models import (
 from portopt.qp_solver import solve_qp
 
 from conftest import FIXTURE_PATH, FIXTURE_RHO, make_returns
-from oracles import big_m_milp, grid_best_mad, weight_grid
+from oracles import big_m_milp, bisection_reverse_markowitz, grid_best_mad, weight_grid
 
 
 def stats_from(data):
@@ -45,14 +47,14 @@ def stats_from(data):
 rng_global = np.random.default_rng(2024)
 
 
-def gap_at_own_floor(x, mu, cov):
-    """FW gap of x for min x'Σx over budget, box [0, 1] and the floor mu'x,
+def gap_at_own_floor(x, mu, cov, cap=1.0):
+    """FW gap of x for min x'Σx over budget, box [0, cap] and the floor mu'x,
     with a cold simplex solve as the linear oracle."""
     n = x.shape[0]
     grad = 2.0 * cov @ x
     oracle = solve_lp(LpProblem(c=grad, a_eq=np.ones((1, n)), b_eq=[1.0],
                                 a_ub=-mu[None, :], b_ub=[-(mu @ x)],
-                                lower=np.zeros(n), upper=np.ones(n)))
+                                lower=np.zeros(n), upper=np.full(n, cap)))
     assert oracle.status is SolveStatus.OPTIMAL
     return float(grad @ x - oracle.objective)
 
@@ -131,10 +133,10 @@ class TestReverseMarkowitz:
         assert report.status is SolveStatus.INFEASIBLE
 
     def test_weights_certified_when_sigma0_is_the_min_variance_std(self):
-        # With sigma0 at the minimum-variance std the bisection accepts a
-        # floor just above the global minimum-variance return; the weights
-        # are that floor's exact solve, and their FW gap at their own floor
-        # meets the stop plus the oracle's slack.
+        # With sigma0 at the minimum-variance std the walk ends at or just
+        # above the minimum-variance end of the critical line, and the
+        # weights' FW gap at their own floor meets the stop plus the
+        # oracle's slack.
         rng = np.random.default_rng(13)
         for _ in range(6):
             n = int(rng.integers(3, 6))
@@ -168,6 +170,128 @@ class TestReverseMarkowitz:
         assert report.objective >= grid_best - 5e-5
 
 
+def check_against_bisection(stats, sigma0, cap):
+    """The walk's report against the bisection reference: the same status, a
+    return no lower than the reference's less 1e-9, and std <= sigma0, or
+    <= sigma0 + 1e-6 for a minimum-variance point (the walk's t = 0 end).
+    Returns the report."""
+    report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0, cap=cap))
+    status, ref = bisection_reverse_markowitz(stats, sigma0, cap)
+    assert report.status is status
+    if status is SolveStatus.OPTIMAL:
+        mu, cov = stats.mean_returns, stats.covariance
+        x = report.allocation.weights
+        assert report.objective >= mu @ ref - 1e-9
+        var = max(float(x @ cov @ x), 0.0)
+        if not np.sqrt(var) <= sigma0:
+            min_var = solve_qp(markowitz_problem(stats, ModelConfig(cap=cap), rho=None)[0])
+            assert np.sqrt(var) <= sigma0 + 1e-6 and var <= min_var.objective + 1e-12
+    return report
+
+
+class TestReverseAgainstBisection:
+    """The critical-line walk against the return-floor bisection it
+    replaced, which is kept in `oracles.py`."""
+
+    @pytest.mark.parametrize("cap", [1.0, 0.5, 0.3])
+    @pytest.mark.parametrize("shape", ["plain", "duplicate", "wide"])
+    def test_random_panels(self, cap, shape):
+        # sigma0 from 0.95 of the minimum-variance std (Infeasible unless
+        # that std is below ~2e-5) to above every asset's std (the top
+        # vertex, no step); "wide" panels have n > T, a singular covariance.
+        rng = np.random.default_rng([int(cap * 10), len(shape)])
+        for _ in range(2):
+            n = int(rng.integers(6, 20)) if shape == "wide" else int(rng.integers(4, 12))
+            t_days = int(rng.integers(3, n)) if shape == "wide" else int(rng.integers(n, 60))
+            data = rng.normal(rng.normal(0.001, 0.002, (n, 1)),
+                              rng.uniform(0.005, 0.03, (n, 1)), (n, t_days))
+            if shape == "duplicate":
+                data[1] = data[0]
+            stats = stats_from(data)
+            min_var = solve_qp(markowitz_problem(stats, ModelConfig(cap=cap), rho=None)[0])
+            std_lo = float(np.sqrt(max(min_var.objective, 0.0)))
+            std_hi = 1.05 * float(np.sqrt(np.diag(stats.covariance).max()))
+            for frac in (0.1, 0.4, 0.7):
+                check_against_bisection(stats, std_lo + frac * (std_hi - std_lo), cap)
+            check_against_bisection(stats, 0.95 * std_lo if std_lo > 0 else 1e-12, cap)
+            top = check_against_bisection(stats, std_hi, cap)
+            assert top.iterations == 0
+
+    def test_zero_variance_panel_at_a_tiny_ceiling(self):
+        # 17 assets over 5 days hold long-only portfolios whose variance is
+        # zero up to rounding; at sigma0 = 6.7e-11 the walk runs to the
+        # minimum-variance end and must still match the bisection's return.
+        rng = np.random.default_rng(26)
+        stats = stats_from(rng.normal(0.002, 0.02, (17, 5)))
+        report = check_against_bisection(stats, 6.7e-11, 1.0)
+        assert report.status is SolveStatus.OPTIMAL
+
+    def test_duplicated_top_asset(self):
+        # Assets 0 and 1 are one series: the one left at a bound has a
+        # multiplier that is rounding noise, which must not free it on the
+        # way down to the minimum-variance end.
+        rng = np.random.default_rng(1)
+        data = rng.normal(0.001, 0.02, (3, 32))
+        data[0] += 0.006
+        data[1] = data[0]
+        stats = stats_from(data)
+        std_lo = float(np.sqrt(solve_qp(markowitz_problem(stats, ModelConfig(), rho=None)[0])
+                               .objective))
+        std_hi = 1.05 * float(np.sqrt(stats.covariance[0, 0]))
+        for sigma0 in [0.95 * std_lo, *np.linspace(std_lo, std_hi, 7)]:
+            check_against_bisection(stats, float(sigma0), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_point_region_leaves_no_weight_free_at_the_start(self):
+        # At cap 1/n the region is one point, and for these returns the
+        # oracle leaves the budget row's locked artificial basic: no weight
+        # is free until the walk frees the capped one of least return.
+        cov = stats_from(np.random.default_rng(5).normal(0.001, 0.02, (4, 40))).covariance
+        stats = AssetStats(np.array([0.0022, 0.0006, 0.0021, 0.001]), cov)
+        state = SimplexState(LpProblem(c=np.zeros(4), a_eq=np.ones((1, 4)), b_eq=[1.0],
+                                       lower=np.zeros(4), upper=np.full(4, 0.25)))
+        state.minimize(-stats.mean_returns)
+        assert not np.any(state.status[:4] == BASIC)
+        std = float(np.sqrt(np.full(4, 0.25) @ stats.covariance @ np.full(4, 0.25)))
+        for sigma0 in (0.5 * std, std - 2e-6, std, 2.0 * std):
+            report = check_against_bisection(stats, sigma0, 0.25)
+            if report.status is SolveStatus.OPTIMAL:
+                assert np.all(report.allocation.weights == 0.25)
+
+    def test_free_weight_at_its_cap_at_the_start(self):
+        # The top vertex's basic weight sits at the cap: it is free, pinned
+        # by the budget row, and must not count as moving.
+        rng = np.random.default_rng(0)
+        stats = stats_from(rng.normal(0.001, 0.02, (4, 30)))
+        mu = stats.mean_returns
+        state = SimplexState(LpProblem(c=np.zeros(4), a_eq=np.ones((1, 4)), b_eq=[1.0],
+                                       lower=np.zeros(4), upper=np.full(4, 0.5)))
+        state.minimize(-mu)
+        basic = state.status[:4] == BASIC
+        assert basic.sum() == 1 and state.vertex[basic][0] == 0.5
+        stds = np.sqrt(np.diag(stats.covariance))
+        for sigma0 in np.linspace(0.5 * stds.min(), 1.05 * stds.max(), 9):
+            check_against_bisection(stats, float(sigma0), 0.5)
+
+    def test_frontier_rises_and_each_point_is_certified(self):
+        # Weights enter and leave at both bounds under cap 0.3. Along a grid
+        # of ceilings the return and the std never fall, and each point is
+        # the minimum-variance point of its own floor.
+        rng = np.random.default_rng(31)
+        stats = stats_from(rng.normal(rng.normal(0.001, 0.002, (10, 1)), 0.02, (10, 60)))
+        mu, cov = stats.mean_returns, stats.covariance
+        min_var = solve_qp(markowitz_problem(stats, ModelConfig(cap=0.3), rho=None)[0])
+        top = float(np.sqrt(np.diag(cov).max()))
+        last_ret = last_std = -np.inf
+        for sigma0 in np.linspace(np.sqrt(min_var.objective), top, 12):
+            report = solve_reverse_markowitz(stats, ModelConfig(sigma0=float(sigma0), cap=0.3))
+            x = report.allocation.weights
+            std = float(np.sqrt(x @ cov @ x))
+            assert report.objective >= last_ret and std >= last_std - 1e-15
+            assert gap_at_own_floor(x, mu, cov, cap=0.3) <= 1e-8 * (1.0 + std ** 2)
+            last_ret, last_std = report.objective, std
+
+
 class TestFixtureFrontier:
     """The fixture's train window, at the benchmark's backtest settings."""
 
@@ -191,10 +315,28 @@ class TestFixtureFrontier:
             "5e760830e66e48e6c6b669ea0d805e44b4ef6bccf264eb736645eba1d153dbdb")
 
     def test_reverse_markowitz_work_and_weights_unchanged(self, reverse):
-        # Every bisection step, each one exact solve, pinned to the bit.
-        assert reverse.iterations == 223
+        # The critical line's steps and the weights' bytes.
+        assert reverse.iterations == 3
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
-            "385024871bfed49878735bf0b6280291fc73b579b45f8c3c01b090639dcb2315")
+            "2ea33f334ad2cf5bc3510d2a39048855a8d859737041453a6faa327f800a9b13")
+
+    def test_reverse_markowitz_walks_one_state_without_a_qp_solve(self, fixture_stats,
+                                                                 monkeypatch):
+        states = []
+
+        class Counted(qp_solver.SimplexState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        def no_qp_solve(*args, **kwargs):
+            raise AssertionError("solve_qp called")
+
+        monkeypatch.setattr(qp_solver, "SimplexState", Counted)
+        monkeypatch.setattr(models, "solve_qp", no_qp_solve)
+        monkeypatch.setattr(qp_solver, "solve_qp", no_qp_solve)
+        report = solve_reverse_markowitz(fixture_stats, ModelConfig(sigma0=self.SIGMA0))
+        assert report.status is SolveStatus.OPTIMAL and len(states) == 1
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
         (solve_mad, 154, 0.00619512161443643,
@@ -216,14 +358,18 @@ class TestFixtureFrontier:
         assert reverse.status is SolveStatus.OPTIMAL
         x = reverse.allocation.weights
         assert np.sqrt(x @ fixture_stats.covariance @ x) <= self.SIGMA0
-        # The bisection's return, to the bit.
-        assert reverse.objective == 0.002527510071164992
+        # The critical line's return, to the bit; the bisection it replaced
+        # stopped at 0.002527510071164992.
+        assert reverse.objective == 0.002527510114191723
 
     def test_reverse_markowitz_weights_are_certified(self, reverse, fixture_stats):
         mu, cov = fixture_stats.mean_returns, fixture_stats.covariance
         x = reverse.allocation.weights
         f = float(x @ cov @ x)
         assert gap_at_own_floor(x, mu, cov) <= 1e-8 * (1.0 + f) + 2e-9 * (1.0 + np.abs(mu).max())
+        # the walk's own certificate, at the t where it stopped
+        assert reverse.detail.startswith("fw_gap=")
+        assert float(reverse.detail[len("fw_gap="):]) <= 1e-8 * (1.0 + f)
 
 
 class TestSimultaneous:

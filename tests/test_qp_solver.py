@@ -4,8 +4,7 @@ import pytest
 from portopt import qp_solver
 from portopt.core import DataError, SolveStatus
 from portopt.lp_solver import LpProblem, SimplexState, solve_lp
-from portopt.models import _max_return_weights
-from portopt.qp_solver import QpProblem, solve_qp
+from portopt.qp_solver import QpProblem, critical_line, solve_qp
 
 from oracles import projected_gradient_qp, weight_grid
 
@@ -92,14 +91,16 @@ def test_certificate_bounds_grid_optimum():
 
 
 def test_return_floor_at_max_return_vertex():
-    # The upper endpoint of the reverse-model bisection: the floor equals the
-    # best attainable return, phase 1 leaves the floor row's artificial basic
-    # (locked at zero), and the active-set steps and the certifying oracle
-    # call must work around it.
+    # The floor equals the best attainable return, the simplex's top vertex
+    # for cost -mu; phase 1 leaves the floor row's artificial basic (locked
+    # at zero), and the active-set steps and the certifying oracle call must
+    # work around it.
     rng = np.random.default_rng(41)
     n, cap = 8, 0.3
     mu = rng.normal(0.001, 0.002, n)
-    top = _max_return_weights(mu, cap)
+    top_state = SimplexState(simplex_qp(np.zeros((n, n)), np.zeros(n), cap)._region)
+    assert top_state.minimize(-mu) is SolveStatus.OPTIMAL
+    top = top_state.vertex
     problem = QpProblem(q=random_cov(rng, n), c=np.zeros(n),
                         a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
                         a_ub=-mu[None, :], b_ub=np.array([-(mu @ top)]),
@@ -110,6 +111,31 @@ def test_return_floor_at_max_return_vertex():
     assert sol.status is SolveStatus.OPTIMAL
     assert np.abs(sol.v - top).max() <= 1e-12
     assert sol.fw_gap <= 1e-8 * (1.0 + abs(sol.objective))
+
+
+def test_critical_line_on_an_empty_region_is_infeasible():
+    sol = critical_line(simplex_qp(np.eye(3), np.zeros(3), cap=0.3), np.ones(3), 1.0)
+    assert sol.status is SolveStatus.INFEASIBLE
+
+
+def test_critical_line_two_assets_closed_form():
+    # Uncorrelated variances s1 > s2 and returns m1 > m2: from the top vertex
+    # (all in asset 1) the line frees asset 2 at t = 2 s1 / (m1 - m2), where
+    # its multiplier changes sign, and then moves linearly to the
+    # minimum-variance split s2 / (s1 + s2) at t = 0.
+    s1, s2, m1, m2 = 4e-4, 1e-4, 0.002, 0.001
+    problem = simplex_qp(np.diag([s1, s2]), np.zeros(2))
+    mu = np.array([m1, m2])
+    top = critical_line(problem, mu, 2.0 * s1)     # the top vertex is under the level
+    assert top.iterations == 0 and np.all(top.v == [1.0, 0.0])
+    for w in (0.9, 0.5, 0.3):      # weight of asset 1 at the point sought
+        level = w * w * s1 + (1 - w) ** 2 * s2
+        sol = critical_line(problem, mu, level)
+        assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 1
+        assert sol.v[0] == pytest.approx(w, abs=1e-9)
+        assert sol.v @ problem.q @ sol.v <= level
+    low = critical_line(problem, mu, 1e-5)     # below every variance: the t = 0 end
+    assert low.v[0] == pytest.approx(s2 / (s1 + s2), abs=1e-12) and low.objective > 1e-5
 
 
 # Beale's LP with rows and columns rescaled (as in test_lp_solver), posed as a

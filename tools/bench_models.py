@@ -3,17 +3,20 @@ drawdown models (`mad`, `md`, `md_milp`) on its seed-N perturbation too, and
 `mad` on the fixture's full window, and report status, objective, seconds and
 work per solve.
 
-Work is the model report's `iterations`: active-set iterations for the
-quadratic models, simplex pivots (both phases) for `mad` and `md`, and B&B
+Work is the model report's `iterations`: active-set iterations for
+`markowitz` and `simultaneous`, critical-line steps for `reverse_markowitz`,
+simplex pivots (both phases) for `mad` and `md`, and B&B
 nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
 one more solve of the same problem (each node is one LP). That second solve
 is timed apart from building its problem, as `build_seconds` and
 `solve_seconds`; both are warm, after the report's own solve. The LP models
 also report the phase-1 pivots of their region. `markowitz` and
-`reverse_markowitz` report their QP oracles' work (phase 1 and the
-certifying call of each QP solve), summed over every simplex state the solve
-builds: `oracle_states`, `oracle_pivots` and `oracle_factorizations`
-(inversions of a basis). `md_milp` reports the
+`reverse_markowitz` report their oracles' work, summed over every simplex
+state the solve builds: `oracle_states`, `oracle_pivots` and
+`oracle_factorizations` (inversions of a basis). `markowitz` builds one state
+for its QP solve (phase 1 and the certifying call); `reverse_markowitz`
+makes no QP solve and builds one state, whose top-return vertex starts its
+critical-line walk and whose last call certifies it. `md_milp` reports the
 factorizations of its search's simplex state as `node_factorizations`. A
 checkout whose `SimplexState` lacks a counter records null for it. Inputs
 match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
