@@ -28,7 +28,7 @@ from .core import (
 )
 from .estimation import (PerturbationConfig, covariance, covariance_change, mean_returns,
                          perturb_returns)
-from .models import SOLVERS, solve_simultaneous
+from .models import READS_STATS, SOLVERS, solve_simultaneous
 
 log = logging.getLogger(__name__)
 
@@ -224,19 +224,29 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     `cfgs` maps model tags (keys of models.SOLVERS) to their configs. Rows for
     models that fail on either dataset carry the failure status instead of a
     number. Deterministic for a fixed perturbation seed.
+
+    The moment estimates are validated as `AssetStats` only when a model
+    that reads them (models.READS_STATS) is requested. The perturbed window
+    has the original's shape, so an LP model's perturbed solve starts from
+    the basis of its original solve, which a small perturbation usually
+    leaves optimal; its report's `detail` says whether that start was taken.
     """
     unknown = set(cfgs) - set(SOLVERS)
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
     shaken = perturb_returns(returns, pcfg)
-    stats_before = AssetStats(mean_returns(returns), covariance(returns))
-    stats_after = AssetStats(mean_returns(shaken), covariance(shaken))
-    cov_diff, cov_rel = covariance_change(stats_before.covariance, stats_after.covariance)
+    cov_before, cov_after = covariance(returns), covariance(shaken)
+    stats_before = stats_after = None
+    if READS_STATS.intersection(cfgs):
+        stats_before = AssetStats(mean_returns(returns), cov_before)
+        stats_after = AssetStats(mean_returns(shaken), cov_after)
+    cov_diff, cov_rel = covariance_change(cov_before, cov_after)
 
     def run(tag: str) -> SensitivityRow:
         cfg = cfgs[tag]
         before = SOLVERS[tag](returns, stats_before, cfg)
-        after = SOLVERS[tag](shaken, stats_after, cfg)
+        start = {} if before.basis is None else {"start": before.basis}
+        after = SOLVERS[tag](shaken, stats_after, cfg, **start)
         if before.status is not SolveStatus.OPTIMAL or after.status is not SolveStatus.OPTIMAL:
             status = f"{before.status.value}/{after.status.value}"
             return SensitivityRow(model=tag, alloc_change_pct=None, status=status)

@@ -113,17 +113,12 @@ def _ingest_prices_detail(path: Path) -> tuple[PriceMatrix, list[str]]:
                 _dt.date.fromisoformat(row[0])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad date {row[0]!r}") from None
-            values = []
-            for ticker, cell in zip(tickers, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    values.append(np.nan)  # missing: drops the ticker later
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric price {cell!r} for {ticker}") from None
+            try:
+                # float strips the whitespace str.strip does, so a whole row
+                # of numbers converts at once to the same values
+                values = list(map(float, row[1:]))
+            except ValueError:
+                values = _parse_cells(path, lineno, tickers, row[1:])
             rows.append((row[0], values))
 
     rows.sort(key=lambda r: r[0])
@@ -141,6 +136,23 @@ def _ingest_prices_detail(path: Path) -> tuple[PriceMatrix, list[str]]:
     matrix = PriceMatrix(
         tuple(t for t, k in zip(tickers, keep) if k), tuple(dates), data[keep])
     return matrix, dropped
+
+
+def _parse_cells(path: Path, lineno: int, tickers: list[str], cells: list[str]) -> list[float]:
+    """A row's prices cell by cell: NaN for a blank cell, which drops its
+    ticker later, and DataError naming the first non-numeric one."""
+    values = []
+    for ticker, cell in zip(tickers, cells):
+        cell = cell.strip()
+        if cell == "":
+            values.append(np.nan)
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: non-numeric price {cell!r} for {ticker}") from None
+    return values
 
 
 def write_prices_csv(matrix: PriceMatrix, path: str | Path) -> None:

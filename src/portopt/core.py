@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .lp_solver import Basis
 
 BUDGET_TOL = 1e-8
 BOX_TOL = 1e-9
@@ -253,7 +257,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one model run: allocation (iff optimal), objective, timing."""
+    """Outcome of one model run: allocation (iff optimal), objective, timing.
+
+    `basis` is the final simplex basis of an LP model's solve (the root LP's
+    for the MILP), which that model's solve takes back as `start` for a
+    window of the same shape; None for the other models.
+    """
 
     model_tag: str
     status: SolveStatus
@@ -262,6 +271,7 @@ class SolveReport:
     wall_time: float
     iterations: int
     detail: str = field(default="", compare=False)
+    basis: Basis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.allocation is not None) != (self.status is SolveStatus.OPTIMAL):

@@ -28,12 +28,18 @@ Algorithm notes:
   re-solves, if a call's final solution breaks a row or bound by more than
   the feasibility tolerance.
 * `SimplexState` is the one simplex class: it holds the tableau for its whole
-  life, across objectives and bound changes. Phase 1 runs once, and each
-  later `minimize` continues phase 2 from the basis and the B^-1 [G | h] the
-  previous call left. Pivot drift therefore carries from call to call; the
-  drift guard is the one place a call refactorizes, or reruns phase 1 in the
-  same tableau when the refactorized basis is singular or infeasible.
-  A refactorization keeps nothing. `solve_lp` is one state minimized once.
+  life, across objectives and bound changes. Phase 1 runs once, or not at
+  all when the state is built from a saved `Basis` of a problem of the same
+  shape that is nonsingular, holds no artificial and is primal feasible in
+  the new rows (post-optimal analysis after a change in the data: Gal,
+  *Postoptimal Analyses, Parametric Programming and Related Topics*, 1995).
+  Each later `minimize` continues phase 2 from the basis and the
+  B^-1 [G | h] the previous call left. Pivot drift therefore carries from
+  call to call; the drift guard is the one place a call refactorizes, or
+  reruns phase 1 in the same tableau when the refactorized basis is
+  singular or infeasible.
+  A refactorization keeps nothing. `solve_lp` is one state minimized once,
+  from a given start basis or cold.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
   cost: `SimplexState.reopen` writes new bounds into the state and
   takes a saved basis (basic columns and nonbasic statuses); the rows stay as
@@ -127,7 +133,9 @@ class LpSolution:
     `duals` and `reduced_costs` are reported for the minimization form and
     certify optimality: at an optimum every nonbasic-at-lower column has
     reduced cost >= -1e-9 and every nonbasic-at-upper column has reduced cost
-    <= 1e-9. `pivots` counts both phases.
+    <= 1e-9. `pivots` counts both phases. `basis` is the final basis, a start
+    for a problem of the same shape, and `warm` says whether the solve
+    started from the basis it was given instead of phase 1.
     """
 
     v: np.ndarray
@@ -136,6 +144,8 @@ class LpSolution:
     pivots: int
     duals: np.ndarray
     reduced_costs: np.ndarray
+    basis: Basis | None = None
+    warm: bool = False
 
 
 def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -168,10 +178,15 @@ class SimplexState:
     form has the structural columns, one slack column per `<=` row in row
     order, and the artificial columns of the last phase 1; the state keeps
     that one tableau for its whole life, and phase 1 runs once, locking
-    artificials left basic at zero. `minimize(cost)` runs phase 2 for a
-    minimization cost over the structural variables, starting from the kept
-    basis and the tableau the previous call left. A call refactorizes only
-    when its optimal vertex breaks a row or bound by more than 1e-7: the
+    artificials left basic at zero. A `start` basis, saved from a state of a
+    problem with as many rows and columns (`basis()`), is refactorized in
+    this problem's rows and replaces phase 1 when it holds no artificial, is
+    nonsingular and is primal feasible within FEAS_TOL; `warm` then says so,
+    and otherwise phase 1 runs as without a start. `minimize(cost)` runs
+    phase 2 for a minimization cost over the structural variables, starting
+    from the kept basis and the tableau the previous call left. A call
+    refactorizes only when its optimal vertex breaks a row or bound by more
+    than 1e-7: the
     drift guard then refactorizes the basis and runs phase 2 again, from
     phase 1 in the same tableau if that basis is singular or no longer
     primal feasible. Each simplex loop may take PIVOT_LIMIT pivots, so a
@@ -181,7 +196,7 @@ class SimplexState:
     count over the state's lifetime, phase 1 included.
     """
 
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, *, start: Basis | None = None):
         self.problem = problem
         n, m_eq, m_ub = problem.n_vars, problem.a_eq.shape[0], problem.a_ub.shape[0]
         g = np.zeros((m_eq + m_ub, n + m_ub))
@@ -203,7 +218,9 @@ class SimplexState:
         self.n_art = 0
         self.factorizations = 0
         self.set_bounds(problem.lower, problem.upper)
-        self._phase1()
+        self.warm = start is not None and self._warm_start(start)
+        if not self.warm:
+            self._phase1()
 
     # -- column bookkeeping -------------------------------------------------
 
@@ -288,6 +305,40 @@ class SimplexState:
         # B = diag(signs) so B^-1 applies row signs directly
         self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
         self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
+
+    def _warm_start(self, start: Basis) -> bool:
+        """Take `start` as the first basis when it fits this state's shape,
+        holds no artificial column, is nonsingular and is primal feasible
+        within FEAS_TOL. Returns whether it was taken."""
+        basic, status = start.basic, start.status
+        if basic.shape != (self.m,) or status.shape != (self.n_real,):
+            return False
+        # each basic column once, each marked BASIC, and so none of them an
+        # artificial (an index past the last slack)
+        if not np.array_equal(np.sort(basic), np.flatnonzero(status == BASIC)):
+            return False
+        try:
+            self._take_basis(start)
+        except np.linalg.LinAlgError:
+            return False
+        self.feasible = self.primal_feasible()
+        return self.feasible
+
+    def _take_basis(self, start: Basis):
+        """Set the saved basis `start` under the state's bounds, with every
+        artificial column nonbasic at 0, and refactorize it; raises
+        LinAlgError when it is singular. A nonbasic whose resting bound is
+        gone moves to one that exists."""
+        status = start.status.copy()
+        lower, upper = self.lower[:self.n_real], self.upper[:self.n_real]
+        resting = _resting_status(lower, upper)
+        kept = (((status == AT_LOWER) & np.isfinite(lower))
+                | ((status == AT_UPPER) & np.isfinite(upper))
+                | (status == BASIC) | (status == resting))
+        status[~kept] = resting[~kept]
+        self.set_basis(start.basic.copy(),
+                       np.concatenate([status, np.full(self.n_art, AT_LOWER, dtype=np.int8)]))
+        self.refactorize()
 
     def refactorize(self):
         """Set work = B^-1 [G | h] for the current basis: one explicit inverse
@@ -486,17 +537,7 @@ class SimplexState:
         if np.any(start.basic >= self.n_real):   # the saved basis holds an artificial
             self._phase1()
             return self.minimize(cost)
-        status = start.status.copy()
-        lower, upper = self.lower[:self.n_real], self.upper[:self.n_real]
-        # a nonbasic whose resting bound is gone moves to one that exists
-        resting = _resting_status(lower, upper)
-        kept = (((status == AT_LOWER) & np.isfinite(lower))
-                | ((status == AT_UPPER) & np.isfinite(upper))
-                | (status == BASIC) | (status == resting))
-        status[~kept] = resting[~kept]
-        self.set_basis(start.basic.copy(),
-                       np.concatenate([status, np.full(self.n_art, AT_LOWER, dtype=np.int8)]))
-        self.refactorize()
+        self._take_basis(start)
         self.feasible = self.dual_run(self._full_cost(cost)) == "feasible"
         return self.minimize(cost)
 
@@ -539,10 +580,15 @@ class SimplexState:
         return SolveStatus.OPTIMAL
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP to a vertex optimum, or certify infeasibility/unboundedness."""
+def solve_lp(problem: LpProblem, *, start: Basis | None = None) -> LpSolution:
+    """Solve an LP to a vertex optimum, or certify infeasibility/unboundedness.
+
+    `start`, the `basis` of a solution of a problem with the same shape,
+    replaces phase 1 where `SimplexState` can take it; the answer carries
+    the same certificate either way.
+    """
     sign = 1.0 if problem.sense == "min" else -1.0
-    state = SimplexState(problem)
+    state = SimplexState(problem, start=start)
     status = state.minimize(sign * problem.c)
     return _finish(problem, state, sign * problem.c, status)
 
@@ -588,6 +634,8 @@ def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
         pivots=state.pivots,
         duals=y,
         reduced_costs=reduced[:state.n_real],
+        basis=state.basis(),
+        warm=state.warm,
     )
 
 

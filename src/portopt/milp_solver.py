@@ -15,8 +15,10 @@ is best-bound first (the node with the most promising LP relaxation is
 explored next), which keeps the tree small when the root relaxation is
 already tight, as it is for the drawdown MILP.
 
-One `SimplexState` serves the whole search, and only the root LP is solved
-cold (phase 1, then phase 2). Every node LP has the problem's own rows under
+One `SimplexState` serves the whole search. The root LP starts from phase 1,
+or from a given start basis (the root basis of a solve of a problem with the
+same shape, as `sensitivity` passes for its perturbed window) where the state
+can take it. Every node LP has the problem's own rows under
 changed bounds, so every other node is re-optimized from its parent's basis,
 which the heap entry carries: the branching bound leaves that basis dual
 feasible, so the dual simplex restores primal feasibility in a few pivots
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, DimensionError, SolveStatus
-from .lp_solver import LpProblem, SimplexState, FEAS_TOL, _max_violation
+from .lp_solver import Basis, LpProblem, SimplexState, FEAS_TOL, _max_violation
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-7
@@ -86,7 +88,9 @@ class MilpProblem:
 class MilpSolution:
     """Branch-and-bound outcome. `v` covers the base LP's columns. `nodes`
     counts the node LPs solved, root included, and `node_pivots` their
-    simplex pivots, the root's phase 1 included."""
+    simplex pivots, the root's phase 1 included. `root_basis` is the root
+    LP's final basis, a start for a problem of the same shape, and `warm`
+    says whether the root started from the basis it was given."""
 
     v: np.ndarray | None
     objective: float
@@ -94,10 +98,15 @@ class MilpSolution:
     nodes: int
     best_bound: float
     node_pivots: int
+    root_basis: Basis | None = None
+    warm: bool = False
 
 
-def solve_milp(problem: MilpProblem) -> MilpSolution:
+def solve_milp(problem: MilpProblem, *, start: Basis | None = None) -> MilpSolution:
     """Solve an on/off MILP exactly by LP-based branch and bound.
+
+    `start`, the `root_basis` of a solution of a problem with the same
+    shape, starts the root LP where `SimplexState` can take it.
 
     Returns Optimal with the incumbent when no open node's bound is more than
     GAP_TOL * (1 + |incumbent|) better than it, Infeasible when no assignment
@@ -116,12 +125,14 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
         return sense_sign * value
 
     c_min = sense_sign * base.c
-    state = SimplexState(base)
+    state = SimplexState(base, start=start)
 
     def finish(v, objective, status, best):
-        return MilpSolution(v, objective, status, nodes, best, state.pivots)
+        return MilpSolution(v, objective, status, nodes, best, state.pivots, root_basis,
+                            state.warm)
 
     root_status = state.minimize(c_min)
+    root_basis = state.basis()
     nodes = 1
     if root_status is SolveStatus.INFEASIBLE:
         return finish(None, np.nan, SolveStatus.INFEASIBLE, np.nan)
@@ -149,7 +160,7 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
     root_v = state.vertex
     best_bound = key(float(base.c @ root_v))
     heapq.heappush(heap, (best_bound, next(counter), base.lower.copy(), base.upper.copy(),
-                          root_v, state.basis()))
+                          root_v, root_basis))
     # With best-bound search the popped key is a valid global lower bound; if
     # the heap drains without a cutoff, the incumbent is proven optimal.
     drained = True

@@ -34,7 +34,7 @@ from .core import (
     validate_allocation,
 )
 from .estimation import mean_returns
-from .lp_solver import LpProblem, solve_lp
+from .lp_solver import Basis, LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
 from .qp_solver import GAP_TOL_DEFAULT, QpProblem, critical_line, solve_qp
 
@@ -253,32 +253,48 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
                    cfg.resolved_cap(1.0), sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 
 
-def solve_mad(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
-    """Model: minimize mean absolute deviation of the portfolio return."""
+def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *,
+              start: Basis | None = None) -> SolveReport:
+    """Model: minimize mean absolute deviation of the portfolio return.
+
+    `start`, the `basis` of a `mad` report on a window of as many days,
+    replaces phase 1 where the simplex can take it (`_start_detail`).
+    """
     started = time.perf_counter()
     problem, layout = mad_problem(returns, cfg)
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, start=start)
     return _report("mad", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(1.0),
-                   sol.pivots, started)
+                   sol.pivots, started, _start_detail(start, sol.warm), sol.basis)
 
 
-def solve_md(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
-    """Model: maximize the worst single-day portfolio return (max drawdown)."""
+def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *,
+             start: Basis | None = None) -> SolveReport:
+    """Model: maximize the worst single-day portfolio return (max drawdown).
+
+    `start`, the `basis` of an `md` report on a window of as many days,
+    replaces phase 1 where the simplex can take it (`_start_detail`).
+    """
     started = time.perf_counter()
     problem, layout = md_problem(returns, cfg)
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, start=start)
     return _report("md", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(0.5),
-                   sol.pivots, started)
+                   sol.pivots, started, _start_detail(start, sol.warm), sol.basis)
 
 
-def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
-    """Model: the max-drawdown LP with a minimum-allocation rule per name."""
+def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
+                  start: Basis | None = None) -> SolveReport:
+    """Model: the max-drawdown LP with a minimum-allocation rule per name.
+
+    The report's `basis` is the root LP's, and `start`, that of an `md_milp`
+    report on a window of as many days, starts the root LP where the simplex
+    can take it (`_start_detail`).
+    """
     started = time.perf_counter()
     problem, layout = md_milp_problem(returns, cfg)
-    sol = solve_milp(problem)
+    sol = solve_milp(problem, start=start)
     x = sol.v[layout.x] if sol.v is not None else None
     report = _report("md_milp", sol.status, x, sol.objective, cfg.resolved_cap(0.5),
-                     sol.nodes, started)
+                     sol.nodes, started, _start_detail(start, sol.warm), sol.root_basis)
     if report.allocation is not None:
         held = report.allocation.weights[report.allocation.weights > 1e-9]
         if held.size and held.min() < cfg.min_alloc - 1e-9:
@@ -286,14 +302,35 @@ def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig) -> SolveReport:
     return report
 
 
-SOLVERS = {
+def _start_detail(start: Basis | None, warm: bool) -> str:
+    """The `detail` of a drawdown solve: `start=warm` where its `start`
+    basis replaced phase 1 (it fit the window, held no artificial and was
+    nonsingular and primal feasible there), `start=cold` where phase 1 ran
+    instead, so an unused start shows, and empty without a start. Either
+    way the answer carries the same certificate."""
+    if start is None:
+        return ""
+    return "start=warm" if warm else "start=cold"
+
+
+# Each model's solve, called as SOLVERS[tag](returns, stats, cfg). The models
+# of _FROM_STATS read only the moment estimates `stats`; those of
+# _FROM_RETURNS read only the returns, and take `stats=None`. A drawdown
+# model's report carries its final basis, and its solve takes a report's
+# basis back by keyword, as `start=`, for a window of the same shape.
+_FROM_STATS = {
     "markowitz": lambda returns, stats, cfg: solve_markowitz(stats, cfg),
     "reverse_markowitz": lambda returns, stats, cfg: solve_reverse_markowitz(stats, cfg),
     "simultaneous": lambda returns, stats, cfg: solve_simultaneous(stats, cfg),
-    "mad": lambda returns, stats, cfg: solve_mad(returns, cfg),
-    "md": lambda returns, stats, cfg: solve_md(returns, cfg),
-    "md_milp": lambda returns, stats, cfg: solve_md_milp(returns, cfg),
 }
+_FROM_RETURNS = {
+    "mad": lambda returns, stats, cfg, *, start=None: solve_mad(returns, cfg, start=start),
+    "md": lambda returns, stats, cfg, *, start=None: solve_md(returns, cfg, start=start),
+    "md_milp": lambda returns, stats, cfg, *, start=None: solve_md_milp(returns, cfg,
+                                                                       start=start),
+}
+SOLVERS = {**_FROM_STATS, **_FROM_RETURNS}
+READS_STATS = frozenset(_FROM_STATS)
 
 # The ModelConfig fields each model reads. The CLI refuses a model option set
 # away from its default when no model of the run reads it.
@@ -321,7 +358,8 @@ def _clean_weights(x: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _report(tag: str, status: SolveStatus, x: np.ndarray | None, objective: float | None,
-            cap: float, iterations: int, started: float, detail: str = "") -> SolveReport:
+            cap: float, iterations: int, started: float, detail: str = "",
+            basis: Basis | None = None) -> SolveReport:
     """A model's report. When Optimal it carries the objective and the weights
     x, cleaned and checked against the cap; otherwise neither."""
     optimal = status is SolveStatus.OPTIMAL
@@ -329,4 +367,5 @@ def _report(tag: str, status: SolveStatus, x: np.ndarray | None, objective: floa
         model_tag=tag, status=status, objective=float(objective) if optimal else None,
         allocation=Allocation(_clean_weights(x, cap)) if optimal else None,
         wall_time=time.perf_counter() - started, iterations=iterations, detail=detail,
+        basis=basis,
     )

@@ -123,7 +123,7 @@ def solve_qp(problem: QpProblem, gap_tol: float = GAP_TOL_DEFAULT) -> QpSolution
     oracle = SimplexState(problem._region)
     if not oracle.feasible:
         return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
-    x, iterations = _active_set(problem, oracle.vertex, oracle.status[:n])
+    x, iterations, _ = _active_set(problem, oracle.vertex, _bound_side(oracle.status[:n]))
     f = float(c @ x + x @ q @ x)
     gap = _certify(oracle, c + 2.0 * (q @ x), x, f, gap_tol)
     return QpSolution(x, f, gap, iterations, SolveStatus.OPTIMAL)
@@ -153,17 +153,18 @@ def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolutio
     artificial stays basic, every weight sits at a bound, and the capped
     weight of least return is freed). On each piece one solve in the null
     space of the budget row gives v(t) = v0 + t v1, and with it the bound
-    multipliers r(t) = r0 + t r1 of the fixed weights. The piece ends at the
+    multipliers r(t) = r0 + t r1 of the fixed weights. Fixed weights that tie
+    the free one in mu (within STEP_TOL) span the top-return face with it,
+    and the line then starts at that face's least-variance point, found by
+    `_active_set` over those weights with the others held at the vertex;
+    its working set is the first piece's. The piece ends at the
     largest lower t where a free weight reaches a bound, which fixes it, or
     a fixed weight's multiplier takes the wrong sign, which frees it. Ties
     go to the fastest approach, as in `_active_set`; steps of zero
     length are allowed, and once a working set repeats at one t, choices go
     to smallest index for the rest of the walk (a set met twice under that
     rule raises). t never rises and a working set is optimal on one
-    interval of t, so the walk ends without a step cap. Where a fixed weight
-    ties the free one in mu exactly but not in risk, the line starts off the
-    vertex, at the least-variance top-return point, and the certificate
-    raises.
+    interval of t, so the walk ends without a step cap.
 
     It stops on the piece where v'Qv, a quadratic in t, reaches level less
     the rounding error of evaluating v'Qv, at the quadratic's root taken in
@@ -178,18 +179,24 @@ def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolutio
         return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
     oracle.minimize(-mu)
     x, row, abs_q = oracle.vertex, region.a_eq[0], np.abs(q)
-    side = (oracle.status[:n] == AT_UPPER).astype(np.int8) - (oracle.status[:n] == AT_LOWER)
+    side = _bound_side(oracle.status[:n])
     if side.all():
         side[np.flatnonzero(side > 0)[np.argmin(mu[side > 0])]] = 0
+    face = np.abs(mu - mu[side == 0][0]) <= STEP_TOL * np.abs(mu).max()
+    if face.sum() > 1:
+        x, side = _least_variance_face(problem, x, side, face)
     t, steps, bland, visited = np.inf, 0, False, set()
     while True:
         free = side == 0
         z = _null_basis(row[None, free])
-        x1 = np.zeros(n)
-        x1[free] = z @ np.linalg.lstsq(2.0 * z.T @ q[np.ix_(free, free)] @ z, z.T @ mu[free],
-                                       rcond=None)[0]
-        # on the first piece the budget row pins the one free weight: v1 = 0
-        x0 = x - t * x1 if np.isfinite(t) else x
+        x1, x0 = np.zeros(n), x
+        # the first piece, from t = inf, holds its free weights still: v1 = 0
+        # (the budget row pins one free weight, and free weights that tie in
+        # mu stay at the least-variance point of the top face)
+        if np.isfinite(t):
+            x1[free] = z @ np.linalg.lstsq(2.0 * z.T @ q[np.ix_(free, free)] @ z,
+                                           z.T @ mu[free], rcond=None)[0]
+            x0 = x - t * x1
         # the constant and t parts of grad f_t, less the budget row's
         # multiplier, which the free weights fix: on fixed weights, r0 and r1
         r = np.stack([2.0 * (q @ x0), 2.0 * (q @ x1) - mu])
@@ -231,10 +238,33 @@ def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolutio
     return QpSolution(x, f, gap, steps, SolveStatus.OPTIMAL)
 
 
-def _active_set(problem: QpProblem, x: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, int]:
-    """Run the active-set loop from the vertex x, whose nonbasic bounds
-    (`status`) form the first working set. Returns the optimal point and the
-    number of steps and drops taken.
+def _bound_side(status: np.ndarray) -> np.ndarray:
+    """-1 for a column resting at its lower bound, +1 at its upper, else 0."""
+    return (status == AT_UPPER).astype(np.int8) - (status == AT_LOWER)
+
+
+def _least_variance_face(problem: QpProblem, x: np.ndarray, side: np.ndarray,
+                         face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least-variance point of the budget box's top-return face and
+    its working set: the weights in `face` tie in return and move, from the
+    vertex x with bound sides `side`, and the others stay at x."""
+    region, q, held = problem._region, problem.q, ~face
+    row = region.a_eq[0]
+    sub = QpProblem(q=q[np.ix_(face, face)], c=2.0 * (q[np.ix_(face, held)] @ x[held]),
+                    a_eq=row[None, face], b_eq=[region.b_eq[0] - row[held] @ x[held]],
+                    lower=region.lower[face], upper=region.upper[face])
+    x_face, _, side_face = _active_set(sub, x[face], side[face])
+    x, side = x.copy(), side.copy()
+    x[face], side[face] = x_face, side_face
+    return x, side
+
+
+def _active_set(problem: QpProblem, x: np.ndarray,
+                bound_side: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Run the active-set loop from the vertex x, whose bounds held at
+    `bound_side` (as `_bound_side` gives them) form the first working set.
+    Returns the optimal point, the number of steps and drops taken, and the
+    bound sides of the final working set.
 
     The working set is `side`: for each variable -1 (its lower bound), +1
     (its upper bound) or 0 (free), then for each `<=` row 1 (held) or 0.
@@ -247,8 +277,7 @@ def _active_set(problem: QpProblem, x: np.ndarray, status: np.ndarray) -> tuple[
     """
     region, q, c, n = problem._region, problem.q, problem.c, problem.n_vars
     a_ub, lower, upper = region.a_ub, region.lower, region.upper
-    side = np.zeros(n + a_ub.shape[0], dtype=np.int8)
-    side[:n][status == AT_LOWER], side[:n][status == AT_UPPER] = -1, 1
+    side = np.concatenate([bound_side, np.zeros(a_ub.shape[0], dtype=np.int8)])
     iterations, bland, visited, at_minimum = 0, False, set(), False
     while True:
         grad = c + 2.0 * (q @ x)
@@ -263,7 +292,7 @@ def _active_set(problem: QpProblem, x: np.ndarray, status: np.ndarray) -> tuple[
         if at_minimum:
             if side.tobytes() in visited:
                 if bland:   # only rounding brings a set back now
-                    return x, iterations
+                    return x, iterations, side[:n]
                 bland, visited = True, set()
             visited.add(side.tobytes())
             # multipliers: reduced costs of the held bounds, and lam of the
@@ -273,7 +302,7 @@ def _active_set(problem: QpProblem, x: np.ndarray, status: np.ndarray) -> tuple[
             wrong = side * np.concatenate([grad - a_w.T @ lam, np.zeros(held.shape[0])])
             wrong[n:][held] = lam[region.a_eq.shape[0]:]
             if not (wrong > tol).any():
-                return x, iterations
+                return x, iterations, side[:n]
             side[_pick(np.flatnonzero(wrong > tol), wrong, bland)] = 0
             at_minimum, iterations = False, iterations + 1
             continue

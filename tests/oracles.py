@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
 from portopt.lp_solver import LpProblem, solve_lp
 from portopt.core import AssetStats, ModelConfig, SolveStatus
@@ -53,6 +54,25 @@ def enumerate_lp_vertices(problem: LpProblem) -> list[np.ndarray]:
             if np.all(v >= lower - 1e-8) and np.all(v <= upper + 1e-8):
                 vertices.append(v[:n])
     return vertices
+
+
+HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+
+
+def highs_lp(p: LpProblem) -> tuple[SolveStatus, float]:
+    """Status and objective (in the problem's sense) from scipy's HiGHS, a
+    test-only dependency; the calling test is skipped without scipy."""
+    opt = pytest.importorskip("scipy.optimize")
+    sign = 1.0 if p.sense == "min" else -1.0
+    rows = {}
+    if p.a_ub.shape[0]:
+        rows.update(A_ub=p.a_ub, b_ub=p.b_ub)
+    if p.a_eq.shape[0]:
+        rows.update(A_eq=p.a_eq, b_eq=p.b_eq)
+    res = opt.linprog(sign * p.c, bounds=np.column_stack([p.lower, p.upper]),
+                      method="highs", options={"presolve": False}, **rows)
+    assert res.status in HIGHS_STATUS, res.message
+    return HIGHS_STATUS[res.status], sign * float(res.fun) if res.status == 0 else np.nan
 
 
 def project_capped_simplex(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -266,6 +266,67 @@ class TestSensitivity:
         with pytest.raises(DataError):
             sensitivity_run(r, {"nope": ModelConfig()}, PerturbationConfig(seed=1))
 
+    def test_perturbed_drawdown_solves_start_from_the_original_basis(self, fixture_train,
+                                                                      monkeypatch):
+        # Each drawdown model's second solve gets its first solve's basis and
+        # reports start=warm; the rows are those of cold second solves up to
+        # rounding. The quadratic model gets no start.
+        from portopt import models
+        reports, cold = {}, {}
+        cfgs = dict.fromkeys(("markowitz", "mad", "md", "md_milp"), ModelConfig(rho=0.001))
+        for tag in cfgs:
+            solve = models.SOLVERS[tag]
+
+            def recorded(*args, _solve=solve, _tag=tag, **kwargs):
+                report = _solve(*args, **kwargs)
+                reports.setdefault(_tag, []).append((kwargs, report))
+                return report
+
+            def cold_solve(*args, _solve=solve, **kwargs):
+                return _solve(*args)
+
+            monkeypatch.setitem(models.SOLVERS, tag, recorded)
+            cold[tag] = cold_solve
+        pcfg = PerturbationConfig(c=1000.0, seed=4)
+        warm = sensitivity_run(fixture_train, cfgs, pcfg)
+        for tag in ("mad", "md", "md_milp"):
+            (kw0, before), (kw1, after) = reports[tag]
+            assert kw0 == {} and before.detail == ""
+            assert kw1["start"] is before.basis and after.detail == "start=warm"
+        (kw0, _), (kw1, _) = reports["markowitz"]
+        assert kw0 == kw1 == {}
+        for tag, solve in cold.items():
+            monkeypatch.setitem(models.SOLVERS, tag, solve)
+        reference = sensitivity_run(fixture_train, cfgs, pcfg)
+        assert warm.cov_avg_abs_diff == reference.cov_avg_abs_diff
+        for row, ref in zip(warm.rows, reference.rows):
+            assert (row.model, row.status) == (ref.model, ref.status)
+            assert abs(row.alloc_change_pct - ref.alloc_change_pct) <= 1e-8 * ref.alloc_change_pct
+
+    def test_stats_are_validated_only_for_models_that_read_them(self, monkeypatch):
+        # Two AssetStats (each with its PSD check) when a quadratic model is
+        # requested, none for the drawdown models alone; the covariance
+        # change is the same either way.
+        built = []
+
+        class Counted(AssetStats):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(analytics, "AssetStats", Counted)
+        rng = np.random.default_rng(12)
+        r = make_returns(rng.normal(0.002, 0.02, (6, 30)))
+        pcfg = PerturbationConfig(seed=3)
+        lp_only = sensitivity_run(r, {"mad": ModelConfig(rho=0.0), "md": ModelConfig(rho=0.0)},
+                                  pcfg)
+        assert built == []
+        mixed = sensitivity_run(r, {"md": ModelConfig(rho=0.0),
+                                    "simultaneous": ModelConfig(lam=1.0)}, pcfg)
+        assert len(built) == 2
+        assert (lp_only.cov_avg_abs_diff, lp_only.cov_relative_change) == (
+            mixed.cov_avg_abs_diff, mixed.cov_relative_change)
+
     def test_failures_reported_not_fatal(self):
         rng = np.random.default_rng(31)
         r = make_returns(rng.normal(0.0, 0.01, (4, 20)))

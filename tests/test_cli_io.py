@@ -62,6 +62,23 @@ class TestIngest:
         assert "S02" in caplog.text
         assert "1 ticker" in caplog.text
 
+    def test_padded_cells_and_a_blank_cell(self, tmp_path, caplog):
+        # Rows of numbers convert whole and a row with a blank cell cell by
+        # cell; both strip the same whitespace, so the values are exact.
+        f = tmp_path / "p.csv"
+        f.write_text("date,A,B,C\n"
+                     "2020-01-02, 100.5 ,\t7.25,3\n"
+                     "2020-01-03,101.0 ,  ,3.5\n"
+                     "2020-01-06,\u00a0102.25, 8 ,4\u2003\n")
+        with caplog.at_level("WARNING"):
+            matrix = ingest_prices(f)
+        assert matrix.tickers == ("A", "C")
+        assert np.array_equal(matrix.prices, [[100.5, 101.0, 102.25], [3.0, 3.5, 4.0]])
+        assert "dropped 1 ticker(s) with missing values: B" in caplog.text
+        f.write_text("date,A,B\n2020-01-02, 1.5 , x1 \n2020-01-03,1.0,2.0\n")
+        with pytest.raises(DataError, match=r"p\.csv:2: non-numeric price 'x1' for B$"):
+            ingest_prices(f)
+
     def test_rows_sorted_by_date(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,A\n2020-01-03,101.0\n2020-01-02,100.0\n")

@@ -21,7 +21,7 @@ from portopt.models import mad_problem, markowitz_problem, md_milp_problem
 from portopt.qp_solver import solve_qp
 
 from conftest import FIXTURE_RHO, make_returns
-from oracles import enumerate_lp_vertices
+from oracles import HIGHS_STATUS, enumerate_lp_vertices, highs_lp
 
 
 def test_epigraph_of_two_constants():
@@ -473,24 +473,6 @@ def test_fixture_mad_pivots(fixture_train):
     assert abs(sol.objective - 0.006195121614436907) <= 1e-12
 
 
-HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
-
-
-def highs_lp(p: LpProblem) -> tuple[SolveStatus, float]:
-    """Status and objective (in the problem's sense) from scipy's HiGHS."""
-    opt = pytest.importorskip("scipy.optimize")
-    sign = 1.0 if p.sense == "min" else -1.0
-    rows = {}
-    if p.a_ub.shape[0]:
-        rows.update(A_ub=p.a_ub, b_ub=p.b_ub)
-    if p.a_eq.shape[0]:
-        rows.update(A_eq=p.a_eq, b_eq=p.b_eq)
-    res = opt.linprog(sign * p.c, bounds=np.column_stack([p.lower, p.upper]),
-                      method="highs", options={"presolve": False}, **rows)
-    assert res.status in HIGHS_STATUS, res.message
-    return HIGHS_STATUS[res.status], sign * float(res.fun) if res.status == 0 else np.nan
-
-
 def test_matches_highs_on_random_lps():
     # Bounds mix [l, inf), [l, u], free and (-inf, u] columns; <= rows have
     # right-hand sides of both signs, so crashed and artificial rows both
@@ -714,6 +696,79 @@ def test_reopen_moves_a_free_nonbasic_onto_its_new_bound():
     status = state.reopen(state.basis(), parent.c, lower, parent.upper)
     assert status is SolveStatus.OPTIMAL
     assert state.vertex[1] >= 1.0 and float(parent.c @ state.vertex) == pytest.approx(2.0)
+
+
+def _moved(p: LpProblem, rng, scale: float, c: np.ndarray) -> LpProblem:
+    """p with cost c, and every row coefficient and right-hand side moved by
+    relative noise of size `scale`; the bounds and the shape are p's."""
+    def move(a):
+        return a * (1.0 + scale * rng.normal(size=a.shape))
+    return LpProblem(c=c, sense=p.sense, a_eq=move(p.a_eq), b_eq=move(p.b_eq),
+                     a_ub=move(p.a_ub), b_ub=move(p.b_ub), lower=p.lower, upper=p.upper)
+
+
+def test_warm_starts_on_perturbed_lps_match_highs():
+    # A random LP is solved, its rows moved by relative noise from 1e-6 to
+    # 0.3, half the time under a new cost, and the moved LP solved from the
+    # first solve's basis. Small moves keep that basis primal feasible and
+    # phase 1 is skipped (under a new cost phase 2 then pivots); large ones,
+    # or a basis that holds an artificial, send the solve through phase 1.
+    # Either way the status and objective are HiGHS's and the cold solve's,
+    # and the dual bound certifies the optimum.
+    rng = np.random.default_rng(89)
+    seen = dict(warm=0, warm_pivots=0, cold=0, artificial=0)
+    seen.update(dict.fromkeys(HIGHS_STATUS.values(), 0))
+    while min(seen.values()) < 20:
+        n = int(rng.integers(2, 9))
+        kind = rng.choice(["lower", "box", "free"], size=n, p=[0.5, 0.35, 0.15])
+        lower = np.where(kind == "free", -np.inf, rng.uniform(-1, 1, n).round(2))
+        upper = np.where(kind == "box", lower + rng.uniform(0.5, 3.0, n).round(2), np.inf)
+        m_ub, m_eq = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        kw = dict(c=rng.normal(size=n).round(2), sense=str(rng.choice(["min", "max"])),
+                  a_ub=rng.normal(size=(m_ub, n)).round(2),
+                  b_ub=rng.normal(0.5, 1.5, m_ub).round(2), lower=lower, upper=upper)
+        if m_eq:
+            kw.update(a_eq=rng.normal(size=(m_eq, n)).round(2),
+                      b_eq=rng.normal(size=m_eq).round(2))
+        base = LpProblem(**kw)
+        first = solve_lp(base)
+        cost = rng.normal(size=n).round(2) if rng.random() < 0.5 else base.c
+        moved = _moved(base, rng, float(10.0 ** rng.uniform(-6, -0.5)), cost)
+        sol, cold = solve_lp(moved, start=first.basis), solve_lp(moved)
+        status, objective = highs_lp(moved)
+        assert sol.status is cold.status is status
+        assert not cold.warm
+        seen[status] += 1
+        seen["warm" if sol.warm else "cold"] += 1
+        seen["warm_pivots"] += sol.warm and sol.pivots > 0
+        seen["artificial"] += bool(np.any(first.basis.basic >= first.basis.status.size))
+        if status is SolveStatus.OPTIMAL:
+            assert _max_violation(moved, sol.v) <= 1e-7
+            for value in (sol.objective, dual_objective(moved, sol)):
+                assert abs(value - objective) <= 1e-9 * (1 + abs(objective))
+                assert abs(value - cold.objective) <= 1e-9 * (1 + abs(objective))
+
+
+def test_start_basis_checks():
+    # x0 and x1 have the same column in both rows, so any basis holding both
+    # is singular; the state falls back to phase 1 for it, for a basis of
+    # another shape and for one that marks a column BASIC without it being
+    # basic, and takes the optimal basis it left.
+    p = LpProblem(c=[-1.0, -2.0, -1.5], a_ub=[[1.0, 1.0, 1.0], [1.0, 1.0, 3.0]],
+                  b_ub=[4.0, 6.0], upper=[3.0, 3.0, 3.0])
+    cold = solve_lp(p)
+    assert cold.status is SolveStatus.OPTIMAL and not cold.warm
+    statuses = np.array([3, 3, 0, 0, 0], dtype=np.int8)   # BASIC, BASIC, then at lower
+    starts = [Basis(np.array([0, 1]), statuses),
+              Basis(np.array([0]), statuses[:4]),
+              Basis(np.array([2, 3]), np.array([3, 3, 3, 3, 0], dtype=np.int8))]
+    for start in starts:
+        state = SimplexState(p, start=start)
+        assert not state.warm and state.feasible
+        sol = solve_lp(p, start=start)
+        assert (sol.objective, sol.pivots, sol.warm) == (cold.objective, cold.pivots, False)
+    warm = solve_lp(p, start=cold.basis)
+    assert warm.warm and warm.pivots == 0 and warm.objective == cold.objective
 
 
 def _record_oracle_states(monkeypatch) -> list:

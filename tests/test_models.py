@@ -15,11 +15,13 @@ from portopt.core import (
     SolveStatus,
     validate_allocation,
 )
-from portopt.estimation import asset_stats, covariance, mean_returns
-from portopt.lp_solver import BASIC, LpProblem, SimplexState, solve_lp
+from portopt.estimation import (PerturbationConfig, asset_stats, covariance, mean_returns,
+                                perturb_returns)
+from portopt.lp_solver import AT_LOWER, BASIC, Basis, LpProblem, SimplexState, solve_lp
 from portopt.milp_solver import solve_milp
 from portopt.models import (
     MODEL_FIELDS,
+    READS_STATS,
     SOLVERS,
     ModelLayout,
     mad_problem,
@@ -240,6 +242,36 @@ class TestReverseAgainstBisection:
         std_hi = 1.05 * float(np.sqrt(stats.covariance[0, 0]))
         for sigma0 in [0.95 * std_lo, *np.linspace(std_lo, std_hi, 7)]:
             check_against_bisection(stats, float(sigma0), 1.0)
+
+    def test_return_tie_starts_at_the_top_faces_least_variance_point(self):
+        # Assets 0 and 1 tie in return but not in risk: the top of the
+        # critical line is (0.8, 0.2, 0), the least-variance point of the
+        # top-return face, not the vertex the oracle finds.
+        stats = AssetStats(np.array([0.002, 0.002, 0.001]), np.diag([1e-4, 4e-4, 1e-4]))
+        report = check_against_bisection(stats, 0.009, 1.0)
+        assert report.iterations == 0
+        assert np.allclose(report.allocation.weights, [0.8, 0.2, 0.0], rtol=0, atol=1e-12)
+        for sigma0 in (0.0085, 0.008, 0.007, 0.0065, 0.006):
+            check_against_bisection(stats, sigma0, 1.0)
+
+    @pytest.mark.parametrize("cap", [1.0, 0.5, 0.3])
+    def test_random_return_ties(self, cap):
+        # Two to four assets share the top mean exactly, with different
+        # risks; at cap 0.3 the face also holds capped weights.
+        rng = np.random.default_rng([int(cap * 10), 7])
+        for _ in range(4):
+            n = int(rng.integers(5, 10))
+            cov = stats_from(rng.normal(0.001, rng.uniform(0.005, 0.03, (n, 1)),
+                                        (n, 80))).covariance
+            mu = rng.normal(0.001, 0.002, n)
+            tied = rng.choice(n, size=int(rng.integers(2, 5)), replace=False)
+            mu[tied] = mu.max() + 0.001
+            stats = AssetStats(mu, cov)
+            min_var = solve_qp(markowitz_problem(stats, ModelConfig(cap=cap), rho=None)[0])
+            std_lo = float(np.sqrt(max(min_var.objective, 0.0)))
+            std_hi = 1.05 * float(np.sqrt(np.diag(cov).max()))
+            for frac in (0.2, 0.5, 0.8, 1.0):
+                check_against_bisection(stats, std_lo + frac * (std_hi - std_lo), cap)
 
     @pytest.mark.filterwarnings("error")
     def test_one_point_region_leaves_no_weight_free_at_the_start(self):
@@ -590,6 +622,98 @@ class TestMdMilp:
             solve_md_milp(make_returns(data), ModelConfig(rho=0.0, min_alloc=0.6, cap=0.5))
 
 
+class TestWarmStart:
+    """The drawdown models re-solved on the fixture's perturbed train window
+    from the basis of their solve on the window itself, as `sensitivity`
+    does."""
+
+    CFG = ModelConfig(rho=FIXTURE_RHO)
+
+    @staticmethod
+    def basic_set(report) -> set:
+        return set(report.basis.basic.tolist())
+
+    @pytest.mark.parametrize("solve", [solve_mad, solve_md], ids=["mad", "md"])
+    def test_small_perturbations_keep_the_basis_optimal(self, fixture_train, solve):
+        # At c = 1000 the original basis is optimal for every one of 40
+        # perturbations: no pivot, the cold solve's basis, objective and
+        # weights.
+        first = solve(fixture_train, self.CFG)
+        for seed in range(40):
+            shaken = perturb_returns(fixture_train, PerturbationConfig(c=1000.0, seed=seed))
+            cold = solve(shaken, self.CFG)
+            warm = solve(shaken, self.CFG, start=first.basis)
+            assert (warm.detail, warm.iterations) == ("start=warm", 0)
+            assert cold.detail == "" and cold.iterations > 0
+            assert self.basic_set(warm) == self.basic_set(cold)
+            assert abs(warm.objective - cold.objective) <= 1e-12
+            assert np.abs(warm.allocation.weights - cold.allocation.weights).max() <= 1e-9
+
+    def test_milp_root_starts_from_the_original_root_basis(self, fixture_train):
+        first = solve_md_milp(fixture_train, self.CFG)
+        assert first.basis is not None and first.detail == ""
+        for seed in range(3):
+            shaken = perturb_returns(fixture_train, PerturbationConfig(c=1000.0, seed=seed))
+            problem, _ = md_milp_problem(shaken, self.CFG)
+            cold, warm = solve_milp(problem), solve_milp(problem, start=first.basis)
+            assert warm.warm and not cold.warm
+            assert warm.nodes == cold.nodes and warm.node_pivots < cold.node_pivots
+            assert abs(warm.objective - cold.objective) <= 1e-12
+            assert np.abs(warm.v - cold.v).max() <= 1e-9
+            report = solve_md_milp(shaken, self.CFG, start=first.basis)
+            assert report.detail == "start=warm" and report.objective == warm.objective
+
+    def assert_falls_back(self, solve, returns, start):
+        """A start that cannot be taken: phase 1 runs, and the answer is
+        the cold solve's, to the bit."""
+        cold = solve(returns, self.CFG)
+        report = solve(returns, self.CFG, start=start)
+        assert report.detail == "start=cold"
+        assert report.iterations == cold.iterations
+        assert report.objective == cold.objective
+        assert np.array_equal(report.allocation.weights, cold.allocation.weights)
+
+    def test_a_start_that_is_not_primal_feasible_falls_back(self, fixture_train):
+        # At c = 10 the original mad basis is infeasible for most seeds.
+        first = solve_mad(fixture_train, self.CFG)
+        cold_starts = 0
+        for seed in range(4):
+            shaken = perturb_returns(fixture_train, PerturbationConfig(c=10.0, seed=seed))
+            state = SimplexState(mad_problem(shaken, self.CFG)[0], start=first.basis)
+            if not state.warm:
+                assert state.factorizations == 1    # nonsingular, so not primal feasible
+                self.assert_falls_back(solve_mad, shaken, first.basis)
+                cold_starts += 1
+        assert cold_starts >= 2
+
+    @pytest.mark.parametrize("solve", [solve_mad, solve_md], ids=["mad", "md"])
+    def test_a_start_of_another_shape_falls_back(self, fixture_train, solve):
+        # a basis of the window's first 40 days has fewer rows
+        short = ReturnMatrix(fixture_train.tickers, fixture_train.dates[:40],
+                             fixture_train.returns[:, :40])
+        self.assert_falls_back(solve, fixture_train, solve(short, self.CFG).basis)
+
+    @pytest.mark.parametrize("solve", [solve_mad, solve_md], ids=["mad", "md"])
+    def test_a_start_holding_an_artificial_falls_back(self, fixture_train, solve):
+        # the column basic in the budget row replaced by that row's phase-1
+        # artificial, the first index past the last slack
+        start = solve(fixture_train, self.CFG).basis
+        basic, status = start.basic.copy(), start.status.copy()
+        status[basic[0]] = AT_LOWER
+        basic[0] = status.size
+        self.assert_falls_back(solve, fixture_train, Basis(basic, status))
+
+    def test_only_the_drawdown_models_take_a_start(self, fixture_train, fixture_stats):
+        start = solve_md(fixture_train, self.CFG).basis
+        for tag in READS_STATS:
+            with pytest.raises(TypeError):
+                SOLVERS[tag](fixture_train, fixture_stats, ModelConfig(), start=start)
+            assert SOLVERS[tag](fixture_train, fixture_stats,
+                                ModelConfig(rho=FIXTURE_RHO, sigma0=0.012)).basis is None
+        report = SOLVERS["md"](fixture_train, None, self.CFG, start=start)
+        assert report.detail == "start=warm"
+
+
 class TestCrossModelInvariants:
     def test_allocations_validate_and_meet_rho(self):
         data = rng_global.normal(0.0015, 0.02, (8, 45))
@@ -674,3 +798,16 @@ def test_model_fields_are_the_fields_each_model_reads():
         seen.clear()
         assert solve(returns, stats, cfg).status is SolveStatus.OPTIMAL
         assert seen == set(MODEL_FIELDS[tag]), tag
+
+
+def test_reads_stats_names_the_models_that_read_the_moment_estimates():
+    # The others solve with stats=None; these fail without their stats.
+    returns = make_returns(np.random.default_rng(5).normal(0.001, 0.02, (6, 30)))
+    cfg = ModelConfig(rho=0.0, sigma0=1.0)
+    assert READS_STATS == {"markowitz", "reverse_markowitz", "simultaneous"}
+    for tag, solve in SOLVERS.items():
+        if tag in READS_STATS:
+            with pytest.raises(AttributeError):
+                solve(returns, None, cfg)
+        else:
+            assert solve(returns, None, cfg).status is SolveStatus.OPTIMAL

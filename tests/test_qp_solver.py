@@ -188,7 +188,7 @@ def test_gap_tol_is_enforced(monkeypatch):
     # returned as Optimal.
     rng = np.random.default_rng(47)
     problem = simplex_qp(random_cov(rng, 6), np.zeros(6))
-    monkeypatch.setattr(qp_solver, "_active_set", lambda problem, x, status: (x, 0))
+    monkeypatch.setattr(qp_solver, "_active_set", lambda problem, x, side: (x, 0, side))
     with pytest.raises(RuntimeError, match="Frank-Wolfe gap"):
         solve_qp(problem)
     assert solve_qp(problem, gap_tol=np.inf).status is SolveStatus.OPTIMAL

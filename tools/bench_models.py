@@ -3,14 +3,21 @@ drawdown models (`mad`, `md`, `md_milp`) on its seed-N perturbation too, and
 `mad` on the fixture's full window, and report status, objective, seconds and
 work per solve.
 
+The perturbed drawdown solves run the way the `sensitivity` command runs
+them: each starts from the final basis of its model's solve on the train
+window (the root basis for `md_milp`), and its row's `start` says whether
+that start was taken (`warm`) or phase 1 ran (`cold`). Every other solve is
+cold. A checkout whose reports carry no basis solves them cold.
+
 Work is the model report's `iterations`: active-set iterations for
 `markowitz` and `simultaneous`, critical-line steps for `reverse_markowitz`,
 simplex pivots (both phases) for `mad` and `md`, and B&B
 nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
-one more solve of the same problem (each node is one LP). That second solve
-is timed apart from building its problem, as `build_seconds` and
-`solve_seconds`; both are warm, after the report's own solve. The LP models
-also report the phase-1 pivots of their region. `markowitz` and
+one more solve of the same problem from the same start (each node is one
+LP). That second solve is timed apart from building its problem, as
+`build_seconds` and `solve_seconds`, after the report's own solve. The LP
+models also report the phase-1 pivots of their region, from the same start
+(0 where it is taken). `markowitz` and
 `reverse_markowitz` report their oracles' work, summed over every simplex
 state the solve builds: `oracle_states`, `oracle_pivots` and
 `oracle_factorizations` (inversions of a basis). `markowitz` builds one state
@@ -98,35 +105,43 @@ def run(seed: int) -> dict:
     oracle_states = _record_states(qp_solver)
     search_states = _record_states(milp_solver)
 
-    def solve(tag: str, window: ReturnMatrix) -> dict:
+    def solve(tag: str, window: ReturnMatrix, start=None) -> tuple[dict, object]:
+        """The row of one solve, from `start` where one is given, and the
+        final basis its report carries (None on a checkout without one)."""
         stats = asset_stats(window)
         oracle_states.clear()
+        kw = {} if start is None else {"start": start}
         started = time.perf_counter()
-        report = models.SOLVERS[tag](window, stats, cfg)
+        report = models.SOLVERS[tag](window, stats, cfg, **kw)
         row = {"status": report.status.value, "objective": report.objective,
                "seconds": round(time.perf_counter() - started, 4), "work": report.iterations}
         if report.allocation is not None:
             row["names"] = int((report.allocation.weights > 1e-9).sum())
         if tag in ORACLE_COUNTED:
             row.update(_oracle_work(oracle_states))
+        if tag in DRAWDOWN:
+            row["start"] = "warm" if report.detail == "start=warm" else "cold"
         if tag == "md_milp":
             started = time.perf_counter()
             problem = models.md_milp_problem(window, cfg)[0]
             search_states.clear()
             built = time.perf_counter()
-            sol = milp_solver.solve_milp(problem)
+            sol = milp_solver.solve_milp(problem, **kw)
             row.update(build_seconds=round(built - started, 6),
                        solve_seconds=round(time.perf_counter() - built, 6),
                        node_pivots=sol.node_pivots,
                        node_factorizations=_total(search_states, "factorizations"))
         if tag in builders:
-            row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0]).pivots
-        return row
+            row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0], **kw).pivots
+        return row, getattr(report, "basis", None)
 
+    fixture, bases = {}, {}
+    for tag in MODELS:
+        fixture[tag], bases[tag] = solve(tag, train)
     return {
-        "fixture": {tag: solve(tag, train) for tag in MODELS},
-        f"perturbed_seed_{seed}": {tag: solve(tag, shaken) for tag in DRAWDOWN},
-        "full_window": {"mad": solve("mad", returns)},
+        "fixture": fixture,
+        f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
+        "full_window": {"mad": solve("mad", returns)[0]},
     }
 
 
