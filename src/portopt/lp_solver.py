@@ -2,10 +2,10 @@
 
 Handles equality rows, `a @ v <= b` inequality rows, and explicit per-variable
 bounds (upper bounds may be +inf, and a variable with both bounds infinite is
-treated as free). Box constraints never enter the tableau as rows: nonbasic
-variables rest at one of their bounds and "bound flip" moves are allowed, so
-the basis never grows beyond the number of functional rows. That matters here
-because every portfolio LP in this package is dominated by box constraints.
+treated as free). Box constraints never become rows: nonbasic variables rest
+at one of their bounds and "bound flip" moves are allowed, so the basis never
+grows beyond the number of functional rows. That matters here because every
+portfolio LP in this package is dominated by box constraints.
 
 Algorithm notes:
 
@@ -14,7 +14,7 @@ Algorithm notes:
   (equality rows and `<=` rows with a negative residual) get an artificial.
   Phase 1 minimizes the sum of those artificials; a positive phase-1 optimum
   (> feasibility tolerance) certifies infeasibility. Surviving artificials are
-  locked to [0, 0] rather than pivoted out eagerly, and stay in the tableau;
+  locked to [0, 0] rather than pivoted out eagerly, and stay as columns;
   locked columns always block the ratio test at zero, so degenerate pivots
   evict them on demand and redundant rows stay harmlessly basic.
 * Pricing is Dantzig (most negative reduced cost). Within a run of
@@ -23,23 +23,25 @@ Algorithm notes:
   progress. Bland's rule cannot cycle (Bland 1977), so every loop finishes;
   PIVOT_LIMIT still caps the pivots of each loop (phase 1, phase 2, the dual
   loop, the drift guard's re-solve) on its own, and a loop past it raises.
-* The working tableau is B^-1 [A | b]. A drift guard refreshes it by direct
-  refactorization, one explicit inverse of B applied to [A | b], and
-  re-solves, if a call's final solution breaks a row or bound by more than
-  the feasibility tolerance.
-* `SimplexState` is the one simplex class: it holds the tableau for its whole
-  life, across objectives and bound changes. Phase 1 runs once, or not at
-  all when the state is built from a saved `Basis` of a problem of the same
-  shape that is nonsingular, holds no artificial and is primal feasible in
-  the new rows (post-optimal analysis after a change in the data: Gal,
-  *Postoptimal Analyses, Parametric Programming and Related Topics*, 1995).
-  Each later `minimize` continues phase 2 from the basis and the
-  B^-1 [G | h] the previous call left. Pivot drift therefore carries from
-  call to call; the drift guard is the one place a call refactorizes, or
-  reruns phase 1 in the same tableau when the refactorized basis is
-  singular or infeasible.
-  A refactorization keeps nothing. `solve_lp` is one state minimized once,
-  from a given start basis or cold.
+* A revised simplex (Dantzig & Orchard-Hays 1954) on the explicit m x m
+  inverse B^-1: an iteration prices with y = c_B B^-1 and z = c - y G, takes
+  the entering column as B^-1 g_j (the dual loop its pivot row as (B^-1)_r G),
+  reads the basic values as B^-1 (h - G x_N) and updates B^-1 alone by one eta
+  step, O(m^2) where a tableau's update is O(m n). A drift guard refactorizes
+  (one explicit inverse of B) and re-solves if a call's final solution breaks
+  a row or bound by more than the feasibility tolerance.
+* `SimplexState` is the one simplex class: it holds its basis and B^-1 for
+  its whole life, across objectives and bound changes. Phase 1 runs once, or
+  not at all when the state is built from a saved `Basis` of a problem of
+  the same shape that is nonsingular, holds no artificial and is primal
+  feasible in the new rows (post-optimal analysis after a change in the
+  data: Gal, *Postoptimal Analyses, Parametric Programming and Related
+  Topics*, 1995). Each later `minimize` continues phase 2 from the basis and
+  the B^-1 the previous call left. Pivot drift therefore carries from call
+  to call; the drift guard is the one place a call refactorizes, or reruns
+  phase 1 in the same state when the refactorized basis is singular or
+  infeasible. `solve_lp` is one state minimized once, from a given start
+  basis or cold.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
   cost: `SimplexState.reopen` writes new bounds into the state and
   takes a saved basis (basic columns and nonbasic statuses); the rows stay as
@@ -159,7 +161,7 @@ def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Basis:
-    """A saved simplex basis, without its tableau.
+    """A saved simplex basis, without its inverse.
 
     Columns are the structural variables, then one slack per `<=` row in row
     order. `basic[i]` is the column basic in row i (an index past the last
@@ -177,23 +179,23 @@ class SimplexState:
     Built from an LpProblem whose `c` and `sense` are ignored. Its standard
     form has the structural columns, one slack column per `<=` row in row
     order, and the artificial columns of the last phase 1; the state keeps
-    that one tableau for its whole life, and phase 1 runs once, locking
-    artificials left basic at zero. A `start` basis, saved from a state of a
-    problem with as many rows and columns (`basis()`), is refactorized in
-    this problem's rows and replaces phase 1 when it holds no artificial, is
-    nonsingular and is primal feasible within FEAS_TOL; `warm` then says so,
-    and otherwise phase 1 runs as without a start. `minimize(cost)` runs
-    phase 2 for a minimization cost over the structural variables, starting
-    from the kept basis and the tableau the previous call left. A call
-    refactorizes only when its optimal vertex breaks a row or bound by more
-    than 1e-7: the
+    the basis and its explicit inverse `binv` (m x m for m rows) for its
+    whole life, and phase 1 runs once, locking artificials left basic at
+    zero. A `start` basis, saved from a state of a problem with as many rows
+    and columns (`basis()`), is refactorized in this problem's rows and
+    replaces phase 1 when it holds no artificial, is nonsingular and is
+    primal feasible within FEAS_TOL; `warm` then says so, and otherwise
+    phase 1 runs as without a start. `minimize(cost)` runs phase 2 for a
+    minimization cost over the structural variables, starting from the kept
+    basis and the `binv` the previous call left. A call refactorizes only
+    when its optimal vertex breaks a row or bound by more than 1e-7: the
     drift guard then refactorizes the basis and runs phase 2 again, from
-    phase 1 in the same tableau if that basis is singular or no longer
-    primal feasible. Each simplex loop may take PIVOT_LIMIT pivots, so a
-    call of several loops can take more. `reopen` moves the state to new
-    bounds, refactorizes a saved `basis()` and re-optimizes from it by the
-    dual simplex. `pivots` and `factorizations` (inversions of a basis)
-    count over the state's lifetime, phase 1 included.
+    phase 1 in the same state if that basis is singular or no longer primal
+    feasible. Each simplex loop may take PIVOT_LIMIT pivots, so a call of
+    several loops can take more. `reopen` moves the state to new bounds,
+    refactorizes a saved `basis()` and re-optimizes from it by the dual
+    simplex. `pivots` and `factorizations` (inversions of a basis) count over
+    the state's lifetime, phase 1 included.
     """
 
     def __init__(self, problem: LpProblem, *, start: Basis | None = None):
@@ -210,10 +212,10 @@ class SimplexState:
         self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
         self.basic = np.empty(0, dtype=int)     # the column basic in each row
         self.status = np.empty(0, dtype=np.int8)
-        self.work = np.empty((self.m, 0))   # B^-1 [G | h], set by start methods
-        self._buf = None                    # pivot-update scratch, same shape as work
+        self.binv = np.eye(self.m)          # B^-1, set by the start methods
         self._values = np.empty(0)          # nonbasic values, 0 at basic columns
-        self._x = None                      # solution(), until the next change
+        self._rhs = np.empty(0)             # h - G @ _values, kept in step with it
+        self._xb = None                     # basic_values(), until the next change
         self.pivots = 0
         self.n_art = 0
         self.factorizations = 0
@@ -237,7 +239,7 @@ class SimplexState:
         self.upper = np.concatenate([upper, np.full(m_ub, np.inf), np.zeros(self.n_art)])
 
     def set_basis(self, basic: np.ndarray, status: np.ndarray):
-        """Take basic columns and column statuses; the caller sets `work` to
+        """Take basic columns and column statuses; the caller sets `binv` to
         match."""
         self.basic = basic
         self.status = status
@@ -251,23 +253,33 @@ class SimplexState:
         vals[at_up] = self.upper[at_up]
         vals[self.basic] = 0.0
         self._values = vals
-        self._x = None
+        self._rhs = self.h - self.g @ vals
+        self._xb = None
 
     def _rest(self, j: int, status: int):
         """Nonbasic column j moves to `status` and takes its value there."""
+        self._place(j, status, self.lower[j] if status == AT_LOWER else self.upper[j])
+
+    def _place(self, j: int, status: int, value: float):
+        """Column j takes `status` and `value` (0 if basic); h - G x_N follows."""
         self.status[j] = status
-        self._values[j] = self.lower[j] if status == AT_LOWER else self.upper[j]
-        self._x = None
+        if value != self._values[j]:
+            self._rhs -= self.g[:, j] * (value - self._values[j])
+            self._values[j] = value
+        self._xb = None
+
+    def basic_values(self) -> np.ndarray:
+        """x_B = B^-1 (h - G x_N) at the current basis, cached until the next
+        pivot, bound flip or refactorization; callers must not modify it."""
+        if self._xb is None:
+            self._xb = self.binv @ self._rhs
+        return self._xb
 
     def solution(self) -> np.ndarray:
-        """All column values at the current basis. The array is cached until
-        the next pivot, bound flip or refactorization; callers must not
-        modify it."""
-        if self._x is None:
-            vals = self._values.copy()
-            vals[self.basic] = self.work[:, -1] - self.work[:, :-1] @ self._values
-            self._x = vals
-        return self._x
+        """All column values at the current basis."""
+        vals = self._values.copy()
+        vals[self.basic] = self.basic_values()
+        return vals
 
     # -- starting bases -----------------------------------------------------
 
@@ -302,8 +314,7 @@ class SimplexState:
         self.lower = np.concatenate([lower, np.zeros(self.n_art)])
         self.upper = np.concatenate([upper, np.full(self.n_art, np.inf)])
         self.g = np.hstack([g, art])
-        # B = diag(signs) so B^-1 applies row signs directly
-        self.work = np.hstack([self.g, self.h[:, None]]) * signs[:, None]
+        self.binv = np.diag(signs)   # B = diag(signs) is its own inverse
         self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
 
     def _warm_start(self, start: Basis) -> bool:
@@ -341,33 +352,33 @@ class SimplexState:
         self.refactorize()
 
     def refactorize(self):
-        """Set work = B^-1 [G | h] for the current basis: one explicit inverse
-        of B, applied to every column at once. A singular basis raises
-        LinAlgError and leaves work as it was."""
-        inverse = np.linalg.inv(self.g[:, self.basic])
+        """Set binv = B^-1 by one explicit inverse, and h - G x_N afresh. A
+        singular basis raises LinAlgError and leaves both as they were."""
+        self.binv = np.linalg.inv(self.g[:, self.basic])
         self.factorizations += 1
-        self.work = inverse @ np.hstack([self.g, self.h[:, None]])
-        self._x = None
+        self._rhs = self.h - self.g @ self._values
+        self._xb = None
 
     def primal_feasible(self) -> bool:
-        x_b = self.solution()[self.basic]
+        x_b = self.basic_values()
         return bool((x_b >= self.lower[self.basic] - FEAS_TOL).all()
                     and (x_b <= self.upper[self.basic] + FEAS_TOL).all())
 
     # -- the simplex loops --------------------------------------------------
 
+    @np.errstate(divide="ignore", invalid="ignore")   # steps of 0 are masked below
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost @ x from the current basis. Returns 'optimal' or
         'unbounded'; raises after more than PIVOT_LIMIT pivots."""
         bland, start, seen = False, self.pivots, set()
         movable = self.upper > self.lower  # fixed columns can never improve
         while True:
-            z = cost - cost[self.basic] @ self.work[:, :-1]
+            z = cost - (cost[self.basic] @ self.binv) @ self.g
             z[self.basic] = 0.0
             # basic columns have z = 0, so they never qualify
-            can_up = (z < -PIVOT_TOL) & movable & (self.status != AT_UPPER)
-            can_down = (z > PIVOT_TOL) & movable & (self.status != AT_LOWER)
-            candidates = (can_up | can_down).nonzero()[0]
+            can_up = (z < -PIVOT_TOL) & (self.status != AT_UPPER)
+            can_down = (z > PIVOT_TOL) & (self.status != AT_LOWER)
+            candidates = ((can_up | can_down) & movable).nonzero()[0]
             if candidates.size == 0:
                 return "optimal"
             if bland:
@@ -376,16 +387,16 @@ class SimplexState:
                 j = int(candidates[np.abs(z[candidates]).argmax()])
             direction = 1.0 if can_up[j] else -1.0
 
-            step = direction * self.work[:, j]
-            x_b = self.solution()[self.basic]
-            t_rows = np.full(self.m, np.inf)
-            np.divide(x_b - self.lower[self.basic], step, out=t_rows, where=step > PIVOT_TOL)
-            np.divide(x_b - self.upper[self.basic], step, out=t_rows, where=step < -PIVOT_TOL)
+            step = direction * (self.binv @ self.g[:, j])
+            x_b = self.basic_values()
+            bound = np.where(step > 0, self.lower[self.basic], self.upper[self.basic])
+            t_rows = (x_b - bound) / step
+            t_rows[np.abs(step) <= PIVOT_TOL] = np.inf   # rows the step leaves alone
             t_rows[t_rows < 0] = 0.0  # degeneracy: already at the blocking bound
             t_flip = self.upper[j] - self.lower[j]
             t_best_rows = t_rows.min() if self.m else np.inf
             t_star = min(t_best_rows, t_flip)
-            if not np.isfinite(t_star):
+            if t_star == np.inf:
                 return "unbounded"
 
             if t_flip <= t_best_rows:  # bound flip, basis unchanged
@@ -397,7 +408,7 @@ class SimplexState:
                     r = int(ties[self.basic[ties].argmin()])
                 else:
                     r = int(ties[np.abs(step[ties]).argmax()])
-                self._pivot(r, j, AT_LOWER if step[r] > 0 else AT_UPPER)
+                self._pivot(r, j, direction * step, AT_LOWER if step[r] > 0 else AT_UPPER)
             bland = self._note_step(t_star, bland, start, seen)
 
     def dual_run(self, cost: np.ndarray) -> str:
@@ -417,7 +428,7 @@ class SimplexState:
         bland, start, seen = False, self.pivots, set()
         movable = self.upper > self.lower
         while True:
-            x_b = self.solution()[self.basic]
+            x_b = self.basic_values()
             below = self.lower[self.basic] - x_b
             infeasibility = np.maximum(below, x_b - self.upper[self.basic])
             rows = np.flatnonzero(infeasibility > FEAS_TOL)
@@ -430,14 +441,14 @@ class SimplexState:
             to_lower = below[r] > 0
             # x_r = beta_r - sum_j alpha_rj x_j, so raising x_r (to_lower)
             # needs x_j to rise where alpha_rj < 0 or fall where alpha_rj > 0
-            alpha = self.work[r, :-1]
+            alpha = self.binv[r] @ self.g
             push = alpha if to_lower else -alpha
             can_up = ((self.status == AT_LOWER) | (self.status == FREE)) & (push < -PIVOT_TOL)
             can_down = ((self.status == AT_UPPER) | (self.status == FREE)) & (push > PIVOT_TOL)
             candidates = np.flatnonzero((can_up | can_down) & movable)
             if candidates.size == 0:
                 return "infeasible"
-            z = cost - cost[self.basic] @ self.work[:, :-1]
+            z = cost - (cost[self.basic] @ self.binv) @ self.g
             ratios = np.abs(z[candidates] / alpha[candidates])
             t_star = float(np.min(ratios))
             ties = candidates[ratios <= t_star + DEGEN_TOL]
@@ -445,25 +456,18 @@ class SimplexState:
                 j = int(ties[0])
             else:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
-            self._pivot(r, j, AT_LOWER if to_lower else AT_UPPER)
+            self._pivot(r, j, self.binv @ self.g[:, j], AT_LOWER if to_lower else AT_UPPER)
             bland = self._note_step(t_star, bland, start, seen)
 
-    def _pivot(self, r: int, j: int, leaving_status: int):
-        """Column j enters the basis at row r; the leaving column rests at
-        `leaving_status`."""
-        leaving = self.basic[r]
-        self._rest(leaving, leaving_status)
+    def _pivot(self, r: int, j: int, column: np.ndarray, leaving_status: int):
+        """Column j, with B^-1 g_j = `column`, enters the basis at row r and
+        the leaving column rests at `leaving_status`: one eta step on B^-1."""
+        self._rest(self.basic[r], leaving_status)
         self.basic[r] = j
-        self.status[j] = BASIC
-        self._values[j] = 0.0
-        piv = self.work[r, j]
-        self.work[r, :] /= piv
-        mult = self.work[:, j].copy()
-        mult[r] = 0.0
-        if self._buf is None or self._buf.shape != self.work.shape:
-            self._buf = np.empty_like(self.work)
-        np.multiply(mult[:, None], self.work[r, None, :], out=self._buf)
-        self.work -= self._buf
+        self._place(j, BASIC, 0.0)
+        pivot_row = self.binv[r] / column[r]
+        self.binv -= column[:, None] * pivot_row
+        self.binv[r] = pivot_row
         self.pivots += 1
 
     def _note_step(self, step: float, bland: bool, start: int, seen: set) -> bool:
@@ -524,7 +528,7 @@ class SimplexState:
         starting from a saved `basis()` of this state.
 
         The rows stay as they are, so the saved basis keeps every reduced
-        cost it had. The new bounds go into the kept tableau, with the
+        cost it had. The new bounds go into the state, with the
         artificials locked at 0 and nonbasic; the basis is refactorized, the
         dual simplex restores primal feasibility, and then this is
         `minimize(cost)` (the primal simplex cleans up and the drift guard
@@ -544,7 +548,7 @@ class SimplexState:
     @property
     def vertex(self) -> np.ndarray:
         """The current basic solution over the structural variables."""
-        return self.solution()[:self.problem.n_vars].copy()
+        return self.solution()[:self.problem.n_vars]
 
     def _violation(self) -> float:
         """The vertex's largest row or bound violation under the state's
@@ -553,7 +557,7 @@ class SimplexState:
         return _max_violation(self.problem, self.vertex, self.lower[:n], self.upper[:n])
 
     def minimize(self, cost: np.ndarray) -> SolveStatus:
-        """Minimize cost @ v over the region from the kept basis and tableau.
+        """Minimize cost @ v over the region from the kept basis and B^-1.
 
         Returns Optimal or Unbounded, leaving `vertex` at the optimum, or
         Infeasible when the region is empty. A vertex that has drifted past
@@ -567,7 +571,7 @@ class SimplexState:
             return SolveStatus.INFEASIBLE
         if self.run(self._full_cost(cost)) == "unbounded":
             return SolveStatus.UNBOUNDED
-        # Guard against accumulated tableau drift before certifying.
+        # Guard against drift accumulated in B^-1 before certifying.
         if self._violation() > FEAS_TOL:
             if not self._restore():
                 return SolveStatus.INFEASIBLE
@@ -621,11 +625,7 @@ def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
     else:
         objective = float("nan")
     full_cost = state._full_cost(c_min)
-    # duals from the final basis: y solves y @ B = c_B
-    try:
-        y = np.linalg.solve(state.g[:, state.basic].T, full_cost[state.basic])
-    except np.linalg.LinAlgError:
-        y = np.zeros(state.m)
+    y = full_cost[state.basic] @ state.binv   # duals: y @ B = c_B
     reduced = full_cost - y @ state.g
     return LpSolution(
         v=v,

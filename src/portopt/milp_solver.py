@@ -23,10 +23,10 @@ changed bounds, so every other node is re-optimized from its parent's basis,
 which the heap entry carries: the branching bound leaves that basis dual
 feasible, so the dual simplex restores primal feasibility in a few pivots
 (Koberstein, PhD thesis, Paderborn 2005; Huangfu & Hall, Math. Prog. Comp.
-10, 2018). The state keeps one tableau, artificial columns included, for the
-whole search, and each child refactorizes its parent's basis in it. On the
-fixture's drawdown MILP that is 3 nodes, 32 node pivots and 2
-factorizations.
+10, 2018). The state keeps one basis and its m x m inverse, artificial
+columns included, for the whole search, and each child refactorizes its
+parent's basis in it: one inverse of B. On the fixture's drawdown MILP that
+is 3 nodes, 34 node pivots and 2 factorizations.
 
 There is no bound propagation and no rounding heuristic: on the fixture's
 drawdown MILP they cost 3.7x the node pivots (5,213 against 1,411), and in

@@ -399,7 +399,7 @@ def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):
 
 
 def test_minimize_refactorizes_only_in_the_drift_guard(monkeypatch):
-    # Calls continue in the tableau the previous call left, so many
+    # Calls continue from the B^-1 the previous call left, so many
     # objectives run without a LAPACK call. Each faked drifted vertex makes
     # the guard refactorize once, and the re-solved vertex is a cold solve's
     # optimum.
@@ -555,7 +555,7 @@ def test_reopen_matches_cold_solves_and_highs():
     # with HiGHS, and take fewer pivots than the cold solves. A repeated
     # equality row leaves an artificial basic, and such a basis re-opens
     # through phase 1. A child that phase 1 proves infeasible leaves its
-    # artificials unlocked and basic in the tableau the next re-open uses.
+    # artificials unlocked and basic in the state the next re-open uses.
     # (Here that next re-open runs phase 1 again; the test below covers a
     # dual-simplex re-open after it.)
     rng = np.random.default_rng(71)
@@ -632,7 +632,7 @@ def test_dual_reopen_after_an_infeasible_phase1_keeps_artificials_locked():
     # artificial; the second child's phase 1 proves x0 >= 0.5 infeasible and
     # leaves a new artificial on [0, inf), basic at 0.5. The grandchild
     # re-opens from the first child's basis by the dual simplex, in the same
-    # tableau, where that artificial must be locked again: left free, it
+    # state, where that artificial must be locked again: left free, it
     # would let x0 rise to 1.
     parent = LpProblem(c=[-1.0, -1.0, -2.0], a_eq=[[1.0, 0.0, 0.0]], b_eq=[0.0],
                        a_ub=[[0.0, 1.0, 1.0]], b_ub=[1.0],
@@ -791,16 +791,93 @@ def _fixture_markowitz(fixture_stats):
 
 def test_reused_factorization_equals_a_fresh_solve(fixture_stats, monkeypatch):
     # The QP solve builds one state: its phase 1 gives the active-set start
-    # and its one certifying oracle call continues in that tableau (4 pivots
-    # in all). It never refactorizes, and the tableau it leaves matches a
-    # fresh inverse to rounding.
+    # and its one certifying oracle call continues from the B^-1 that phase 1
+    # left (4 pivots in all). It never refactorizes, and the B^-1 it keeps
+    # matches a fresh inverse to rounding.
     states = _record_oracle_states(monkeypatch)
     sol = solve_qp(_fixture_markowitz(fixture_stats))
     (state,) = states
     assert sol.status is SolveStatus.OPTIMAL
     assert (state.pivots, state.factorizations) == (4, 0)
-    fresh = np.linalg.solve(state.g[:, state.basic], np.hstack([state.g, state.h[:, None]]))
-    assert np.abs(state.work - fresh).max() <= 1e-14
+    fresh = np.linalg.inv(state.g[:, state.basic])
+    assert np.abs(state.binv - fresh).max() <= 1e-14
+
+
+def _assert_kept_inverse(state: SimplexState):
+    """binv inverts the basis, and the basic values solve
+    B x_B = h - G_N x_N afresh."""
+    b = state.g[:, state.basic]
+    assert np.abs(state.binv @ b - np.eye(state.m)).max() <= 1e-10
+    x = state.solution()
+    x_n = x.copy()
+    x_n[state.basic] = 0.0
+    fresh = np.linalg.solve(b, state.h - state.g @ x_n)
+    assert np.abs(x[state.basic] - fresh).max() <= 1e-10
+
+
+def test_kept_inverse_along_a_search_chain():
+    # One state per random LP takes a branch-and-bound-like chain of calls:
+    # `minimize` at the root, then depth first, each child of a branch on one
+    # column reopened from its parent's basis, and now and then `minimize`
+    # under a new cost at the node the state is at. After every call the kept
+    # B^-1 and the basic values it gives match a fresh solve, and the status
+    # and objective are HiGHS's for that node's bounds and cost.
+    rng = np.random.default_rng(97)
+    seen = dict(eq_rows=0, free=0, box=0, reopen=0, new_cost=0, infeasible=0, unbounded=0)
+    calls = 0
+
+    def check(state, p, cost, status):
+        nonlocal calls
+        calls += 1
+        _assert_kept_inverse(state)
+        node = dataclasses.replace(p, c=cost, sense="min", lower=state.lower[:p.n_vars],
+                                   upper=state.upper[:p.n_vars])
+        expected, objective = highs_lp(node)
+        assert status is expected
+        seen["infeasible"] += status is SolveStatus.INFEASIBLE
+        seen["unbounded"] += status is SolveStatus.UNBOUNDED
+        if status is SolveStatus.OPTIMAL:
+            value = float(cost @ state.vertex)
+            assert abs(value - objective) <= 1e-9 * (1 + abs(objective))
+        return status is SolveStatus.OPTIMAL
+
+    while min(seen.values()) < 20 or calls < 400:
+        n = int(rng.integers(3, 10))
+        kind = rng.choice(["lower", "box", "free"], size=n, p=[0.4, 0.4, 0.2])
+        lower = np.where(kind == "free", -np.inf, rng.uniform(-1, 1, n).round(2))
+        upper = np.where(kind == "box", lower + rng.uniform(0.5, 3.0, n).round(2), np.inf)
+        m_ub, m_eq = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        kw = dict(c=rng.normal(size=n).round(2), a_ub=rng.normal(size=(m_ub, n)).round(2),
+                  b_ub=rng.normal(0.5, 1.5, m_ub).round(2), lower=lower, upper=upper)
+        if m_eq:
+            kw.update(a_eq=rng.normal(size=(m_eq, n)).round(2),
+                      b_eq=rng.normal(size=m_eq).round(2))
+        p = LpProblem(**kw)
+        seen["eq_rows"] += m_eq > 0
+        seen["free"] += "free" in kind
+        seen["box"] += "box" in kind
+        state = SimplexState(p)
+        if not check(state, p, p.c, state.minimize(p.c)):
+            continue
+        nodes = [(state.lower[:n].copy(), state.upper[:n].copy(), p.c, state.basis(),
+                  state.vertex)]
+        for _ in range(8):
+            if not nodes:
+                break
+            lo, up, cost, start, v = nodes.pop()
+            node = dataclasses.replace(p, lower=lo, upper=up)
+            j = int(rng.integers(n))
+            for side in ("down", "up"):
+                lo_c, up_c = _child(node, v, side, rng, [j])
+                seen["reopen"] += 1
+                optimal = check(state, p, cost, state.reopen(start, cost, lo_c, up_c))
+                if optimal:
+                    nodes.append((lo_c, up_c, cost, state.basis(), state.vertex))
+            if optimal and rng.random() < 0.3:   # the state is at the node last pushed
+                seen["new_cost"] += 1
+                cost = rng.normal(size=n).round(2)
+                if check(state, p, cost, state.minimize(cost)):
+                    nodes[-1] = (lo_c, up_c, cost, state.basis(), state.vertex)
 
 
 def test_siblings_each_factorize_the_parent_basis_on_a_panel(monkeypatch):

@@ -371,10 +371,10 @@ class TestFixtureFrontier:
         assert report.status is SolveStatus.OPTIMAL and len(states) == 1
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
-        (solve_mad, 154, 0.00619512161443643,
-         "17923b73a6db1888aab23f45dedd5d67d2a020c671147775b6c0698f00ac6a37"),
-        (solve_md, 29, -0.015244024100047777,
-         "83315524145922b7aef361577a580e770aa97a57e4a5cef3924fcd9f26063487"),
+        (solve_mad, 154, 0.006195121614437197,
+         "38d2eda30e080fa1d9f30cd50dbc07ea863876a438778990964ca2b5fb69f363"),
+        (solve_md, 31, -0.015244024100047732,
+         "ee14edc2fa55145d3970d8df947fb59f6f89811fa0197cd19df4b4069670acbe"),
     ], ids=["mad", "md"])
     def test_drawdown_lp_work_and_weights_unchanged(self, fixture_train, solve, pivots,
                                                      objective, digest):
@@ -578,7 +578,7 @@ class TestMdMilp:
         problem, layout = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
         sol = solve_milp(problem)
         assert sol.status is SolveStatus.OPTIMAL
-        assert (sol.nodes, sol.node_pivots) == (3, 32)
+        assert (sol.nodes, sol.node_pivots) == (3, 34)
         assert abs(sol.objective - -0.01535672932609452) <= 1e-12
         held = np.flatnonzero(sol.v[layout.x] > 1e-9)
         assert [fixture_train.tickers[i] for i in held] == ["ABM", "ADJ", "AOW"]
@@ -599,9 +599,9 @@ class TestMdMilp:
         sol = solve_milp(problem)
         (state,) = states
         assert state.factorizations == 2
-        assert sol.objective == -0.015356729326094526
+        assert sol.objective == -0.01535672932609453
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
-            "41f04b6ab6acec2fa848ac3f82e2b0134311063ed1ffca1b36a5101d91235c5e")
+            "b00e6abe586d9537ff6ed19630599a3674389c035dc3ec65a75d662a0a8f2330")
 
     def test_full_relaxation_is_the_md_lp(self, fixture_train, fixture_md_report):
         # the big-M form's relaxation, all 843 rows at once: an LP regression
