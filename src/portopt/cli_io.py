@@ -89,20 +89,83 @@ def ingest_prices(path: str | Path) -> PriceMatrix:
 
 
 def _ingest_prices_detail(path: Path) -> tuple[PriceMatrix, list[str]]:
+    """The prices and the dropped tickers: one C pass (`_ingest_block`) where
+    it takes the file, else the row-by-row reader (`_ingest_rows`), which is
+    the only path that drops blank-cell tickers and words every error."""
+    try:
+        matrix = _ingest_block(path)
+    except ValueError:  # loadtxt's parse errors, a bad date or header, bad prices
+        matrix = None
+    if matrix is None:
+        return _ingest_rows(path)
+    return matrix, []
+
+
+def _header_tickers(path: Path, reader) -> list[str]:
+    """The tickers of a prices file's header row, read from a csv reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if len(header) < 2 or header[0] != "date":
+        raise DataError(f"{path}: header must be 'date,TICKER1,...'")
+    tickers = [h.strip() for h in header[1:]]
+    if any(not t for t in tickers) or len(set(tickers)) != len(tickers):
+        raise DataError(f"{path}: ticker names must be nonempty and unique")
+    return tickers
+
+
+def _ingest_block(path: Path) -> PriceMatrix | None:
+    """The whole price block in one `np.loadtxt` pass, with the date cells
+    checked and collected by a converter on column 0.
+
+    Returns None, or raises ValueError, wherever `_ingest_rows` must decide:
+    a header spread over two lines by a quoted newline, a cell loadtxt
+    cannot parse (a blank cell, `1_000`), a bad date, rows of unequal width,
+    or fewer than two rows; and, through `PriceMatrix`'s own checks, rows of
+    another width than the header, a repeated date, or a price that is not
+    finite and positive (a `nan` cell, whose ticker the row reader drops).
+    loadtxt parses a float as `float()` does, whitespace included, but
+    refuses underscores and non-ASCII digits, so every value it returns is
+    the one the row reader would take.
+    """
+    import csv as _csv
+    import datetime as _dt
+    import warnings
+
+    dates = []
+
+    def date_cell(cell: str) -> float:
+        _dt.date.fromisoformat(cell)
+        dates.append(cell)
+        return 0.0
+
+    # Universal newlines split lines where `newline=""` csv does; loadtxt
+    # continues from the line after the header.
+    with path.open() as fh:
+        reader = _csv.reader(fh)
+        tickers = _header_tickers(path, reader)
+        if reader.line_num != 1:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt notes each blank line it skips
+            block = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                               converters={0: date_cell})
+    if len(dates) < 2:
+        return None
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return PriceMatrix(tickers, [dates[i] for i in order], block[order, 1:].T)
+
+
+def _ingest_rows(path: Path) -> tuple[PriceMatrix, list[str]]:
+    """The prices file row by row: csv cells, one `map(float)` per row and
+    `_parse_cells` where that fails."""
     import csv as _csv
     import datetime as _dt
 
     with path.open(newline="") as fh:
         reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "date":
-            raise DataError(f"{path}: header must be 'date,TICKER1,...'")
-        tickers = [h.strip() for h in header[1:]]
-        if any(not t for t in tickers) or len(set(tickers)) != len(tickers):
-            raise DataError(f"{path}: ticker names must be nonempty and unique")
+        tickers = _header_tickers(path, reader)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

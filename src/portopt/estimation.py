@@ -29,6 +29,8 @@ class PerturbationConfig:
     def __post_init__(self):
         if not self.c > 0:
             raise DataError("perturbation scale c must be positive")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise DataError(f"perturbation seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise DataError(f"perturbation seed must be non-negative, got {self.seed}")
 
@@ -77,10 +79,14 @@ def perturb_returns(returns: ReturnMatrix, cfg: PerturbationConfig) -> ReturnMat
 
     sigma_s is the population standard deviation of asset s over the window,
     so volatile assets receive proportionally larger shocks and constant-return
-    assets are left untouched. Draws come from a counter-based Philox generator
-    keyed by (seed, asset index); day t consumes the t-th draw of its asset's
-    stream, so an asset's noise does not depend on the other rows and the
-    output is reproducible bit-for-bit across platforms for a given seed.
+    assets are left untouched. Asset s draws from the counter-based Philox
+    generator of `SeedSequence(entropy=seed, spawn_key=(s,))`: its key is that
+    sequence's `generate_state(2, uint64)`, its counter starts at 0, and day t
+    takes the t-th standard normal of the stream. An asset's noise does not
+    depend on the other rows, and the output is reproducible bit-for-bit
+    across platforms for a given seed. The n keys come from one vectorized
+    pass of SeedSequence's hash (`_philox_keys`), and one generator is reset
+    to each asset's key in turn, so no per-asset SeedSequence is built.
 
     Noise is added as-is, never clipped; an aggressively small c can push a
     deeply negative return past the -1 floor, which surfaces as the
@@ -89,13 +95,77 @@ def perturb_returns(returns: ReturnMatrix, cfg: PerturbationConfig) -> ReturnMat
     r = returns.returns
     sigma = r.std(axis=1)  # population std per asset row
     noise = np.empty_like(r)
-    for s in range(returns.n_assets):
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(s,)))
-        )
-        noise[s, :] = gen.standard_normal(returns.n_days)
+    bitgen = np.random.Philox(0)  # seeded, so no OS entropy is read
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer; only the key changes
+    for s, key in enumerate(_philox_keys(cfg.seed, returns.n_assets)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=noise[s])
     perturbed = r + noise * (sigma[:, None] / cfg.c)
     return ReturnMatrix(returns.tickers, returns.dates, perturbed)
+
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox_keys(seed: int, n: int) -> np.ndarray:
+    """The Philox keys of `SeedSequence(entropy=seed, spawn_key=(s,))` for
+    s = 0..n-1, as an n x 2 uint64 array, in one vectorized uint32 pass.
+
+    Each row's entropy is the seed's 32-bit words, least significant first and
+    zero-padded to the pool size, followed by the spawn word s. The pass runs
+    `mix_entropy` on it and then `generate_state(2, uint64)`. The hash
+    constant of each step does not depend on the data, so it is a Python int
+    shared by all rows, and uint32 array arithmetic wraps as the C code does.
+    """
+    words, rest = [], int(seed)
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = np.empty((n, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(n, dtype=np.uint32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, entropy.shape[1]):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    hash_const = _INIT_B
+    state = np.empty((n, 4), dtype=np.uint32)
+    for i in range(4):
+        value = pool[i] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    # two little-endian uint32 words per uint64, as generate_state assembles them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def covariance_change(before: np.ndarray, after: np.ndarray) -> tuple[float, float]:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from portopt.lp_solver import LpProblem, solve_lp
-from portopt.core import AssetStats, ModelConfig, SolveStatus
+from portopt.core import AssetStats, ModelConfig, ReturnMatrix, SolveStatus
+from portopt.estimation import PerturbationConfig
 from portopt.milp_solver import MilpProblem
 from portopt.models import markowitz_problem
 from portopt.qp_solver import solve_qp
@@ -235,6 +236,22 @@ def two_pass_mean_cov(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 acc += (returns[i, t] - means[i]) * (returns[j, t] - means[j])
             cov[i, j] = cov[j, i] = acc / t_days
     return means, cov
+
+
+def perturb_returns_per_asset(returns: ReturnMatrix, cfg: PerturbationConfig) -> ReturnMatrix:
+    """The documented perturbation with one SeedSequence, Philox bit generator
+    and Generator built per asset, the way numpy's documentation spells the
+    stream of `SeedSequence(entropy=seed, spawn_key=(s,))`."""
+    r = returns.returns
+    sigma = r.std(axis=1)  # population std per asset row
+    noise = np.empty_like(r)
+    for s in range(returns.n_assets):
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(s,)))
+        )
+        noise[s, :] = gen.standard_normal(returns.n_days)
+    perturbed = r + noise * (sigma[:, None] / cfg.c)
+    return ReturnMatrix(returns.tickers, returns.dates, perturbed)
 
 
 def random_return_matrix(rng: np.random.Generator, n: int, t_days: int,

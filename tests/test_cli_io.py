@@ -7,6 +7,9 @@ import pytest
 
 from portopt.cli_io import (
     RunConfig,
+    _ingest_block,
+    _ingest_prices_detail,
+    _ingest_rows,
     build_parser,
     ingest_prices,
     main,
@@ -127,6 +130,71 @@ class TestIngest:
         assert back.tickers == matrix.tickers
         assert back.dates == matrix.dates
         assert np.array_equal(back.prices, matrix.prices)
+
+
+INGEST_CASES = {
+    # name: (file text, whether the one-pass loadtxt reader takes it)
+    "quoted": ('date,A,B\n2020-01-02,"100.5",7\n2020-01-03,"101" ,"8"\n', True),
+    "padded": ("date,A,B\n2020-01-02, 100.5 ,\t7.25\n2020-01-03,101.0 , 8\u2003\n", True),
+    "underscore": ("date,A,B\n2020-01-02,1_000,7\n2020-01-03,1001,8\n", False),
+    "hash cell": ("date,A,B\n2020-01-02,#5,7\n2020-01-03,6,8\n", False),
+    "hash line": ("date,A\n2020-01-02,5\n#2020-01-03,6\n2020-01-06,7\n", False),
+    "nan": ("date,A,B\n2020-01-02,nan,7\n2020-01-03,101,8\n", False),
+    "inf": ("date,A,B\n2020-01-02,inf,7\n2020-01-03,101,8\n", False),
+    "blank cell": ("date,A,B\n2020-01-02,,7\n2020-01-03,101,8\n", False),
+    "crlf": ("date,A,B\r\n2020-01-02,100,7\r\n2020-01-03,101,8\r\n", True),
+    "blank lines": ("date,A\n\n2020-01-02,100\n\n\n2020-01-03,101\n\n", True),
+    "unsorted": ("date,A,B\n2020-01-06,3,9\n2020-01-02,1,7\n2020-01-03,2,8\n", True),
+    "short row": ("date,A,B\n2020-01-02,1\n2020-01-03,2,8\n", False),
+    "long rows": ("date,A,B\n2020-01-02,1,7,9\n2020-01-03,2,8,9\n", False),
+    "blank-looking line": ("date,A\n2020-01-02,1\n \n2020-01-03,2\n", False),
+    "bad date": ("date,A\n2020-01-02,1\n2020-13-03,2\n", False),
+    "duplicate date": ("date,A\n2020-01-03,1\n2020-01-02,2\n2020-01-03,3\n", False),
+    "nonpositive": ("date,A\n2020-01-02,0\n2020-01-03,1\n", False),
+    "one row": ("date,A\n2020-01-02,1\n", False),
+    "two-line header": ('date,"A\nB"\n2020-01-02,1\n2020-01-03,2\n', False),
+}
+
+
+def _ingest_outcome(read, path):
+    try:
+        matrix, dropped = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix.tickers, matrix.dates, matrix.prices.tobytes(), dropped
+
+
+@pytest.mark.parametrize("name", INGEST_CASES)
+def test_ingest_matches_row_reader(tmp_path, caplog, name):
+    """Each file gives the row-by-row reader's matrix bytes, dropped tickers,
+    warning and error text, whichever path reads it."""
+    text, one_pass = INGEST_CASES[name]
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    expected = _ingest_outcome(_ingest_rows, path)
+    assert _ingest_outcome(_ingest_prices_detail, path) == expected
+    try:
+        taken = _ingest_block(path) is not None
+    except ValueError:
+        taken = False
+    assert taken == one_pass
+    with caplog.at_level("WARNING"):
+        try:
+            ingest_prices(path)
+        except DataError:
+            pass
+    dropped = expected[3] if len(expected) == 4 else []
+    assert [r.getMessage() for r in caplog.records] == (
+        [f"dropped {len(dropped)} ticker(s) with missing values: {','.join(dropped)}"]
+        if dropped else [])
+
+
+def test_fixture_ingest_takes_one_pass():
+    matrix = _ingest_block(FIXTURE_PATH)
+    reference, dropped = _ingest_rows(FIXTURE_PATH)
+    assert dropped == []
+    assert (matrix.tickers, matrix.dates) == (reference.tickers, reference.dates)
+    assert matrix.prices.tobytes() == reference.prices.tobytes()
 
 
 @pytest.mark.parametrize("text, error", [

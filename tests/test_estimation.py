@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from portopt.estimation import (
     covariance,
     covariance_change,
     mean_returns,
+    _philox_keys,
     perturb_returns,
 )
 
 from conftest import make_returns
-from oracles import two_pass_mean_cov
+from oracles import perturb_returns_per_asset, two_pass_mean_cov
 
 
 def prices_from(rows, dates=None):
@@ -141,6 +144,50 @@ class TestPerturbation:
         shaken = perturb_returns(r, PerturbationConfig(seed=11))
         stats = asset_stats(shaken)  # constructor enforces the PSD invariant
         assert isinstance(stats, AssetStats)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, np.float64(2.0)])
+    def test_non_integral_seed_refused(self, seed):
+        with pytest.raises(DataError, match="perturbation seed must be an integer"):
+            PerturbationConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_accepted(self, seed):
+        r = make_returns(np.random.default_rng(8).normal(0.001, 0.02, (3, 6)))
+        out = perturb_returns(r, PerturbationConfig(seed=seed))
+        ref = perturb_returns_per_asset(r, PerturbationConfig(seed=seed))
+        assert out.returns.tobytes() == ref.returns.tobytes()
+
+
+SEEDS = [0, 1, 7, 32, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345]
+
+
+class TestPerAssetStreams:
+    """`perturb_returns` reproduces, bit for bit, the stream of one
+    SeedSequence(entropy=seed, spawn_key=(s,)) per asset."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_per_asset_reference(self, seed):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 390, 1000):
+            for t_days in (1, 2, 62):
+                r = make_returns(rng.normal(0.001, 0.02, (n, t_days)))
+                cfg = PerturbationConfig(c=10.0, seed=seed)
+                out = perturb_returns(r, cfg).returns
+                assert out.tobytes() == perturb_returns_per_asset(r, cfg).returns.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS + [2**128, 2**200 + 17])
+    def test_keys_match_seed_sequence(self, seed):
+        # T = 1 leaves sigma at 0, so the keys are checked on their own
+        keys = _philox_keys(seed, 1000)
+        ref = [np.random.SeedSequence(entropy=seed, spawn_key=(s,)).generate_state(2, np.uint64)
+               for s in range(1000)]
+        assert keys.dtype == np.uint64
+        assert keys.tobytes() == np.array(ref).tobytes()
+
+    def test_fixture_train_window_digest(self, fixture_train):
+        out = perturb_returns(fixture_train, PerturbationConfig(c=1000.0, seed=32))
+        assert hashlib.sha256(out.returns.tobytes()).hexdigest() == (
+            "0c9b4f91bbf16d685339bccb3fb2ee4b54e1ca25fdcea3e93cf1ac23f67376b2")
 
 
 class TestCovarianceChange:

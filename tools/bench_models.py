@@ -33,6 +33,12 @@ the same bits as the `backtest` command's date-mask window. The full window
 (all 125 days) is the `solve` command's input; its `mad` row is the largest,
 most degenerate LP the fixture gives.
 
+The `data` section times the steps before any solve, first of all in the
+process: the fixture's ingest and the train window's seed-N perturbation,
+each as its first call in the process (`first_seconds`; the first
+perturbation includes the lazy `numpy.random` import) and the least of 20
+more calls (`min_seconds`), with the SHA-256 of the perturbed returns.
+
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
 
@@ -44,6 +50,7 @@ is stored under `--label` in that JSON file, keeping the other labels there.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -88,6 +95,20 @@ def _oracle_work(states: list) -> dict:
             "oracle_factorizations": _total(states, "factorizations")}
 
 
+def _timed(call, repeats: int = 20) -> tuple[dict, object]:
+    """The seconds of a first call and the least of `repeats` more, and the
+    first call's result."""
+    started = time.perf_counter()
+    result = call()
+    first = time.perf_counter() - started
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - started)
+    return {"first_seconds": round(first, 6), "min_seconds": round(min(times), 6)}, result
+
+
 def run(seed: int) -> dict:
     from portopt import milp_solver, models, qp_solver
     from portopt.cli_io import ingest_prices
@@ -96,10 +117,14 @@ def run(seed: int) -> dict:
                                     perturb_returns)
     from portopt.lp_solver import SimplexState
 
-    returns = compute_simple_returns(ingest_prices(FIXTURE))
+    ingest_seconds, prices = _timed(lambda: ingest_prices(FIXTURE))
+    returns = compute_simple_returns(prices)
     days = sum(d <= TRAIN_END for d in returns.dates)
     train = ReturnMatrix(returns.tickers, returns.dates[:days], returns.returns[:, :days])
-    shaken = perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed))
+    perturb_seconds, shaken = _timed(
+        lambda: perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed)))
+    data = {"ingest_seconds": ingest_seconds, "perturb_seconds": perturb_seconds,
+            "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest()}
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
     builders = {"mad": models.mad_problem, "md": models.md_problem}
     oracle_states = _record_states(qp_solver)
@@ -139,6 +164,7 @@ def run(seed: int) -> dict:
     for tag in MODELS:
         fixture[tag], bases[tag] = solve(tag, train)
     return {
+        "data": data,
         "fixture": fixture,
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
         "full_window": {"mad": solve("mad", returns)[0]},
@@ -155,7 +181,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     result = run(args.seed)
+    data = result["data"]
+    for step in ("ingest", "perturb"):
+        times = data[f"{step}_seconds"]
+        print(f"data {step:14s} first {times['first_seconds']:.4f}s "
+              f"min {times['min_seconds']:.4f}s")
+    print(f"data perturbed_sha256 {data['perturbed_sha256']}")
     for window, rows in result.items():
+        if window == "data":
+            continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
                              if k not in ("status", "objective", "seconds", "work"))
