@@ -28,7 +28,7 @@ from .core import (
 )
 from .estimation import (PerturbationConfig, covariance, covariance_change, mean_returns,
                          perturb_returns)
-from .models import READS_STATS, SOLVERS, solve_simultaneous
+from .models import READS_STATS, SOLVERS, MeanVariancePath, solve_simultaneous
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +130,9 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepR
     when the cap cannot hold the budget) keeps that status and NaN
     coordinates and is excluded, with one logged warning counting the
     excluded points by status; a point whose solve raises aborts the sweep
-    with that exception.
+    with that exception. Every point is a query on one `MeanVariancePath`, so
+    the sweep builds one QP and walks its critical line once, and each
+    point's report carries its own certificate.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -138,7 +140,9 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepR
     if any(g < 0 for g in grid):
         raise DataError("lambda values must be nonnegative")
 
-    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap)) for lam in grid]
+    path = MeanVariancePath(stats, cap)
+    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap), path=path)
+               for lam in grid]
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:

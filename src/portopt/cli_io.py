@@ -45,7 +45,7 @@ from .core import (
     SolveStatus,
 )
 from .estimation import PerturbationConfig, asset_stats, compute_simple_returns
-from .models import MODEL_FIELDS, SOLVERS
+from .models import MODEL_FIELDS, READS_STATS, SOLVERS, MeanVariancePath
 
 log = logging.getLogger(__name__)
 
@@ -158,8 +158,8 @@ def _ingest_block(path: Path) -> PriceMatrix | None:
 
 
 def _ingest_rows(path: Path) -> tuple[PriceMatrix, list[str]]:
-    """The prices file row by row: csv cells, one `map(float)` per row and
-    `_parse_cells` where that fails."""
+    """The prices file row by row: csv cells, one `map(float)` per row of
+    ASCII cells without underscores, and `_parse_cells` for any other row."""
     import csv as _csv
     import datetime as _dt
 
@@ -176,9 +176,12 @@ def _ingest_rows(path: Path) -> tuple[PriceMatrix, list[str]]:
                 _dt.date.fromisoformat(row[0])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad date {row[0]!r}") from None
+            joined = "".join(row[1:])
             try:
                 # float strips the whitespace str.strip does, so a whole row
                 # of numbers converts at once to the same values
+                if not _plain_number(joined):
+                    raise ValueError
                 values = list(map(float, row[1:]))
             except ValueError:
                 values = _parse_cells(path, lineno, tickers, row[1:])
@@ -201,9 +204,17 @@ def _ingest_rows(path: Path) -> tuple[PriceMatrix, list[str]]:
     return matrix, dropped
 
 
+def _plain_number(text: str) -> bool:
+    """Whether `text` holds no underscore and no character outside ASCII,
+    which `float()` would read (`1_000`, non-ASCII digits such as `١٢`)
+    and `np.loadtxt` refuses."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_cells(path: Path, lineno: int, tickers: list[str], cells: list[str]) -> list[float]:
     """A row's prices cell by cell: NaN for a blank cell, which drops its
-    ticker later, and DataError naming the first non-numeric one."""
+    ticker later, and DataError naming the first non-numeric one, or one
+    that only `float()`'s wider syntax reads (`_plain_number`)."""
     values = []
     for ticker, cell in zip(tickers, cells):
         cell = cell.strip()
@@ -211,6 +222,8 @@ def _parse_cells(path: Path, lineno: int, tickers: list[str], cells: list[str]) 
             values.append(np.nan)
             continue
         try:
+            if not _plain_number(cell):
+                raise ValueError
             values.append(float(cell))
         except ValueError:
             raise DataError(
@@ -304,7 +317,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(cfg: RunConfig, outputs: list[str]) -> None:
+def _write_manifest(cfg: RunConfig, outputs: list[str], results: dict) -> None:
+    """The run's `manifest.json`: its configuration, which `run_from_manifest`
+    replays, the SHA-256 of its input, the files it wrote, and the figures
+    its command reports there (`results`; `sweep-lambda` records
+    `n_excluded`, its grid points that were not Optimal)."""
     from . import __version__
 
     manifest = {
@@ -313,6 +330,7 @@ def _write_manifest(cfg: RunConfig, outputs: list[str]) -> None:
         "config": asdict(cfg),
         "inputs": {cfg.prices: _sha256(Path(cfg.prices))},
         "outputs": sorted(outputs),
+        "results": results,
     }
     out = Path(cfg.output_dir) / "manifest.json"
     out.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -377,8 +395,8 @@ def run_command(cfg: RunConfig) -> int:
         "sweep-lambda": _cmd_sweep,
         "sensitivity": _cmd_sensitivity,
     }[cfg.command]
-    outputs = handler(cfg, out_dir)
-    _write_manifest(cfg, outputs)
+    outputs, results = handler(cfg, out_dir)
+    _write_manifest(cfg, outputs, results)
     return 0
 
 
@@ -425,7 +443,7 @@ def _resolve_models(cfg: RunConfig) -> list[str]:
     return tags
 
 
-def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     matrix, dropped = _ingest_prices_detail(Path(cfg.prices))
     out = out_dir / "prices_clean.csv"
     write_prices_csv(matrix, out)
@@ -434,10 +452,10 @@ def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> list[str]:
                             [[str(matrix.n_assets), str(matrix.n_days), str(len(dropped))]])
     print(f"ingested {matrix.n_assets} tickers x {matrix.n_days} days "
           f"({len(dropped)} dropped)")
-    return outputs
+    return outputs, {}
 
 
-def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     if len(cfg.models) != 1:
         raise DataError("solve takes exactly one --model")
     tag = _resolve_models(cfg)[0]
@@ -457,20 +475,23 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> list[str]:
               f"{report.allocation.n_positions} positions")
     else:
         print(f"{tag}: {report.status.value}")
-    return outputs
+    return outputs, {}
 
 
-def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     tags = _resolve_models(cfg)
     prices, returns = _load_returns(cfg)
     spec = _split_spec(cfg, returns)
     train, test = train_test_split(returns, spec)
     stats = asset_stats(train)
     model_cfg = cfg.model_config()
+    # the mean-variance models share one critical line of the train window
+    path = MeanVariancePath(stats, model_cfg.cap)
 
     rows1, rows2 = [], []
     for tag in tags:
-        report = SOLVERS[tag](train, stats, model_cfg)
+        kw = {"path": path} if tag in READS_STATS else {}
+        report = SOLVERS[tag](train, stats, model_cfg, **kw)
         if report.status is not SolveStatus.OPTIMAL:
             rows1.append([tag, report.status.value, "", "", "", f"{report.wall_time:.6f}"])
             rows2.append([tag, report.status.value, "", "", ""])
@@ -489,10 +510,10 @@ def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> list[str]:
     outputs = _write_table(out_dir / "insample.csv", TABLE1_HEADER, rows1)
     outputs += _write_table(out_dir / "outsample.csv", TABLE2_HEADER, rows2)
     print(f"backtest: {len(tags)} models, train {train.n_days} days, test {test.n_days} days")
-    return outputs
+    return outputs, {}
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     stats = asset_stats(returns)
@@ -514,10 +535,10 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
                             summary_rows)
     print(f"sweep: chosen lambda {sweep.chosen_lambda!r} "
           f"(ideal point {sweep.ideal_point[0]:.4f}%, {sweep.ideal_point[1]:.4f}%)")
-    return outputs
+    return outputs, {"n_excluded": n_excluded}
 
 
-def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     tags = _resolve_models(cfg)
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
@@ -533,7 +554,7 @@ def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> list[str]:
                             "avg_abs_diff,relative_change", cov_rows)
     print(f"sensitivity: covariance relative change "
           f"{report.cov_relative_change * 100:.2f}%")
-    return outputs
+    return outputs, {}
 
 
 def _cmd_report(args) -> int:

@@ -1,16 +1,19 @@
 """The six portfolio models, built from moment estimates or raw returns and
 dispatched to the matching solver engine.
 
-Quadratic models (minimum-variance, simultaneous mean-variance) go to the
-active-set QP engine; the mean-absolute-deviation and max-drawdown models are
-epigraph LPs for the simplex; the minimum-allocation drawdown variant is the
-`md` LP with each weight on/off (0 or at least min_alloc), for branch and
-bound. The reverse mean-variance model (maximize return subject to a
-standard-deviation ceiling) walks the critical line of the minimum-variance
-model, the efficient frontier as a path piecewise linear in its trade-off
-parameter, down to where the standard deviation reaches the ceiling; this
-takes exact steps in place of a QCQP method, and one oracle call certifies
-the point.
+The three mean-variance models are queries on one path: the minimizer v(t)
+of v'Sigma v - t mean'v over the budget box, Markowitz's critical line
+(`qp_solver.CriticalLine`), piecewise linear in t. Minimum variance under a
+return floor is the point where the return reaches the floor, the
+simultaneous model at lambda is v(1/lambda), and the reverse model (maximize
+return subject to a standard-deviation ceiling) is the point where the
+standard deviation reaches the ceiling. A `MeanVariancePath` builds the
+line once for its moment estimates and cap, so models solved on one path
+share one QP build and one walk; each query takes exact steps and certifies
+its point with one oracle call. The mean-absolute-deviation and
+max-drawdown models are epigraph LPs for the simplex; the
+minimum-allocation drawdown variant is the `md` LP with each weight on/off
+(0 or at least min_alloc), for branch and bound.
 
 "Maximum drawdown" throughout means the worst single-day portfolio return
 min_t of sum_i r[i, t] x[i] over the window, not peak-to-trough drawdown.
@@ -36,7 +39,7 @@ from .core import (
 from .estimation import mean_returns
 from .lp_solver import Basis, LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
-from .qp_solver import GAP_TOL_DEFAULT, QpProblem, critical_line, solve_qp
+from .qp_solver import GAP_TOL_DEFAULT, CriticalLine, QpProblem, QpSolution
 
 SIGMA_SLACK = 1e-6
 
@@ -77,8 +80,7 @@ def markowitz_problem(stats: AssetStats, cfg: ModelConfig,
     """Minimum-variance QP: min x' Sigma x s.t. mean' x >= rho, sum x = 1, box.
 
     Passing rho=None drops the return row entirely (the global minimum-variance
-    portfolio); its budget-box region is the one the reverse model's critical
-    line walks.
+    portfolio); that budget-box problem is the one a `MeanVariancePath` walks.
     """
     if rho is _FROM_CONFIG:
         rho = cfg.require_rho()
@@ -98,7 +100,11 @@ def markowitz_problem(stats: AssetStats, cfg: ModelConfig,
 
 
 def simultaneous_problem(stats: AssetStats, cfg: ModelConfig) -> tuple[QpProblem, ModelLayout]:
-    """Penalized QP: min -mean' x + lambda * x' Sigma x s.t. sum x = 1, box."""
+    """Penalized QP: min -mean' x + lambda * x' Sigma x s.t. sum x = 1, box.
+
+    `solve_simultaneous` answers it as a query on the critical line; this is
+    the model's own statement, for a solve by `qp_solver.solve_qp`.
+    """
     n = stats.n_assets
     cap = cfg.resolved_cap(1.0)
     problem = QpProblem(
@@ -190,53 +196,91 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
 # solve entry points
 # ---------------------------------------------------------------------------
 
-def solve_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
+class MeanVariancePath:
+    """The critical line of one set of moment estimates and cap, which the
+    three mean-variance models answer as queries.
+
+    Nothing is built until the first query, so the first model solved on
+    the path carries its one `QpProblem` build, in its own `time_s`, and the
+    walk down to its point; later queries walk on only past the deepest
+    point so far. A query with other estimates or another cap raises.
+    """
+
+    def __init__(self, stats: AssetStats, cap: float | None = None):
+        self.stats, self.cfg = stats, ModelConfig(cap=cap)
+        self._line: CriticalLine | None = None
+
+    def line(self, stats: AssetStats, cfg: ModelConfig) -> CriticalLine:
+        if stats is not self.stats or cfg.resolved_cap(1.0) != self.cfg.resolved_cap(1.0):
+            raise DataError("the mean-variance path was built for other moment estimates "
+                            "or another cap")
+        if self._line is None:
+            problem, _ = markowitz_problem(stats, self.cfg, rho=None)
+            self._line = CriticalLine(problem, stats.mean_returns)
+        return self._line
+
+
+def _line(stats: AssetStats, cfg: ModelConfig, path: MeanVariancePath | None) -> CriticalLine:
+    """The critical line a mean-variance model queries: `path`'s, or a line
+    of its own."""
+    return (path or MeanVariancePath(stats, cfg.cap)).line(stats, cfg)
+
+
+def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
+                    path: MeanVariancePath | None = None) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
-    The report's objective is the portfolio variance x' Sigma x, plus the L1
-    penalty mu_l1 * sum |x_i| = mu_l1 when cfg.mu_l1 > 0.
+    The point of the critical line where the return reaches rho, from
+    `path` or a line of its own. The report's objective is the portfolio
+    variance x' Sigma x, plus the L1 penalty mu_l1 * sum |x_i| = mu_l1 when
+    cfg.mu_l1 > 0; `iterations` counts the walk's steps to the point, and
+    `detail` carries the Frank-Wolfe gap over the budget box and the return
+    floor.
     """
     started = time.perf_counter()
-    problem, layout = markowitz_problem(stats, cfg)
-    return _solve_quadratic("markowitz", problem, layout, cfg, GAP_TOL_DEFAULT, started)
+    rho = cfg.require_rho()
+    sol = _line(stats, cfg, path).at_return(rho)
+    return _mean_variance_report("markowitz", sol, cfg, started)
 
 
 def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
-                       gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
+                       gap_tol: float = GAP_TOL_DEFAULT,
+                       path: MeanVariancePath | None = None) -> SolveReport:
     """Model: minimize -mean return + lambda * variance over the budget box.
 
-    As in `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 penalty.
+    The point v(1/lambda) of the critical line, from `path` or a line of
+    its own (at lambda = 0, the top-return vertex the oracle finds). Its
+    Frank-Wolfe gap for this objective must meet gap_tol. As in
+    `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 penalty.
     """
     started = time.perf_counter()
-    problem, layout = simultaneous_problem(stats, cfg)
-    return _solve_quadratic("simultaneous", problem, layout, cfg, gap_tol, started)
+    sol = _line(stats, cfg, path).at_penalty(cfg.lam, gap_tol)
+    return _mean_variance_report("simultaneous", sol, cfg, started)
 
 
-def _solve_quadratic(tag: str, problem: QpProblem, layout: ModelLayout, cfg: ModelConfig,
-                     gap_tol: float, started: float) -> SolveReport:
-    """The active-set engine on a model's QP, with the L1 penalty added after
-    the solve.
+def _mean_variance_report(tag: str, sol: QpSolution, cfg: ModelConfig,
+                          started: float) -> SolveReport:
+    """A query's report, with the L1 penalty added after the solve.
 
     Weights are long-only, so mu * sum |x_i| is the linear cost mu * sum x_i,
     and the budget row makes it the constant mu on the feasible region: the
-    penalty moves no optimizer, so the unpenalized QP is solved and the
-    report's objective is its optimum plus mu * sum x.
+    penalty moves no optimizer, so the unpenalized point is taken and the
+    report's objective is its value plus mu * sum x.
     """
-    sol = solve_qp(problem, gap_tol=gap_tol)
-    x = sol.v[layout.x]
-    objective = sol.objective + cfg.mu_l1 * float(x.sum())
-    return _report(tag, sol.status, x, objective, cfg.resolved_cap(1.0),
+    objective = sol.objective + cfg.mu_l1 * float(sol.v.sum())
+    return _report(tag, sol.status, sol.v, objective, cfg.resolved_cap(1.0),
                    sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 
 
-def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
+def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
+                            path: MeanVariancePath | None = None) -> SolveReport:
     """Model: maximize mean return subject to a standard-deviation ceiling.
 
-    Walks the critical line (`qp_solver.critical_line`) from the top-return
-    vertex down to where the standard deviation reaches sigma0, in one
-    simplex state and without a QP solve. The point minimizes variance for
-    its own return floor; `detail` carries the Frank-Wolfe gap that
-    certifies it. The report's objective is its mean return and
+    Walks the critical line, from `path` or a line of its own, from the
+    top-return vertex down to where the standard deviation reaches sigma0,
+    in one simplex state and without a QP solve. The point minimizes
+    variance for its own return floor; `detail` carries the Frank-Wolfe gap
+    that certifies it. The report's objective is its mean return and
     `iterations` counts the walk's steps. Where even the minimum-variance
     end of the line stays above sigma0, that end is returned if it is within
     sigma0 + 1e-6, and the report is Infeasible otherwise (its `detail` then
@@ -244,10 +288,10 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """
     started = time.perf_counter()
     sigma0 = cfg.require_sigma0()
-    problem, _ = markowitz_problem(stats, cfg, rho=None)
-    sol = critical_line(problem, stats.mean_returns, sigma0 ** 2)
+    sol = _line(stats, cfg, path).at_variance(sigma0 ** 2)
     status = sol.status
-    if status is SolveStatus.OPTIMAL and sol.v @ problem.q @ sol.v > (sigma0 + SIGMA_SLACK) ** 2:
+    if (status is SolveStatus.OPTIMAL
+            and sol.v @ stats.covariance @ sol.v > (sigma0 + SIGMA_SLACK) ** 2):
         status = SolveStatus.INFEASIBLE
     return _report("reverse_markowitz", status, sol.v, float(stats.mean_returns @ sol.v),
                    cfg.resolved_cap(1.0), sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
@@ -314,14 +358,19 @@ def _start_detail(start: Basis | None, warm: bool) -> str:
 
 
 # Each model's solve, called as SOLVERS[tag](returns, stats, cfg). The models
-# of _FROM_STATS read only the moment estimates `stats`; those of
-# _FROM_RETURNS read only the returns, and take `stats=None`. A drawdown
-# model's report carries its final basis, and its solve takes a report's
-# basis back by keyword, as `start=`, for a window of the same shape.
+# of _FROM_STATS read only the moment estimates `stats`, and take a
+# `MeanVariancePath` of those estimates by keyword, as `path=`, to share one
+# critical line; those of _FROM_RETURNS read only the returns, and take
+# `stats=None`. A drawdown model's report carries its final basis, and its
+# solve takes a report's basis back by keyword, as `start=`, for a window of
+# the same shape.
 _FROM_STATS = {
-    "markowitz": lambda returns, stats, cfg: solve_markowitz(stats, cfg),
-    "reverse_markowitz": lambda returns, stats, cfg: solve_reverse_markowitz(stats, cfg),
-    "simultaneous": lambda returns, stats, cfg: solve_simultaneous(stats, cfg),
+    "markowitz": lambda returns, stats, cfg, *, path=None: solve_markowitz(stats, cfg,
+                                                                          path=path),
+    "reverse_markowitz": lambda returns, stats, cfg, *, path=None: solve_reverse_markowitz(
+        stats, cfg, path=path),
+    "simultaneous": lambda returns, stats, cfg, *, path=None: solve_simultaneous(stats, cfg,
+                                                                                path=path),
 }
 _FROM_RETURNS = {
     "mad": lambda returns, stats, cfg, *, start=None: solve_mad(returns, cfg, start=start),

@@ -37,10 +37,15 @@ Frank-Wolfe gap, returned as `fw_gap`. A gap above gap_tol * (1 + |f|)
 raises instead of returning. The oracle is the same `SimplexState` whose
 phase 1 gave the starting vertex, so the solve runs phase 1 once.
 
-`critical_line` follows the minimizer of v'Qv - t mu'v over the budget box
-as t falls from infinity, Markowitz's critical line (1956; Bailey & Lopez de
-Prado, *Algorithms* 6, 2013), to where v'Qv reaches a level. It shares the
-working-set rules above and the same one-state certificate.
+`CriticalLine` follows the minimizer v(t) of v'Qv - t mu'v over the budget
+box as t falls from infinity, Markowitz's critical line (1956; Bailey & Lopez
+de Prado, *Algorithms* 6, 2013), with the working-set rules above, and keeps
+each piece it walks. The three mean-variance models are queries on one such
+line: where v'Qv reaches a level (the reverse model), v(1/lambda) (the
+penalized model) and where mu'v reaches a floor (minimum variance). Each
+query certifies its point with one oracle call, and the line walks only as
+far as its deepest query. `critical_line` is the level query on a line of its
+own.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ def solve_qp(problem: QpProblem, gap_tol: float = GAP_TOL_DEFAULT) -> QpSolution
     n, q, c = problem.n_vars, problem.q, problem.c
     oracle = SimplexState(problem._region)
     if not oracle.feasible:
-        return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
+        return _infeasible(n)
     x, iterations, _ = _active_set(problem, oracle.vertex, _bound_side(oracle.status[:n]))
     f = float(c @ x + x @ q @ x)
     gap = _certify(oracle, c + 2.0 * (q @ x), x, f, gap_tol)
@@ -141,14 +146,31 @@ def _certify(oracle: SimplexState, grad: np.ndarray, x: np.ndarray, f: float,
     return gap
 
 
-def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolution:
-    """The point of the critical line where v'Qv reaches `level`.
+@dataclass(frozen=True)
+class Piece:
+    """One piece of the critical line: v(t) = x0 + t x1 for t_lo <= t <= t_hi,
+    on which the working set `side` (-1 or +1 for a weight held at its lower
+    or upper bound, 0 for a free one) is optimal. x_lo and x_hi are its end
+    points as the walk computed them."""
+
+    t_lo: float
+    t_hi: float
+    x0: np.ndarray
+    x1: np.ndarray
+    side: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+
+
+class CriticalLine:
+    """Markowitz's critical line over a budget box, walked from t = inf only
+    as far down as the deepest query so far.
 
     The problem's region must be the budget box: one row sum(v) = 1 and
     bounds; its `c` is not read. For t >= 0 a minimizer v(t) of
     f_t(v) = v'Qv - t mu'v over it is piecewise linear in t, and v'Qv and
     mu'v are nondecreasing in t. The walk starts at t = inf, at the vertex
-    the oracle finds for cost -mu: its basic weight is free and its
+    the oracle finds for cost -mu (`top`): its basic weight is free and its
     nonbasic bounds fix the others (where the budget row's locked
     artificial stays basic, every weight sits at a bound, and the capped
     weight of least return is freed). On each piece one solve in the null
@@ -164,29 +186,137 @@ def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolutio
     length are allowed, and once a working set repeats at one t, choices go
     to smallest index for the rest of the walk (a set met twice under that
     rule raises). t never rises and a working set is optimal on one
-    interval of t, so the walk ends without a step cap.
+    interval of t, so the walk ends at t = 0 without a step cap.
 
-    It stops on the piece where v'Qv, a quadratic in t, reaches level less
-    the rounding error of evaluating v'Qv, at the quadratic's root taken in
-    its stable form, or else at t = 0, the minimum-variance end. There f_t's
-    Frank-Wolfe gap from one more oracle call above
-    GAP_TOL_DEFAULT * (1 + |f_t|) raises. Returns the point, f_t, that gap
-    and the number of steps, or Infeasible when the region is empty.
+    Each piece is kept in `pieces`, so queries in any order walk the line
+    once. The walk's one `SimplexState` (`oracle`) found the top vertex; a
+    query certifies its point with one more call, in that state or, for a
+    return floor, in a state of its own region. Each query returns the
+    point, its model's objective, that Frank-Wolfe gap and the index of the
+    piece the point lies on (the walk's steps to it), or Infeasible when
+    the region is empty.
     """
-    n, q, region = problem.n_vars, problem.q, problem._region
-    oracle = SimplexState(region)
-    if not oracle.feasible:
-        return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
-    oracle.minimize(-mu)
-    x, row, abs_q = oracle.vertex, region.a_eq[0], np.abs(q)
-    side = _bound_side(oracle.status[:n])
-    if side.all():
-        side[np.flatnonzero(side > 0)[np.argmin(mu[side > 0])]] = 0
-    face = np.abs(mu - mu[side == 0][0]) <= STEP_TOL * np.abs(mu).max()
-    if face.sum() > 1:
-        x, side = _least_variance_face(problem, x, side, face)
-    t, steps, bland, visited = np.inf, 0, False, set()
-    while True:
+
+    def __init__(self, problem: QpProblem, mu: np.ndarray):
+        n = problem.n_vars
+        self.problem, self.mu = problem, mu
+        self.pieces: list[Piece] = []
+        self.oracle = SimplexState(problem._region)
+        self.feasible = self.oracle.feasible
+        if not self.feasible:
+            return
+        self.oracle.minimize(-mu)
+        self.top = x = self.oracle.vertex
+        side = _bound_side(self.oracle.status[:n])
+        if side.all():
+            side[np.flatnonzero(side > 0)[np.argmin(mu[side > 0])]] = 0
+        face = np.abs(mu - mu[side == 0][0]) <= STEP_TOL * np.abs(mu).max()
+        if face.sum() > 1:
+            x, side = _least_variance_face(problem, x, side, face)
+        # the walk: the point at t on working set side, and the event times
+        # and rates of the last piece, which choose its step
+        self._x, self._t, self._side, self._events = x, np.inf, side, None
+        self._bland, self._visited = False, set()
+
+    def at_variance(self, level: float) -> QpSolution:
+        """The point where v'Qv reaches `level`, with f_t as its objective.
+
+        It lies on the piece where v'Qv, a quadratic in t, reaches level
+        less the rounding error of evaluating v'Qv, at the quadratic's root
+        taken in its stable form, or else at t = 0, the minimum-variance
+        end. The certificate is f_t's gap at that t, against
+        GAP_TOL_DEFAULT."""
+        n, q, mu = self.problem.n_vars, self.problem.q, self.mu
+        if not self.feasible:
+            return _infeasible(n)
+        abs_q = np.abs(q)
+        for k, piece in self._walk():
+            x, x_next, x1 = piece.x_hi, piece.x_lo, piece.x1
+            var = float(x_next @ q @ x_next)
+            # n eps v'|Q|v bounds the rounding of v'Qv, and v'|Q|v is convex
+            room = level - var - n * np.finfo(float).eps * max(x @ abs_q @ x,
+                                                               x_next @ abs_q @ x_next)
+            if room >= 0.0 or piece.t_lo == 0.0:
+                break
+        # v'Qv at t_lo + s in [t_lo, t_hi] is var + 2 b s + a s^2; its
+        # root s = room / (b + sqrt(b^2 + a room)) is the stable form
+        room, b, a = max(room, 0.0), float(x_next @ q @ x1), float(x1 @ q @ x1)
+        den = b + np.sqrt(b * b + a * room)
+        s = min(room / den, piece.t_hi - piece.t_lo) if den > 0.0 else 0.0
+        x, t = x_next + s * x1, piece.t_lo + s
+        f = float(x @ q @ x - t * (mu @ x))
+        gap = _certify(self.oracle, 2.0 * (q @ x) - t * mu, x, f, GAP_TOL_DEFAULT)
+        return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
+
+    def at_penalty(self, lam: float, gap_tol: float = GAP_TOL_DEFAULT) -> QpSolution:
+        """The minimizer of lam v'Qv - mu'v, with that as its objective.
+
+        It is v(1/lam); at lam = 0 the objective is linear, and the point is
+        the oracle's top-return vertex, not the least-variance point of a
+        face of tied returns. The certificate is the objective's own gap,
+        against gap_tol."""
+        n, q, mu = self.problem.n_vars, self.problem.q, self.mu
+        if not self.feasible:
+            return _infeasible(n)
+        k, x = 0, self.top
+        if lam > 0.0:
+            t = 1.0 / lam
+            for k, piece in self._walk():
+                if piece.t_lo <= t:
+                    break
+            # the first piece holds still, and t may be inf there
+            x = piece.x0 if k == 0 else piece.x0 + t * piece.x1
+        qx = q @ x
+        f = float(lam * (x @ qx) - mu @ x)
+        gap = _certify(self.oracle, 2.0 * lam * qx - mu, x, f, gap_tol)
+        return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
+
+    def at_return(self, rho: float) -> QpSolution:
+        """The least-variance point whose return mu'v is at least rho, with
+        v'Qv as its objective.
+
+        mu'v(t) is linear on each piece and nondecreasing in t, so the point
+        is v at the smallest t where mu'v(t) reaches rho, the root taken
+        exactly on its piece, or the t = 0 end where that end's return
+        already meets rho. Infeasible when rho is above the top vertex's
+        return. The certificate is v'Qv's gap over the box and the floor
+        mu'v >= rho, in a `SimplexState` of that region, against
+        GAP_TOL_DEFAULT."""
+        n, q, mu = self.problem.n_vars, self.problem.q, self.mu
+        if not self.feasible or rho > mu @ self.top:
+            return _infeasible(n)
+        for k, piece in self._walk():
+            short = rho - mu @ piece.x_lo
+            if short > 0.0 or piece.t_lo == 0.0:
+                break
+        slope = float(mu @ piece.x1)
+        s = min(short / slope, piece.t_hi - piece.t_lo) if short > 0.0 and slope > 0.0 else 0.0
+        x = piece.x_lo + s * piece.x1
+        box = self.problem._region
+        floor = SimplexState(LpProblem(c=np.zeros(n), a_eq=box.a_eq, b_eq=box.b_eq,
+                                       a_ub=-mu[None, :], b_ub=[-rho],
+                                       lower=box.lower, upper=box.upper))
+        f = float(x @ q @ x)
+        gap = _certify(floor, 2.0 * (q @ x), x, f, GAP_TOL_DEFAULT)
+        return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
+
+    def _walk(self):
+        """Each piece from t = inf down with its index, walking on past the
+        last piece found until one ends at t = 0."""
+        k = 0
+        while k < len(self.pieces) or self._extend():
+            yield k, self.pieces[k]
+            k += 1
+
+    def _extend(self) -> bool:
+        """Step past the last piece and add the next one; False when the
+        last piece already ends at t = 0."""
+        if self.pieces:
+            if self.pieces[-1].t_lo == 0.0:
+                return False
+            self._step(self.pieces[-1])
+        n, q, mu, region = self.problem.n_vars, self.problem.q, self.mu, self.problem._region
+        x, t, side, row = self._x, self._t, self._side, region.a_eq[0]
         free = side == 0
         z = _null_basis(row[None, free])
         x1, x0 = np.zeros(n), x
@@ -212,30 +342,36 @@ def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolutio
         # an event where t mu is below the multiplier tolerance is at t = 0
         low = t_ev.max() * np.abs(mu).max() <= DUAL_TOL * (1.0 + scale[0])
         t_next = 0.0 if low else float(t_ev.max())
-        x_next = x0 + t_next * x1
-        var = float(x_next @ q @ x_next)
-        # n eps v'|Q|v bounds the rounding of v'Qv, and v'|Q|v is convex
-        room = level - var - n * np.finfo(float).eps * max(x @ abs_q @ x, x_next @ abs_q @ x_next)
-        if room >= 0.0 or t_next == 0.0:
-            # v'Qv at t_next + s in [t_next, t] is var + 2 b s + a s^2; its
-            # root s = room / (b + sqrt(b^2 + a room)) is the stable form
-            room, b, a = max(room, 0.0), float(x_next @ q @ x1), float(x1 @ q @ x1)
-            den = b + np.sqrt(b * b + a * room)
-            s = min(room / den, t - t_next) if den > 0.0 else 0.0
-            x, t = x_next + s * x1, t_next + s
-            break
-        visited, x, t = visited if t_next == t else set(), x_next, t_next
-        if side.tobytes() in visited:
-            if bland:
-                raise RuntimeError(f"the critical line repeats a working set at t = {t!r}")
-            bland, visited = True, set()
-        visited.add(side.tobytes())
-        j = _pick(np.flatnonzero(t_ev >= t_next - 1e-9 * t_next), rate, bland)
-        side[j] = 0 if side[j] else (-1 if x1[j] > 0 else 1)
-        steps += 1
-    f = float(x @ q @ x - t * (mu @ x))
-    gap = _certify(oracle, 2.0 * (q @ x) - t * mu, x, f, GAP_TOL_DEFAULT)
-    return QpSolution(x, f, gap, steps, SolveStatus.OPTIMAL)
+        self._events = t_ev, rate
+        self.pieces.append(Piece(t_next, t, x0, x1, side.copy(), x0 + t_next * x1, x))
+        return True
+
+    def _step(self, piece: Piece):
+        """Move to the lower end of `piece` and change the working set there:
+        fix the free weight or free the fixed one whose event comes first."""
+        t_ev, rate = self._events
+        t_next, side = piece.t_lo, self._side
+        if t_next != self._t:
+            self._visited = set()
+        self._x, self._t = piece.x_lo, t_next
+        if side.tobytes() in self._visited:
+            if self._bland:
+                raise RuntimeError(f"the critical line repeats a working set at t = {t_next!r}")
+            self._bland, self._visited = True, set()
+        self._visited.add(side.tobytes())
+        j = _pick(np.flatnonzero(t_ev >= t_next - 1e-9 * t_next), rate, self._bland)
+        side[j] = 0 if side[j] else (-1 if piece.x1[j] > 0 else 1)
+
+
+def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolution:
+    """The point of the critical line where v'Qv reaches `level`: the
+    `CriticalLine.at_variance` query on a line of its own, which walks no
+    further than that point."""
+    return CriticalLine(problem, mu).at_variance(level)
+
+
+def _infeasible(n: int) -> QpSolution:
+    return QpSolution(np.full(n, np.nan), np.nan, np.inf, 0, SolveStatus.INFEASIBLE)
 
 
 def _bound_side(status: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from portopt.analytics import (
 )
 from portopt.core import Allocation, AssetStats, DataError, DimensionError, ModelConfig
 from portopt.estimation import PerturbationConfig, asset_stats
+from portopt.qp_solver import QpProblem
 
 from conftest import make_returns, stop_points_above
 
@@ -192,6 +193,27 @@ class TestLambdaSweep:
             gap = float(report.detail.removeprefix("fw_gap="))
             assert gap <= 1e-8 * (1.0 + abs(report.objective))
         assert sweep.chosen_lambda == 14.849682622544634
+
+    def test_sweep_builds_one_qp_for_every_point(self, fixture_stats, monkeypatch):
+        # Every grid point is a query on one critical line; each still goes
+        # through the module's solve_simultaneous, with its own report.
+        builds, calls = [], []
+        post_init, solve = QpProblem.__post_init__, analytics.solve_simultaneous
+
+        def counted(problem):
+            builds.append(problem.n_vars)
+            post_init(problem)
+
+        def recorded(stats, cfg, **kw):
+            calls.append(cfg.lam)
+            return solve(stats, cfg, **kw)
+
+        monkeypatch.setattr(QpProblem, "__post_init__", counted)
+        monkeypatch.setattr(analytics, "solve_simultaneous", recorded)
+        grid = lambda_grid()
+        sweep = lambda_sweep(fixture_stats, grid)
+        assert sweep.statuses == ("Optimal",) * 100
+        assert calls == grid and builds == [390]
 
     def test_grid_spacing(self):
         log_grid = lambda_grid(1e-3, 1e4, 8, "log")

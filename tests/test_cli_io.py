@@ -20,6 +20,7 @@ from portopt.cli_io import (
     write_prices_csv,
 )
 from portopt.core import DataError, PriceMatrix, validate_allocation
+from portopt.qp_solver import QpProblem
 
 from conftest import FIXTURE_PATH, stop_points_above
 
@@ -137,6 +138,7 @@ INGEST_CASES = {
     "quoted": ('date,A,B\n2020-01-02,"100.5",7\n2020-01-03,"101" ,"8"\n', True),
     "padded": ("date,A,B\n2020-01-02, 100.5 ,\t7.25\n2020-01-03,101.0 , 8\u2003\n", True),
     "underscore": ("date,A,B\n2020-01-02,1_000,7\n2020-01-03,1001,8\n", False),
+    "arabic-indic digits": ("date,A,B\n2020-01-02,5,7\n2020-01-03,\u0661\u0662,8\n", False),
     "hash cell": ("date,A,B\n2020-01-02,#5,7\n2020-01-03,6,8\n", False),
     "hash line": ("date,A\n2020-01-02,5\n#2020-01-03,6\n2020-01-06,7\n", False),
     "nan": ("date,A,B\n2020-01-02,nan,7\n2020-01-03,101,8\n", False),
@@ -153,6 +155,13 @@ INGEST_CASES = {
     "nonpositive": ("date,A\n2020-01-02,0\n2020-01-03,1\n", False),
     "one row": ("date,A\n2020-01-02,1\n", False),
     "two-line header": ('date,"A\nB"\n2020-01-02,1\n2020-01-03,2\n', False),
+}
+
+
+# Cells that `float()` reads and `np.loadtxt` refuses: both readers raise.
+INGEST_ERRORS = {
+    "underscore": "p.csv:2: non-numeric price '1_000' for A",
+    "arabic-indic digits": "p.csv:3: non-numeric price '\u0661\u0662' for A",
 }
 
 
@@ -173,6 +182,8 @@ def test_ingest_matches_row_reader(tmp_path, caplog, name):
     path.write_bytes(text.encode())
     expected = _ingest_outcome(_ingest_rows, path)
     assert _ingest_outcome(_ingest_prices_detail, path) == expected
+    if name in INGEST_ERRORS:
+        assert expected[0] is DataError and expected[1].endswith(INGEST_ERRORS[name])
     try:
         taken = _ingest_block(path) is not None
     except ValueError:
@@ -253,6 +264,30 @@ class TestCommands:
         models = [line.split(",")[0] for line in table1[1:]]
         assert models == ["markowitz", "reverse_markowitz", "simultaneous", "md", "md_milp"]
 
+    def test_backtest_builds_one_qp_for_the_three_mean_variance_models(self, tmp_path,
+                                                                       monkeypatch):
+        # markowitz, reverse_markowitz and simultaneous are queries on one
+        # critical line of the train window: one QpProblem, one validation
+        # of its covariance.
+        builds = []
+        post_init = QpProblem.__post_init__
+
+        def counted(problem):
+            builds.append(problem.n_vars)
+            post_init(problem)
+
+        monkeypatch.setattr(QpProblem, "__post_init__", counted)
+        out = tmp_path / "bt"
+        cfg = RunConfig(command="backtest", prices=str(FIXTURE_PATH), output_dir=str(out),
+                        rho=0.001, sigma0=0.012, lam=0.08,
+                        train_end="2020-05-01", test_end="2020-07-31")
+        assert run_command(cfg) == 0
+        rows = [line.split(",") for line in (out / "insample.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows[:3]] == ["markowitz", "reverse_markowitz",
+                                                "simultaneous"]
+        assert all(row[1] != "" for row in rows)
+        assert builds == [390]
+
     def test_sweep_outputs(self, tmp_path):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices, n=6, days=25)
@@ -280,6 +315,13 @@ class TestCommands:
         summary = (out / "sweep_summary.csv").read_text().splitlines()
         assert "IterationLimit" in statuses and "Optimal" in statuses
         assert summary[1].split(",")[-1] == str(statuses.count("IterationLimit"))
+        # the manifest records the same count, and still replays
+        manifest_bytes = (out / "manifest.json").read_bytes()
+        assert json.loads(manifest_bytes)["results"] == {
+            "n_excluded": statuses.count("IterationLimit")}
+        shutil.rmtree(out)
+        assert run_from_manifest_from_bytes(manifest_bytes, tmp_path) == 0
+        assert (out / "manifest.json").read_bytes() == manifest_bytes
 
     def test_sensitivity_deterministic_bytes(self, tmp_path):
         prices = tmp_path / "p.csv"

@@ -23,6 +23,7 @@ from portopt.models import (
     MODEL_FIELDS,
     READS_STATS,
     SOLVERS,
+    MeanVariancePath,
     ModelLayout,
     mad_problem,
     markowitz_problem,
@@ -365,7 +366,6 @@ class TestFixtureFrontier:
             raise AssertionError("solve_qp called")
 
         monkeypatch.setattr(qp_solver, "SimplexState", Counted)
-        monkeypatch.setattr(models, "solve_qp", no_qp_solve)
         monkeypatch.setattr(qp_solver, "solve_qp", no_qp_solve)
         report = solve_reverse_markowitz(fixture_stats, ModelConfig(sigma0=self.SIGMA0))
         assert report.status is SolveStatus.OPTIMAL and len(states) == 1
@@ -426,6 +426,114 @@ class TestSimultaneous:
         inv = 1.0 / np.diag(cov)
         expected = inv / inv.sum()
         assert np.max(np.abs(report.allocation.weights - expected)) < 1e-4
+
+
+def path_instance(rng):
+    """A budget-box instance for the path queries: n from 3 to 40 assets over
+    T < n days (a singular covariance), a cap of 1 or one that binds, and
+    means left as they are, tied at the top (ties at lambda = 0) or tied
+    below it."""
+    n = int(rng.integers(3, 41))
+    data = rng.normal(rng.normal(0.001, 0.002, (n, 1)), rng.uniform(0.005, 0.03, (n, 1)),
+                      (n, int(rng.integers(2, n))))
+    stats = stats_from(data)
+    tie = rng.integers(3)
+    if tie:
+        mu = stats.mean_returns.copy()
+        tied = rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)), replace=False)
+        mu[tied] = mu.max() + 5e-4 if tie == 1 else mu[tied[0]]
+        stats = AssetStats(mu, stats.covariance)
+    cap = 1.0 if rng.random() < 0.4 else float(rng.uniform(1.0 / n, 0.5))
+    return stats, cap
+
+
+def claimed_gap(report) -> float:
+    return float(report.detail.removeprefix("fw_gap="))
+
+
+class TestPathQueries:
+    """The three mean-variance models as queries on one shared path, in a
+    random order, against an independent solve of each model's own problem:
+    `solve_qp` for `markowitz` and `simultaneous`, the bisection of
+    `oracles.py` for `reverse_markowitz`."""
+
+    def check_simultaneous(self, stats, cap, lam, path):
+        cfg = ModelConfig(lam=lam, cap=cap)
+        report = solve_simultaneous(stats, cfg, path=path)
+        ref = solve_qp(simultaneous_problem(stats, cfg)[0])
+        assert report.status is ref.status is SolveStatus.OPTIMAL
+        assert np.abs(report.allocation.weights - ref.v).max() <= 1e-9
+        assert abs(report.objective - ref.objective) <= 1e-9
+        assert claimed_gap(report) <= 1e-8 * (1.0 + abs(report.objective))
+
+    def check_markowitz(self, stats, cap, rho, path):
+        cfg = ModelConfig(rho=rho, cap=cap)
+        report = solve_markowitz(stats, cfg, path=path)
+        ref = solve_qp(markowitz_problem(stats, cfg)[0])
+        assert report.status is ref.status
+        if ref.status is not SolveStatus.OPTIMAL:
+            return
+        x = report.allocation.weights
+        assert abs(report.objective - ref.objective) <= 1e-9
+        assert claimed_gap(report) <= 1e-8 * (1.0 + abs(report.objective))
+        assert stats.mean_returns @ x >= rho - 1e-12
+        # Where long-only portfolios of zero variance meet the floor, they
+        # are all optimal and the weights are not unique; elsewhere they are.
+        if ref.objective > 1e-12:
+            assert np.abs(x - ref.v).max() <= 1e-9
+        else:
+            assert report.objective <= 1e-12
+
+    def check_reverse(self, stats, cap, sigma0, path):
+        report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0, cap=cap), path=path)
+        status, ref = bisection_reverse_markowitz(stats, sigma0, cap)
+        assert report.status is status
+        if status is SolveStatus.OPTIMAL:
+            x, mu, cov = report.allocation.weights, stats.mean_returns, stats.covariance
+            # the bisection stops within a floor interval of 1e-10 below
+            assert abs(report.objective - mu @ ref) <= 1e-9
+            assert np.sqrt(max(x @ cov @ x, 0.0)) <= sigma0 + 1e-6
+        assert claimed_gap(report) <= 1e-8 * (1.0 + report.objective)
+
+    def test_queries_match_independent_solves(self):
+        rng = np.random.default_rng(2121)
+        for _ in range(50):
+            stats, cap = path_instance(rng)
+            mu = stats.mean_returns
+            min_var = solve_qp(markowitz_problem(stats, ModelConfig(cap=cap), rho=None)[0])
+            top = solve_simultaneous(stats, ModelConfig(cap=cap))
+            lo, hi = float(mu @ min_var.v), float(mu @ top.allocation.weights)
+            std_lo = np.sqrt(max(min_var.objective, 0.0))
+            std_hi = np.sqrt(top.allocation.weights @ stats.covariance @ top.allocation.weights)
+            queries = ([(self.check_simultaneous, lam) for lam in (0.0, 0.3, 3.0, 30.0, 3e4)]
+                       # below the minimum-variance return, on the line, and
+                       # above the top return (Infeasible)
+                       + [(self.check_markowitz, float(rho))
+                          for rho in (lo - 1e-3, *np.linspace(lo, hi, 4), hi + 1e-4)]
+                       + [(self.check_reverse,
+                           float(std_lo + rng.uniform(0.1, 0.9) * (std_hi - std_lo)))])
+            path = MeanVariancePath(stats, cap)
+            for i in rng.permutation(len(queries)):
+                check, value = queries[i]
+                check(stats, cap, value, path)
+
+    def test_a_cap_below_one_over_n_is_infeasible_for_all_three(self):
+        stats = stats_from(np.random.default_rng(8).normal(0.001, 0.02, (5, 4)))
+        path = MeanVariancePath(stats, 0.15)
+        for solve, cfg in ((solve_markowitz, ModelConfig(rho=0.0, cap=0.15)),
+                           (solve_simultaneous, ModelConfig(lam=1.0, cap=0.15)),
+                           (solve_reverse_markowitz, ModelConfig(sigma0=0.02, cap=0.15))):
+            assert solve(stats, cfg, path=path).status is SolveStatus.INFEASIBLE
+            assert solve(stats, cfg).status is SolveStatus.INFEASIBLE
+
+    def test_a_path_of_other_estimates_or_cap_raises(self):
+        stats = stats_from(np.random.default_rng(9).normal(0.001, 0.02, (5, 4)))
+        other = stats_from(np.random.default_rng(10).normal(0.001, 0.02, (5, 4)))
+        with pytest.raises(DataError, match="mean-variance path"):
+            solve_simultaneous(stats, ModelConfig(lam=1.0, cap=0.5),
+                               path=MeanVariancePath(stats))
+        with pytest.raises(DataError, match="mean-variance path"):
+            solve_markowitz(stats, ModelConfig(rho=0.0), path=MeanVariancePath(other))
 
 
 class TestL1Augmentation:

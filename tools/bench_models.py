@@ -9,10 +9,12 @@ window (the root basis for `md_milp`), and its row's `start` says whether
 that start was taken (`warm`) or phase 1 ran (`cold`). Every other solve is
 cold. A checkout whose reports carry no basis solves them cold.
 
-Work is the model report's `iterations`: active-set iterations for
-`markowitz` and `simultaneous`, critical-line steps for `reverse_markowitz`,
-simplex pivots (both phases) for `mad` and `md`, and B&B
-nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
+Work is the model report's `iterations`: for the three mean-variance models
+the critical-line steps from the top-return vertex to the piece their point
+lies on (`markowitz`, `reverse_markowitz`, `simultaneous`; a checkout that
+solves `markowitz` and `simultaneous` by the active-set QP reports its
+steps and drops instead), simplex pivots (both phases) for `mad` and `md`,
+and B&B nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
 one more solve of the same problem from the same start (each node is one
 LP). That second solve is timed apart from building its problem, as
 `build_seconds` and `solve_seconds`, after the report's own solve. The LP
@@ -20,10 +22,12 @@ models also report the phase-1 pivots of their region, from the same start
 (0 where it is taken). `markowitz` and
 `reverse_markowitz` report their oracles' work, summed over every simplex
 state the solve builds: `oracle_states`, `oracle_pivots` and
-`oracle_factorizations` (inversions of a basis). `markowitz` builds one state
-for its QP solve (phase 1 and the certifying call); `reverse_markowitz`
-makes no QP solve and builds one state, whose top-return vertex starts its
-critical-line walk and whose last call certifies it. `md_milp` reports the
+`oracle_factorizations` (inversions of a basis). Solved alone, each
+mean-variance model builds its own critical line and with it one state,
+whose top-return vertex starts the walk; `reverse_markowitz` certifies its
+point with one more call in that state, and `markowitz` builds a second
+state, of the budget box and its return floor, whose one call certifies
+its point. `md_milp` reports the
 factorizations of its search's simplex state as `node_factorizations`. A
 checkout whose `SimplexState` lacks a counter records null for it. Inputs
 match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
@@ -32,6 +36,17 @@ column slice; where `ReturnMatrix` stores C order it solves to
 the same bits as the `backtest` command's date-mask window. The full window
 (all 125 days) is the `solve` command's input; its `mad` row is the largest,
 most degenerate LP the fixture gives.
+
+The `backtest` section solves the three mean-variance models in the
+`backtest` command's order on one shared `MeanVariancePath` of the train
+window (each model alone where the checkout has none), 10 times over with a
+fresh path each time. It reports each model's median seconds and its walk
+steps, the median of the three together, and `qp_builds`, the `QpProblem`s
+one pass builds. The first model carries the path's one build and its walk.
+The `sweep` section runs `lambda_sweep` on the default 100-point grid over
+the train window 3 times and reports the median seconds, `n_excluded`
+(points not Optimal), `qp_builds` and `path_pieces`, the pieces of the
+critical line the sweep walked (null on a checkout without one).
 
 The `data` section times the steps before any solve, first of all in the
 process: the fixture's ingest and the train window's seed-N perturbation,
@@ -66,6 +81,7 @@ TRAIN_END = "2020-05-01"
 RHO, SIGMA0, LAM, C_PERTURB = 0.001, 0.012, 0.08, 1000.0
 MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_milp")
 DRAWDOWN = ("mad", "md", "md_milp")
+MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
 ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 
 
@@ -129,6 +145,7 @@ def run(seed: int) -> dict:
     builders = {"mad": models.mad_problem, "md": models.md_problem}
     oracle_states = _record_states(qp_solver)
     search_states = _record_states(milp_solver)
+    builds = _count_builds(qp_solver)
 
     def solve(tag: str, window: ReturnMatrix, start=None) -> tuple[dict, object]:
         """The row of one solve, from `start` where one is given, and the
@@ -168,7 +185,78 @@ def run(seed: int) -> dict:
         "fixture": fixture,
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
         "full_window": {"mad": solve("mad", returns)[0]},
+        "backtest": _backtest(asset_stats(train), cfg, builds),
+        "sweep": _sweep(asset_stats(train), builds),
     }
+
+
+def _count_builds(qp_solver) -> list:
+    """Make every `QpProblem` built append its size to the returned list."""
+    builds = []
+    post_init = qp_solver.QpProblem.__post_init__
+
+    def counted(problem):
+        builds.append(problem.n_vars)
+        post_init(problem)
+
+    qp_solver.QpProblem.__post_init__ = counted
+    return builds
+
+
+def _backtest(stats, cfg, builds: list, repeats: int = 10) -> dict:
+    """The mean-variance models as the `backtest` command solves them;
+    `builds` lists the `QpProblem`s built."""
+    from statistics import median
+
+    from portopt import models
+
+    shared = getattr(models, "MeanVariancePath", None)
+    seconds = {tag: [] for tag in MEAN_VARIANCE}
+    totals, steps, qp_builds = [], {}, None
+    for _ in range(repeats):
+        builds.clear()
+        kw = {} if shared is None else {"path": shared(stats, cfg.cap)}
+        first = time.perf_counter()
+        for tag in MEAN_VARIANCE:
+            started = time.perf_counter()
+            report = models.SOLVERS[tag](None, stats, cfg, **kw)
+            seconds[tag].append(time.perf_counter() - started)
+            steps[tag] = report.iterations
+        totals.append(time.perf_counter() - first)
+        qp_builds = len(builds)
+    rows = {tag: {"seconds": round(median(seconds[tag]), 6), "work": steps[tag]}
+            for tag in MEAN_VARIANCE}
+    return {"shared_path": shared is not None, "repeats": repeats,
+            "seconds": round(median(totals), 6), "qp_builds": qp_builds, **rows}
+
+
+def _sweep(stats, builds: list, repeats: int = 3) -> dict:
+    """The default 100-point lambda sweep over the train window; `builds`
+    lists the `QpProblem`s built."""
+    from statistics import median
+
+    from portopt import analytics, models
+
+    lines = []
+    if hasattr(models, "CriticalLine"):
+        class Recorded(models.CriticalLine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                lines.append(self)
+
+        models.CriticalLine = Recorded
+    grid = analytics.lambda_grid()
+    times = []
+    for _ in range(repeats):
+        builds.clear()
+        lines.clear()
+        started = time.perf_counter()
+        result = analytics.lambda_sweep(stats, grid)
+        times.append(time.perf_counter() - started)
+    return {"points": len(grid), "repeats": repeats, "seconds": round(median(times), 6),
+            "n_excluded": sum(status != "Optimal" for status in result.statuses),
+            "chosen_lambda": result.chosen_lambda, "qp_builds": len(builds),
+            "path_pieces": sum(len(line.pieces) for line in lines) if lines else None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,8 +275,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data {step:14s} first {times['first_seconds']:.4f}s "
               f"min {times['min_seconds']:.4f}s")
     print(f"data perturbed_sha256 {data['perturbed_sha256']}")
+    for section in ("backtest", "sweep"):
+        print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
     for window, rows in result.items():
-        if window == "data":
+        if window in ("data", "backtest", "sweep"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
