@@ -24,9 +24,10 @@ from .core import (
     DimensionError,
     ModelConfig,
     ReturnMatrix,
+    SolveReport,
     SolveStatus,
 )
-from .estimation import (PerturbationConfig, covariance, covariance_change, mean_returns,
+from .estimation import (PerturbationConfig, asset_stats, covariance, covariance_change,
                          perturb_returns)
 from .models import READS_STATS, SOLVERS, MeanVariancePath, solve_simultaneous
 
@@ -229,28 +230,43 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     models that fail on either dataset carry the failure status instead of a
     number. Deterministic for a fixed perturbation seed.
 
-    The moment estimates are validated as `AssetStats` only when a model
-    that reads them (models.READS_STATS) is requested. The perturbed window
-    has the original's shape, so an LP model's perturbed solve starts from
-    the basis of its original solve, which a small perturbation usually
-    leaves optimal; its report's `detail` says whether that start was taken.
+    The moment estimates are built as `AssetStats` (`asset_stats`, which
+    certifies their covariance) only when a model that reads them
+    (models.READS_STATS) is requested; the covariance change then reads
+    their covariances, the same bits `covariance` gives. The mean-variance
+    models of one window and cap are queries on one `MeanVariancePath`, so
+    each window builds one QP. The perturbed window has the original's
+    shape, so an LP model's perturbed solve starts from the basis of its
+    original solve, which a small perturbation usually leaves optimal; its
+    report's `detail` says whether that start was taken.
     """
     unknown = set(cfgs) - set(SOLVERS)
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
-    shaken = perturb_returns(returns, pcfg)
-    cov_before, cov_after = covariance(returns), covariance(shaken)
-    stats_before = stats_after = None
+    windows = (returns, perturb_returns(returns, pcfg))
+    stats: tuple[AssetStats | None, ...] = (None, None)
     if READS_STATS.intersection(cfgs):
-        stats_before = AssetStats(mean_returns(returns), cov_before)
-        stats_after = AssetStats(mean_returns(shaken), cov_after)
+        stats = tuple(asset_stats(window) for window in windows)
+        cov_before, cov_after = (s.covariance for s in stats)
+    else:
+        cov_before, cov_after = (covariance(window) for window in windows)
     cov_diff, cov_rel = covariance_change(cov_before, cov_after)
+    paths: dict[tuple[int, float], MeanVariancePath] = {}
+
+    def solve(tag: str, k: int, **kw) -> SolveReport:
+        """Model `tag` on window k (0 original, 1 perturbed)."""
+        cfg = cfgs[tag]
+        if tag in READS_STATS:
+            key = (k, cfg.resolved_cap(1.0))
+            if key not in paths:
+                paths[key] = MeanVariancePath(stats[k], cfg.cap)
+            kw["path"] = paths[key]
+        return SOLVERS[tag](windows[k], stats[k], cfg, **kw)
 
     def run(tag: str) -> SensitivityRow:
-        cfg = cfgs[tag]
-        before = SOLVERS[tag](returns, stats_before, cfg)
+        before = solve(tag, 0)
         start = {} if before.basis is None else {"start": before.basis}
-        after = SOLVERS[tag](shaken, stats_after, cfg, **start)
+        after = solve(tag, 1, **start)
         if before.status is not SolveStatus.OPTIMAL or after.status is not SolveStatus.OPTIMAL:
             status = f"{before.status.value}/{after.status.value}"
             return SensitivityRow(model=tag, alloc_change_pct=None, status=status)

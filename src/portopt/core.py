@@ -116,7 +116,11 @@ class AssetStats:
     """Per-asset mean daily returns and the covariance matrix between assets.
 
     The covariance must be symmetric and positive semi-definite within
-    tolerance; both are checked here so downstream solvers can assume them.
+    tolerance, so downstream solvers can assume both. The constructor checks
+    a given matrix: finiteness, symmetry within SYM_TOL, a nonnegative
+    diagonal, and λ_min >= -PSD_TOL by a Cholesky (`_is_psd`).
+    `from_centered` computes the covariance itself from a block of centered
+    returns, and proves the same properties from that block instead.
     """
 
     mean_returns: np.ndarray
@@ -137,9 +141,70 @@ class AssetStats:
         if n > 0 and not _is_psd(self.covariance):
             raise DataError(f"covariance not positive semi-definite within {PSD_TOL}")
 
+    @classmethod
+    def from_centered(cls, mean_returns, centered) -> AssetStats:
+        """The estimates `mean_returns` and Σ̂ = `gram_covariance(centered)`,
+        computed here from an n x T block C of centered returns.
+
+        Σ̂ is symmetric bit for bit, because IEEE addition commutes, and its
+        diagonal holds sums of squares, so it is nonnegative; neither needs
+        a scan. CCᵀ/T is PSD, and rounding moves Σ̂ from it by at most
+        δ = (T + 3)·ε·‖C‖_F²/T + n(T + 1)·η in the 2-norm (ε the machine
+        epsilon, η the least subnormal, which covers underflow): each entry
+        of fl(CCᵀ) is a length-T inner product, within γ_T·|c_i|·|c_j| of
+        the exact one in any summation order, the division and the
+        symmetrization add 2u·‖C‖_F²/T more with u = ε/2, and the factor 2
+        left over covers the rounding of ‖C‖_F² (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., 2002, §3.5). By Weyl's
+        inequality λ_min(Σ̂) >= -δ, so δ <= PSD_TOL proves the PSD invariant
+        in O(nT). Where δ is larger, or ‖C‖_F² overflows, the constructor's
+        Cholesky check (`_is_psd`) runs on Σ̂ instead. A product that
+        overflows leaves Σ̂ non-finite, which raises as in the constructor.
+        The proof holds for any block, since the Σ̂ it certifies is the one
+        computed here; the constructor keeps every check for a given matrix.
+        """
+        mean = _frozen_array(mean_returns)
+        centered = np.asarray(centered, dtype=float)
+        n = mean.shape[0]
+        if mean.ndim != 1 or centered.ndim != 2 or centered.shape[0] != n \
+                or centered.shape[1] == 0:
+            raise DimensionError("mean_returns must be an n-vector and centered a nonempty "
+                                 "n x T block")
+        cov = gram_covariance(centered)
+        cov.setflags(write=False)  # computed here and held nowhere else
+        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+            raise DataError("mean returns and covariance must be finite")
+        certified = gram_psd_bound(centered) <= PSD_TOL  # False for an infinite bound
+        if not certified and n > 0 and not _is_psd(cov):
+            raise DataError(f"covariance not positive semi-definite within {PSD_TOL}")
+        stats = object.__new__(cls)
+        object.__setattr__(stats, "mean_returns", mean)
+        object.__setattr__(stats, "covariance", cov)
+        return stats
+
     @property
     def n_assets(self) -> int:
         return self.mean_returns.shape[0]
+
+
+def gram_covariance(centered: np.ndarray) -> np.ndarray:
+    """The population covariance 0.5·(D + Dᵀ), D = (C Cᵀ)/T, of an n x T
+    block C of centered returns: one formula for every covariance estimate,
+    so equal blocks give equal bits. A fresh C-ordered array."""
+    d = (centered @ centered.T) / centered.shape[1]
+    return np.ascontiguousarray(0.5 * (d + d.T))
+
+
+def gram_psd_bound(centered: np.ndarray) -> float:
+    """δ = (T + 3)·ε·‖C‖_F²/T + n(T + 1)·η, a bound on how far the rounding
+    of `gram_covariance(C)` can move λ_min below 0 (see
+    `AssetStats.from_centered`); inf when ‖C‖_F² overflows. O(nT)."""
+    n, t = centered.shape
+    flat = centered.ravel()
+    with np.errstate(over="ignore"):   # an overflow makes δ infinite, never certified
+        fro2 = float(flat @ flat)
+    info = np.finfo(float)
+    return (t + 3) * float(info.eps) * fro2 / t + n * (t + 1) * float(info.smallest_subnormal)
 
 
 def _is_psd(matrix: np.ndarray) -> bool:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, DimensionError, PriceMatrix, ReturnMatrix, AssetStats
+from .core import (AssetStats, DataError, DimensionError, PriceMatrix, ReturnMatrix,
+                   gram_covariance)
 
 
 @dataclass(frozen=True)
@@ -58,20 +59,29 @@ def mean_returns(returns: ReturnMatrix) -> np.ndarray:
 def covariance(returns: ReturnMatrix) -> np.ndarray:
     """Population covariance (divide by T) between asset return series.
 
-    Symmetrized explicitly so the result passes the AssetStats tolerance even
-    after floating-point accumulation on wide matrices.
+    `core.gram_covariance` of the centered returns C: 0.5·(D + Dᵀ) with
+    D = CCᵀ/T, symmetric bit for bit. `asset_stats` computes the same bits
+    through the same formula.
     """
     if returns.n_days < 2:
         raise DimensionError("need at least 2 days of returns for a covariance")
     r = returns.returns
-    centered = r - r.mean(axis=1, keepdims=True)
-    cov = (centered @ centered.T) / returns.n_days
-    return 0.5 * (cov + cov.T)
+    return gram_covariance(r - r.mean(axis=1, keepdims=True))
 
 
 def asset_stats(returns: ReturnMatrix) -> AssetStats:
-    """Bundle mean returns and covariance, validated as a unit."""
-    return AssetStats(mean_returns(returns), covariance(returns))
+    """Mean returns and covariance, validated as a unit.
+
+    `AssetStats.from_centered` computes the covariance from the centered
+    returns C, bit for bit `covariance(returns)`, and proves it PSD from C
+    in O(nT): by a rounding-error bound on the product CCᵀ/T where that
+    bound is within PSD_TOL, and otherwise by the constructor's Cholesky
+    check.
+    """
+    mean = mean_returns(returns)
+    if returns.n_days < 2:
+        raise DimensionError("need at least 2 days of returns for a covariance")
+    return AssetStats.from_centered(mean, returns.returns - mean[:, None])
 
 
 def perturb_returns(returns: ReturnMatrix, cfg: PerturbationConfig) -> ReturnMatrix:

@@ -219,6 +219,7 @@ class SimplexState:
         self.pivots = 0
         self.n_art = 0
         self.factorizations = 0
+        self._sibling: tuple[Basis, np.ndarray] | None = None   # the last reopen's B^-1
         self.set_bounds(problem.lower, problem.upper)
         self.warm = start is not None and self._warm_start(start)
         if not self.warm:
@@ -335,11 +336,12 @@ class SimplexState:
         self.feasible = self.primal_feasible()
         return self.feasible
 
-    def _take_basis(self, start: Basis):
+    def _take_basis(self, start: Basis, binv: np.ndarray | None = None):
         """Set the saved basis `start` under the state's bounds, with every
         artificial column nonbasic at 0, and refactorize it; raises
         LinAlgError when it is singular. A nonbasic whose resting bound is
-        gone moves to one that exists."""
+        gone moves to one that exists. `binv`, the inverse of this same
+        basis in this state's rows, is taken in place of the inversion."""
         status = start.status.copy()
         lower, upper = self.lower[:self.n_real], self.upper[:self.n_real]
         resting = _resting_status(lower, upper)
@@ -349,7 +351,10 @@ class SimplexState:
         status[~kept] = resting[~kept]
         self.set_basis(start.basic.copy(),
                        np.concatenate([status, np.full(self.n_art, AT_LOWER, dtype=np.int8)]))
-        self.refactorize()
+        if binv is None:
+            self.refactorize()
+        else:
+            self.binv = binv   # set_basis computed h - G x_N under these bounds
 
     def refactorize(self):
         """Set binv = B^-1 by one explicit inverse, and h - G x_N afresh. A
@@ -536,12 +541,22 @@ class SimplexState:
         an artificial starts from phase 1 instead. Meant for a basis optimal
         for `cost` before the change, as a branch-and-bound parent's is for
         its children.
+
+        B depends only on the basic columns, so two reopens of one saved
+        basis in a row, as a parent's two children are, invert it once: the
+        first keeps a copy of its B^-1, taken before its pivots, and the
+        second takes that copy in place of an inversion.
         """
         self.set_bounds(lower, upper)
+        sibling, self._sibling = self._sibling, None
         if np.any(start.basic >= self.n_real):   # the saved basis holds an artificial
             self._phase1()
             return self.minimize(cost)
-        self._take_basis(start)
+        if sibling is not None and sibling[0] is start:
+            self._take_basis(start, sibling[1])
+        else:
+            self._take_basis(start)
+            self._sibling = (start, self.binv.copy())
         self.feasible = self.dual_run(self._full_cost(cost)) == "feasible"
         return self.minimize(cost)
 

@@ -292,7 +292,7 @@ class TestSensitivity:
                                                                       monkeypatch):
         # Each drawdown model's second solve gets its first solve's basis and
         # reports start=warm; the rows are those of cold second solves up to
-        # rounding. The quadratic model gets no start.
+        # rounding. The quadratic model gets no start, and a path per window.
         from portopt import models
         reports, cold = {}, {}
         cfgs = dict.fromkeys(("markowitz", "mad", "md", "md_milp"), ModelConfig(rho=0.001))
@@ -316,7 +316,7 @@ class TestSensitivity:
             assert kw0 == {} and before.detail == ""
             assert kw1["start"] is before.basis and after.detail == "start=warm"
         (kw0, _), (kw1, _) = reports["markowitz"]
-        assert kw0 == kw1 == {}
+        assert set(kw0) == set(kw1) == {"path"} and kw0["path"] is not kw1["path"]
         for tag, solve in cold.items():
             monkeypatch.setitem(models.SOLVERS, tag, solve)
         reference = sensitivity_run(fixture_train, cfgs, pcfg)
@@ -326,17 +326,18 @@ class TestSensitivity:
             assert abs(row.alloc_change_pct - ref.alloc_change_pct) <= 1e-8 * ref.alloc_change_pct
 
     def test_stats_are_validated_only_for_models_that_read_them(self, monkeypatch):
-        # Two AssetStats (each with its PSD check) when a quadratic model is
-        # requested, none for the drawdown models alone; the covariance
-        # change is the same either way.
+        # Two AssetStats (each with its certified covariance) when a
+        # quadratic model is requested, none for the drawdown models alone;
+        # the covariance change is the same either way.
         built = []
+        from_centered = AssetStats.from_centered.__func__
 
-        class Counted(AssetStats):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
+        def counted(cls, mean, centered):
+            stats = from_centered(cls, mean, centered)
+            built.append(stats)
+            return stats
 
-        monkeypatch.setattr(analytics, "AssetStats", Counted)
+        monkeypatch.setattr(AssetStats, "from_centered", classmethod(counted))
         rng = np.random.default_rng(12)
         r = make_returns(rng.normal(0.002, 0.02, (6, 30)))
         pcfg = PerturbationConfig(seed=3)
@@ -348,6 +349,40 @@ class TestSensitivity:
         assert len(built) == 2
         assert (lp_only.cov_avg_abs_diff, lp_only.cov_relative_change) == (
             mixed.cov_avg_abs_diff, mixed.cov_relative_change)
+
+    MEAN_VARIANCE = {"markowitz": ModelConfig(rho=0.001),
+                     "reverse_markowitz": ModelConfig(sigma0=0.012),
+                     "simultaneous": ModelConfig(lam=0.08)}
+
+    def test_mean_variance_models_share_one_path_per_window(self, fixture_train, monkeypatch):
+        # Two certified estimates, one QpProblem per window, and so two
+        # Choleskys in all (the QPs' PSD checks); per-model paths give the
+        # same bits.
+        from portopt import models
+        builds, factored = [], []
+        post_init, cholesky = QpProblem.__post_init__, np.linalg.cholesky
+
+        def counted(problem):
+            builds.append(problem.n_vars)
+            post_init(problem)
+
+        def counted_cholesky(matrix, *args, **kwargs):
+            factored.append(matrix.shape)
+            return cholesky(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(QpProblem, "__post_init__", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        pcfg = PerturbationConfig(c=1000.0, seed=1)
+        shared = sensitivity_run(fixture_train, self.MEAN_VARIANCE, pcfg)
+        assert builds == [390, 390] and factored == [(390, 390)] * 2
+        for tag in self.MEAN_VARIANCE:
+            solve = models.SOLVERS[tag]
+            monkeypatch.setitem(models.SOLVERS, tag,
+                                lambda *args, _solve=solve, **kw: _solve(*args))
+        own = sensitivity_run(fixture_train, self.MEAN_VARIANCE, pcfg)
+        assert len(builds) == 2 + 6
+        assert shared == own
+        assert all(row.status == "Optimal" for row in shared.rows)
 
     def test_failures_reported_not_fatal(self):
         rng = np.random.default_rng(31)

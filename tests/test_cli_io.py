@@ -288,6 +288,23 @@ class TestCommands:
         assert all(row[1] != "" for row in rows)
         assert builds == [390]
 
+    def test_backtest_runs_one_cholesky_for_its_qp(self, tmp_path, monkeypatch):
+        # asset_stats certifies the train window's covariance from its
+        # centered returns, so the one Cholesky left is the QpProblem's.
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counted(matrix, *args, **kwargs):
+            factored.append(matrix.shape)
+            return cholesky(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        cfg = RunConfig(command="backtest", prices=str(FIXTURE_PATH),
+                        output_dir=str(tmp_path / "bt"), rho=0.001, sigma0=0.012, lam=0.08,
+                        train_end="2020-05-01", test_end="2020-07-31")
+        assert run_command(cfg) == 0
+        assert factored == [(390, 390)]
+
     def test_sweep_outputs(self, tmp_path):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices, n=6, days=25)

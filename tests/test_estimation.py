@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from portopt.core import AssetStats, DataError, DimensionError, PriceMatrix
+from portopt import core
+from portopt.core import (PSD_TOL, AssetStats, DataError, DimensionError, PriceMatrix,
+                          gram_psd_bound)
 from portopt.estimation import (
     PerturbationConfig,
     asset_stats,
@@ -142,7 +144,7 @@ class TestPerturbation:
         rng = np.random.default_rng(6)
         r = make_returns(rng.normal(0.001, 0.025, (8, 15)))
         shaken = perturb_returns(r, PerturbationConfig(seed=11))
-        stats = asset_stats(shaken)  # constructor enforces the PSD invariant
+        stats = asset_stats(shaken)  # from_centered certifies the PSD invariant
         assert isinstance(stats, AssetStats)
 
     @pytest.mark.parametrize("seed", [1.5, "3", None, np.float64(2.0)])
@@ -188,6 +190,89 @@ class TestPerAssetStreams:
         out = perturb_returns(fixture_train, PerturbationConfig(c=1000.0, seed=32))
         assert hashlib.sha256(out.returns.tobytes()).hexdigest() == (
             "0c9b4f91bbf16d685339bccb3fb2ee4b54e1ca25fdcea3e93cf1ac23f67376b2")
+
+
+def count_psd_checks(monkeypatch) -> list:
+    """Make the estimator's Cholesky check record each matrix it checks."""
+    calls = []
+    is_psd = core._is_psd
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return is_psd(matrix)
+
+    monkeypatch.setattr(core, "_is_psd", counted)
+    return calls
+
+
+def centered(returns):
+    r = returns.returns
+    return r - r.mean(axis=1, keepdims=True)
+
+
+class TestCertifiedEstimates:
+    """`asset_stats` computes the covariance from the centered block and
+    proves it PSD by the rounding bound δ of `gram_psd_bound`."""
+
+    @staticmethod
+    def assert_certified(returns):
+        stats = asset_stats(returns)
+        assert stats.mean_returns.tobytes() == mean_returns(returns).tobytes()
+        assert stats.covariance.tobytes() == covariance(returns).tobytes()
+        assert stats.covariance.flags.c_contiguous and not stats.covariance.flags.writeable
+        assert not stats.mean_returns.flags.writeable
+        delta = gram_psd_bound(centered(returns))
+        assert delta <= PSD_TOL
+        assert np.linalg.eigvalsh(stats.covariance).min() >= -delta
+
+    def test_fixture_windows_are_certified(self, fixture_returns, fixture_split, monkeypatch):
+        calls = count_psd_checks(monkeypatch)
+        for window in (*fixture_split, fixture_returns):
+            self.assert_certified(window)
+        assert calls == []
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["n>T", "n<T"])
+    def test_random_panels_are_certified(self, wide, monkeypatch):
+        calls = count_psd_checks(monkeypatch)
+        rng = np.random.default_rng(41 if wide else 42)
+        for _ in range(50):
+            n = int(rng.integers(3, 80))
+            t = int(rng.integers(2, n)) if wide else n + int(rng.integers(1, 80))
+            scale = 10.0 ** rng.uniform(-4, -1)
+            panel = rng.normal(0.0005, scale, (n, t))
+            panel[1] = panel[0]  # a duplicated asset: Σ is singular
+            self.assert_certified(make_returns(panel))
+        assert calls == []
+
+    def test_loose_bound_falls_back_to_the_cholesky_check(self, monkeypatch):
+        calls = count_psd_checks(monkeypatch)
+        r = make_returns(np.random.default_rng(5).uniform(0.0, 1e3, (30, 40)))
+        assert gram_psd_bound(centered(r)) > PSD_TOL
+        stats = asset_stats(r)
+        assert calls == [(30, 30)]
+        assert stats.covariance.tobytes() == covariance(r).tobytes()
+        monkeypatch.setattr(core, "_is_psd", lambda matrix: False)
+        with pytest.raises(DataError, match="positive semi-definite"):
+            asset_stats(r)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_overflowing_product_raises_as_the_constructor_does(self):
+        r = make_returns(np.array([[1e200, 3e200, 2e200], [0.0, 0.01, 0.02]]))
+        with pytest.raises(DataError, match="must be finite") as parent:
+            AssetStats(mean_returns(r), covariance(r))
+        with pytest.raises(DataError, match="must be finite") as certified:
+            asset_stats(r)
+        assert str(certified.value) == str(parent.value)
+
+    def test_from_centered_checks_shapes(self):
+        with pytest.raises(DimensionError):
+            AssetStats.from_centered(np.zeros(2), np.zeros((3, 4)))
+        with pytest.raises(DimensionError):
+            AssetStats.from_centered(np.zeros(2), np.zeros((2, 0)))
+        with pytest.raises(DimensionError):
+            AssetStats.from_centered(np.zeros((2, 1)), np.zeros((2, 4)))
+        with pytest.raises(DataError, match="must be finite"):
+            AssetStats.from_centered(np.array([np.nan, 0.0]), np.zeros((2, 4)))
 
 
 class TestCovarianceChange:

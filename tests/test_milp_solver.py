@@ -406,3 +406,42 @@ def test_md_milp_at_the_extreme_min_allocs():
             held = sol.v[layout.x][sol.v[layout.x] > 1e-9]
             assert np.allclose(held, cap, atol=1e-9)
     assert min(optimal.values()) >= 10, optimal
+
+
+def test_second_child_takes_its_siblings_inverse(monkeypatch):
+    # Both children of a node reopen its basis. With the first child's B^-1
+    # handed to the second, every search matches one that inverts for each
+    # child, node for node and bit for bit, with one inversion less per
+    # branched node.
+    def search(problem):
+        states = []
+
+        class Recorded(SimplexState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        monkeypatch.setattr(milp_solver, "SimplexState", Recorded)
+        sol = solve_milp(problem)
+        (state,) = states
+        return sol, state.factorizations
+
+    take_basis = SimplexState._take_basis
+    rng = np.random.default_rng(25)
+    branched_total = 0
+    for _ in range(6):
+        n, days = int(rng.integers(10, 26)), int(rng.integers(30, 71))
+        panel = rng.normal(0.0005, 0.01, (n, days))
+        problem = md_milp_problem(make_returns(panel), ModelConfig(rho=0.0))[0]
+        sol, inversions = search(problem)
+        with monkeypatch.context() as m:
+            m.setattr(SimplexState, "_take_basis",
+                      lambda self, start, binv=None: take_basis(self, start))
+            ref, ref_inversions = search(problem)
+        assert sol.status is ref.status is SolveStatus.OPTIMAL
+        assert (sol.nodes, sol.node_pivots) == (ref.nodes, ref.node_pivots)
+        assert sol.objective == ref.objective and sol.v.tobytes() == ref.v.tobytes()
+        branched = (sol.nodes - 1) // 2
+        assert ref_inversions - inversions == branched
+        branched_total += branched
+    assert branched_total >= 10

@@ -691,9 +691,11 @@ class TestMdMilp:
         held = np.flatnonzero(sol.v[layout.x] > 1e-9)
         assert [fixture_train.tickers[i] for i in held] == ["ABM", "ADJ", "AOW"]
 
-    def test_fixture_siblings_each_factorize_the_parent_basis(self, fixture_train, monkeypatch):
-        # Both children reopen from the root's basis and each inverts it.
-        # The weights' bytes are those of the explicit inverse.
+    def test_fixture_siblings_share_one_inverse_of_the_parent_basis(self, fixture_train,
+                                                                     monkeypatch):
+        # Both children reopen from the root's basis, which the first child
+        # inverts and the second takes from it. The weights' bytes are those
+        # of the explicit inverse.
         from portopt import milp_solver
         states = []
 
@@ -706,7 +708,7 @@ class TestMdMilp:
         problem, _ = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
         sol = solve_milp(problem)
         (state,) = states
-        assert state.factorizations == 2
+        assert state.factorizations == 1
         assert sol.objective == -0.01535672932609453
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
             "b00e6abe586d9537ff6ed19630599a3674389c035dc3ec65a75d662a0a8f2330")

@@ -54,6 +54,14 @@ each as its first call in the process (`first_seconds`; the first
 perturbation includes the lazy `numpy.random` import) and the least of 20
 more calls (`min_seconds`), with the SHA-256 of the perturbed returns.
 
+The `estimation` section times `asset_stats` on the train window the same
+way, right after the `data` steps, and reports the route by which it proved
+the covariance PSD: `certificate` (the O(nT) rounding bound on the centered
+block) or `cholesky` (the n x n check); `delta_over_psd_tol` is that bound,
+δ = (T + 3)·ε·‖C‖_F²/T, over `PSD_TOL`, computed here from the window. It
+also counts the `np.linalg.cholesky` calls of one fixture `backtest` command
+(`backtest_choleskys`).
+
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
 
@@ -141,6 +149,7 @@ def run(seed: int) -> dict:
         lambda: perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed)))
     data = {"ingest_seconds": ingest_seconds, "perturb_seconds": perturb_seconds,
             "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest()}
+    estimation = _estimation(train)
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
     builders = {"mad": models.mad_problem, "md": models.md_problem}
     oracle_states = _record_states(qp_solver)
@@ -182,12 +191,62 @@ def run(seed: int) -> dict:
         fixture[tag], bases[tag] = solve(tag, train)
     return {
         "data": data,
+        "estimation": estimation,
         "fixture": fixture,
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
         "full_window": {"mad": solve("mad", returns)[0]},
         "backtest": _backtest(asset_stats(train), cfg, builds),
         "sweep": _sweep(asset_stats(train), builds),
     }
+
+
+def _counting(fn, calls: list):
+    """`fn`, appending its first argument's shape to `calls` on each call."""
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return fn(matrix, *args, **kwargs)
+
+    return counted
+
+
+def _estimation(train) -> dict:
+    """`asset_stats` on the train window: its seconds, the route of its PSD
+    proof, the rounding bound over PSD_TOL, and the Choleskys of one
+    fixture `backtest`."""
+    import contextlib
+    import io
+    import tempfile
+
+    import numpy as np
+
+    from portopt import core
+    from portopt.cli_io import RunConfig, run_command
+    from portopt.estimation import asset_stats
+
+    seconds, _ = _timed(lambda: asset_stats(train))
+    checks, factored = [], []
+    is_psd, cholesky = core._is_psd, np.linalg.cholesky
+    core._is_psd = _counting(is_psd, checks)
+    try:
+        asset_stats(train)
+    finally:
+        core._is_psd = is_psd
+    r = train.returns
+    centered = r - r.mean(axis=1, keepdims=True)
+    days = r.shape[1]
+    delta = (days + 3) * np.finfo(float).eps * float(np.sum(centered * centered)) / days
+
+    np.linalg.cholesky = _counting(cholesky, factored)
+    try:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            run_command(RunConfig(command="backtest", prices=str(FIXTURE), output_dir=out,
+                                  rho=RHO, sigma0=SIGMA0, lam=LAM, train_end=TRAIN_END,
+                                  test_end="2020-07-31"))
+    finally:
+        np.linalg.cholesky = cholesky
+    return {"asset_stats_seconds": seconds, "route": "cholesky" if checks else "certificate",
+            "delta_over_psd_tol": float(f"{delta / core.PSD_TOL:.4g}"),
+            "backtest_choleskys": len(factored)}
 
 
 def _count_builds(qp_solver) -> list:
@@ -275,10 +334,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data {step:14s} first {times['first_seconds']:.4f}s "
               f"min {times['min_seconds']:.4f}s")
     print(f"data perturbed_sha256 {data['perturbed_sha256']}")
-    for section in ("backtest", "sweep"):
+    for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
     for window, rows in result.items():
-        if window in ("data", "backtest", "sweep"):
+        if window in ("data", "estimation", "backtest", "sweep"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
