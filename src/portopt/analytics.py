@@ -24,12 +24,10 @@ from .core import (
     DimensionError,
     ModelConfig,
     ReturnMatrix,
-    SolveReport,
     SolveStatus,
 )
-from .estimation import (PerturbationConfig, asset_stats, covariance, covariance_change,
-                         perturb_returns)
-from .models import READS_STATS, SOLVERS, MeanVariancePath, solve_simultaneous
+from .estimation import PerturbationConfig, asset_stats, covariance_change, perturb_returns
+from .models import SOLVERS, solve_simultaneous
 
 log = logging.getLogger(__name__)
 
@@ -131,9 +129,10 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepR
     when the cap cannot hold the budget) keeps that status and NaN
     coordinates and is excluded, with one logged warning counting the
     excluded points by status; a point whose solve raises aborts the sweep
-    with that exception. Every point is a query on one `MeanVariancePath`, so
-    the sweep builds one QP and walks its critical line once, and each
-    point's report carries its own certificate.
+    with that exception. Every point is a query on the critical line that
+    `stats` keeps for `cap`, so the sweep builds at most one QP (none where
+    an earlier query on `stats` built that line) and walks the line once,
+    and each point's report carries its own certificate.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -141,9 +140,7 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepR
     if any(g < 0 for g in grid):
         raise DataError("lambda values must be nonnegative")
 
-    path = MeanVariancePath(stats, cap)
-    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap), path=path)
-               for lam in grid]
+    reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap)) for lam in grid]
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:
@@ -183,8 +180,8 @@ def lambda_grid(low: float = 1e-3, high: float = 1e4, count: int = 100,
     seven orders of magnitude, so linear spacing degenerates)."""
     if spacing not in ("log", "linear"):
         raise DataError("spacing must be 'log' or 'linear'")
-    if count < 1 or low <= 0 or high < low:
-        raise DataError("grid needs count >= 1 and 0 < low <= high")
+    if count < 1 or not 0 < low <= high < np.inf:
+        raise DataError("grid needs count >= 1 and 0 < low <= high < inf")
     if count == 1:
         return [low]
     space = np.geomspace if spacing == "log" else np.linspace
@@ -230,12 +227,11 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     models that fail on either dataset carry the failure status instead of a
     number. Deterministic for a fixed perturbation seed.
 
-    The moment estimates are built as `AssetStats` (`asset_stats`, which
-    certifies their covariance) only when a model that reads them
-    (models.READS_STATS) is requested; the covariance change then reads
-    their covariances, the same bits `covariance` gives. The mean-variance
-    models of one window and cap are queries on one `MeanVariancePath`, so
-    each window builds one QP. The perturbed window has the original's
+    Each window's moment estimates are built once as `AssetStats`
+    (`asset_stats`, which certifies their covariance in O(nT)), and the
+    covariance change reads their covariances. The mean-variance models of
+    one window and cap are queries on the critical line its estimates keep,
+    so each window builds one QP. The perturbed window has the original's
     shape, so an LP model's perturbed solve starts from the basis of its
     original solve, which a small perturbation usually leaves optimal; its
     report's `detail` says whether that start was taken.
@@ -244,29 +240,14 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
     windows = (returns, perturb_returns(returns, pcfg))
-    stats: tuple[AssetStats | None, ...] = (None, None)
-    if READS_STATS.intersection(cfgs):
-        stats = tuple(asset_stats(window) for window in windows)
-        cov_before, cov_after = (s.covariance for s in stats)
-    else:
-        cov_before, cov_after = (covariance(window) for window in windows)
-    cov_diff, cov_rel = covariance_change(cov_before, cov_after)
-    paths: dict[tuple[int, float], MeanVariancePath] = {}
-
-    def solve(tag: str, k: int, **kw) -> SolveReport:
-        """Model `tag` on window k (0 original, 1 perturbed)."""
-        cfg = cfgs[tag]
-        if tag in READS_STATS:
-            key = (k, cfg.resolved_cap(1.0))
-            if key not in paths:
-                paths[key] = MeanVariancePath(stats[k], cfg.cap)
-            kw["path"] = paths[key]
-        return SOLVERS[tag](windows[k], stats[k], cfg, **kw)
+    stats = tuple(asset_stats(window) for window in windows)
+    cov_diff, cov_rel = covariance_change(stats[0].covariance, stats[1].covariance)
 
     def run(tag: str) -> SensitivityRow:
-        before = solve(tag, 0)
+        solve, cfg = SOLVERS[tag], cfgs[tag]
+        before = solve(windows[0], stats[0], cfg)
         start = {} if before.basis is None else {"start": before.basis}
-        after = solve(tag, 1, **start)
+        after = solve(windows[1], stats[1], cfg, **start)
         if before.status is not SolveStatus.OPTIMAL or after.status is not SolveStatus.OPTIMAL:
             status = f"{before.status.value}/{after.status.value}"
             return SensitivityRow(model=tag, alloc_change_pct=None, status=status)

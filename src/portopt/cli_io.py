@@ -45,7 +45,7 @@ from .core import (
     SolveStatus,
 )
 from .estimation import PerturbationConfig, asset_stats, compute_simple_returns
-from .models import MODEL_FIELDS, READS_STATS, SOLVERS, MeanVariancePath
+from .models import MODEL_FIELDS, SOLVERS
 
 log = logging.getLogger(__name__)
 
@@ -485,13 +485,11 @@ def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     train, test = train_test_split(returns, spec)
     stats = asset_stats(train)
     model_cfg = cfg.model_config()
-    # the mean-variance models share one critical line of the train window
-    path = MeanVariancePath(stats, model_cfg.cap)
 
     rows1, rows2 = [], []
     for tag in tags:
-        kw = {"path": path} if tag in READS_STATS else {}
-        report = SOLVERS[tag](train, stats, model_cfg, **kw)
+        # the mean-variance models share the critical line `stats` keeps
+        report = SOLVERS[tag](train, stats, model_cfg)
         if report.status is not SolveStatus.OPTIMAL:
             rows1.append([tag, report.status.value, "", "", "", f"{report.wall_time:.6f}"])
             rows2.append([tag, report.status.value, "", "", ""])

@@ -2,8 +2,11 @@
 
 All quantities are daily decimals (a 1% move is 0.01, never 1.0); rendering in
 percent happens only at the reporting layer. Every type validates its own
-invariants at construction and is immutable afterwards, so instances can be
-shared freely across threads.
+invariants at construction and is immutable afterwards, with one exception:
+`AssetStats.critical_lines`, a memo of what the estimates determine, which
+the mean-variance models fill as they are queried. The package runs no
+threads; a caller that queries one `AssetStats` from several threads at once
+must lock it, because a kept line walks on as it is queried.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .lp_solver import Basis
+    from .qp_solver import CriticalLine
 
 BUDGET_TOL = 1e-8
 BOX_TOL = 1e-9
@@ -121,10 +125,18 @@ class AssetStats:
     diagonal, and λ_min >= -PSD_TOL by a Cholesky (`_is_psd`).
     `from_centered` computes the covariance itself from a block of centered
     returns, and proves the same properties from that block instead.
+
+    `critical_lines` maps a resolved cap to the Markowitz critical line of
+    these estimates under it (`models._line`): the three mean-variance
+    models build a line on their first query and answer later ones from the
+    kept line. It is not an estimate, so it is not in the constructor, the
+    comparison or the repr, and every route of construction starts it empty.
     """
 
     mean_returns: np.ndarray
     covariance: np.ndarray
+    critical_lines: dict[float, CriticalLine] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean_returns", _frozen_array(self.mean_returns))
@@ -180,6 +192,7 @@ class AssetStats:
         stats = object.__new__(cls)
         object.__setattr__(stats, "mean_returns", mean)
         object.__setattr__(stats, "covariance", cov)
+        object.__setattr__(stats, "critical_lines", {})
         return stats
 
     @property
@@ -297,10 +310,10 @@ class ModelConfig:
             raise DataError("rho must be finite")
         if self.sigma0 is not None and not self.sigma0 > 0:
             raise DataError("sigma0 must be positive")
-        if self.lam < 0:
-            raise DataError("lambda must be nonnegative")
-        if self.mu_l1 < 0:
-            raise DataError("mu_l1 must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise DataError("lambda must be finite and nonnegative")
+        if not 0 <= self.mu_l1 < np.inf:
+            raise DataError("mu_l1 must be finite and nonnegative")
         if self.cap is not None and not 0 < self.cap <= 1.0:
             raise DataError("need 0 < cap <= 1")
         if not 0 < self.min_alloc <= 1.0:

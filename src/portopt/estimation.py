@@ -28,8 +28,8 @@ class PerturbationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise DataError("perturbation scale c must be positive")
+        if not 0 < self.c < np.inf:
+            raise DataError("perturbation scale c must be finite and positive")
         if not isinstance(self.seed, (int, np.integer)):
             raise DataError(f"perturbation seed must be an integer, got {self.seed!r}")
         if self.seed < 0:

@@ -7,10 +7,12 @@ of v'Sigma v - t mean'v over the budget box, Markowitz's critical line
 return floor is the point where the return reaches the floor, the
 simultaneous model at lambda is v(1/lambda), and the reverse model (maximize
 return subject to a standard-deviation ceiling) is the point where the
-standard deviation reaches the ceiling. A `MeanVariancePath` builds the
-line once for its moment estimates and cap, so models solved on one path
-share one QP build and one walk; each query takes exact steps and certifies
-its point with one oracle call. The mean-absolute-deviation and
+standard deviation reaches the ceiling. The line depends only on the
+moment estimates and the cap, so the estimates keep it
+(`AssetStats.critical_lines`): the first query under a cap builds it, and
+every later query on those estimates and that cap, by any of the three
+models, walks on from the kept line. Each query takes exact steps and
+certifies its point with one oracle call. The mean-absolute-deviation and
 max-drawdown models are epigraph LPs for the simplex; the
 minimum-allocation drawdown variant is the `md` LP with each weight on/off
 (0 or at least min_alloc), for branch and bound.
@@ -80,7 +82,7 @@ def markowitz_problem(stats: AssetStats, cfg: ModelConfig,
     """Minimum-variance QP: min x' Sigma x s.t. mean' x >= rho, sum x = 1, box.
 
     Passing rho=None drops the return row entirely (the global minimum-variance
-    portfolio); that budget-box problem is the one a `MeanVariancePath` walks.
+    portfolio); that budget-box problem is the one the critical line walks.
     """
     if rho is _FROM_CONFIG:
         rho = cfg.require_rho()
@@ -196,65 +198,45 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
 # solve entry points
 # ---------------------------------------------------------------------------
 
-class MeanVariancePath:
-    """The critical line of one set of moment estimates and cap, which the
-    three mean-variance models answer as queries.
-
-    Nothing is built until the first query, so the first model solved on
-    the path carries its one `QpProblem` build, in its own `time_s`, and the
-    walk down to its point; later queries walk on only past the deepest
-    point so far. A query with other estimates or another cap raises.
-    """
-
-    def __init__(self, stats: AssetStats, cap: float | None = None):
-        self.stats, self.cfg = stats, ModelConfig(cap=cap)
-        self._line: CriticalLine | None = None
-
-    def line(self, stats: AssetStats, cfg: ModelConfig) -> CriticalLine:
-        if stats is not self.stats or cfg.resolved_cap(1.0) != self.cfg.resolved_cap(1.0):
-            raise DataError("the mean-variance path was built for other moment estimates "
-                            "or another cap")
-        if self._line is None:
-            problem, _ = markowitz_problem(stats, self.cfg, rho=None)
-            self._line = CriticalLine(problem, stats.mean_returns)
-        return self._line
+def _line(stats: AssetStats, cfg: ModelConfig) -> CriticalLine:
+    """The critical line of `stats` under cfg's cap, which the three
+    mean-variance models query, kept in `stats.critical_lines`. The first
+    query under a cap builds it, so that model carries the one `QpProblem`
+    build, in its own `time_s`, and the walk down to its point; later
+    queries walk on only past the deepest point so far."""
+    cap = cfg.resolved_cap(1.0)
+    if cap not in stats.critical_lines:
+        problem, _ = markowitz_problem(stats, cfg, rho=None)
+        stats.critical_lines[cap] = CriticalLine(problem, stats.mean_returns)
+    return stats.critical_lines[cap]
 
 
-def _line(stats: AssetStats, cfg: ModelConfig, path: MeanVariancePath | None) -> CriticalLine:
-    """The critical line a mean-variance model queries: `path`'s, or a line
-    of its own."""
-    return (path or MeanVariancePath(stats, cfg.cap)).line(stats, cfg)
-
-
-def solve_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                    path: MeanVariancePath | None = None) -> SolveReport:
+def solve_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """Model: minimize portfolio variance subject to a required mean return.
 
-    The point of the critical line where the return reaches rho, from
-    `path` or a line of its own. The report's objective is the portfolio
-    variance x' Sigma x, plus the L1 penalty mu_l1 * sum |x_i| = mu_l1 when
-    cfg.mu_l1 > 0; `iterations` counts the walk's steps to the point, and
-    `detail` carries the Frank-Wolfe gap over the budget box and the return
-    floor.
+    The point of the critical line of `stats` where the return reaches rho.
+    The report's objective is the portfolio variance x' Sigma x, plus the L1
+    penalty mu_l1 * sum |x_i| = mu_l1 when cfg.mu_l1 > 0; `iterations`
+    counts the walk's steps to the point, and `detail` carries the
+    Frank-Wolfe gap over the budget box and the return floor.
     """
     started = time.perf_counter()
     rho = cfg.require_rho()
-    sol = _line(stats, cfg, path).at_return(rho)
+    sol = _line(stats, cfg).at_return(rho)
     return _mean_variance_report("markowitz", sol, cfg, started)
 
 
 def solve_simultaneous(stats: AssetStats, cfg: ModelConfig, *,
-                       gap_tol: float = GAP_TOL_DEFAULT,
-                       path: MeanVariancePath | None = None) -> SolveReport:
+                       gap_tol: float = GAP_TOL_DEFAULT) -> SolveReport:
     """Model: minimize -mean return + lambda * variance over the budget box.
 
-    The point v(1/lambda) of the critical line, from `path` or a line of
-    its own (at lambda = 0, the top-return vertex the oracle finds). Its
-    Frank-Wolfe gap for this objective must meet gap_tol. As in
-    `solve_markowitz`, cfg.mu_l1 > 0 adds the L1 penalty.
+    The point v(1/lambda) of the critical line of `stats` (at lambda = 0,
+    the top-return vertex the oracle finds). Its Frank-Wolfe gap for this
+    objective must meet gap_tol. As in `solve_markowitz`, cfg.mu_l1 > 0
+    adds the L1 penalty.
     """
     started = time.perf_counter()
-    sol = _line(stats, cfg, path).at_penalty(cfg.lam, gap_tol)
+    sol = _line(stats, cfg).at_penalty(cfg.lam, gap_tol)
     return _mean_variance_report("simultaneous", sol, cfg, started)
 
 
@@ -272,13 +254,12 @@ def _mean_variance_report(tag: str, sol: QpSolution, cfg: ModelConfig,
                    sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
 
 
-def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
-                            path: MeanVariancePath | None = None) -> SolveReport:
+def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """Model: maximize mean return subject to a standard-deviation ceiling.
 
-    Walks the critical line, from `path` or a line of its own, from the
-    top-return vertex down to where the standard deviation reaches sigma0,
-    in one simplex state and without a QP solve. The point minimizes
+    Walks the critical line of `stats` from the top-return vertex down to
+    where the standard deviation reaches sigma0, in one simplex state and
+    without a QP solve. The point minimizes
     variance for its own return floor; `detail` carries the Frank-Wolfe gap
     that certifies it. The report's objective is its mean return and
     `iterations` counts the walk's steps. Where even the minimum-variance
@@ -288,7 +269,7 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig, *,
     """
     started = time.perf_counter()
     sigma0 = cfg.require_sigma0()
-    sol = _line(stats, cfg, path).at_variance(sigma0 ** 2)
+    sol = _line(stats, cfg).at_variance(sigma0 ** 2)
     status = sol.status
     if (status is SolveStatus.OPTIMAL
             and sol.v @ stats.covariance @ sol.v > (sigma0 + SIGMA_SLACK) ** 2):
@@ -357,29 +338,20 @@ def _start_detail(start: Basis | None, warm: bool) -> str:
     return "start=warm" if warm else "start=cold"
 
 
-# Each model's solve, called as SOLVERS[tag](returns, stats, cfg). The models
-# of _FROM_STATS read only the moment estimates `stats`, and take a
-# `MeanVariancePath` of those estimates by keyword, as `path=`, to share one
-# critical line; those of _FROM_RETURNS read only the returns, and take
-# `stats=None`. A drawdown model's report carries its final basis, and its
-# solve takes a report's basis back by keyword, as `start=`, for a window of
-# the same shape.
-_FROM_STATS = {
-    "markowitz": lambda returns, stats, cfg, *, path=None: solve_markowitz(stats, cfg,
-                                                                          path=path),
-    "reverse_markowitz": lambda returns, stats, cfg, *, path=None: solve_reverse_markowitz(
-        stats, cfg, path=path),
-    "simultaneous": lambda returns, stats, cfg, *, path=None: solve_simultaneous(stats, cfg,
-                                                                                path=path),
-}
-_FROM_RETURNS = {
+# Each model's solve, called as SOLVERS[tag](returns, stats, cfg). The three
+# mean-variance models read only the moment estimates `stats`; the drawdown
+# models read only the returns, and take `stats=None`. A drawdown model's
+# report carries its final basis, and its solve takes a report's basis back
+# by keyword, as `start=`, for a window of the same shape.
+SOLVERS = {
+    "markowitz": lambda returns, stats, cfg: solve_markowitz(stats, cfg),
+    "reverse_markowitz": lambda returns, stats, cfg: solve_reverse_markowitz(stats, cfg),
+    "simultaneous": lambda returns, stats, cfg: solve_simultaneous(stats, cfg),
     "mad": lambda returns, stats, cfg, *, start=None: solve_mad(returns, cfg, start=start),
     "md": lambda returns, stats, cfg, *, start=None: solve_md(returns, cfg, start=start),
     "md_milp": lambda returns, stats, cfg, *, start=None: solve_md_milp(returns, cfg,
                                                                        start=start),
 }
-SOLVERS = {**_FROM_STATS, **_FROM_RETURNS}
-READS_STATS = frozenset(_FROM_STATS)
 
 # The ModelConfig fields each model reads. The CLI refuses a model option set
 # away from its default when no model of the run reads it.

@@ -44,8 +44,8 @@ each piece it walks. The three mean-variance models are queries on one such
 line: where v'Qv reaches a level (the reverse model), v(1/lambda) (the
 penalized model) and where mu'v reaches a floor (minimum variance). Each
 query certifies its point with one oracle call, and the line walks only as
-far as its deepest query. `critical_line` is the level query on a line of its
-own.
+far as its deepest query. The moment estimates keep one line per cap
+(`models._line`), which every mean-variance query on them walks.
 """
 
 from __future__ import annotations
@@ -239,9 +239,10 @@ class CriticalLine:
             if room >= 0.0 or piece.t_lo == 0.0:
                 break
         # v'Qv at t_lo + s in [t_lo, t_hi] is var + 2 b s + a s^2; its
-        # root s = room / (b + sqrt(b^2 + a room)) is the stable form
+        # root s = room / (b + sqrt(b^2 + a room)) is the stable form (a room
+        # is 0 where a is, also for the infinite room of an infinite level)
         room, b, a = max(room, 0.0), float(x_next @ q @ x1), float(x1 @ q @ x1)
-        den = b + np.sqrt(b * b + a * room)
+        den = b + np.sqrt(b * b + (a * room if a else 0.0))
         s = min(room / den, piece.t_hi - piece.t_lo) if den > 0.0 else 0.0
         x, t = x_next + s * x1, piece.t_lo + s
         f = float(x @ q @ x - t * (mu @ x))
@@ -361,13 +362,6 @@ class CriticalLine:
         self._visited.add(side.tobytes())
         j = _pick(np.flatnonzero(t_ev >= t_next - 1e-9 * t_next), rate, self._bland)
         side[j] = 0 if side[j] else (-1 if piece.x1[j] > 0 else 1)
-
-
-def critical_line(problem: QpProblem, mu: np.ndarray, level: float) -> QpSolution:
-    """The point of the critical line where v'Qv reaches `level`: the
-    `CriticalLine.at_variance` query on a line of its own, which walks no
-    further than that point."""
-    return CriticalLine(problem, mu).at_variance(level)
 
 
 def _infeasible(n: int) -> QpSolution:

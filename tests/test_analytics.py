@@ -194,9 +194,11 @@ class TestLambdaSweep:
             assert gap <= 1e-8 * (1.0 + abs(report.objective))
         assert sweep.chosen_lambda == 14.849682622544634
 
-    def test_sweep_builds_one_qp_for_every_point(self, fixture_stats, monkeypatch):
+    def test_sweep_builds_one_qp_for_every_point(self, fixture_train, monkeypatch):
         # Every grid point is a query on one critical line; each still goes
-        # through the module's solve_simultaneous, with its own report.
+        # through the module's solve_simultaneous, with its own report. The
+        # estimates are fresh: the shared fixture's keep a line other tests
+        # built.
         builds, calls = [], []
         post_init, solve = QpProblem.__post_init__, analytics.solve_simultaneous
 
@@ -211,7 +213,7 @@ class TestLambdaSweep:
         monkeypatch.setattr(QpProblem, "__post_init__", counted)
         monkeypatch.setattr(analytics, "solve_simultaneous", recorded)
         grid = lambda_grid()
-        sweep = lambda_sweep(fixture_stats, grid)
+        sweep = lambda_sweep(asset_stats(fixture_train), grid)
         assert sweep.statuses == ("Optimal",) * 100
         assert calls == grid and builds == [390]
 
@@ -223,8 +225,10 @@ class TestLambdaSweep:
         assert np.allclose(ratios, ratios[0])
         lin_grid = lambda_grid(1.0, 5.0, 5, "linear")
         assert np.allclose(np.diff(lin_grid), 1.0)
-        with pytest.raises(DataError):
-            lambda_grid(0.0, 1.0, 5)
+        for low, high in ((0.0, 1.0), (np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan),
+                          (np.inf, np.inf)):
+            with pytest.raises(DataError):
+                lambda_grid(low, high, 5)
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_grid_rejects_an_unknown_spacing_at_any_count(self, count):
@@ -292,7 +296,7 @@ class TestSensitivity:
                                                                       monkeypatch):
         # Each drawdown model's second solve gets its first solve's basis and
         # reports start=warm; the rows are those of cold second solves up to
-        # rounding. The quadratic model gets no start, and a path per window.
+        # rounding. The quadratic model gets no keyword at all.
         from portopt import models
         reports, cold = {}, {}
         cfgs = dict.fromkeys(("markowitz", "mad", "md", "md_milp"), ModelConfig(rho=0.001))
@@ -316,7 +320,7 @@ class TestSensitivity:
             assert kw0 == {} and before.detail == ""
             assert kw1["start"] is before.basis and after.detail == "start=warm"
         (kw0, _), (kw1, _) = reports["markowitz"]
-        assert set(kw0) == set(kw1) == {"path"} and kw0["path"] is not kw1["path"]
+        assert kw0 == kw1 == {}
         for tag, solve in cold.items():
             monkeypatch.setitem(models.SOLVERS, tag, solve)
         reference = sensitivity_run(fixture_train, cfgs, pcfg)
@@ -325,10 +329,10 @@ class TestSensitivity:
             assert (row.model, row.status) == (ref.model, ref.status)
             assert abs(row.alloc_change_pct - ref.alloc_change_pct) <= 1e-8 * ref.alloc_change_pct
 
-    def test_stats_are_validated_only_for_models_that_read_them(self, monkeypatch):
-        # Two AssetStats (each with its certified covariance) when a
-        # quadratic model is requested, none for the drawdown models alone;
-        # the covariance change is the same either way.
+    def test_stats_are_built_once_per_window_for_any_models(self, monkeypatch):
+        # Two AssetStats, each with its certified covariance, whichever
+        # models are requested; the covariance change reads their
+        # covariances, so it is the same for any models.
         built = []
         from_centered = AssetStats.from_centered.__func__
 
@@ -343,10 +347,10 @@ class TestSensitivity:
         pcfg = PerturbationConfig(seed=3)
         lp_only = sensitivity_run(r, {"mad": ModelConfig(rho=0.0), "md": ModelConfig(rho=0.0)},
                                   pcfg)
-        assert built == []
+        assert len(built) == 2
         mixed = sensitivity_run(r, {"md": ModelConfig(rho=0.0),
                                     "simultaneous": ModelConfig(lam=1.0)}, pcfg)
-        assert len(built) == 2
+        assert len(built) == 4
         assert (lp_only.cov_avg_abs_diff, lp_only.cov_relative_change) == (
             mixed.cov_avg_abs_diff, mixed.cov_relative_change)
 
@@ -356,8 +360,8 @@ class TestSensitivity:
 
     def test_mean_variance_models_share_one_path_per_window(self, fixture_train, monkeypatch):
         # Two certified estimates, one QpProblem per window, and so two
-        # Choleskys in all (the QPs' PSD checks); per-model paths give the
-        # same bits.
+        # Choleskys in all (the QPs' PSD checks); a line per model, from
+        # estimates of its own, gives the same bits.
         from portopt import models
         builds, factored = [], []
         post_init, cholesky = QpProblem.__post_init__, np.linalg.cholesky
@@ -377,8 +381,11 @@ class TestSensitivity:
         assert builds == [390, 390] and factored == [(390, 390)] * 2
         for tag in self.MEAN_VARIANCE:
             solve = models.SOLVERS[tag]
-            monkeypatch.setitem(models.SOLVERS, tag,
-                                lambda *args, _solve=solve, **kw: _solve(*args))
+
+            def own_line(returns, stats, cfg, _solve=solve):
+                return _solve(returns, AssetStats(stats.mean_returns, stats.covariance), cfg)
+
+            monkeypatch.setitem(models.SOLVERS, tag, own_line)
         own = sensitivity_run(fixture_train, self.MEAN_VARIANCE, pcfg)
         assert len(builds) == 2 + 6
         assert shared == own

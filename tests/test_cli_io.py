@@ -515,7 +515,9 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flags, message", [
         (["--seed", "-1"], "perturbation seed must be non-negative, got -1"),
-    ], ids=["seed-negative"])
+        (["--c", "inf"], "perturbation scale c must be finite and positive"),
+        (["--c", "nan"], "perturbation scale c must be finite and positive"),
+    ], ids=["seed-negative", "c-infinite", "c-nan"])
     def test_sensitivity_out_of_range_input_refused(self, tmp_path, capsys, flags, message):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)

@@ -95,9 +95,13 @@ class TestTypes:
             ModelConfig(sigma0=-0.1)
         with pytest.raises(DataError):
             ModelConfig(lam=-1.0)
-        for bad in (dict(cap=0.0), dict(cap=1.5), dict(min_alloc=0.0), dict(min_alloc=1.5)):
+        for bad in (dict(cap=0.0), dict(cap=1.5), dict(min_alloc=0.0), dict(min_alloc=1.5),
+                    dict(lam=np.nan), dict(lam=np.inf), dict(mu_l1=np.nan),
+                    dict(mu_l1=np.inf), dict(mu_l1=-1.0)):
             with pytest.raises(DataError):
                 ModelConfig(**bad)
+        # an infinite ceiling is no ceiling (the reverse model's top vertex)
+        assert ModelConfig(sigma0=np.inf).sigma0 == np.inf
         # each range is checked alone; md_milp checks min_alloc against its
         # resolved cap (test_models::test_min_alloc_above_cap_rejected)
         assert ModelConfig(min_alloc=0.6, cap=0.5).cap == 0.5

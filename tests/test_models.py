@@ -21,9 +21,7 @@ from portopt.lp_solver import AT_LOWER, BASIC, Basis, LpProblem, SimplexState, s
 from portopt.milp_solver import solve_milp
 from portopt.models import (
     MODEL_FIELDS,
-    READS_STATS,
     SOLVERS,
-    MeanVariancePath,
     ModelLayout,
     mad_problem,
     markowitz_problem,
@@ -43,8 +41,18 @@ from conftest import FIXTURE_PATH, FIXTURE_RHO, make_returns
 from oracles import big_m_milp, bisection_reverse_markowitz, grid_best_mad, weight_grid
 
 
+MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
+
+
 def stats_from(data):
     return asset_stats(make_returns(np.asarray(data, dtype=float)))
+
+
+def answer(report):
+    """A report's status, objective and weight bytes: its answer without
+    its timing."""
+    weights = None if report.allocation is None else report.allocation.weights.tobytes()
+    return report.status, report.objective, weights
 
 
 rng_global = np.random.default_rng(2024)
@@ -353,7 +361,7 @@ class TestFixtureFrontier:
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
             "2ea33f334ad2cf5bc3510d2a39048855a8d859737041453a6faa327f800a9b13")
 
-    def test_reverse_markowitz_walks_one_state_without_a_qp_solve(self, fixture_stats,
+    def test_reverse_markowitz_walks_one_state_without_a_qp_solve(self, fixture_train,
                                                                  monkeypatch):
         states = []
 
@@ -367,7 +375,9 @@ class TestFixtureFrontier:
 
         monkeypatch.setattr(qp_solver, "SimplexState", Counted)
         monkeypatch.setattr(qp_solver, "solve_qp", no_qp_solve)
-        report = solve_reverse_markowitz(fixture_stats, ModelConfig(sigma0=self.SIGMA0))
+        # fresh estimates, whose critical line no earlier query has built
+        stats = asset_stats(fixture_train)
+        report = solve_reverse_markowitz(stats, ModelConfig(sigma0=self.SIGMA0))
         assert report.status is SolveStatus.OPTIMAL and len(states) == 1
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
@@ -452,23 +462,23 @@ def claimed_gap(report) -> float:
 
 
 class TestPathQueries:
-    """The three mean-variance models as queries on one shared path, in a
-    random order, against an independent solve of each model's own problem:
-    `solve_qp` for `markowitz` and `simultaneous`, the bisection of
-    `oracles.py` for `reverse_markowitz`."""
+    """The three mean-variance models as queries on the one critical line
+    their moment estimates keep, in a random order, against an independent
+    solve of each model's own problem: `solve_qp` for `markowitz` and
+    `simultaneous`, the bisection of `oracles.py` for `reverse_markowitz`."""
 
-    def check_simultaneous(self, stats, cap, lam, path):
+    def check_simultaneous(self, stats, cap, lam):
         cfg = ModelConfig(lam=lam, cap=cap)
-        report = solve_simultaneous(stats, cfg, path=path)
+        report = solve_simultaneous(stats, cfg)
         ref = solve_qp(simultaneous_problem(stats, cfg)[0])
         assert report.status is ref.status is SolveStatus.OPTIMAL
         assert np.abs(report.allocation.weights - ref.v).max() <= 1e-9
         assert abs(report.objective - ref.objective) <= 1e-9
         assert claimed_gap(report) <= 1e-8 * (1.0 + abs(report.objective))
 
-    def check_markowitz(self, stats, cap, rho, path):
+    def check_markowitz(self, stats, cap, rho):
         cfg = ModelConfig(rho=rho, cap=cap)
-        report = solve_markowitz(stats, cfg, path=path)
+        report = solve_markowitz(stats, cfg)
         ref = solve_qp(markowitz_problem(stats, cfg)[0])
         assert report.status is ref.status
         if ref.status is not SolveStatus.OPTIMAL:
@@ -484,8 +494,8 @@ class TestPathQueries:
         else:
             assert report.objective <= 1e-12
 
-    def check_reverse(self, stats, cap, sigma0, path):
-        report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0, cap=cap), path=path)
+    def check_reverse(self, stats, cap, sigma0):
+        report = solve_reverse_markowitz(stats, ModelConfig(sigma0=sigma0, cap=cap))
         status, ref = bisection_reverse_markowitz(stats, sigma0, cap)
         assert report.status is status
         if status is SolveStatus.OPTIMAL:
@@ -501,7 +511,10 @@ class TestPathQueries:
             stats, cap = path_instance(rng)
             mu = stats.mean_returns
             min_var = solve_qp(markowitz_problem(stats, ModelConfig(cap=cap), rho=None)[0])
-            top = solve_simultaneous(stats, ModelConfig(cap=cap))
+            # the top vertex from a line of its own, so the queries below
+            # start on a line no query has walked
+            top = solve_simultaneous(AssetStats(stats.mean_returns, stats.covariance),
+                                     ModelConfig(cap=cap))
             lo, hi = float(mu @ min_var.v), float(mu @ top.allocation.weights)
             std_lo = np.sqrt(max(min_var.objective, 0.0))
             std_hi = np.sqrt(top.allocation.weights @ stats.covariance @ top.allocation.weights)
@@ -512,28 +525,53 @@ class TestPathQueries:
                           for rho in (lo - 1e-3, *np.linspace(lo, hi, 4), hi + 1e-4)]
                        + [(self.check_reverse,
                            float(std_lo + rng.uniform(0.1, 0.9) * (std_hi - std_lo)))])
-            path = MeanVariancePath(stats, cap)
             for i in rng.permutation(len(queries)):
                 check, value = queries[i]
-                check(stats, cap, value, path)
+                check(stats, cap, value)
+            assert list(stats.critical_lines) == [cap]
 
     def test_a_cap_below_one_over_n_is_infeasible_for_all_three(self):
         stats = stats_from(np.random.default_rng(8).normal(0.001, 0.02, (5, 4)))
-        path = MeanVariancePath(stats, 0.15)
         for solve, cfg in ((solve_markowitz, ModelConfig(rho=0.0, cap=0.15)),
                            (solve_simultaneous, ModelConfig(lam=1.0, cap=0.15)),
                            (solve_reverse_markowitz, ModelConfig(sigma0=0.02, cap=0.15))):
-            assert solve(stats, cfg, path=path).status is SolveStatus.INFEASIBLE
             assert solve(stats, cfg).status is SolveStatus.INFEASIBLE
+            own = AssetStats(stats.mean_returns, stats.covariance)
+            assert solve(own, cfg).status is SolveStatus.INFEASIBLE
 
-    def test_a_path_of_other_estimates_or_cap_raises(self):
-        stats = stats_from(np.random.default_rng(9).normal(0.001, 0.02, (5, 4)))
-        other = stats_from(np.random.default_rng(10).normal(0.001, 0.02, (5, 4)))
-        with pytest.raises(DataError, match="mean-variance path"):
-            solve_simultaneous(stats, ModelConfig(lam=1.0, cap=0.5),
-                               path=MeanVariancePath(stats))
-        with pytest.raises(DataError, match="mean-variance path"):
-            solve_markowitz(stats, ModelConfig(rho=0.0), path=MeanVariancePath(other))
+    def test_an_infinite_ceiling_returns_the_top_vertex(self):
+        stats = stats_from(np.random.default_rng(8).normal(0.001, 0.02, (5, 30)))
+        report = solve_reverse_markowitz(stats, ModelConfig(sigma0=np.inf, cap=0.5))
+        top = solve_simultaneous(stats, ModelConfig(lam=0.0, cap=0.5))
+        assert report.status is SolveStatus.OPTIMAL and report.iterations == 0
+        assert report.allocation.weights.tobytes() == top.allocation.weights.tobytes()
+
+    def test_the_estimates_keep_one_line_per_cap(self, monkeypatch):
+        # A line is built on the first query under each cap and kept by the
+        # estimates that were queried; other estimates of the same window
+        # build their own, and repeated queries build none.
+        builds = []
+        post_init = qp_solver.QpProblem.__post_init__
+
+        def counted(problem):
+            builds.append(problem.upper.max())
+            post_init(problem)
+
+        monkeypatch.setattr(qp_solver.QpProblem, "__post_init__", counted)
+        returns = make_returns(np.random.default_rng(9).normal(0.001, 0.02, (5, 30)))
+        stats = asset_stats(returns)
+        queries = [(solve_simultaneous, ModelConfig(lam=1.0, cap=cap)) for cap in (0.15, 0.5)]
+        queries += [(solve_markowitz, ModelConfig(rho=0.0, cap=cap)) for cap in (0.15, 0.5)]
+        queries += [(solve_reverse_markowitz, ModelConfig(sigma0=0.02, cap=0.5))]
+        def answers(estimates):
+            return [answer(solve(estimates, cfg)) for solve, cfg in queries]
+
+        first = answers(stats)
+        assert builds == [0.15, 0.5] and sorted(stats.critical_lines) == [0.15, 0.5]
+        other = asset_stats(returns)
+        assert other.critical_lines == {}
+        assert answers(other) == first and builds == [0.15, 0.5] * 2
+        assert answers(stats) == answers(other) == first and len(builds) == 4
 
 
 class TestL1Augmentation:
@@ -815,7 +853,7 @@ class TestWarmStart:
 
     def test_only_the_drawdown_models_take_a_start(self, fixture_train, fixture_stats):
         start = solve_md(fixture_train, self.CFG).basis
-        for tag in READS_STATS:
+        for tag in MEAN_VARIANCE:
             with pytest.raises(TypeError):
                 SOLVERS[tag](fixture_train, fixture_stats, ModelConfig(), start=start)
             assert SOLVERS[tag](fixture_train, fixture_stats,
@@ -910,13 +948,12 @@ def test_model_fields_are_the_fields_each_model_reads():
         assert seen == set(MODEL_FIELDS[tag]), tag
 
 
-def test_reads_stats_names_the_models_that_read_the_moment_estimates():
+def test_only_the_mean_variance_models_read_the_moment_estimates():
     # The others solve with stats=None; these fail without their stats.
     returns = make_returns(np.random.default_rng(5).normal(0.001, 0.02, (6, 30)))
     cfg = ModelConfig(rho=0.0, sigma0=1.0)
-    assert READS_STATS == {"markowitz", "reverse_markowitz", "simultaneous"}
     for tag, solve in SOLVERS.items():
-        if tag in READS_STATS:
+        if tag in MEAN_VARIANCE:
             with pytest.raises(AttributeError):
                 solve(returns, None, cfg)
         else:

@@ -4,7 +4,7 @@ import pytest
 from portopt import qp_solver
 from portopt.core import DataError, SolveStatus
 from portopt.lp_solver import LpProblem, SimplexState, solve_lp
-from portopt.qp_solver import QpProblem, critical_line, solve_qp
+from portopt.qp_solver import CriticalLine, QpProblem, solve_qp
 
 from oracles import projected_gradient_qp, weight_grid
 
@@ -114,7 +114,8 @@ def test_return_floor_at_max_return_vertex():
 
 
 def test_critical_line_on_an_empty_region_is_infeasible():
-    sol = critical_line(simplex_qp(np.eye(3), np.zeros(3), cap=0.3), np.ones(3), 1.0)
+    line = CriticalLine(simplex_qp(np.eye(3), np.zeros(3), cap=0.3), np.ones(3))
+    sol = line.at_variance(1.0)
     assert sol.status is SolveStatus.INFEASIBLE
 
 
@@ -126,15 +127,16 @@ def test_critical_line_two_assets_closed_form():
     s1, s2, m1, m2 = 4e-4, 1e-4, 0.002, 0.001
     problem = simplex_qp(np.diag([s1, s2]), np.zeros(2))
     mu = np.array([m1, m2])
-    top = critical_line(problem, mu, 2.0 * s1)     # the top vertex is under the level
+    # each query on a line of its own, which walks no further than its point
+    top = CriticalLine(problem, mu).at_variance(2.0 * s1)  # the top vertex is below it
     assert top.iterations == 0 and np.all(top.v == [1.0, 0.0])
     for w in (0.9, 0.5, 0.3):      # weight of asset 1 at the point sought
         level = w * w * s1 + (1 - w) ** 2 * s2
-        sol = critical_line(problem, mu, level)
+        sol = CriticalLine(problem, mu).at_variance(level)
         assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 1
         assert sol.v[0] == pytest.approx(w, abs=1e-9)
         assert sol.v @ problem.q @ sol.v <= level
-    low = critical_line(problem, mu, 1e-5)     # below every variance: the t = 0 end
+    low = CriticalLine(problem, mu).at_variance(1e-5)  # below every variance: the t = 0 end
     assert low.v[0] == pytest.approx(s2 / (s1 + s2), abs=1e-12) and low.objective > 1e-5
 
 

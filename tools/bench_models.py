@@ -38,15 +38,19 @@ the same bits as the `backtest` command's date-mask window. The full window
 most degenerate LP the fixture gives.
 
 The `backtest` section solves the three mean-variance models in the
-`backtest` command's order on one shared `MeanVariancePath` of the train
-window (each model alone where the checkout has none), 10 times over with a
-fresh path each time. It reports each model's median seconds and its walk
-steps, the median of the three together, and `qp_builds`, the `QpProblem`s
-one pass builds. The first model carries the path's one build and its walk.
-The `sweep` section runs `lambda_sweep` on the default 100-point grid over
-the train window 3 times and reports the median seconds, `n_excluded`
-(points not Optimal), `qp_builds` and `path_pieces`, the pieces of the
-critical line the sweep walked (null on a checkout without one).
+`backtest` command's order on one set of moment estimates of the train
+window, which share one critical line (through a `MeanVariancePath` on a
+checkout that has one, each model alone on one that has neither), 10 times
+over with fresh estimates each time, so no pass reuses a line another pass
+built. It reports each model's median seconds and its walk steps, the
+median of the three together, and `qp_builds`, the `QpProblem`s one pass
+builds. The first model carries the line's one build and its walk. The
+`sweep` section runs `lambda_sweep` on the default 100-point grid over
+fresh estimates of the train window 3 times and reports the median seconds,
+`n_excluded` (points not Optimal), `qp_builds` and `path_pieces`, the pieces
+of the critical line the sweep walked (null on a checkout without one).
+Building the estimates is outside both timers. `src_lines` counts the lines
+of the measured checkout's `portopt` package.
 
 The `data` section times the steps before any solve, first of all in the
 process: the fixture's ingest and the train window's seed-N perturbation,
@@ -195,8 +199,8 @@ def run(seed: int) -> dict:
         "fixture": fixture,
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
         "full_window": {"mad": solve("mad", returns)[0]},
-        "backtest": _backtest(asset_stats(train), cfg, builds),
-        "sweep": _sweep(asset_stats(train), builds),
+        "backtest": _backtest(train, cfg, builds),
+        "sweep": _sweep(train, builds),
     }
 
 
@@ -262,17 +266,19 @@ def _count_builds(qp_solver) -> list:
     return builds
 
 
-def _backtest(stats, cfg, builds: list, repeats: int = 10) -> dict:
+def _backtest(train, cfg, builds: list, repeats: int = 10) -> dict:
     """The mean-variance models as the `backtest` command solves them;
     `builds` lists the `QpProblem`s built."""
     from statistics import median
 
     from portopt import models
+    from portopt.estimation import asset_stats
 
     shared = getattr(models, "MeanVariancePath", None)
     seconds = {tag: [] for tag in MEAN_VARIANCE}
     totals, steps, qp_builds = [], {}, None
     for _ in range(repeats):
+        stats = asset_stats(train)
         builds.clear()
         kw = {} if shared is None else {"path": shared(stats, cfg.cap)}
         first = time.perf_counter()
@@ -285,16 +291,18 @@ def _backtest(stats, cfg, builds: list, repeats: int = 10) -> dict:
         qp_builds = len(builds)
     rows = {tag: {"seconds": round(median(seconds[tag]), 6), "work": steps[tag]}
             for tag in MEAN_VARIANCE}
-    return {"shared_path": shared is not None, "repeats": repeats,
+    shared_line = shared is not None or hasattr(stats, "critical_lines")
+    return {"shared_path": shared_line, "repeats": repeats,
             "seconds": round(median(totals), 6), "qp_builds": qp_builds, **rows}
 
 
-def _sweep(stats, builds: list, repeats: int = 3) -> dict:
+def _sweep(train, builds: list, repeats: int = 3) -> dict:
     """The default 100-point lambda sweep over the train window; `builds`
     lists the `QpProblem`s built."""
     from statistics import median
 
     from portopt import analytics, models
+    from portopt.estimation import asset_stats
 
     lines = []
     if hasattr(models, "CriticalLine"):
@@ -307,6 +315,7 @@ def _sweep(stats, builds: list, repeats: int = 3) -> dict:
     grid = analytics.lambda_grid()
     times = []
     for _ in range(repeats):
+        stats = asset_stats(train)
         builds.clear()
         lines.clear()
         started = time.perf_counter()
@@ -328,16 +337,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     result = run(args.seed)
+    result["src_lines"] = sum(len(path.read_text().splitlines())
+                              for path in (args.src / "portopt").glob("*.py"))
     data = result["data"]
     for step in ("ingest", "perturb"):
         times = data[f"{step}_seconds"]
         print(f"data {step:14s} first {times['first_seconds']:.4f}s "
               f"min {times['min_seconds']:.4f}s")
     print(f"data perturbed_sha256 {data['perturbed_sha256']}")
+    print(f"src_lines          {result['src_lines']}")
     for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
     for window, rows in result.items():
-        if window in ("data", "estimation", "backtest", "sweep"):
+        if window in ("data", "estimation", "backtest", "sweep", "src_lines"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
