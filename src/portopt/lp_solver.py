@@ -17,7 +17,16 @@ Algorithm notes:
   locked to [0, 0] rather than pivoted out eagerly, and stay as columns;
   locked columns always block the ratio test at zero, so degenerate pivots
   evict them on demand and redundant rows stay harmlessly basic.
-* Pricing is Dantzig (most negative reduced cost). Within a run of
+* Pricing is scale invariant. The primal loop enters the column with the
+  largest |z_j| / |g_j|, its reduced cost over the norm of its column of
+  G, so rescaling a variable does not change which column enters (Dantzig's
+  |z_j| alone prefers the columns scaled large, and the slack basis's
+  steepest-edge weight sqrt(1 + |g_j|^2) keeps a term that does not scale).
+  The norms are fixed, a reference framework in the sense of Harris
+  (*Math. Prog.* 5, 1973), and recomputed only where phase 1 adds
+  artificial columns. The dual loop is exact dual steepest edge (Forrest &
+  Goldfarb, *Math. Prog.* 57, 1992); see below. The ratio tests' tie-breaks,
+  the largest |pivot|, do depend on scale. Within a run of
   degenerate steps the loop remembers each basis it has held; once one
   repeats, Bland's smallest-index rule takes over until a step makes
   progress. Bland's rule cannot cycle (Bland 1977), so every loop finishes;
@@ -46,7 +55,9 @@ Algorithm notes:
   cost: `SimplexState.reopen` writes new bounds into the state and
   takes a saved basis (basic columns and nonbasic statuses); the rows stay as
   they are, so the saved reduced costs stay dual feasible. The dual loop
-  takes the row farthest outside its bounds, and the ratio test picks the
+  takes the row with the largest infeasibility^2 / |e_r' B^-1|^2, exact
+  dual steepest edge: the explicit B^-1 gives every weight as a row norm,
+  O(m^2) a pivot, with no update recurrence. The ratio test picks the
   column with the smallest |z_j / alpha_rj|, ties broken by the largest
   |alpha_rj|; a row that no column can move back into its bounds proves the
   region empty. A dual-degenerate stall that repeats a basis switches to
@@ -206,6 +217,7 @@ class SimplexState:
         g[m_eq:, :n] = problem.a_ub
         g[m_eq:, n:] = np.eye(m_ub)
         self.g = g              # m x n_cols: original rows (slacks included), then artificials
+        self._price_weights()
         self.h = np.concatenate([problem.b_eq, problem.b_ub])
         self.m, self.n_real = g.shape
         # each row's slack column, -1 for an equality row
@@ -315,8 +327,15 @@ class SimplexState:
         self.lower = np.concatenate([lower, np.zeros(self.n_art)])
         self.upper = np.concatenate([upper, np.full(self.n_art, np.inf)])
         self.g = np.hstack([g, art])
+        self._price_weights()
         self.binv = np.diag(signs)   # B = diag(signs) is its own inverse
         self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
+
+    def _price_weights(self):
+        """The primal loop's pricing weights, the column norms |g_j| (1 for
+        an all-zero column); set wherever G changes."""
+        norms = np.sqrt(np.einsum("ij,ij->j", self.g, self.g))
+        self._weights = np.where(norms > 0, norms, 1.0)
 
     def _warm_start(self, start: Basis) -> bool:
         """Take `start` as the first basis when it fits this state's shape,
@@ -389,7 +408,7 @@ class SimplexState:
             if bland:
                 j = int(candidates[0])
             else:
-                j = int(candidates[np.abs(z[candidates]).argmax()])
+                j = int(candidates[(np.abs(z[candidates]) / self._weights[candidates]).argmax()])
             direction = 1.0 if can_up[j] else -1.0
 
             step = direction * (self.binv @ self.g[:, j])
@@ -421,8 +440,10 @@ class SimplexState:
 
         Starts from a basis whose reduced costs under `cost` are dual
         feasible (as a parent's optimal basis is after bound changes) and
-        keeps them so. The leaving row is the basic variable farthest outside
-        its bounds; it leaves at the bound it violates. The entering column
+        keeps them so. The leaving row r is the one whose infeasibility
+        (distance outside its bounds) squared over |e_r' B^-1|^2 is largest,
+        exact dual steepest edge, which a rescaling of any column leaves
+        unchanged; it leaves at the bound it violates. The entering column
         is the movable nonbasic that can push it back with the smallest
         |z_j / alpha_rj|, ties broken by the largest |alpha_rj|. Returns
         'feasible' once every basic variable is within FEAS_TOL of its
@@ -442,7 +463,9 @@ class SimplexState:
             if bland:
                 r = int(rows[np.argmin(self.basic[rows])])
             else:
-                r = int(np.argmax(infeasibility))
+                # exact dual steepest edge: |e_r' B^-1|^2 is a row norm of binv
+                norms = np.einsum("ij,ij->i", self.binv[rows], self.binv[rows])
+                r = int(rows[np.argmax(infeasibility[rows] ** 2 / norms)])
             to_lower = below[r] > 0
             # x_r = beta_r - sum_j alpha_rj x_j, so raising x_r (to_lower)
             # needs x_j to rise where alpha_rj < 0 or fall where alpha_rj > 0

@@ -28,8 +28,9 @@ columns included, for the whole search. A node's two children reopen its
 basis one after the other: the first inverts B, and the second takes a copy
 of that inverse, kept from before the first child's pivots, so each
 branched node costs one inversion. On the fixture's drawdown MILP that is 3
-nodes, 34 node pivots and 1 factorization; on a 200 x 250 panel of
-`tools/make_fixture.py` at seed 7, 196 inversions for 392 child LPs.
+nodes, 11 node pivots and 1 factorization; on a 200 x 250 calm panel of
+`tools/make_fixture.py` at seed 7, 393 nodes, 5,287 node pivots and 196
+inversions for 392 child LPs.
 
 There is no bound propagation and no rounding heuristic: on the fixture's
 drawdown MILP they cost 3.7x the node pivots (5,213 against 1,411), and in

@@ -8,6 +8,8 @@ from portopt import lp_solver
 from portopt.core import DataError, ModelConfig, SolveStatus
 from portopt.lp_solver import (
     AT_LOWER,
+    AT_UPPER,
+    BASIC,
     FREE,
     Basis,
     LpProblem,
@@ -137,47 +139,136 @@ SCALED_BEALE_B = np.array([0.0, 0.0, 1.0])
 SCALED_BEALE_C = np.array([-0.75, 600.0, -0.08, 24.0])
 
 
-def test_scaled_beale_cycle_ends_under_the_smallest_index_rule(monkeypatch):
-    # With the smallest-index rule switched off the scaled Beale LP never
-    # ends. The repeated basis turns the rule on, and the solve finishes in
-    # 12 pivots.
+def test_scaled_beale_ends_without_the_smallest_index_rule(monkeypatch):
+    # The cycle of Dantzig pricing is not one of column-norm pricing: the
+    # scaled Beale LP ends in 5 pivots, and its LP dual, reopened at its
+    # slack basis, in 3 dual-loop pivots, neither under the smallest-index
+    # rule.
     bland_steps = []
     note_step = SimplexState._note_step
 
     def recorded(self, step, bland, start, seen):
-        bland = note_step(self, step, bland, start, seen)
-        bland_steps.append(bland)
-        return bland
+        bland_steps.append(note_step(self, step, bland, start, seen))
+        return bland_steps[-1]
 
     monkeypatch.setattr(SimplexState, "_note_step", recorded)
     p = LpProblem(c=SCALED_BEALE_C, a_ub=SCALED_BEALE_A, b_ub=SCALED_BEALE_B, lower=np.zeros(4))
     sol = solve_lp(p)
-    assert sol.status is SolveStatus.OPTIMAL
+    assert (sol.status, sol.pivots) == (SolveStatus.OPTIMAL, 5)
     assert sol.objective == pytest.approx(-0.05)
-    assert sol.pivots <= 20
-    assert any(bland_steps)
-
-
-def _reopen_scaled_beale_dual() -> tuple[SimplexState, SolveStatus, int]:
-    # The LP dual of the scaled Beale LP, min b @ u over -A' u <= c, u >= 0,
-    # reopened at its slack basis: that basis is dual feasible (b >= 0) and
-    # breaks two rows (c has two negative entries), and the dual loop's
-    # tableau is the negated transpose of the primal loop's, so the dual
-    # simplex retraces the primal cycle. Returns the state, the reopen's
-    # status and its pivots.
     dual = LpProblem(c=SCALED_BEALE_B, a_ub=-SCALED_BEALE_A.T, b_ub=SCALED_BEALE_C,
                      lower=np.zeros(3))
     state = SimplexState(dual)
     before = state.pivots
     slacks = Basis(np.arange(3, 7), np.full(7, AT_LOWER, dtype=np.int8))
-    status = state.reopen(slacks, dual.c, dual.lower, dual.upper)
-    return state, status, state.pivots - before
+    assert state.reopen(slacks, dual.c, dual.lower, dual.upper) is SolveStatus.OPTIMAL
+    assert state.pivots - before == 3
+    assert float(SCALED_BEALE_B @ state.vertex) == pytest.approx(0.05)
+    assert not any(bland_steps)
+
+
+# A cycle of column-norm pricing. The two degenerate rows hold the tableau
+# [I | A | A^2] with A^3 = I (to the two decimals shown), which repeats
+# after two pivots with its columns shifted by two, as in the cycling
+# examples of Hall & McKinnon (Math. Prog. 100, 2004); six degenerate
+# pivots lead back to the slack basis. The third row bounds the region and,
+# through its coefficients, sets the column norms |g_j| under which
+# |z_j| / |g_j| enters the cycle's column at each step. The optimum is 0,
+# at the origin, the vertex the cycle never leaves.
+NORM_CYCLE_A = np.array([[3.12, 0.84, -4.12, -0.84],
+                         [-16.5, -4.12, 16.5, 3.12],
+                         [20.7, 12.97, 32.03, 19.99]])
+NORM_CYCLE_B = np.array([0.0, 0.0, 1.0])
+NORM_CYCLE_C = np.array([-1.99, -0.99, 8.14, 1.42])
+
+
+def test_primal_cycle_ends_under_the_smallest_index_rule(monkeypatch):
+    # Six degenerate pivots repeat the slack basis, which turns the
+    # smallest-index rule on; it ends the solve at the optimum in two more.
+    # With the rule held off the same loop runs until the pivot limit.
+    bland_steps = []
+    note_step = SimplexState._note_step
+
+    def recorded(self, step, bland, start, seen):
+        bland_steps.append(note_step(self, step, bland, start, seen))
+        return bland_steps[-1]
+
+    monkeypatch.setattr(SimplexState, "_note_step", recorded)
+    p = LpProblem(c=NORM_CYCLE_C, a_ub=NORM_CYCLE_A, b_ub=NORM_CYCLE_B, lower=np.zeros(4))
+    sol = solve_lp(p)
+    assert (sol.status, sol.pivots) == (SolveStatus.OPTIMAL, 8)
+    assert sol.objective == 0.0 and abs(highs_lp(p)[1]) <= 1e-12
+    assert bland_steps == [False] * 6 + [True] * 2
+
+    def held_off(self, step, bland, start, seen):
+        note_step(self, step, bland, start, seen)
+        return False
+
+    monkeypatch.setattr(lp_solver, "PIVOT_LIMIT", 1000)
+    monkeypatch.setattr(SimplexState, "_note_step", held_off)
+    with pytest.raises(RuntimeError, match="pivot limit"):
+        solve_lp(p)
+
+
+# A cycle of the dual loop's exact dual steepest edge. The LP is D, the
+# dual of P: min C @ x[2:6] over x >= 0 (nine columns) with
+# [I | T] x[:6] = 0, W x[:6] + x[6:] = 1 and x[0] + ... + x[5] <= 1. The
+# dual loop on D prices as primal steepest edge on P would (Forrest &
+# Goldfarb 1992): the row of D's B^-1 for the slack of P's column j holds
+# that column's edge direction over P's basic columns, so
+# |e_r' B^-1|^2 = 1 + sum_k alpha_kj^2, each term over the square of the
+# scale of the row of D it comes from. The tableau [I | T] in P's first
+# two rows pivots through six degenerate bases back to the first; the
+# rows W and D's row scales, 1000 on five rows, weight the edge norms so
+# that steepest edge takes that cycle. They were found by a search: over
+# T, C and W by Nelder-Mead, and over the row scales by a linear program,
+# since each choice the cycle needs is linear in the squared scales.
+DSE_CYCLE_T = np.array([[0.36, -0.81, -3.31, 3.94],
+                        [0.38, -0.61, -1.8, 1.72]])
+DSE_CYCLE_C = np.array([-1.98, 2.65, 0.83, 3.39])
+DSE_CYCLE_W = np.array([[17.54, 2.13, -1.94, -0.12, -1.18, -0.21],
+                        [3.0, 1.57, -0.53, -0.04, 8.44, 3.25],
+                        [0.68, -6.08, 1.3, -3.34, 0.6, -10.82]])
+DSE_CYCLE_ROW_SCALE = np.array([1.0, 1000.0, 1.0, 1000.0, 1.0, 1000.0, 1000.0, 1000.0, 1.0])
+
+
+def _dse_cycle_dual() -> LpProblem:
+    """D: max sum(z) + v over [I | T]' y + W' z + v <= (0, 0, C) on P's
+    first six columns and z <= 0 on its last three, y and z free and
+    v <= 0, as a minimization, each row times its scale."""
+    a_ub, b_ub = np.zeros((9, 6)), np.zeros(9)
+    a_ub[:6, :2] = np.hstack([np.eye(2), DSE_CYCLE_T]).T
+    a_ub[:6, 2:5] = DSE_CYCLE_W.T
+    a_ub[:6, 5] = 1.0
+    b_ub[2:6] = DSE_CYCLE_C
+    a_ub[6:, 2:5] = np.eye(3)
+    scale = DSE_CYCLE_ROW_SCALE
+    return LpProblem(c=[0.0, 0.0, -1.0, -1.0, -1.0, -1.0], a_ub=a_ub * scale[:, None],
+                     b_ub=b_ub * scale, lower=np.full(6, -np.inf), upper=[np.inf] * 5 + [0.0])
+
+
+def _reopen_dse_cycle() -> tuple[LpProblem, SimplexState, SolveStatus, int]:
+    # D reopened at the basis of P's basis {x1, x2, x7, x8, x9} and the
+    # bounding row's slack: y, z and the slacks of the rows of x3..x6
+    # basic, v at its bound. The basis is dual feasible, as P's is primal
+    # feasible at x = 0, and breaks the row of x3, whose cost is negative.
+    # Returns D, the state, the reopen's status and its pivots.
+    dual = _dse_cycle_dual()
+    state = SimplexState(dual)
+    before = state.pivots
+    basic = np.array([0, 1, 2, 3, 4, 8, 9, 10, 11])
+    status = np.full(15, AT_LOWER, dtype=np.int8)
+    status[basic] = BASIC
+    status[5] = AT_UPPER
+    result = state.reopen(Basis(basic, status), dual.c, dual.lower, dual.upper)
+    return dual, state, result, state.pivots - before
 
 
 def test_degenerate_stall_hits_bland_rule(monkeypatch):
-    # The dual loop repeats a basis after six degenerate steps, takes four
-    # smallest-index steps, and ends at the dual optimum 0.05 = -(-0.05).
-    # With the rule held off the same loop runs until the pivot limit.
+    # The dual loop repeats a basis after six degenerate steps, takes two
+    # smallest-index steps and three more of its own, and ends at D's
+    # optimum. With the rule held off the same loop runs until the pivot
+    # limit.
     loop, steps = [], []
     note_step, run, dual_run = SimplexState._note_step, SimplexState.run, SimplexState.dual_run
 
@@ -194,11 +285,13 @@ def test_degenerate_stall_hits_bland_rule(monkeypatch):
     monkeypatch.setattr(SimplexState, "_note_step", recorded)
     monkeypatch.setattr(SimplexState, "run", named("primal", run))
     monkeypatch.setattr(SimplexState, "dual_run", named("dual", dual_run))
-    state, status, pivots = _reopen_scaled_beale_dual()
+    dual, state, status, pivots = _reopen_dse_cycle()
     assert status is SolveStatus.OPTIMAL
-    assert float(SCALED_BEALE_B @ state.vertex) == pytest.approx(0.05)
-    assert pivots == 12
-    assert [bland for name, bland in steps if name == "dual"].count(True) == 4
+    objective = float(dual.c @ state.vertex)
+    assert objective == pytest.approx(0.5842789137536273, abs=1e-12)
+    assert abs(objective - highs_lp(dual)[1]) <= 1e-12
+    assert pivots == 11
+    assert [bland for name, bland in steps if name == "dual"] == [False] * 6 + [True] * 2 + [False] * 3
     assert not any(bland for name, bland in steps if name == "primal")
 
     def held_off(self, step, bland, start, seen):
@@ -208,7 +301,7 @@ def test_degenerate_stall_hits_bland_rule(monkeypatch):
     monkeypatch.setattr(lp_solver, "PIVOT_LIMIT", 1000)
     monkeypatch.setattr(SimplexState, "_note_step", held_off)
     with pytest.raises(RuntimeError, match="pivot limit"):
-        _reopen_scaled_beale_dual()
+        _reopen_dse_cycle()
 
 
 def test_coincident_rows_at_the_optimum():
@@ -515,6 +608,101 @@ def test_matches_highs_on_random_lps():
             assert abs(sol.objective - objective) <= 1e-9 * (1 + abs(objective))
             assert abs(dual_objective(p, sol) - sol.objective) <= 1e-9 * (1 + abs(objective))
     assert min(seen.values()) >= 25, seen
+
+
+class _StepRecord(SimplexState):
+    """A SimplexState that records the basic columns and statuses at the
+    start of each loop and after each of its steps, with the loop's name."""
+
+    def __init__(self, *args, **kwargs):
+        self.steps, self._loop = [], None
+        super().__init__(*args, **kwargs)
+
+    def _record(self, loop: str):
+        self._loop = loop
+        self.steps.append((loop + " start", self.basic.copy(), self.status.copy()))
+
+    def run(self, cost):
+        self._record("primal")
+        return super().run(cost)
+
+    def dual_run(self, cost):
+        self._record("dual")
+        return super().dual_run(cost)
+
+    def _note_step(self, step, bland, start, seen):
+        self.steps.append((self._loop, self.basic.copy(), self.status.copy()))
+        return super()._note_step(step, bland, start, seen)
+
+
+def _priced_alike(a: list, b: list) -> bool:
+    """Assert that two step records are equal up to the first step where
+    they part, and that there both loops priced alike from the same basis:
+    a primal step entered the same column, a dual step took the same
+    leaving row. Returns whether the records are equal throughout."""
+    for k, (step_a, step_b) in enumerate(zip(a, b)):
+        loop, basic_a, status_a = step_a
+        _, basic_b, status_b = step_b
+        if step_a[0] == step_b[0] and np.array_equal(basic_a, basic_b) \
+                and np.array_equal(status_a, status_b):
+            continue
+        # a loop's first record is the basis it starts from, equal in both
+        assert k > 0 and step_a[0] == step_b[0] == loop and loop in ("primal", "dual")
+        _, basic, status = a[k - 1]
+        if loop == "primal":   # the column that moved and was not basic entered
+            entered = [set(np.flatnonzero(s != status)) - set(basic) for s in (status_a, status_b)]
+            assert entered[0] == entered[1]
+        else:
+            assert set(basic) - set(basic_a) == set(basic) - set(basic_b)
+        return False
+    assert len(a) == len(b)
+    return True
+
+
+def test_pricing_is_invariant_to_column_scaling():
+    # Scale column j by s_j: c_j and A_j times s_j, its bounds over s_j. The
+    # primal loop's |z_j| / |g_j| and the dual loop's infeasibility^2 /
+    # |e_r' B^-1|^2 do not change, so from any basis both loops choose
+    # alike. The s_j are powers of two in [2^-10, 2^10] (about 1e-3 to 1e3),
+    # so every quantity the solver computes scales exactly and no rounding
+    # can split a comparison. The primal ratio test breaks ties between
+    # rows by the largest |pivot|, which is not scale invariant, so two
+    # paths may part at a degenerate step; the entering column there is
+    # still the same. Degenerate LPs: 60% of the <= rows have right-hand
+    # side 0. Each optimal LP is then reopened at a child's bounds from its
+    # optimal basis, which runs the dual loop.
+    rng = np.random.default_rng(2024)
+    equal = {"primal": 0, "dual": 0}   # records equal throughout
+    dual_steps = 0
+    for _ in range(60):
+        n, m = int(rng.integers(4, 12)), int(rng.integers(2, 7))
+        b_ub = np.where(rng.random(m) < 0.6, 0.0, rng.uniform(0.5, 2.0, m))
+        p = LpProblem(c=rng.normal(size=n), a_eq=np.ones((1, n)), b_eq=[1.0],
+                      a_ub=rng.normal(size=(m, n)), b_ub=b_ub, lower=np.zeros(n),
+                      upper=rng.uniform(0.3, 1.0, n))
+        s = 2.0 ** rng.integers(-10, 11, n)
+        q = LpProblem(c=p.c * s, a_eq=p.a_eq * s, b_eq=p.b_eq, a_ub=p.a_ub * s, b_ub=p.b_ub,
+                      lower=p.lower / s, upper=p.upper / s)
+        states = (_StepRecord(p), _StepRecord(q))
+        status = states[0].minimize(p.c)
+        assert states[1].minimize(q.c) is status
+        same = _priced_alike(states[0].steps, states[1].steps)
+        equal["primal"] += same
+        if same:
+            assert states[0].pivots == states[1].pivots
+        if status is not SolveStatus.OPTIMAL:
+            continue
+        assert np.allclose(states[1].vertex * s, states[0].vertex, rtol=0, atol=1e-9)
+        for lp, state in zip((p, q), states):
+            assert abs(float(lp.c @ state.vertex) - highs_lp(lp)[1]) <= 1e-9
+        lower, upper = _child(p, states[0].vertex, "branch", rng)
+        start = states[0].basis()
+        for lp, state, scale in zip((p, q), states, (1.0, s)):
+            state.steps.clear()
+            state.reopen(start, lp.c, lower / scale, upper / scale)
+        equal["dual"] += _priced_alike(states[0].steps, states[1].steps)
+        dual_steps += sum(loop == "dual" for loop, _, _ in states[0].steps)
+    assert equal["primal"] >= 50 and equal["dual"] >= 45 and dual_steps >= 50, (equal, dual_steps)
 
 
 def _child(p: LpProblem, v: np.ndarray, kind: str, rng,
@@ -900,6 +1088,6 @@ def test_siblings_share_one_inverse_of_the_parent_basis_on_a_panel(monkeypatch):
     (state,) = states
     assert state.factorizations == 32
     assert sol.status is SolveStatus.OPTIMAL
-    assert (sol.nodes, sol.node_pivots) == (65, 323)
+    assert (sol.nodes, sol.node_pivots) == (65, 255)
     assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
-        "d59c025cf2252f76567221ddad116ec6db60baf51465a8474bbff1a7f84456a1")
+        "d7a28b94a80c13df706ec4a960480af73056258ea0f338f6d2d041d667c86c45")

@@ -381,10 +381,10 @@ class TestFixtureFrontier:
         assert report.status is SolveStatus.OPTIMAL and len(states) == 1
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
-        (solve_mad, 154, 0.006195121614437197,
-         "38d2eda30e080fa1d9f30cd50dbc07ea863876a438778990964ca2b5fb69f363"),
-        (solve_md, 31, -0.015244024100047732,
-         "ee14edc2fa55145d3970d8df947fb59f6f89811fa0197cd19df4b4069670acbe"),
+        (solve_mad, 84, 0.006195121614437195,
+         "a62a8dfe6cf75b2269cff39f8b9ffab0a7a0ee290b4a0bbbc3204e29f9d61afd"),
+        (solve_md, 8, -0.015244024100047769,
+         "770baea1bd933a453667f0687bdae3a576d6c091e4ef41e4393cd15afb6ecaa7"),
     ], ids=["mad", "md"])
     def test_drawdown_lp_work_and_weights_unchanged(self, fixture_train, solve, pivots,
                                                      objective, digest):
@@ -724,7 +724,7 @@ class TestMdMilp:
         problem, layout = md_milp_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO))
         sol = solve_milp(problem)
         assert sol.status is SolveStatus.OPTIMAL
-        assert (sol.nodes, sol.node_pivots) == (3, 34)
+        assert (sol.nodes, sol.node_pivots) == (3, 11)
         assert abs(sol.objective - -0.01535672932609452) <= 1e-12
         held = np.flatnonzero(sol.v[layout.x] > 1e-9)
         assert [fixture_train.tickers[i] for i in held] == ["ABM", "ADJ", "AOW"]
@@ -747,9 +747,9 @@ class TestMdMilp:
         sol = solve_milp(problem)
         (state,) = states
         assert state.factorizations == 1
-        assert sol.objective == -0.01535672932609453
+        assert sol.objective == -0.015356729326094522
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
-            "b00e6abe586d9537ff6ed19630599a3674389c035dc3ec65a75d662a0a8f2330")
+            "415d9b94dfe2e652d9dbbf537eacafe563f416bfade47d13b60c3759a31f2a1a")
 
     def test_full_relaxation_is_the_md_lp(self, fixture_train, fixture_md_report):
         # the big-M form's relaxation, all 843 rows at once: an LP regression

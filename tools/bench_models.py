@@ -66,6 +66,12 @@ block) or `cholesky` (the n x n check); `delta_over_psd_tol` is that bound,
 also counts the `np.linalg.cholesky` calls of one fixture `backtest` command
 (`backtest_choleskys`).
 
+The `panels` section solves the drawdown models cold on generated panels
+(`tools/make_fixture.build_panel` in its `calm` regime over T + 1 weekdays
+from 2019-01-02, rho 0): for each panel, `mad` and `md` with their seconds
+and pivots (both phases), and `md_milp` with its seconds, B&B nodes and
+node pivots. The panels are synthetic, not the paper's data.
+
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
 
@@ -95,6 +101,7 @@ MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_mil
 DRAWDOWN = ("mad", "md", "md_milp")
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
 ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
+PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
 
 
 def _record_states(module) -> list:
@@ -201,7 +208,39 @@ def run(seed: int) -> dict:
         "full_window": {"mad": solve("mad", returns)[0]},
         "backtest": _backtest(train, cfg, builds),
         "sweep": _sweep(train, builds),
+        "panels": _panels(),
     }
+
+
+def _panels() -> dict:
+    """Cold `mad`, `md` and `md_milp` solves on each generated panel."""
+    import make_fixture   # beside this script
+
+    from portopt import milp_solver, models
+    from portopt.core import ModelConfig, PriceMatrix
+    from portopt.estimation import compute_simple_returns
+
+    cfg = ModelConfig(rho=0.0)
+    rows = {}
+    for n_assets, days, seed in PANELS:
+        dates = make_fixture.weekdays("2019-01-02", days + 1)
+        panel = make_fixture.build_panel(n_assets, seed, dates, "calm")
+        returns = compute_simple_returns(PriceMatrix(*panel))
+        row = {}
+        for tag in ("mad", "md"):
+            started = time.perf_counter()
+            report = models.SOLVERS[tag](returns, None, cfg)
+            row[tag] = {"status": report.status.value, "objective": report.objective,
+                        "seconds": round(time.perf_counter() - started, 4),
+                        "pivots": report.iterations}
+        problem = models.md_milp_problem(returns, cfg)[0]
+        started = time.perf_counter()
+        sol = milp_solver.solve_milp(problem)
+        row["md_milp"] = {"status": sol.status.value, "objective": sol.objective,
+                          "seconds": round(time.perf_counter() - started, 4),
+                          "nodes": sol.nodes, "node_pivots": sol.node_pivots}
+        rows[f"{n_assets}x{days}_seed{seed}_calm"] = row
+    return rows
 
 
 def _counting(fn, calls: list):
@@ -348,8 +387,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"src_lines          {result['src_lines']}")
     for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
+    for panel, rows in result["panels"].items():
+        for tag, row in rows.items():
+            print(f"{panel:26s} {tag:8s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for window, rows in result.items():
-        if window in ("data", "estimation", "backtest", "sweep", "src_lines"):
+        if window in ("data", "estimation", "backtest", "sweep", "panels", "src_lines"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
