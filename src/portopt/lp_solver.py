@@ -9,29 +9,32 @@ portfolio LP in this package is dominated by box constraints.
 
 Algorithm notes:
 
-* Phase 1 starts from a slack crash basis: a `<=` row whose slack absorbs the
-  starting residual starts with that slack basic, and only the other rows
-  (equality rows and `<=` rows with a negative residual) get an artificial.
-  Phase 1 minimizes the sum of those artificials; a positive phase-1 optimum
-  (> feasibility tolerance) certifies infeasibility. Surviving artificials are
-  locked to [0, 0] rather than pivoted out eagerly, and stay as columns;
-  locked columns always block the ratio test at zero, so degenerate pivots
-  evict them on demand and redundant rows stay harmlessly basic.
+* Every row has a slack column: a `<=` row's on [0, inf), an equality row's
+  on [0, 0]. The all-slack basis B = I is the crash basis (Bixby 1992), and
+  no artificial column is ever added. Phase 1 is a composite phase 1 (Maros,
+  *Computational Techniques of the Simplex Method*, 2003, ch. 9; Koberstein,
+  PhD thesis, Paderborn 2005): from whatever basis the state holds it
+  minimizes the sum of the basic variables' distances outside their bounds
+  and stops at the first basis whose basics are all within the feasibility
+  tolerance. A phase-1 optimum above it certifies infeasibility. An
+  equality row's slack is fixed, so it never enters; left basic at 0 (a
+  redundant row) it blocks the ratio test at zero, and degenerate pivots
+  evict it on demand.
 * Pricing is scale invariant. The primal loop enters the column with the
   largest |z_j| / |g_j|, its reduced cost over the norm of its column of
   G, so rescaling a variable does not change which column enters (Dantzig's
   |z_j| alone prefers the columns scaled large, and the slack basis's
   steepest-edge weight sqrt(1 + |g_j|^2) keeps a term that does not scale).
-  The norms are fixed, a reference framework in the sense of Harris
-  (*Math. Prog.* 5, 1973), and recomputed only where phase 1 adds
-  artificial columns. The dual loop is exact dual steepest edge (Forrest &
-  Goldfarb, *Math. Prog.* 57, 1992); see below. The ratio tests' tie-breaks,
-  the largest |pivot|, do depend on scale. Within a run of
-  degenerate steps the loop remembers each basis it has held; once one
-  repeats, Bland's smallest-index rule takes over until a step makes
-  progress. Bland's rule cannot cycle (Bland 1977), so every loop finishes;
-  PIVOT_LIMIT still caps the pivots of each loop (phase 1, phase 2, the dual
-  loop, the drift guard's re-solve) on its own, and a loop past it raises.
+  G never changes, so the norms are computed once, a reference framework
+  in the sense of Harris (*Math. Prog.* 5, 1973). The dual loop is exact
+  dual steepest edge (Forrest & Goldfarb, *Math. Prog.* 57, 1992); see
+  below. The ratio tests' tie-breaks, the largest |pivot|, do depend on
+  scale. Within a run of degenerate steps the loop remembers each basis it
+  has held; once one repeats, Bland's smallest-index rule takes over until a
+  step makes progress. Bland's rule cannot cycle (Bland 1977), so every
+  loop finishes; PIVOT_LIMIT still caps the pivots of each loop (phase 1,
+  phase 2, the dual loop, the drift guard's re-solve) on its own, and a
+  loop past it raises.
 * A revised simplex (Dantzig & Orchard-Hays 1954) on the explicit m x m
   inverse B^-1: an iteration prices with y = c_B B^-1 and z = c - y G, takes
   the entering column as B^-1 g_j (the dual loop its pivot row as (B^-1)_r G),
@@ -40,16 +43,17 @@ Algorithm notes:
   (one explicit inverse of B) and re-solves if a call's final solution breaks
   a row or bound by more than the feasibility tolerance.
 * `SimplexState` is the one simplex class: it holds its basis and B^-1 for
-  its whole life, across objectives and bound changes. Phase 1 runs once, or
-  not at all when the state is built from a saved `Basis` of a problem of
-  the same shape that is nonsingular, holds no artificial and is primal
-  feasible in the new rows (post-optimal analysis after a change in the
-  data: Gal, *Postoptimal Analyses, Parametric Programming and Related
-  Topics*, 1995). Each later `minimize` continues phase 2 from the basis and
-  the B^-1 the previous call left. Pivot drift therefore carries from call
-  to call; the drift guard is the one place a call refactorizes, or reruns
-  phase 1 in the same state when the refactorized basis is singular or
-  infeasible. `solve_lp` is one state minimized once, from a given start
+  its whole life, across objectives and bound changes. Phase 1 runs once
+  when the state is built: from the slack basis, or from a saved `Basis` of
+  a problem of the same shape when that basis is nonsingular in the new
+  rows (post-optimal analysis after a change in the data: Gal,
+  *Postoptimal Analyses, Parametric Programming and Related Topics*, 1995),
+  and then with no pivot where it is still primal feasible. Each later
+  `minimize` continues phase 2 from the basis and the B^-1 the previous
+  call left. Pivot drift therefore carries from call to call; the drift
+  guard is the one place a call refactorizes, and it runs the same phase 1
+  from the refactorized basis, or from the slack basis when that one is
+  singular. `solve_lp` is one state minimized once, from a given start
   basis or cold.
 * A bounded dual simplex re-optimizes after the bounds change under a fixed
   cost: `SimplexState.reopen` writes new bounds into the state and
@@ -118,6 +122,8 @@ class LpProblem:
             raise DataError("constraint matrix contains Inf")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)) or np.any(lower > upper):
             raise DataError("bounds must satisfy l <= u and contain no NaN")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise DataError("a lower bound of +inf or an upper bound of -inf leaves no value")
         if self.sense not in ("min", "max"):
             raise DataError("sense must be 'min' or 'max'")
         for name, val in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ub", a_ub),
@@ -146,9 +152,11 @@ class LpSolution:
     `duals` and `reduced_costs` are reported for the minimization form and
     certify optimality: at an optimum every nonbasic-at-lower column has
     reduced cost >= -1e-9 and every nonbasic-at-upper column has reduced cost
-    <= 1e-9. `pivots` counts both phases. `basis` is the final basis, a start
-    for a problem of the same shape, and `warm` says whether the solve
-    started from the basis it was given instead of phase 1.
+    <= 1e-9. `reduced_costs` covers every column of `Basis`, the equality
+    rows' slacks on [0, 0] included. `pivots` counts both phases. `basis` is
+    the final basis, a start for a problem of the same shape, and `warm`
+    says whether the solve started from the basis it was given instead of
+    the slack basis.
     """
 
     v: np.ndarray
@@ -174,10 +182,9 @@ def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 class Basis:
     """A saved simplex basis, without its inverse.
 
-    Columns are the structural variables, then one slack per `<=` row in row
-    order. `basic[i]` is the column basic in row i (an index past the last
-    slack is a phase-1 artificial) and `status` holds every structural and
-    slack column's status.
+    Columns are the structural variables, then one slack per row in row
+    order, the equality rows' before the `<=` rows'. `basic[i]` is the column
+    basic in row i and `status` holds every column's status.
     """
 
     basic: np.ndarray
@@ -188,22 +195,21 @@ class SimplexState:
     """A primal feasible basis of one region, kept across objectives.
 
     Built from an LpProblem whose `c` and `sense` are ignored. Its standard
-    form has the structural columns, one slack column per `<=` row in row
-    order, and the artificial columns of the last phase 1; the state keeps
-    the basis and its explicit inverse `binv` (m x m for m rows) for its
-    whole life, and phase 1 runs once, locking artificials left basic at
-    zero. A `start` basis, saved from a state of a problem with as many rows
-    and columns (`basis()`), is refactorized in this problem's rows and
-    replaces phase 1 when it holds no artificial, is nonsingular and is
-    primal feasible within FEAS_TOL; `warm` then says so, and otherwise
-    phase 1 runs as without a start. `minimize(cost)` runs phase 2 for a
-    minimization cost over the structural variables, starting from the kept
-    basis and the `binv` the previous call left. A call refactorizes only
-    when its optimal vertex breaks a row or bound by more than 1e-7: the
-    drift guard then refactorizes the basis and runs phase 2 again, from
-    phase 1 in the same state if that basis is singular or no longer primal
-    feasible. Each simplex loop may take PIVOT_LIMIT pivots, so a call of
-    several loops can take more. `reopen` moves the state to new bounds,
+    form G = [A | I] has the structural columns and one slack column per
+    row, the equality rows' fixed on [0, 0], for the state's whole life; the
+    state keeps the basis and its explicit inverse `binv` (m x m for m
+    rows). Phase 1 runs once, from the slack basis B = I or, where a
+    `start` basis saved from a state of a problem with as many rows and
+    columns (`basis()`) fits and is nonsingular in this problem's rows, from
+    that basis: with no pivot when it is primal feasible within FEAS_TOL.
+    `warm` says whether the start was taken. `minimize(cost)` runs phase 2
+    for a minimization cost over the structural variables, starting from
+    the kept basis and the `binv` the previous call left. A call
+    refactorizes only when its optimal vertex breaks a row or bound by more
+    than 1e-7: the drift guard then refactorizes the basis, runs phase 1
+    from it (from the slack basis if it is singular) and phase 2 again.
+    Each simplex loop may take PIVOT_LIMIT pivots, so a call of several
+    loops can take more. `reopen` moves the state to new bounds,
     refactorizes a saved `basis()` and re-optimizes from it by the dual
     simplex. `pivots` and `factorizations` (inversions of a basis) count over
     the state's lifetime, phase 1 included.
@@ -211,17 +217,16 @@ class SimplexState:
 
     def __init__(self, problem: LpProblem, *, start: Basis | None = None):
         self.problem = problem
-        n, m_eq, m_ub = problem.n_vars, problem.a_eq.shape[0], problem.a_ub.shape[0]
-        g = np.zeros((m_eq + m_ub, n + m_ub))
-        g[:m_eq, :n] = problem.a_eq
-        g[m_eq:, :n] = problem.a_ub
-        g[m_eq:, n:] = np.eye(m_ub)
-        self.g = g              # m x n_cols: original rows (slacks included), then artificials
-        self._price_weights()
+        m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
+        self.m = m_eq + m_ub
+        # m x (n + m): the structural columns, then each row's slack
+        self.g = np.hstack([np.vstack([problem.a_eq, problem.a_ub]), np.eye(self.m)])
+        # the primal loop's pricing weights, the column norms |g_j| (1 for an
+        # all-zero column)
+        norms = np.sqrt(np.einsum("ij,ij->j", self.g, self.g))
+        self._weights = np.where(norms > 0, norms, 1.0)
         self.h = np.concatenate([problem.b_eq, problem.b_ub])
-        self.m, self.n_real = g.shape
-        # each row's slack column, -1 for an equality row
-        self._slack = np.concatenate([np.full(m_eq, -1), n + np.arange(m_ub)])
+        self._slack_upper = np.concatenate([np.zeros(m_eq), np.full(m_ub, np.inf)])
         self.basic = np.empty(0, dtype=int)     # the column basic in each row
         self.status = np.empty(0, dtype=np.int8)
         self.binv = np.eye(self.m)          # B^-1, set by the start methods
@@ -229,27 +234,22 @@ class SimplexState:
         self._rhs = np.empty(0)             # h - G @ _values, kept in step with it
         self._xb = None                     # basic_values(), until the next change
         self.pivots = 0
-        self.n_art = 0
         self.factorizations = 0
         self._sibling: tuple[Basis, np.ndarray] | None = None   # the last reopen's B^-1
         self.set_bounds(problem.lower, problem.upper)
         self.warm = start is not None and self._warm_start(start)
         if not self.warm:
-            self._phase1()
+            self._slack_basis()
+        self._phase1()
 
     # -- column bookkeeping -------------------------------------------------
 
-    @property
-    def n_cols(self) -> int:
-        return self.n_real + self.n_art
-
     def set_bounds(self, lower: np.ndarray, upper: np.ndarray):
-        """Bound the structural columns by `lower` and `upper`, every slack
-        column to [0, inf) and every artificial column to [0, 0]. The caller
-        then sets the column values to match."""
-        m_ub = self.problem.a_ub.shape[0]
-        self.lower = np.concatenate([lower, np.zeros(m_ub + self.n_art)])
-        self.upper = np.concatenate([upper, np.full(m_ub, np.inf), np.zeros(self.n_art)])
+        """Bound the structural columns by `lower` and `upper`, a `<=` row's
+        slack to [0, inf) and an equality row's to [0, 0]. The caller then
+        sets the column values to match."""
+        self.lower = np.concatenate([lower, np.zeros(self.m)])
+        self.upper = np.concatenate([upper, self._slack_upper])
 
     def set_basis(self, basic: np.ndarray, status: np.ndarray):
         """Take basic columns and column statuses; the caller sets `binv` to
@@ -259,7 +259,7 @@ class SimplexState:
         self._reset_values()
 
     def _reset_values(self):
-        vals = np.zeros(self.n_cols)
+        vals = np.zeros(self.g.shape[1])
         at_low = self.status == AT_LOWER
         at_up = self.status == AT_UPPER
         vals[at_low] = self.lower[at_low]
@@ -296,80 +296,43 @@ class SimplexState:
 
     # -- starting bases -----------------------------------------------------
 
-    def cold_start(self):
-        """Phase-1 setup with a slack crash basis (Bixby 1992).
-
-        Each `<=` row has its slack column (coefficient +1, bounds [0, inf)).
-        An earlier phase 1's artificials are dropped first. Nonbasics rest at
-        their nearest finite bound. A `<=` row whose slack absorbs the
-        residual h - G v at that point starts with the slack basic; every
-        other row (equality rows and `<=` rows with a negative residual) gets
-        an artificial on [0, inf) signed to absorb its residual. B is
-        diagonal with entries +1 (slacks) and +-1 (artificials), so B^-1
-        scales rows by sign.
-        """
-        n = self.n_real
-        g, lower, upper = self.g[:, :n], self.lower[:n], self.upper[:n]
-        status = _resting_status(lower, upper)
-        vals = np.zeros(n)
-        vals[status == AT_LOWER] = lower[status == AT_LOWER]
-        vals[status == AT_UPPER] = upper[status == AT_UPPER]
-        residual = self.h - g @ vals
-        crashed = (self._slack >= 0) & (residual >= 0)
-        art_rows = np.flatnonzero(~crashed)
-        self.n_art = art_rows.size
-        signs = np.where(residual < 0, -1.0, 1.0)
-        art = np.zeros((self.m, self.n_art))
-        art[art_rows, np.arange(self.n_art)] = signs[art_rows]
-        basic = self._slack.copy()
-        basic[art_rows] = n + np.arange(self.n_art)
-        status[basic[crashed]] = BASIC
-        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
-        self.upper = np.concatenate([upper, np.full(self.n_art, np.inf)])
-        self.g = np.hstack([g, art])
-        self._price_weights()
-        self.binv = np.diag(signs)   # B = diag(signs) is its own inverse
-        self.set_basis(basic, np.concatenate([status, np.full(self.n_art, BASIC, dtype=np.int8)]))
-
-    def _price_weights(self):
-        """The primal loop's pricing weights, the column norms |g_j| (1 for
-        an all-zero column); set wherever G changes."""
-        norms = np.sqrt(np.einsum("ij,ij->j", self.g, self.g))
-        self._weights = np.where(norms > 0, norms, 1.0)
+    def _slack_basis(self):
+        """The crash basis B = I of every row's slack (Bixby 1992), each
+        structural column resting at its nearest finite bound."""
+        n = self.problem.n_vars
+        status = _resting_status(self.lower, self.upper)
+        status[n:] = BASIC
+        self.binv = np.eye(self.m)
+        self.set_basis(n + np.arange(self.m), status)
 
     def _warm_start(self, start: Basis) -> bool:
-        """Take `start` as the first basis when it fits this state's shape,
-        holds no artificial column, is nonsingular and is primal feasible
-        within FEAS_TOL. Returns whether it was taken."""
+        """Take `start` as the first basis when it fits this state's shape
+        and is nonsingular. Returns whether it was taken."""
         basic, status = start.basic, start.status
-        if basic.shape != (self.m,) or status.shape != (self.n_real,):
+        if basic.shape != (self.m,) or status.shape != (self.g.shape[1],):
             return False
-        # each basic column once, each marked BASIC, and so none of them an
-        # artificial (an index past the last slack)
+        # each basic column once and in range, each marked BASIC
         if not np.array_equal(np.sort(basic), np.flatnonzero(status == BASIC)):
             return False
         try:
             self._take_basis(start)
         except np.linalg.LinAlgError:
             return False
-        self.feasible = self.primal_feasible()
-        return self.feasible
+        return True
 
     def _take_basis(self, start: Basis, binv: np.ndarray | None = None):
-        """Set the saved basis `start` under the state's bounds, with every
-        artificial column nonbasic at 0, and refactorize it; raises
-        LinAlgError when it is singular. A nonbasic whose resting bound is
-        gone moves to one that exists. `binv`, the inverse of this same
-        basis in this state's rows, is taken in place of the inversion."""
+        """Set the saved basis `start` under the state's bounds and
+        refactorize it; raises LinAlgError when it is singular. A nonbasic
+        whose resting bound is gone moves to one that exists. `binv`, the
+        inverse of this same basis in this state's rows, is taken in place
+        of the inversion."""
         status = start.status.copy()
-        lower, upper = self.lower[:self.n_real], self.upper[:self.n_real]
-        resting = _resting_status(lower, upper)
-        kept = (((status == AT_LOWER) & np.isfinite(lower))
-                | ((status == AT_UPPER) & np.isfinite(upper))
+        resting = _resting_status(self.lower, self.upper)
+        kept = (((status == AT_LOWER) & np.isfinite(self.lower))
+                | ((status == AT_UPPER) & np.isfinite(self.upper))
                 | (status == BASIC) | (status == resting))
         status[~kept] = resting[~kept]
-        self.set_basis(start.basic.copy(),
-                       np.concatenate([status, np.full(self.n_art, AT_LOWER, dtype=np.int8)]))
+        self.set_basis(start.basic.copy(), status)
         if binv is None:
             self.refactorize()
         else:
@@ -383,28 +346,44 @@ class SimplexState:
         self._rhs = self.h - self.g @ self._values
         self._xb = None
 
-    def primal_feasible(self) -> bool:
-        x_b = self.basic_values()
-        return bool((x_b >= self.lower[self.basic] - FEAS_TOL).all()
-                    and (x_b <= self.upper[self.basic] + FEAS_TOL).all())
-
     # -- the simplex loops --------------------------------------------------
 
     @np.errstate(divide="ignore", invalid="ignore")   # steps of 0 are masked below
-    def run(self, cost: np.ndarray) -> str:
+    def run(self, cost: np.ndarray | None = None) -> str:
         """Minimize cost @ x from the current basis. Returns 'optimal' or
-        'unbounded'; raises after more than PIVOT_LIMIT pivots."""
+        'unbounded'; raises after more than PIVOT_LIMIT pivots.
+
+        With no cost this is phase 1: each step minimizes the sum of the
+        basic variables' distances outside their bounds (cost -1 on a basic
+        below its lower bound, +1 on one above its upper bound), and the loop
+        returns 'optimal' at the first basis whose basics are all within
+        FEAS_TOL of their bounds, or 'infeasible' where no column can shrink
+        that sum. A basic outside its bounds blocks the ratio test only where
+        it reaches the bound it violates, and leaves at that bound; moving
+        away from it, it does not block.
+        """
         bland, start, seen = False, self.pivots, set()
         movable = self.upper > self.lower  # fixed columns can never improve
+        below = outside = np.zeros(self.m, dtype=bool)   # phase 2 sees every basic within
         while True:
-            z = cost - (cost[self.basic] @ self.binv) @ self.g
+            x_b = self.basic_values()
+            low, up = self.lower[self.basic], self.upper[self.basic]
+            if cost is None:
+                below, above = x_b < low - FEAS_TOL, x_b > up + FEAS_TOL
+                outside = below | above
+                if not outside.any():
+                    return "optimal"
+                y = (above.astype(float) - below) @ self.binv   # cost +1 above, -1 below
+                z = -(y @ self.g)
+            else:
+                z = cost - (cost[self.basic] @ self.binv) @ self.g
             z[self.basic] = 0.0
             # basic columns have z = 0, so they never qualify
             can_up = (z < -PIVOT_TOL) & (self.status != AT_UPPER)
             can_down = (z > PIVOT_TOL) & (self.status != AT_LOWER)
             candidates = ((can_up | can_down) & movable).nonzero()[0]
             if candidates.size == 0:
-                return "optimal"
+                return "optimal" if cost is not None else "infeasible"
             if bland:
                 j = int(candidates[0])
             else:
@@ -412,10 +391,11 @@ class SimplexState:
             direction = 1.0 if can_up[j] else -1.0
 
             step = direction * (self.binv @ self.g[:, j])
-            x_b = self.basic_values()
-            bound = np.where(step > 0, self.lower[self.basic], self.upper[self.basic])
-            t_rows = (x_b - bound) / step
+            # the bound each basic heads for: the one it violates, if any
+            to_lower = np.where(outside, below, step > 0)
+            t_rows = (x_b - np.where(to_lower, low, up)) / step
             t_rows[np.abs(step) <= PIVOT_TOL] = np.inf   # rows the step leaves alone
+            t_rows[outside & (t_rows < 0)] = np.inf      # moving away from that bound
             t_rows[t_rows < 0] = 0.0  # degeneracy: already at the blocking bound
             t_flip = self.upper[j] - self.lower[j]
             t_best_rows = t_rows.min() if self.m else np.inf
@@ -432,7 +412,7 @@ class SimplexState:
                     r = int(ties[self.basic[ties].argmin()])
                 else:
                     r = int(ties[np.abs(step[ties]).argmax()])
-                self._pivot(r, j, direction * step, AT_LOWER if step[r] > 0 else AT_UPPER)
+                self._pivot(r, j, direction * step, AT_LOWER if to_lower[r] else AT_UPPER)
             bland = self._note_step(t_star, bland, start, seen)
 
     def dual_run(self, cost: np.ndarray) -> str:
@@ -517,38 +497,30 @@ class SimplexState:
 
     # -- phases and calls ---------------------------------------------------
 
-    def _phase1(self):
-        self.cold_start()
-        phase1_cost = np.concatenate([np.zeros(self.n_real), np.ones(self.n_art)])
-        outcome = self.run(phase1_cost)
-        self.feasible = outcome == "optimal" and float(phase1_cost @ self.solution()) <= FEAS_TOL
-        if self.feasible:
-            n = self.problem.n_vars
-            self.set_bounds(self.lower[:n], self.upper[:n])   # locks artificials
-            self._reset_values()
+    def _phase1(self) -> bool:
+        """Phase 1 from the kept basis; sets and returns `feasible`."""
+        self.feasible = self.run(None) == "optimal"
+        return self.feasible
 
     def _restore(self) -> bool:
-        """Refactorize the kept basis, or run phase 1 again when that basis is
-        singular or no longer primal feasible. Returns whether the region is
+        """Refactorize the kept basis, or take the slack basis when it is
+        singular, and run phase 1 from there. Returns whether the region is
         feasible."""
         try:
             self.refactorize()
-            if self.primal_feasible():
-                return True
         except np.linalg.LinAlgError:
-            pass
-        self._phase1()
-        return self.feasible
+            self._slack_basis()
+        return self._phase1()
 
     def _full_cost(self, cost: np.ndarray) -> np.ndarray:
-        """`cost` over the structural variables, zero on every other column."""
-        full = np.zeros(self.n_cols)
+        """`cost` over the structural variables, zero on every slack."""
+        full = np.zeros(self.g.shape[1])
         full[:self.problem.n_vars] = cost
         return full
 
     def basis(self) -> Basis:
         """The kept basis, to `reopen` at later."""
-        return Basis(self.basic.copy(), self.status[:self.n_real].copy())
+        return Basis(self.basic.copy(), self.status.copy())
 
     def reopen(self, start: Basis, cost: np.ndarray, lower: np.ndarray,
                upper: np.ndarray) -> SolveStatus:
@@ -556,14 +528,12 @@ class SimplexState:
         starting from a saved `basis()` of this state.
 
         The rows stay as they are, so the saved basis keeps every reduced
-        cost it had. The new bounds go into the state, with the
-        artificials locked at 0 and nonbasic; the basis is refactorized, the
-        dual simplex restores primal feasibility, and then this is
-        `minimize(cost)` (the primal simplex cleans up and the drift guard
-        checks the vertex against the new bounds). A saved basis that holds
-        an artificial starts from phase 1 instead. Meant for a basis optimal
-        for `cost` before the change, as a branch-and-bound parent's is for
-        its children.
+        cost it had. The new bounds go into the state, the basis is
+        refactorized, the dual simplex restores primal feasibility, and then
+        this is `minimize(cost)` (the primal simplex cleans up and the drift
+        guard checks the vertex against the new bounds). Meant for a basis
+        optimal for `cost` before the change, as a branch-and-bound parent's
+        is for its children.
 
         B depends only on the basic columns, so two reopens of one saved
         basis in a row, as a parent's two children are, invert it once: the
@@ -572,9 +542,6 @@ class SimplexState:
         """
         self.set_bounds(lower, upper)
         sibling, self._sibling = self._sibling, None
-        if np.any(start.basic >= self.n_real):   # the saved basis holds an artificial
-            self._phase1()
-            return self.minimize(cost)
         if sibling is not None and sibling[0] is start:
             self._take_basis(start, sibling[1])
         else:
@@ -600,7 +567,7 @@ class SimplexState:
         Returns Optimal or Unbounded, leaving `vertex` at the optimum, or
         Infeasible when the region is empty. A vertex that has drifted past
         the 1e-7 feasibility tolerance is re-solved from the refactorized
-        basis (from phase 1 if that basis is singular or infeasible); Optimal
+        basis, phase 1 first (from the slack basis if it is singular); Optimal
         is returned only for a vertex within the tolerance. Raises
         RuntimeError when a simplex loop exceeds PIVOT_LIMIT or the re-solved
         vertex still violates the tolerance.
@@ -626,8 +593,8 @@ def solve_lp(problem: LpProblem, *, start: Basis | None = None) -> LpSolution:
     """Solve an LP to a vertex optimum, or certify infeasibility/unboundedness.
 
     `start`, the `basis` of a solution of a problem with the same shape,
-    replaces phase 1 where `SimplexState` can take it; the answer carries
-    the same certificate either way.
+    starts phase 1 where `SimplexState` can take it; the answer carries the
+    same certificate either way.
     """
     sign = 1.0 if problem.sense == "min" else -1.0
     state = SimplexState(problem, start=start)
@@ -671,7 +638,7 @@ def _finish(problem: LpProblem, state: SimplexState, c_min: np.ndarray,
         status=status,
         pivots=state.pivots,
         duals=y,
-        reduced_costs=reduced[:state.n_real],
+        reduced_costs=reduced,
         basis=state.basis(),
         warm=state.warm,
     )
@@ -686,10 +653,10 @@ def dual_objective(problem: LpProblem, solution: LpSolution) -> float:
     objective to within 1e-9 * (1 + |objective|).
     """
     sign = 1.0 if problem.sense == "min" else -1.0
-    m_ub = problem.a_ub.shape[0]
+    m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
     h = np.concatenate([problem.b_eq, problem.b_ub])
-    lower = np.concatenate([problem.lower, np.zeros(m_ub)])
-    upper = np.concatenate([problem.upper, np.full(m_ub, np.inf)])
+    lower = np.concatenate([problem.lower, np.zeros(m_eq + m_ub)])
+    upper = np.concatenate([problem.upper, np.zeros(m_eq), np.full(m_ub, np.inf)])
     z = solution.reduced_costs
     value = float(solution.duals @ h)
     pos = z > 0

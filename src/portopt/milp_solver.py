@@ -15,16 +15,16 @@ is best-bound first (the node with the most promising LP relaxation is
 explored next), which keeps the tree small when the root relaxation is
 already tight, as it is for the drawdown MILP.
 
-One `SimplexState` serves the whole search. The root LP starts from phase 1,
-or from a given start basis (the root basis of a solve of a problem with the
-same shape, as `sensitivity` passes for its perturbed window) where the state
-can take it. Every node LP has the problem's own rows under
+One `SimplexState` serves the whole search. The root LP's phase 1 starts
+from the slack basis, or from a given start basis (the root basis of a solve
+of a problem with the same shape, as `sensitivity` passes for its perturbed
+window) where the state can take it. Every node LP has the problem's own rows under
 changed bounds, so every other node is re-optimized from its parent's basis,
 which the heap entry carries: the branching bound leaves that basis dual
 feasible, so the dual simplex restores primal feasibility in a few pivots
 (Koberstein, PhD thesis, Paderborn 2005; Huangfu & Hall, Math. Prog. Comp.
-10, 2018). The state keeps one basis and its m x m inverse, artificial
-columns included, for the whole search. A node's two children reopen its
+10, 2018). The state keeps one basis and its m x m inverse, over the
+structural columns and one slack per row, for the whole search. A node's two children reopen its
 basis one after the other: the first inverts B, and the second takes a copy
 of that inverse, kept from before the first child's pivots, so each
 branched node costs one inversion. On the fixture's drawdown MILP that is 3

@@ -283,7 +283,7 @@ def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *,
     """Model: minimize mean absolute deviation of the portfolio return.
 
     `start`, the `basis` of a `mad` report on a window of as many days,
-    replaces phase 1 where the simplex can take it (`_start_detail`).
+    starts phase 1 where the simplex can take it (`_start_detail`).
     """
     started = time.perf_counter()
     problem, layout = mad_problem(returns, cfg)
@@ -297,7 +297,7 @@ def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *,
     """Model: maximize the worst single-day portfolio return (max drawdown).
 
     `start`, the `basis` of an `md` report on a window of as many days,
-    replaces phase 1 where the simplex can take it (`_start_detail`).
+    starts phase 1 where the simplex can take it (`_start_detail`).
     """
     started = time.perf_counter()
     problem, layout = md_problem(returns, cfg)
@@ -328,11 +328,12 @@ def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
 
 
 def _start_detail(start: Basis | None, warm: bool) -> str:
-    """The `detail` of a drawdown solve: `start=warm` where its `start`
-    basis replaced phase 1 (it fit the window, held no artificial and was
-    nonsingular and primal feasible there), `start=cold` where phase 1 ran
-    instead, so an unused start shows, and empty without a start. Either
-    way the answer carries the same certificate."""
+    """The `detail` of a drawdown solve: `start=warm` where phase 1 started
+    from its `start` basis (it fit the window and was nonsingular there; a
+    start that is still primal feasible costs no phase-1 pivot), `start=cold`
+    where phase 1 started from the slack basis instead, so an unused start
+    shows, and empty without a start. Either way the answer carries the same
+    certificate."""
     if start is None:
         return ""
     return "start=warm" if warm else "start=cold"

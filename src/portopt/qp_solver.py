@@ -171,8 +171,8 @@ class CriticalLine:
     f_t(v) = v'Qv - t mu'v over it is piecewise linear in t, and v'Qv and
     mu'v are nondecreasing in t. The walk starts at t = inf, at the vertex
     the oracle finds for cost -mu (`top`): its basic weight is free and its
-    nonbasic bounds fix the others (where the budget row's locked
-    artificial stays basic, every weight sits at a bound, and the capped
+    nonbasic bounds fix the others (where the budget row's fixed slack
+    stays basic, every weight sits at a bound, and the capped
     weight of least return is freed). On each piece one solve in the null
     space of the budget row gives v(t) = v0 + t v1, and with it the bound
     multipliers r(t) = r0 + t r1 of the fixed weights. Fixed weights that tie

@@ -54,6 +54,11 @@ def test_rejects_nan_inputs():
         LpProblem(c=[np.nan])
     with pytest.raises(DataError):
         LpProblem(c=[1.0], a_ub=[[np.inf]], b_ub=[1.0])
+    # l <= u holds for [+inf, +inf] and [-inf, -inf], but no value lies there
+    with pytest.raises(DataError):
+        LpProblem(c=[1.0], lower=[np.inf], upper=[np.inf])
+    with pytest.raises(DataError):
+        LpProblem(c=[1.0], lower=[-np.inf], upper=[-np.inf])
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -456,7 +461,8 @@ def _drift_problem():
 
 def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
     # Fake a drifted final vertex once; the guard's refactorization then
-    # fails once as singular, so the state must re-solve from phase 1.
+    # fails once as singular, so the state must re-solve from phase 1 at
+    # the slack basis.
     from portopt import lp_solver
     problem = _drift_problem()
     cold = solve_lp(problem)
@@ -482,6 +488,37 @@ def test_drift_guard_reruns_phase1_on_singular_refactorization(monkeypatch):
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(cold.objective, abs=1e-12)
     assert sol.pivots > cold.pivots  # both phases ran again
+
+
+def test_a_region_infeasible_by_a_hair_ends_optimal_or_infeasible():
+    # A budget box under a return floor just above or below the attainable
+    # maximum: with cap 2/n the best return fills 54 names at the cap and
+    # the 55th at half of it, and the floor asks for all 55 at the cap.
+    # Each minimize must end Optimal or Infeasible, in agreement with
+    # HiGHS's maximum return: Infeasible where it misses the floor by more
+    # than FEAS_TOL, Optimal where it meets the floor. (Without presolve,
+    # as `highs_lp` runs it, HiGHS reports these LPs' status as Unknown.)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, days = 109, 139
+    cap = 2 / n
+    seen = {SolveStatus.OPTIMAL: 0, SolveStatus.INFEASIBLE: 0}
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        returns = rng.normal(0.0005, 1, (n, days)) * 1e-3 * rng.uniform(0.3, 2, (n, 1))
+        mu = returns.mean(axis=1)
+        floor = cap * np.sort(mu)[-55:].sum()
+        box = dict(a_eq=np.ones((1, n)), b_eq=[1.0], lower=np.zeros(n), upper=np.full(n, cap))
+        state = SimplexState(LpProblem(c=np.zeros(n), a_ub=-mu[None, :], b_ub=[-floor], **box))
+        status = state.minimize(2 * np.cov(returns) @ state.vertex)
+        top = -linprog(-mu, A_eq=box["a_eq"], b_eq=box["b_eq"], bounds=(0.0, cap),
+                       method="highs").fun
+        if top < floor - lp_solver.FEAS_TOL:
+            assert status is SolveStatus.INFEASIBLE, seed
+        elif top >= floor:
+            assert status is SolveStatus.OPTIMAL, seed
+        assert status in seen, seed
+        seen[status] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):
@@ -541,8 +578,8 @@ def test_rows_satisfied_at_the_start_need_no_phase1_pivot():
 
 
 def test_region_infeasible_only_through_a_crashed_row():
-    # each region is feasible without its first <= row, which starts with its
-    # slack basic; the other rows need an artificial
+    # each region is feasible without its first <= row, whose slack starts
+    # within its bounds; the other rows' slacks start outside theirs
     cases = [
         LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0],
                   a_ub=[[1.0, 1.0]], b_ub=[1.0], lower=[0.0, 0.0], upper=[2.0, 2.0]),
@@ -568,12 +605,13 @@ def test_fixture_mad_pivots(fixture_train):
 
 def test_matches_highs_on_random_lps():
     # Bounds mix [l, inf), [l, u], free and (-inf, u] columns; <= rows have
-    # right-hand sides of both signs, so crashed and artificial rows both
-    # occur, and some instances add equality rows. A quarter are degenerate:
-    # every <= row, one of them twice, is tight at the cold start.
+    # right-hand sides of both signs, so slacks that start within and
+    # outside their bounds both occur, and some instances add equality
+    # rows. A quarter are degenerate: every <= row, one of them twice, is
+    # tight at the cold start.
     rng = np.random.default_rng(67)
     seen = {s: 0 for s in HIGHS_STATUS.values()}
-    seen.update(degenerate_optimal=0, crashed=0, artificial=0, eq=0, free=0)
+    seen.update(degenerate_optimal=0, crashed=0, outside=0, eq=0, free=0)
     for _ in range(400):
         n = int(rng.integers(2, 9))
         kind = rng.choice(["lower", "box", "free", "upper"], size=n, p=[0.4, 0.3, 0.2, 0.1])
@@ -600,7 +638,7 @@ def test_matches_highs_on_random_lps():
         seen[status] += 1
         residual = _start_residual(p)
         seen["crashed"] += int(np.sum(residual >= 0))
-        seen["artificial"] += int(np.sum(residual < 0)) + m_eq
+        seen["outside"] += int(np.sum(residual < 0)) + m_eq
         seen["eq"] += m_eq > 0
         seen["free"] += bool(np.any(kind == "free"))
         if status is SolveStatus.OPTIMAL:
@@ -741,15 +779,13 @@ def test_reopen_matches_cold_solves_and_highs():
     # the last child solved to optimality (a grandchild) or else from the
     # parent's. Every re-solve must agree with a cold solve of its child and
     # with HiGHS, and take fewer pivots than the cold solves. A repeated
-    # equality row leaves an artificial basic, and such a basis re-opens
-    # through phase 1. A child that phase 1 proves infeasible leaves its
-    # artificials unlocked and basic in the state the next re-open uses.
-    # (Here that next re-open runs phase 1 again; the test below covers a
-    # dual-simplex re-open after it.)
+    # equality row keeps one of its fixed slacks basic in every basis, so
+    # such a saved basis re-opens with that slack basic at 0. A child found
+    # infeasible leaves its basis out of bounds in the state the next
+    # re-open uses.
     rng = np.random.default_rng(71)
     kinds = ("branch", "fix", "several")
-    seen = dict.fromkeys(kinds + ("grandchild", "artificial", "phase1_infeasible",
-                                  "after_phase1_infeasible"), 0)
+    seen = dict.fromkeys(kinds + ("grandchild", "fixed_slack", "after_infeasible"), 0)
     seen.update({SolveStatus.INFEASIBLE: 0, SolveStatus.OPTIMAL: 0})
     warm_pivots = cold_pivots = 0
     while min(seen.values()) < 20 or sum(seen[k] for k in kinds) < 120:
@@ -766,7 +802,7 @@ def test_reopen_matches_cold_solves_and_highs():
         if m_eq:
             a_eq = rng.normal(size=(m_eq, n)).round(2)
             b_eq = rng.normal(size=m_eq).round(2)
-            if rng.random() < 0.5:   # tight at the cold start: artificials start basic at 0
+            if rng.random() < 0.5:   # tight at the cold start: fixed slacks start basic at 0
                 b_eq = a_eq @ _cold_start_point(lower, upper)
             repeat = np.arange(m_eq + 1) % m_eq if rng.random() < 0.25 else np.arange(m_eq)
             kw.update(a_eq=a_eq[repeat], b_eq=b_eq[repeat])
@@ -777,7 +813,7 @@ def test_reopen_matches_cold_solves_and_highs():
             continue
         column = [int(rng.integers(n))]
         root = latest = (parent, state.vertex, state.basis())
-        infeasible_phase1 = False
+        infeasible = False
         for change in ("down", "up", str(rng.choice(kinds))):
             if change in kinds:
                 seen[change] += 1
@@ -790,9 +826,9 @@ def test_reopen_matches_cold_solves_and_highs():
             child = LpProblem(c=parent.c, sense=parent.sense, a_eq=parent.a_eq,
                               b_eq=parent.b_eq, a_ub=parent.a_ub, b_ub=parent.b_ub,
                               lower=lo, upper=up)
-            through_phase1 = bool(np.any(start.basic >= start.status.size))
-            seen["artificial"] += through_phase1
-            seen["after_phase1_infeasible"] += infeasible_phase1
+            eq_slack = (start.basic >= n) & (start.basic < n + parent.a_eq.shape[0])
+            seen["fixed_slack"] += bool(np.any(eq_slack))
+            seen["after_infeasible"] += infeasible
             before = state.pivots
             status = state.reopen(start, sign * parent.c, lo, up)
             warm_pivots += state.pivots - before
@@ -801,8 +837,7 @@ def test_reopen_matches_cold_solves_and_highs():
             highs_status, highs_objective = highs_lp(child)
             assert status is cold.status is highs_status
             seen[status] += 1
-            infeasible_phase1 = through_phase1 and status is SolveStatus.INFEASIBLE
-            seen["phase1_infeasible"] += infeasible_phase1
+            infeasible = status is SolveStatus.INFEASIBLE
             if status is SolveStatus.OPTIMAL:
                 objective = float(child.c @ state.vertex)
                 assert _max_violation(child, state.vertex) <= 1e-7
@@ -815,32 +850,34 @@ def test_reopen_matches_cold_solves_and_highs():
 
 def test_dual_reopen_after_an_infeasible_phase1_keeps_artificials_locked():
     # x0 is fixed at 0 in the parent and alone in the row x0 = 0, so that
-    # row's artificial stays basic at zero and the parent's basis re-opens
-    # through phase 1. The first child frees x0 and phase 1 evicts the
-    # artificial; the second child's phase 1 proves x0 >= 0.5 infeasible and
-    # leaves a new artificial on [0, inf), basic at 0.5. The grandchild
-    # re-opens from the first child's basis by the dual simplex, in the same
-    # state, where that artificial must be locked again: left free, it
-    # would let x0 rise to 1.
+    # row's slack (column 3, fixed on [0, 0]) stays basic at zero in the
+    # parent's basis. The first child frees x0 and the dual simplex evicts
+    # the slack; the second child re-opens the parent's basis, where
+    # x0 >= 0.5 leaves the slack basic at -0.5, which no column can repair.
+    # The grandchild re-opens from the first child's basis by the dual
+    # simplex, in the same state, where the slack must be back on [0, 0]
+    # and nonbasic: left at -0.5, it would let x0 rise to 1.
     parent = LpProblem(c=[-1.0, -1.0, -2.0], a_eq=[[1.0, 0.0, 0.0]], b_eq=[0.0],
                        a_ub=[[0.0, 1.0, 1.0]], b_ub=[1.0],
                        lower=[0.0, 0.0, 0.0], upper=[0.0, 1.0, 1.0])
     state = SimplexState(parent)
     assert state.minimize(parent.c) is SolveStatus.OPTIMAL
     root = state.basis()
-    assert np.any(root.basic >= root.status.size)
+    assert root.status[3] == BASIC and state.solution()[3] == 0.0
     free = state.reopen(root, parent.c, np.array([-1.0, 0.0, 0.0]), np.ones(3))
     assert free is SolveStatus.OPTIMAL
     child = state.basis()
-    assert not np.any(child.basic >= child.status.size)
+    assert child.status[3] != BASIC
     lifted = state.reopen(root, parent.c, np.array([0.5, 0.0, 0.0]), np.ones(3))
     assert lifted is SolveStatus.INFEASIBLE
+    assert state.status[3] == BASIC and state.solution()[3] == -0.5
     lower, upper = np.array([-1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.5])
     assert state.reopen(child, parent.c, lower, upper) is SolveStatus.OPTIMAL
     cold = solve_lp(LpProblem(c=parent.c, a_eq=parent.a_eq, b_eq=parent.b_eq,
                               a_ub=parent.a_ub, b_ub=parent.b_ub, lower=lower, upper=upper))
     assert state.vertex.tolist() == [0.0, 0.5, 0.5]
     assert float(parent.c @ state.vertex) == cold.objective == -1.5
+    assert state.solution()[3] == 0.0
 
 
 def test_dual_degenerate_child_terminates_at_the_cold_objective():
@@ -898,13 +935,14 @@ def _moved(p: LpProblem, rng, scale: float, c: np.ndarray) -> LpProblem:
 def test_warm_starts_on_perturbed_lps_match_highs():
     # A random LP is solved, its rows moved by relative noise from 1e-6 to
     # 0.3, half the time under a new cost, and the moved LP solved from the
-    # first solve's basis. Small moves keep that basis primal feasible and
-    # phase 1 is skipped (under a new cost phase 2 then pivots); large ones,
-    # or a basis that holds an artificial, send the solve through phase 1.
-    # Either way the status and objective are HiGHS's and the cold solve's,
-    # and the dual bound certifies the optimum.
+    # first solve's basis, which is always taken. Small moves keep that basis
+    # primal feasible and phase 1 takes no pivot (under a new cost phase 2
+    # then pivots); large ones leave it outside its bounds, and phase 1
+    # repairs it from there or proves the region empty. Either way the
+    # status and objective are HiGHS's and the cold solve's, and the dual
+    # bound certifies the optimum.
     rng = np.random.default_rng(89)
-    seen = dict(warm=0, warm_pivots=0, cold=0, artificial=0)
+    seen = dict(warm_pivots=0, outside=0)
     seen.update(dict.fromkeys(HIGHS_STATUS.values(), 0))
     while min(seen.values()) < 20:
         n = int(rng.integers(2, 9))
@@ -925,11 +963,11 @@ def test_warm_starts_on_perturbed_lps_match_highs():
         sol, cold = solve_lp(moved, start=first.basis), solve_lp(moved)
         status, objective = highs_lp(moved)
         assert sol.status is cold.status is status
-        assert not cold.warm
+        assert sol.warm and not cold.warm
         seen[status] += 1
-        seen["warm" if sol.warm else "cold"] += 1
-        seen["warm_pivots"] += sol.warm and sol.pivots > 0
-        seen["artificial"] += bool(np.any(first.basis.basic >= first.basis.status.size))
+        seen["warm_pivots"] += sol.pivots > 0
+        repair = SimplexState(moved, start=first.basis)
+        seen["outside"] += repair.pivots > 0 or not repair.feasible
         if status is SolveStatus.OPTIMAL:
             assert _max_violation(moved, sol.v) <= 1e-7
             for value in (sol.objective, dual_objective(moved, sol)):
@@ -939,9 +977,9 @@ def test_warm_starts_on_perturbed_lps_match_highs():
 
 def test_start_basis_checks():
     # x0 and x1 have the same column in both rows, so any basis holding both
-    # is singular; the state falls back to phase 1 for it, for a basis of
-    # another shape and for one that marks a column BASIC without it being
-    # basic, and takes the optimal basis it left.
+    # is singular; the state's phase 1 starts from the slack basis instead
+    # for it, for a basis of another shape and for one that marks a column
+    # BASIC without it being basic, and takes the optimal basis it left.
     p = LpProblem(c=[-1.0, -2.0, -1.5], a_ub=[[1.0, 1.0, 1.0], [1.0, 1.0, 3.0]],
                   b_ub=[4.0, 6.0], upper=[3.0, 3.0, 3.0])
     cold = solve_lp(p)

@@ -38,7 +38,7 @@ from portopt.models import (
 from portopt.qp_solver import solve_qp
 
 from conftest import FIXTURE_PATH, FIXTURE_RHO, make_returns
-from oracles import big_m_milp, bisection_reverse_markowitz, grid_best_mad, weight_grid
+from oracles import big_m_milp, bisection_reverse_markowitz, grid_best_mad, highs_lp, weight_grid
 
 
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
@@ -285,7 +285,7 @@ class TestReverseAgainstBisection:
     @pytest.mark.filterwarnings("error")
     def test_one_point_region_leaves_no_weight_free_at_the_start(self):
         # At cap 1/n the region is one point, and for these returns the
-        # oracle leaves the budget row's locked artificial basic: no weight
+        # oracle leaves the budget row's fixed slack basic: no weight
         # is free until the walk frees the capped one of least return.
         cov = stats_from(np.random.default_rng(5).normal(0.001, 0.02, (4, 40))).covariance
         stats = AssetStats(np.array([0.0022, 0.0006, 0.0021, 0.001]), cov)
@@ -812,8 +812,8 @@ class TestWarmStart:
             assert report.detail == "start=warm" and report.objective == warm.objective
 
     def assert_falls_back(self, solve, returns, start):
-        """A start that cannot be taken: phase 1 runs, and the answer is
-        the cold solve's, to the bit."""
+        """A start that cannot be taken: phase 1 starts from the slack
+        basis, and the answer is the cold solve's, to the bit."""
         cold = solve(returns, self.CFG)
         report = solve(returns, self.CFG, start=start)
         assert report.detail == "start=cold"
@@ -821,18 +821,27 @@ class TestWarmStart:
         assert report.objective == cold.objective
         assert np.array_equal(report.allocation.weights, cold.allocation.weights)
 
-    def test_a_start_that_is_not_primal_feasible_falls_back(self, fixture_train):
-        # At c = 10 the original mad basis is infeasible for most seeds.
+    def test_phase1_repairs_a_start_outside_its_bounds(self, fixture_train):
+        # At c = 10 the original mad basis is outside its bounds on most of
+        # the 40 perturbed windows. Phase 1 starts from it all the same: every
+        # start is taken, every answer is the cold solve's and HiGHS's, and
+        # the median warm solve takes fewer pivots than the median cold one.
         first = solve_mad(fixture_train, self.CFG)
-        cold_starts = 0
-        for seed in range(4):
+        pivots = {"warm": [], "cold": []}
+        outside = 0
+        for seed in range(40):
             shaken = perturb_returns(fixture_train, PerturbationConfig(c=10.0, seed=seed))
-            state = SimplexState(mad_problem(shaken, self.CFG)[0], start=first.basis)
-            if not state.warm:
-                assert state.factorizations == 1    # nonsingular, so not primal feasible
-                self.assert_falls_back(solve_mad, shaken, first.basis)
-                cold_starts += 1
-        assert cold_starts >= 2
+            problem = mad_problem(shaken, self.CFG)[0]
+            outside += SimplexState(problem, start=first.basis).pivots > 0
+            warm = solve_mad(shaken, self.CFG, start=first.basis)
+            cold = solve_mad(shaken, self.CFG)
+            assert warm.detail == "start=warm" and warm.status is SolveStatus.OPTIMAL
+            for reference in (cold.objective, highs_lp(problem)[1]):
+                assert abs(warm.objective - reference) <= 1e-9 * (1 + abs(reference))
+            pivots["warm"].append(warm.iterations)
+            pivots["cold"].append(cold.iterations)
+        assert outside >= 30
+        assert np.median(pivots["warm"]) < np.median(pivots["cold"])
 
     @pytest.mark.parametrize("solve", [solve_mad, solve_md], ids=["mad", "md"])
     def test_a_start_of_another_shape_falls_back(self, fixture_train, solve):
@@ -842,9 +851,9 @@ class TestWarmStart:
         self.assert_falls_back(solve, fixture_train, solve(short, self.CFG).basis)
 
     @pytest.mark.parametrize("solve", [solve_mad, solve_md], ids=["mad", "md"])
-    def test_a_start_holding_an_artificial_falls_back(self, fixture_train, solve):
-        # the column basic in the budget row replaced by that row's phase-1
-        # artificial, the first index past the last slack
+    def test_a_start_with_an_out_of_range_column_falls_back(self, fixture_train, solve):
+        # the column basic in the budget row replaced by the first index past
+        # the last slack
         start = solve(fixture_train, self.CFG).basis
         basic, status = start.basic.copy(), start.status.copy()
         status[basic[0]] = AT_LOWER

@@ -44,7 +44,7 @@ def test_zero_q_reduces_to_lp():
                                 lower=np.zeros(3), upper=np.ones(3)))
     assert qp_sol.status is SolveStatus.OPTIMAL
     assert qp_sol.objective == pytest.approx(lp_sol.objective, abs=1e-12)
-    assert qp_sol.iterations <= 2
+    assert qp_sol.iterations <= 3
 
 
 def test_identical_assets_objective():
@@ -92,9 +92,9 @@ def test_certificate_bounds_grid_optimum():
 
 def test_return_floor_at_max_return_vertex():
     # The floor equals the best attainable return, the simplex's top vertex
-    # for cost -mu; phase 1 leaves the floor row's artificial basic (locked
-    # at zero), and the active-set steps and the certifying oracle call must
-    # work around it.
+    # for cost -mu; phase 1 leaves the floor row's slack basic at zero, and
+    # the active-set steps and the certifying oracle call must work around
+    # it.
     rng = np.random.default_rng(41)
     n, cap = 8, 0.3
     mu = rng.normal(0.001, 0.002, n)
@@ -106,7 +106,9 @@ def test_return_floor_at_max_return_vertex():
                         a_ub=-mu[None, :], b_ub=np.array([-(mu @ top)]),
                         lower=np.zeros(n), upper=np.full(n, cap))
     state = SimplexState(problem._region)
-    assert np.any(state.basic >= state.n_real)
+    floor_slack = n + 1   # after the n weights and the budget row's slack
+    assert floor_slack in state.basic
+    assert state.solution()[floor_slack] == pytest.approx(0.0, abs=1e-15)
     sol = solve_qp(problem)
     assert sol.status is SolveStatus.OPTIMAL
     assert np.abs(sol.v - top).max() <= 1e-12

@@ -72,6 +72,13 @@ from 2019-01-02, rho 0): for each panel, `mad` and `md` with their seconds
 and pivots (both phases), and `md_milp` with its seconds, B&B nodes and
 node pivots. The panels are synthetic, not the paper's data.
 
+The `warm` section solves `mad` and `md` on the train window's c = 10
+perturbations, seeds 0-39, once from the final basis of the model's solve
+on the window itself and once cold, and reports the starts taken, the
+median pivots and seconds of either, and the largest objective gap between
+the two solves of one window. At c = 10 the start is outside its bounds on
+most windows, so this measures how phase 1 fares from it.
+
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
 
@@ -102,6 +109,7 @@ DRAWDOWN = ("mad", "md", "md_milp")
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
 ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
+WARM_C, WARM_SEEDS = 10.0, 40   # the warm section's perturbations
 
 
 def _record_states(module) -> list:
@@ -209,7 +217,38 @@ def run(seed: int) -> dict:
         "backtest": _backtest(train, cfg, builds),
         "sweep": _sweep(train, builds),
         "panels": _panels(),
+        "warm": _warm(train, cfg),
     }
+
+
+def _warm(train, cfg) -> dict:
+    """`mad` and `md` on each c = WARM_C perturbation of the train window,
+    from the window's own basis and cold."""
+    from statistics import median
+
+    from portopt import models
+    from portopt.estimation import PerturbationConfig, perturb_returns
+
+    windows = [perturb_returns(train, PerturbationConfig(c=WARM_C, seed=seed))
+               for seed in range(WARM_SEEDS)]
+    rows = {}
+    for tag in ("mad", "md"):
+        start = models.SOLVERS[tag](train, None, cfg).basis
+        runs = {"warm": [], "cold": []}
+        for window in windows:
+            for side, kw in (("warm", {"start": start}), ("cold", {})):
+                started = time.perf_counter()
+                report = models.SOLVERS[tag](window, None, cfg, **kw)
+                runs[side].append((report, time.perf_counter() - started))
+        row = {"c": WARM_C, "seeds": WARM_SEEDS,
+               "starts_taken": sum(r.detail == "start=warm" for r, _ in runs["warm"])}
+        for side, solved in runs.items():
+            row[f"median_{side}_pivots"] = median(r.iterations for r, _ in solved)
+            row[f"median_{side}_seconds"] = round(median(t for _, t in solved), 6)
+        row["max_objective_gap"] = max(abs(w.objective - c.objective)
+                                       for (w, _), (c, _) in zip(runs["warm"], runs["cold"]))
+        rows[tag] = row
+    return rows
 
 
 def _panels() -> dict:
@@ -387,11 +426,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"src_lines          {result['src_lines']}")
     for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
+    for tag, row in result["warm"].items():
+        print(f"warm {tag:13s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for panel, rows in result["panels"].items():
         for tag, row in rows.items():
             print(f"{panel:26s} {tag:8s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for window, rows in result.items():
-        if window in ("data", "estimation", "backtest", "sweep", "panels", "src_lines"):
+        if window in ("data", "estimation", "backtest", "sweep", "panels", "warm", "src_lines"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
