@@ -428,12 +428,15 @@ def _split_spec(cfg: RunConfig, returns) -> SplitSpec:
 
 
 def _resolve_models(cfg: RunConfig) -> list[str]:
-    """The run's model tags; refuses a model option that none of them reads."""
+    """The run's model tags; refuses a model named twice (aliases count as
+    their model) and a model option that none of them reads."""
     tags = []
     for name in cfg.models:
         tag = MODEL_ALIASES.get(name, name)
         if tag not in SOLVERS:
             raise DataError(f"unknown model {name!r}")
+        if tag in tags:
+            raise DataError(f"model {tag} named twice")
         tags.append(tag)
     for f in fields(ModelConfig):
         if (getattr(cfg, f.name) != f.default
@@ -456,9 +459,10 @@ def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
 
 
 def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    if len(cfg.models) != 1:
+    tags = _resolve_models(cfg)
+    if len(tags) != 1:
         raise DataError("solve takes exactly one --model")
-    tag = _resolve_models(cfg)[0]
+    tag = tags[0]
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     stats = asset_stats(returns)

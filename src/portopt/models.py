@@ -39,7 +39,7 @@ from .core import (
     validate_allocation,
 )
 from .estimation import mean_returns
-from .lp_solver import Basis, LpProblem, solve_lp
+from .lp_solver import AT_LOWER, AT_UPPER, BASIC, Basis, LpProblem, solve_lp
 from .milp_solver import MilpProblem, solve_milp
 from .qp_solver import GAP_TOL_DEFAULT, CriticalLine, QpProblem, QpSolution
 
@@ -129,6 +129,8 @@ def mad_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, Mod
     the budget) however many assets there are; a short-selling variant
     (dropping x >= 0) would cap the optimal support at T + 2 names by basic
     LP counting, but short selling is out of scope throughout this package.
+    The day rows hold the deviations, so `mad_vertex` reads them back to
+    build the vertex `solve_mad` starts from.
     """
     n, t_days = returns.n_assets, returns.n_days
     rho = cfg.require_rho()
@@ -149,6 +151,46 @@ def mad_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, Mod
     )
     layout = ModelLayout(n_assets=n, n_cols=ncols, x=slice(0, n), y=slice(n, ncols))
     return problem, layout
+
+
+def mad_vertex(problem: LpProblem, layout: ModelLayout) -> Basis | None:
+    """The basis of a feasible vertex of `problem`, a `mad_problem` LP, for
+    its cold solve to start from; None where too few names meet the floor.
+
+    With k = ceil(1/cap), the k names of mean return at least rho with the
+    least mean absolute deviation |d| (ties to the lowest index) hold the
+    budget: the first k - 1 at the cap, the last at the remainder
+    1 - (k - 1) cap. The deviations d and the means are read from the day
+    and return rows. The last name is basic in the budget row; in each day
+    row p_t is basic where the portfolio deviates upward that day and the
+    row's slack otherwise; the return row's slack is basic; every other
+    column rests at its bound, the capped names at their upper ones. In row
+    order B is lower triangular with +-1 on its diagonal, so nonsingular,
+    and the vertex is primal feasible: phase 1 takes no pivot from it.
+    """
+    n, days = layout.n_assets, layout.n_cols - layout.n_assets
+    dev = problem.a_ub[:days, :n]           # day t's row holds d_t
+    mu, rho = -problem.a_ub[days, :n], -problem.b_ub[days]
+    cap = float(problem.upper[0])
+    k = np.ceil(1.0 / cap)                  # a float: inf for a subnormal cap
+    names = np.flatnonzero(mu >= rho)
+    if names.size < k:
+        return None
+    k = int(k)
+    held = names[np.argsort(np.abs(dev[:, names]).mean(axis=0), kind="stable")[:k]]
+    x = np.zeros(n)
+    x[held[:-1]] = cap
+    x[held[-1]] = 1.0 - (k - 1) * cap
+    # columns: x, p, then the slacks of the budget row, the day rows and the
+    # return row
+    day = np.arange(days)
+    up = dev @ x > 0.0
+    basic = np.concatenate([held[-1:], np.where(up, n + day, n + days + 1 + day),
+                            [n + 2 * days + 1]])
+    status = np.full(layout.n_cols + days + 2, AT_LOWER, dtype=np.int8)
+    status[held[:-1]] = AT_UPPER
+    status[basic] = BASIC
+    return Basis(basic, status)
 
 
 def md_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, ModelLayout]:
@@ -282,14 +324,21 @@ def solve_mad(returns: ReturnMatrix, cfg: ModelConfig, *,
               start: Basis | None = None) -> SolveReport:
     """Model: minimize mean absolute deviation of the portfolio return.
 
-    `start`, the `basis` of a `mad` report on a window of as many days,
-    starts phase 1 where the simplex can take it (`_start_detail`).
+    Without `start` the simplex starts from `mad_vertex`, a feasible vertex
+    the model builds (from the slack basis where it has none), so phase 1
+    takes no pivot. `start`, the `basis` of a `mad` report on a window of as
+    many days, starts phase 1 where the simplex can take it
+    (`_start_detail`); where it cannot, the LP is solved again as without
+    `start`, so the answer is the one without it, to the bit.
     """
     started = time.perf_counter()
     problem, layout = mad_problem(returns, cfg)
-    sol = solve_lp(problem, start=start)
+    sol = None if start is None else solve_lp(problem, start=start)
+    taken = sol is not None and sol.warm
+    if not taken:
+        sol = solve_lp(problem, start=mad_vertex(problem, layout))
     return _report("mad", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(1.0),
-                   sol.pivots, started, _start_detail(start, sol.warm), sol.basis)
+                   sol.pivots, started, _start_detail(start, taken), sol.basis)
 
 
 def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *,
@@ -331,9 +380,10 @@ def _start_detail(start: Basis | None, warm: bool) -> str:
     """The `detail` of a drawdown solve: `start=warm` where phase 1 started
     from its `start` basis (it fit the window and was nonsingular there; a
     start that is still primal feasible costs no phase-1 pivot), `start=cold`
-    where phase 1 started from the slack basis instead, so an unused start
-    shows, and empty without a start. Either way the answer carries the same
-    certificate."""
+    where the solve started as it does without a start instead (from
+    `mad_vertex` for `mad`, from the slack basis for the others), so an
+    unused start shows, and empty without a start. Either way the answer
+    carries the same certificate."""
     if start is None:
         return ""
     return "start=warm" if warm else "start=cold"

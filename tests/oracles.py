@@ -62,7 +62,11 @@ HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatu
 
 def highs_lp(p: LpProblem) -> tuple[SolveStatus, float]:
     """Status and objective (in the problem's sense) from scipy's HiGHS, a
-    test-only dependency; the calling test is skipped without scipy."""
+    test-only dependency; the calling test is skipped without scipy.
+
+    HiGHS runs without presolve. Where it then ends with status 4 (model
+    status Unknown, as on some near-infeasible budget boxes), the same LP is
+    solved again with presolve on."""
     opt = pytest.importorskip("scipy.optimize")
     sign = 1.0 if p.sense == "min" else -1.0
     rows = {}
@@ -70,8 +74,11 @@ def highs_lp(p: LpProblem) -> tuple[SolveStatus, float]:
         rows.update(A_ub=p.a_ub, b_ub=p.b_ub)
     if p.a_eq.shape[0]:
         rows.update(A_eq=p.a_eq, b_eq=p.b_eq)
-    res = opt.linprog(sign * p.c, bounds=np.column_stack([p.lower, p.upper]),
-                      method="highs", options={"presolve": False}, **rows)
+    for presolve in (False, True):
+        res = opt.linprog(sign * p.c, bounds=np.column_stack([p.lower, p.upper]),
+                          method="highs", options={"presolve": presolve}, **rows)
+        if res.status != 4:
+            break
     assert res.status in HIGHS_STATUS, res.message
     return HIGHS_STATUS[res.status], sign * float(res.fun) if res.status == 0 else np.nan
 

@@ -567,6 +567,22 @@ class TestMainEntry:
         assert capsys.readouterr().err.strip() == f"error: DataError: {message}"
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, tag", [
+        (["sensitivity", "--models", "md,md", "--rho", "0.001"], "md"),
+        (["backtest", "--models", "md-milp,md_milp", "--rho", "0.001",
+          "--train-end", "2021-01-29", "--test-end", "2021-02-12"], "md_milp"),
+        (["solve", "--model", "reverse", "--model", "reverse-markowitz", "--sigma0", "0.02"],
+         "reverse_markowitz"),
+    ], ids=["sensitivity", "backtest", "solve"])
+    def test_a_model_named_twice_is_refused(self, tmp_path, argv, tag, capsys):
+        # after aliases resolve, so md-milp and md_milp are one model
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: DataError: model {tag} named twice"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_markowitz_cap_below_min_alloc_default(self, tmp_path):
         # min_alloc (default 0.05) is the MILP's; it does not bound markowitz's cap
         prices = tmp_path / "p.csv"

@@ -496,8 +496,9 @@ def test_a_region_infeasible_by_a_hair_ends_optimal_or_infeasible():
     # the 55th at half of it, and the floor asks for all 55 at the cap.
     # Each minimize must end Optimal or Infeasible, in agreement with
     # HiGHS's maximum return: Infeasible where it misses the floor by more
-    # than FEAS_TOL, Optimal where it meets the floor. (Without presolve,
-    # as `highs_lp` runs it, HiGHS reports these LPs' status as Unknown.)
+    # than FEAS_TOL, Optimal where it meets the floor. (HiGHS runs here with
+    # presolve: without it, it reports some of these LPs' status as Unknown,
+    # as the next test shows.)
     linprog = pytest.importorskip("scipy.optimize").linprog
     n, days = 109, 139
     cap = 2 / n
@@ -519,6 +520,25 @@ def test_a_region_infeasible_by_a_hair_ends_optimal_or_infeasible():
         assert status in seen, seed
         seen[status] += 1
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("seed", [2, 30])
+def test_highs_oracle_answers_where_highs_without_presolve_does_not(seed):
+    # The budget box max mu'x of the family above: HiGHS without presolve
+    # ends these two with status 4 (Unknown), and `highs_lp` then solves
+    # them again with presolve on.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, days = 109, 139
+    rng = np.random.default_rng(seed)
+    mu = (rng.normal(0.0005, 1, (n, days)) * 1e-3 * rng.uniform(0.3, 2, (n, 1))).mean(axis=1)
+    problem = LpProblem(c=mu, sense="max", a_eq=np.ones((1, n)), b_eq=[1.0],
+                        lower=np.zeros(n), upper=np.full(n, 2 / n))
+    raw = linprog(-mu, A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=(0.0, 2 / n),
+                  method="highs", options={"presolve": False})
+    assert raw.status == 4
+    status, objective = highs_lp(problem)
+    assert status is SolveStatus.OPTIMAL
+    assert abs(objective - solve_lp(problem).objective) <= 1e-9
 
 
 def test_drift_guard_refuses_a_vertex_that_stays_infeasible(monkeypatch):

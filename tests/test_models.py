@@ -24,6 +24,7 @@ from portopt.models import (
     SOLVERS,
     ModelLayout,
     mad_problem,
+    mad_vertex,
     markowitz_problem,
     md_milp_problem,
     md_problem,
@@ -381,8 +382,8 @@ class TestFixtureFrontier:
         assert report.status is SolveStatus.OPTIMAL and len(states) == 1
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
-        (solve_mad, 84, 0.006195121614437195,
-         "a62a8dfe6cf75b2269cff39f8b9ffab0a7a0ee290b4a0bbbc3204e29f9d61afd"),
+        (solve_mad, 46, 0.006195121614437194,
+         "f5c4b076c4a1ed4c849951452e4d6a2e6a553cdae4793eb0cc5d8e731c7d8a0a"),
         (solve_md, 8, -0.015244024100047769,
          "770baea1bd933a453667f0687bdae3a576d6c091e4ef41e4393cd15afb6ecaa7"),
     ], ids=["mad", "md"])
@@ -653,6 +654,80 @@ class TestMad:
                             bounds=np.column_stack([p.lower, p.upper]), method="highs")
         assert highs.status == 0
         assert abs(float(objective) - highs.fun) <= 1e-9 * (1 + abs(highs.fun))
+
+
+class TestMadVertex:
+    """`solve_mad` starts its cold solve from `mad_vertex`, a feasible vertex
+    the model builds, where enough names meet the floor, and from the slack
+    basis otherwise."""
+
+    SHAPES = ((24, 8), (40, 16), (8, 24), (12, 40))   # n > T and n < T
+
+    @staticmethod
+    def cases(panel: int, n: int, mu: np.ndarray):
+        """(cap, rho) pairs: caps 1, 0.5, 0.2, 1/n and one below 1/n, each at
+        one of rho 0, a high rho a quarter of the names meet and a rho none
+        meets, in turn over the panels."""
+        rhos = (0.0, float(np.quantile(mu, 0.75)), float(mu.max()) + 1e-3)
+        for i, cap in enumerate((1.0, 0.5, 0.2, 1.0 / n, 0.5 / n)):
+            yield cap, rhos[(panel + i) % 3]
+
+    def test_matches_the_slack_basis_solve_and_highs(self):
+        rng = np.random.default_rng(26)
+        seen = {}   # solves by start, shape (n > T wide) and status
+        for panel in range(60):
+            n, days = self.SHAPES[panel % len(self.SHAPES)]
+            data = rng.normal(0.0005, 0.02, (n, days)) * rng.uniform(0.3, 2.0, (n, 1))
+            returns = make_returns(data)
+            mu = mean_returns(returns)
+            for cap, rho in self.cases(panel, n, mu):
+                cfg = ModelConfig(rho=rho, cap=cap)
+                problem, layout = mad_problem(returns, cfg)
+                slack = solve_lp(problem)
+                report = solve_mad(returns, cfg)
+                assert report.status is slack.status and report.detail == ""
+                vertex = mad_vertex(problem, layout)
+                qualify = int(np.count_nonzero(mu >= rho))
+                assert (vertex is not None) == (qualify >= np.ceil(1.0 / cap))
+                if vertex is not None:
+                    state = SimplexState(problem, start=vertex)
+                    assert state.warm and state.pivots == 0
+                else:
+                    # the slack basis solve itself, pivot for pivot
+                    assert report.iterations == slack.pivots
+                    assert np.array_equal(report.basis.basic, slack.basis.basic)
+                highs_status, highs_objective = highs_lp(problem)
+                assert highs_status is slack.status
+                if slack.status is SolveStatus.OPTIMAL:
+                    tol = 1e-12 * (1 + abs(slack.objective))
+                    assert abs(report.objective - slack.objective) <= tol
+                    assert abs(report.objective - highs_objective) <= 1e-9
+                else:
+                    assert slack.status is SolveStatus.INFEASIBLE
+                key = ("taken" if vertex is not None else "fallback",
+                       "wide" if n > days else "tall", slack.status.value)
+                seen[key] = seen.get(key, 0) + 1
+        for shape in ("wide", "tall"):
+            assert seen.get(("taken", shape, "Optimal"), 0) >= 40, seen
+            assert seen.get(("fallback", shape, "Optimal"), 0) >= 5, seen
+            assert seen.get(("fallback", shape, "Infeasible"), 0) >= 40, seen
+
+    @pytest.mark.parametrize("cap, weights", [(1.0, [1.0]), (0.4, [0.4, 0.4, 1 - 2 * 0.4])])
+    def test_fixture_starts_at_its_vertex(self, fixture_train, cap, weights):
+        # k = ceil(1/cap) names meeting the floor, in order of least mean
+        # |d|: the first k - 1 at the cap, the last, basic in the budget
+        # row, at the remainder. Phase 1 takes no pivot from there.
+        problem, layout = mad_problem(fixture_train, ModelConfig(rho=FIXTURE_RHO, cap=cap))
+        vertex = mad_vertex(problem, layout)
+        state = SimplexState(problem, start=vertex)
+        assert state.warm and state.pivots == 0
+        mu = mean_returns(fixture_train)
+        spread = np.abs(fixture_train.returns - mu[:, None]).mean(axis=1)
+        names = np.flatnonzero(mu >= FIXTURE_RHO)
+        held = names[np.argsort(spread[names], kind="stable")[:len(weights)]]
+        assert held[-1] == vertex.basic[0]
+        x = state.vertex[layout.x]
+        assert np.count_nonzero(x) == len(weights) and x[held].tolist() == weights
 
 
 class TestMd:

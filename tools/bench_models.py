@@ -5,9 +5,13 @@ work per solve.
 
 The perturbed drawdown solves run the way the `sensitivity` command runs
 them: each starts from the final basis of its model's solve on the train
-window (the root basis for `md_milp`), and its row's `start` says whether
-that start was taken (`warm`) or phase 1 ran (`cold`). Every other solve is
-cold. A checkout whose reports carry no basis solves them cold.
+window (the root basis for `md_milp`). Every other solve is given no start.
+A drawdown row's `start` names the basis its answer's simplex state
+started from: `warm` (the given basis was taken), `vertex` (a basis the
+model built, as `mad` does without a start) or `cold` (the slack basis),
+and `phase1_pivots` counts the pivots phase 1 took from it (0 where it was
+primal feasible). A checkout whose reports carry no basis solves them with
+no start.
 
 Work is the model report's `iterations`: for the three mean-variance models
 the critical-line steps from the top-return vertex to the piece their point
@@ -17,10 +21,8 @@ steps and drops instead), simplex pivots (both phases) for `mad` and `md`,
 and B&B nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
 one more solve of the same problem from the same start (each node is one
 LP). That second solve is timed apart from building its problem, as
-`build_seconds` and `solve_seconds`, after the report's own solve. The LP
-models also report the phase-1 pivots of their region, from the same start
-(0 where it is taken). `markowitz` and
-`reverse_markowitz` report their oracles' work, summed over every simplex
+`build_seconds` and `solve_seconds`, after the report's own solve.
+`markowitz` and `reverse_markowitz` report their oracles' work, summed over every simplex
 state the solve builds: `oracle_states`, `oracle_pivots` and
 `oracle_factorizations` (inversions of a basis). Solved alone, each
 mean-variance model builds its own critical line and with it one state,
@@ -66,16 +68,16 @@ block) or `cholesky` (the n x n check); `delta_over_psd_tol` is that bound,
 also counts the `np.linalg.cholesky` calls of one fixture `backtest` command
 (`backtest_choleskys`).
 
-The `panels` section solves the drawdown models cold on generated panels
-(`tools/make_fixture.build_panel` in its `calm` regime over T + 1 weekdays
-from 2019-01-02, rho 0): for each panel, `mad` and `md` with their seconds
+The `panels` section solves the drawdown models with no start on generated
+panels (`tools/make_fixture.build_panel` in its `calm` regime over T + 1
+weekdays from 2019-01-02, rho 0): for each panel, `mad` and `md` with their seconds
 and pivots (both phases), and `md_milp` with its seconds, B&B nodes and
 node pivots. The panels are synthetic, not the paper's data.
 
 The `warm` section solves `mad` and `md` on the train window's c = 10
 perturbations, seeds 0-39, once from the final basis of the model's solve
-on the window itself and once cold, and reports the starts taken, the
-median pivots and seconds of either, and the largest objective gap between
+on the window itself and once with no start (`cold`), and reports the
+starts taken, the median pivots and seconds of either, and the largest objective gap between
 the two solves of one window. At c = 10 the start is outside its bounds on
 most windows, so this measures how phase 1 fares from it.
 
@@ -114,12 +116,14 @@ WARM_C, WARM_SEEDS = 10.0, 40   # the warm section's perturbations
 
 def _record_states(module) -> list:
     """Make `module` build SimplexStates that append themselves to the
-    returned list."""
+    returned list, each with `phase1_pivots`, its pivots when built (phase 1
+    runs in the constructor)."""
     states = []
 
     class Recorded(module.SimplexState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.phase1_pivots = self.pivots
             states.append(self)
 
     module.SimplexState = Recorded
@@ -152,13 +156,21 @@ def _timed(call, repeats: int = 20) -> tuple[dict, object]:
     return {"first_seconds": round(first, 6), "min_seconds": round(min(times), 6)}, result
 
 
+def _start_taken(report, state) -> str:
+    """The basis the simplex state `state` of a drawdown report's answer
+    started from: the given one (`warm`), one the model built (`vertex`) or
+    the slack basis (`cold`)."""
+    if report.detail == "start=warm":
+        return "warm"
+    return "vertex" if getattr(state, "warm", False) else "cold"
+
+
 def run(seed: int) -> dict:
-    from portopt import milp_solver, models, qp_solver
+    from portopt import lp_solver, milp_solver, models, qp_solver
     from portopt.cli_io import ingest_prices
     from portopt.core import ModelConfig, ReturnMatrix
     from portopt.estimation import (PerturbationConfig, asset_stats, compute_simple_returns,
                                     perturb_returns)
-    from portopt.lp_solver import SimplexState
 
     ingest_seconds, prices = _timed(lambda: ingest_prices(FIXTURE))
     returns = compute_simple_returns(prices)
@@ -170,8 +182,8 @@ def run(seed: int) -> dict:
             "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest()}
     estimation = _estimation(train)
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
-    builders = {"mad": models.mad_problem, "md": models.md_problem}
     oracle_states = _record_states(qp_solver)
+    lp_states = _record_states(lp_solver)
     search_states = _record_states(milp_solver)
     builds = _count_builds(qp_solver)
 
@@ -179,7 +191,8 @@ def run(seed: int) -> dict:
         """The row of one solve, from `start` where one is given, and the
         final basis its report carries (None on a checkout without one)."""
         stats = asset_stats(window)
-        oracle_states.clear()
+        for states in (oracle_states, lp_states, search_states):
+            states.clear()
         kw = {} if start is None else {"start": start}
         started = time.perf_counter()
         report = models.SOLVERS[tag](window, stats, cfg, **kw)
@@ -190,7 +203,9 @@ def run(seed: int) -> dict:
         if tag in ORACLE_COUNTED:
             row.update(_oracle_work(oracle_states))
         if tag in DRAWDOWN:
-            row["start"] = "warm" if report.detail == "start=warm" else "cold"
+            state = (search_states if tag == "md_milp" else lp_states)[-1]
+            row["start"] = _start_taken(report, state)
+            row["phase1_pivots"] = state.phase1_pivots
         if tag == "md_milp":
             started = time.perf_counter()
             problem = models.md_milp_problem(window, cfg)[0]
@@ -201,8 +216,6 @@ def run(seed: int) -> dict:
                        solve_seconds=round(time.perf_counter() - built, 6),
                        node_pivots=sol.node_pivots,
                        node_factorizations=_total(search_states, "factorizations"))
-        if tag in builders:
-            row["phase1_pivots"] = SimplexState(builders[tag](window, cfg)[0], **kw).pivots
         return row, getattr(report, "basis", None)
 
     fixture, bases = {}, {}
