@@ -592,8 +592,8 @@ def _read_by(field: str) -> str:
 # and an option left out takes the RunConfig default.
 OPTIONS = {
     "output-dir": dict(default="out", help="artifact directory"),
-    "model": dict(dest="models", action="append", required=True, choices=sorted(MODEL_ALIASES),
-                  help="which model to solve"),
+    "model": dict(dest="models", action="append", required=True,
+                  help="which model to solve: a tag or an alias, as for --models"),
     "models": dict(type=_model_list,
                    help="comma list of models, or 'all' (the default) for the five surveyed"),
     "train-end": dict(help="last training date, inclusive"),

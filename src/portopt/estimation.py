@@ -89,29 +89,28 @@ def perturb_returns(returns: ReturnMatrix, cfg: PerturbationConfig) -> ReturnMat
 
     sigma_s is the population standard deviation of asset s over the window,
     so volatile assets receive proportionally larger shocks and constant-return
-    assets are left untouched. Asset s draws from the counter-based Philox
-    generator of `SeedSequence(entropy=seed, spawn_key=(s,))`: its key is that
-    sequence's `generate_state(2, uint64)`, its counter starts at 0, and day t
-    takes the t-th standard normal of the stream. An asset's noise does not
-    depend on the other rows, and the output is reproducible bit-for-bit
-    across platforms for a given seed. The n keys come from one vectorized
-    pass of SeedSequence's hash (`_philox_keys`), and one generator is reset
-    to each asset's key in turn, so no per-asset SeedSequence is built.
+    assets are left untouched. Day t of asset s takes the t-th standard normal
+    that numpy's `Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(s,))))` draws: the key is that sequence's
+    `generate_state(2, uint64)` and the counter starts at 0, so the first block
+    of four words is the cipher of counter 1. The stream is computed in
+    numpy arrays, for all assets at once and without numpy's random module:
+    the keys in one pass of SeedSequence's hash (`_philox_keys`), the words
+    and the normals by `philox.standard_normals` (Philox4x64-10 and numpy's
+    ziggurat); tests pin it bit for bit against numpy's generator. An asset's
+    noise does not depend on the other rows, and the output is reproducible
+    bit-for-bit across platforms for a given seed. `philox` is imported here,
+    at the first perturbation, so `import portopt` neither compiles it nor
+    holds its tables.
 
     Noise is added as-is, never clipped; an aggressively small c can push a
     deeply negative return past the -1 floor, which surfaces as the
     ReturnMatrix validation error.
     """
+    from .philox import standard_normals
     r = returns.returns
     sigma = r.std(axis=1)  # population std per asset row
-    noise = np.empty_like(r)
-    bitgen = np.random.Philox(0)  # seeded, so no OS entropy is read
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter 0, empty buffer; only the key changes
-    for s, key in enumerate(_philox_keys(cfg.seed, returns.n_assets)):
-        state["state"]["key"] = key
-        bitgen.state = state
-        gen.standard_normal(out=noise[s])
+    noise = standard_normals(_philox_keys(cfg.seed, returns.n_assets), returns.n_days)
     perturbed = r + noise * (sigma[:, None] / cfg.c)
     return ReturnMatrix(returns.tickers, returns.dates, perturbed)
 

@@ -481,6 +481,24 @@ class TestMainEntry:
             assert code == 0
             assert (out / "report.csv").read_text().splitlines()[1].startswith(expect)
 
+    @pytest.mark.parametrize("tag, flags", [("md_milp", ["--rho", "0.0005"]),
+                                            ("reverse_markowitz", ["--sigma0", "0.02"])])
+    def test_cli_solve_takes_model_tags(self, tmp_path, tag, flags):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        out = tmp_path / tag
+        code = main(["solve", str(prices), "--model", tag, *flags, "--output-dir", str(out)])
+        assert code == 0
+        assert (out / "report.csv").read_text().splitlines()[1].startswith(tag + ",")
+
+    def test_cli_solve_unknown_model_is_a_data_error(self, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main(["solve", str(prices), "--model", "md_mip",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: DataError: unknown model 'md_mip'"
+
     def test_cli_infeasible_rho_reports(self, tmp_path, capsys):
         prices = tmp_path / "p.csv"
         write_tiny_prices(prices)

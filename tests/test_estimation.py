@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,9 @@ from portopt.estimation import (
     _philox_keys,
     perturb_returns,
 )
+from portopt.philox import buffer_words, standard_normals
 
-from conftest import make_returns
+from conftest import FIXTURE_PATH, make_returns
 from oracles import perturb_returns_per_asset, two_pass_mean_cov
 
 
@@ -190,6 +195,112 @@ class TestPerAssetStreams:
         out = perturb_returns(fixture_train, PerturbationConfig(c=1000.0, seed=32))
         assert hashlib.sha256(out.returns.tobytes()).hexdigest() == (
             "0c9b4f91bbf16d685339bccb3fb2ee4b54e1ca25fdcea3e93cf1ac23f67376b2")
+
+
+# numpy's ziggurat (numpy/random/src/distributions/ziggurat_constants.h):
+# ki_double[0] and the tail's start r. A draw whose word has layer 0 and
+# rabs = (word >> 9) & (2**52 - 1) >= KI0 runs the tail loop, and only that
+# loop returns a normal of magnitude r or more.
+ZIGGURAT_KI0, ZIGGURAT_R = 0x000EF33D8025EF6A, 3.6541528853610088
+
+
+def philox_at(key) -> np.random.Philox:
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["state"]["key"] = key
+    bitgen.state = state
+    return bitgen
+
+
+def words_drawn(key, t_days: int) -> tuple[np.ndarray, int]:
+    """The raw words of `key`'s stream that numpy's `standard_normal(t_days)`
+    reads, and how many it reads: the next word `random_raw` gives after the
+    draw is found in a fresh copy of the stream."""
+    bitgen = philox_at(key)
+    np.random.Generator(bitgen).standard_normal(t_days)
+    after = bitgen.random_raw()
+    raw = philox_at(key).random_raw(2 * t_days + 64)
+    used = int(np.flatnonzero(raw == after)[0])
+    return raw[:used], used
+
+
+class TestRarePaths:
+    """Streams that reach the ziggurat's rare branches: wedge rejections,
+    layer-0 tail draws, and a row whose first buffer of words runs out."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_long_streams_reach_the_tail(self, seed):
+        n, t_days = 4, 20_000
+        r = make_returns(np.random.default_rng(5).normal(0.001, 0.02, (n, t_days)))
+        cfg = PerturbationConfig(c=10.0, seed=seed)
+        out = perturb_returns(r, cfg)
+        assert out.returns.tobytes() == perturb_returns_per_asset(r, cfg).returns.tobytes()
+        keys = _philox_keys(seed, n)
+        tails = 0
+        for s in range(n):
+            raw, used = words_drawn(keys[s], t_days)
+            assert used > t_days + 100  # wedge and tail draws read extra words
+            candidates = ((raw & 0xFF) == 0) & ((raw >> 9) & (2**52 - 1) >= ZIGGURAT_KI0)
+            z = np.random.Generator(philox_at(keys[s])).standard_normal(t_days)
+            tails += int((np.abs(z) >= ZIGGURAT_R).sum())
+            assert candidates.sum() >= (np.abs(z) >= ZIGGURAT_R).sum()
+        assert tails >= 3
+
+    def test_a_row_that_overruns_its_first_buffer_is_drawn_again(self):
+        n, t_days, seed = 1000, 62, 1
+        keys = _philox_keys(seed, n)
+        over = [s for s in range(n) if words_drawn(keys[s], t_days)[1] > buffer_words(t_days)]
+        assert over  # rows whose t_days normals need more words than first drawn
+        r = make_returns(np.random.default_rng(6).normal(0.001, 0.02, (n, t_days)))
+        cfg = PerturbationConfig(c=10.0, seed=seed)
+        assert (perturb_returns(r, cfg).returns.tobytes()
+                == perturb_returns_per_asset(r, cfg).returns.tobytes())
+
+    @pytest.mark.parametrize("t_days", [1, 3, 62, 250])
+    def test_rows_regrow_from_a_one_block_buffer(self, t_days):
+        # every row outgrows 4 words, most several times over, and rejected
+        # draws fall at the end of a buffer, where their words run out
+        keys = _philox_keys(7, 50)
+        ref = [np.random.Generator(philox_at(key)).standard_normal(t_days) for key in keys]
+        assert standard_normals(keys, t_days, 4).tobytes() == np.array(ref).tobytes()
+
+    def test_a_tail_draw_that_outruns_its_buffer_is_drawn_again(self):
+        # in these rows of seed 0 the third normal is a tail draw that starts
+        # at word 2, so its two uniforms, words 3 and 4, outrun one block
+        keys = _philox_keys(0, 20_000)[[2520, 3849, 12805, 17542, 18424, 18862]]
+        ref = []
+        for key in keys:
+            raw, used = words_drawn(key, 3)
+            assert used == 5
+            assert raw[2] & 0xFF == 0 and (raw[2] >> 9) & (2**52 - 1) >= ZIGGURAT_KI0
+            ref.append(np.random.Generator(philox_at(key)).standard_normal(3))
+        assert (np.abs(np.array(ref)[:, 2]) >= ZIGGURAT_R).all()
+        assert standard_normals(keys, 3, 4).tobytes() == np.array(ref).tobytes()
+
+
+def test_sensitivity_never_imports_numpy_random(tmp_path):
+    """The perturbation computes its stream without numpy.random: neither
+    `import portopt` nor a `sensitivity` run loads it, and `import portopt`
+    leaves out the stream's module until a perturbation needs it."""
+    script = (
+        "import sys\n"
+        "import portopt\n"
+        "loaded = ['portopt.philox' in sys.modules, 'numpy.random' in sys.modules]\n"
+        "from portopt.cli_io import main\n"
+        f"code = main(['sensitivity', {str(FIXTURE_PATH)!r}, '--models', 'mad,md,md-milp',\n"
+        f"             '--rho', '0.001', '--c', '1000', '--output-dir', {str(tmp_path)!r}])\n"
+        "loaded.append('numpy.random' in sys.modules)\n"
+        "print(code, *loaded)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # exit code 0; after `import portopt`, `philox` (loaded at the first
+    # perturbation) and numpy.random; numpy.random after the run
+    assert done.stdout.split()[-4:] == ["0", "False", "False", "False"]
+    assert (tmp_path / "covariance_change.csv").exists()
 
 
 def count_psd_checks(monkeypatch) -> list:

@@ -56,9 +56,18 @@ of the measured checkout's `portopt` package.
 
 The `data` section times the steps before any solve, first of all in the
 process: the fixture's ingest and the train window's seed-N perturbation,
-each as its first call in the process (`first_seconds`; the first
-perturbation includes the lazy `numpy.random` import) and the least of 20
-more calls (`min_seconds`), with the SHA-256 of the perturbed returns.
+each as its first call in the process (`first_seconds`; on a checkout that
+draws the perturbation with `numpy.random`, the first perturbation includes
+its lazy import) and the least of 20 more calls (`min_seconds`), with the
+SHA-256 of the perturbed returns. Its `perturb_ladder` times the seed-N
+perturbation of panels of LADDER's sizes (assets x days, the fixture's
+returns repeated) the same way, by the checkout's `perturb_returns` and then
+by numpy's per-asset loop (one Philox generator reset to each asset's key,
+the way `perturb_returns` drew it before it computed the stream in numpy
+arrays), checks that both give the same bits, and reports
+`numpy_random_import_seconds`: `import numpy.random` after `import numpy`,
+the least and the median of 5 fresh interpreters. The loop's first call
+follows that import in the process, so it leaves the import out.
 
 The `estimation` section times `asset_stats` on the train window the same
 way, right after the `data` steps, and reports the route by which it proved
@@ -93,8 +102,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -111,6 +122,7 @@ DRAWDOWN = ("mad", "md", "md_milp")
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
 ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
+LADDER = ((390, 62), (390, 125), (200, 250), (1000, 250), (2000, 250))  # assets x days
 WARM_C, WARM_SEEDS = 10.0, 40   # the warm section's perturbations
 
 
@@ -179,7 +191,8 @@ def run(seed: int) -> dict:
     perturb_seconds, shaken = _timed(
         lambda: perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed)))
     data = {"ingest_seconds": ingest_seconds, "perturb_seconds": perturb_seconds,
-            "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest()}
+            "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest(),
+            "perturb_ladder": _ladder(returns, seed)}
     estimation = _estimation(train)
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
     oracle_states = _record_states(qp_solver)
@@ -232,6 +245,51 @@ def run(seed: int) -> dict:
         "panels": _panels(),
         "warm": _warm(train, cfg),
     }
+
+
+def _numpy_loop(window, cfg):
+    """The perturbation by numpy's per-asset loop: one Philox generator
+    reset to each asset's key in turn, with the checkout's keys."""
+    import numpy as np
+    from portopt.core import ReturnMatrix
+    from portopt.estimation import _philox_keys
+    r = window.returns
+    noise = np.empty_like(r)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for s, key in enumerate(_philox_keys(cfg.seed, window.n_assets)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=noise[s])
+    return ReturnMatrix(window.tickers, window.dates, r + noise * (r.std(axis=1)[:, None] / cfg.c))
+
+
+def _ladder(returns, seed: int) -> dict:
+    """The checkout's `perturb_returns` and numpy's per-asset loop on
+    panels of the LADDER sizes (the fixture's returns repeated), and
+    `import numpy.random` after `import numpy` in fresh interpreters."""
+    import numpy as np
+    from portopt.core import ReturnMatrix
+    from portopt.estimation import PerturbationConfig, perturb_returns
+    cfg = PerturbationConfig(c=C_PERTURB, seed=seed)
+    panels = {f"{n}x{days}": ReturnMatrix(tuple(f"S{s}" for s in range(n)),
+                                          tuple(f"D{t:04d}" for t in range(days)),
+                                          np.resize(returns.returns, (n, days)))
+              for n, days in LADDER}
+    timed = {size: _timed(lambda: perturb_returns(panel, cfg)) for size, panel in panels.items()}
+    importlib.import_module("numpy.random")  # its import is timed apart, below
+    ladder = {}
+    for size, panel in panels.items():
+        loop, reference = _timed(lambda: _numpy_loop(panel, cfg))
+        same = timed[size][1].returns.tobytes() == reference.returns.tobytes()
+        ladder[size] = {"portopt": timed[size][0], "numpy_loop": loop, "same_bits": same}
+    code = ("import time, numpy; t = time.perf_counter(); import numpy.random; "
+            "print(time.perf_counter() - t)")
+    imports = sorted(float(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          text=True, check=True).stdout) for _ in range(5))
+    return {"sizes": ladder, "numpy_random_import_seconds": {
+        "min_seconds": round(imports[0], 6), "median_seconds": round(imports[2], 6)}}
 
 
 def _warm(train, cfg) -> dict:
@@ -436,6 +494,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data {step:14s} first {times['first_seconds']:.4f}s "
               f"min {times['min_seconds']:.4f}s")
     print(f"data perturbed_sha256 {data['perturbed_sha256']}")
+    ladder = data["perturb_ladder"]
+    for size, row in ladder["sizes"].items():
+        print(f"data perturb {size:9s} " + " ".join(
+            f"{path} first {row[path]['first_seconds']:.4f}s min {row[path]['min_seconds']:.4f}s"
+            for path in ("portopt", "numpy_loop")) + f" same_bits={row['same_bits']}")
+    print("data import numpy.random " + " ".join(
+        f"{k}={v}" for k, v in ladder["numpy_random_import_seconds"].items()))
     print(f"src_lines          {result['src_lines']}")
     for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
