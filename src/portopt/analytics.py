@@ -27,7 +27,7 @@ from .core import (
     SolveStatus,
 )
 from .estimation import PerturbationConfig, asset_stats, covariance_change, perturb_returns
-from .models import SOLVERS, solve_simultaneous
+from .models import MEAN_VARIANCE, SOLVERS, solve_simultaneous
 
 log = logging.getLogger(__name__)
 
@@ -235,6 +235,13 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     shape, so an LP model's perturbed solve starts from the basis of its
     original solve, which a small perturbation usually leaves optimal; its
     report's `detail` says whether that start was taken.
+
+    At most three n x n arrays are live at once: the original window's
+    covariance, the perturbed one's and either the perturbed estimate's
+    Gram product or the covariance change's work buffer. The estimates are
+    kept through the solves only where a requested model reads them (one
+    of `models.MEAN_VARIANCE`); otherwise both covariances are freed once
+    the change is read, and the drawdown solvers get `stats=None`.
     """
     unknown = set(cfgs) - set(SOLVERS)
     if unknown:
@@ -242,6 +249,8 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     windows = (returns, perturb_returns(returns, pcfg))
     stats = tuple(asset_stats(window) for window in windows)
     cov_diff, cov_rel = covariance_change(stats[0].covariance, stats[1].covariance)
+    if set(cfgs).isdisjoint(MEAN_VARIANCE):
+        stats = (None, None)
 
     def run(tag: str) -> SensitivityRow:
         solve, cfg = SOLVERS[tag], cfgs[tag]

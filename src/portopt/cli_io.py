@@ -232,17 +232,25 @@ def _parse_cells(path: Path, lineno: int, tickers: list[str], cells: list[str]) 
 
 
 def write_prices_csv(matrix: PriceMatrix, path: str | Path) -> None:
+    """The header through a csv writer, which quotes a ticker holding a
+    comma, quote or newline as the readers expect; the rows of dates and
+    numbers need no quoting."""
+    import csv as _csv
     with Path(path).open("w", newline="") as fh:
-        fh.write("date," + ",".join(matrix.tickers) + "\n")
+        _csv.writer(fh, lineterminator="\n").writerow(["date", *matrix.tickers])
         for j, date in enumerate(matrix.dates):
             fh.write(date + "," + ",".join(_fmt(v) for v in matrix.prices[:, j]) + "\n")
 
 
 def write_allocation_csv(tickers, allocation: Allocation, path: str | Path) -> None:
+    """`ticker,weight` rows through a csv writer, so any ticker ingest takes
+    reads back by `read_allocation_csv`."""
+    import csv as _csv
     with Path(path).open("w", newline="") as fh:
-        fh.write("ticker,weight\n")
+        writer = _csv.writer(fh, lineterminator="\n")
+        writer.writerow(["ticker", "weight"])
         for ticker, weight in zip(tickers, allocation.weights):
-            fh.write(f"{ticker},{_fmt(weight)}\n")
+            writer.writerow([ticker, _fmt(weight)])
 
 
 def read_allocation_csv(path: str | Path) -> tuple[tuple[str, ...], Allocation]:
@@ -386,16 +394,17 @@ def run_command(cfg: RunConfig) -> int:
                 _dt.date.fromisoformat(value)
             except ValueError:
                 raise DataError(f"{label} must be an ISO-8601 date, got {value!r}") from None
+    # before the output directory is made, so a refused run leaves none behind
+    tags = _resolve_models(cfg) if "models" in read else None
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    handler = {
-        "ingest": _cmd_ingest,
-        "solve": _cmd_solve,
-        "backtest": _cmd_backtest,
-        "sweep-lambda": _cmd_sweep,
-        "sensitivity": _cmd_sensitivity,
-    }[cfg.command]
-    outputs, results = handler(cfg, out_dir)
+    if tags is None:
+        handler = {"ingest": _cmd_ingest, "sweep-lambda": _cmd_sweep}[cfg.command]
+        outputs, results = handler(cfg, out_dir)
+    else:
+        handler = {"solve": _cmd_solve, "backtest": _cmd_backtest,
+                   "sensitivity": _cmd_sensitivity}[cfg.command]
+        outputs, results = handler(cfg, out_dir, tags)
     _write_manifest(cfg, outputs, results)
     return 0
 
@@ -428,8 +437,9 @@ def _split_spec(cfg: RunConfig, returns) -> SplitSpec:
 
 
 def _resolve_models(cfg: RunConfig) -> list[str]:
-    """The run's model tags; refuses a model named twice (aliases count as
-    their model) and a model option that none of them reads."""
+    """The run's model tags; refuses an unknown model, a model named twice
+    (aliases count as their model), a model option that none of them reads
+    and more than one model for `solve`."""
     tags = []
     for name in cfg.models:
         tag = MODEL_ALIASES.get(name, name)
@@ -443,6 +453,8 @@ def _resolve_models(cfg: RunConfig) -> list[str]:
                 and not any(f.name in MODEL_FIELDS[tag] for tag in tags)):
             raise DataError(f"{_FLAG_OF[f.name]} is read by none of the models: "
                             f"{', '.join(tags)}")
+    if cfg.command == "solve" and len(tags) != 1:
+        raise DataError("solve takes exactly one --model")
     return tags
 
 
@@ -458,11 +470,8 @@ def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     return outputs, {}
 
 
-def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    tags = _resolve_models(cfg)
-    if len(tags) != 1:
-        raise DataError("solve takes exactly one --model")
-    tag = tags[0]
+def _cmd_solve(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str], dict]:
+    tag, = tags
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     stats = asset_stats(returns)
@@ -482,8 +491,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     return outputs, {}
 
 
-def _cmd_backtest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    tags = _resolve_models(cfg)
+def _cmd_backtest(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str], dict]:
     prices, returns = _load_returns(cfg)
     spec = _split_spec(cfg, returns)
     train, test = train_test_split(returns, spec)
@@ -540,8 +548,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     return outputs, {"n_excluded": n_excluded}
 
 
-def _cmd_sensitivity(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    tags = _resolve_models(cfg)
+def _cmd_sensitivity(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str], dict]:
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     model_cfg = cfg.model_config()

@@ -180,12 +180,22 @@ def _philox_keys(seed: int, n: int) -> np.ndarray:
 def covariance_change(before: np.ndarray, after: np.ndarray) -> tuple[float, float]:
     """Average absolute elementwise difference between two covariance matrices,
     and that average relative to the mean absolute element of the original.
+
+    Both terms are formed in one n x n work buffer, |after - before| and
+    then |before|, so the inputs and the buffer are the only n x n arrays
+    live here; the inputs are read, never written. Where `before` is laid
+    out as the difference is (inputs of one layout, or a C-ordered
+    `before`, as `asset_stats` gives), the means are the bits of
+    `np.mean(np.abs(after - before))` and `np.mean(np.abs(before))`, which
+    hold one more temporary each: numpy reuses an operator's temporary but
+    not an explicit ufunc call's.
     """
     before = np.asarray(before, dtype=float)
     after = np.asarray(after, dtype=float)
     if before.shape != after.shape:
         raise DimensionError(f"shape mismatch: {before.shape} vs {after.shape}")
-    avg_abs_diff = float(np.mean(np.abs(after - before)))
-    base = float(np.mean(np.abs(before)))
+    work = np.subtract(after, before)
+    avg_abs_diff = float(np.mean(np.abs(work, out=work)))
+    base = float(np.mean(np.abs(before, out=work)))
     relative = avg_abs_diff / base if base > 0 else 0.0
     return avg_abs_diff, relative

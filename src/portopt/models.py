@@ -389,9 +389,14 @@ def _start_detail(start: Basis | None, warm: bool) -> str:
     return "start=warm" if warm else "start=cold"
 
 
-# Each model's solve, called as SOLVERS[tag](returns, stats, cfg). The three
-# mean-variance models read only the moment estimates `stats`; the drawdown
-# models read only the returns, and take `stats=None`. A drawdown model's
+# The models that read the moment estimates, and only them: a run of
+# drawdown models alone need not hold the estimates' n x n covariance.
+MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
+
+# Each model's solve, called as SOLVERS[tag](returns, stats, cfg). The
+# MEAN_VARIANCE models read only the moment estimates `stats`; the drawdown
+# models read only the returns, and take `stats=None`, so no covariance is
+# live under their solves where the caller holds none. A drawdown model's
 # report carries its final basis, and its solve takes a report's basis back
 # by keyword, as `start=`, for a window of the same shape.
 SOLVERS = {

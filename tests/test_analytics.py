@@ -354,6 +354,49 @@ class TestSensitivity:
         assert (lp_only.cov_avg_abs_diff, lp_only.cov_relative_change) == (
             mixed.cov_avg_abs_diff, mixed.cov_relative_change)
 
+    def test_drawdown_solvers_get_no_estimates_in_a_drawdown_run(self, monkeypatch):
+        # Alone, the drawdown models get stats=None, so no covariance is
+        # live under their solves; beside a mean-variance model every model
+        # gets the window's estimates, as before.
+        from portopt import models
+        seen = []
+        for tag, solve in list(models.SOLVERS.items()):
+            def recorded(returns, stats, cfg, _solve=solve, _tag=tag, **kwargs):
+                seen.append((_tag, stats))
+                return _solve(returns, stats, cfg, **kwargs)
+
+            monkeypatch.setitem(models.SOLVERS, tag, recorded)
+        r = make_returns(np.random.default_rng(12).normal(0.002, 0.02, (6, 30)))
+        drawdown = dict.fromkeys(("mad", "md", "md_milp"), ModelConfig(rho=0.0))
+        sensitivity_run(r, drawdown, PerturbationConfig(seed=3))
+        assert [tag for tag, _ in seen] == ["mad", "mad", "md", "md", "md_milp", "md_milp"]
+        assert all(stats is None for _, stats in seen)
+        seen.clear()
+        sensitivity_run(r, {"md": ModelConfig(rho=0.0), "simultaneous": ModelConfig(lam=1.0)},
+                        PerturbationConfig(seed=3))
+        assert [tag for tag, _ in seen] == ["md", "md", "simultaneous", "simultaneous"]
+        assert all(isinstance(stats, AssetStats) for _, stats in seen)
+        assert seen[0][1] is seen[2][1] and seen[1][1] is seen[3][1]
+
+    def test_a_drawdown_run_peaks_at_three_covariances(self):
+        # The two windows' covariances and one n x n work buffer at most:
+        # 3.1 n x n doubles at 600 x 20, where the difference and its
+        # absolute value as two temporaries read 4.1.
+        import tracemalloc
+        n = 600
+        r = make_returns(np.random.default_rng(28).normal(0.001, 0.02, (n, 20)))
+        cfgs = dict.fromkeys(("mad", "md"), ModelConfig(rho=0.0))  # the LPs: no B&B tree
+        pcfg = PerturbationConfig(seed=28)
+        first = sensitivity_run(r, cfgs, pcfg)   # lazy imports and tables outside the count
+        tracemalloc.start()
+        try:
+            again = sensitivity_run(r, cfgs, pcfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 3.5 * 8 * n * n
+
     MEAN_VARIANCE = {"markowitz": ModelConfig(rho=0.001),
                      "reverse_markowitz": ModelConfig(sigma0=0.012),
                      "simultaneous": ModelConfig(lam=0.08)}

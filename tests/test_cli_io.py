@@ -132,6 +132,20 @@ class TestIngest:
         assert back.dates == matrix.dates
         assert np.array_equal(back.prices, matrix.prices)
 
+    def test_quoted_tickers_round_trip(self, tmp_path):
+        # Ingest takes a quoted ticker holding a comma or a quote; both files
+        # the commands write with tickers read back to the same names.
+        prices = tmp_path / "p.csv"
+        prices.write_text('date,"X,Y","Q""Z"\n2020-01-02,100,50\n2020-01-03,101,49\n'
+                          "2020-01-06,100.5,50.5\n2020-01-07,102,50\n")
+        tickers = ("X,Y", 'Q"Z')
+        assert main(["ingest", str(prices), "--output-dir", str(tmp_path / "i")]) == 0
+        assert ingest_prices(tmp_path / "i" / "prices_clean.csv").tickers == tickers
+        assert main(["solve", str(prices), "--model", "md", "--rho", "0",
+                     "--output-dir", str(tmp_path / "s")]) == 0
+        back, alloc = read_allocation_csv(tmp_path / "s" / "allocation.csv")
+        assert back == tickers and alloc.weights.sum() == pytest.approx(1.0)
+
 
 INGEST_CASES = {
     # name: (file text, whether the one-pass loadtxt reader takes it)
@@ -583,7 +597,7 @@ class TestMainEntry:
         code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: DataError: {message}"
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, tag", [
         (["sensitivity", "--models", "md,md", "--rho", "0.001"], "md"),
@@ -599,7 +613,21 @@ class TestMainEntry:
         code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: DataError: model {tag} named twice"
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--models", "md,md_mip", "--rho", "0.001"],
+        ["backtest", "--models", "md,md_mip", "--rho", "0.001",
+         "--train-end", "2021-01-29", "--test-end", "2021-02-12"],
+        ["solve", "--model", "md_mip"],
+    ], ids=["sensitivity", "backtest", "solve"])
+    def test_an_unknown_model_leaves_no_directory(self, tmp_path, argv, capsys):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: DataError: unknown model 'md_mip'"
+        assert not (tmp_path / "o").exists()
 
     def test_markowitz_cap_below_min_alloc_default(self, tmp_path):
         # min_alloc (default 0.05) is the MILP's; it does not bound markowitz's cap

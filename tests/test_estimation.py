@@ -399,3 +399,26 @@ class TestCovarianceChange:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             covariance_change(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("n", [1, 7, 130, 301])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_temporaries_bit_for_bit(self, n, symmetric, order):
+        # One work buffer gives the bits of the two-temporary formulas, for
+        # inputs of one layout, and writes neither input.
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            if symmetric:
+                c = rng.normal(0.0, 0.02, (n, 40))
+                before = covariance(make_returns(c))
+                after = covariance(make_returns(c + rng.normal(0.0, 2e-5, c.shape)))
+            else:
+                before = rng.normal(0.0, rng.uniform(0.1, 10.0), (n, n))
+                after = before + rng.normal(0.0, 1e-3, (n, n))
+            before, after = np.asarray(before, order=order), np.asarray(after, order=order)
+            kept = before.copy(order="K"), after.copy(order="K")
+            diff = float(np.mean(np.abs(after - before)))
+            base = float(np.mean(np.abs(before)))
+            assert covariance_change(before, after) == (diff, diff / base)
+            for given, copy in zip((before, after), kept):
+                assert given.flags.writeable and given.tobytes("A") == copy.tobytes("A")

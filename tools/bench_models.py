@@ -90,6 +90,15 @@ starts taken, the median pivots and seconds of either, and the largest objective
 the two solves of one window. At c = 10 the start is outside its bounds on
 most windows, so this measures how phase 1 fares from it.
 
+The `memory` section runs one `sensitivity_run` of `mad` and `md` (rho
+0.001 on the fixture, 0 on a panel, the seed-N perturbation) in a fresh
+interpreter per input: the fixture's train window and the generated
+MEMORY_PANELS (`calm`, as in `panels`, seed 7). It reports the process's VmHWM, its
+peak resident size, once the input is built and again after the run
+(`growth_mb`, the run's own rise), and `tracemalloc`'s peak over a second,
+identical run in n x n doubles (`peak_nxn`): how many n x n arrays the run
+holds at its fullest.
+
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
 
@@ -124,6 +133,7 @@ ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
 LADDER = ((390, 62), (390, 125), (200, 250), (1000, 250), (2000, 250))  # assets x days
 WARM_C, WARM_SEEDS = 10.0, 40   # the warm section's perturbations
+MEMORY_PANELS = ((1000, 250), (2000, 250))   # the memory section's panels: assets, days
 
 
 def _record_states(module) -> list:
@@ -244,7 +254,71 @@ def run(seed: int) -> dict:
         "sweep": _sweep(train, builds),
         "panels": _panels(),
         "warm": _warm(train, cfg),
+        "memory": _memory(seed),
     }
+
+
+def _vm_hwm_mb() -> float:
+    """This process's peak resident size (VmHWM) in MB."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def _memory_pass(size: str, seed: str) -> None:
+    """One memory row, printed as JSON: a `mad,md` `sensitivity_run` on the
+    fixture's train window (`size` "fixture") or an assets x days panel,
+    run once in this fresh interpreter and once more under tracemalloc."""
+    import tracemalloc
+
+    from portopt.analytics import sensitivity_run
+    from portopt.core import ModelConfig, PriceMatrix, ReturnMatrix
+    from portopt.estimation import PerturbationConfig, compute_simple_returns
+
+    if size == "fixture":
+        from portopt.cli_io import ingest_prices
+        returns = compute_simple_returns(ingest_prices(FIXTURE))
+        days = sum(d <= TRAIN_END for d in returns.dates)
+        returns = ReturnMatrix(returns.tickers, returns.dates[:days], returns.returns[:, :days])
+        cfg = ModelConfig(rho=RHO)
+    else:
+        import make_fixture   # beside this script
+        n_assets, days = map(int, size.split("x"))
+        dates = make_fixture.weekdays("2019-01-02", days + 1)
+        returns = compute_simple_returns(PriceMatrix(*make_fixture.build_panel(
+            n_assets, make_fixture.SEED, dates, "calm")))
+        cfg = ModelConfig(rho=0.0)
+    cfgs = dict.fromkeys(("mad", "md"), cfg)
+    pcfg = PerturbationConfig(c=C_PERTURB, seed=int(seed))
+    before = _vm_hwm_mb()
+    report = sensitivity_run(returns, cfgs, pcfg)
+    after = _vm_hwm_mb()
+    tracemalloc.start()
+    sensitivity_run(returns, cfgs, pcfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps({
+        "vm_hwm_before_mb": round(before, 2), "vm_hwm_after_mb": round(after, 2),
+        "growth_mb": round(after - before, 2),
+        "peak_nxn": round(peak / (8 * returns.n_assets ** 2), 3),
+        "rows": {row.model: row.status for row in report.rows}}))
+
+
+def _memory(seed: int) -> dict:
+    """`_memory_pass` on the fixture and each MEMORY_PANELS panel, each in
+    a fresh interpreter on the measured checkout."""
+    import portopt
+    src = str(Path(portopt.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import bench_models; "
+            "bench_models._memory_pass(*sys.argv[3:])")
+    rows = {}
+    for size in ("fixture", *(f"{n}x{days}" for n, days in MEMORY_PANELS)):
+        done = subprocess.run([sys.executable, "-c", code, src, str(ROOT / "tools"), size,
+                               str(seed)], capture_output=True, text=True, check=True)
+        rows[size] = json.loads(done.stdout)
+    return rows
 
 
 def _numpy_loop(window, cfg):
@@ -506,11 +580,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
     for tag, row in result["warm"].items():
         print(f"warm {tag:13s} " + " ".join(f"{k}={v}" for k, v in row.items()))
+    for size, row in result["memory"].items():
+        print(f"memory {size:11s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for panel, rows in result["panels"].items():
         for tag, row in rows.items():
             print(f"{panel:26s} {tag:8s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for window, rows in result.items():
-        if window in ("data", "estimation", "backtest", "sweep", "panels", "warm", "src_lines"):
+        if window in ("data", "estimation", "backtest", "sweep", "panels", "warm", "memory",
+                      "src_lines"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
