@@ -227,30 +227,27 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     models that fail on either dataset carry the failure status instead of a
     number. Deterministic for a fixed perturbation seed.
 
-    Each window's moment estimates are built once as `AssetStats`
-    (`asset_stats`, which certifies their covariance in O(nT)), and the
-    covariance change reads their covariances. The mean-variance models of
-    one window and cap are queries on the critical line its estimates keep,
-    so each window builds one QP. The perturbed window has the original's
-    shape, so an LP model's perturbed solve starts from the basis of its
-    original solve, which a small perturbation usually leaves optimal; its
-    report's `detail` says whether that start was taken.
-
-    At most three n x n arrays are live at once: the original window's
-    covariance, the perturbed one's and either the perturbed estimate's
-    Gram product or the covariance change's work buffer. The estimates are
-    kept through the solves only where a requested model reads them (one
-    of `models.MEAN_VARIANCE`); otherwise both covariances are freed once
-    the change is read, and the drawdown solvers get `stats=None`.
+    `covariance_change` reads the covariance change from the two windows
+    themselves, in T-row blocks of their Gram products, so it holds no n x n
+    array and is the same for any models. Where a requested model reads
+    moment estimates (one of `models.MEAN_VARIANCE`), each window's are then
+    built once as `AssetStats` (`asset_stats`, which certifies their
+    covariance in O(nT)) and kept through the solves, so the run holds the
+    two covariances its QPs read. The mean-variance models of one window
+    and cap are queries on the critical line its estimates keep, so each
+    window builds one QP. Otherwise no estimates are built, and the
+    drawdown solvers get `stats=None`. The perturbed window has the
+    original's shape, so an LP model's perturbed solve starts from the basis
+    of its original solve, which a small perturbation usually leaves
+    optimal; its report's `detail` says whether that start was taken.
     """
     unknown = set(cfgs) - set(SOLVERS)
     if unknown:
         raise DataError(f"unknown model tags: {sorted(unknown)}")
     windows = (returns, perturb_returns(returns, pcfg))
-    stats = tuple(asset_stats(window) for window in windows)
-    cov_diff, cov_rel = covariance_change(stats[0].covariance, stats[1].covariance)
-    if set(cfgs).isdisjoint(MEAN_VARIANCE):
-        stats = (None, None)
+    cov_diff, cov_rel = covariance_change(*windows)
+    reads_stats = not set(cfgs).isdisjoint(MEAN_VARIANCE)
+    stats = tuple(asset_stats(window) if reads_stats else None for window in windows)
 
     def run(tag: str) -> SensitivityRow:
         solve, cfg = SOLVERS[tag], cfgs[tag]

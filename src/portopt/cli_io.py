@@ -45,7 +45,7 @@ from .core import (
     SolveStatus,
 )
 from .estimation import PerturbationConfig, asset_stats, compute_simple_returns
-from .models import MODEL_FIELDS, SOLVERS
+from .models import MEAN_VARIANCE, MODEL_FIELDS, SOLVERS
 
 log = logging.getLogger(__name__)
 
@@ -363,10 +363,12 @@ def _write_table(path: Path, header: str, rows: list[list[str]]) -> list[str]:
 
 
 def render_markdown(columns: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(columns) + " |",
-             "| " + " | ".join("---" for _ in columns) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+    """A markdown table; a `|` inside a cell is escaped as `\\|`."""
+    def line(cells) -> str:
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+    lines = [line(columns), "| " + " | ".join("---" for _ in columns) + " |"]
+    lines += [line(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -458,6 +460,13 @@ def _resolve_models(cfg: RunConfig) -> list[str]:
     return tags
 
 
+def _estimates(window, tags: list[str]):
+    """The window's moment estimates where a model of `tags` reads them (one
+    of `models.MEAN_VARIANCE`), else None: the drawdown solvers read only
+    the returns, so no covariance is held under them."""
+    return None if set(tags).isdisjoint(MEAN_VARIANCE) else asset_stats(window)
+
+
 def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
     matrix, dropped = _ingest_prices_detail(Path(cfg.prices))
     out = out_dir / "prices_clean.csv"
@@ -474,7 +483,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str
     tag, = tags
     prices, returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
-    stats = asset_stats(returns)
+    stats = _estimates(returns, tags)
     report = SOLVERS[tag](returns, stats, cfg.model_config())
     objective = _fmt(report.objective) if report.objective is not None else ""
     outputs = _write_table(out_dir / "report.csv", "model,objective,status,iterations,time_s",
@@ -495,7 +504,7 @@ def _cmd_backtest(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[
     prices, returns = _load_returns(cfg)
     spec = _split_spec(cfg, returns)
     train, test = train_test_split(returns, spec)
-    stats = asset_stats(train)
+    stats = _estimates(train, tags)
     model_cfg = cfg.model_config()
 
     rows1, rows2 = [], []
@@ -567,13 +576,13 @@ def _cmd_sensitivity(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[li
 
 
 def _cmd_report(args) -> int:
+    import csv as _csv
     path = Path(args.input)
-    lines = path.read_text().strip().splitlines()
+    with path.open(newline="") as fh:
+        lines = [row for row in _csv.reader(fh) if row]
     if not lines:
         raise DataError(f"{path}: empty report")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    rendered = render_markdown(header, rows)
+    rendered = render_markdown(lines[0], lines[1:])
     if args.output:
         Path(args.output).write_text(rendered)
     else:

@@ -203,7 +203,11 @@ class AssetStats:
 def gram_covariance(centered: np.ndarray) -> np.ndarray:
     """The population covariance 0.5·(D + Dᵀ), D = (C Cᵀ)/T, of an n x T
     block C of centered returns: one formula for every covariance estimate,
-    so equal blocks give equal bits. A fresh C-ordered array."""
+    so equal blocks give equal bits. `estimation.covariance_change` streams
+    the rows of the same D in blocks of T, D[I] = (C[I] Cᵀ)/T, without the
+    symmetrization, so its elements are these within rounding, and these
+    bits where one block holds all of D, which numpy forms symmetric. A
+    fresh C-ordered array."""
     d = (centered @ centered.T) / centered.shape[1]
     return np.ascontiguousarray(0.5 * (d + d.T))
 

@@ -177,25 +177,43 @@ def _philox_keys(seed: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def covariance_change(before: np.ndarray, after: np.ndarray) -> tuple[float, float]:
-    """Average absolute elementwise difference between two covariance matrices,
-    and that average relative to the mean absolute element of the original.
+def covariance_change(before: ReturnMatrix, after: ReturnMatrix) -> tuple[float, float]:
+    """Average absolute elementwise difference between the covariances of two
+    return windows of one shape, and that average relative to the mean
+    absolute element of the original's.
 
-    Both terms are formed in one n x n work buffer, |after - before| and
-    then |before|, so the inputs and the buffer are the only n x n arrays
-    live here; the inputs are read, never written. Where `before` is laid
-    out as the difference is (inputs of one layout, or a C-ordered
-    `before`, as `asset_stats` gives), the means are the bits of
-    `np.mean(np.abs(after - before))` and `np.mean(np.abs(before))`, which
-    hold one more temporary each: numpy reuses an operator's temporary but
-    not an explicit ufunc call's.
+    Each window is centered once, C₀ and C₁, and the rows of D = CCᵀ/T are
+    formed in blocks of T rows, D[I] = C[I]Cᵀ/T, into one T x n buffer per
+    window (one block when T >= n); each block adds |D₁[I] - D₀[I]| and
+    |D₀[I]| to two sums, in place. No block is larger than a window's n x T
+    returns, so the change holds no n x n array. D is `gram_covariance`'s
+    product before its symmetrization, so its elements are the covariances'
+    within rounding. Where one block holds all of D, which numpy forms
+    symmetric, the result is the bits of `np.mean(np.abs(covariance(after)
+    - covariance(before)))` and its ratio to `np.mean(np.abs(covariance(
+    before)))`. A non-finite mean or block raises `DataError`, as
+    `asset_stats` does.
     """
-    before = np.asarray(before, dtype=float)
-    after = np.asarray(after, dtype=float)
-    if before.shape != after.shape:
-        raise DimensionError(f"shape mismatch: {before.shape} vs {after.shape}")
-    work = np.subtract(after, before)
-    avg_abs_diff = float(np.mean(np.abs(work, out=work)))
-    base = float(np.mean(np.abs(before, out=work)))
+    if before.returns.shape != after.returns.shape:
+        raise DimensionError(f"shape mismatch: {before.returns.shape} vs {after.returns.shape}")
+    n, t = before.returns.shape
+    if t < 2:
+        raise DimensionError("need at least 2 days of returns for a covariance")
+    c0, c1 = (r - r.mean(axis=1, keepdims=True) for r in (before.returns, after.returns))
+    d0, d1 = np.empty((min(n, t), n)), np.empty((min(n, t), n))
+    diff = base = 0.0
+    for start in range(0, n, t):
+        rows = slice(start, min(start + t, n))
+        g0, g1 = d0[:rows.stop - start], d1[:rows.stop - start]
+        np.matmul(c0[rows], c0.T, out=g0)
+        np.matmul(c1[rows], c1.T, out=g1)
+        g0 /= t
+        g1 /= t
+        diff += float(np.abs(np.subtract(g1, g0, out=g1), out=g1).sum())
+        base += float(np.abs(g0, out=g0).sum())
+    if not (np.isfinite(diff) and np.isfinite(base)):
+        raise DataError("mean returns and covariance must be finite")
+    avg_abs_diff = diff / (n * n)
+    base /= n * n
     relative = avg_abs_diff / base if base > 0 else 0.0
     return avg_abs_diff, relative

@@ -330,9 +330,10 @@ class TestSensitivity:
             assert abs(row.alloc_change_pct - ref.alloc_change_pct) <= 1e-8 * ref.alloc_change_pct
 
     def test_stats_are_built_once_per_window_for_any_models(self, monkeypatch):
-        # Two AssetStats, each with its certified covariance, whichever
-        # models are requested; the covariance change reads their
-        # covariances, so it is the same for any models.
+        # No AssetStats for the drawdown models alone, and two, each with
+        # its certified covariance, beside a mean-variance model; the
+        # covariance change reads the windows, so it is the same for any
+        # models.
         built = []
         from_centered = AssetStats.from_centered.__func__
 
@@ -347,10 +348,10 @@ class TestSensitivity:
         pcfg = PerturbationConfig(seed=3)
         lp_only = sensitivity_run(r, {"mad": ModelConfig(rho=0.0), "md": ModelConfig(rho=0.0)},
                                   pcfg)
-        assert len(built) == 2
+        assert len(built) == 0
         mixed = sensitivity_run(r, {"md": ModelConfig(rho=0.0),
                                     "simultaneous": ModelConfig(lam=1.0)}, pcfg)
-        assert len(built) == 4
+        assert len(built) == 2
         assert (lp_only.cov_avg_abs_diff, lp_only.cov_relative_change) == (
             mixed.cov_avg_abs_diff, mixed.cov_relative_change)
 
@@ -378,10 +379,10 @@ class TestSensitivity:
         assert all(isinstance(stats, AssetStats) for _, stats in seen)
         assert seen[0][1] is seen[2][1] and seen[1][1] is seen[3][1]
 
-    def test_a_drawdown_run_peaks_at_three_covariances(self):
-        # The two windows' covariances and one n x n work buffer at most:
-        # 3.1 n x n doubles at 600 x 20, where the difference and its
-        # absolute value as two temporaries read 4.1.
+    def test_a_drawdown_run_peaks_below_one_covariance(self):
+        # No n x n array: the covariance change streams T x n Gram blocks,
+        # and no estimates are built. 0.39 n x n doubles at 600 x 20, where
+        # two covariances and a work buffer read 3.1.
         import tracemalloc
         n = 600
         r = make_returns(np.random.default_rng(28).normal(0.001, 0.02, (n, 20)))
@@ -395,7 +396,7 @@ class TestSensitivity:
         finally:
             tracemalloc.stop()
         assert again == first
-        assert peak < 3.5 * 8 * n * n
+        assert peak < 1.0 * 8 * n * n
 
     MEAN_VARIANCE = {"markowitz": ModelConfig(rho=0.001),
                      "reverse_markowitz": ModelConfig(sigma0=0.012),

@@ -19,7 +19,7 @@ from portopt.cli_io import (
     run_from_manifest,
     write_prices_csv,
 )
-from portopt.core import DataError, PriceMatrix, validate_allocation
+from portopt.core import AssetStats, DataError, PriceMatrix, validate_allocation
 from portopt.qp_solver import QpProblem
 
 from conftest import FIXTURE_PATH, stop_points_above
@@ -318,6 +318,33 @@ class TestCommands:
                         train_end="2020-05-01", test_end="2020-07-31")
         assert run_command(cfg) == 0
         assert factored == [(390, 390)]
+
+    @pytest.mark.parametrize("argv, built", [
+        (["solve", "--model", "md", "--rho", "0.0005"], 0),
+        (["backtest", "--models", "md,md_milp", "--rho", "0.0005"], 0),
+        (["backtest", "--rho", "0.0005", "--sigma0", "0.02", "--lambda", "1"], 1),
+        (["solve", "--model", "simultaneous", "--lambda", "1"], 1),
+    ], ids=["solve-md", "backtest-drawdown", "backtest-default", "solve-simultaneous"])
+    def test_estimates_are_built_only_for_a_mean_variance_model(self, tmp_path, monkeypatch,
+                                                                  argv, built):
+        # The drawdown solvers read only the returns and get stats=None, so
+        # a run of them alone holds no covariance.
+        calls = []
+        from_centered = AssetStats.from_centered.__func__
+
+        def counted(cls, mean, centered):
+            calls.append(centered.shape)
+            return from_centered(cls, mean, centered)
+
+        monkeypatch.setattr(AssetStats, "from_centered", classmethod(counted))
+        prices = tmp_path / "p.csv"
+        dates = write_tiny_prices(prices, n=6, days=40)
+        command, *flags = argv
+        window = (["--train-end", dates[19], "--test-end", dates[-1]]
+                  if command == "backtest" else [])
+        assert main([command, str(prices), *flags, *window,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == built
 
     def test_sweep_outputs(self, tmp_path):
         prices = tmp_path / "p.csv"
@@ -663,6 +690,16 @@ class TestMainEntry:
         assert main(["report", "--input", str(out / "ingest_summary.csv")]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "| n_tickers | n_days | n_dropped |", "| --- | --- | --- |", "| 10 | 30 | 0 |"]
+
+
+def test_report_reads_quoted_cells_and_escapes_bars(tmp_path, capsys):
+    # An allocation.csv quotes a ticker that holds a comma; a `|` in a cell
+    # would end it in the markdown table.
+    f = tmp_path / "allocation.csv"
+    f.write_text('ticker,weight\n"A,B",0.5\nC|D,0.5\n')
+    assert main(["report", "--input", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "| ticker | weight |", "| --- | --- |", "| A,B | 0.5 |", "| C\\|D | 0.5 |"]
 
 
 def test_render_markdown_shape():

@@ -387,38 +387,90 @@ class TestCertifiedEstimates:
 
 
 class TestCovarianceChange:
+    """`covariance_change` streams the two windows' Gram products in blocks
+    of T rows; its figures are the dense covariances' within rounding."""
+
+    @staticmethod
+    def dense(before, after):
+        cov0, cov1 = covariance(before), covariance(after)
+        diff = float(np.mean(np.abs(cov1 - cov0)))
+        return diff, diff / float(np.mean(np.abs(cov0)))
+
+    @staticmethod
+    def windows(rng, n, t, shifted):
+        # `shifted`: the second window is the first plus small symmetric
+        # noise, as a perturbation makes it; otherwise an unrelated window
+        # on another scale.
+        c = rng.normal(0.0, 0.02, (n, t))
+        other = (c + rng.normal(0.0, 2e-5, c.shape) if shifted
+                 else rng.normal(0.0, rng.uniform(0.001, 0.05), (n, t)))
+        return c, other
+
     def test_identity(self):
-        cov = np.array([[1e-4, 0.0], [0.0, 2e-4]])
-        assert covariance_change(cov, cov) == (0.0, 0.0)
+        r = make_returns(np.random.default_rng(3).normal(0.0, 0.01, (5, 4)))
+        assert covariance_change(r, r) == (0.0, 0.0)
 
     def test_one_by_one(self):
-        diff, rel = covariance_change(np.array([[2.0]]), np.array([[3.0]]))
-        assert diff == pytest.approx(1.0)
-        assert rel == pytest.approx(0.5)
+        before = make_returns(np.array([[0.01, -0.01]]))
+        after = make_returns(np.array([[0.02, -0.02]]))
+        diff, rel = covariance_change(before, after)
+        assert diff == pytest.approx(3e-4)
+        assert rel == pytest.approx(3.0)
 
     def test_dimension_mismatch(self):
+        rng = np.random.default_rng(4)
         with pytest.raises(DimensionError):
-            covariance_change(np.eye(2), np.eye(3))
+            covariance_change(make_returns(rng.normal(0.0, 0.01, (2, 5))),
+                              make_returns(rng.normal(0.0, 0.01, (3, 5))))
+        with pytest.raises(DimensionError):
+            covariance_change(make_returns(rng.normal(0.0, 0.01, (2, 5))),
+                              make_returns(rng.normal(0.0, 0.01, (2, 6))))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowing_product_raises_as_asset_stats_does(self):
+        # A product that overflows, and a mean that does, in either window.
+        calm = make_returns(np.array([[0.01, 0.03, 0.02], [0.0, 0.01, 0.02]]))
+        for huge in (1e200, 1.7e308):
+            r = make_returns(np.array([[huge, 1.0, huge], [0.0, 0.01, 0.02]]))
+            with pytest.raises(DataError, match="must be finite") as stats:
+                asset_stats(r)
+            for before, after in ((r, calm), (calm, r)):
+                with pytest.raises(DataError, match="must be finite") as change:
+                    covariance_change(before, after)
+                assert str(change.value) == str(stats.value)
+
+    @pytest.mark.parametrize("n, t", [(1, 2), (1, 41), (7, 3), (7, 7), (7, 47), (130, 40),
+                                      (130, 130), (130, 170), (301, 40), (301, 301),
+                                      (301, 341)])
+    def test_matches_the_dense_covariances(self, n, t):
+        # T below n streams several blocks, the last one partial where T
+        # does not divide n (7 = 2·3 + 1, 130 = 3·40 + 10, 301 = 7·40 + 21).
+        rng = np.random.default_rng(n + t)
+        for shifted in (True, False):
+            before, after = (make_returns(w) for w in self.windows(rng, n, t, shifted))
+            kept = before.returns.copy(), after.returns.copy()
+            got = covariance_change(before, after)
+            for value, want in zip(got, self.dense(before, after)):
+                assert abs(value - want) <= 1e-13 * abs(want)
+            assert before.returns.tobytes() == kept[0].tobytes()
+            assert after.returns.tobytes() == kept[1].tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 130, 301])
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_the_temporaries_bit_for_bit(self, n, symmetric, order):
-        # One work buffer gives the bits of the two-temporary formulas, for
-        # inputs of one layout, and writes neither input.
+        # Where T >= n, one block holds the whole Gram product, which numpy
+        # forms symmetric, so the change is the bits of the two-temporary
+        # formulas on the dense covariances: the in-place sums round as the
+        # temporaries do. The windows are cut from arrays of either layout,
+        # after small symmetric noise or from an unrelated panel, and are
+        # left unchanged.
         rng = np.random.default_rng(n)
         for _ in range(5):
-            if symmetric:
-                c = rng.normal(0.0, 0.02, (n, 40))
-                before = covariance(make_returns(c))
-                after = covariance(make_returns(c + rng.normal(0.0, 2e-5, c.shape)))
-            else:
-                before = rng.normal(0.0, rng.uniform(0.1, 10.0), (n, n))
-                after = before + rng.normal(0.0, 1e-3, (n, n))
-            before, after = np.asarray(before, order=order), np.asarray(after, order=order)
-            kept = before.copy(order="K"), after.copy(order="K")
-            diff = float(np.mean(np.abs(after - before)))
-            base = float(np.mean(np.abs(before)))
-            assert covariance_change(before, after) == (diff, diff / base)
-            for given, copy in zip((before, after), kept):
-                assert given.flags.writeable and given.tobytes("A") == copy.tobytes("A")
+            panels = self.windows(rng, n, n + 40, symmetric)
+            before, after = (make_returns(np.asarray(w, order=order)) for w in panels)
+            kept = before.returns.copy(), after.returns.copy()
+            assert covariance_change(before, after) == self.dense(before, after)
+            assert before.returns.tobytes() == kept[0].tobytes()
+            assert after.returns.tobytes() == kept[1].tobytes()

@@ -93,11 +93,13 @@ most windows, so this measures how phase 1 fares from it.
 The `memory` section runs one `sensitivity_run` of `mad` and `md` (rho
 0.001 on the fixture, 0 on a panel, the seed-N perturbation) in a fresh
 interpreter per input: the fixture's train window and the generated
-MEMORY_PANELS (`calm`, as in `panels`, seed 7). It reports the process's VmHWM, its
+MEMORY_PANELS (`calm`, as in `panels`, seed 7), and one of `markowitz` and
+`md` on the fixture (row `fixture markowitz,md`, the path of a run that
+builds moment estimates). It reports the process's VmHWM, its
 peak resident size, once the input is built and again after the run
-(`growth_mb`, the run's own rise), and `tracemalloc`'s peak over a second,
-identical run in n x n doubles (`peak_nxn`): how many n x n arrays the run
-holds at its fullest.
+(`growth_mb`, the run's own rise), the run's seconds, and `tracemalloc`'s
+peak over a second, identical run in n x n doubles (`peak_nxn`): how many
+n x n arrays the run holds at its fullest.
 
 Usage:
     python tools/bench_models.py [--seed N] [--src DIR] [--label NAME] [--out FILE]
@@ -267,9 +269,9 @@ def _vm_hwm_mb() -> float:
     raise RuntimeError("no VmHWM in /proc/self/status")
 
 
-def _memory_pass(size: str, seed: str) -> None:
-    """One memory row, printed as JSON: a `mad,md` `sensitivity_run` on the
-    fixture's train window (`size` "fixture") or an assets x days panel,
+def _memory_pass(size: str, seed: str, models: str) -> None:
+    """One memory row, printed as JSON: a `sensitivity_run` of `models` on
+    the fixture's train window (`size` "fixture") or an assets x days panel,
     run once in this fresh interpreter and once more under tracemalloc."""
     import tracemalloc
 
@@ -290,10 +292,12 @@ def _memory_pass(size: str, seed: str) -> None:
         returns = compute_simple_returns(PriceMatrix(*make_fixture.build_panel(
             n_assets, make_fixture.SEED, dates, "calm")))
         cfg = ModelConfig(rho=0.0)
-    cfgs = dict.fromkeys(("mad", "md"), cfg)
+    cfgs = dict.fromkeys(models.split(","), cfg)
     pcfg = PerturbationConfig(c=C_PERTURB, seed=int(seed))
     before = _vm_hwm_mb()
+    started = time.perf_counter()
     report = sensitivity_run(returns, cfgs, pcfg)
+    seconds = time.perf_counter() - started
     after = _vm_hwm_mb()
     tracemalloc.start()
     sensitivity_run(returns, cfgs, pcfg)
@@ -301,23 +305,26 @@ def _memory_pass(size: str, seed: str) -> None:
     tracemalloc.stop()
     print(json.dumps({
         "vm_hwm_before_mb": round(before, 2), "vm_hwm_after_mb": round(after, 2),
-        "growth_mb": round(after - before, 2),
+        "growth_mb": round(after - before, 2), "seconds": round(seconds, 4),
         "peak_nxn": round(peak / (8 * returns.n_assets ** 2), 3),
         "rows": {row.model: row.status for row in report.rows}}))
 
 
 def _memory(seed: int) -> dict:
-    """`_memory_pass` on the fixture and each MEMORY_PANELS panel, each in
-    a fresh interpreter on the measured checkout."""
+    """`_memory_pass` on the fixture, each MEMORY_PANELS panel and the
+    fixture's `markowitz,md` run, each in a fresh interpreter on the
+    measured checkout."""
     import portopt
     src = str(Path(portopt.__file__).resolve().parent.parent)
     code = ("import sys; sys.path[:0] = sys.argv[1:3]; import bench_models; "
             "bench_models._memory_pass(*sys.argv[3:])")
+    runs = [("fixture", "mad,md"), *((f"{n}x{days}", "mad,md") for n, days in MEMORY_PANELS),
+            ("fixture", "markowitz,md")]
     rows = {}
-    for size in ("fixture", *(f"{n}x{days}" for n, days in MEMORY_PANELS)):
+    for size, models in runs:
         done = subprocess.run([sys.executable, "-c", code, src, str(ROOT / "tools"), size,
-                               str(seed)], capture_output=True, text=True, check=True)
-        rows[size] = json.loads(done.stdout)
+                               str(seed), models], capture_output=True, text=True, check=True)
+        rows[size if models == "mad,md" else f"{size} {models}"] = json.loads(done.stdout)
     return rows
 
 
