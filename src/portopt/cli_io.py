@@ -154,6 +154,8 @@ def _ingest_block(path: Path) -> PriceMatrix | None:
     if len(dates) < 2:
         return None
     order = sorted(range(len(dates)), key=dates.__getitem__)
+    if order == list(range(len(dates))):  # ascending already: PriceMatrix copies a view
+        return PriceMatrix(tickers, dates, block[:, 1:].T)
     return PriceMatrix(tickers, [dates[i] for i in order], block[order, 1:].T)
 
 
@@ -412,8 +414,8 @@ def run_command(cfg: RunConfig) -> int:
 
 
 def _load_returns(cfg: RunConfig):
-    prices = ingest_prices(cfg.prices)
-    return prices, compute_simple_returns(prices)
+    """The returns of the prices file; the prices are not held past them."""
+    return compute_simple_returns(ingest_prices(cfg.prices))
 
 
 def _train_window(cfg: RunConfig, returns):
@@ -481,7 +483,7 @@ def _cmd_ingest(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
 
 def _cmd_solve(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str], dict]:
     tag, = tags
-    prices, returns = _load_returns(cfg)
+    returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     stats = _estimates(returns, tags)
     report = SOLVERS[tag](returns, stats, cfg.model_config())
@@ -501,7 +503,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str
 
 
 def _cmd_backtest(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str], dict]:
-    prices, returns = _load_returns(cfg)
+    returns = _load_returns(cfg)
     spec = _split_spec(cfg, returns)
     train, test = train_test_split(returns, spec)
     stats = _estimates(train, tags)
@@ -533,7 +535,7 @@ def _cmd_backtest(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    prices, returns = _load_returns(cfg)
+    returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     stats = asset_stats(returns)
     grid = lambda_grid(cfg.grid_min, cfg.grid_max, cfg.grid_n, cfg.grid_spacing)
@@ -558,7 +560,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
 
 
 def _cmd_sensitivity(cfg: RunConfig, out_dir: Path, tags: list[str]) -> tuple[list[str], dict]:
-    prices, returns = _load_returns(cfg)
+    returns = _load_returns(cfg)
     returns = _train_window(cfg, returns)
     model_cfg = cfg.model_config()
     report = sensitivity_run(returns, {tag: model_cfg for tag in tags},

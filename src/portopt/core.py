@@ -146,7 +146,7 @@ class AssetStats:
             raise DimensionError("mean_returns must be n-vector and covariance n x n")
         if not np.all(np.isfinite(self.mean_returns)) or not np.all(np.isfinite(self.covariance)):
             raise DataError("mean returns and covariance must be finite")
-        if np.max(np.abs(self.covariance - self.covariance.T), initial=0.0) > SYM_TOL:
+        if not _is_symmetric(self.covariance):
             raise DataError(f"covariance not symmetric within {SYM_TOL}")
         if np.any(np.diag(self.covariance) < 0):
             raise DataError("covariance has negative diagonal entries")
@@ -224,10 +224,20 @@ def gram_psd_bound(centered: np.ndarray) -> float:
     return (t + 3) * float(info.eps) * fro2 / t + n * (t + 1) * float(info.smallest_subnormal)
 
 
+def _is_symmetric(matrix: np.ndarray) -> bool:
+    """Whether max |m - mᵀ| <= SYM_TOL for a finite square matrix. An exact
+    comparison settles a bitwise-symmetric matrix in one pass with no
+    temporary; only a matrix it refuses pays for the difference."""
+    return bool(np.array_equal(matrix, matrix.T)
+                or np.max(np.abs(matrix - matrix.T), initial=0.0) <= SYM_TOL)
+
+
 def _is_psd(matrix: np.ndarray) -> bool:
     # Cholesky of sigma + tol*I is cheap and equivalent to min eigenvalue >= -tol
     # up to rounding; fall back to the eigenvalue check if it fails marginally.
-    shifted = matrix + PSD_TOL * np.eye(matrix.shape[0])
+    # The shift goes onto one copy's diagonal in place.
+    shifted = np.array(matrix, dtype=float)
+    shifted.flat[::shifted.shape[0] + 1] += PSD_TOL
     try:
         np.linalg.cholesky(shifted)
         return True

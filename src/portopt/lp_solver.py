@@ -113,13 +113,13 @@ class LpProblem:
         upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
             raise DimensionError("bounds must match the number of variables")
+        # one isfinite scan an array; the NaN or Inf verdict only where it fails
         for name, arr in (("c", c), ("b_eq", b_eq), ("b_ub", b_ub)):
-            if np.any(np.isnan(arr)) or np.any(np.isinf(arr)):
+            if not np.isfinite(arr).all():
                 raise DataError(f"{name} contains NaN or Inf")
-        if np.any(np.isnan(a_eq)) or np.any(np.isnan(a_ub)):
-            raise DataError("constraint matrix contains NaN")
-        if np.any(np.isinf(a_eq)) or np.any(np.isinf(a_ub)):
-            raise DataError("constraint matrix contains Inf")
+        if not (np.isfinite(a_eq).all() and np.isfinite(a_ub).all()):
+            kind = "NaN" if np.isnan(a_eq).any() or np.isnan(a_ub).any() else "Inf"
+            raise DataError(f"constraint matrix contains {kind}")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)) or np.any(lower > upper):
             raise DataError("bounds must satisfy l <= u and contain no NaN")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):

@@ -197,15 +197,19 @@ def standard_normals(keys: np.ndarray, t_days: int, words: int = 0) -> np.ndarra
     `words` run out before t_days normals is drawn again at twice the
     length.
     """
-    n = len(keys)
     words = words or buffer_words(t_days)
     w = philox_words(keys, words // 4)
     signed = w.view(np.int64)  # the same bits, so j indexes the tables as it is
     j = signed & 0x1FF
     rabs = signed >> 9
     rabs &= 0xFFFFFFFFFFFFF
-    z = rabs * _ZIG_WI[j]
-    ok = rabs < _ZIG_KI[j]
+    # each table gathered in turn into the buffer that ends as z (j is in
+    # range, so `clip` gathers unbuffered)
+    z = np.empty(w.shape)
+    ok = rabs < np.take(_ZIG_KI, j, out=z.view(np.int64), mode="clip")
+    np.take(_ZIG_WI, j, out=z, mode="clip")
+    z *= rabs
+    del rabs
     flat_w, flat_z, flat_ok = w.ravel(), z.ravel(), ok.ravel()
     bad = np.flatnonzero(~flat_ok)
     # the wedge test's two sides at every rejected word, with the next word
@@ -242,16 +246,17 @@ def standard_normals(keys: np.ndarray, t_days: int, words: int = 0) -> np.ndarra
         else:
             cut.append(p)
             free = end
+    del w, signed, flat_w, j  # the words are spent: only z and ok are read on
     flat_ok[drop] = False
     flat_ok[keep] = True
     for p in cut:
         flat_ok[p:p - p % words + words] = False
     count = np.count_nonzero(ok, axis=1)
-    full = count >= t_days
     take = (np.cumsum(count) - count)[:, None] + np.arange(t_days)
-    if full.all():
-        return z[ok][take]
-    normals = np.empty((n, t_days))
-    normals[full] = z[ok][take[full]]
-    normals[~full] = standard_normals(keys[~full], t_days, 2 * words)
+    # a row short of t_days reads on past its draws (clipped at the end)
+    # and is drawn again
+    normals = z[ok].take(take, mode="clip")
+    short = count < t_days
+    if short.any():
+        normals[short] = standard_normals(keys[short], t_days, 2 * words)
     return normals

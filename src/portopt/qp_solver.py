@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, DimensionError, SolveStatus, PSD_TOL, SYM_TOL, _is_psd
+from .core import (DataError, DimensionError, SolveStatus, PSD_TOL, SYM_TOL, _is_psd,
+                   _is_symmetric)
 from .lp_solver import AT_LOWER, AT_UPPER, DEGEN_TOL, LpProblem, SimplexState
 
 GAP_TOL_DEFAULT = 1e-8
@@ -88,7 +89,7 @@ class QpProblem:
             raise DimensionError(f"Q must be {n} x {n}, got {q.shape}")
         if not np.all(np.isfinite(q)):
             raise DataError("Q contains NaN or Inf")
-        if np.max(np.abs(q - q.T), initial=0.0) > SYM_TOL:
+        if not _is_symmetric(q):
             raise DataError(f"Q not symmetric within {SYM_TOL}")
         if n and not _is_psd(q):
             raise DataError(f"Q not positive semi-definite within {PSD_TOL}")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from portopt import core
 from portopt.core import (
+    PSD_TOL,
+    SYM_TOL,
     Allocation,
     AssetStats,
     DataError,
@@ -13,6 +16,7 @@ from portopt.core import (
     SolveStatus,
     validate_allocation,
 )
+from portopt.qp_solver import QpProblem
 
 
 class TestValidateAllocation:
@@ -68,6 +72,22 @@ class TestTypes:
         with pytest.raises(DataError):
             AssetStats([0.0, 0.0], [[1e-4, 1e-5], [3e-5, 1e-4]])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda q: AssetStats([0.0, 0.0], q), "covariance not symmetric within 1e-12"),
+        (lambda q: QpProblem(q=q, c=[0.0, 0.0]), "Q not symmetric within 1e-12")],
+        ids=["asset_stats", "qp_problem"])
+    def test_symmetry_within_sym_tol(self, build, message):
+        # off the exact-equality pass, max |m - mᵀ| against SYM_TOL decides
+        def skewed(by):
+            q = np.array([[1e-4, 1e-5], [1e-5, 1e-4]])
+            q[1, 0] += by
+            assert 0.9 * by < q[1, 0] - q[0, 1] < 1.1 * by
+            return q
+
+        build(skewed(SYM_TOL / 2))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            build(skewed(2 * SYM_TOL))
+
     def test_asset_stats_requires_psd(self):
         with pytest.raises(DataError):
             AssetStats([0.0, 0.0], [[1e-4, -2e-4], [-2e-4, 1e-4]])
@@ -116,3 +136,39 @@ class TestTypes:
             SolveReport("md", SolveStatus.INFEASIBLE, None, Allocation([1.0]), 0.0, 0)
         with pytest.raises(DataError):
             SolveReport("md", SolveStatus.OPTIMAL, 1.0, None, 0.0, 0)
+
+
+def is_psd_with_identity_shift(matrix) -> bool:
+    """The reference PSD verdict: a Cholesky of sigma + PSD_TOL * np.eye(n),
+    else the least eigenvalue against -PSD_TOL."""
+    try:
+        np.linalg.cholesky(matrix + PSD_TOL * np.eye(matrix.shape[0]))
+        return True
+    except np.linalg.LinAlgError:
+        return bool(np.linalg.eigvalsh(matrix).min() >= -PSD_TOL)
+
+
+class TestIsPsd:
+    @pytest.mark.parametrize("matrix", [
+        [[1e-4, -0.0], [-0.0, 2e-4]],
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[1e-4, -0.0, 2e-5], [-0.0, -1e-4, -0.0], [2e-5, -0.0, 3e-4]],
+        [[1.0, 1.0], [1.0, 1.0]]], ids=["pd", "zero", "indefinite", "singular"])
+    def test_negative_zeros_keep_the_verdict(self, matrix):
+        matrix = np.array(matrix)
+        assert core._is_psd(matrix) == is_psd_with_identity_shift(matrix)
+
+    @pytest.mark.parametrize("lowest, verdict", [(-PSD_TOL, True), (-2 * PSD_TOL, False)])
+    def test_a_failed_cholesky_falls_back_to_the_eigenvalues(self, lowest, verdict,
+                                                              monkeypatch):
+        # the shift leaves a zero or negative last pivot, so eigvalsh,
+        # exact on a diagonal matrix, decides
+        matrix = np.diag([1e-4, lowest])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        assert core._is_psd(matrix) is verdict
+        assert len(calls) == 1
+        assert is_psd_with_identity_shift(matrix) is verdict
+        matrix.setflags(write=False)  # the shift goes on a copy
+        assert core._is_psd(matrix) is verdict

@@ -152,6 +152,25 @@ class TestPerturbation:
         stats = asset_stats(shaken)  # from_centered certifies the PSD invariant
         assert isinstance(stats, AssetStats)
 
+    @pytest.mark.parametrize("seed", [1, 3, 32])
+    def test_fixture_train_window_peaks_below_1_2_covariances(self, fixture_train, seed):
+        # The words, their table indices, z and ok at once: 0.83 n x n
+        # doubles on this 390 x 62 window. A gathered copy of each table and
+        # a copy of the accepted draws for each short row (seed 1 has one)
+        # would read 1.3 to 1.6.
+        import tracemalloc
+        n = fixture_train.n_assets
+        cfg = PerturbationConfig(c=1000.0, seed=seed)
+        first = perturb_returns(fixture_train, cfg)  # the lazy import outside the count
+        tracemalloc.start()
+        try:
+            again = perturb_returns(fixture_train, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.returns.tobytes() == first.returns.tobytes()
+        assert peak < 1.2 * 8 * n * n
+
     @pytest.mark.parametrize("seed", [1.5, "3", None, np.float64(2.0)])
     def test_non_integral_seed_refused(self, seed):
         with pytest.raises(DataError, match="perturbation seed must be an integer"):

@@ -61,6 +61,25 @@ def test_rejects_nan_inputs():
         LpProblem(c=[1.0], lower=[-np.inf], upper=[-np.inf])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, message", [
+    ("c", "c contains NaN or Inf"), ("b_eq", "b_eq contains NaN or Inf"),
+    ("b_ub", "b_ub contains NaN or Inf"), ("a_eq", "constraint matrix contains {}"),
+    ("a_ub", "constraint matrix contains {}")])
+def test_non_finite_input_is_named(field, message, bad):
+    kw = dict(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, -1.0]], b_ub=[0.5])
+    kw[field] = np.array(kw[field])
+    kw[field].flat[-1] = bad
+    kind = "NaN" if np.isnan(bad) else "Inf"
+    with pytest.raises(DataError, match=f"^{message.format(kind)}$"):
+        LpProblem(**kw)
+
+
+def test_nan_in_either_matrix_is_named_before_inf():
+    with pytest.raises(DataError, match="^constraint matrix contains NaN$"):
+        LpProblem(c=[1.0], a_eq=[[np.inf]], b_eq=[1.0], a_ub=[[np.nan]], b_ub=[1.0])
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.default_rng(123)
     checked = 0

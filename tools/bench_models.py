@@ -69,8 +69,17 @@ arrays), checks that both give the same bits, and reports
 the least and the median of 5 fresh interpreters. The loop's first call
 follows that import in the process, so it leaves the import out.
 
+The `qp_checks` section times, right after the `data` steps and the same
+way, the checks building the `markowitz` QP runs on the train window's
+covariance Q, one by one: `finiteness` (every entry of Q finite),
+`symmetry` (max |Q - Qᵀ| within SYM_TOL, by the checkout's `_is_symmetric`
+where it has one), `psd` (`_is_psd`, a Cholesky of Q shifted by PSD_TOL)
+and `region` (the `LpProblem` of its constraints); then the whole
+`markowitz_problem` build, and an `LpProblem` built from the arrays of
+`mad`'s LP on the window (`mad_lp`, every check of the LP layer).
+
 The `estimation` section times `asset_stats` on the train window the same
-way, right after the `data` steps, and reports the route by which it proved
+way, right after the `qp_checks` section, and reports the route by which it proved
 the covariance PSD: `certificate` (the O(nT) rounding bound on the centered
 block) or `cholesky` (the n x n check); `delta_over_psd_tol` is that bound,
 δ = (T + 3)·ε·‖C‖_F²/T, over `PSD_TOL`, computed here from the window. It
@@ -205,8 +214,9 @@ def run(seed: int) -> dict:
     data = {"ingest_seconds": ingest_seconds, "perturb_seconds": perturb_seconds,
             "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest(),
             "perturb_ladder": _ladder(returns, seed)}
-    estimation = _estimation(train)
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
+    qp_checks = _qp_checks(train, cfg)
+    estimation = _estimation(train)
     oracle_states = _record_states(qp_solver)
     lp_states = _record_states(lp_solver)
     search_states = _record_states(milp_solver)
@@ -248,6 +258,7 @@ def run(seed: int) -> dict:
         fixture[tag], bases[tag] = solve(tag, train)
     return {
         "data": data,
+        "qp_checks": qp_checks,
         "estimation": estimation,
         "fixture": fixture,
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
@@ -443,6 +454,33 @@ def _counting(fn, calls: list):
     return counted
 
 
+def _qp_checks(train, cfg) -> dict:
+    """The `markowitz` QP build's checks on the train window's covariance,
+    each timed alone, the whole build, and the checks of `mad`'s LP."""
+    import numpy as np
+
+    from portopt import core, models
+    from portopt.estimation import asset_stats
+    from portopt.lp_solver import LpProblem
+
+    stats = asset_stats(train)
+    q = stats.covariance
+    region = models.markowitz_problem(stats, cfg)[0]._region
+    symmetric = getattr(core, "_is_symmetric",   # a checkout without it takes the max
+                        lambda m: np.max(np.abs(m - m.T), initial=0.0) <= core.SYM_TOL)
+    mad = models.mad_problem(train, cfg)[0]
+
+    def rebuilt(lp):
+        return lambda: LpProblem(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
+                                 a_ub=lp.a_ub, b_ub=lp.b_ub, lower=lp.lower, upper=lp.upper)
+
+    checks = {"finiteness": lambda: np.all(np.isfinite(q)), "symmetry": lambda: symmetric(q),
+              "psd": lambda: core._is_psd(q), "region": rebuilt(region),
+              "markowitz_build": lambda: models.markowitz_problem(stats, cfg),
+              "mad_lp": rebuilt(mad)}
+    return {name: _timed(call)[0] for name, call in checks.items()}
+
+
 def _estimation(train) -> dict:
     """`asset_stats` on the train window: its seconds, the route of its PSD
     proof, the rounding bound over PSD_TOL, and the Choleskys of one
@@ -583,6 +621,9 @@ def main(argv: list[str] | None = None) -> int:
     print("data import numpy.random " + " ".join(
         f"{k}={v}" for k, v in ladder["numpy_random_import_seconds"].items()))
     print(f"src_lines          {result['src_lines']}")
+    for check, times in result["qp_checks"].items():
+        print(f"qp_checks {check:16s} first {times['first_seconds']:.6f}s "
+              f"min {times['min_seconds']:.6f}s")
     for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
     for tag, row in result["warm"].items():
@@ -593,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         for tag, row in rows.items():
             print(f"{panel:26s} {tag:8s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for window, rows in result.items():
-        if window in ("data", "estimation", "backtest", "sweep", "panels", "warm", "memory",
+        if window in ("data", "qp_checks", "estimation", "backtest", "sweep", "panels", "warm", "memory",
                       "src_lines"):
             continue
         for tag, row in rows.items():
