@@ -1,6 +1,6 @@
 """CSV ingestion, the command-line interface, and report rendering.
 
-File conventions (all CSV, fixed headers, ISO-8601 dates):
+File conventions (all CSV, fixed headers, ``YYYY-MM-DD`` dates):
 
 * prices:     ``date,TICK1,TICK2,...`` one row per trading day
 * allocation: ``ticker,weight`` with decimal weights summing to 1
@@ -50,12 +50,8 @@ from .models import MEAN_VARIANCE, MODEL_FIELDS, SOLVERS
 log = logging.getLogger(__name__)
 
 MODEL_ALIASES = {
-    "markowitz": "markowitz",
     "reverse": "reverse_markowitz",
     "reverse-markowitz": "reverse_markowitz",
-    "simultaneous": "simultaneous",
-    "mad": "mad",
-    "md": "md",
     "md-milp": "md_milp",
 }
 BACKTEST_ALL = ("markowitz", "reverse_markowitz", "simultaneous", "md", "md_milp")
@@ -101,6 +97,18 @@ def _ingest_prices_detail(path: Path) -> tuple[PriceMatrix, list[str]]:
     return matrix, []
 
 
+def _check_date(text: str) -> None:
+    """Raise ValueError unless `text` is a date in canonical YYYY-MM-DD form.
+
+    Windows compare date strings, which is chronological only in that form,
+    so the other forms `date.fromisoformat` takes (`20200501`, `2020-W18-5`)
+    are refused.
+    """
+    import datetime as _dt
+    if _dt.date.fromisoformat(text).isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+
+
 def _header_tickers(path: Path, reader) -> list[str]:
     """The tickers of a prices file's header row, read from a csv reader."""
     try:
@@ -130,13 +138,12 @@ def _ingest_block(path: Path) -> PriceMatrix | None:
     the one the row reader would take.
     """
     import csv as _csv
-    import datetime as _dt
     import warnings
 
     dates = []
 
     def date_cell(cell: str) -> float:
-        _dt.date.fromisoformat(cell)
+        _check_date(cell)
         dates.append(cell)
         return 0.0
 
@@ -163,7 +170,6 @@ def _ingest_rows(path: Path) -> tuple[PriceMatrix, list[str]]:
     """The prices file row by row: csv cells, one `map(float)` per row of
     ASCII cells without underscores, and `_parse_cells` for any other row."""
     import csv as _csv
-    import datetime as _dt
 
     with path.open(newline="") as fh:
         reader = _csv.reader(fh)
@@ -175,7 +181,7 @@ def _ingest_rows(path: Path) -> tuple[PriceMatrix, list[str]]:
             if len(row) != len(tickers) + 1:
                 raise DataError(f"{path}:{lineno}: expected {len(tickers) + 1} cells")
             try:
-                _dt.date.fromisoformat(row[0])
+                _check_date(row[0])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad date {row[0]!r}") from None
             joined = "".join(row[1:])
@@ -384,7 +390,6 @@ def run_command(cfg: RunConfig) -> int:
     Refuses a field set away from its default that the command does not read
     (see `COMMANDS`), whether the config came from the CLI or not.
     """
-    import datetime as _dt
     if cfg.command not in COMMANDS:
         raise DataError(f"unknown command {cfg.command!r}")
     read = {"command", "prices"} | {_FIELD_OF[flag] for flag in _flags(cfg.command)}
@@ -395,9 +400,9 @@ def run_command(cfg: RunConfig) -> int:
     for label, value in (("--train-end", cfg.train_end), ("--test-end", cfg.test_end)):
         if value is not None:
             try:
-                _dt.date.fromisoformat(value)
+                _check_date(value)
             except ValueError:
-                raise DataError(f"{label} must be an ISO-8601 date, got {value!r}") from None
+                raise DataError(f"{label} must be a YYYY-MM-DD date, got {value!r}") from None
     # before the output directory is made, so a refused run leaves none behind
     tags = _resolve_models(cfg) if "models" in read else None
     out_dir = Path(cfg.output_dir)
@@ -441,9 +446,11 @@ def _split_spec(cfg: RunConfig, returns) -> SplitSpec:
 
 
 def _resolve_models(cfg: RunConfig) -> list[str]:
-    """The run's model tags; refuses an unknown model, a model named twice
-    (aliases count as their model), a model option that none of them reads
-    and more than one model for `solve`."""
+    """The run's model tags; refuses an empty list, an unknown model, a model
+    named twice (aliases count as their model), a model option that none of
+    them reads and more than one model for `solve`."""
+    if not cfg.models:
+        raise DataError("no model named")
     tags = []
     for name in cfg.models:
         tag = MODEL_ALIASES.get(name, name)

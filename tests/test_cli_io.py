@@ -165,6 +165,8 @@ INGEST_CASES = {
     "long rows": ("date,A,B\n2020-01-02,1,7,9\n2020-01-03,2,8,9\n", False),
     "blank-looking line": ("date,A\n2020-01-02,1\n \n2020-01-03,2\n", False),
     "bad date": ("date,A\n2020-01-02,1\n2020-13-03,2\n", False),
+    "compact date": ("date,A\n2020-01-02,1\n20200103,2\n", False),
+    "mixed date formats": ("date,A\n2020-01-06,1\n20200103,2\n2020-01-02,3\n", False),
     "duplicate date": ("date,A\n2020-01-03,1\n2020-01-02,2\n2020-01-03,3\n", False),
     "nonpositive": ("date,A\n2020-01-02,0\n2020-01-03,1\n", False),
     "one row": ("date,A\n2020-01-02,1\n", False),
@@ -172,10 +174,13 @@ INGEST_CASES = {
 }
 
 
-# Cells that `float()` reads and `np.loadtxt` refuses: both readers raise.
+# Cells that `float()` reads and `np.loadtxt` refuses, and dates that
+# `date.fromisoformat` reads in another form than YYYY-MM-DD: both readers raise.
 INGEST_ERRORS = {
     "underscore": "p.csv:2: non-numeric price '1_000' for A",
     "arabic-indic digits": "p.csv:3: non-numeric price '\u0661\u0662' for A",
+    "compact date": "p.csv:3: bad date '20200103'",
+    "mixed date formats": "p.csv:3: bad date '20200103'",
 }
 
 
@@ -654,6 +659,37 @@ class TestMainEntry:
         code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: DataError: unknown model 'md_mip'"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["backtest", "--models", ","],
+        ["sensitivity", "--models", " "],
+        ["sensitivity", "--models", ",", "--rho", "0.001"],
+    ], ids=["backtest", "sensitivity", "with_rho"])
+    def test_an_empty_model_list_leaves_no_directory(self, tmp_path, argv, capsys):
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: DataError: no model named"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["solve", "--model", "mad", "--rho", "0.001", "--train-end", "20200501"],
+         "--train-end", "20200501"),
+        (["sensitivity", "--models", "mad", "--rho", "0.001", "--train-end", "20200501"],
+         "--train-end", "20200501"),
+        (["backtest", "--models", "md", "--rho", "0.001", "--train-end", "2021-01-29",
+          "--test-end", "2020-W31-5"], "--test-end", "2020-W31-5"),
+    ], ids=["solve", "sensitivity", "backtest"])
+    def test_a_date_in_another_iso_form_is_refused(self, tmp_path, argv, flag, value, capsys):
+        # string comparison of dates is chronological only in YYYY-MM-DD form
+        prices = tmp_path / "p.csv"
+        write_tiny_prices(prices)
+        code = main([argv[0], str(prices), *argv[1:], "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: DataError: {flag} must be a YYYY-MM-DD date, got {value!r}")
         assert not (tmp_path / "o").exists()
 
     def test_markowitz_cap_below_min_alloc_default(self, tmp_path):

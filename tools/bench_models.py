@@ -10,76 +10,51 @@ A drawdown row's `start` names the basis its answer's simplex state
 started from: `warm` (the given basis was taken), `vertex` (a basis the
 model built, as `mad` does without a start) or `cold` (the slack basis),
 and `phase1_pivots` counts the pivots phase 1 took from it (0 where it was
-primal feasible). A checkout whose reports carry no basis solves them with
-no start.
+primal feasible).
 
 Work is the model report's `iterations`: for the three mean-variance models
 the critical-line steps from the top-return vertex to the piece their point
-lies on (`markowitz`, `reverse_markowitz`, `simultaneous`; a checkout that
-solves `markowitz` and `simultaneous` by the active-set QP reports its
-steps and drops instead), simplex pivots (both phases) for `mad` and `md`,
-and B&B nodes for `md_milp`, whose node pivots are read from the `MilpSolution` of
-one more solve of the same problem from the same start (each node is one
-LP). That second solve is timed apart from building its problem, as
-`build_seconds` and `solve_seconds`, after the report's own solve.
-`markowitz` and `reverse_markowitz` report their oracles' work, summed over every simplex
+lies on (`markowitz`, `reverse_markowitz`, `simultaneous`), simplex pivots
+(both phases) for `mad` and `md`, and B&B nodes for `md_milp`, whose node
+pivots are read from the `MilpSolution` of one more solve of the same
+problem from the same start (each node is one LP). That second solve is
+timed apart from building its problem, as `build_seconds` and
+`solve_seconds`, after the report's own solve. `markowitz` and
+`reverse_markowitz` report their oracles' work, summed over every simplex
 state the solve builds: `oracle_states`, `oracle_pivots` and
 `oracle_factorizations` (inversions of a basis). Solved alone, each
 mean-variance model builds its own critical line and with it one state,
 whose top-return vertex starts the walk; `reverse_markowitz` certifies its
 point with one more call in that state, and `markowitz` builds a second
-state, of the budget box and its return floor, whose one call certifies
-its point. `md_milp` reports the
-factorizations of its search's simplex state as `node_factorizations`. A
-checkout whose `SimplexState` lacks a counter records null for it. Inputs
-match the benchmark's workloads: train window up to 2020-05-01, rho 0.001,
-sigma0 0.012, lambda 0.08, perturbation divisor c = 1000. The window is a
-column slice; where `ReturnMatrix` stores C order it solves to
-the same bits as the `backtest` command's date-mask window. The full window
-(all 125 days) is the `solve` command's input; its `mad` row is the largest,
-most degenerate LP the fixture gives.
+state, of the budget box and its return floor, whose one call certifies its
+point. `md_milp` reports the factorizations of its search's simplex state as
+`node_factorizations`. Inputs match the benchmark's workloads: train window
+up to 2020-05-01, rho 0.001, sigma0 0.012, lambda 0.08, perturbation divisor
+c = 1000. The window is a column slice; `ReturnMatrix` stores C order, so it
+solves to the same bits as the `backtest` command's date-mask window. The
+full window (all 125 days) is the `solve` command's input; its `mad` row is
+the largest, most degenerate LP the fixture gives.
 
 The `backtest` section solves the three mean-variance models in the
 `backtest` command's order on one set of moment estimates of the train
-window, which share one critical line (through a `MeanVariancePath` on a
-checkout that has one, each model alone on one that has neither), 10 times
-over with fresh estimates each time, so no pass reuses a line another pass
-built. It reports each model's median seconds and its walk steps, the
-median of the three together, and `qp_builds`, the `QpProblem`s one pass
-builds. The first model carries the line's one build and its walk. The
-`sweep` section runs `lambda_sweep` on the default 100-point grid over
-fresh estimates of the train window 3 times and reports the median seconds,
-`n_excluded` (points not Optimal), `qp_builds` and `path_pieces`, the pieces
-of the critical line the sweep walked (null on a checkout without one).
-Building the estimates is outside both timers. `src_lines` counts the lines
-of the measured checkout's `portopt` package.
+window, which share the one critical line the estimates keep, 10 times over
+with fresh estimates each time, so no pass reuses a line another pass built.
+It reports each model's median seconds and its walk steps, the median of the
+three together, and `qp_builds`, the `QpProblem`s one pass builds. The first
+model carries the line's one build and its walk. The `sweep` section runs
+`lambda_sweep` on the default 100-point grid over fresh estimates of the
+train window 3 times and reports the median seconds, `n_excluded` (points
+not Optimal), `qp_builds` and `path_pieces`, the pieces of the critical line
+the sweep walked. Building the estimates is outside both timers. `src_lines`
+counts the lines of the measured checkout's `portopt` package.
 
 The `data` section times the steps before any solve, first of all in the
 process: the fixture's ingest and the train window's seed-N perturbation,
-each as its first call in the process (`first_seconds`; on a checkout that
-draws the perturbation with `numpy.random`, the first perturbation includes
-its lazy import) and the least of 20 more calls (`min_seconds`), with the
-SHA-256 of the perturbed returns. Its `perturb_ladder` times the seed-N
-perturbation of panels of LADDER's sizes (assets x days, the fixture's
-returns repeated) the same way, by the checkout's `perturb_returns` and then
-by numpy's per-asset loop (one Philox generator reset to each asset's key,
-the way `perturb_returns` drew it before it computed the stream in numpy
-arrays), checks that both give the same bits, and reports
-`numpy_random_import_seconds`: `import numpy.random` after `import numpy`,
-the least and the median of 5 fresh interpreters. The loop's first call
-follows that import in the process, so it leaves the import out.
-
-The `qp_checks` section times, right after the `data` steps and the same
-way, the checks building the `markowitz` QP runs on the train window's
-covariance Q, one by one: `finiteness` (every entry of Q finite),
-`symmetry` (max |Q - Qᵀ| within SYM_TOL, by the checkout's `_is_symmetric`
-where it has one), `psd` (`_is_psd`, a Cholesky of Q shifted by PSD_TOL)
-and `region` (the `LpProblem` of its constraints); then the whole
-`markowitz_problem` build, and an `LpProblem` built from the arrays of
-`mad`'s LP on the window (`mad_lp`, every check of the LP layer).
+each as its first call in the process (`first_seconds`) and the least of
+20 more calls (`min_seconds`), with the SHA-256 of the perturbed returns.
 
 The `estimation` section times `asset_stats` on the train window the same
-way, right after the `qp_checks` section, and reports the route by which it proved
+way, right after the `data` steps, and reports the route by which it proved
 the covariance PSD: `certificate` (the O(nT) rounding bound on the centered
 block) or `cholesky` (the n x n check); `delta_over_psd_tol` is that bound,
 δ = (T + 3)·ε·‖C‖_F²/T, over `PSD_TOL`, computed here from the window. It
@@ -91,13 +66,6 @@ panels (`tools/make_fixture.build_panel` in its `calm` regime over T + 1
 weekdays from 2019-01-02, rho 0): for each panel, `mad` and `md` with their seconds
 and pivots (both phases), and `md_milp` with its seconds, B&B nodes and
 node pivots. The panels are synthetic, not the paper's data.
-
-The `warm` section solves `mad` and `md` on the train window's c = 10
-perturbations, seeds 0-39, once from the final basis of the model's solve
-on the window itself and once with no start (`cold`), and reports the
-starts taken, the median pivots and seconds of either, and the largest objective gap between
-the two solves of one window. At c = 10 the start is outside its bounds on
-most windows, so this measures how phase 1 fares from it.
 
 The `memory` section runs one `sensitivity_run` of `mad` and `md` (rho
 0.001 on the fixture, 0 on a panel, the seed-N perturbation) in a fresh
@@ -122,7 +90,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -142,8 +109,6 @@ DRAWDOWN = ("mad", "md", "md_milp")
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
 ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
-LADDER = ((390, 62), (390, 125), (200, 250), (1000, 250), (2000, 250))  # assets x days
-WARM_C, WARM_SEEDS = 10.0, 40   # the warm section's perturbations
 MEMORY_PANELS = ((1000, 250), (2000, 250))   # the memory section's panels: assets, days
 
 
@@ -163,16 +128,9 @@ def _record_states(module) -> list:
     return states
 
 
-def _total(states: list, name: str):
-    """A counter summed over `states`, or None where a state lacks it."""
-    if not all(hasattr(state, name) for state in states):
-        return None
-    return sum(getattr(state, name) for state in states)
-
-
 def _oracle_work(states: list) -> dict:
-    return {"oracle_states": len(states), "oracle_pivots": _total(states, "pivots"),
-            "oracle_factorizations": _total(states, "factorizations")}
+    return {"oracle_states": len(states), "oracle_pivots": sum(s.pivots for s in states),
+            "oracle_factorizations": sum(s.factorizations for s in states)}
 
 
 def _timed(call, repeats: int = 20) -> tuple[dict, object]:
@@ -195,7 +153,7 @@ def _start_taken(report, state) -> str:
     the slack basis (`cold`)."""
     if report.detail == "start=warm":
         return "warm"
-    return "vertex" if getattr(state, "warm", False) else "cold"
+    return "vertex" if state.warm else "cold"
 
 
 def run(seed: int) -> dict:
@@ -212,10 +170,8 @@ def run(seed: int) -> dict:
     perturb_seconds, shaken = _timed(
         lambda: perturb_returns(train, PerturbationConfig(c=C_PERTURB, seed=seed)))
     data = {"ingest_seconds": ingest_seconds, "perturb_seconds": perturb_seconds,
-            "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest(),
-            "perturb_ladder": _ladder(returns, seed)}
+            "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest()}
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
-    qp_checks = _qp_checks(train, cfg)
     estimation = _estimation(train)
     oracle_states = _record_states(qp_solver)
     lp_states = _record_states(lp_solver)
@@ -224,7 +180,7 @@ def run(seed: int) -> dict:
 
     def solve(tag: str, window: ReturnMatrix, start=None) -> tuple[dict, object]:
         """The row of one solve, from `start` where one is given, and the
-        final basis its report carries (None on a checkout without one)."""
+        final basis its report carries."""
         stats = asset_stats(window)
         for states in (oracle_states, lp_states, search_states):
             states.clear()
@@ -250,15 +206,14 @@ def run(seed: int) -> dict:
             row.update(build_seconds=round(built - started, 6),
                        solve_seconds=round(time.perf_counter() - built, 6),
                        node_pivots=sol.node_pivots,
-                       node_factorizations=_total(search_states, "factorizations"))
-        return row, getattr(report, "basis", None)
+                       node_factorizations=sum(s.factorizations for s in search_states))
+        return row, report.basis
 
     fixture, bases = {}, {}
     for tag in MODELS:
         fixture[tag], bases[tag] = solve(tag, train)
     return {
         "data": data,
-        "qp_checks": qp_checks,
         "estimation": estimation,
         "fixture": fixture,
         f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
@@ -266,7 +221,6 @@ def run(seed: int) -> dict:
         "backtest": _backtest(train, cfg, builds),
         "sweep": _sweep(train, builds),
         "panels": _panels(),
-        "warm": _warm(train, cfg),
         "memory": _memory(seed),
     }
 
@@ -339,81 +293,6 @@ def _memory(seed: int) -> dict:
     return rows
 
 
-def _numpy_loop(window, cfg):
-    """The perturbation by numpy's per-asset loop: one Philox generator
-    reset to each asset's key in turn, with the checkout's keys."""
-    import numpy as np
-    from portopt.core import ReturnMatrix
-    from portopt.estimation import _philox_keys
-    r = window.returns
-    noise = np.empty_like(r)
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    for s, key in enumerate(_philox_keys(cfg.seed, window.n_assets)):
-        state["state"]["key"] = key
-        bitgen.state = state
-        gen.standard_normal(out=noise[s])
-    return ReturnMatrix(window.tickers, window.dates, r + noise * (r.std(axis=1)[:, None] / cfg.c))
-
-
-def _ladder(returns, seed: int) -> dict:
-    """The checkout's `perturb_returns` and numpy's per-asset loop on
-    panels of the LADDER sizes (the fixture's returns repeated), and
-    `import numpy.random` after `import numpy` in fresh interpreters."""
-    import numpy as np
-    from portopt.core import ReturnMatrix
-    from portopt.estimation import PerturbationConfig, perturb_returns
-    cfg = PerturbationConfig(c=C_PERTURB, seed=seed)
-    panels = {f"{n}x{days}": ReturnMatrix(tuple(f"S{s}" for s in range(n)),
-                                          tuple(f"D{t:04d}" for t in range(days)),
-                                          np.resize(returns.returns, (n, days)))
-              for n, days in LADDER}
-    timed = {size: _timed(lambda: perturb_returns(panel, cfg)) for size, panel in panels.items()}
-    importlib.import_module("numpy.random")  # its import is timed apart, below
-    ladder = {}
-    for size, panel in panels.items():
-        loop, reference = _timed(lambda: _numpy_loop(panel, cfg))
-        same = timed[size][1].returns.tobytes() == reference.returns.tobytes()
-        ladder[size] = {"portopt": timed[size][0], "numpy_loop": loop, "same_bits": same}
-    code = ("import time, numpy; t = time.perf_counter(); import numpy.random; "
-            "print(time.perf_counter() - t)")
-    imports = sorted(float(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                          text=True, check=True).stdout) for _ in range(5))
-    return {"sizes": ladder, "numpy_random_import_seconds": {
-        "min_seconds": round(imports[0], 6), "median_seconds": round(imports[2], 6)}}
-
-
-def _warm(train, cfg) -> dict:
-    """`mad` and `md` on each c = WARM_C perturbation of the train window,
-    from the window's own basis and cold."""
-    from statistics import median
-
-    from portopt import models
-    from portopt.estimation import PerturbationConfig, perturb_returns
-
-    windows = [perturb_returns(train, PerturbationConfig(c=WARM_C, seed=seed))
-               for seed in range(WARM_SEEDS)]
-    rows = {}
-    for tag in ("mad", "md"):
-        start = models.SOLVERS[tag](train, None, cfg).basis
-        runs = {"warm": [], "cold": []}
-        for window in windows:
-            for side, kw in (("warm", {"start": start}), ("cold", {})):
-                started = time.perf_counter()
-                report = models.SOLVERS[tag](window, None, cfg, **kw)
-                runs[side].append((report, time.perf_counter() - started))
-        row = {"c": WARM_C, "seeds": WARM_SEEDS,
-               "starts_taken": sum(r.detail == "start=warm" for r, _ in runs["warm"])}
-        for side, solved in runs.items():
-            row[f"median_{side}_pivots"] = median(r.iterations for r, _ in solved)
-            row[f"median_{side}_seconds"] = round(median(t for _, t in solved), 6)
-        row["max_objective_gap"] = max(abs(w.objective - c.objective)
-                                       for (w, _), (c, _) in zip(runs["warm"], runs["cold"]))
-        rows[tag] = row
-    return rows
-
-
 def _panels() -> dict:
     """Cold `mad`, `md` and `md_milp` solves on each generated panel."""
     import make_fixture   # beside this script
@@ -452,33 +331,6 @@ def _counting(fn, calls: list):
         return fn(matrix, *args, **kwargs)
 
     return counted
-
-
-def _qp_checks(train, cfg) -> dict:
-    """The `markowitz` QP build's checks on the train window's covariance,
-    each timed alone, the whole build, and the checks of `mad`'s LP."""
-    import numpy as np
-
-    from portopt import core, models
-    from portopt.estimation import asset_stats
-    from portopt.lp_solver import LpProblem
-
-    stats = asset_stats(train)
-    q = stats.covariance
-    region = models.markowitz_problem(stats, cfg)[0]._region
-    symmetric = getattr(core, "_is_symmetric",   # a checkout without it takes the max
-                        lambda m: np.max(np.abs(m - m.T), initial=0.0) <= core.SYM_TOL)
-    mad = models.mad_problem(train, cfg)[0]
-
-    def rebuilt(lp):
-        return lambda: LpProblem(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
-                                 a_ub=lp.a_ub, b_ub=lp.b_ub, lower=lp.lower, upper=lp.upper)
-
-    checks = {"finiteness": lambda: np.all(np.isfinite(q)), "symmetry": lambda: symmetric(q),
-              "psd": lambda: core._is_psd(q), "region": rebuilt(region),
-              "markowitz_build": lambda: models.markowitz_problem(stats, cfg),
-              "mad_lp": rebuilt(mad)}
-    return {name: _timed(call)[0] for name, call in checks.items()}
 
 
 def _estimation(train) -> dict:
@@ -542,26 +394,23 @@ def _backtest(train, cfg, builds: list, repeats: int = 10) -> dict:
     from portopt import models
     from portopt.estimation import asset_stats
 
-    shared = getattr(models, "MeanVariancePath", None)
     seconds = {tag: [] for tag in MEAN_VARIANCE}
     totals, steps, qp_builds = [], {}, None
     for _ in range(repeats):
         stats = asset_stats(train)
         builds.clear()
-        kw = {} if shared is None else {"path": shared(stats, cfg.cap)}
         first = time.perf_counter()
         for tag in MEAN_VARIANCE:
             started = time.perf_counter()
-            report = models.SOLVERS[tag](None, stats, cfg, **kw)
+            report = models.SOLVERS[tag](None, stats, cfg)
             seconds[tag].append(time.perf_counter() - started)
             steps[tag] = report.iterations
         totals.append(time.perf_counter() - first)
         qp_builds = len(builds)
     rows = {tag: {"seconds": round(median(seconds[tag]), 6), "work": steps[tag]}
             for tag in MEAN_VARIANCE}
-    shared_line = shared is not None or hasattr(stats, "critical_lines")
-    return {"shared_path": shared_line, "repeats": repeats,
-            "seconds": round(median(totals), 6), "qp_builds": qp_builds, **rows}
+    return {"repeats": repeats, "seconds": round(median(totals), 6), "qp_builds": qp_builds,
+            **rows}
 
 
 def _sweep(train, builds: list, repeats: int = 3) -> dict:
@@ -573,13 +422,13 @@ def _sweep(train, builds: list, repeats: int = 3) -> dict:
     from portopt.estimation import asset_stats
 
     lines = []
-    if hasattr(models, "CriticalLine"):
-        class Recorded(models.CriticalLine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                lines.append(self)
 
-        models.CriticalLine = Recorded
+    class Recorded(models.CriticalLine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            lines.append(self)
+
+    models.CriticalLine = Recorded
     grid = analytics.lambda_grid()
     times = []
     for _ in range(repeats):
@@ -592,7 +441,7 @@ def _sweep(train, builds: list, repeats: int = 3) -> dict:
     return {"points": len(grid), "repeats": repeats, "seconds": round(median(times), 6),
             "n_excluded": sum(status != "Optimal" for status in result.statuses),
             "chosen_lambda": result.chosen_lambda, "qp_builds": len(builds),
-            "path_pieces": sum(len(line.pieces) for line in lines) if lines else None}
+            "path_pieces": sum(len(line.pieces) for line in lines)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -613,29 +462,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data {step:14s} first {times['first_seconds']:.4f}s "
               f"min {times['min_seconds']:.4f}s")
     print(f"data perturbed_sha256 {data['perturbed_sha256']}")
-    ladder = data["perturb_ladder"]
-    for size, row in ladder["sizes"].items():
-        print(f"data perturb {size:9s} " + " ".join(
-            f"{path} first {row[path]['first_seconds']:.4f}s min {row[path]['min_seconds']:.4f}s"
-            for path in ("portopt", "numpy_loop")) + f" same_bits={row['same_bits']}")
-    print("data import numpy.random " + " ".join(
-        f"{k}={v}" for k, v in ladder["numpy_random_import_seconds"].items()))
     print(f"src_lines          {result['src_lines']}")
-    for check, times in result["qp_checks"].items():
-        print(f"qp_checks {check:16s} first {times['first_seconds']:.6f}s "
-              f"min {times['min_seconds']:.6f}s")
     for section in ("estimation", "backtest", "sweep"):
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
-    for tag, row in result["warm"].items():
-        print(f"warm {tag:13s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for size, row in result["memory"].items():
         print(f"memory {size:11s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for panel, rows in result["panels"].items():
         for tag, row in rows.items():
             print(f"{panel:26s} {tag:8s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for window, rows in result.items():
-        if window in ("data", "qp_checks", "estimation", "backtest", "sweep", "panels", "warm", "memory",
-                      "src_lines"):
+        if window in ("data", "estimation", "backtest", "sweep", "panels", "memory", "src_lines"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
