@@ -40,6 +40,7 @@ from .analytics import (
 from .core import (
     Allocation,
     DataError,
+    DimensionError,
     ModelConfig,
     PriceMatrix,
     SolveStatus,
@@ -287,7 +288,10 @@ def read_allocation_csv(path: str | Path) -> tuple[tuple[str, ...], Allocation]:
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: non-numeric weight {cell!r} for {ticker}") from None
-    return tuple(weights), Allocation(np.array(list(weights.values())))
+    try:
+        return tuple(weights), Allocation(np.array(list(weights.values())))
+    except (DataError, DimensionError) as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

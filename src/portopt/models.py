@@ -259,8 +259,9 @@ def solve_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     The point of the critical line of `stats` where the return reaches rho.
     The report's objective is the portfolio variance x' Sigma x, plus the L1
     penalty mu_l1 * sum |x_i| = mu_l1 when cfg.mu_l1 > 0; `iterations`
-    counts the walk's steps to the point, and `detail` carries the
-    Frank-Wolfe gap over the budget box and the return floor.
+    counts the walk's steps to the point, and `detail` carries a bound on
+    the Frank-Wolfe gap over the budget box and the return floor, from one
+    call in the line's simplex state (`CriticalLine.at_return`).
     """
     started = time.perf_counter()
     rho = cfg.require_rho()

@@ -43,9 +43,10 @@ de Prado, *Algorithms* 6, 2013), with the working-set rules above, and keeps
 each piece it walks. The three mean-variance models are queries on one such
 line: where v'Qv reaches a level (the reverse model), v(1/lambda) (the
 penalized model) and where mu'v reaches a floor (minimum variance). Each
-query certifies its point with one oracle call, and the line walks only as
-far as its deepest query. The moment estimates keep one line per cap
-(`models._line`), which every mean-variance query on them walks.
+query certifies its point with one call in the line's one `SimplexState`,
+and the line walks only as far as its deepest query. The moment estimates
+keep one line per cap (`models._line`), which every mean-variance query on
+them walks.
 """
 
 from __future__ import annotations
@@ -136,12 +137,12 @@ def solve_qp(problem: QpProblem, gap_tol: float = GAP_TOL_DEFAULT) -> QpSolution
 
 
 def _certify(oracle: SimplexState, grad: np.ndarray, x: np.ndarray, f: float,
-             gap_tol: float) -> float:
-    """The Frank-Wolfe gap grad @ (x - s) of x, with s from one oracle call;
-    raises when it is above gap_tol * (1 + |f|)."""
+             gap_tol: float, slack: float = 0.0) -> float:
+    """The Frank-Wolfe gap grad @ (x - s) of x, with s from one oracle call,
+    plus `slack`; raises when that is above gap_tol * (1 + |f|)."""
     if oracle.minimize(grad) is not SolveStatus.OPTIMAL:
         raise RuntimeError("linear oracle failed: the QP region must be nonempty and bounded")
-    gap = float(grad @ (x - oracle.vertex))
+    gap = float(grad @ (x - oracle.vertex) + slack)
     if not gap <= gap_tol * (1.0 + abs(f)):
         raise RuntimeError(f"Frank-Wolfe gap {gap!r} above gap_tol * (1 + |f|), f = {f!r}")
     return gap
@@ -190,12 +191,12 @@ class CriticalLine:
     interval of t, so the walk ends at t = 0 without a step cap.
 
     Each piece is kept in `pieces`, so queries in any order walk the line
-    once. The walk's one `SimplexState` (`oracle`) found the top vertex; a
-    query certifies its point with one more call, in that state or, for a
-    return floor, in a state of its own region. Each query returns the
-    point, its model's objective, that Frank-Wolfe gap and the index of the
-    piece the point lies on (the walk's steps to it), or Infeasible when
-    the region is empty.
+    once. The walk's one `SimplexState` (`oracle`) found the top vertex, and
+    a query certifies its point with one more call in that state, so a line
+    builds one state for any mix of queries. Each query returns the point,
+    its model's objective, the Frank-Wolfe gap that certifies it and the
+    index of the piece the point lies on (the walk's steps to it), or
+    Infeasible when the region is empty.
     """
 
     def __init__(self, problem: QpProblem, mu: np.ndarray):
@@ -281,8 +282,13 @@ class CriticalLine:
         is v at the smallest t where mu'v(t) reaches rho, the root taken
         exactly on its piece, or the t = 0 end where that end's return
         already meets rho. Infeasible when rho is above the top vertex's
-        return. The certificate is v'Qv's gap over the box and the floor
-        mu'v >= rho, in a `SimplexState` of that region, against
+        return.
+
+        The certificate is a bound on v'Qv's gap over the box and the floor
+        mu'v >= rho, from one call in the line's own oracle: x is v(t), and
+        for every v of that region 2(Qx)'v >= (2Qx - t mu)'v + t rho, so
+        f_t's gap over the box plus t (mu'x - rho) bounds it from above (t
+        is 0 where the floor does not bind). It is checked against
         GAP_TOL_DEFAULT."""
         n, q, mu = self.problem.n_vars, self.problem.q, self.mu
         if not self.feasible or rho > mu @ self.top:
@@ -293,13 +299,10 @@ class CriticalLine:
                 break
         slope = float(mu @ piece.x1)
         s = min(short / slope, piece.t_hi - piece.t_lo) if short > 0.0 and slope > 0.0 else 0.0
-        x = piece.x_lo + s * piece.x1
-        box = self.problem._region
-        floor = SimplexState(LpProblem(c=np.zeros(n), a_eq=box.a_eq, b_eq=box.b_eq,
-                                       a_ub=-mu[None, :], b_ub=[-rho],
-                                       lower=box.lower, upper=box.upper))
+        x, t = piece.x_lo + s * piece.x1, piece.t_lo + s
         f = float(x @ q @ x)
-        gap = _certify(floor, 2.0 * (q @ x), x, f, GAP_TOL_DEFAULT)
+        gap = _certify(self.oracle, 2.0 * (q @ x) - t * mu, x, f, GAP_TOL_DEFAULT,
+                       t * (mu @ x - rho))
         return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
 
     def _walk(self):

@@ -232,7 +232,10 @@ def test_fixture_ingest_takes_one_pass():
     ("ticker,weight\nA,0.5\nB\n", r"a\.csv:3: expected 2 cells"),
     ("ticker,weight\nA,half\nB,0.5\n", r"a\.csv:2: non-numeric weight 'half' for A"),
     ("ticker,weight\nA,0.5\nA,0.5\n", r"a\.csv:3: duplicate ticker 'A'"),
-], ids=["empty", "one_cell", "non_numeric", "duplicate"])
+    ("ticker,weight\n", r"a\.csv: weights must be a nonempty vector"),
+    ("ticker,weight\nA,0.5\nB,0.4\n", r"a\.csv: invalid allocation: budget violated"),
+    ("ticker,weight\nA,nan\nB,1.0\n", r"a\.csv: invalid allocation: weights contain NaN"),
+], ids=["empty", "one_cell", "non_numeric", "duplicate", "header_only", "budget", "nan"])
 def test_read_allocation_rejects_malformed_file(tmp_path, text, error):
     f = tmp_path / "a.csv"
     f.write_text(text)

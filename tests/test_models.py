@@ -17,7 +17,8 @@ from portopt.core import (
 )
 from portopt.estimation import (PerturbationConfig, asset_stats, covariance, mean_returns,
                                 perturb_returns)
-from portopt.lp_solver import AT_LOWER, BASIC, Basis, LpProblem, SimplexState, solve_lp
+from portopt.lp_solver import (AT_LOWER, BASIC, PIVOT_TOL, Basis, LpProblem, SimplexState,
+                                solve_lp)
 from portopt.milp_solver import solve_milp
 from portopt.models import (
     MODEL_FIELDS,
@@ -376,10 +377,19 @@ class TestFixtureFrontier:
 
         monkeypatch.setattr(qp_solver, "SimplexState", Counted)
         monkeypatch.setattr(qp_solver, "solve_qp", no_qp_solve)
-        # fresh estimates, whose critical line no earlier query has built
+        queries = [(solve_reverse_markowitz, ModelConfig(sigma0=self.SIGMA0)),
+                   (solve_markowitz, ModelConfig(rho=FIXTURE_RHO))]
+        # each query alone on fresh estimates, whose critical line no earlier
+        # query has built, then all three on one line: one state per line
+        for solve, cfg in queries:
+            states.clear()
+            report = solve(asset_stats(fixture_train), cfg)
+            assert report.status is SolveStatus.OPTIMAL and len(states) == 1
+        states.clear()
         stats = asset_stats(fixture_train)
-        report = solve_reverse_markowitz(stats, ModelConfig(sigma0=self.SIGMA0))
-        assert report.status is SolveStatus.OPTIMAL and len(states) == 1
+        for solve, cfg in [*queries, (solve_simultaneous, ModelConfig(lam=0.08))] * 2:
+            assert solve(stats, cfg).status is SolveStatus.OPTIMAL
+        assert len(states) == 1
 
     @pytest.mark.parametrize("solve, pivots, objective, digest", [
         (solve_mad, 46, 0.006195121614437194,
@@ -462,11 +472,32 @@ def claimed_gap(report) -> float:
     return float(report.detail.removeprefix("fw_gap="))
 
 
+def highs_floor_gap(x, stats, cap, rho) -> tuple[float, float]:
+    """FW gap of x for min v'Σv over the budget box [0, cap] and the floor
+    mu'v >= rho, with scipy's HiGHS as the linear oracle, and how far below
+    it a sound certificate may read: HiGHS's feasibility tolerances of
+    1e-10 move its minimum by 1e-10 max |grad| at most, and an oracle
+    vertex whose reduced costs are within PIVOT_TOL reads at most
+    2 PIVOT_TOL high, since two points of the budget box differ by at most
+    2 in l1."""
+    opt = pytest.importorskip("scipy.optimize")
+    n = x.shape[0]
+    grad = 2.0 * stats.covariance @ x
+    res = opt.linprog(grad, A_ub=-stats.mean_returns[None, :], b_ub=[-rho],
+                      A_eq=np.ones((1, n)), b_eq=[1.0], bounds=[(0.0, cap)] * n,
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(grad @ x - res.fun), 1e-10 * float(np.abs(grad).max()) + 2.0 * PIVOT_TOL
+
+
 class TestPathQueries:
     """The three mean-variance models as queries on the one critical line
     their moment estimates keep, in a random order, against an independent
     solve of each model's own problem: `solve_qp` for `markowitz` and
-    `simultaneous`, the bisection of `oracles.py` for `reverse_markowitz`."""
+    `simultaneous`, the bisection of `oracles.py` for `reverse_markowitz`.
+    `markowitz`'s gap, a bound from the line's own oracle, is also checked
+    against its floor region's gap from HiGHS."""
 
     def check_simultaneous(self, stats, cap, lam):
         cfg = ModelConfig(lam=lam, cap=cap)
@@ -486,7 +517,10 @@ class TestPathQueries:
             return
         x = report.allocation.weights
         assert abs(report.objective - ref.objective) <= 1e-9
-        assert claimed_gap(report) <= 1e-8 * (1.0 + abs(report.objective))
+        gap = claimed_gap(report)    # parses a Python float's repr only
+        assert gap <= 1e-8 * (1.0 + abs(report.objective))
+        floor_gap, error = highs_floor_gap(x, stats, cap, rho)
+        assert gap >= floor_gap - error
         assert stats.mean_returns @ x >= rho - 1e-12
         # Where long-only portfolios of zero variance meet the floor, they
         # are all optimal and the weights are not unique; elsewhere they are.

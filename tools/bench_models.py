@@ -19,15 +19,12 @@ lies on (`markowitz`, `reverse_markowitz`, `simultaneous`), simplex pivots
 pivots are read from the `MilpSolution` of one more solve of the same
 problem from the same start (each node is one LP). That second solve is
 timed apart from building its problem, as `build_seconds` and
-`solve_seconds`, after the report's own solve. `markowitz` and
-`reverse_markowitz` report their oracles' work, summed over every simplex
-state the solve builds: `oracle_states`, `oracle_pivots` and
-`oracle_factorizations` (inversions of a basis). Solved alone, each
-mean-variance model builds its own critical line and with it one state,
-whose top-return vertex starts the walk; `reverse_markowitz` certifies its
-point with one more call in that state, and `markowitz` builds a second
-state, of the budget box and its return floor, whose one call certifies its
-point. `md_milp` reports the factorizations of its search's simplex state as
+`solve_seconds`, after the report's own solve. Solved alone, each
+mean-variance model builds its own critical line, kept by the estimates,
+and with it the line's one simplex state, whose top-return vertex starts
+the walk and whose one more call certifies the point; its `oracle_pivots`
+and `oracle_factorizations` (inversions of a basis) are read from that
+state. `md_milp` reports the factorizations of its search's simplex state as
 `node_factorizations`. Inputs match the benchmark's workloads: train window
 up to 2020-05-01, rho 0.001, sigma0 0.012, lambda 0.08, perturbation divisor
 c = 1000. The window is a column slice; `ReturnMatrix` stores C order, so it
@@ -40,13 +37,14 @@ The `backtest` section solves the three mean-variance models in the
 window, which share the one critical line the estimates keep, 10 times over
 with fresh estimates each time, so no pass reuses a line another pass built.
 It reports each model's median seconds and its walk steps, the median of the
-three together, and `qp_builds`, the `QpProblem`s one pass builds. The first
-model carries the line's one build and its walk. The `sweep` section runs
-`lambda_sweep` on the default 100-point grid over fresh estimates of the
-train window 3 times and reports the median seconds, `n_excluded` (points
-not Optimal), `qp_builds` and `path_pieces`, the pieces of the critical line
-the sweep walked. Building the estimates is outside both timers. `src_lines`
-counts the lines of the measured checkout's `portopt` package.
+three together, and `qp_builds`, the critical lines (one `QpProblem` each)
+the estimates keep after one pass. The first model carries the line's one
+build and its walk. The `sweep` section runs `lambda_sweep` on the default
+100-point grid over fresh estimates of the train window 3 times and reports
+the median seconds, `n_excluded` (points not Optimal), `qp_builds` and
+`path_pieces`, the pieces of the kept lines the sweep walked. Building the
+estimates is outside both timers. `src_lines` counts the lines of the
+measured checkout's `portopt` package.
 
 The `data` section times the steps before any solve, first of all in the
 process: the fixture's ingest and the train window's seed-N perturbation,
@@ -54,11 +52,11 @@ each as its first call in the process (`first_seconds`) and the least of
 20 more calls (`min_seconds`), with the SHA-256 of the perturbed returns.
 
 The `estimation` section times `asset_stats` on the train window the same
-way, right after the `data` steps, and reports the route by which it proved
+way, right after the `data` steps, and reports the route by which it proves
 the covariance PSD: `certificate` (the O(nT) rounding bound on the centered
-block) or `cholesky` (the n x n check); `delta_over_psd_tol` is that bound,
-δ = (T + 3)·ε·‖C‖_F²/T, over `PSD_TOL`, computed here from the window. It
-also counts the `np.linalg.cholesky` calls of one fixture `backtest` command
+block, `core.gram_psd_bound`, is within `PSD_TOL`) or `cholesky` (the n x n
+check); `delta_over_psd_tol` is that bound over `PSD_TOL`. It also counts
+the `np.linalg.cholesky` calls of one fixture `backtest` command
 (`backtest_choleskys`).
 
 The `panels` section solves the drawdown models with no start on generated
@@ -84,11 +82,14 @@ Usage:
 `--src` points at the `src` directory of the checkout to measure (default:
 this checkout's), so one script measures two commits. With `--out`, the run
 is stored under `--label` in that JSON file, keeping the other labels there.
+`run` patches the modules it counts only within its own calls, so it can run
+more than once in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -96,6 +97,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
@@ -107,15 +109,15 @@ RHO, SIGMA0, LAM, C_PERTURB = 0.001, 0.012, 0.08, 1000.0
 MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_milp")
 DRAWDOWN = ("mad", "md", "md_milp")
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
-ORACLE_COUNTED = ("markowitz", "reverse_markowitz")
 PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
 MEMORY_PANELS = ((1000, 250), (2000, 250))   # the memory section's panels: assets, days
 
 
-def _record_states(module) -> list:
-    """Make `module` build SimplexStates that append themselves to the
-    returned list, each with `phase1_pivots`, its pivots when built (phase 1
-    runs in the constructor)."""
+@contextlib.contextmanager
+def _recorded_states(module):
+    """Within the block, `module` builds SimplexStates that append themselves
+    to the yielded list, each with `phase1_pivots`, its pivots when built
+    (phase 1 runs in the constructor)."""
     states = []
 
     class Recorded(module.SimplexState):
@@ -124,13 +126,8 @@ def _record_states(module) -> list:
             self.phase1_pivots = self.pivots
             states.append(self)
 
-    module.SimplexState = Recorded
-    return states
-
-
-def _oracle_work(states: list) -> dict:
-    return {"oracle_states": len(states), "oracle_pivots": sum(s.pivots for s in states),
-            "oracle_factorizations": sum(s.factorizations for s in states)}
+    with mock.patch.object(module, "SimplexState", Recorded):
+        yield states
 
 
 def _timed(call, repeats: int = 20) -> tuple[dict, object]:
@@ -157,7 +154,7 @@ def _start_taken(report, state) -> str:
 
 
 def run(seed: int) -> dict:
-    from portopt import lp_solver, milp_solver, models, qp_solver
+    from portopt import lp_solver, milp_solver, models
     from portopt.cli_io import ingest_prices
     from portopt.core import ModelConfig, ReturnMatrix
     from portopt.estimation import (PerturbationConfig, asset_stats, compute_simple_returns,
@@ -173,16 +170,12 @@ def run(seed: int) -> dict:
             "perturbed_sha256": hashlib.sha256(shaken.returns.tobytes()).hexdigest()}
     cfg = ModelConfig(rho=RHO, sigma0=SIGMA0, lam=LAM)
     estimation = _estimation(train)
-    oracle_states = _record_states(qp_solver)
-    lp_states = _record_states(lp_solver)
-    search_states = _record_states(milp_solver)
-    builds = _count_builds(qp_solver)
 
     def solve(tag: str, window: ReturnMatrix, start=None) -> tuple[dict, object]:
         """The row of one solve, from `start` where one is given, and the
         final basis its report carries."""
         stats = asset_stats(window)
-        for states in (oracle_states, lp_states, search_states):
+        for states in (lp_states, search_states):
             states.clear()
         kw = {} if start is None else {"start": start}
         started = time.perf_counter()
@@ -191,8 +184,9 @@ def run(seed: int) -> dict:
                "seconds": round(time.perf_counter() - started, 4), "work": report.iterations}
         if report.allocation is not None:
             row["names"] = int((report.allocation.weights > 1e-9).sum())
-        if tag in ORACLE_COUNTED:
-            row.update(_oracle_work(oracle_states))
+        if tag in MEAN_VARIANCE:
+            oracle = stats.critical_lines[cfg.resolved_cap(1.0)].oracle
+            row.update(oracle_pivots=oracle.pivots, oracle_factorizations=oracle.factorizations)
         if tag in DRAWDOWN:
             state = (search_states if tag == "md_milp" else lp_states)[-1]
             row["start"] = _start_taken(report, state)
@@ -210,16 +204,20 @@ def run(seed: int) -> dict:
         return row, report.basis
 
     fixture, bases = {}, {}
-    for tag in MODELS:
-        fixture[tag], bases[tag] = solve(tag, train)
+    with (_recorded_states(lp_solver) as lp_states,
+          _recorded_states(milp_solver) as search_states):
+        for tag in MODELS:
+            fixture[tag], bases[tag] = solve(tag, train)
+        perturbed = {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN}
+        full_window = {"mad": solve("mad", returns)[0]}
     return {
         "data": data,
         "estimation": estimation,
         "fixture": fixture,
-        f"perturbed_seed_{seed}": {tag: solve(tag, shaken, bases[tag])[0] for tag in DRAWDOWN},
-        "full_window": {"mad": solve("mad", returns)[0]},
-        "backtest": _backtest(train, cfg, builds),
-        "sweep": _sweep(train, builds),
+        f"perturbed_seed_{seed}": perturbed,
+        "full_window": full_window,
+        "backtest": _backtest(train, cfg),
+        "sweep": _sweep(train),
         "panels": _panels(),
         "memory": _memory(seed),
     }
@@ -324,81 +322,44 @@ def _panels() -> dict:
     return rows
 
 
-def _counting(fn, calls: list):
-    """`fn`, appending its first argument's shape to `calls` on each call."""
-    def counted(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return fn(matrix, *args, **kwargs)
-
-    return counted
-
-
 def _estimation(train) -> dict:
     """`asset_stats` on the train window: its seconds, the route of its PSD
     proof, the rounding bound over PSD_TOL, and the Choleskys of one
     fixture `backtest`."""
-    import contextlib
     import io
     import tempfile
 
     import numpy as np
 
-    from portopt import core
     from portopt.cli_io import RunConfig, run_command
-    from portopt.estimation import asset_stats
+    from portopt.core import PSD_TOL, gram_psd_bound
+    from portopt.estimation import asset_stats, mean_returns
 
     seconds, _ = _timed(lambda: asset_stats(train))
-    checks, factored = [], []
-    is_psd, cholesky = core._is_psd, np.linalg.cholesky
-    core._is_psd = _counting(is_psd, checks)
-    try:
-        asset_stats(train)
-    finally:
-        core._is_psd = is_psd
-    r = train.returns
-    centered = r - r.mean(axis=1, keepdims=True)
-    days = r.shape[1]
-    delta = (days + 3) * np.finfo(float).eps * float(np.sum(centered * centered)) / days
-
-    np.linalg.cholesky = _counting(cholesky, factored)
-    try:
-        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-            run_command(RunConfig(command="backtest", prices=str(FIXTURE), output_dir=out,
-                                  rho=RHO, sigma0=SIGMA0, lam=LAM, train_end=TRAIN_END,
-                                  test_end="2020-07-31"))
-    finally:
-        np.linalg.cholesky = cholesky
-    return {"asset_stats_seconds": seconds, "route": "cholesky" if checks else "certificate",
-            "delta_over_psd_tol": float(f"{delta / core.PSD_TOL:.4g}"),
-            "backtest_choleskys": len(factored)}
+    # the centered block `asset_stats` proves the covariance PSD from
+    delta = gram_psd_bound(train.returns - mean_returns(train)[:, None])
+    with (mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky,
+          tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO())):
+        run_command(RunConfig(command="backtest", prices=str(FIXTURE), output_dir=out,
+                              rho=RHO, sigma0=SIGMA0, lam=LAM, train_end=TRAIN_END,
+                              test_end="2020-07-31"))
+    return {"asset_stats_seconds": seconds,
+            "route": "certificate" if delta <= PSD_TOL else "cholesky",
+            "delta_over_psd_tol": float(f"{delta / PSD_TOL:.4g}"),
+            "backtest_choleskys": cholesky.call_count}
 
 
-def _count_builds(qp_solver) -> list:
-    """Make every `QpProblem` built append its size to the returned list."""
-    builds = []
-    post_init = qp_solver.QpProblem.__post_init__
-
-    def counted(problem):
-        builds.append(problem.n_vars)
-        post_init(problem)
-
-    qp_solver.QpProblem.__post_init__ = counted
-    return builds
-
-
-def _backtest(train, cfg, builds: list, repeats: int = 10) -> dict:
-    """The mean-variance models as the `backtest` command solves them;
-    `builds` lists the `QpProblem`s built."""
+def _backtest(train, cfg, repeats: int = 10) -> dict:
+    """The mean-variance models as the `backtest` command solves them."""
     from statistics import median
 
     from portopt import models
     from portopt.estimation import asset_stats
 
     seconds = {tag: [] for tag in MEAN_VARIANCE}
-    totals, steps, qp_builds = [], {}, None
+    totals, steps = [], {}
     for _ in range(repeats):
         stats = asset_stats(train)
-        builds.clear()
         first = time.perf_counter()
         for tag in MEAN_VARIANCE:
             started = time.perf_counter()
@@ -406,41 +367,30 @@ def _backtest(train, cfg, builds: list, repeats: int = 10) -> dict:
             seconds[tag].append(time.perf_counter() - started)
             steps[tag] = report.iterations
         totals.append(time.perf_counter() - first)
-        qp_builds = len(builds)
     rows = {tag: {"seconds": round(median(seconds[tag]), 6), "work": steps[tag]}
             for tag in MEAN_VARIANCE}
-    return {"repeats": repeats, "seconds": round(median(totals), 6), "qp_builds": qp_builds,
-            **rows}
+    return {"repeats": repeats, "seconds": round(median(totals), 6),
+            "qp_builds": len(stats.critical_lines), **rows}
 
 
-def _sweep(train, builds: list, repeats: int = 3) -> dict:
-    """The default 100-point lambda sweep over the train window; `builds`
-    lists the `QpProblem`s built."""
+def _sweep(train, repeats: int = 3) -> dict:
+    """The default 100-point lambda sweep over the train window."""
     from statistics import median
 
-    from portopt import analytics, models
+    from portopt import analytics
     from portopt.estimation import asset_stats
 
-    lines = []
-
-    class Recorded(models.CriticalLine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            lines.append(self)
-
-    models.CriticalLine = Recorded
     grid = analytics.lambda_grid()
     times = []
     for _ in range(repeats):
         stats = asset_stats(train)
-        builds.clear()
-        lines.clear()
         started = time.perf_counter()
         result = analytics.lambda_sweep(stats, grid)
         times.append(time.perf_counter() - started)
+    lines = stats.critical_lines.values()
     return {"points": len(grid), "repeats": repeats, "seconds": round(median(times), 6),
             "n_excluded": sum(status != "Optimal" for status in result.statuses),
-            "chosen_lambda": result.chosen_lambda, "qp_builds": len(builds),
+            "chosen_lambda": result.chosen_lambda, "qp_builds": len(lines),
             "path_pieces": sum(len(line.pieces) for line in lines)}
 
 
