@@ -27,7 +27,7 @@ from .core import (
     SolveStatus,
 )
 from .estimation import PerturbationConfig, asset_stats, covariance_change, perturb_returns
-from .models import MEAN_VARIANCE, SOLVERS, solve_simultaneous
+from .models import MEAN_VARIANCE, SOLVERS, _line, solve_simultaneous
 
 log = logging.getLogger(__name__)
 
@@ -130,9 +130,11 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepR
     coordinates and is excluded, with one logged warning counting the
     excluded points by status; a point whose solve raises aborts the sweep
     with that exception. Every point is a query on the critical line that
-    `stats` keeps for `cap`, so the sweep builds at most one QP (none where
-    an earlier query on `stats` built that line) and walks the line once,
-    and each point's report carries its own certificate.
+    `stats` keeps for `cap`, so the sweep builds at most one line (none
+    where an earlier query on `stats` built it) and walks it once, and each
+    point's report carries its own certificate. The points' variances are
+    read through that line too (`CriticalLine.variance`), so estimates
+    built from data need no n x n covariance here.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -141,13 +143,14 @@ def lambda_sweep(stats: AssetStats, grid, *, cap: float | None = None) -> SweepR
         raise DataError("lambda values must be nonnegative")
 
     reports = [solve_simultaneous(stats, ModelConfig(lam=lam, cap=cap)) for lam in grid]
+    line = _line(stats, ModelConfig(cap=cap))   # the line the points were queried on
 
     std_pct, ret_pct, statuses = [], [], []
     for report in reports:
         statuses.append(report.status.value)
         if report.status is SolveStatus.OPTIMAL:
             x = report.allocation.weights
-            std_pct.append(float(np.sqrt(max(x @ stats.covariance @ x, 0.0))) * 100.0)
+            std_pct.append(float(np.sqrt(max(line.variance(x), 0.0))) * 100.0)
             ret_pct.append(float(stats.mean_returns @ x) * 100.0)
         else:
             std_pct.append(np.nan)
@@ -232,11 +235,14 @@ def sensitivity_run(returns: ReturnMatrix, cfgs: dict[str, ModelConfig],
     array and is the same for any models. Where a requested model reads
     moment estimates (one of `models.MEAN_VARIANCE`), each window's are then
     built once as `AssetStats` (`asset_stats`, which certifies their
-    covariance in O(nT)) and kept through the solves, so the run holds the
-    two covariances its QPs read. The mean-variance models of one window
-    and cap are queries on the critical line its estimates keep, so each
-    window builds one QP. Otherwise no estimates are built, and the
-    drawdown solvers get `stats=None`. The perturbed window has the
+    covariance in O(nT)) and kept through the solves; they keep each
+    window's n x T block of centered returns, through which the
+    mean-variance models read the covariance, so the run holds no n x n
+    array. The mean-variance models of one window and cap are queries on
+    the critical line its estimates keep, so each window builds one line.
+    Otherwise no estimates are built, and the drawdown solvers get
+    `stats=None`. `md` and `md_milp` share the `md` LP each window keeps
+    (`models._md_lp`). The perturbed window has the
     original's shape, so an LP model's perturbed solve starts from the basis
     of its original solve, which a small perturbation usually leaves
     optimal; its report's `detail` says whether that start was taken.

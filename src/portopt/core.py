@@ -2,11 +2,12 @@
 
 All quantities are daily decimals (a 1% move is 0.01, never 1.0); rendering in
 percent happens only at the reporting layer. Every type validates its own
-invariants at construction and is immutable afterwards, with one exception:
-`AssetStats.critical_lines`, a memo of what the estimates determine, which
-the mean-variance models fill as they are queried. The package runs no
-threads; a caller that queries one `AssetStats` from several threads at once
-must lock it, because a kept line walks on as it is queried.
+invariants at construction and is immutable afterwards, apart from memos of
+what its data determine, filled as they are read: `AssetStats.critical_lines`
+and the covariance of `AssetStats.from_centered` estimates, and
+`ReturnMatrix.md_lps`. The package runs no threads; a caller that queries
+one `AssetStats` or window from several threads at once must lock it,
+because a kept line walks on as it is queried.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .lp_solver import Basis
+    from .models import _MdLp
     from .qp_solver import CriticalLine
 
 BUDGET_TOL = 1e-8
@@ -86,11 +88,19 @@ class PriceMatrix:
 
 @dataclass(frozen=True)
 class ReturnMatrix:
-    """Daily simple returns r[i, t]; one fewer column than the source prices."""
+    """Daily simple returns r[i, t]; one fewer column than the source prices.
+
+    `md_lps` maps (rho, resolved cap) to the window's solved max-drawdown LP
+    (`models._md_lp`), which `md` and `md_milp` share: whichever runs first
+    solves it, and `md_milp` roots its search at that optimum. Like
+    `AssetStats.critical_lines` it is a memo, not data, so it is not in the
+    constructor, the comparison or the repr."""
 
     tickers: tuple[str, ...]
     dates: tuple[str, ...]
     returns: np.ndarray
+    md_lps: dict[tuple[float, float], _MdLp] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -123,8 +133,12 @@ class AssetStats:
     tolerance, so downstream solvers can assume both. The constructor checks
     a given matrix: finiteness, symmetry within SYM_TOL, a nonnegative
     diagonal, and λ_min >= -PSD_TOL by a Cholesky (`_is_psd`).
-    `from_centered` computes the covariance itself from a block of centered
-    returns, and proves the same properties from that block instead.
+    `from_centered` keeps the block C of centered returns the covariance is
+    the Gram matrix of, as `centered` (None for a given matrix), and proves
+    the same properties from C instead; it builds `covariance` only when a
+    caller reads it. The mean-variance models read Σ through C where it is
+    kept (`qp_solver.CriticalLine`), so a data-built run holds no n x n
+    array unless something reads `covariance`.
 
     `critical_lines` maps a resolved cap to the Markowitz critical line of
     these estimates under it (`models._line`): the three mean-variance
@@ -137,6 +151,7 @@ class AssetStats:
     covariance: np.ndarray
     critical_lines: dict[float, CriticalLine] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    centered: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean_returns", _frozen_array(self.mean_returns))
@@ -153,10 +168,22 @@ class AssetStats:
         if n > 0 and not _is_psd(self.covariance):
             raise DataError(f"covariance not positive semi-definite within {PSD_TOL}")
 
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: the covariance of
+        # estimates from `from_centered`, built and kept on its first read.
+        centered = self.__dict__.get("centered")
+        if name != "covariance" or centered is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cov = gram_covariance(centered)
+        cov.setflags(write=False)  # computed here and held nowhere else
+        object.__setattr__(self, "covariance", cov)
+        return cov
+
     @classmethod
     def from_centered(cls, mean_returns, centered) -> AssetStats:
-        """The estimates `mean_returns` and Σ̂ = `gram_covariance(centered)`,
-        computed here from an n x T block C of centered returns.
+        """The estimates `mean_returns` and Σ̂ = `gram_covariance(centered)`
+        of an n x T block C of centered returns, which they keep, read-only,
+        as `centered`; Σ̂ itself is built on its first read.
 
         Σ̂ is symmetric bit for bit, because IEEE addition commutes, and its
         diagonal holds sums of squares, so it is nonnegative; neither needs
@@ -169,30 +196,31 @@ class AssetStats:
         left over covers the rounding of ‖C‖_F² (Higham, Accuracy and
         Stability of Numerical Algorithms, 2nd ed., 2002, §3.5). By Weyl's
         inequality λ_min(Σ̂) >= -δ, so δ <= PSD_TOL proves the PSD invariant
-        in O(nT). Where δ is larger, or ‖C‖_F² overflows, the constructor's
-        Cholesky check (`_is_psd`) runs on Σ̂ instead. A product that
-        overflows leaves Σ̂ non-finite, which raises as in the constructor.
-        The proof holds for any block, since the Σ̂ it certifies is the one
-        computed here; the constructor keeps every check for a given matrix.
+        in O(nT); it also bounds every |Σ̂_ij| by ‖C‖_F²/T, far below
+        overflow, so Σ̂ is finite. Where δ is larger, or ‖C‖_F² is not
+        finite, Σ̂ is built here and the constructor's finiteness and
+        Cholesky checks (`_is_psd`) run on it instead. The proof holds for
+        any block, since the Σ̂ it certifies is the one computed from C; the
+        constructor keeps every check for a given matrix.
         """
         mean = _frozen_array(mean_returns)
-        centered = np.asarray(centered, dtype=float)
+        centered = _frozen_array(centered)
         n = mean.shape[0]
         if mean.ndim != 1 or centered.ndim != 2 or centered.shape[0] != n \
                 or centered.shape[1] == 0:
             raise DimensionError("mean_returns must be an n-vector and centered a nonempty "
                                  "n x T block")
-        cov = gram_covariance(centered)
-        cov.setflags(write=False)  # computed here and held nowhere else
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        if not np.all(np.isfinite(mean)):
             raise DataError("mean returns and covariance must be finite")
-        certified = gram_psd_bound(centered) <= PSD_TOL  # False for an infinite bound
-        if not certified and n > 0 and not _is_psd(cov):
-            raise DataError(f"covariance not positive semi-definite within {PSD_TOL}")
         stats = object.__new__(cls)
         object.__setattr__(stats, "mean_returns", mean)
-        object.__setattr__(stats, "covariance", cov)
         object.__setattr__(stats, "critical_lines", {})
+        object.__setattr__(stats, "centered", centered)
+        if not gram_psd_bound(centered) <= PSD_TOL:   # True for an infinite or NaN bound
+            if not np.all(np.isfinite(stats.covariance)):
+                raise DataError("mean returns and covariance must be finite")
+            if n > 0 and not _is_psd(stats.covariance):
+                raise DataError(f"covariance not positive semi-definite within {PSD_TOL}")
         return stats
 
     @property

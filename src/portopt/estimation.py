@@ -72,11 +72,12 @@ def covariance(returns: ReturnMatrix) -> np.ndarray:
 def asset_stats(returns: ReturnMatrix) -> AssetStats:
     """Mean returns and covariance, validated as a unit.
 
-    `AssetStats.from_centered` computes the covariance from the centered
-    returns C, bit for bit `covariance(returns)`, and proves it PSD from C
-    in O(nT): by a rounding-error bound on the product CCᵀ/T where that
-    bound is within PSD_TOL, and otherwise by the constructor's Cholesky
-    check.
+    `AssetStats.from_centered` keeps the centered returns C, through which
+    the mean-variance models read the covariance, and proves the covariance
+    PSD from C in O(nT): by a rounding-error bound on the product CCᵀ/T
+    where that bound is within PSD_TOL, and otherwise by the constructor's
+    Cholesky check. Its `covariance`, built on the first read, is bit for
+    bit `covariance(returns)`.
     """
     mean = mean_returns(returns)
     if returns.n_days < 2:

@@ -219,8 +219,13 @@ class SimplexState:
         self.problem = problem
         m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
         self.m = m_eq + m_ub
-        # m x (n + m): the structural columns, then each row's slack
-        self.g = np.hstack([np.vstack([problem.a_eq, problem.a_ub]), np.eye(self.m)])
+        # m x (n + m): the structural columns, then each row's slack, filled
+        # in place, so the rows are copied once
+        n = problem.n_vars
+        self.g = np.zeros((self.m, n + self.m))
+        self.g[:m_eq, :n] = problem.a_eq
+        self.g[m_eq:, :n] = problem.a_ub
+        np.fill_diagonal(self.g[:, n:], 1.0)
         # the primal loop's pricing weights, the column norms |g_j| (1 for an
         # all-zero column)
         norms = np.sqrt(np.einsum("ij,ij->j", self.g, self.g))
@@ -235,7 +240,8 @@ class SimplexState:
         self._xb = None                     # basic_values(), until the next change
         self.pivots = 0
         self.factorizations = 0
-        self._sibling: tuple[Basis, np.ndarray] | None = None   # the last reopen's B^-1
+        # the saved basis last inverted by a start or a reopen, with its B^-1
+        self._inverted: tuple[Basis, np.ndarray] | None = None
         self.set_bounds(problem.lower, problem.upper)
         self.warm = start is not None and self._warm_start(start)
         if not self.warm:
@@ -318,6 +324,7 @@ class SimplexState:
             self._take_basis(start)
         except np.linalg.LinAlgError:
             return False
+        self._inverted = (start, self.binv.copy())
         return True
 
     def _take_basis(self, start: Basis, binv: np.ndarray | None = None):
@@ -535,18 +542,20 @@ class SimplexState:
         optimal for `cost` before the change, as a branch-and-bound parent's
         is for its children.
 
-        B depends only on the basic columns, so two reopens of one saved
-        basis in a row, as a parent's two children are, invert it once: the
-        first keeps a copy of its B^-1, taken before its pivots, and the
-        second takes that copy in place of an inversion.
+        B depends only on the basic columns, so reopens of one saved basis in
+        a row, as a parent's two children are, invert it once: the first
+        keeps a copy of its B^-1, taken before its pivots, and the others
+        take copies of it in place of an inversion. A state started from a
+        saved basis keeps its inverse the same way, so a search started at
+        its root's basis inverts that basis once for the state and both
+        children.
         """
         self.set_bounds(lower, upper)
-        sibling, self._sibling = self._sibling, None
-        if sibling is not None and sibling[0] is start:
-            self._take_basis(start, sibling[1])
+        if self._inverted is not None and self._inverted[0] is start:
+            self._take_basis(start, self._inverted[1].copy())
         else:
             self._take_basis(start)
-            self._sibling = (start, self.binv.copy())
+            self._inverted = (start, self.binv.copy())
         self.feasible = self.dual_run(self._full_cost(cost)) == "feasible"
         return self.minimize(cost)
 

@@ -15,10 +15,13 @@ is best-bound first (the node with the most promising LP relaxation is
 explored next), which keeps the tree small when the root relaxation is
 already tight, as it is for the drawdown MILP.
 
-One `SimplexState` serves the whole search. The root LP's phase 1 starts
-from the slack basis, or from a given start basis (the root basis of a solve
-of a problem with the same shape, as `sensitivity` passes for its perturbed
-window) where the state can take it. Every node LP has the problem's own rows under
+The root LP is solved by `solve_lp`, from the slack basis or from a given
+start basis (the root basis of a solve of a problem with the same shape, as
+`sensitivity` passes for its perturbed window) where the simplex can take
+it, or is given already solved (`root`: `md_milp` roots its search at the
+`md` LP its window keeps, which `md` may have solved). One `SimplexState`
+then serves the whole search, started from the root's optimal basis, so its
+phase 1 takes no pivot. Every node LP has the problem's own rows under
 changed bounds, so every other node is re-optimized from its parent's basis,
 which the heap entry carries: the branching bound leaves that basis dual
 feasible, so the dual simplex restores primal feasibility in a few pivots
@@ -27,7 +30,8 @@ feasible, so the dual simplex restores primal feasibility in a few pivots
 structural columns and one slack per row, for the whole search. A node's two children reopen its
 basis one after the other: the first inverts B, and the second takes a copy
 of that inverse, kept from before the first child's pivots, so each
-branched node costs one inversion. On the fixture's drawdown MILP that is 3
+branched node costs one inversion (the root's is the one the state is
+started from). On the fixture's drawdown MILP that is 3
 nodes, 11 node pivots and 1 factorization; on a 200 x 250 calm panel of
 `tools/make_fixture.py` at seed 7, 393 nodes, 5,287 node pivots and 196
 inversions for 392 child LPs.
@@ -55,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, DimensionError, SolveStatus
-from .lp_solver import Basis, LpProblem, SimplexState, FEAS_TOL, _max_violation
+from .lp_solver import (Basis, LpProblem, LpSolution, SimplexState, FEAS_TOL, _max_violation,
+                        solve_lp)
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-7
@@ -92,9 +97,10 @@ class MilpProblem:
 class MilpSolution:
     """Branch-and-bound outcome. `v` covers the base LP's columns. `nodes`
     counts the node LPs solved, root included, and `node_pivots` their
-    simplex pivots, the root's phase 1 included. `root_basis` is the root
-    LP's final basis, a start for a problem of the same shape, and `warm`
-    says whether the root started from the basis it was given."""
+    simplex pivots, both of the root's phases included (a given `root`'s
+    pivots count, though this search did not take them). `root_basis` is
+    the root LP's final basis, a start for a problem of the same shape, and
+    `warm` says whether the root started from the basis it was given."""
 
     v: np.ndarray | None
     objective: float
@@ -106,11 +112,14 @@ class MilpSolution:
     warm: bool = False
 
 
-def solve_milp(problem: MilpProblem, *, start: Basis | None = None) -> MilpSolution:
+def solve_milp(problem: MilpProblem, *, start: Basis | None = None,
+               root: LpSolution | None = None) -> MilpSolution:
     """Solve an on/off MILP exactly by LP-based branch and bound.
 
     `start`, the `root_basis` of a solution of a problem with the same
-    shape, starts the root LP where `SimplexState` can take it.
+    shape, starts the root LP where `SimplexState` can take it. `root`, the
+    `solve_lp` solution of `problem.base` itself, is taken as the root LP in
+    place of a solve, and `start` is then not read.
 
     Returns Optimal with the incumbent when no open node's bound is more than
     GAP_TOL * (1 + |incumbent|) better than it, Infeasible when no assignment
@@ -129,19 +138,20 @@ def solve_milp(problem: MilpProblem, *, start: Basis | None = None) -> MilpSolut
         return sense_sign * value
 
     c_min = sense_sign * base.c
-    state = SimplexState(base, start=start)
+    if root is None:
+        root = solve_lp(base, start=start)
+    root_basis, nodes = root.basis, 1
+    if root.status is SolveStatus.INFEASIBLE:
+        return MilpSolution(None, np.nan, SolveStatus.INFEASIBLE, nodes, np.nan, root.pivots,
+                            root_basis, root.warm)
+    if root.status is SolveStatus.UNBOUNDED:
+        raise DataError("LP relaxation is unbounded; the MILP is malformed")
+    # the root's optimal basis is primal feasible: phase 1 takes no pivot
+    state = SimplexState(base, start=root_basis)
 
     def finish(v, objective, status, best):
-        return MilpSolution(v, objective, status, nodes, best, state.pivots, root_basis,
-                            state.warm)
-
-    root_status = state.minimize(c_min)
-    root_basis = state.basis()
-    nodes = 1
-    if root_status is SolveStatus.INFEASIBLE:
-        return finish(None, np.nan, SolveStatus.INFEASIBLE, np.nan)
-    if root_status is SolveStatus.UNBOUNDED:
-        raise DataError("LP relaxation is unbounded; the MILP is malformed")
+        return MilpSolution(v, objective, status, nodes, best, root.pivots + state.pivots,
+                            root_basis, root.warm)
 
     incumbent: np.ndarray | None = None
     incumbent_obj = np.inf  # min-form key
@@ -161,7 +171,7 @@ def solve_milp(problem: MilpProblem, *, start: Basis | None = None) -> MilpSolut
 
     counter = itertools.count()
     heap: list = []
-    root_v = state.vertex
+    root_v = root.v
     best_bound = key(float(base.c @ root_v))
     heapq.heappush(heap, (best_bound, next(counter), base.lower.copy(), base.upper.copy(),
                           root_v, root_basis))

@@ -12,10 +12,15 @@ moment estimates and the cap, so the estimates keep it
 (`AssetStats.critical_lines`): the first query under a cap builds it, and
 every later query on those estimates and that cap, by any of the three
 models, walks on from the kept line. Each query takes exact steps and
-certifies its point with one oracle call. The mean-absolute-deviation and
-max-drawdown models are epigraph LPs for the simplex; the
+certifies its point with one oracle call. The line reads Sigma through the
+estimates' block of centered returns where they keep one, so it needs
+neither the n x n covariance nor a `QpProblem`. The mean-absolute-deviation
+and max-drawdown models are epigraph LPs for the simplex; the
 minimum-allocation drawdown variant is the `md` LP with each weight on/off
-(0 or at least min_alloc), for branch and bound.
+(0 or at least min_alloc), for branch and bound, whose search is rooted at
+the `md` LP's optimum. That LP depends only on the window, rho and the cap,
+so the window keeps it (`ReturnMatrix.md_lps`), and whichever of `md` and
+`md_milp` runs first solves it for both.
 
 "Maximum drawdown" throughout means the worst single-day portfolio return
 min_t of sum_i r[i, t] x[i] over the window, not peak-to-trough drawdown.
@@ -39,7 +44,7 @@ from .core import (
     validate_allocation,
 )
 from .estimation import mean_returns
-from .lp_solver import AT_LOWER, AT_UPPER, BASIC, Basis, LpProblem, solve_lp
+from .lp_solver import AT_LOWER, AT_UPPER, BASIC, Basis, LpProblem, LpSolution, solve_lp
 from .milp_solver import MilpProblem, solve_milp
 from .qp_solver import GAP_TOL_DEFAULT, CriticalLine, QpProblem, QpSolution
 
@@ -206,9 +211,12 @@ def md_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[LpProblem, Mode
     ncols = n + 1
     c = np.zeros(ncols)
     c[n] = 1.0
-    day_rows = np.hstack([-returns.returns.T, np.ones((t_days, 1))])  # y - r_t' x <= 0
-    ret_row = np.concatenate([-mu, [0.0]])[None, :]
-    a_ub = np.vstack([day_rows, ret_row])
+    # the day rows y - r_t' x <= 0, then the return row, filled in place
+    a_ub = np.empty((t_days + 1, ncols))
+    np.negative(returns.returns.T, out=a_ub[:t_days, :n])
+    a_ub[:t_days, n] = 1.0
+    a_ub[t_days, :n] = -mu
+    a_ub[t_days, n] = 0.0
     b_ub = np.zeros(t_days + 1)
     b_ub[t_days] = -rho
     a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
@@ -229,11 +237,15 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
     node LPs of the search are the `md` LP under changed x bounds.
     """
     base, layout = md_problem(returns, cfg)
+    return MilpProblem(base=base, on_off=_on_off(returns.n_assets, cfg)), layout
+
+
+def _on_off(n_assets: int, cfg: ModelConfig) -> dict[int, float]:
+    """The drawdown MILP's on/off columns: every weight, at min_alloc."""
     cap = cfg.resolved_cap(0.5)
     if cfg.min_alloc > cap:
         raise DataError(f"min_alloc {cfg.min_alloc!r} exceeds the cap {cap!r}")
-    on_off = dict.fromkeys(range(layout.x.stop), cfg.min_alloc)
-    return MilpProblem(base=base, on_off=on_off), layout
+    return dict.fromkeys(range(n_assets), cfg.min_alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +255,55 @@ def md_milp_problem(returns: ReturnMatrix, cfg: ModelConfig) -> tuple[MilpProble
 def _line(stats: AssetStats, cfg: ModelConfig) -> CriticalLine:
     """The critical line of `stats` under cfg's cap, which the three
     mean-variance models query, kept in `stats.critical_lines`. The first
-    query under a cap builds it, so that model carries the one `QpProblem`
-    build, in its own `time_s`, and the walk down to its point; later
-    queries walk on only past the deepest point so far."""
+    query under a cap builds it over the budget box, an `LpProblem` built
+    here, so that model carries the line's one simplex state, in its own
+    `time_s`, and the walk down to its point; later queries walk on only
+    past the deepest point so far. The line reads Sigma through
+    `stats.centered` where the estimates keep that block, and through their
+    dense covariance otherwise, which the constructor has already checked;
+    either way no `QpProblem` is built over the n weights."""
     cap = cfg.resolved_cap(1.0)
     if cap not in stats.critical_lines:
-        problem, _ = markowitz_problem(stats, cfg, rho=None)
-        stats.critical_lines[cap] = CriticalLine(problem, stats.mean_returns)
+        n = stats.n_assets
+        region = LpProblem(c=np.zeros(n), a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
+                           lower=np.zeros(n), upper=np.full(n, cap))
+        sigma = ({"q": stats.covariance} if stats.centered is None
+                 else {"centered": stats.centered})
+        stats.critical_lines[cap] = CriticalLine(region, stats.mean_returns, **sigma)
     return stats.critical_lines[cap]
+
+
+@dataclass(frozen=True)
+class _MdLp:
+    """A window's `md` LP, its layout, and its `solve_lp` solution from
+    `start`."""
+
+    problem: LpProblem
+    layout: ModelLayout
+    start: Basis | None
+    solution: LpSolution
+
+
+def _md_lp(returns: ReturnMatrix, cfg: ModelConfig, start: Basis | None = None) -> _MdLp:
+    """The `md` LP of `returns` under cfg's rho and cap, solved from
+    `start`, kept in `returns.md_lps` under (rho, cap). `md` and `md_milp`
+    (whose root relaxation it is) both read it, so whichever runs first
+    builds and solves it. A later call with the same rho and cap and a start
+    of the same content (or none again) reads the kept solve; one with
+    another start solves again and keeps that solve in its place."""
+    key = (cfg.require_rho(), cfg.resolved_cap(0.5))
+    kept = returns.md_lps.get(key)
+    if kept is None or not _same_basis(kept.start, start):
+        problem, layout = md_problem(returns, cfg)
+        kept = _MdLp(problem, layout, start, solve_lp(problem, start=start))
+        returns.md_lps[key] = kept
+    return kept
+
+
+def _same_basis(a: Basis | None, b: Basis | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.basic, b.basic) and np.array_equal(a.status, b.status)
 
 
 def solve_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
@@ -312,10 +365,10 @@ def solve_reverse_markowitz(stats: AssetStats, cfg: ModelConfig) -> SolveReport:
     """
     started = time.perf_counter()
     sigma0 = cfg.require_sigma0()
-    sol = _line(stats, cfg).at_variance(sigma0 ** 2)
+    line = _line(stats, cfg)
+    sol = line.at_variance(sigma0 ** 2)
     status = sol.status
-    if (status is SolveStatus.OPTIMAL
-            and sol.v @ stats.covariance @ sol.v > (sigma0 + SIGMA_SLACK) ** 2):
+    if status is SolveStatus.OPTIMAL and line.variance(sol.v) > (sigma0 + SIGMA_SLACK) ** 2:
         status = SolveStatus.INFEASIBLE
     return _report("reverse_markowitz", status, sol.v, float(stats.mean_returns @ sol.v),
                    cfg.resolved_cap(1.0), sol.iterations, started, f"fw_gap={sol.fw_gap!r}")
@@ -347,12 +400,15 @@ def solve_md(returns: ReturnMatrix, cfg: ModelConfig, *,
     """Model: maximize the worst single-day portfolio return (max drawdown).
 
     `start`, the `basis` of an `md` report on a window of as many days,
-    starts phase 1 where the simplex can take it (`_start_detail`).
+    starts phase 1 where the simplex can take it (`_start_detail`). The
+    solve is the one the window keeps (`_md_lp`), so an `md_milp` solve
+    under the same rho, cap and start has already made it where it ran
+    first; `iterations` are that solve's pivots either way.
     """
     started = time.perf_counter()
-    problem, layout = md_problem(returns, cfg)
-    sol = solve_lp(problem, start=start)
-    return _report("md", sol.status, sol.v[layout.x], sol.objective, cfg.resolved_cap(0.5),
+    lp = _md_lp(returns, cfg, start)
+    sol = lp.solution
+    return _report("md", sol.status, sol.v[lp.layout.x], sol.objective, cfg.resolved_cap(0.5),
                    sol.pivots, started, _start_detail(start, sol.warm), sol.basis)
 
 
@@ -360,14 +416,19 @@ def solve_md_milp(returns: ReturnMatrix, cfg: ModelConfig, *,
                   start: Basis | None = None) -> SolveReport:
     """Model: the max-drawdown LP with a minimum-allocation rule per name.
 
-    The report's `basis` is the root LP's, and `start`, that of an `md_milp`
+    The root LP is the `md` LP the window keeps (`_md_lp`): an `md` solve
+    under the same rho, cap and start has already solved it where it ran
+    first, and the search starts at that optimum without a pivot. The
+    report's `basis` is the root LP's, and `start`, that of an `md_milp`
     report on a window of as many days, starts the root LP where the simplex
     can take it (`_start_detail`).
     """
     started = time.perf_counter()
-    problem, layout = md_milp_problem(returns, cfg)
-    sol = solve_milp(problem, start=start)
-    x = sol.v[layout.x] if sol.v is not None else None
+    cfg.require_rho()   # refused before min_alloc, as md_milp_problem does
+    on_off = _on_off(returns.n_assets, cfg)
+    lp = _md_lp(returns, cfg, start)
+    sol = solve_milp(MilpProblem(base=lp.problem, on_off=on_off), root=lp.solution)
+    x = sol.v[lp.layout.x] if sol.v is not None else None
     report = _report("md_milp", sol.status, x, sol.objective, cfg.resolved_cap(0.5),
                      sol.nodes, started, _start_detail(start, sol.warm), sol.root_basis)
     if report.allocation is not None:

@@ -46,7 +46,14 @@ penalized model) and where mu'v reaches a floor (minimum variance). Each
 query certifies its point with one call in the line's one `SimplexState`,
 and the line walks only as far as its deepest query. The moment estimates
 keep one line per cap (`models._line`), which every mean-variance query on
-them walks.
+them walks. The line takes its region as an `LpProblem` and reads Q only
+through `_Sigma`: a dense matrix, or, for estimates built from data, the
+factor form Q = CC'/T of their n x T block C of centered returns (Perold,
+*Management Science* 30, 1984), where each product costs O(nT) and v'Qv =
+|C'v|^2/T is nonnegative in floating point. So a data-built line holds no
+n x n array and builds no n x n `QpProblem` (only a top-return face of tied
+weights gets a QP of its own, over those weights); `solve_qp` and
+`QpProblem` keep their dense Q and its checks.
 """
 
 from __future__ import annotations
@@ -148,6 +155,59 @@ def _certify(oracle: SimplexState, grad: np.ndarray, x: np.ndarray, f: float,
     return gap
 
 
+class _Sigma:
+    """Q as `CriticalLine` reads it: a dense symmetric PSD matrix `q`, or,
+    where `centered` is given, Q = CC'/T through that n x T block C. The
+    line reads Q only here, and so do the reverse model's ceiling test and
+    the sweep's standard deviations, through `CriticalLine.variance`. The
+    dense form evaluates each expression as the line did on a dense Q, to
+    the bit."""
+
+    def __init__(self, q: np.ndarray | None = None, centered: np.ndarray | None = None):
+        self.q, self.c = q, centered
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """Qv: C(C'v)/T in the factor form."""
+        if self.c is None:
+            return self.q @ v
+        return self.c @ (v @ self.c) / self.c.shape[1]
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        """u'Qv: (C'u)'(C'v)/T in the factor form, so v'Qv = |C'v|^2/T >= 0."""
+        if self.c is None:
+            return float(u @ self.q @ v)
+        cv = v @ self.c
+        return float((cv if u is v else u @ self.c) @ cv) / self.c.shape[1]
+
+    def reduced(self, free: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """z'Q_FF z over the free weights F: (C_F'z)'(C_F'z)/T in the
+        factor form."""
+        if self.c is None:
+            return z.T @ self.q[np.ix_(free, free)] @ z
+        y = self.c[free].T @ z
+        return y.T @ y / self.c.shape[1]
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dense block Q[rows, cols]."""
+        if self.c is None:
+            return self.q[np.ix_(rows, cols)]
+        return self.c[rows] @ self.c[cols].T / self.c.shape[1]
+
+    def rounding(self):
+        """A function of v that bounds the rounding error of `inner(v, v)`,
+        with |Q| or |C| formed once for all its calls. Dense: n eps v'|Q|v.
+        Factor form: each entry of C'v is an n-term sum, within
+        (n/2) eps (|C|'|v|)_t of the exact one, and |C'v|^2 a T-term sum, so
+        the error is at most (n + T) eps ||C|'|v||^2 / T."""
+        eps = np.finfo(float).eps
+        if self.c is None:
+            abs_q, n = np.abs(self.q), self.q.shape[0]
+            return lambda v: n * eps * (v @ abs_q @ v)
+        abs_c = np.abs(self.c)
+        n, t = abs_c.shape
+        return lambda v: (n + t) * eps * float(np.square(np.abs(v) @ abs_c).sum()) / t
+
+
 @dataclass(frozen=True)
 class Piece:
     """One piece of the critical line: v(t) = x0 + t x1 for t_lo <= t <= t_hi,
@@ -168,8 +228,9 @@ class CriticalLine:
     """Markowitz's critical line over a budget box, walked from t = inf only
     as far down as the deepest query so far.
 
-    The problem's region must be the budget box: one row sum(v) = 1 and
-    bounds; its `c` is not read. For t >= 0 a minimizer v(t) of
+    `region` must be the budget box: one row sum(v) = 1 and bounds; its `c`
+    is not read. Q is the dense `q`, or CC'/T for an n x T block C given as
+    `centered` (`_Sigma`). For t >= 0 a minimizer v(t) of
     f_t(v) = v'Qv - t mu'v over it is piecewise linear in t, and v'Qv and
     mu'v are nondecreasing in t. The walk starts at t = inf, at the vertex
     the oracle finds for cost -mu (`top`): its basic weight is free and its
@@ -199,11 +260,12 @@ class CriticalLine:
     Infeasible when the region is empty.
     """
 
-    def __init__(self, problem: QpProblem, mu: np.ndarray):
-        n = problem.n_vars
-        self.problem, self.mu = problem, mu
+    def __init__(self, region: LpProblem, mu: np.ndarray, *, q: np.ndarray | None = None,
+                 centered: np.ndarray | None = None):
+        n = region.n_vars
+        self.region, self.mu, self.sigma = region, mu, _Sigma(q, centered)
         self.pieces: list[Piece] = []
-        self.oracle = SimplexState(problem._region)
+        self.oracle = SimplexState(region)
         self.feasible = self.oracle.feasible
         if not self.feasible:
             return
@@ -214,11 +276,15 @@ class CriticalLine:
             side[np.flatnonzero(side > 0)[np.argmin(mu[side > 0])]] = 0
         face = np.abs(mu - mu[side == 0][0]) <= STEP_TOL * np.abs(mu).max()
         if face.sum() > 1:
-            x, side = _least_variance_face(problem, x, side, face)
+            x, side = _least_variance_face(region, self.sigma, x, side, face)
         # the walk: the point at t on working set side, and the event times
         # and rates of the last piece, which choose its step
         self._x, self._t, self._side, self._events = x, np.inf, side, None
         self._bland, self._visited = False, set()
+
+    def variance(self, v: np.ndarray) -> float:
+        """v'Qv, read as the line reads Q."""
+        return self.sigma.inner(v, v)
 
     def at_variance(self, level: float) -> QpSolution:
         """The point where v'Qv reaches `level`, with f_t as its objective.
@@ -228,27 +294,26 @@ class CriticalLine:
         taken in its stable form, or else at t = 0, the minimum-variance
         end. The certificate is f_t's gap at that t, against
         GAP_TOL_DEFAULT."""
-        n, q, mu = self.problem.n_vars, self.problem.q, self.mu
+        n, sigma, mu = self.region.n_vars, self.sigma, self.mu
         if not self.feasible:
             return _infeasible(n)
-        abs_q = np.abs(q)
+        rounding = sigma.rounding()
         for k, piece in self._walk():
             x, x_next, x1 = piece.x_hi, piece.x_lo, piece.x1
-            var = float(x_next @ q @ x_next)
-            # n eps v'|Q|v bounds the rounding of v'Qv, and v'|Q|v is convex
-            room = level - var - n * np.finfo(float).eps * max(x @ abs_q @ x,
-                                                               x_next @ abs_q @ x_next)
+            var = sigma.inner(x_next, x_next)
+            # `rounding` bounds the rounding of v'Qv, and is convex in v
+            room = level - var - max(rounding(x), rounding(x_next))
             if room >= 0.0 or piece.t_lo == 0.0:
                 break
         # v'Qv at t_lo + s in [t_lo, t_hi] is var + 2 b s + a s^2; its
         # root s = room / (b + sqrt(b^2 + a room)) is the stable form (a room
         # is 0 where a is, also for the infinite room of an infinite level)
-        room, b, a = max(room, 0.0), float(x_next @ q @ x1), float(x1 @ q @ x1)
+        room, b, a = max(room, 0.0), sigma.inner(x_next, x1), sigma.inner(x1, x1)
         den = b + np.sqrt(b * b + (a * room if a else 0.0))
         s = min(room / den, piece.t_hi - piece.t_lo) if den > 0.0 else 0.0
         x, t = x_next + s * x1, piece.t_lo + s
-        f = float(x @ q @ x - t * (mu @ x))
-        gap = _certify(self.oracle, 2.0 * (q @ x) - t * mu, x, f, GAP_TOL_DEFAULT)
+        f = float(sigma.inner(x, x) - t * (mu @ x))
+        gap = _certify(self.oracle, 2.0 * sigma.times(x) - t * mu, x, f, GAP_TOL_DEFAULT)
         return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
 
     def at_penalty(self, lam: float, gap_tol: float = GAP_TOL_DEFAULT) -> QpSolution:
@@ -258,7 +323,7 @@ class CriticalLine:
         the oracle's top-return vertex, not the least-variance point of a
         face of tied returns. The certificate is the objective's own gap,
         against gap_tol."""
-        n, q, mu = self.problem.n_vars, self.problem.q, self.mu
+        n, mu = self.region.n_vars, self.mu
         if not self.feasible:
             return _infeasible(n)
         k, x = 0, self.top
@@ -269,7 +334,7 @@ class CriticalLine:
                     break
             # the first piece holds still, and t may be inf there
             x = piece.x0 if k == 0 else piece.x0 + t * piece.x1
-        qx = q @ x
+        qx = self.sigma.times(x)
         f = float(lam * (x @ qx) - mu @ x)
         gap = _certify(self.oracle, 2.0 * lam * qx - mu, x, f, gap_tol)
         return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
@@ -290,7 +355,7 @@ class CriticalLine:
         f_t's gap over the box plus t (mu'x - rho) bounds it from above (t
         is 0 where the floor does not bind). It is checked against
         GAP_TOL_DEFAULT."""
-        n, q, mu = self.problem.n_vars, self.problem.q, self.mu
+        n, sigma, mu = self.region.n_vars, self.sigma, self.mu
         if not self.feasible or rho > mu @ self.top:
             return _infeasible(n)
         for k, piece in self._walk():
@@ -300,8 +365,8 @@ class CriticalLine:
         slope = float(mu @ piece.x1)
         s = min(short / slope, piece.t_hi - piece.t_lo) if short > 0.0 and slope > 0.0 else 0.0
         x, t = piece.x_lo + s * piece.x1, piece.t_lo + s
-        f = float(x @ q @ x)
-        gap = _certify(self.oracle, 2.0 * (q @ x) - t * mu, x, f, GAP_TOL_DEFAULT,
+        f = sigma.inner(x, x)
+        gap = _certify(self.oracle, 2.0 * sigma.times(x) - t * mu, x, f, GAP_TOL_DEFAULT,
                        t * (mu @ x - rho))
         return QpSolution(x, f, gap, k, SolveStatus.OPTIMAL)
 
@@ -320,7 +385,7 @@ class CriticalLine:
             if self.pieces[-1].t_lo == 0.0:
                 return False
             self._step(self.pieces[-1])
-        n, q, mu, region = self.problem.n_vars, self.problem.q, self.mu, self.problem._region
+        n, sigma, mu, region = self.region.n_vars, self.sigma, self.mu, self.region
         x, t, side, row = self._x, self._t, self._side, region.a_eq[0]
         free = side == 0
         z = _null_basis(row[None, free])
@@ -329,12 +394,12 @@ class CriticalLine:
         # (the budget row pins one free weight, and free weights that tie in
         # mu stay at the least-variance point of the top face)
         if np.isfinite(t):
-            x1[free] = z @ np.linalg.lstsq(2.0 * z.T @ q[np.ix_(free, free)] @ z,
+            x1[free] = z @ np.linalg.lstsq(2.0 * sigma.reduced(free, z),
                                            z.T @ mu[free], rcond=None)[0]
             x0 = x - t * x1
         # the constant and t parts of grad f_t, less the budget row's
         # multiplier, which the free weights fix: on fixed weights, r0 and r1
-        r = np.stack([2.0 * (q @ x0), 2.0 * (q @ x1) - mu])
+        r = np.stack([2.0 * sigma.times(x0), 2.0 * sigma.times(x1) - mu])
         scale = np.abs(r).max(axis=1)
         r -= np.outer(r[:, free] @ row[free] / (row[free] @ row[free]), row)
         # margin + rate * t is a free weight's distance to the bound it moves
@@ -377,14 +442,15 @@ def _bound_side(status: np.ndarray) -> np.ndarray:
     return (status == AT_UPPER).astype(np.int8) - (status == AT_LOWER)
 
 
-def _least_variance_face(problem: QpProblem, x: np.ndarray, side: np.ndarray,
+def _least_variance_face(region: LpProblem, sigma: _Sigma, x: np.ndarray, side: np.ndarray,
                          face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least-variance point of the budget box's top-return face and
     its working set: the weights in `face` tie in return and move, from the
-    vertex x with bound sides `side`, and the others stay at x."""
-    region, q, held = problem._region, problem.q, ~face
+    vertex x with bound sides `side`, and the others stay at x. The tied
+    weights' QP is the one `QpProblem` a line builds, over them alone."""
+    held = ~face
     row = region.a_eq[0]
-    sub = QpProblem(q=q[np.ix_(face, face)], c=2.0 * (q[np.ix_(face, held)] @ x[held]),
+    sub = QpProblem(q=sigma.block(face, face), c=2.0 * (sigma.block(face, held) @ x[held]),
                     a_eq=row[None, face], b_eq=[region.b_eq[0] - row[held] @ x[held]],
                     lower=region.lower[face], upper=region.upper[face])
     x_face, _, side_face = _active_set(sub, x[face], side[face])

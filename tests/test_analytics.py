@@ -13,7 +13,8 @@ from portopt.analytics import (
     sensitivity_run,
     train_test_split,
 )
-from portopt.core import Allocation, AssetStats, DataError, DimensionError, ModelConfig
+from portopt.core import (Allocation, AssetStats, DataError, DimensionError, ModelConfig,
+                          ReturnMatrix)
 from portopt.estimation import PerturbationConfig, asset_stats
 from portopt.qp_solver import QpProblem
 
@@ -194,28 +195,39 @@ class TestLambdaSweep:
             assert gap <= 1e-8 * (1.0 + abs(report.objective))
         assert sweep.chosen_lambda == 14.849682622544634
 
-    def test_sweep_builds_one_qp_for_every_point(self, fixture_train, monkeypatch):
+    def test_sweep_builds_one_line_and_no_qp_for_every_point(self, fixture_train,
+                                                              monkeypatch):
         # Every grid point is a query on one critical line; each still goes
         # through the module's solve_simultaneous, with its own report. The
-        # estimates are fresh: the shared fixture's keep a line other tests
-        # built.
-        builds, calls = [], []
+        # line and the points' variances read the covariance through the
+        # window's centered returns, so the sweep builds no QpProblem, runs
+        # no Cholesky and never forms the n x n covariance. The estimates
+        # are fresh: the shared fixture's keep a line other tests built.
+        builds, factored, calls = [], [], []
         post_init, solve = QpProblem.__post_init__, analytics.solve_simultaneous
+        cholesky = np.linalg.cholesky
 
         def counted(problem):
             builds.append(problem.n_vars)
             post_init(problem)
+
+        def counted_cholesky(matrix, *args, **kwargs):
+            factored.append(matrix.shape)
+            return cholesky(matrix, *args, **kwargs)
 
         def recorded(stats, cfg, **kw):
             calls.append(cfg.lam)
             return solve(stats, cfg, **kw)
 
         monkeypatch.setattr(QpProblem, "__post_init__", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(analytics, "solve_simultaneous", recorded)
         grid = lambda_grid()
-        sweep = lambda_sweep(asset_stats(fixture_train), grid)
+        stats = asset_stats(fixture_train)
+        sweep = lambda_sweep(stats, grid)
         assert sweep.statuses == ("Optimal",) * 100
-        assert calls == grid and builds == [390]
+        assert calls == grid and builds == [] and factored == []
+        assert list(stats.critical_lines) == [1.0] and "covariance" not in vars(stats)
 
     def test_grid_spacing(self):
         log_grid = lambda_grid(1e-3, 1e4, 8, "log")
@@ -398,17 +410,45 @@ class TestSensitivity:
         assert again == first
         assert peak < 1.0 * 8 * n * n
 
+    def test_a_mean_variance_run_on_the_fixture_holds_no_covariance(self, fixture_train):
+        # markowitz reads each window's covariance through its centered
+        # returns, so a markowitz,md run holds no n x n array: its tracemalloc
+        # peak stays below 1.2 n x n doubles, where the two windows, their
+        # centered returns, markowitz's lines and the kept md LP already
+        # hold 0.7 before the perturbed md LP is built. The dense
+        # covariances and the QP's checks peaked at 4.3.
+        import tracemalloc
+        window = ReturnMatrix(fixture_train.tickers, fixture_train.dates, fixture_train.returns)
+        n = window.n_assets
+        cfgs = dict.fromkeys(("markowitz", "md"), ModelConfig(rho=0.001))
+        pcfg = PerturbationConfig(c=1000.0, seed=3)
+        first = sensitivity_run(window, cfgs, pcfg)   # lazy imports outside the count
+        tracemalloc.start()
+        try:
+            again = sensitivity_run(window, cfgs, pcfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 1.2 * 8 * n * n
+
     MEAN_VARIANCE = {"markowitz": ModelConfig(rho=0.001),
                      "reverse_markowitz": ModelConfig(sigma0=0.012),
                      "simultaneous": ModelConfig(lam=0.08)}
 
     def test_mean_variance_models_share_one_path_per_window(self, fixture_train, monkeypatch):
-        # Two certified estimates, one QpProblem per window, and so two
-        # Choleskys in all (the QPs' PSD checks); a line per model, from
-        # estimates of its own, gives the same bits.
-        from portopt import models
-        builds, factored = [], []
+        # Two certified estimates with one critical line each, and neither a
+        # QpProblem nor a Cholesky: each line reads the covariance through
+        # its window's centered returns, and no n x n covariance is formed.
+        # A line per model, from fresh estimates of its own, gives the same
+        # bits.
+        from portopt import analytics, models
+        builds, factored, estimates = [], [], []
         post_init, cholesky = QpProblem.__post_init__, np.linalg.cholesky
+
+        def recorded_stats(window):
+            estimates.append(asset_stats(window))
+            return estimates[-1]
 
         def counted(problem):
             builds.append(problem.n_vars)
@@ -420,18 +460,21 @@ class TestSensitivity:
 
         monkeypatch.setattr(QpProblem, "__post_init__", counted)
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(analytics, "asset_stats", recorded_stats)
         pcfg = PerturbationConfig(c=1000.0, seed=1)
         shared = sensitivity_run(fixture_train, self.MEAN_VARIANCE, pcfg)
-        assert builds == [390, 390] and factored == [(390, 390)] * 2
+        assert builds == [] and factored == []
+        assert [list(stats.critical_lines) for stats in estimates] == [[1.0], [1.0]]
+        assert not any("covariance" in vars(stats) for stats in estimates)
         for tag in self.MEAN_VARIANCE:
             solve = models.SOLVERS[tag]
 
             def own_line(returns, stats, cfg, _solve=solve):
-                return _solve(returns, AssetStats(stats.mean_returns, stats.covariance), cfg)
+                return _solve(returns, asset_stats(returns), cfg)
 
             monkeypatch.setitem(models.SOLVERS, tag, own_line)
         own = sensitivity_run(fixture_train, self.MEAN_VARIANCE, pcfg)
-        assert len(builds) == 2 + 6
+        assert builds == [] and factored == []
         assert shared == own
         assert all(row.status == "Optimal" for row in shared.rows)
 

@@ -11,14 +11,15 @@ from portopt import core, lp_solver, milp_solver, models, qp_solver
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # `main` puts `--src` on `sys.path`, so it runs in a fresh interpreter.
-# `_memory` and `_panels` are stubbed: their generated panels take most of a
-# full run's time.
+# `_memory`, `_mean_variance` and `_panels` are stubbed: their generated
+# panels take most of a full run's time.
 SMOKE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import bench_models
 bench_models._memory = lambda seed: {}
 bench_models._panels = lambda: {}
+bench_models._mean_variance = lambda: {}
 sys.exit(bench_models.main(["--seed", "3", "--label", "smoke", "--out", sys.argv[2]]))
 """
 
@@ -29,8 +30,8 @@ def test_bench_script_runs_its_sections_on_this_tree(tmp_path):
                    capture_output=True, text=True, check=True)
     result = json.loads(out.read_text())["smoke"]
     assert set(result) == {"seed", "data", "estimation", "fixture", "perturbed_seed_3",
-                           "full_window", "backtest", "sweep", "panels", "memory",
-                           "src_lines"}
+                           "full_window", "backtest", "sweep", "mean_variance", "panels",
+                           "memory", "src_lines"}
     assert set(result["data"]) == {"ingest_seconds", "perturb_seconds", "perturbed_sha256"}
     fixture = result["fixture"]
     assert set(fixture) == {"markowitz", "reverse_markowitz", "simultaneous", "mad", "md",
@@ -59,6 +60,7 @@ def test_run_twice_in_one_process_leaves_the_modules_as_they_were(monkeypatch):
 
     monkeypatch.setattr(bench_models, "_memory", lambda seed: {})
     monkeypatch.setattr(bench_models, "_panels", lambda: {})
+    monkeypatch.setattr(bench_models, "_mean_variance", lambda: {})
     patched = [(lp_solver, "SimplexState"), (milp_solver, "SimplexState"),
                (qp_solver.QpProblem, "__post_init__"), (models, "CriticalLine"),
                (core, "_is_psd"), (np.linalg, "cholesky")]

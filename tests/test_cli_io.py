@@ -286,19 +286,27 @@ class TestCommands:
         models = [line.split(",")[0] for line in table1[1:]]
         assert models == ["markowitz", "reverse_markowitz", "simultaneous", "md", "md_milp"]
 
-    def test_backtest_builds_one_qp_for_the_three_mean_variance_models(self, tmp_path,
-                                                                       monkeypatch):
+    def test_backtest_builds_one_line_and_no_qp_for_the_three_mean_variance_models(
+            self, tmp_path, monkeypatch):
         # markowitz, reverse_markowitz and simultaneous are queries on one
-        # critical line of the train window: one QpProblem, one validation
-        # of its covariance.
-        builds = []
+        # critical line of the train window, which reads the covariance
+        # through the window's centered returns: no QpProblem, and no
+        # second validation of the covariance.
+        from portopt import models
+        builds, lines = [], []
         post_init = QpProblem.__post_init__
+
+        class Counted(models.CriticalLine):
+            def __init__(self, *args, **kwargs):
+                lines.append(kwargs)
+                super().__init__(*args, **kwargs)
 
         def counted(problem):
             builds.append(problem.n_vars)
             post_init(problem)
 
         monkeypatch.setattr(QpProblem, "__post_init__", counted)
+        monkeypatch.setattr(models, "CriticalLine", Counted)
         out = tmp_path / "bt"
         cfg = RunConfig(command="backtest", prices=str(FIXTURE_PATH), output_dir=str(out),
                         rho=0.001, sigma0=0.012, lam=0.08,
@@ -308,24 +316,32 @@ class TestCommands:
         assert [row[0] for row in rows[:3]] == ["markowitz", "reverse_markowitz",
                                                 "simultaneous"]
         assert all(row[1] != "" for row in rows)
-        assert builds == [390]
+        assert builds == [] and [sorted(kwargs) for kwargs in lines] == [["centered"]]
 
-    def test_backtest_runs_one_cholesky_for_its_qp(self, tmp_path, monkeypatch):
+    def test_backtest_runs_no_cholesky(self, tmp_path, monkeypatch):
         # asset_stats certifies the train window's covariance from its
-        # centered returns, so the one Cholesky left is the QpProblem's.
-        factored = []
-        cholesky = np.linalg.cholesky
+        # centered returns, and the critical line reads the covariance
+        # through them, so no Cholesky runs and the n x n covariance is
+        # never formed.
+        from portopt import core
+        factored, formed = [], []
+        cholesky, gram = np.linalg.cholesky, core.gram_covariance
 
         def counted(matrix, *args, **kwargs):
             factored.append(matrix.shape)
             return cholesky(matrix, *args, **kwargs)
 
+        def counted_gram(centered):
+            formed.append(centered.shape)
+            return gram(centered)
+
         monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(core, "gram_covariance", counted_gram)
         cfg = RunConfig(command="backtest", prices=str(FIXTURE_PATH),
                         output_dir=str(tmp_path / "bt"), rho=0.001, sigma0=0.012, lam=0.08,
                         train_end="2020-05-01", test_end="2020-07-31")
         assert run_command(cfg) == 0
-        assert factored == [(390, 390)]
+        assert factored == [] and formed == []
 
     @pytest.mark.parametrize("argv, built", [
         (["solve", "--model", "md", "--rho", "0.0005"], 0),

@@ -361,7 +361,7 @@ class TestFixtureFrontier:
         # The critical line's steps and the weights' bytes.
         assert reverse.iterations == 3
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
-            "2ea33f334ad2cf5bc3510d2a39048855a8d859737041453a6faa327f800a9b13")
+            "2403f456649d94b43ffb5bff80d9dfdd949f9329fab64fc84ec6bdbb898879bf")
 
     def test_reverse_markowitz_walks_one_state_without_a_qp_solve(self, fixture_train,
                                                                  monkeypatch):
@@ -411,9 +411,10 @@ class TestFixtureFrontier:
         assert reverse.status is SolveStatus.OPTIMAL
         x = reverse.allocation.weights
         assert np.sqrt(x @ fixture_stats.covariance @ x) <= self.SIGMA0
-        # The critical line's return, to the bit; the bisection it replaced
-        # stopped at 0.002527510071164992.
-        assert reverse.objective == 0.002527510114191723
+        # The critical line's return, to the bit, read through the window's
+        # centered returns; the bisection it replaced stopped at
+        # 0.002527510071164992.
+        assert reverse.objective == 0.002527510114191679
 
     def test_reverse_markowitz_weights_are_certified(self, reverse, fixture_stats):
         mu, cov = fixture_stats.mean_returns, fixture_stats.covariance
@@ -453,7 +454,8 @@ def path_instance(rng):
     """A budget-box instance for the path queries: n from 3 to 40 assets over
     T < n days (a singular covariance), a cap of 1 or one that binds, and
     means left as they are, tied at the top (ties at lambda = 0) or tied
-    below it."""
+    below it. The estimates keep their centered returns, as data-built
+    estimates do."""
     n = int(rng.integers(3, 41))
     data = rng.normal(rng.normal(0.001, 0.002, (n, 1)), rng.uniform(0.005, 0.03, (n, 1)),
                       (n, int(rng.integers(2, n))))
@@ -463,7 +465,7 @@ def path_instance(rng):
         mu = stats.mean_returns.copy()
         tied = rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)), replace=False)
         mu[tied] = mu.max() + 5e-4 if tie == 1 else mu[tied[0]]
-        stats = AssetStats(mu, stats.covariance)
+        stats = AssetStats.from_centered(mu, stats.centered)
     cap = 1.0 if rng.random() < 0.4 else float(rng.uniform(1.0 / n, 0.5))
     return stats, cap
 
@@ -565,6 +567,52 @@ class TestPathQueries:
                 check(stats, cap, value)
             assert list(stats.critical_lines) == [cap]
 
+    def test_factor_and_dense_lines_walk_alike(self):
+        # The line of data-built estimates reads Sigma through their
+        # centered returns C (C C'/T); the line of the same estimates given
+        # as a dense matrix reads Sigma itself. Both walk the same pieces on
+        # the same working sets, each model's query takes the same steps on
+        # both, and their objectives agree within 1e-12 relative to the
+        # objective's own scale (a variance can be 0 where T < n, and is
+        # then rounding on both). Each markowitz certificate is also a sound
+        # bound on the gap HiGHS finds.
+        rng = np.random.default_rng(3131)
+        for _ in range(40):
+            stats, cap = path_instance(rng)
+            dense = AssetStats(stats.mean_returns, stats.covariance)
+            assert stats.centered is not None and dense.centered is None
+            lines = [models._line(s, ModelConfig(cap=cap)) for s in (stats, dense)]
+            if not lines[0].feasible:
+                assert not lines[1].feasible
+                continue
+            for line in lines:
+                line.at_variance(0.0)    # walks the whole line, down to t = 0
+            factor, full = lines[0].pieces, lines[1].pieces
+            assert [p.side.tolist() for p in factor] == [p.side.tolist() for p in full]
+            mu, var_max = stats.mean_returns, float(stats.covariance.diagonal().max())
+            ret_lo, ret_hi = float(mu @ factor[-1].x_lo), float(mu @ lines[0].top)
+            var_lo, var_hi = (lines[0].variance(factor[k].x_lo) for k in (-1, 0))
+            inside = rng.uniform(0.05, 0.95, 3)
+            queries = [(solve_markowitz, ModelConfig(rho=float(ret_lo + u * (ret_hi - ret_lo)),
+                                                     cap=cap), var_max) for u in inside]
+            queries += [(solve_simultaneous, ModelConfig(lam=lam, cap=cap),
+                         lam * var_max + np.abs(mu).max()) for lam in (0.0, 0.3, 3.0, 3e4)]
+            if var_hi > var_lo:
+                queries += [(solve_reverse_markowitz, ModelConfig(
+                    sigma0=float(np.sqrt(var_lo + u * (var_hi - var_lo))), cap=cap),
+                    np.abs(mu).max()) for u in inside]
+            for solve, cfg, scale in queries:
+                report, reference = solve(stats, cfg), solve(dense, cfg)
+                assert report.status is reference.status is SolveStatus.OPTIMAL
+                assert report.iterations == reference.iterations
+                assert abs(report.objective - reference.objective) <= 1e-12 * max(
+                    abs(report.objective), abs(reference.objective), scale)
+                assert claimed_gap(report) <= 1e-8 * (1.0 + abs(report.objective))
+                if solve is solve_markowitz:
+                    floor_gap, error = highs_floor_gap(report.allocation.weights, stats, cap,
+                                                       cfg.rho)
+                    assert claimed_gap(report) >= floor_gap - error
+
     def test_a_cap_below_one_over_n_is_infeasible_for_all_three(self):
         stats = stats_from(np.random.default_rng(8).normal(0.001, 0.02, (5, 4)))
         for solve, cfg in ((solve_markowitz, ModelConfig(rho=0.0, cap=0.15)),
@@ -584,14 +632,21 @@ class TestPathQueries:
     def test_the_estimates_keep_one_line_per_cap(self, monkeypatch):
         # A line is built on the first query under each cap and kept by the
         # estimates that were queried; other estimates of the same window
-        # build their own, and repeated queries build none.
-        builds = []
+        # build their own, and repeated queries build none. No line builds
+        # a QpProblem or the n x n covariance.
+        builds, qp_builds = [], []
         post_init = qp_solver.QpProblem.__post_init__
 
+        class Counted(qp_solver.CriticalLine):
+            def __init__(self, region, *args, **kwargs):
+                builds.append(region.upper.max())
+                super().__init__(region, *args, **kwargs)
+
         def counted(problem):
-            builds.append(problem.upper.max())
+            qp_builds.append(problem.n_vars)
             post_init(problem)
 
+        monkeypatch.setattr(models, "CriticalLine", Counted)
         monkeypatch.setattr(qp_solver.QpProblem, "__post_init__", counted)
         returns = make_returns(np.random.default_rng(9).normal(0.001, 0.02, (5, 30)))
         stats = asset_stats(returns)
@@ -607,6 +662,7 @@ class TestPathQueries:
         assert other.critical_lines == {}
         assert answers(other) == first and builds == [0.15, 0.5] * 2
         assert answers(stats) == answers(other) == first and len(builds) == 4
+        assert qp_builds == [] and "covariance" not in vars(stats)
 
 
 class TestL1Augmentation:
@@ -877,6 +933,87 @@ class TestMdMilp:
         data = rng_global.normal(0.001, 0.02, (4, 5))
         with pytest.raises(DataError):
             solve_md_milp(make_returns(data), ModelConfig(rho=0.0, min_alloc=0.6, cap=0.5))
+
+
+def fresh_window(returns: ReturnMatrix) -> ReturnMatrix:
+    """A window of the same values that keeps no LP yet."""
+    return ReturnMatrix(returns.tickers, returns.dates, returns.returns)
+
+
+class TestKeptMdLp:
+    """The `md` LP a window keeps (`models._md_lp`): `md`'s problem and
+    `md_milp`'s root relaxation, solved once per window, rho and cap."""
+
+    def test_the_window_keeps_one_lp_per_rho_and_cap(self, monkeypatch):
+        solves = []
+
+        def counted(problem, **kwargs):
+            solves.append(problem.upper[0])
+            return solve_lp(problem, **kwargs)
+
+        monkeypatch.setattr(models, "solve_lp", counted)
+        data = np.random.default_rng(41).normal(0.001, 0.02, (8, 30))
+        returns = make_returns(data)
+        cfg = ModelConfig(rho=0.0)
+        milp_first = solve_md_milp(returns, cfg)          # solves the LP
+        md_second = solve_md(returns, cfg)                # reads it
+        assert solves == [0.5] and md_second.basis is milp_first.basis
+        assert answer(solve_md(returns, cfg)) == answer(md_second) and len(solves) == 1
+        for other in (ModelConfig(rho=0.001), ModelConfig(rho=0.0, cap=0.4)):
+            solve_md(returns, other)
+            solve_md_milp(returns, other)
+        assert solves == [0.5, 0.5, 0.4]
+        assert sorted(returns.md_lps) == [(0.0, 0.4), (0.0, 0.5), (0.001, 0.5)]
+        # estimates of the same values in another window solve their own,
+        # to the same answers as a solve of the LP itself
+        again = fresh_window(returns)
+        assert answer(solve_md(again, cfg)) == answer(md_second) and len(solves) == 4
+        sol = solve_lp(md_problem(returns, cfg)[0])
+        assert md_second.objective == sol.objective and md_second.iterations == sol.pivots
+
+    def test_another_start_solves_again(self, fixture_train):
+        cfg = ModelConfig(rho=FIXTURE_RHO)
+        window = fresh_window(fixture_train)
+        cold = solve_md(window, cfg)
+        shaken = perturb_returns(window, PerturbationConfig(c=1000.0, seed=4))
+        first = solve_md(shaken, cfg)
+        warm = solve_md(shaken, cfg, start=cold.basis)     # replaces the kept cold solve
+        assert (first.detail, warm.detail, warm.iterations) == ("", "start=warm", 0)
+        (kept,) = shaken.md_lps.values()
+        assert kept.start is cold.basis
+        # a start of the same content reads the kept solve
+        copy = Basis(cold.basis.basic.copy(), cold.basis.status.copy())
+        assert solve_md(shaken, cfg, start=copy).basis is warm.basis
+
+    def test_md_milp_takes_no_root_pivot_after_md(self, fixture_train, monkeypatch):
+        # The search state starts at the root's optimal basis, so phase 1
+        # takes no pivot, and no LP is solved for the root: the answer, the
+        # nodes and the root basis are those of a search that solves it.
+        from portopt import milp_solver
+        cfg = ModelConfig(rho=FIXTURE_RHO)
+        window = fresh_window(fixture_train)
+        md = solve_md(window, cfg)
+        states = []
+
+        class Recorded(milp_solver.SimplexState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self.pivots)
+
+        def no_lp_solve(*args, **kwargs):
+            raise AssertionError("the root LP was solved again")
+
+        with monkeypatch.context() as m:
+            m.setattr(milp_solver, "SimplexState", Recorded)
+            m.setattr(models, "solve_lp", no_lp_solve)
+            m.setattr(milp_solver, "solve_lp", no_lp_solve)
+            report = solve_md_milp(window, cfg)
+        assert states == [0] and report.basis is md.basis
+        own = solve_milp(md_milp_problem(window, cfg)[0])
+        assert report.iterations == own.nodes == 3
+        assert report.objective == own.objective
+        assert report.allocation.weights.tobytes() == own.v[:window.n_assets].tobytes()
+        assert np.array_equal(report.basis.basic, own.root_basis.basic)
 
 
 class TestWarmStart:

@@ -115,8 +115,13 @@ def test_return_floor_at_max_return_vertex():
     assert sol.fw_gap <= 1e-8 * (1.0 + abs(sol.objective))
 
 
+def dense_line(problem: QpProblem, mu: np.ndarray) -> CriticalLine:
+    """The critical line over `problem`'s region, reading its dense Q."""
+    return CriticalLine(problem._region, mu, q=problem.q)
+
+
 def test_critical_line_on_an_empty_region_is_infeasible():
-    line = CriticalLine(simplex_qp(np.eye(3), np.zeros(3), cap=0.3), np.ones(3))
+    line = dense_line(simplex_qp(np.eye(3), np.zeros(3), cap=0.3), np.ones(3))
     sol = line.at_variance(1.0)
     assert sol.status is SolveStatus.INFEASIBLE
 
@@ -130,15 +135,15 @@ def test_critical_line_two_assets_closed_form():
     problem = simplex_qp(np.diag([s1, s2]), np.zeros(2))
     mu = np.array([m1, m2])
     # each query on a line of its own, which walks no further than its point
-    top = CriticalLine(problem, mu).at_variance(2.0 * s1)  # the top vertex is below it
+    top = dense_line(problem, mu).at_variance(2.0 * s1)  # the top vertex is below it
     assert top.iterations == 0 and np.all(top.v == [1.0, 0.0])
     for w in (0.9, 0.5, 0.3):      # weight of asset 1 at the point sought
         level = w * w * s1 + (1 - w) ** 2 * s2
-        sol = CriticalLine(problem, mu).at_variance(level)
+        sol = dense_line(problem, mu).at_variance(level)
         assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 1
         assert sol.v[0] == pytest.approx(w, abs=1e-9)
         assert sol.v @ problem.q @ sol.v <= level
-    low = CriticalLine(problem, mu).at_variance(1e-5)  # below every variance: the t = 0 end
+    low = dense_line(problem, mu).at_variance(1e-5)  # below every variance: the t = 0 end
     assert low.v[0] == pytest.approx(s2 / (s1 + s2), abs=1e-12) and low.objective > 1e-5
 
 

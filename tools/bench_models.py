@@ -10,7 +10,9 @@ A drawdown row's `start` names the basis its answer's simplex state
 started from: `warm` (the given basis was taken), `vertex` (a basis the
 model built, as `mad` does without a start) or `cold` (the slack basis),
 and `phase1_pivots` counts the pivots phase 1 took from it (0 where it was
-primal feasible).
+primal feasible). For `md_milp` that is the phase 1 of its search's state,
+which starts at the optimal basis of the `md` LP the window keeps (`md`
+runs first and solved it), so it reads 0.
 
 Work is the model report's `iterations`: for the three mean-variance models
 the critical-line steps from the top-return vertex to the piece their point
@@ -37,14 +39,16 @@ The `backtest` section solves the three mean-variance models in the
 window, which share the one critical line the estimates keep, 10 times over
 with fresh estimates each time, so no pass reuses a line another pass built.
 It reports each model's median seconds and its walk steps, the median of the
-three together, and `qp_builds`, the critical lines (one `QpProblem` each)
-the estimates keep after one pass. The first model carries the line's one
-build and its walk. The `sweep` section runs `lambda_sweep` on the default
-100-point grid over fresh estimates of the train window 3 times and reports
-the median seconds, `n_excluded` (points not Optimal), `qp_builds` and
-`path_pieces`, the pieces of the kept lines the sweep walked. Building the
-estimates is outside both timers. `src_lines` counts the lines of the
-measured checkout's `portopt` package.
+three together, and `qp_builds`, the critical lines the estimates keep after
+one pass (the key's name is older than the lines: a data-built line builds
+no `QpProblem` and reads the covariance through the window's centered
+returns). The first model carries the
+line's one build and its walk. The `sweep` section runs `lambda_sweep` on
+the default 100-point grid over fresh estimates of the train window 3 times
+and reports the median seconds, `n_excluded` (points not Optimal),
+`qp_builds` (lines, as above) and `path_pieces`, the pieces of the kept
+lines the sweep walked. Building the estimates is outside both timers.
+`src_lines` counts the lines of the measured checkout's `portopt` package.
 
 The `data` section times the steps before any solve, first of all in the
 process: the fixture's ingest and the train window's seed-N perturbation,
@@ -57,7 +61,17 @@ the covariance PSD: `certificate` (the O(nT) rounding bound on the centered
 block, `core.gram_psd_bound`, is within `PSD_TOL`) or `cholesky` (the n x n
 check); `delta_over_psd_tol` is that bound over `PSD_TOL`. It also counts
 the `np.linalg.cholesky` calls of one fixture `backtest` command
-(`backtest_choleskys`).
+(`backtest_choleskys`, 0 where no `QpProblem` is built).
+
+The `mean_variance` section is the mean-variance rungs of the scale
+ladder (ROADMAP item 4 will absorb it): for each of MEAN_VARIANCE_RUNGS, a
+`tools/make_fixture.build_panel` panel of n names over T + 1 weekdays from
+2019-01-02 (`calm`) or 2020-02-03 (`crash`), it times `markowitz` with its
+estimates (`asset_stats` and `solve_markowitz` at rho 0 and the default
+cap) and the default 100-point `lambda_sweep` with its estimates, each the
+least of 3 runs on fresh estimates, and reports the walk steps to
+`markowitz`'s point, the pieces the sweep walked and the chosen lambda. The
+panels are synthetic, not the paper's data.
 
 The `panels` section solves the drawdown models with no start on generated
 panels (`tools/make_fixture.build_panel` in its `calm` regime over T + 1
@@ -110,6 +124,10 @@ MODELS = ("markowitz", "reverse_markowitz", "simultaneous", "mad", "md", "md_mil
 DRAWDOWN = ("mad", "md", "md_milp")
 MEAN_VARIANCE = ("markowitz", "reverse_markowitz", "simultaneous")
 PANELS = ((200, 250, 7),)   # generated panels: assets, return days, seed
+# the mean-variance rungs: assets, return days, regime
+MEAN_VARIANCE_RUNGS = ((2000, 250, "calm"), (2000, 250, "crash"), (390, 250, "calm"),
+                       (50, 250, "calm"))
+REGIME_START = {"calm": "2019-01-02", "crash": "2020-02-03"}
 MEMORY_PANELS = ((1000, 250), (2000, 250))   # the memory section's panels: assets, days
 
 
@@ -147,9 +165,13 @@ def _timed(call, repeats: int = 20) -> tuple[dict, object]:
 def _start_taken(report, state) -> str:
     """The basis the simplex state `state` of a drawdown report's answer
     started from: the given one (`warm`), one the model built (`vertex`) or
-    the slack basis (`cold`)."""
+    the slack basis (`cold`). `md_milp`'s root LP starts from the slack
+    basis without a given one; its search's own state starts at that
+    root's optimal basis, which is not the model's choice of start."""
     if report.detail == "start=warm":
         return "warm"
+    if report.model_tag == "md_milp":
+        return "cold"
     return "vertex" if state.warm else "cold"
 
 
@@ -218,6 +240,7 @@ def run(seed: int) -> dict:
         "full_window": full_window,
         "backtest": _backtest(train, cfg),
         "sweep": _sweep(train),
+        "mean_variance": _mean_variance(),
         "panels": _panels(),
         "memory": _memory(seed),
     }
@@ -322,6 +345,42 @@ def _panels() -> dict:
     return rows
 
 
+def _mean_variance(repeats: int = 3) -> dict:
+    """`markowitz` with its estimates and the default sweep with its
+    estimates on each MEAN_VARIANCE_RUNGS panel, the least of `repeats`."""
+    import make_fixture   # beside this script
+
+    from portopt import analytics, models
+    from portopt.core import ModelConfig, PriceMatrix
+    from portopt.estimation import asset_stats, compute_simple_returns
+
+    cfg, grid = ModelConfig(rho=0.0), analytics.lambda_grid()
+    rows = {}
+    for n_assets, days, regime in MEAN_VARIANCE_RUNGS:
+        dates = make_fixture.weekdays(REGIME_START[regime], days + 1)
+        returns = compute_simple_returns(PriceMatrix(*make_fixture.build_panel(
+            n_assets, make_fixture.SEED, dates, regime)))
+        solve_times, sweep_times = [], []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            report = models.solve_markowitz(asset_stats(returns), cfg)
+            solve_times.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            stats = asset_stats(returns)
+            sweep = analytics.lambda_sweep(stats, grid)
+            sweep_times.append(time.perf_counter() - started)
+        rows[f"{n_assets}x{days}_{regime}"] = {
+            "markowitz": {"status": report.status.value, "objective": report.objective,
+                          "seconds": round(min(solve_times), 4),
+                          "walk_steps": report.iterations},
+            "sweep": {"seconds": round(min(sweep_times), 4),
+                      "n_excluded": sum(status != "Optimal" for status in sweep.statuses),
+                      "path_pieces": sum(len(line.pieces)
+                                         for line in stats.critical_lines.values()),
+                      "chosen_lambda": sweep.chosen_lambda}}
+    return rows
+
+
 def _estimation(train) -> dict:
     """`asset_stats` on the train window: its seconds, the route of its PSD
     proof, the rounding bound over PSD_TOL, and the Choleskys of one
@@ -417,11 +476,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{section:18s} " + " ".join(f"{k}={v}" for k, v in result[section].items()))
     for size, row in result["memory"].items():
         print(f"memory {size:11s} " + " ".join(f"{k}={v}" for k, v in row.items()))
+    for rung, rows in result["mean_variance"].items():
+        for tag, row in rows.items():
+            print(f"{rung:26s} {tag:9s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for panel, rows in result["panels"].items():
         for tag, row in rows.items():
             print(f"{panel:26s} {tag:8s} " + " ".join(f"{k}={v}" for k, v in row.items()))
     for window, rows in result.items():
-        if window in ("data", "estimation", "backtest", "sweep", "panels", "memory", "src_lines"):
+        if window in ("data", "estimation", "backtest", "sweep", "mean_variance", "panels",
+                      "memory", "src_lines"):
             continue
         for tag, row in rows.items():
             extra = " ".join(f"{k}={v}" for k, v in row.items()
