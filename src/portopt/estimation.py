@@ -45,7 +45,8 @@ def compute_simple_returns(prices: PriceMatrix) -> ReturnMatrix:
     if prices.n_days < 2:
         raise DimensionError("need at least 2 dates to compute returns")
     p = prices.prices
-    returns = p[:, 1:] / p[:, :-1] - 1.0
+    returns = np.divide(p[:, 1:], p[:, :-1])
+    returns -= 1.0   # in place: one n x T buffer, the same bits as p1 / p0 - 1
     return ReturnMatrix(prices.tickers, prices.dates[1:], returns)
 
 

@@ -53,7 +53,12 @@ factor form Q = CC'/T of their n x T block C of centered returns (Perold,
 |C'v|^2/T is nonnegative in floating point. So a data-built line holds no
 n x n array and builds no n x n `QpProblem` (only a top-return face of tied
 weights gets a QP of its own, over those weights); `solve_qp` and
-`QpProblem` keep their dense Q and its checks.
+`QpProblem` keep their dense Q and its checks. On each piece the line's Z
+is the null space of the budget row on the k free weights in closed form,
+the last k - 1 columns of a Householder reflector, and the Newton step is
+one LU solve of the reduced system (Nocedal & Wright, section 16.2); least
+squares takes over only where LU fails or the reduced Hessian is singular
+by rank, so a data-built line calls no SVD.
 """
 
 from __future__ import annotations
@@ -238,7 +243,11 @@ class CriticalLine:
     stays basic, every weight sits at a bound, and the capped
     weight of least return is freed). On each piece one solve in the null
     space of the budget row gives v(t) = v0 + t v1, and with it the bound
-    multipliers r(t) = r0 + t r1 of the fixed weights. Fixed weights that tie
+    multipliers r(t) = r0 + t r1 of the fixed weights: with Z that null
+    space on the free weights F (`_householder_basis`), v1 = Z w for w from
+    2 Z'Q_FF Z w = Z'mu_F by LU, or by least squares where LU raises or the
+    factor form has more free weights than days (C_F has rank below T, so
+    the reduced Hessian is singular). Fixed weights that tie
     the free one in mu (within STEP_TOL) span the top-return face with it,
     and the line then starts at that face's least-variance point, found by
     `_active_set` over those weights with the others held at the vertex;
@@ -388,14 +397,24 @@ class CriticalLine:
         n, sigma, mu, region = self.region.n_vars, self.sigma, self.mu, self.region
         x, t, side, row = self._x, self._t, self._side, region.a_eq[0]
         free = side == 0
-        z = _null_basis(row[None, free])
+        z = _householder_basis(row[free])
         x1, x0 = np.zeros(n), x
         # the first piece, from t = inf, holds its free weights still: v1 = 0
         # (the budget row pins one free weight, and free weights that tie in
         # mu stay at the least-variance point of the top face)
         if np.isfinite(t):
-            x1[free] = z @ np.linalg.lstsq(2.0 * sigma.reduced(free, z),
-                                           z.T @ mu[free], rcond=None)[0]
+            # v1 = Z w, with w from the reduced Newton system
+            # 2 Z'Q_FF Z w = Z'mu_F by LU, or by least squares where LU
+            # raises or the factor form has more free weights than days
+            # (C_F has rank below T, so Z'Q_FF Z is singular by rank)
+            hessian, gz = 2.0 * sigma.reduced(free, z), z.T @ mu[free]
+            try:
+                if sigma.c is not None and z.shape[0] > sigma.c.shape[1]:
+                    raise np.linalg.LinAlgError("singular by rank")
+                w = np.linalg.solve(hessian, gz)
+            except np.linalg.LinAlgError:
+                w = np.linalg.lstsq(hessian, gz, rcond=None)[0]
+            x1[free] = z @ w
             x0 = x - t * x1
         # the constant and t parts of grad f_t, less the budget row's
         # multiplier, which the free weights fix: on fixed weights, r0 and r1
@@ -561,3 +580,18 @@ def _null_basis(a_f: np.ndarray) -> np.ndarray:
     SVD; none when the rows have full column rank."""
     _, sing, vt = np.linalg.svd(a_f)
     return vt[np.count_nonzero(sing > RANK_TOL * sing.max(initial=0.0)):].T
+
+
+def _householder_basis(row: np.ndarray) -> np.ndarray:
+    """Columns spanning the null space of one nonzero row of k entries,
+    orthonormal: the last k - 1 columns of the Householder reflector
+    H = I - 2uu'/u'u that maps a = row/|row| to -sign(a_1) e_1, with
+    u = a + sign(a_1) e_1 (the sign avoids cancellation in u_1). H is
+    symmetric and orthogonal and its first column is a up to sign, so the
+    others are orthonormal and orthogonal to the row (Nocedal & Wright,
+    section 16.2). O(k^2), with no LAPACK call; u'u = 2(1 + |a_1|)."""
+    k = row.shape[0]
+    u = row / np.sqrt(row @ row)
+    head = abs(u[0])
+    u[0] += 1.0 if u[0] >= 0.0 else -1.0
+    return np.eye(k, k - 1, -1) - np.outer(u / (1.0 + head), u[1:])

@@ -63,7 +63,8 @@ def test_run_twice_in_one_process_leaves_the_modules_as_they_were(monkeypatch):
     monkeypatch.setattr(bench_models, "_mean_variance", lambda: {})
     patched = [(lp_solver, "SimplexState"), (milp_solver, "SimplexState"),
                (qp_solver.QpProblem, "__post_init__"), (models, "CriticalLine"),
-               (core, "_is_psd"), (np.linalg, "cholesky")]
+               (core, "_is_psd"), (np.linalg, "cholesky"), (np.linalg, "svd"),
+               (np.linalg, "lstsq"), (np.linalg, "eigh")]
     originals = [getattr(owner, name) for owner, name in patched]
     first, second = bench_models.run(3), bench_models.run(3)
     assert [getattr(owner, name) for owner, name in patched] == originals

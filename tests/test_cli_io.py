@@ -343,6 +343,26 @@ class TestCommands:
         assert run_command(cfg) == 0
         assert factored == [] and formed == []
 
+    def test_backtest_runs_no_svd_or_eigh(self, tmp_path, monkeypatch):
+        # The critical line takes the budget row's null space in closed form
+        # and solves each piece's Newton system by LU, so a data-built
+        # backtest calls none of LAPACK's SVD or symmetric eigen routines.
+        calls = []
+
+        def counted(name, call):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapped
+
+        for name in ("svd", "lstsq", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        cfg = RunConfig(command="backtest", prices=str(FIXTURE_PATH),
+                        output_dir=str(tmp_path / "bt"), rho=0.001, sigma0=0.012, lam=0.08,
+                        train_end="2020-05-01", test_end="2020-07-31")
+        assert run_command(cfg) == 0
+        assert calls == []
+
     @pytest.mark.parametrize("argv, built", [
         (["solve", "--model", "md", "--rho", "0.0005"], 0),
         (["backtest", "--models", "md,md_milp", "--rho", "0.0005"], 0),

@@ -361,7 +361,7 @@ class TestFixtureFrontier:
         # The critical line's steps and the weights' bytes.
         assert reverse.iterations == 3
         assert hashlib.sha256(reverse.allocation.weights.tobytes()).hexdigest() == (
-            "2403f456649d94b43ffb5bff80d9dfdd949f9329fab64fc84ec6bdbb898879bf")
+            "601270a65dee60f7148263ff76601eab717eee583cf2afd60fe2a590b0a76881")
 
     def test_reverse_markowitz_walks_one_state_without_a_qp_solve(self, fixture_train,
                                                                  monkeypatch):
@@ -468,6 +468,40 @@ def path_instance(rng):
         stats = AssetStats.from_centered(mu, stats.centered)
     cap = 1.0 if rng.random() < 0.4 else float(rng.uniform(1.0 / n, 0.5))
     return stats, cap
+
+
+def duplicate_panel(rng):
+    """A budget-box instance whose returns repeat some series exactly: n
+    from 4 to 30 assets over T < n days, one to n/2 rows copied over
+    others, and a cap of 1 or one that binds. Twin series give a reduced
+    Hessian that is singular wherever both are free."""
+    n = int(rng.integers(4, 31))
+    data = rng.normal(rng.normal(0.001, 0.002, (n, 1)), rng.uniform(0.005, 0.03, (n, 1)),
+                      (n, int(rng.integers(2, n))))
+    copies = int(rng.integers(1, n // 2 + 1))
+    data[rng.choice(n, size=copies, replace=False)] = data[rng.choice(n, size=copies)]
+    cap = 1.0 if rng.random() < 0.4 else float(rng.uniform(1.0 / n, 0.5))
+    return stats_from(data), cap
+
+
+def line_queries(line, stats, cap, rng) -> list:
+    """Queries of the three models on `line`, the walked line of `stats`
+    under `cap`: `markowitz` floors and `reverse_markowitz` ceilings at
+    three random points inside the line's returns and variances, and
+    `simultaneous` at four lambdas, each with the scale of its objective."""
+    mu, var_max = stats.mean_returns, float(stats.covariance.diagonal().max())
+    ret_lo, ret_hi = float(mu @ line.pieces[-1].x_lo), float(mu @ line.top)
+    var_lo, var_hi = (line.variance(line.pieces[k].x_lo) for k in (-1, 0))
+    inside = rng.uniform(0.05, 0.95, 3)
+    queries = [(solve_markowitz, ModelConfig(rho=float(ret_lo + u * (ret_hi - ret_lo)), cap=cap),
+                var_max) for u in inside]
+    queries += [(solve_simultaneous, ModelConfig(lam=lam, cap=cap),
+                 lam * var_max + np.abs(mu).max()) for lam in (0.0, 0.3, 3.0, 3e4)]
+    if var_hi > var_lo:
+        queries += [(solve_reverse_markowitz, ModelConfig(
+            sigma0=float(np.sqrt(var_lo + u * (var_hi - var_lo))), cap=cap),
+            np.abs(mu).max()) for u in inside]
+    return queries
 
 
 def claimed_gap(report) -> float:
@@ -589,19 +623,7 @@ class TestPathQueries:
                 line.at_variance(0.0)    # walks the whole line, down to t = 0
             factor, full = lines[0].pieces, lines[1].pieces
             assert [p.side.tolist() for p in factor] == [p.side.tolist() for p in full]
-            mu, var_max = stats.mean_returns, float(stats.covariance.diagonal().max())
-            ret_lo, ret_hi = float(mu @ factor[-1].x_lo), float(mu @ lines[0].top)
-            var_lo, var_hi = (lines[0].variance(factor[k].x_lo) for k in (-1, 0))
-            inside = rng.uniform(0.05, 0.95, 3)
-            queries = [(solve_markowitz, ModelConfig(rho=float(ret_lo + u * (ret_hi - ret_lo)),
-                                                     cap=cap), var_max) for u in inside]
-            queries += [(solve_simultaneous, ModelConfig(lam=lam, cap=cap),
-                         lam * var_max + np.abs(mu).max()) for lam in (0.0, 0.3, 3.0, 3e4)]
-            if var_hi > var_lo:
-                queries += [(solve_reverse_markowitz, ModelConfig(
-                    sigma0=float(np.sqrt(var_lo + u * (var_hi - var_lo))), cap=cap),
-                    np.abs(mu).max()) for u in inside]
-            for solve, cfg, scale in queries:
+            for solve, cfg, scale in line_queries(lines[0], stats, cap, rng):
                 report, reference = solve(stats, cfg), solve(dense, cfg)
                 assert report.status is reference.status is SolveStatus.OPTIMAL
                 assert report.iterations == reference.iterations
@@ -612,6 +634,52 @@ class TestPathQueries:
                     floor_gap, error = highs_floor_gap(report.allocation.weights, stats, cap,
                                                        cfg.rho)
                     assert claimed_gap(report) >= floor_gap - error
+
+    @pytest.mark.parametrize("panel", ["fixture", "path", "duplicate"])
+    def test_least_squares_and_lu_walks_alike(self, panel, fixture_train, monkeypatch):
+        # Each piece's reduced Newton system is solved by LU, with least
+        # squares where LU fails. Making every LU solve fail sends the
+        # whole walk to least squares: both walks take the same pieces on
+        # the same working sets, each query the same steps, and objectives
+        # agree within 1e-12 relative to each objective's scale, as in
+        # `test_factor_and_dense_lines_walk_alike` (a variance near 0 is
+        # rounding on both). "duplicate" panels repeat series exactly, so
+        # their reduced Hessians are singular where twins are both free.
+        refused = []
+
+        def refuse(*args, **kwargs):
+            refused.append(args[0].shape)
+            raise np.linalg.LinAlgError("refused")
+
+        rng = np.random.default_rng(4242)
+        instances = {"fixture": lambda: [(asset_stats(fixture_train), cap) for cap in (1.0, 0.2)],
+                     "path": lambda: [path_instance(rng) for _ in range(40)],
+                     "duplicate": lambda: [duplicate_panel(rng) for _ in range(60)]}[panel]()
+        for stats, cap in instances:
+            lines = []
+            for lu in (True, False):
+                own = AssetStats.from_centered(stats.mean_returns, stats.centered)
+                with monkeypatch.context() as patch:
+                    if not lu:
+                        patch.setattr(np.linalg, "solve", refuse)
+                    line = models._line(own, ModelConfig(cap=cap))
+                    if line.feasible:
+                        line.at_variance(0.0)    # walks the whole line, down to t = 0
+                lines.append((own, line))
+            (lu_stats, lu_line), (ls_stats, ls_line) = lines
+            assert lu_line.feasible is ls_line.feasible
+            if not lu_line.feasible:
+                continue
+            assert ([p.side.tolist() for p in lu_line.pieces]
+                    == [p.side.tolist() for p in ls_line.pieces])
+            for solve, cfg, scale in line_queries(lu_line, stats, cap, rng):
+                report, reference = solve(lu_stats, cfg), solve(ls_stats, cfg)
+                assert report.status is reference.status
+                assert report.iterations == reference.iterations
+                if report.status is SolveStatus.OPTIMAL:
+                    assert abs(report.objective - reference.objective) <= 1e-12 * max(
+                        abs(report.objective), abs(reference.objective), scale)
+        assert refused
 
     def test_a_cap_below_one_over_n_is_infeasible_for_all_three(self):
         stats = stats_from(np.random.default_rng(8).normal(0.001, 0.02, (5, 4)))

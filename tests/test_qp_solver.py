@@ -115,6 +115,19 @@ def test_return_floor_at_max_return_vertex():
     assert sol.fw_gap <= 1e-8 * (1.0 + abs(sol.objective))
 
 
+def test_householder_basis_spans_the_rows_null_space():
+    # Rows of ones (the budget row) and rows of mixed signs and scales,
+    # k = 1 to 60: k - 1 orthonormal columns orthogonal to the row.
+    rng = np.random.default_rng(34)
+    for k in range(1, 61):
+        mixed = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-6.0, 6.0, k)
+        for row in (np.ones(k), mixed):
+            z = qp_solver._householder_basis(row)
+            assert z.shape == (k, k - 1)
+            assert np.abs(row @ z).max(initial=0.0) <= 1e-14 * np.sqrt(row @ row)
+            assert np.abs(z.T @ z - np.eye(k - 1)).max(initial=0.0) <= 1e-14
+
+
 def dense_line(problem: QpProblem, mu: np.ndarray) -> CriticalLine:
     """The critical line over `problem`'s region, reading its dense Q."""
     return CriticalLine(problem._region, mu, q=problem.q)

@@ -61,7 +61,9 @@ the covariance PSD: `certificate` (the O(nT) rounding bound on the centered
 block, `core.gram_psd_bound`, is within `PSD_TOL`) or `cholesky` (the n x n
 check); `delta_over_psd_tol` is that bound over `PSD_TOL`. It also counts
 the `np.linalg.cholesky` calls of one fixture `backtest` command
-(`backtest_choleskys`, 0 where no `QpProblem` is built).
+(`backtest_choleskys`, 0 where no `QpProblem` is built) and its
+`np.linalg.svd`, `lstsq` and `eigh` calls (`backtest_svds`, 0 where the
+critical line takes its null spaces in closed form and its steps by LU).
 
 The `mean_variance` section is the mean-variance rungs of the scale
 ladder (ROADMAP item 4 will absorb it): for each of MEAN_VARIANCE_RUNGS, a
@@ -383,8 +385,8 @@ def _mean_variance(repeats: int = 3) -> dict:
 
 def _estimation(train) -> dict:
     """`asset_stats` on the train window: its seconds, the route of its PSD
-    proof, the rounding bound over PSD_TOL, and the Choleskys of one
-    fixture `backtest`."""
+    proof, the rounding bound over PSD_TOL, and the Choleskys and the SVD
+    and symmetric eigen calls of one fixture `backtest`."""
     import io
     import tempfile
 
@@ -398,6 +400,9 @@ def _estimation(train) -> dict:
     # the centered block `asset_stats` proves the covariance PSD from
     delta = gram_psd_bound(train.returns - mean_returns(train)[:, None])
     with (mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky,
+          mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+          mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq,
+          mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
           tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO())):
         run_command(RunConfig(command="backtest", prices=str(FIXTURE), output_dir=out,
                               rho=RHO, sigma0=SIGMA0, lam=LAM, train_end=TRAIN_END,
@@ -405,7 +410,8 @@ def _estimation(train) -> dict:
     return {"asset_stats_seconds": seconds,
             "route": "certificate" if delta <= PSD_TOL else "cholesky",
             "delta_over_psd_tol": float(f"{delta / PSD_TOL:.4g}"),
-            "backtest_choleskys": cholesky.call_count}
+            "backtest_choleskys": cholesky.call_count,
+            "backtest_svds": svd.call_count + lstsq.call_count + eigh.call_count}
 
 
 def _backtest(train, cfg, repeats: int = 10) -> dict:
